@@ -5,7 +5,7 @@ floating point anywhere. The modules layer bottom-up:
 
     scalar      exact field elements (Fraction, cyclotomic integers over it)
     poly        multivariate polynomials, derivatives, doubled rings
-    groebner    Buchberger bases and normal forms for zero-dimensional ideals
+    groebner    one Buchberger engine: submodules of R^r, ideals as rank 1
     milnor      Milnor algebras, residue traces, Gram pairings
     mfcore      matrix factorizations, morphism cocycles, Koszul models
     homology    Hom-complex cohomology, Euler characteristics, Cardy traces

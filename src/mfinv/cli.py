@@ -73,7 +73,7 @@ from .mfcore import (
 from .milnor import MilnorRing, build_milnor, gram_matrix, hessian_class, residue_trace
 from .oracle import chern_of_diagonal, inverse_form_check, oracle_tau, solve_D
 from .poly import PolyRing, Polynomial
-from .scalar import CyclotomicContext, Scalar
+from .scalar import CyclotomicContext, Scalar, scalar_to_json
 
 
 class SessionError(Exception):
@@ -98,6 +98,13 @@ class Session:
 # --- scalar and polynomial input --------------------------------------------
 
 
+def _session_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SessionError("%s must be an integer, got %r" % (what, value))
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -109,7 +116,7 @@ def parse_scalar(spec, context: CyclotomicContext | None) -> Scalar:
     """A scalar from "p/q", an expression in z, or {"m":..,"coeffs":[..]}."""
     if isinstance(spec, dict):
         try:
-            m = int(spec["m"])
+            m = _session_int(spec["m"], "scalar conductor")
             coeffs = [_parse_fraction(c) for c in spec["coeffs"]]
         except (KeyError, TypeError) as exc:
             raise SessionError("bad scalar object %r: %s" % (spec, exc))
@@ -142,15 +149,6 @@ def parse_scalar(spec, context: CyclotomicContext | None) -> Scalar:
     return total
 
 
-def scalar_json(s: Scalar):
-    if s.context is None or s.is_rational():
-        return str(s.as_fraction())
-    return {
-        "m": s.context.order,
-        "coeffs": [str(c) for c in s.coeffs],
-    }
-
-
 def _parse_poly(ring: PolyRing, text, what: str) -> Polynomial:
     if not isinstance(text, str):
         raise SessionError("%s must be a polynomial string, got %r" % (what, text))
@@ -179,7 +177,7 @@ def _load_field(doc) -> int | None:
     if spec == "rational":
         order = None
     elif isinstance(spec, dict) and "cyclotomic_order" in spec:
-        order = int(spec["cyclotomic_order"])
+        order = _session_int(spec["cyclotomic_order"], "cyclotomic order")
         if order < 1:
             raise SessionError("cyclotomic order must be positive")
     else:
@@ -190,7 +188,7 @@ def _load_field(doc) -> int | None:
             raise SessionError("group must be an object")
         g_order = group.get("cyclotomic_order")
         if g_order is not None:
-            g_order = int(g_order)
+            g_order = _session_int(g_order, "group cyclotomic order")
             if order is None:
                 order = g_order
             elif order != g_order:
@@ -209,13 +207,16 @@ def _load_factorization(ring: PolyRing, w: Polynomial, name: str, spec) -> MatFa
         raise SessionError("factorization %r must be an object" % name)
     if "koszul" in spec:
         kdata = spec["koszul"]
-        try:
-            a = [_parse_poly(ring, t, "factorization %r" % name) for t in kdata["a"]]
-            b = [_parse_poly(ring, t, "factorization %r" % name) for t in kdata["b"]]
-        except (KeyError, TypeError):
+        if not (
+            isinstance(kdata, dict)
+            and isinstance(kdata.get("a"), list)
+            and isinstance(kdata.get("b"), list)
+        ):
             raise SessionError(
                 "factorization %r needs koszul data {\"a\": [...], \"b\": [...]}" % name
             )
+        a = [_parse_poly(ring, t, "factorization %r" % name) for t in kdata["a"]]
+        b = [_parse_poly(ring, t, "factorization %r" % name) for t in kdata["b"]]
         try:
             E = koszul(a, b)
         except ValueError as exc:
@@ -371,7 +372,7 @@ def load_session(path: str) -> Session:
     if weights_doc is not None:
         if not isinstance(weights_doc, list) or len(weights_doc) != len(variables):
             raise SessionError("weights must list one integer per variable")
-        session.weights = tuple(int(a) for a in weights_doc)
+        session.weights = tuple(_session_int(a, "weight") for a in weights_doc)
     return session
 
 
@@ -418,7 +419,7 @@ def _monomial_text(ring: PolyRing, m) -> str:
 
 
 def _element_json(g):
-    return [scalar_json(lam) for lam in g]
+    return [scalar_to_json(lam) for lam in g]
 
 
 def _element_text(g) -> str:
@@ -434,7 +435,7 @@ def cmd_milnor(session: Session, args) -> dict:
     return {
         "mu": A.mu,
         "basis": [_monomial_text(session.ring, m) for m in A.basis],
-        "gram": [[scalar_json(c) for c in row] for row in G],
+        "gram": [[scalar_to_json(c) for c in row] for row in G],
     }
 
 
@@ -487,7 +488,7 @@ def cmd_cardy(session: Session, args) -> dict:
         raise VerificationFailure(
             "cardy sides disagree: lhs %s, rhs %s" % (lhs, rhs)
         )
-    return {"value": scalar_json(lhs)}
+    return {"value": scalar_to_json(lhs)}
 
 
 def cmd_sectors(session: Session, args) -> dict:

@@ -1,19 +1,25 @@
-"""Buchberger engine for ideals and submodules of R^r, with cofactor tracking.
+"""One Buchberger engine for submodules of R^r; an ideal is the rank-1 case.
 
 Everything runs over the global grevlex order.  The downstream callers
 (Milnor rings, Hom-cohomology) only ever feed ideals and modules whose
 quotients are supported at the origin, where global and local computations
 agree; `local_support_check` certifies that precondition.
 
-Module elements are plain tuples of polynomials.  The module order is
-term-over-position (grevlex on the monomial part, ties to the lower
-position index); syzygy computations use a position-block elimination
-order on an enlarged free module instead of Schreyer-style tracking, which
-keeps correctness independent of the pair-elimination criteria.
+Module elements are plain tuples of polynomials, and an ideal generator g
+is the element (g,).  The module order is term-over-position (grevlex on
+the monomial part, ties to the lower position index); elements of length
+1 also get Buchberger's product criterion.  Syzygies and cofactors use a
+position-block elimination order on an enlarged free module instead of
+Schreyer-style tracking, which keeps correctness independent of the
+pair-elimination criteria: the basis of the vectors (g_i, e_i) in
+R^(1+s) under the order whose first position dominates has the reduced
+ideal basis as its first components, and its tails are the cofactors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 from .poly import (
     Monomial,
@@ -26,87 +32,96 @@ from .poly import (
     monomial_mul,
 )
 
-# --- ideals -----------------------------------------------------------------
+ModuleElement = tuple  # tuple[Polynomial, ...]
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    ring: PolyRing
-    generators: tuple[Polynomial, ...]
-    order: str = "grevlex"
-    reduced: bool = True
-    # rows of the transformation matrix: generators[i] = sum_j transform[i][j] * original[j]
-    transform: tuple[tuple[Polynomial, ...], ...] | None = None
-    originals: tuple[Polynomial, ...] | None = None
+def _mod_lead(v: ModuleElement, block: int):
+    """Lead (position, monomial) of v: any term in the first ``block``
+    positions beats every term outside them, then grevlex decides, then
+    the lower position."""
+    positions = [p for p, c in enumerate(v) if c.terms]
+    if not positions:
+        raise ValueError("leading term of zero module element")
+    if positions[0] < block:
+        positions = [p for p in positions if p < block]
+    # the lead of v is the largest of the remaining components' leads
+    leads = [(p, v[p].leading_monomial()) for p in positions]
+    if len(leads) == 1:
+        return leads[0]
+    return max(leads, key=lambda pm: (grevlex_key(pm[1]), -pm[0]))
 
 
-class _Entry:
-    __slots__ = ("poly", "lm", "lc", "sugar", "row")
-
-    def __init__(self, poly, sugar, row):
-        self.poly = poly
-        self.lm = poly.leading_monomial()
-        self.lc = poly.leading_coeff()
-        self.sugar = sugar
-        self.row = row
+def _mod_is_zero(v) -> bool:
+    return not any(c.terms for c in v)
 
 
-def _divide_tracked(f, basis, ring):
-    """Full division of f by the entries; returns (remainder, quotients)."""
-    quots = [ring.zero() for _ in basis]
-    rem: dict = {}
-    work = f
-    while not work.is_zero():
-        m = work.leading_monomial()
-        c = work.terms[m]
-        for i, e in enumerate(basis):
-            if monomial_divides(e.lm, m):
-                t = monomial_div(m, e.lm)
-                coeff = c * e.lc.inverse()
-                mono = ring.monomial(t, coeff)
-                work = work - e.poly * mono
-                quots[i] = quots[i] + mono
+def _with_leads(gens, block: int):
+    """(element, (position, lead monomial, inverse lead coefficient)) pairs."""
+    out = []
+    for g in gens:
+        p, m = _mod_lead(g, block)
+        out.append((g, (p, m, g[p].terms[m].inverse())))
+    return out
+
+
+def _with_units(gens, ring: PolyRing):
+    """The vectors (g_i, e_i) in R^(rank + s)."""
+    s = len(gens)
+    return [
+        tuple(g) + tuple(ring.one() if j == i else ring.zero() for j in range(s))
+        for i, g in enumerate(gens)
+    ]
+
+
+def _mod_divide(v, basis, ring, block: int):
+    """Full division of v by the `_with_leads` entries of ``basis``;
+    returns (remainder, quotients)."""
+    quots = [{} for _ in basis]
+    rem = [{} for _ in v]
+    work = list(v)
+    while not _mod_is_zero(work):
+        p, m = _mod_lead(work, block)
+        c = work[p].terms[m]
+        for i, (w, (wp, wm, winv)) in enumerate(basis):
+            if wp == p and monomial_divides(wm, m):
+                t = monomial_div(m, wm)
+                coeff = c * winv
+                # leads strictly decrease, so each (i, t) occurs once
+                quots[i][t] = coeff
+                factor = Polynomial(ring, {t: -coeff})
+                work = [a + factor * b if b.terms else a for a, b in zip(work, w)]
                 break
         else:
-            rem[m] = c
-            work = Polynomial(ring, {k: v for k, v in work.terms.items() if k != m})
-    return ring.from_terms(rem), quots
-
-
-def _spair_data(ei, ej):
-    lcm = monomial_lcm(ei.lm, ej.lm)
-    sugar = max(
-        ei.sugar + sum(monomial_div(lcm, ei.lm)),
-        ej.sugar + sum(monomial_div(lcm, ej.lm)),
+            rem[p][m] = c
+            terms = dict(work[p].terms)
+            del terms[m]
+            work[p] = Polynomial(ring, terms)
+    return (
+        tuple(Polynomial(ring, d) for d in rem),
+        [Polynomial(ring, q) for q in quots],
     )
-    return lcm, sugar
 
 
-def buchberger(gens, track: bool = False) -> GroebnerBasis:
-    """Reduced Groebner basis; with track=True carries the transformation
-    matrix expressing each basis element against the original generators."""
-    gens = list(gens)
-    ring = next((g.ring for g in gens if not g.is_zero()), None)
-    if ring is None:
-        raise ValueError("no nonzero generators")
-    nin = len(gens)
+def module_buchberger(gens, ring: PolyRing, block: int = 0):
+    """Reduced module GB under term-over-position grevlex; ``block=r``
+    switches to the elimination order whose first r positions dominate (for
+    syzygies and cofactors).  Elements of length 1 are ideal generators."""
+    basis: list = []  # `_with_leads` entries
+    sugars: list[int] = []
+    # (sugar, grevlex key of lcm, position, j, i, lcm), taken smallest
+    # first; (j, i) is the insertion order, so ties go to the older pair
+    pairs: list[tuple] = []
 
-    def unit_row(i):
-        if not track:
-            return None
-        return [ring.one() if j == i else ring.zero() for j in range(nin)]
-
-    basis: list[_Entry] = []
-    pairs: list[tuple] = []  # (sugar, lcm, i, j)
-
-    def add_element(poly, sugar, row):
+    def add_element(v, sugar):
         t = len(basis)
-        e = _Entry(poly, sugar, row)
-        # Gebauer-Moeller update of the pair set
+        p, m = _mod_lead(v, block)
         cand = []
-        for i in range(t):
-            lcm, s = _spair_data(basis[i], e)
-            cand.append([lcm, s, i, True])
+        for i, (_w, (wp, wm, _c)) in enumerate(basis):
+            if wp == p:
+                lcm = monomial_lcm(wm, m)
+                s = max(sugars[i] + sum(monomial_div(lcm, wm)), sugar + sum(monomial_div(lcm, m)))
+                cand.append([lcm, s, i, True])
+        # Gebauer-Moeller update of the pair set
         # criterion M: drop pairs whose lcm is a proper multiple of another's
         for a in cand:
             for b in cand:
@@ -114,167 +129,141 @@ def buchberger(gens, track: bool = False) -> GroebnerBasis:
                     a[3] = False
                     break
         # criterion F: among equal lcms keep a single representative
-        seen = {}
+        seen = set()
         for a in cand:
             if a[3]:
                 if a[0] in seen:
                     a[3] = False
                 else:
-                    seen[a[0]] = a
-        # criterion B (ideals only): coprime leading monomials reduce to zero
-        for a in cand:
-            if a[3] and monomial_mul(basis[a[2]].lm, e.lm) == a[0]:
-                a[3] = False
+                    seen.add(a[0])
+        # product criterion (ideals only): coprime leads reduce to zero
+        if len(v) == 1:
+            for a in cand:
+                if a[3] and monomial_mul(basis[a[2]][1][1], m) == a[0]:
+                    a[3] = False
         # chain criterion on the old pairs
-        kept_old = []
-        for sugar_ij, lcm_ij, i, j in pairs:
-            if (
-                monomial_divides(e.lm, lcm_ij)
-                and monomial_lcm(basis[i].lm, e.lm) != lcm_ij
-                and monomial_lcm(basis[j].lm, e.lm) != lcm_ij
-            ):
-                continue
-            kept_old.append((sugar_ij, lcm_ij, i, j))
-        pairs.clear()
-        pairs.extend(kept_old)
-        for lcm, s, i, alive in cand:
-            if alive:
-                pairs.append((s, lcm, i, t))
-        basis.append(e)
+        pairs[:] = [
+            q for q in pairs
+            if not (
+                q[2] == p
+                and monomial_divides(m, q[5])
+                and monomial_lcm(basis[q[3]][1][1], m) != q[5]
+                and monomial_lcm(basis[q[4]][1][1], m) != q[5]
+            )
+        ]
+        pairs.extend((s, grevlex_key(lcm), p, t, i, lcm) for lcm, s, i, alive in cand if alive)
+        basis.append((v, (p, m, v[p].terms[m].inverse())))
+        sugars.append(sugar)
 
-    for i, g in enumerate(gens):
-        if g.is_zero():
+    for g in gens:
+        g = tuple(g)
+        if _mod_is_zero(g):
             continue
-        r, q = _divide_tracked(g, basis, ring)
-        if r.is_zero():
-            continue
-        row = unit_row(i)
-        if track:
-            for k, e in enumerate(basis):
-                if not q[k].is_zero():
-                    row = [a - q[k] * b for a, b in zip(row, e.row)]
-        add_element(r, g.total_degree(), row)
+        r, _ = _mod_divide(g, basis, ring, block)
+        if not _mod_is_zero(r):
+            add_element(r, max(c.total_degree() for c in g))
 
     while pairs:
-        pairs.sort(key=lambda p: (p[0], grevlex_key(p[1])))
-        sugar, lcm, i, j = pairs.pop(0)
-        ei, ej = basis[i], basis[j]
-        mi = ring.monomial(monomial_div(lcm, ei.lm), ei.lc.inverse())
-        mj = ring.monomial(monomial_div(lcm, ej.lm), ej.lc.inverse())
-        s = ei.poly * mi - ej.poly * mj
-        if s.is_zero():
+        q = min(pairs)
+        pairs.remove(q)
+        sugar, _key, _p, j, i, lcm = q
+        (vi, (_, mi, ci)), (vj, (_, mj, cj)) = basis[i], basis[j]
+        fi = Polynomial(ring, {monomial_div(lcm, mi): ci})
+        fj = Polynomial(ring, {monomial_div(lcm, mj): -cj})
+        s = tuple(fi * a + fj * b for a, b in zip(vi, vj))
+        if _mod_is_zero(s):
             continue
-        r, q = _divide_tracked(s, basis, ring)
-        if r.is_zero():
-            continue
-        row = None
-        if track:
-            row = [mi * a - mj * b for a, b in zip(ei.row, ej.row)]
-            for k, e in enumerate(basis):
-                if not q[k].is_zero():
-                    row = [a - q[k] * b for a, b in zip(row, e.row)]
-        add_element(r, sugar, row)
+        r, _ = _mod_divide(s, basis, ring, block)
+        if not _mod_is_zero(r):
+            add_element(r, sugar)
 
     # minimalize: drop entries whose lead is divisible by another lead
-    keep = []
-    for i, e in enumerate(basis):
-        if any(
-            j != i and monomial_divides(basis[j].lm, e.lm)
-            and (basis[j].lm != e.lm or j < i)
-            for j in range(len(basis))
-        ):
-            continue
-        keep.append(e)
+    keep = [
+        e for i, e in enumerate(basis)
+        if not any(
+            j != i and f[1][0] == e[1][0] and monomial_divides(f[1][1], e[1][1])
+            and (f[1][1] != e[1][1] or j < i)
+            for j, f in enumerate(basis)
+        )
+    ]
     # tail-reduce and normalize to monic
-    final: list[_Entry] = []
-    for e in keep:
-        others = [x for x in keep if x is not e]
-        r, q = _divide_tracked(e.poly, others, ring)
-        row = e.row
-        if track:
-            for k, o in enumerate(others):
-                if not q[k].is_zero():
-                    row = [a - q[k] * b for a, b in zip(row, o.row)]
-        inv = r.leading_coeff().inverse()
-        r = r * inv
-        if track:
-            row = [a * inv for a in row]
-        final.append(_Entry(r, e.sugar, row))
-    final.sort(key=lambda e: grevlex_key(e.lm))
+    final = []
+    for idx, (v, _lead) in enumerate(keep):
+        r, _ = _mod_divide(v, keep[:idx] + keep[idx + 1:], ring, block)
+        p, m = _mod_lead(r, block)
+        inv = r[p].terms[m].inverse()
+        final.append(((p, grevlex_key(m)), tuple(a * inv for a in r)))
+    final.sort(key=lambda e: e[0])
+    return [e[1] for e in final]
 
-    if track:
-        for e in final:
-            check = ring.zero()
-            for a, g in zip(e.row, gens):
-                check = check + a * g
-            assert check == e.poly, "cofactor tracking lost exactness"
-    return GroebnerBasis(
-        ring,
-        tuple(e.poly for e in final),
-        transform=tuple(tuple(e.row) for e in final) if track else None,
-        originals=tuple(gens) if track else None,
-    )
+
+# --- ideals -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GroebnerBasis:
+    """A reduced ideal basis.  A tracked basis also keeps the input
+    generators and the module basis of the vectors (g_i, e_i)."""
+
+    ring: PolyRing
+    generators: tuple[Polynomial, ...]
+    originals: tuple[Polynomial, ...] | None = None
+    tracked: tuple[ModuleElement, ...] | None = None
+
+    @cached_property
+    def _module(self) -> "ModuleGB":
+        return ModuleGB(self.ring, 1, tuple((g,) for g in self.generators))
+
+    @cached_property
+    def _tracked_leads(self):
+        return _with_leads(self.tracked, 1)
+
+
+def buchberger(gens, track: bool = False) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal, as a rank-1 module; with
+    track=True also keeps the block-order basis that carries cofactors
+    against the original generators."""
+    gens = tuple(gens)
+    ring = next((g.ring for g in gens if not g.is_zero()), None)
+    if ring is None:
+        raise ValueError("no nonzero generators")
+    rank1 = [(g,) for g in gens]
+    if not track:
+        return GroebnerBasis(ring, tuple(v[0] for v in module_buchberger(rank1, ring)))
+    tracked = module_buchberger(_with_units(rank1, ring), ring, block=1)
+    heads = tuple(v[0] for v in tracked if not v[0].is_zero())
+    return GroebnerBasis(ring, heads, gens, tuple(tracked))
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    entries = [_Entry(g, 0, None) for g in gb.generators]
-    r, _ = _divide_tracked(f, entries, gb.ring)
-    return r
+    return module_normal_form((f,), gb._module)[0]
 
 
 def normal_form_with_cofactors(f: Polynomial, gb: GroebnerBasis):
     """Remainder plus cofactors against the ORIGINAL generators.
 
-    Requires a tracked basis (buchberger(..., track=True)).  The defining
-    identity f = sum_j cofactor_j * original_j + remainder is asserted.
+    Requires a tracked basis (buchberger(..., track=True)).  Dividing
+    (f, 0, ..., 0) by it leaves (r, -a_1, ..., -a_s), and the defining
+    identity f = sum_j a_j * original_j + r is checked.
     """
-    if gb.transform is None:
+    if gb.tracked is None:
         raise ValueError("basis was not tracked; rebuild with track=True")
     ring = gb.ring
-    entries = [_Entry(g, 0, None) for g in gb.generators]
-    r, q = _divide_tracked(f, entries, ring)
-    nin = len(gb.originals)
-    cof = [ring.zero() for _ in range(nin)]
-    for k, qk in enumerate(q):
-        if not qk.is_zero():
-            for j in range(nin):
-                cof[j] = cof[j] + qk * gb.transform[k][j]
+    v = (f,) + (ring.zero(),) * len(gb.originals)
+    rem, _ = _mod_divide(v, gb._tracked_leads, ring, 1)
+    r, cof = rem[0], [-a for a in rem[1:]]
     check = r
     for a, g in zip(cof, gb.originals):
         check = check + a * g
-    assert check == f, "cofactor identity failed"
+    if check != f:
+        raise AssertionError("cofactor identity failed")
     return r, cof
 
 
 def quotient_basis(gb: GroebnerBasis):
     """Standard monomials of the quotient, or None when infinite."""
-    ring = gb.ring
-    leads = [g.leading_monomial() for g in gb.generators]
-    n = ring.n
-    bounds = []
-    for i in range(n):
-        pure = [
-            m[i]
-            for m in leads
-            if all(e == 0 for k, e in enumerate(m) if k != i)
-        ]
-        if not pure:
-            return None
-        bounds.append(min(pure))
-    out = []
-    # box enumeration over prod [0, bounds_i)
-    def rec(prefix):
-        if len(prefix) == n:
-            m = tuple(prefix)
-            if not any(monomial_divides(l, m) for l in leads):
-                out.append(m)
-            return
-        for e in range(bounds[len(prefix)]):
-            rec(prefix + [e])
-
-    rec([])
-    out.sort(key=grevlex_key)
-    return out
+    std = module_standard_monomials(gb._module)
+    return None if std is None else [m for _p, m in std]
 
 
 def local_support_check(gb: GroebnerBasis) -> bool:
@@ -292,194 +281,30 @@ def local_support_check(gb: GroebnerBasis) -> bool:
 
 # --- modules ----------------------------------------------------------------
 
-ModuleElement = tuple  # tuple[Polynomial, ...]
-
 
 @dataclass(frozen=True)
 class ModuleGB:
     ring: PolyRing
     rank: int
     generators: tuple[ModuleElement, ...]
-    order: str = "top-grevlex"
 
-
-def _mod_lead(v: ModuleElement, key):
-    best = None
-    for p, comp in enumerate(v):
-        for m in comp.terms:
-            k = key(p, m)
-            if best is None or k > best[0]:
-                best = (k, p, m)
-    if best is None:
-        raise ValueError("leading term of zero module element")
-    return best[1], best[2]
-
-
-def _top_key(p, m):
-    return (grevlex_key(m), -p)
-
-
-def _block_key(r):
-    def key(p, m):
-        return (1 if p < r else 0, grevlex_key(m), -p)
-
-    return key
-
-
-def _mod_is_zero(v) -> bool:
-    return all(c.is_zero() for c in v)
-
-
-def _mod_sub_scaled(v, w, mono, coeff, ring):
-    """v - coeff * x^mono * w, componentwise."""
-    factor = ring.monomial(mono, coeff)
-    return tuple(a - factor * b for a, b in zip(v, w))
-
-
-def _mod_divide(v, basis, ring, key):
-    """Full division; returns (remainder, quotients)."""
-    quots = [ring.zero() for _ in basis]
-    rem = [dict() for _ in v]
-    work = tuple(v)
-    while not _mod_is_zero(work):
-        p, m = _mod_lead(work, key)
-        c = work[p].terms[m]
-        for i, (w, (wp, wm, wc)) in enumerate(basis):
-            if wp == p and monomial_divides(wm, m):
-                t = monomial_div(m, wm)
-                coeff = c * wc.inverse()
-                work = _mod_sub_scaled(work, w, t, coeff, ring)
-                quots[i] = quots[i] + ring.monomial(t, coeff)
-                break
-        else:
-            rem[p][m] = c
-            comp = Polynomial(ring, {k: x for k, x in work[p].terms.items() if k != m})
-            work = tuple(comp if q == p else a for q, a in enumerate(work))
-    return tuple(ring.from_terms(d) for d in rem), quots
-
-
-def _with_leads(gens, key):
-    out = []
-    for g in gens:
-        p, m = _mod_lead(g, key)
-        out.append((g, (p, m, g[p].terms[m])))
-    return out
-
-
-def module_buchberger(gens, rank: int, ring: PolyRing, block: int | None = None):
-    """Module GB under term-over-position grevlex; ``block=r`` switches to the
-    elimination order whose first r positions dominate (for syzygies)."""
-    key = _top_key if block is None else _block_key(block)
-    gens = [tuple(g) for g in gens if not _mod_is_zero(g)]
-    basis: list = []  # entries: [elem, (p, m, c), sugar]
-    pairs: list[tuple] = []
-
-    def sugar_of(v):
-        return max(
-            (c.total_degree() for c in v if not c.is_zero()), default=0
-        )
-
-    def add_element(v, sugar):
-        t = len(basis)
-        p, m = _mod_lead(v, key)
-        c = v[p].terms[m]
-        cand = []
-        for i, (w, (wp, wm, wc), ws) in enumerate(basis):
-            if wp != p:
-                continue
-            lcm = monomial_lcm(wm, m)
-            s = max(ws + sum(monomial_div(lcm, wm)), sugar + sum(monomial_div(lcm, m)))
-            cand.append([lcm, s, i, True])
-        for a in cand:
-            for b in cand:
-                if a is not b and b[3] and monomial_divides(b[0], a[0]) and a[0] != b[0]:
-                    a[3] = False
-                    break
-        seen = {}
-        for a in cand:
-            if a[3]:
-                if a[0] in seen:
-                    a[3] = False
-                else:
-                    seen[a[0]] = a
-        # no coprime criterion for modules
-        kept_old = []
-        for sugar_ij, lcm_ij, pos_ij, i, j in pairs:
-            if (
-                pos_ij == p
-                and monomial_divides(m, lcm_ij)
-                and monomial_lcm(basis[i][1][1], m) != lcm_ij
-                and monomial_lcm(basis[j][1][1], m) != lcm_ij
-            ):
-                continue
-            kept_old.append((sugar_ij, lcm_ij, pos_ij, i, j))
-        pairs.clear()
-        pairs.extend(kept_old)
-        for lcm, s, i, alive in cand:
-            if alive:
-                pairs.append((s, lcm, p, i, t))
-        basis.append((v, (p, m, c), sugar))
-
-    for g in gens:
-        r, _ = _mod_divide(g, [(b[0], b[1]) for b in basis], ring, key)
-        if not _mod_is_zero(r):
-            add_element(r, sugar_of(g))
-
-    while pairs:
-        pairs.sort(key=lambda q: (q[0], grevlex_key(q[1]), q[2]))
-        sugar, lcm, pos, i, j = pairs.pop(0)
-        (vi, (pi, mi, ci), _si) = basis[i]
-        (vj, (pj, mj, cj), _sj) = basis[j]
-        s = _mod_sub_scaled(
-            tuple(ring.monomial(monomial_div(lcm, mi), ci.inverse()) * a for a in vi),
-            vj,
-            monomial_div(lcm, mj),
-            cj.inverse(),
-            ring,
-        )
-        if _mod_is_zero(s):
-            continue
-        r, _ = _mod_divide(s, [(b[0], b[1]) for b in basis], ring, key)
-        if not _mod_is_zero(r):
-            add_element(r, sugar)
-
-    # minimalize + tail-reduce + normalize
-    keep = []
-    for i, (v, (p, m, c), s) in enumerate(basis):
-        redundant = False
-        for j, (w, (wp, wm, wc), ws) in enumerate(basis):
-            if j == i:
-                continue
-            if wp == p and monomial_divides(wm, m) and (wm != m or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append((v, (p, m, c), s))
-    final = []
-    for idx, (v, lead, s) in enumerate(keep):
-        others = [(w, l) for j, (w, l, _s2) in enumerate(keep) if j != idx]
-        r, _ = _mod_divide(v, others, ring, key)
-        p, m = _mod_lead(r, key)
-        inv = r[p].terms[m].inverse()
-        final.append((tuple(inv * a for a in r), (p, m)))
-    final.sort(key=lambda e: (e[1][0], grevlex_key(e[1][1])))
-    return [e[0] for e in final]
+    @cached_property
+    def _leads(self):
+        return _with_leads(self.generators, 0)
 
 
 def module_gb(gens, rank: int, ring: PolyRing) -> ModuleGB:
-    return ModuleGB(ring, rank, tuple(module_buchberger(gens, rank, ring)))
+    return ModuleGB(ring, rank, tuple(module_buchberger(gens, ring)))
 
 
 def module_normal_form(v, mgb: ModuleGB):
-    basis = _with_leads(list(mgb.generators), _top_key)
-    r, _ = _mod_divide(tuple(v), basis, mgb.ring, _top_key)
+    r, _ = _mod_divide(tuple(v), mgb._leads, mgb.ring, 0)
     return r
 
 
 def module_lift(v, mgb: ModuleGB):
     """Coordinates of v against the GB generators, or None if not a member."""
-    basis = _with_leads(list(mgb.generators), _top_key)
-    r, q = _mod_divide(tuple(v), basis, mgb.ring, _top_key)
+    r, q = _mod_divide(tuple(v), mgb._leads, mgb.ring, 0)
     if not _mod_is_zero(r):
         return None
     return q
@@ -487,13 +312,7 @@ def module_lift(v, mgb: ModuleGB):
 
 def syzygies(gens, rank: int, ring: PolyRing):
     """Generators of {c in R^s : sum_i c_i * gens_i = 0}."""
-    s = len(gens)
-    embedded = []
-    for i, g in enumerate(gens):
-        unit = [ring.zero()] * s
-        unit[i] = ring.one()
-        embedded.append(tuple(list(g) + unit))
-    gb = module_buchberger(embedded, rank + s, ring, block=rank)
+    gb = module_buchberger(_with_units(gens, ring), ring, block=rank)
     out = []
     for v in gb:
         if all(c.is_zero() for c in v[:rank]):
@@ -515,35 +334,23 @@ def module_kernel(columns_matrix, r_in: int, r_out: int, ring: PolyRing) -> Modu
 
 def module_standard_monomials(mgb: ModuleGB):
     """Standard (position, monomial) pairs of R^rank / <leads>, or None."""
-    ring = mgb.ring
-    n = ring.n
+    n = mgb.ring.n
     leads: dict[int, list[Monomial]] = {p: [] for p in range(mgb.rank)}
-    for g in mgb.generators:
-        p, m = _mod_lead(g, _top_key)
+    for _g, (p, m, _c) in mgb._leads:
         leads[p].append(m)
     out = []
     for p in range(mgb.rank):
         lm = leads[p]
         bounds = []
-        finite = True
         for i in range(n):
             pure = [m[i] for m in lm if all(e == 0 for k, e in enumerate(m) if k != i)]
             if not pure:
-                finite = False
-                break
+                return None
             bounds.append(min(pure))
-        if not finite:
-            return None
-        def rec(prefix):
-            if len(prefix) == n:
-                m = tuple(prefix)
-                if not any(monomial_divides(l, m) for l in lm):
-                    out.append((p, m))
-                return
-            for e in range(bounds[len(prefix)]):
-                rec(prefix + [e])
-
-        rec([])
+        # box enumeration over prod [0, bounds_i)
+        for m in product(*(range(b) for b in bounds)):
+            if not any(monomial_divides(l, m) for l in lm):
+                out.append((p, m))
     out.sort(key=lambda t: (t[0], grevlex_key(t[1])))
     return out
 

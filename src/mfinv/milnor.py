@@ -137,7 +137,7 @@ def build_milnor(w: Polynomial) -> MilnorRing:
         if n > 0:
             raise ValueError("not an isolated singularity")
         # sector with no coordinates: A = k, the residue is the identity
-        gb = GroebnerBasis(ring, (), transform=(), originals=())
+        gb = GroebnerBasis(ring, ())
         return MilnorRing(ring, w, gb, ((),), 1, 0, ring.one())
     gb = buchberger(partials, track=True)
     basis = quotient_basis(gb)

@@ -51,7 +51,8 @@ def _polydiv_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
         if c:
             for j, dj in enumerate(den):
                 num[k + j] -= c * dj
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise AssertionError("non-exact polynomial division")
     return out
 
 

@@ -18,6 +18,7 @@ from mfinv.equivariant import (
     invariant_hom_dimensions,
     moving_determinant,
 )
+from mfinv.groebner import buchberger, normal_form, normal_form_with_cofactors
 from mfinv.homology import cardy_lhs, euler, hom_cohomology
 from mfinv.invariants import (
     cardy_rhs,
@@ -187,6 +188,28 @@ def test_criterion_03_hessian_trace_battery():
         A = build_milnor(w)
         assert residue_trace(hessian_class(A)) == rational(A.mu)
     report(3, "tr(Hessian) = mu on %d potentials" % len(BATTERY))
+
+
+def test_tracked_groebner_basis_on_battery():
+    # the cofactor-carrying basis has the plain basis as its ideal part, and
+    # its cofactors satisfy f = sum_j a_j g_j + r on every battery potential
+    rng = random.Random(3)
+    for w, _a, _b in BATTERY:
+        ring = w.ring
+        gens = [w.partial_derivative(i) for i in range(ring.n)]
+        plain = buchberger(gens)
+        tracked = buchberger(gens, track=True)
+        assert tracked.generators == plain.generators
+        N = build_milnor(w).nilpotency
+        probes = [ring.var(i) ** N for i in range(ring.n)]
+        probes.append(w + sum((random_monomial(rng, ring, 4) for _ in range(6)), ring.zero()))
+        for f in probes:
+            r, cof = normal_form_with_cofactors(f, tracked)
+            recon = r
+            for a, g in zip(cof, gens):
+                recon = recon + a * g
+            assert recon == f
+            assert r == normal_form(f, plain)
 
 
 def test_criterion_04_hrr_randomized():

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from mfinv.cli import main, parse_scalar, scalar_json
-from mfinv.scalar import CyclotomicContext, rational
+from mfinv.cli import main, parse_scalar
+from mfinv.scalar import CyclotomicContext, rational, scalar_to_json
 
 D4_SESSION = {
     "field": "rational",
@@ -230,6 +230,31 @@ def test_group_field_order_mismatch_rejected(tmp_path, capsys):
     assert code == 2 and "does not match" in err
 
 
+def test_non_integer_session_values_exit_2(tmp_path, capsys):
+    bad_field = json.loads(json.dumps(CYCLIC3_SESSION))
+    bad_field["field"] = {"cyclotomic_order": "abc"}
+    bad_group = json.loads(json.dumps(CYCLIC3_SESSION))
+    bad_group["group"]["cyclotomic_order"] = "abc"
+    bad_weights = json.loads(json.dumps(GRADED_SESSION))
+    bad_weights["weights"] = ["a"]
+    bad_scalar = json.loads(json.dumps(CYCLIC3_SESSION))
+    bad_scalar["group"]["generators"] = [[{"m": "abc", "coeffs": ["0", "1"]}]]
+    for doc in (bad_field, bad_group, bad_weights, bad_scalar):
+        path = write_session(tmp_path, doc)
+        code, _, err = run(capsys, "--input", path, "milnor")
+        assert code == 2 and "must be an integer" in err, err
+        assert "Traceback" not in err
+
+
+def test_koszul_data_must_be_lists(tmp_path, capsys):
+    for kdata in ({"a": "x", "b": ["x^2 + y^2"]}, {"a": ["x"], "b": "x^2"}, ["x"]):
+        doc = json.loads(json.dumps(D4_SESSION))
+        doc["factorizations"] = {"E": {"koszul": kdata}}
+        path = write_session(tmp_path, doc)
+        code, _, err = run(capsys, "--input", path, "milnor")
+        assert code == 2 and "koszul data" in err, err
+
+
 def test_missing_input_flag(tmp_path, capsys):
     code, _, err = run(capsys, "milnor")
     assert code == 2 and "--input" in err
@@ -244,7 +269,7 @@ def test_scalar_round_trip():
         ctx.zeta(3) - ctx.zeta(1).inverse(),
     ]
     for v in values:
-        encoded = scalar_json(v)
+        encoded = scalar_to_json(v)
         back = parse_scalar(encoded, v.context)
         assert back == v
 

@@ -151,3 +151,28 @@ def test_cyclotomic_field_axioms(data):
     assert sa - sa == zero(ctx)
     if not sa.is_zero():
         assert sa * sa.inverse() == one(ctx)
+
+
+def test_non_exact_division_raises_under_optimize():
+    # the gate must not be a bare assert, which python -O strips
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import mfinv
+
+    src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    code = (
+        "from fractions import Fraction as F\n"
+        "from mfinv.scalar import _polydiv_exact\n"
+        "try:\n"
+        "    _polydiv_exact([F(1), F(0), F(1)], [F(1), F(1)])\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "raised: non-exact polynomial division"
