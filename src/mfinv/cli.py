@@ -33,12 +33,14 @@ Scalars are written "p/q", or as expressions in "z", the primitive root
 of the session's cyclotomic field; the output serialization
 {"m": m, "coeffs": ["p/q", ...]} is accepted on input as well.  Morphism
 blocks are (even-to-even, odd-to-odd) for parity 0 and
-(even-to-odd, odd-to-even) for parity 1.
+(even-to-odd, odd-to-even) for parity 1.  No exponent in a polynomial or
+scalar may exceed MAX_EXPONENT.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +55,7 @@ from .equivariant import (
     orbifold_hh_dimensions,
     sector,
 )
-from .homology import cardy_lhs, euler, hom_cohomology
+from .homology import cardy_lhs, cardy_supertrace, hom_cohomology
 from .invariants import (
     cardy_rhs,
     chern,
@@ -78,6 +80,12 @@ from .scalar import CyclotomicContext, Scalar, scalar_to_json
 
 class SessionError(Exception):
     """Anything wrong with the input file or the requested names."""
+
+
+# Largest exponent a session polynomial or scalar may use.  Far beyond it
+# a power takes practically forever to expand or, in a potential, to reduce.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"\^\s*0*(\d+)")
 
 
 @dataclass
@@ -130,6 +138,7 @@ def parse_scalar(spec, context: CyclotomicContext | None) -> Scalar:
         return Scalar(context, tuple(coeffs))
     if not isinstance(spec, str):
         raise SessionError("scalar must be a string or object, got %r" % (spec,))
+    _check_exponent_literals(spec, "scalar %r" % spec)
     zring = PolyRing(("z",), context)
     try:
         p = zring.parse(spec)
@@ -149,13 +158,30 @@ def parse_scalar(spec, context: CyclotomicContext | None) -> Scalar:
     return total
 
 
+def _check_exponent_literals(text: str, what: str) -> None:
+    # checked on the text, so that a huge power is never expanded
+    for digits in _EXPONENT.findall(text):
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise SessionError(
+                "%s: exponent %s is above the limit %d" % (what, digits, MAX_EXPONENT)
+            )
+
+
 def _parse_poly(ring: PolyRing, text, what: str) -> Polynomial:
     if not isinstance(text, str):
         raise SessionError("%s must be a polynomial string, got %r" % (what, text))
+    _check_exponent_literals(text, what)
     try:
-        return ring.parse(text)
+        f = ring.parse(text)
     except ValueError as exc:
         raise SessionError("%s: %s" % (what, exc))
+    # products of allowed powers can still exceed the limit
+    top = max((e for m in f.terms for e in m), default=0)
+    if top > MAX_EXPONENT:
+        raise SessionError(
+            "%s: exponent %d is above the limit %d" % (what, top, MAX_EXPONENT)
+        )
+    return f
 
 
 def _parse_poly_matrix(ring: PolyRing, rows, what: str):
@@ -335,6 +361,11 @@ def load_session(path: str) -> Session:
                     "factorization %r carries rho data but the session has no group"
                     % name
                 )
+            if not isinstance(rho_doc, dict):
+                raise SessionError(
+                    "factorization %r: rho must be an object of gen<k>: matrix"
+                    % name
+                )
             mats = []
             for k in range(len(session.group.generators)):
                 key = "gen%d" % k
@@ -343,7 +374,9 @@ def load_session(path: str) -> Session:
                         "factorization %r: rho needs a matrix for %s" % (name, key)
                     )
                 rows = rho_doc[key]
-                if not isinstance(rows, list):
+                if not isinstance(rows, list) or not all(
+                    isinstance(row, list) for row in rows
+                ):
                     raise SessionError(
                         "factorization %r: rho %s must be a matrix" % (name, key)
                     )
@@ -580,26 +613,29 @@ def _named_endomorphisms(session: Session, name: str):
     return out
 
 
-def _check_hrr(session: Session) -> bool:
+def _check_hrr(session: Session, hom_basis) -> bool:
     for a in session.names_in_order:
         for b in session.names_in_order:
             E = session.factorizations[a]
             F = session.factorizations[b]
-            if chi_hrr(E, F, session.milnor) != euler(E, F):
+            chi = chi_hrr(E, F, session.milnor)
+            basis = hom_basis(a, b)
+            if chi != basis.even.dimension - basis.odd.dimension:
                 return False
     return True
 
 
-def _check_cardy(session: Session) -> bool:
+def _check_cardy(session: Session, hom_basis) -> bool:
     for a in session.names_in_order:
         E = session.factorizations[a]
         alphas = [identity_morphism(E)] + _named_endomorphisms(session, a)
         for b in session.names_in_order:
             F = session.factorizations[b]
             betas = [identity_morphism(F)] + _named_endomorphisms(session, b)
+            basis = hom_basis(a, b)
             for alpha in alphas:
                 for beta in betas:
-                    lhs = cardy_lhs(E, F, alpha, beta)
+                    lhs = cardy_supertrace(basis, alpha, beta)
                     rhs = cardy_rhs(E, F, alpha, beta, session.milnor)
                     if lhs != rhs:
                         return False
@@ -649,9 +685,19 @@ def _check_hessian_trace(session: Session) -> bool:
 
 
 def cmd_verify(session: Session, args) -> dict:
+    # Hom cohomology of each ordered pair of factorizations, computed once
+    # for both checks that need it and dropped when this call returns
+    homs = {}
+
+    def hom_basis(a: str, b: str):
+        if (a, b) not in homs:
+            E, F = session.factorizations[a], session.factorizations[b]
+            homs[a, b] = hom_cohomology(E, F)[2]
+        return homs[a, b]
+
     checks = [
-        ("hrr", _check_hrr),
-        ("cardy", _check_cardy),
+        ("hrr", lambda s: _check_hrr(s, hom_basis)),
+        ("cardy", lambda s: _check_cardy(s, hom_basis)),
         ("oracle-tau", _check_oracle_tau),
         ("chern-diagonal", lambda s: chern_of_diagonal(s.w).agree),
         ("inverse-form", lambda s: inverse_form_check(s.w)),

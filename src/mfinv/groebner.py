@@ -5,21 +5,36 @@ Everything runs over the global grevlex order.  The downstream callers
 quotients are supported at the origin, where global and local computations
 agree; `local_support_check` certifies that precondition.
 
-Module elements are plain tuples of polynomials, and an ideal generator g
-is the element (g,).  The module order is term-over-position (grevlex on
-the monomial part, ties to the lower position index); elements of length
-1 also get Buchberger's product criterion.  Syzygies and cofactors use a
-position-block elimination order on an enlarged free module instead of
+At the API boundary module elements are tuples of polynomials, and an
+ideal generator g is the element (g,).  Inside the engine an element is a
+flat dict {(position, monomial): coefficient}.  The module order is
+term-over-position: grevlex on the monomial part, ties to the lower
+position; with ``block=b`` any term in the first b positions beats every
+term outside them.  The term (p, m) has the order key
+
+    (p >= block, -deg m, reversed m, p)
+
+and the smaller key is the larger term, so a heap of keys yields the lead.
+Division keeps the keys of its working element in such a heap and deletes
+lazily: a key whose term has cancelled is skipped when it comes up.  Each
+basis keeps, per lead position, its entries' leads, inverse lead
+coefficients and remaining terms; a lead is divided by the first entry, in
+insertion order, whose lead divides it.
+
+Elements of length 1 also get Buchberger's product criterion.  Syzygies
+and cofactors use the block order on an enlarged free module instead of
 Schreyer-style tracking, which keeps correctness independent of the
-pair-elimination criteria: the basis of the vectors (g_i, e_i) in
-R^(1+s) under the order whose first position dominates has the reduced
-ideal basis as its first components, and its tails are the cofactors.
+pair-elimination criteria: the basis of the vectors (g_i, e_i) in R^(1+s)
+under the order whose first position dominates has the reduced ideal
+basis as its first components, and its tails are the cofactors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import product
+from operator import add
 
 from .poly import (
     Monomial,
@@ -35,88 +50,131 @@ from .poly import (
 ModuleElement = tuple  # tuple[Polynomial, ...]
 
 
-def _mod_lead(v: ModuleElement, block: int):
-    """Lead (position, monomial) of v: any term in the first ``block``
-    positions beats every term outside them, then grevlex decides, then
-    the lower position."""
-    positions = [p for p, c in enumerate(v) if c.terms]
-    if not positions:
-        raise ValueError("leading term of zero module element")
-    if positions[0] < block:
-        positions = [p for p in positions if p < block]
-    # the lead of v is the largest of the remaining components' leads
-    leads = [(p, v[p].leading_monomial()) for p in positions]
-    if len(leads) == 1:
-        return leads[0]
-    return max(leads, key=lambda pm: (grevlex_key(pm[1]), -pm[0]))
+def _flat(v) -> dict:
+    """{(position, monomial): coefficient} of a tuple of polynomials."""
+    return {(p, m): c for p, f in enumerate(v) for m, c in f.terms.items()}
+
+
+def _unflat(d: dict, length: int, ring: PolyRing) -> ModuleElement:
+    comps: dict = {}
+    for (p, m), c in d.items():
+        comps.setdefault(p, {})[m] = c
+    zero = ring.zero()  # polynomials are immutable, so one zero serves all
+    return tuple(Polynomial(ring, comps[p]) if p in comps else zero for p in range(length))
 
 
 def _mod_is_zero(v) -> bool:
     return not any(c.terms for c in v)
 
 
-def _with_leads(gens, block: int):
-    """(element, (position, lead monomial, inverse lead coefficient)) pairs."""
-    out = []
-    for g in gens:
-        p, m = _mod_lead(g, block)
-        out.append((g, (p, m, g[p].terms[m].inverse())))
-    return out
+def _key(p: int, m: Monomial, block: int):
+    """Heap entry of the term (p, m): the order key, then the monomial."""
+    return (p >= block, -sum(m), m[::-1], p, m)
+
+
+def _lead(d: dict, block: int):
+    """Lead (position, monomial) of a nonzero flat element."""
+    return min(d, key=lambda pm: _key(pm[0], pm[1], block))
+
+
+class _Divisors:
+    """A basis ready for division.  ``entries`` holds, in insertion order,
+    (element, lead position, lead monomial, inverse lead coefficient,
+    other terms), the other terms as (position, monomial, coefficient);
+    ``by_pos`` maps a lead position to its entries as (index, lead
+    monomial, inverse lead coefficient, other terms)."""
+
+    __slots__ = ("block", "entries", "by_pos")
+
+    def __init__(self, block: int, elements=()):
+        self.block = block
+        self.entries: list = []
+        self.by_pos: dict = {}
+        for d in elements:
+            self.add(d)
+
+    def add(self, d: dict, lead=None) -> None:
+        p, m = lead or _lead(d, self.block)
+        inv = d[p, m].inverse()
+        rest = [(q, tm, c) for (q, tm), c in d.items() if q != p or tm != m]
+        self.by_pos.setdefault(p, []).append((len(self.entries), m, inv, rest))
+        self.entries.append((d, p, m, inv, rest))
+
+
+def _add_multiple(work: dict, terms, t: Monomial, c, heap=None, block=0) -> None:
+    """work += c * t * terms for (position, monomial, coefficient) terms,
+    pushing the key of every new term onto ``heap`` when given."""
+    for q, tm, a in terms:
+        nm = tuple(map(add, t, tm))
+        k = (q, nm)
+        old = work.get(k)
+        if old is None:
+            work[k] = c * a
+            if heap is not None:
+                heappush(heap, _key(q, nm, block))
+        else:
+            s = old + c * a
+            if s.is_zero():
+                del work[k]
+            else:
+                work[k] = s
+
+
+def _divide(work: dict, divs: _Divisors, quots=None, skip: int = -1) -> dict:
+    """Full division of the flat element ``work`` (consumed) by ``divs``,
+    leaving out entry ``skip``; returns the remainder.  With ``quots``, one
+    dict per entry, the quotient terms are recorded there."""
+    block = divs.block
+    by_pos = divs.by_pos
+    heap = [_key(p, m, block) for p, m in work]
+    heapify(heap)
+    rem = {}
+    while heap:
+        p, m = heappop(heap)[3:]
+        c = work.pop((p, m), None)
+        if c is None:
+            continue  # cancelled, or already divided under an older key
+        for i, wm, winv, rest in by_pos.get(p, ()):
+            # monomial_divides and monomial_div, inlined in the hot loop
+            if i != skip and all(a <= b for a, b in zip(wm, m)):
+                t = tuple(b - a for a, b in zip(wm, m))
+                coeff = c * winv
+                if quots is not None:
+                    # leads strictly decrease, so each (i, t) occurs once
+                    quots[i][t] = coeff
+                # the lead cancels exactly; only the other terms change
+                _add_multiple(work, rest, t, -coeff, heap, block)
+                break
+        else:
+            rem[p, m] = c
+    return rem
 
 
 def _with_units(gens, ring: PolyRing):
     """The vectors (g_i, e_i) in R^(rank + s)."""
     s = len(gens)
-    return [
-        tuple(g) + tuple(ring.one() if j == i else ring.zero() for j in range(s))
-        for i, g in enumerate(gens)
-    ]
-
-
-def _mod_divide(v, basis, ring, block: int):
-    """Full division of v by the `_with_leads` entries of ``basis``;
-    returns (remainder, quotients)."""
-    quots = [{} for _ in basis]
-    rem = [{} for _ in v]
-    work = list(v)
-    while not _mod_is_zero(work):
-        p, m = _mod_lead(work, block)
-        c = work[p].terms[m]
-        for i, (w, (wp, wm, winv)) in enumerate(basis):
-            if wp == p and monomial_divides(wm, m):
-                t = monomial_div(m, wm)
-                coeff = c * winv
-                # leads strictly decrease, so each (i, t) occurs once
-                quots[i][t] = coeff
-                factor = Polynomial(ring, {t: -coeff})
-                work = [a + factor * b if b.terms else a for a, b in zip(work, w)]
-                break
-        else:
-            rem[p][m] = c
-            terms = dict(work[p].terms)
-            del terms[m]
-            work[p] = Polynomial(ring, terms)
-    return (
-        tuple(Polynomial(ring, d) for d in rem),
-        [Polynomial(ring, q) for q in quots],
-    )
+    one, zero = ring.one(), ring.zero()
+    return [tuple(g) + (zero,) * i + (one,) + (zero,) * (s - 1 - i) for i, g in enumerate(gens)]
 
 
 def module_buchberger(gens, ring: PolyRing, block: int = 0):
     """Reduced module GB under term-over-position grevlex; ``block=r``
     switches to the elimination order whose first r positions dominate (for
     syzygies and cofactors).  Elements of length 1 are ideal generators."""
-    basis: list = []  # `_with_leads` entries
+    gens = [tuple(g) for g in gens]
+    length = len(gens[0]) if gens else 0
+    divs = _Divisors(block)
+    entries = divs.entries
     sugars: list[int] = []
     # (sugar, grevlex key of lcm, position, j, i, lcm), taken smallest
     # first; (j, i) is the insertion order, so ties go to the older pair
     pairs: list[tuple] = []
 
-    def add_element(v, sugar):
-        t = len(basis)
-        p, m = _mod_lead(v, block)
+    def add_element(d, sugar):
+        t = len(entries)
+        p, m = _lead(d, block)
         cand = []
-        for i, (_w, (wp, wm, _c)) in enumerate(basis):
+        for i, (_d, wp, wm, _c, _r) in enumerate(entries):
             if wp == p:
                 lcm = monomial_lcm(wm, m)
                 s = max(sugars[i] + sum(monomial_div(lcm, wm)), sugar + sum(monomial_div(lcm, m)))
@@ -137,9 +195,9 @@ def module_buchberger(gens, ring: PolyRing, block: int = 0):
                 else:
                     seen.add(a[0])
         # product criterion (ideals only): coprime leads reduce to zero
-        if len(v) == 1:
+        if length == 1:
             for a in cand:
-                if a[3] and monomial_mul(basis[a[2]][1][1], m) == a[0]:
+                if a[3] and monomial_mul(entries[a[2]][2], m) == a[0]:
                     a[3] = False
         # chain criterion on the old pairs
         pairs[:] = [
@@ -147,54 +205,52 @@ def module_buchberger(gens, ring: PolyRing, block: int = 0):
             if not (
                 q[2] == p
                 and monomial_divides(m, q[5])
-                and monomial_lcm(basis[q[3]][1][1], m) != q[5]
-                and monomial_lcm(basis[q[4]][1][1], m) != q[5]
+                and monomial_lcm(entries[q[3]][2], m) != q[5]
+                and monomial_lcm(entries[q[4]][2], m) != q[5]
             )
         ]
         pairs.extend((s, grevlex_key(lcm), p, t, i, lcm) for lcm, s, i, alive in cand if alive)
-        basis.append((v, (p, m, v[p].terms[m].inverse())))
+        divs.add(d, (p, m))
         sugars.append(sugar)
 
     for g in gens:
-        g = tuple(g)
-        if _mod_is_zero(g):
-            continue
-        r, _ = _mod_divide(g, basis, ring, block)
-        if not _mod_is_zero(r):
-            add_element(r, max(c.total_degree() for c in g))
+        d = _flat(g)
+        if d:
+            sugar = max(sum(m) for _p, m in d)
+            r = _divide(d, divs)
+            if r:
+                add_element(r, sugar)
 
     while pairs:
         q = min(pairs)
         pairs.remove(q)
-        sugar, _key, _p, j, i, lcm = q
-        (vi, (_, mi, ci)), (vj, (_, mj, cj)) = basis[i], basis[j]
-        fi = Polynomial(ring, {monomial_div(lcm, mi): ci})
-        fj = Polynomial(ring, {monomial_div(lcm, mj): -cj})
-        s = tuple(fi * a + fj * b for a, b in zip(vi, vj))
-        if _mod_is_zero(s):
-            continue
-        r, _ = _mod_divide(s, basis, ring, block)
-        if not _mod_is_zero(r):
+        sugar, _grevlex, _p, j, i, lcm = q
+        _di, _, mi, ci, rest_i = entries[i]
+        _dj, _, mj, cj, rest_j = entries[j]
+        # the scaled leads cancel exactly; the S-vector is made of the rest
+        s: dict = {}
+        _add_multiple(s, rest_i, monomial_div(lcm, mi), ci)
+        _add_multiple(s, rest_j, monomial_div(lcm, mj), -cj)
+        r = _divide(s, divs)
+        if r:
             add_element(r, sugar)
 
     # minimalize: drop entries whose lead is divisible by another lead
-    keep = [
-        e for i, e in enumerate(basis)
+    keep = _Divisors(block)
+    for i, (d, p, m, _c, _r) in enumerate(entries):
         if not any(
-            j != i and f[1][0] == e[1][0] and monomial_divides(f[1][1], e[1][1])
-            and (f[1][1] != e[1][1] or j < i)
-            for j, f in enumerate(basis)
-        )
-    ]
+            j != i and wp == p and monomial_divides(wm, m) and (wm != m or j < i)
+            for j, (_d, wp, wm, _c, _r) in enumerate(entries)
+        ):
+            keep.add(d, (p, m))
     # tail-reduce and normalize to monic
     final = []
-    for idx, (v, _lead) in enumerate(keep):
-        r, _ = _mod_divide(v, keep[:idx] + keep[idx + 1:], ring, block)
-        p, m = _mod_lead(r, block)
-        inv = r[p].terms[m].inverse()
-        final.append(((p, grevlex_key(m)), tuple(a * inv for a in r)))
+    for idx, (d, p, m, inv, _r) in enumerate(keep.entries):
+        # no other lead divides this one, so the lead passes through
+        r = _divide(dict(d), keep, skip=idx)
+        final.append(((p, grevlex_key(m)), {k: c * inv for k, c in r.items()}))
     final.sort(key=lambda e: e[0])
-    return [e[1] for e in final]
+    return [_unflat(e[1], length, ring) for e in final]
 
 
 # --- ideals -----------------------------------------------------------------
@@ -215,8 +271,8 @@ class GroebnerBasis:
         return ModuleGB(self.ring, 1, tuple((g,) for g in self.generators))
 
     @cached_property
-    def _tracked_leads(self):
-        return _with_leads(self.tracked, 1)
+    def _tracked_divisors(self) -> _Divisors:
+        return _Divisors(1, [_flat(v) for v in self.tracked])
 
 
 def buchberger(gens, track: bool = False) -> GroebnerBasis:
@@ -249,8 +305,8 @@ def normal_form_with_cofactors(f: Polynomial, gb: GroebnerBasis):
     if gb.tracked is None:
         raise ValueError("basis was not tracked; rebuild with track=True")
     ring = gb.ring
-    v = (f,) + (ring.zero(),) * len(gb.originals)
-    rem, _ = _mod_divide(v, gb._tracked_leads, ring, 1)
+    rem = _divide(_flat((f,)), gb._tracked_divisors)
+    rem = _unflat(rem, 1 + len(gb.originals), ring)
     r, cof = rem[0], [-a for a in rem[1:]]
     check = r
     for a, g in zip(cof, gb.originals):
@@ -289,8 +345,8 @@ class ModuleGB:
     generators: tuple[ModuleElement, ...]
 
     @cached_property
-    def _leads(self):
-        return _with_leads(self.generators, 0)
+    def _divisors(self) -> _Divisors:
+        return _Divisors(0, [_flat(g) for g in self.generators])
 
 
 def module_gb(gens, rank: int, ring: PolyRing) -> ModuleGB:
@@ -298,16 +354,15 @@ def module_gb(gens, rank: int, ring: PolyRing) -> ModuleGB:
 
 
 def module_normal_form(v, mgb: ModuleGB):
-    r, _ = _mod_divide(tuple(v), mgb._leads, mgb.ring, 0)
-    return r
+    return _unflat(_divide(_flat(v), mgb._divisors), len(v), mgb.ring)
 
 
 def module_lift(v, mgb: ModuleGB):
     """Coordinates of v against the GB generators, or None if not a member."""
-    r, q = _mod_divide(tuple(v), mgb._leads, mgb.ring, 0)
-    if not _mod_is_zero(r):
+    quots = [{} for _ in mgb.generators]
+    if _divide(_flat(v), mgb._divisors, quots):
         return None
-    return q
+    return [Polynomial(mgb.ring, q) for q in quots]
 
 
 def syzygies(gens, rank: int, ring: PolyRing):
@@ -336,7 +391,7 @@ def module_standard_monomials(mgb: ModuleGB):
     """Standard (position, monomial) pairs of R^rank / <leads>, or None."""
     n = mgb.ring.n
     leads: dict[int, list[Monomial]] = {p: [] for p in range(mgb.rank)}
-    for _g, (p, m, _c) in mgb._leads:
+    for _d, p, m, _c, _r in mgb._divisors.entries:
         leads[p].append(m)
     out = []
     for p in range(mgb.rank):

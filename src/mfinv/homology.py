@@ -8,7 +8,7 @@ origin this computes the same dimensions as the formal-local theory.
 
 `cardy_lhs` evaluates the supertrace of f -> (-1)^(|a||b| + |a||f|) b f a
 on that cohomology, the quantity the index pairing of tau classes must
-reproduce.
+reproduce; `cardy_supertrace` does the same on a basis already computed.
 """
 from __future__ import annotations
 
@@ -133,10 +133,21 @@ def cardy_lhs(
     ``intro_sign_variant`` multiplies by an extra (-1)^|alpha| (an
     alternative sign convention); the default matches the index pairing.
     """
+    _, _, basis = hom_cohomology(E, F)
+    total = cardy_supertrace(basis, alpha, beta)
+    if intro_sign_variant and alpha.parity % 2:
+        total = -total
+    return total
+
+
+def cardy_supertrace(
+    basis: CohomologyBasis, alpha: MorphismCocycle, beta: MorphismCocycle
+) -> Scalar:
+    """`cardy_lhs` on an already computed basis of Hom(E, F) cohomology,
+    so that a caller pairing many morphisms computes the basis once."""
     if not alpha.is_closed() or not beta.is_closed():
         raise ValueError("morphism is not closed")
-    _, _, basis = hom_cohomology(E, F)
-    ctx = E.ring.context
+    ctx = basis.source.ring.context
     total = scalar_zero(ctx)
     flip = (alpha.parity + beta.parity) % 2
     for parity, co in ((0, basis.even), (1, basis.odd)):
@@ -155,6 +166,4 @@ def cardy_lhs(
             coords = basis.class_coordinates(g)
             c = coords[k]
             total = total + (c if sign > 0 else -c)
-    if intro_sign_variant and alpha.parity % 2:
-        total = -total
     return total

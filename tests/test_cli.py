@@ -255,6 +255,60 @@ def test_koszul_data_must_be_lists(tmp_path, capsys):
         assert code == 2 and "koszul data" in err, err
 
 
+def test_malformed_rho_exits_2(tmp_path, capsys):
+    for rho in ("gen0", {"gen0": [1, 2]}):
+        doc = json.loads(json.dumps(CYCLIC3_SESSION))
+        doc["factorizations"]["E1"]["rho"] = rho
+        path = write_session(tmp_path, doc)
+        code, _, err = run(capsys, "--input", path, "sectors")
+        assert code == 2 and "rho" in err, err
+
+
+def test_huge_exponents_exit_2_quickly(tmp_path):
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import mfinv
+
+    src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    huge_power = dict(D4_SESSION, potential="x^3 + x*y^2 + y^100000000")
+    # every literal is allowed, the product is not
+    huge_product = dict(D4_SESSION, potential="x^3 + x*y^2 + y^1000*y^1000")
+    huge_scalar = json.loads(json.dumps(CYCLIC3_SESSION))
+    huge_scalar["group"]["generators"] = [["2^100000000"]]
+    for doc in (huge_power, huge_product, huge_scalar):
+        path = write_session(tmp_path, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfinv.cli", "--input", path, "milnor"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "above the limit" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_verify_computes_each_hom_once(tmp_path, capsys, monkeypatch):
+    import mfinv.cli
+    import mfinv.homology
+
+    calls = []
+    real = mfinv.homology.hom_cohomology
+
+    def counted(E, F):
+        calls.append((E, F))
+        return real(E, F)
+
+    monkeypatch.setattr(mfinv.homology, "hom_cohomology", counted)
+    monkeypatch.setattr(mfinv.cli, "hom_cohomology", counted)
+    path = write_session(tmp_path, D4_SESSION)
+    code, out, _ = run(capsys, "--input", path, "verify", "--check")
+    assert code == 0 and "fail" not in out
+    # two factorizations: one Hom per ordered pair
+    assert len(calls) == 4
+
+
 def test_missing_input_flag(tmp_path, capsys):
     code, _, err = run(capsys, "milnor")
     assert code == 2 and "--input" in err

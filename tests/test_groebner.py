@@ -1,3 +1,4 @@
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,19 @@ from mfinv.groebner import (
     normal_form_with_cofactors,
     quotient_basis,
     subquotient_dimension,
+    subquotient_presentation,
     syzygies,
 )
-from mfinv.poly import PolyRing
+from mfinv.cli import load_session
+from mfinv.mfcore import hom_basis_sizes, hom_differential, koszul
+from mfinv.poly import (
+    PolyRing,
+    Polynomial,
+    grevlex_key,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+)
 
 R2 = PolyRing(("x", "y"))
 R1 = PolyRing(("x",))
@@ -239,3 +250,152 @@ def test_cofactor_identity_random(f):
     for a, g in zip(cof, gens):
         recon = recon + a * g
     assert recon == f
+
+
+# --- the tuple-of-polynomials division, kept as the reference ----------------
+
+
+def _ref_lead(v, block):
+    positions = [p for p, c in enumerate(v) if c.terms]
+    if positions[0] < block:
+        positions = [p for p in positions if p < block]
+    leads = [(p, v[p].leading_monomial()) for p in positions]
+    return max(leads, key=lambda pm: (grevlex_key(pm[1]), -pm[0]))
+
+
+def _ref_divide(v, gens, ring, block=0):
+    """Full division of v by ``gens``, the first dividing lead in order;
+    returns (remainder, quotients)."""
+    basis = []
+    for g in gens:
+        p, m = _ref_lead(g, block)
+        basis.append((g, (p, m, g[p].terms[m].inverse())))
+    quots = [{} for _ in basis]
+    rem = [{} for _ in v]
+    work = list(v)
+    while any(c.terms for c in work):
+        p, m = _ref_lead(work, block)
+        c = work[p].terms[m]
+        for i, (w, (wp, wm, winv)) in enumerate(basis):
+            if wp == p and monomial_divides(wm, m):
+                t = monomial_div(m, wm)
+                coeff = c * winv
+                quots[i][t] = coeff
+                factor = Polynomial(ring, {t: -coeff})
+                work = [a + factor * b if b.terms else a for a, b in zip(work, w)]
+                break
+        else:
+            rem[p][m] = c
+            terms = dict(work[p].terms)
+            del terms[m]
+            work[p] = Polynomial(ring, terms)
+    return (
+        tuple(Polynomial(ring, d) for d in rem),
+        [Polynomial(ring, q) for q in quots],
+    )
+
+
+def _hom_pairs():
+    root = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "sessions"
+    for name in ("d4", "x6"):
+        session = load_session(str(root / ("%s.json" % name)))
+        facs = [session.factorizations[n] for n in session.names_in_order]
+        for E in facs:
+            for F in facs:
+                yield E, F
+    R3 = PolyRing(("x", "y", "z"))
+    x, y, z = R3.var(0), R3.var(1), R3.var(2)
+    # rank-4 Koszul factorizations of the Fermat cubic x^3 + y^3 + z^3
+    E = koszul([x, y + z], [x**2, y**2 - y * z + z**2])
+    F = koszul([y, x + z], [y**2, x**2 - x * z + z**2])
+    yield E, E
+    yield E, F
+
+
+def _check_reduced_basis(mgb):
+    ring = mgb.ring
+    gens = mgb.generators
+    leads = [_ref_lead(g, 0) for g in gens]
+    for g, (p, m) in zip(gens, leads):
+        assert g[p].terms[m].is_one()
+        for q, c in enumerate(g):
+            for t in c.terms:
+                assert not any(
+                    lp == q and monomial_divides(lm, t) and (lp, lm) != (p, m)
+                    for lp, lm in leads
+                )
+    # every S-vector reduces to zero under the reference division
+    for i, (gi, (pi, mi)) in enumerate(zip(gens, leads)):
+        for gj, (pj, mj) in zip(gens[i + 1:], leads[i + 1:]):
+            if pi != pj:
+                continue
+            lcm = monomial_lcm(mi, mj)
+            fi = ring.monomial(monomial_div(lcm, mi))
+            fj = ring.monomial(monomial_div(lcm, mj))
+            s = tuple(fi * a - fj * b for a, b in zip(gi, gj))
+            rem, _ = _ref_divide(s, gens, ring)
+            assert all(c.is_zero() for c in rem)
+
+
+def _check_division(mgb, vectors):
+    for v in vectors:
+        rem, quots = _ref_divide(v, mgb.generators, mgb.ring)
+        assert module_normal_form(v, mgb) == rem
+        lift = module_lift(v, mgb)
+        if all(c.is_zero() for c in rem):
+            assert lift == quots
+        else:
+            assert lift is None
+
+
+def test_module_engine_matches_reference_division_on_hom_differentials():
+    checked = 0
+    for E, F in _hom_pairs():
+        ring = E.ring
+        n0, n1 = hom_basis_sizes(E, F)
+        d_even, d_odd = hom_differential(E, F)
+        for d_out, n_in, n_out, d_in, n_prev in (
+            (d_even, n0, n1, d_odd, n1),
+            (d_odd, n1, n0, d_even, n0),
+        ):
+            cols = [tuple(d_out[r][c] for r in range(n_out)) for c in range(n_in)]
+            for syz in syzygies(cols, n_out, ring):
+                for r in range(n_out):
+                    total = ring.zero()
+                    for c, col in zip(syz, cols):
+                        total = total + c * col[r]
+                    assert total.is_zero()
+            kernel = module_kernel(d_out, n_in, n_out, ring)
+            image = [tuple(d_in[r][c] for r in range(n_in)) for c in range(n_prev)]
+            relations, _ = subquotient_presentation(kernel, image)
+            for mgb in (kernel, relations):
+                if not mgb.generators:
+                    continue
+                _check_reduced_basis(mgb)
+                # members (the image, or the relations themselves) and
+                # unit vectors times low-degree monomials, mostly outside
+                members = image if mgb is kernel else list(mgb.generators)
+                probes = [
+                    tuple(ring.var(k % ring.n) * c for c in v) for k, v in enumerate(members)
+                ]
+                for pos in range(mgb.rank):
+                    for mono in ((0,) * ring.n, (1,) + (0,) * (ring.n - 1), (0,) * (ring.n - 1) + (2,)):
+                        unit = [ring.zero()] * mgb.rank
+                        unit[pos] = ring.monomial(mono)
+                        probes.append(tuple(unit))
+                _check_division(mgb, probes)
+                checked += 1
+    assert checked >= 20
+
+
+def test_cofactors_match_reference_division():
+    R3 = PolyRing(("x", "y", "z"))
+    for ring, text in ((R2, "x^3 + x*y^2"), (R2, "x^2*y + y^4"), (R3, "x^3 + y^3 + z^3")):
+        w = ring.parse(text)
+        gb = buchberger([w.partial_derivative(i) for i in range(ring.n)], track=True)
+        for f in (ring.parse("x^5 + 2*x*y^3 - y + 1"), ring.var(0) ** 4 * ring.var(1)):
+            v = (f,) + (ring.zero(),) * len(gb.originals)
+            rem, _ = _ref_divide(v, gb.tracked, ring, block=1)
+            r, cof = normal_form_with_cofactors(f, gb)
+            assert r == rem[0]
+            assert cof == [-a for a in rem[1:]]
