@@ -61,6 +61,7 @@ from .invariants import (
     chern,
     chi_hrr,
     derivative_product,
+    permutation_sign,
     supertrace,
     tau,
 )
@@ -107,10 +108,10 @@ class Session:
 
 
 def _session_int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise SessionError("%s must be an integer, got %r" % (what, value))
+    """A JSON integer; bools, floats and strings are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SessionError("%s must be an integer, got %r" % (what, value))
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -388,14 +389,15 @@ def load_session(path: str) -> Session:
             session.rho_specs[name] = mats
         deg_doc = spec.get("degrees") if isinstance(spec, dict) else None
         if deg_doc is not None:
-            try:
-                deg0 = tuple(int(d) for d in deg_doc["even"])
-                deg1 = tuple(int(d) for d in deg_doc["odd"])
-            except (KeyError, TypeError, ValueError):
+            lists = [deg_doc.get(k) if isinstance(deg_doc, dict) else None
+                     for k in ("even", "odd")]
+            if not all(isinstance(d, list) for d in lists):
                 raise SessionError(
                     "factorization %r: degrees needs integer lists even/odd" % name
                 )
-            session.degree_specs[name] = (deg0, deg1)
+            session.degree_specs[name] = tuple(
+                tuple(_session_int(d, "degree") for d in degs) for degs in lists
+            )
     mors_doc = doc.get("morphisms", {})
     if not isinstance(mors_doc, dict):
         raise SessionError("morphisms must be an object of name: spec")
@@ -660,23 +662,12 @@ def _check_permutation_invariance(session: Session) -> bool:
         E = session.factorizations[a]
         base = chern(E, A)
         for perm in permutations(range(n)):
-            sign = _sign_to_descending(perm)
+            # the chern product runs from the highest index down
+            sign = permutation_sign(perm) * (-1) ** (n * (n - 1) // 2)
             got = A.project(supertrace(derivative_product(E, perm), E.r0))
             if got.value != base.scale(sign).value:
                 return False
     return True
-
-
-def _sign_to_descending(perm) -> int:
-    target = sorted(perm, reverse=True)
-    seq = list(perm)
-    sign = 1
-    for i, t in enumerate(target):
-        j = seq.index(t)
-        if j != i:
-            seq[i], seq[j] = seq[j], seq[i]
-            sign = -sign
-    return sign
 
 
 def _check_hessian_trace(session: Session) -> bool:
@@ -763,16 +754,8 @@ def _print_human(command: str, payload: dict) -> None:
         print("odd: %d" % payload["odd"])
         return
     if command == "verify":
-        for name in (
-            "hrr",
-            "cardy",
-            "oracle-tau",
-            "chern-diagonal",
-            "inverse-form",
-            "permutation-invariance",
-            "hessian-trace",
-        ):
-            print("%s: %s" % (name, "pass" if payload["checks"][name] else "fail"))
+        for name, ok in payload["checks"].items():
+            print("%s: %s" % (name, "pass" if ok else "fail"))
         return
     if command == "cardy":
         print("value: %s" % _scalar_cell(payload["value"]))

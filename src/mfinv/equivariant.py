@@ -17,6 +17,13 @@ checked for every element, which over a group is equivalent to the usual
 one-sided conjugation form.  Sectors with no fixed variables degenerate to
 the zero-variable Milnor algebra A = k; the supertrace of rho(g) itself is
 the character there and the empty pairing sign is +1.
+
+The g-component is the plain supertrace str(d delta ... d delta . rho(g))
+over the fixed indices, so action matrices go through the same
+`mfcore.mat_mul` and `invariants.derivative_product` as the
+non-equivariant invariants.  The equivariant index and the graded index
+are one orbifold sum over (g, rho_E(g^-1), rho_F(g)); the graded one runs
+over the abstract cyclic grading group.
 """
 from __future__ import annotations
 
@@ -26,17 +33,19 @@ from .homology import hom_cohomology
 from .mfcore import (
     EquivariantMF,
     MatFac,
-    Matrix,
     MorphismCocycle,
+    diagonal_matrix,
     dual,
-    identity_matrix,
     koszul_subsets,
+    mat_add,
+    mat_map,
     mat_mul,
+    mat_scale,
     mat_transpose,
     stabilized_residue_field,
 )
 from .milnor import MilnorClass, MilnorRing, build_milnor, canonical_pairing
-from .invariants import supertrace
+from .invariants import derivative_product, supertrace
 from .poly import Polynomial, PolyRing
 from .scalar import (
     CyclotomicContext,
@@ -170,19 +179,17 @@ class SectorClass:
         return self.value.is_zero()
 
 
+def _fixed_images(n: int, fixed, sub_ring: PolyRing) -> list:
+    """Images of x_0..x_(n-1) when the moving variables are set to zero."""
+    at = {i: k for k, i in enumerate(fixed)}
+    return [sub_ring.var(at[i]) if i in at else sub_ring.zero() for i in range(n)]
+
+
 def sector(w: Polynomial, g: Element) -> Sector:
     ring = w.ring
     fixed = tuple(i for i, lam in enumerate(g) if lam == 1)
     sub_ring = PolyRing(tuple(ring.names[i] for i in fixed), ring.context)
-    images = []
-    at = 0
-    for i in range(ring.n):
-        if i in fixed:
-            images.append(sub_ring.var(at))
-            at += 1
-        else:
-            images.append(sub_ring.zero())
-    w_g = w.substitute(sub_ring, images)
+    w_g = w.substitute(sub_ring, _fixed_images(ring.n, fixed, sub_ring))
     try:
         milnor = build_milnor(w_g)
     except ValueError as exc:
@@ -191,40 +198,11 @@ def sector(w: Polynomial, g: Element) -> Sector:
 
 
 def restrict_to_sector(p: Polynomial, sec: Sector) -> Polynomial:
-    ring = p.ring
     sub_ring = sec.milnor.ring
-    images = []
-    at = 0
-    for i in range(ring.n):
-        if i in sec.fixed_indices:
-            images.append(sub_ring.var(at))
-            at += 1
-        else:
-            images.append(sub_ring.zero())
-    return p.substitute(sub_ring, images)
+    return p.substitute(sub_ring, _fixed_images(p.ring.n, sec.fixed_indices, sub_ring))
 
 
 # --- action matrices --------------------------------------------------------
-
-
-def _smat_mul(A, B):
-    rows = []
-    for row in A:
-        out = []
-        for j in range(len(B[0])):
-            acc = None
-            for k, a in enumerate(row):
-                term = a * B[k][j]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        rows.append(tuple(out))
-    return tuple(rows)
-
-
-def _smat_identity(size: int, context):
-    one = scalar_one(context)
-    zero = scalar_zero(context)
-    return tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
 
 
 def equivariant_actions(E: EquivariantMF, G: DiagonalGroup) -> dict:
@@ -235,43 +213,40 @@ def equivariant_actions(E: EquivariantMF, G: DiagonalGroup) -> dict:
     """
     if len(E.action) != len(G.generators):
         raise ValueError("one action matrix per group generator is required")
-    size = E.base.rank
-    rho = {G.identity: _smat_identity(size, G.context)}
+    zero = scalar_zero(G.context)
+    rho = {G.identity: diagonal_matrix([scalar_one(G.context)] * E.base.rank, zero)}
     for g in G.elements:
         if g in rho:
             continue
         word = G.word(g)
         M = rho[G.identity]
         for k in word:
-            M = _smat_mul(M, E.action[k])
+            M = mat_mul(M, E.action[k], zero)
         rho[g] = M
     # multiplicativity across the full table catches relation violations
     for g in G.elements:
         for k, h in enumerate(G.generators):
             prod = tuple(a * b for a, b in zip(g, h))
-            got = _smat_mul(rho[g], E.action[k])
+            got = mat_mul(rho[g], E.action[k], zero)
             want = rho[prod]
             if got != want:
                 raise ValueError("action does not respect the group relations")
     return rho
 
 
-def scalar_to_poly_matrix(ring: PolyRing, M) -> Matrix:
-    return tuple(tuple(ring.const(c) for c in row) for row in M)
+def _commutes(delta, g: Element, rho, zero) -> bool:
+    """rho . delta(g x) == delta(x) . rho for one element and its action."""
+    moved = mat_map(delta, lambda p: substitute_action(p, g))
+    return mat_mul(rho, moved, zero) == mat_mul(delta, rho, zero)
 
 
 def validate_equivariant(E: EquivariantMF, G: DiagonalGroup, actions=None) -> None:
     """Check rho(g) delta(g x) = delta(x) rho(g) for every element."""
     if actions is None:
         actions = equivariant_actions(E, G)
-    ring = E.base.ring
     delta = E.base.full_delta()
     for g in G.elements:
-        moved = tuple(tuple(substitute_action(p, g) for p in row) for row in delta)
-        rho = scalar_to_poly_matrix(ring, actions[g])
-        lhs = mat_mul(rho, moved, ring)
-        rhs = mat_mul(delta, rho, ring)
-        if lhs != rhs:
+        if not _commutes(delta, g, actions[g], E.base.ring.zero()):
             raise ValueError(
                 "factorization is not equivariant under (%s)"
                 % ", ".join(str(x) for x in g)
@@ -283,10 +258,7 @@ def twist(E: EquivariantMF, characters) -> EquivariantMF:
     chars = list(characters)
     if len(chars) != len(E.action):
         raise ValueError("one character value per generator is required")
-    action = tuple(
-        tuple(tuple(c * chi for c in row) for row in rho)
-        for rho, chi in zip(E.action, chars)
-    )
+    action = tuple(mat_scale(rho, chi) for rho, chi in zip(E.action, chars))
     return EquivariantMF(E.base, action)
 
 
@@ -296,7 +268,7 @@ def equivariant_dual(E: EquivariantMF, G: DiagonalGroup) -> EquivariantMF:
     new_action = []
     for k, h in enumerate(G.generators):
         inv = G.inverse(h)
-        new_action.append(tuple(map(tuple, mat_transpose(actions[inv]))))
+        new_action.append(mat_transpose(actions[inv]))
     return EquivariantMF(dual(E.base), tuple(new_action))
 
 
@@ -309,14 +281,12 @@ def _sector_character(
     rho_g,
     alpha: MorphismCocycle | None,
 ) -> SectorClass:
-    ring = base.ring
-    P = identity_matrix(ring, base.rank)
-    for i in sorted(sec.fixed_indices, reverse=True):
-        P = mat_mul(P, base.partial_delta(i), ring)
-    M = mat_mul(P, scalar_to_poly_matrix(ring, rho_g), ring)
+    zero = base.ring.zero()
+    P = derivative_product(base, sorted(sec.fixed_indices, reverse=True))
+    M = mat_mul(P, rho_g, zero)
     extra = 0
     if alpha is not None:
-        M = mat_mul(M, alpha.full_matrix(), ring)
+        M = mat_mul(M, alpha.full_matrix(), zero)
         extra = alpha.parity
     s = restrict_to_sector(supertrace(M, base.r0), sec)
     cls = sec.milnor.project(s, parity=(sec.n_fixed + extra) % 2)
@@ -366,13 +336,10 @@ def _check_invariant_morphism(E, F, f, G, actions_E, actions_F) -> None:
 
 def _morphism_action_full(E, F, f, g, actions_E, actions_F):
     """Full matrix of g . f = rho_F(g) f(g x) rho_E(g)^(-1)."""
-    ring = E.base.ring
-    M = f.full_matrix()
-    moved = tuple(tuple(substitute_action(p, g) for p in row) for row in M)
+    zero = E.base.ring.zero()
+    moved = mat_map(f.full_matrix(), lambda p: substitute_action(p, g))
     ginv = tuple(x.inverse() for x in g)
-    left = scalar_to_poly_matrix(ring, actions_F[g])
-    right = scalar_to_poly_matrix(ring, actions_E[ginv])
-    return mat_mul(left, mat_mul(moved, right, ring), ring)
+    return mat_mul(actions_F[g], mat_mul(moved, actions_E[ginv], zero), zero)
 
 
 def c_weight(g: Element, context=None) -> Scalar:
@@ -396,17 +363,23 @@ def chi_equivariant(E: EquivariantMF, F: EquivariantMF, G: DiagonalGroup) -> Sca
     actions_F = equivariant_actions(F, G)
     validate_equivariant(E, G, actions_E)
     validate_equivariant(F, G, actions_F)
+    terms = [(g, actions_E[G.inverse(g)], actions_F[g]) for g in G.elements]
+    return _orbifold_sum(E.base.w, E.base, F.base, terms, G.context, "equivariant index")
+
+
+def _orbifold_sum(w, E: MatFac, F: MatFac, terms, context, what: str) -> Scalar:
+    """|terms|^(-1) sum over (g, rho_E(g^-1), rho_F(g)) of the c_g-weighted
+    pairing of the two sector characters; must be a rational integer."""
     total = rational(0)
-    for g in G.elements:
-        sec = sector(E.base.w, g)
-        ginv = G.inverse(g)
-        a = _sector_character(E.base, sec, actions_E[ginv], None)
-        b = _sector_character(F.base, sec, actions_F[g], None)
+    for g, rho_E, rho_F in terms:
+        sec = sector(w, g)
+        a = _sector_character(E, sec, rho_E, None)
+        b = _sector_character(F, sec, rho_F, None)
         pair = canonical_pairing(a.as_milnor(), b.as_milnor())
-        total = total + c_weight(g, G.context) * pair
-    total = total / rational(G.order)
+        total = total + c_weight(g, context) * pair
+    total = total / rational(len(terms))
     if not total.is_rational_integer():
-        raise ValueError("equivariant index is not an integer: %s" % total)
+        raise ValueError("%s is not an integer: %s" % (what, total))
     return total
 
 
@@ -436,13 +409,10 @@ def invariant_hom_dimensions(
                 acted = _morphism_action_full(E, F, f, g, actions_E, actions_F)
                 af = MorphismCocycle.from_full(E.base, F.base, parity, acted)
                 cols.append(basis.class_coordinates(af))
-            Mg = tuple(tuple(cols[c][r] for c in range(count)) for r in range(count))
-            avg = Mg if avg is None else tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(avg, Mg)
-            )
-        inv_order = rational(1, G.order)
-        P = tuple(tuple(c * inv_order for c in row) for row in avg)
-        if _smat_mul(P, P) != P:
+            Mg = mat_transpose(cols)
+            avg = Mg if avg is None else mat_add(avg, Mg)
+        P = mat_scale(avg, rational(1, G.order))
+        if mat_mul(P, P, scalar_zero(G.context)) != P:
             raise AssertionError("averaging operator failed to be idempotent")
         trace = rational(0)
         for i in range(count):
@@ -503,7 +473,6 @@ def equivariant_stabilization(w: Polynomial, G: DiagonalGroup) -> EquivariantMF:
     ordered = evens + odds
     action = []
     one = scalar_one(G.context)
-    zero = scalar_zero(G.context)
     for h in G.generators:
         diag = []
         for s in ordered:
@@ -511,12 +480,7 @@ def equivariant_stabilization(w: Polynomial, G: DiagonalGroup) -> EquivariantMF:
             for i in s:
                 lam = lam * h[i]
             diag.append(lam)
-        action.append(
-            tuple(
-                tuple(diag[i] if i == j else zero for j in range(len(ordered)))
-                for i in range(len(ordered))
-            )
-        )
+        action.append(diagonal_matrix(diag, scalar_zero(G.context)))
     return EquivariantMF(kst, tuple(action))
 
 
@@ -627,12 +591,9 @@ def graded_exponents(S: GradedStructure, E: MatFac, degrees0, degrees1):
 
 
 def _graded_rho(S: GradedStructure, exps, m: int):
-    zero = scalar_zero(S.ring.context)
-    size = len(exps)
+    """The diagonal action of [m] on a summand with these exponents."""
     diag = [S.zeta ** ((m * e) % S.order) for e in exps]
-    return tuple(
-        tuple(diag[i] if i == j else zero for j in range(size)) for i in range(size)
-    )
+    return diagonal_matrix(diag, scalar_zero(S.ring.context))
 
 
 def graded_chi(
@@ -648,23 +609,11 @@ def graded_chi(
     exps_E = graded_exponents(S, E, *degE)
     exps_F = graded_exponents(S, F, *degF)
     for base, exps in ((E, exps_E), (F, exps_F)):
-        delta = base.full_delta()
-        moved = tuple(
-            tuple(substitute_action(p, S.element(1)) for p in row) for row in delta
-        )
-        rho = scalar_to_poly_matrix(S.ring, _graded_rho(S, exps, 1))
-        if mat_mul(rho, moved, S.ring) != mat_mul(delta, rho, S.ring):
+        rho = _graded_rho(S, exps, 1)
+        if not _commutes(base.full_delta(), S.element(1), rho, base.ring.zero()):
             raise ValueError("graded action does not commute with delta")
-    L = S.order
-    total = rational(0)
-    for m in range(L):
-        g = S.element(m)
-        sec = sector(S.w, g)
-        a = _sector_character(E, sec, _graded_rho(S, exps_E, -m), None)
-        b = _sector_character(F, sec, _graded_rho(S, exps_F, m), None)
-        pair = canonical_pairing(a.as_milnor(), b.as_milnor())
-        total = total + c_weight(g, S.ring.context) * pair
-    total = total / rational(L)
-    if not total.is_rational_integer():
-        raise ValueError("graded index is not an integer: %s" % total)
-    return total
+    terms = [
+        (S.element(m), _graded_rho(S, exps_E, -m), _graded_rho(S, exps_F, m))
+        for m in range(S.order)
+    ]
+    return _orbifold_sum(S.w, E, F, terms, S.ring.context, "graded index")

@@ -26,9 +26,7 @@ from .mfcore import (
     Matrix,
     MorphismCocycle,
     identity_matrix,
-    identity_morphism,
     mat_mul,
-    mat_scale,
 )
 from .milnor import MilnorClass, MilnorRing, canonical_pairing
 from .poly import Polynomial
@@ -52,7 +50,7 @@ def derivative_product(E: MatFac, indices) -> Matrix:
     """Product of the differentiated deltas, indices[0] leftmost."""
     P = identity_matrix(E.ring, E.rank)
     for i in indices:
-        P = mat_mul(P, E.partial_delta(i), E.ring)
+        P = mat_mul(P, E.partial_delta(i), E.ring.zero())
     return P
 
 
@@ -78,7 +76,7 @@ def tau(E: MatFac, alpha: MorphismCocycle, A: MilnorRing) -> MilnorClass:
         raise ValueError("morphism is not closed")
     n = E.ring.n
     P = derivative_product(E, range(n - 1, -1, -1))
-    M = mat_mul(P, alpha.full_matrix(), E.ring)
+    M = mat_mul(P, alpha.full_matrix(), E.ring.zero())
     return A.project(supertrace(M, E.r0), parity=(n + alpha.parity) % 2)
 
 
@@ -96,8 +94,8 @@ def chern_antisymmetrized(E: MatFac, alpha: MorphismCocycle, A: MilnorRing) -> M
     alpha_full = alpha.full_matrix()
     total = ring.zero()
     for perm in permutations(range(n)):
-        sign = _permutation_sign(perm)
-        M = mat_mul(derivative_product(E, perm), alpha_full, ring)
+        sign = permutation_sign(perm)
+        M = mat_mul(derivative_product(E, perm), alpha_full, ring.zero())
         s = supertrace(M, E.r0)
         total = total + (s if sign > 0 else -s)
     scale = Fraction(1, factorial(n))
@@ -106,7 +104,7 @@ def chern_antisymmetrized(E: MatFac, alpha: MorphismCocycle, A: MilnorRing) -> M
     return A.project(total * scale, parity=(n + alpha.parity) % 2)
 
 
-def _permutation_sign(perm) -> int:
+def permutation_sign(perm) -> int:
     inversions = sum(
         1
         for i in range(len(perm))

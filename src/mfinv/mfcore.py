@@ -6,10 +6,12 @@ d1 : E1 -> E0 with d1 d0 = d0 d1 = w * id.  The full odd differential is
     delta = [[0, d1], [d0, 0]]
 
 acting on E0 + E1, and that basis order (even summand first) is used for
-every "full matrix" in this package.  Koszul factorizations live on the
-exterior algebra of k^m with basis indexed by subsets of {0..m-1}, sorted
-by (size, lexicographic); wedge and contraction carry the sign
-(-1)^(number of elements below the touched index).
+every "full matrix" in this package.  Matrices are tuples of row tuples;
+`mat_mul` multiplies polynomial, scalar (group action) and mixed ones.
+Koszul factorizations live on the exterior algebra of k^m with basis
+indexed by subsets of {0..m-1}, sorted by (size, lexicographic); wedge and
+contraction carry the sign (-1)^(number of elements below the touched
+index).
 
 Morphisms are stored as their two nonzero parity blocks.  The differential
 on morphisms is d(f) = delta_F f - (-1)^|f| f delta_E, and closed odd
@@ -34,12 +36,21 @@ def zero_matrix(ring: PolyRing, r: int, c: int) -> Matrix:
     return tuple(tuple(z for _ in range(c)) for _ in range(r))
 
 
+def diagonal_matrix(entries, zero) -> Matrix:
+    """The square matrix with these diagonal entries and `zero` elsewhere."""
+    n = len(entries)
+    return tuple(
+        tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n)
+    )
+
+
 def identity_matrix(ring: PolyRing, n: int) -> Matrix:
-    z, o = ring.zero(), ring.one()
-    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+    return diagonal_matrix([ring.one()] * n, ring.zero())
 
 
-def mat_mul(A: Matrix, B: Matrix, ring: PolyRing) -> Matrix:
+def mat_mul(A: Matrix, B: Matrix, zero) -> Matrix:
+    """A B for polynomial, scalar or mixed entries; `zero` is the additive
+    zero that empty sums start from."""
     if A and B and len(A[0]) != len(B):
         raise ValueError("matrix shapes do not compose")
     cols = len(B[0]) if B else 0
@@ -47,7 +58,7 @@ def mat_mul(A: Matrix, B: Matrix, ring: PolyRing) -> Matrix:
     for row in A:
         new = []
         for j in range(cols):
-            acc = ring.zero()
+            acc = zero
             for k, a in enumerate(row):
                 if a.is_zero():
                     continue
@@ -146,8 +157,8 @@ class MatFac:
     def validate(self) -> None:
         """Check both factorization identities exactly."""
         for name, prod, rank in (
-            ("d1*d0", mat_mul(self.d1, self.d0, self.ring), self.r0),
-            ("d0*d1", mat_mul(self.d0, self.d1, self.ring), self.r1),
+            ("d1*d0", mat_mul(self.d1, self.d0, self.ring.zero()), self.r0),
+            ("d0*d1", mat_mul(self.d0, self.d1, self.ring.zero()), self.r1),
         ):
             for i in range(rank):
                 for j in range(rank):
@@ -157,10 +168,6 @@ class MatFac:
                             "not a factorization: %s entry (%d, %d) is %s"
                             % (name, i, j, prod[i][j])
                         )
-
-
-def validate(E: MatFac) -> None:
-    E.validate()
 
 
 # --- Koszul factorizations --------------------------------------------------
@@ -350,17 +357,17 @@ class MorphismCocycle:
         """self after other (the source of self is the target of other)."""
         if self.source is not other.target and self.source.d0 != other.target.d0:
             raise ValueError("composition endpoints do not match")
-        M = mat_mul(self.full_matrix(), other.full_matrix(), self.source.ring)
+        M = mat_mul(self.full_matrix(), other.full_matrix(), self.source.ring.zero())
         return MorphismCocycle.from_full(
             other.source, self.target, (self.parity + other.parity) % 2, M
         )
 
     def differential(self) -> "MorphismCocycle":
         """d(f) = delta_F f - (-1)^|f| f delta_E."""
-        ring = self.source.ring
+        zero = self.source.ring.zero()
         M = self.full_matrix()
-        left = mat_mul(self.target.full_delta(), M, ring)
-        right = mat_mul(M, self.source.full_delta(), ring)
+        left = mat_mul(self.target.full_delta(), M, zero)
+        right = mat_mul(M, self.source.full_delta(), zero)
         D = mat_add(left, right) if self.parity else mat_sub(left, right)
         return MorphismCocycle.from_full(self.source, self.target, 1 - self.parity, D)
 
@@ -452,30 +459,41 @@ def vector_to_morphism(E: MatFac, F: MatFac, parity: int, vec) -> MorphismCocycl
     return MorphismCocycle(E, F, parity, tuple(blocks))
 
 
+def _hom_positions(E: MatFac, F: MatFac, parity: int) -> list:
+    """(target, source) full-basis indices of the flattened Hom^parity."""
+    F0, F1 = range(F.r0), range(F.r0, F.rank)
+    E0, E1 = range(E.r0), range(E.r0, E.rank)
+    blocks = ((F0, E0), (F1, E1)) if parity == 0 else ((F1, E0), (F0, E1))
+    return [(t, s) for rows, cols in blocks for t in rows for s in cols]
+
+
 def hom_differential(E: MatFac, F: MatFac) -> tuple[Matrix, Matrix]:
     """Matrices of d on flattened Hom^0 and Hom^1.
 
     Returns (d_even : Hom^0 -> Hom^1, d_odd : Hom^1 -> Hom^0) over the
-    polynomial ring; both compositions vanish when E and F share w.
+    polynomial ring; both compositions vanish when E and F share w.  The
+    column of the unit map e_ts is read off the delta blocks: column t of
+    delta_F placed at column s, minus (-1)^p row s of delta_E placed at
+    row t.
     """
     if E.w != F.w:
         raise ValueError("potential mismatch")
-    n0, n1 = hom_basis_sizes(E, F)
-    cols_even = []
-    for k in range(n0):
-        unit = [E.ring.zero()] * n0
-        unit[k] = E.ring.one()
-        f = vector_to_morphism(E, F, 0, unit)
-        cols_even.append(morphism_to_vector(f.differential()))
-    cols_odd = []
-    for k in range(n1):
-        unit = [E.ring.zero()] * n1
-        unit[k] = E.ring.one()
-        f = vector_to_morphism(E, F, 1, unit)
-        cols_odd.append(morphism_to_vector(f.differential()))
-    d_even = tuple(tuple(cols_even[c][r] for c in range(n0)) for r in range(n1))
-    d_odd = tuple(tuple(cols_odd[c][r] for c in range(n1)) for r in range(n0))
-    return d_even, d_odd
+    dE, dF = E.full_delta(), F.full_delta()
+    zero = E.ring.zero()
+    out = []
+    for parity in (0, 1):
+        at = {ts: r for r, ts in enumerate(_hom_positions(E, F, 1 - parity))}
+        cols = _hom_positions(E, F, parity)
+        rows = [[zero] * len(cols) for _ in at]
+        for c, (t, s) in enumerate(cols):
+            for t2, row in enumerate(dF):
+                if not row[t].is_zero():
+                    rows[at[t2, s]][c] = row[t]
+            for s2, entry in enumerate(dE[s]):
+                if not entry.is_zero():
+                    rows[at[t, s2]][c] = entry if parity else -entry
+        out.append(as_matrix(rows))
+    return out[0], out[1]
 
 
 # --- stabilization of the residue field -------------------------------------

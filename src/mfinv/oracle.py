@@ -269,8 +269,8 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
     )
 
     def delta_tilde(M: Matrix, parity: int) -> Matrix:
-        left = mat_mul(delta_x, M, uring)
-        right = mat_mul(M, delta_y, uring)
+        left = mat_mul(delta_x, M, uring.zero())
+        right = mat_mul(M, delta_y, uring.zero())
         return mat_sub(left, right) if parity == 0 else mat_add(left, right)
 
     components: dict = {(): identity_matrix(uring, rank)}
@@ -384,7 +384,7 @@ def restriction_recursion_check(D: DTensor) -> bool:
             tuple(p.substitute(doubled, mixed) for p in row)
             for row in E.partial_delta(pivot)
         )
-        rhs = mat_mul(D.component(prev), part, doubled)
+        rhs = mat_mul(D.component(prev), part, doubled.zero())
         if not mat_equal(lhs, rhs):
             return False
     return True
@@ -413,7 +413,7 @@ def oracle_tau(
         tuple(_restrict_to_x(p, dtensor.data.doubled, ring) for p in row)
         for row in dtensor.top()
     )
-    M = mat_mul(top, alpha.full_matrix(), ring)
+    M = mat_mul(top, alpha.full_matrix(), ring.zero())
     parity = (ring.n + alpha.parity) % 2
     return A.project(supertrace(M, E.r0), parity=parity)
 

@@ -246,6 +246,34 @@ def test_non_integer_session_values_exit_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_session_values_must_be_json_integers(tmp_path, capsys):
+    # floats, bools and strings were truncated, coerced or iterated before
+    docs = []
+    for weights in ([1.5], [True], ["1"]):
+        doc = json.loads(json.dumps(GRADED_SESSION))
+        doc["weights"] = weights
+        docs.append((doc, ("graded-chi", "E1", "E1")))
+    for degrees in (
+        {"even": "0", "odd": [1]},
+        {"even": [0.9], "odd": [1]},
+        {"even": [0], "odd": ["1"]},
+        {"even": [False], "odd": [1]},
+        [[0], [1]],
+    ):
+        doc = json.loads(json.dumps(GRADED_SESSION))
+        doc["factorizations"]["E1"]["degrees"] = degrees
+        docs.append((doc, ("graded-chi", "E1", "E1")))
+    for order in ("3", 3.0, True):
+        doc = json.loads(json.dumps(CYCLIC3_SESSION))
+        doc["group"]["cyclotomic_order"] = order
+        docs.append((doc, ("milnor",)))
+    for doc, command in docs:
+        path = write_session(tmp_path, doc)
+        code, _, err = run(capsys, "--input", path, *command)
+        assert code == 2 and err.startswith("error: "), (doc, err)
+        assert "Traceback" not in err
+
+
 def test_koszul_data_must_be_lists(tmp_path, capsys):
     for kdata in ({"a": "x", "b": ["x^2 + y^2"]}, {"a": ["x"], "b": "x^2"}, ["x"]):
         doc = json.loads(json.dumps(D4_SESSION))

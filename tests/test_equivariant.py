@@ -12,6 +12,7 @@ from mfinv.equivariant import (
     equivariant_dual,
     equivariant_stabilization,
     graded_chi,
+    graded_exponents,
     graded_to_equivariant,
     invariant_hom_dimensions,
     moving_determinant,
@@ -419,6 +420,35 @@ def test_graded_chi_distinct_slopes_integral():
     F = koszul([x ** 2], [x ** 2])
     val = graded_chi(S, E, ((0,), (1,)), F, ((0,), (0,)))
     assert val.is_rational_integer()
+
+
+def test_graded_chi_equals_chi_equivariant_on_faithful_grading():
+    # for x^4 with weight 1, [m] -> zeta_4^m is injective, so the abstract
+    # grading group is the enumerated cyclic group and the two sums agree
+    R = PolyRing(("x",))
+    S = graded_to_equivariant(R.parse("x^4"), (1,))
+    ctx = S.ring.context
+    G = close_group(1, [S.element(1)], ctx)
+    assert G.order == S.order
+    x = S.ring.var(0)
+    graded = []
+    for i in range(1, 4):
+        E = koszul([x**i], [x ** (4 - i)])
+        for shift_by in (0, 1, 3):
+            deg = ((shift_by,), (shift_by + S.ell - i,))
+            exps = graded_exponents(S, E, *deg)
+            rho = tuple(
+                tuple(S.zeta**e if r == c else zero(ctx) for c in range(len(exps)))
+                for r, e in enumerate(exps)
+            )
+            graded.append((E, deg, EquivariantMF(E, (rho,))))
+    values = set()
+    for E, degE, EG in graded:
+        for F, degF, FG in graded:
+            want = chi_equivariant(EG, FG, G)
+            assert graded_chi(S, E, degE, F, degF) == want
+            values.add(int(want.as_fraction()))
+    assert len(values) > 1
 
 
 def test_twist_requires_matching_generators():

@@ -10,6 +10,7 @@ from mfinv.invariants import (
     chi_hrr,
     cardy_rhs,
     derivative_product,
+    permutation_sign,
     supertrace,
     tau,
 )
@@ -151,6 +152,15 @@ def _sign_to_descending(perm):
     return sign
 
 
+def test_permutation_sign_to_descending_order():
+    # the sign of reordering a permutation to descending order, which the
+    # verify command's permutation check uses, is sign(perm) (-1)^C(n, 2)
+    for n in range(1, 6):
+        for perm in permutations(range(n)):
+            want = _sign_to_descending(perm)
+            assert permutation_sign(perm) * (-1) ** (n * (n - 1) // 2) == want
+
+
 def test_antisymmetrized_equals_tau():
     E, A = d4_pair()
     assert chern_antisymmetrized(E, identity_morphism(E), A) == chern(E, A)
@@ -182,16 +192,16 @@ def test_chern_basis_independent():
     # U acts on E0 = span(e_(), e_(01)): mix the two even basis vectors
     U0 = ((R2.parse("1"), R2.parse("2")), (R2.zero(), R2.parse("1")))
     U0inv = ((R2.parse("1"), R2.parse("-2")), (R2.zero(), R2.parse("1")))
-    d0 = mat_mul(E.d0, U0inv, R2)
-    d1 = mat_mul(U0, E.d1, R2)
+    d0 = mat_mul(E.d0, U0inv, R2.zero())
+    d1 = mat_mul(U0, E.d1, R2.zero())
     E2 = MatFac(R2, E.w, d0, d1)
     E2.validate()
     assert chern(E2, A) == chern(E, A)
     # unipotent polynomial conjugation on the odd summand
     V1 = ((R2.one(), R2.parse("x*y")), (R2.zero(), R2.one()))
     V1inv = ((R2.one(), R2.parse("-x*y")), (R2.zero(), R2.one()))
-    d0b = mat_mul(V1, E.d0, R2)
-    d1b = mat_mul(E.d1, V1inv, R2)
+    d0b = mat_mul(V1, E.d0, R2.zero())
+    d1b = mat_mul(E.d1, V1inv, R2.zero())
     E3 = MatFac(R2, E.w, d0b, d1b)
     E3.validate()
     assert chern(E3, A) == chern(E, A)
@@ -247,6 +257,6 @@ def test_random_conjugation_invariance(f, g):
     shear = R2.parse("x") * f + R2.parse("y^2") * g
     V = ((R2.one(), shear), (R2.zero(), R2.one()))
     Vinv = ((R2.one(), -shear), (R2.zero(), R2.one()))
-    E2 = MatFac(R2, E.w, mat_mul(V, E.d0, R2), mat_mul(E.d1, Vinv, R2))
+    E2 = MatFac(R2, E.w, mat_mul(V, E.d0, R2.zero()), mat_mul(E.d1, Vinv, R2.zero()))
     E2.validate()
     assert chern(E2, A) == chern(E, A)

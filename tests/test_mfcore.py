@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from mfinv.mfcore import (
     direct_sum,
     dual,
     greedy_decomposition,
+    hom_basis_sizes,
     hom_differential,
     identity_matrix,
     identity_morphism,
@@ -26,6 +29,7 @@ from mfinv.mfcore import (
     zero_matrix,
     zero_morphism,
 )
+from mfinv.cli import load_session
 from mfinv.poly import PolyRing
 
 R1 = PolyRing(("x",))
@@ -85,14 +89,14 @@ def test_wedge_contraction_identities():
         C = koszul_operator(R2, 2, [zero, zero], wedge)
         anti = [
             [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(mat_mul(W, C, R2), mat_mul(C, W, R2))
+            for r1, r2 in zip(mat_mul(W, C, R2.zero()), mat_mul(C, W, R2.zero()))
         ]
         assert mat_equal(tuple(map(tuple, anti)), identity_matrix(R2, 4))
     W0 = koszul_operator(R2, 2, [one, zero], [zero, zero])
     C1 = koszul_operator(R2, 2, [zero, zero], [zero, one])
     anti = [
         [a + b for a, b in zip(r1, r2)]
-        for r1, r2 in zip(mat_mul(W0, C1, R2), mat_mul(C1, W0, R2))
+        for r1, r2 in zip(mat_mul(W0, C1, R2.zero()), mat_mul(C1, W0, R2.zero()))
     ]
     assert mat_equal(tuple(map(tuple, anti)), zero_matrix(R2, 4, 4))
 
@@ -174,10 +178,56 @@ def test_hom_differential_squares_to_zero():
     E = k1(R1, "x", "x^3")
     F = k1(R1, "x^2", "x^2")
     d_even, d_odd = hom_differential(E, F)
-    z0 = mat_mul(d_odd, d_even, R1)
-    z1 = mat_mul(d_even, d_odd, R1)
+    z0 = mat_mul(d_odd, d_even, R1.zero())
+    z1 = mat_mul(d_even, d_odd, R1.zero())
     assert all(e.is_zero() for row in z0 for e in row)
     assert all(e.is_zero() for row in z1 for e in row)
+
+
+def _hom_differential_by_units(E, F):
+    """The reference route: d applied to each unit morphism, as columns."""
+    n0, n1 = hom_basis_sizes(E, F)
+    out = []
+    for parity, n_in, n_out in ((0, n0, n1), (1, n1, n0)):
+        cols = []
+        for k in range(n_in):
+            unit = [E.ring.zero()] * n_in
+            unit[k] = E.ring.one()
+            f = vector_to_morphism(E, F, parity, unit)
+            cols.append(morphism_to_vector(f.differential()))
+        out.append(tuple(tuple(col[r] for col in cols) for r in range(n_out)))
+    return tuple(out)
+
+
+def _hom_differential_pairs():
+    """Fixture-session pairs, and sheared Koszul pairs with their unsheared
+    originals over the potentials of the Hom benchmark battery."""
+    root = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "sessions"
+    for name in ("d4", "x6"):
+        session = load_session(str(root / ("%s.json" % name)))
+        facs = [session.factorizations[n] for n in session.names_in_order]
+        for E in facs:
+            for F in facs:
+                yield E, F
+    battery = (
+        (("x", "y"), ["x", "y"], ["x^2", "y^2"]),
+        (("x", "y"), ["x", "y"], ["x^3", "y^3"]),
+        (("x", "y"), ["x", "y"], ["x*y", "y^2"]),
+        (("x", "y"), ["x^2", "y^2"], ["x^2", "y^3"]),
+        (("x", "y", "z"), ["x", "y + z"], ["x^2", "y^2 - y*z + z^2"]),
+    )
+    for names, a_txt, b_txt in battery:
+        ring = PolyRing(names)
+        a = [ring.parse(t) for t in a_txt]
+        b = [ring.parse(t) for t in b_txt]
+        p = ring.var(ring.n - 1)
+        sheared = koszul([a[0], a[1] + p * a[0]], [b[0] - p * b[1], b[1]])
+        E = koszul(a, b)
+        yield E, sheared
+        yield sheared, E
+        yield E, E
+    x = R2.var(0)
+    yield k1(R2, "x", "x^2 + y^2"), koszul([x, R2.var(1)], [x**2, x * R2.var(1)])
 
 
 def test_hom_differential_matches_morphism_route():
@@ -190,6 +240,12 @@ def test_hom_differential_matches_morphism_route():
         for r in range(len(d_even))
     )
     assert direct == via_matrix
+    shapes = set()
+    for E, F in _hom_differential_pairs():
+        assert hom_differential(E, F) == _hom_differential_by_units(E, F)
+        shapes.add((E.r0, E.r1, F.r0, F.r1))
+    # E != F of different shapes are among the pairs
+    assert any(s[:2] != s[2:] for s in shapes)
 
 
 def test_greedy_decomposition():
