@@ -529,7 +529,14 @@ def graded_to_equivariant(w: Polynomial, weights) -> GradedStructure:
 
     Weights are doubled when the weighted degree of w is odd, so that the
     degree of w is always 2*ell and the generator acts by zeta_(2 ell)^(a_i).
+    A weight that is not an integer raises ValueError.
     """
+    try:
+        integral = all(a == int(a) for a in weights)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError("weights must be integers, got %r" % (tuple(weights),))
     weights = tuple(int(a) for a in weights)
     degw = w.quasi_degree(weights)
     if degw is None or degw <= 0:

@@ -10,6 +10,14 @@ extraction:
 
     tr(f) = [x_1^(N-1) ... x_n^(N-1)] (f * det(a)).
 
+Nothing needs the product f * det(a): the trace of a monomial is one
+coefficient of the determinant,
+
+    tr(x^m) = [x^(N-1-m)] det(a)    (N-1-m taken componentwise),
+
+so a trace is a sum of lookups over the terms of f, and a Gram entry
+tr(x^a x^b) is the single coefficient [x^(N-1-a-b)] det(a).
+
 Scaled suitably this trace is the inverse of the intersection form; with
 the sign (-1)^(n choose 2) it is the canonical pairing that the boundary
 and bulk invariants land in.
@@ -194,9 +202,16 @@ def residue_trace(f: MilnorClass, *, exponent: int | None = None) -> Scalar:
 
 
 def _trace_poly(A: MilnorRing, p: Polynomial, exponent: int, det: Polynomial) -> Scalar:
-    n = A.ring.n
-    target = tuple([exponent - 1] * n)
-    return (p * det).coeff_of(target)
+    # tr(c x^m) = c [x^(N-1-m)] det; a lookup misses when some exponent
+    # of m exceeds N-1, and then the term contributes nothing
+    top = exponent - 1
+    coeffs = det.terms
+    total = A.ring.scalar(0)
+    for m, c in p.terms.items():
+        d = coeffs.get(tuple(top - e for e in m))
+        if d is not None:
+            total = total + c * d
+    return total
 
 
 def hessian_class(A: MilnorRing) -> MilnorClass:
@@ -222,13 +237,10 @@ def canonical_pairing(f: MilnorClass, g: MilnorClass) -> Scalar:
 
 def gram_matrix(A: MilnorRing) -> list[list[Scalar]]:
     """tr(b_a * b_b) over the standard monomial basis (no sign twist)."""
-    mats = []
-    for ma in A.basis:
-        row = []
-        pa = A.ring.monomial(ma)
-        for mb in A.basis:
-            row.append(
-                _trace_poly(A, pa * A.ring.monomial(mb), A.nilpotency, A.residue_cofactor_det)
-            )
-        mats.append(row)
-    return mats
+    top = A.nilpotency - 1
+    coeffs = A.residue_cofactor_det.terms
+    zero = A.ring.scalar(0)
+    return [
+        [coeffs.get(tuple(top - p - q for p, q in zip(ma, mb)), zero) for mb in A.basis]
+        for ma in A.basis
+    ]

@@ -12,7 +12,11 @@ contraction to invert is plain multiplication by the u_j.  Uniqueness
 comes from the splitting of the Koszul complex along the submodule of
 components that only involve u_k with k >= the smallest wedge index; the
 solver's unknowns are restricted to that submodule, which makes each
-degree a finite +-1 incidence system over the coefficient field.
+degree a finite +-1 incidence system over the coefficient field.  Each
+equation touches at most n unknowns, so the system is kept as sparse rows
+{column: scalar} and solved by exact elimination over k that reduces every
+row at its smallest column and back-substitutes; a column without a pivot
+or an equation that reduces to 0 = b with b != 0 raises.
 """
 from __future__ import annotations
 
@@ -38,6 +42,7 @@ from .milnor import MilnorClass, MilnorRing, build_milnor, gram_matrix
 from .poly import (
     Polynomial,
     PolyRing,
+    _substitute,
     determinant,
     difference_derivative,
     doubled_ring,
@@ -108,22 +113,15 @@ def _u_ring(ring: PolyRing) -> PolyRing:
     )
 
 
-def _to_u(p: Polynomial, doubled: PolyRing, uring: PolyRing, n: int) -> Polynomial:
-    images = [uring.var(i) for i in range(n)]
-    images += [uring.var(i) + uring.var(n + i) for i in range(n)]
-    return p.substitute(uring, images)
+def _ring_map(target: PolyRing, images: list):
+    """p -> p(images) in ``target``, with one table of image powers for
+    every polynomial it maps."""
+    powers = [dict() for _ in images]
+    return lambda p: _substitute(p, target, images, powers)
 
 
-def _from_u(p: Polynomial, uring: PolyRing, doubled: PolyRing, n: int) -> Polynomial:
-    images = [doubled.var(i) for i in range(n)]
-    images += [doubled.var(n + i) - doubled.var(i) for i in range(n)]
-    return p.substitute(doubled, images)
-
-
-def _restrict_to_x(p: Polynomial, doubled: PolyRing, ring: PolyRing) -> Polynomial:
-    n = ring.n
-    images = [ring.var(i) for i in range(n)] * 2
-    return p.substitute(ring, images)
+def _map_matrix(f, M: Matrix) -> Matrix:
+    return tuple(tuple(f(p) for p in row) for row in M)
 
 
 # --- the degree-by-degree solver --------------------------------------------
@@ -185,63 +183,64 @@ def _solve_contraction(eqs: dict, n: int, uring: PolyRing):
     rows = sorted(all_eqs)
     cols = sorted(unknowns)
     col_index = {c: k for k, c in enumerate(cols)}
-    ctx = uring.context
-    zero = scalar_zero(ctx)
-    one = scalar_one(ctx)
-    matrix = [[zero for _ in cols] for _ in rows]
-    vector = [eqs.get(r, zero) for r in rows]
-    for r, (S, m) in enumerate(rows):
+    one = scalar_one(uring.context)
+    zero = scalar_zero(uring.context)
+    sparse_rows = []
+    for S, m in rows:
+        row = {}
         for i in range(n):
             if m[n + i] == 0 or i in S:
                 continue
             pos, T = _subset_insert(S, i)
             m2 = tuple(e - 1 if k == n + i else e for k, e in enumerate(m))
             c = col_index.get((T, m2))
-            if c is None:
-                continue
-            matrix[r][c] = one if pos % 2 == 0 else -one
-    solution = _gauss_solve(matrix, vector, zero)
-    out: dict = {}
-    for (T, m2), k in col_index.items():
-        if solution[k] != 0:
-            out[(T, m2)] = solution[k]
-    return out
+            if c is not None:
+                row[c] = one if pos % 2 == 0 else -one
+        sparse_rows.append(row)
+    solution = _sparse_solve(sparse_rows, [eqs.get(r, zero) for r in rows], len(cols))
+    return {c: solution[k] for k, c in enumerate(cols) if not solution[k].is_zero()}
 
 
-def _gauss_solve(matrix, vector, zero):
-    """Exact elimination; the systems here have unique solutions."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for rr in range(r, rows):
-            if matrix[rr][c] != 0:
-                pivot = rr
+def _sparse_solve(rows: list[dict], rhs: list, ncols: int) -> list:
+    """Exact elimination on sparse rows {column: Scalar} over k.
+
+    Each row is reduced at its smallest column against the pivot rows found
+    so far, so the pivot rows stay in echelon form; back substitution runs
+    from the largest pivot column down.  The systems here have unique
+    solutions: a column without a pivot or a row that reduces to 0 = b with
+    b != 0 raises.
+    """
+    pivots: dict = {}  # column -> (row with coefficient 1 there, rhs)
+    for row, b in zip(rows, rhs):
+        row = dict(row)
+        while row:
+            c = min(row)
+            if c not in pivots:
                 break
-        if pivot is None:
-            raise AssertionError("contraction system is singular on a column")
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        vector[r], vector[pivot] = vector[pivot], vector[r]
-        inv = matrix[r][c].inverse()
-        matrix[r] = [a * inv for a in matrix[r]]
-        vector[r] = vector[r] * inv
-        for rr in range(rows):
-            if rr != r and matrix[rr][c] != 0:
-                f = matrix[rr][c]
-                matrix[rr] = [a - f * b for a, b in zip(matrix[rr], matrix[r])]
-                vector[rr] = vector[rr] - f * vector[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for rr in range(r, rows):
-        if vector[rr] != 0:
+            f = row[c]
+            prow, pb = pivots[c]
+            for k, a in prow.items():
+                s = row.get(k)
+                s = -(f * a) if s is None else s - f * a
+                if s.is_zero():
+                    row.pop(k, None)
+                else:
+                    row[k] = s
+            b = b - f * pb
+        if row:
+            inv = row[c].inverse()
+            pivots[c] = ({k: a * inv for k, a in row.items()}, b * inv)
+        elif not b.is_zero():
             raise AssertionError("contraction system is inconsistent")
-    solution = [zero] * cols
-    for k, c in enumerate(pivots):
-        solution[c] = vector[k]
+    if len(pivots) < ncols:
+        raise AssertionError("contraction system is singular on a column")
+    solution = [None] * ncols
+    for c in sorted(pivots, reverse=True):
+        prow, b = pivots[c]
+        for k, a in prow.items():
+            if k != c:
+                b = b - a * solution[k]
+        solution[c] = b
     return solution
 
 
@@ -258,15 +257,10 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
     x_images = [uring.var(i) for i in range(n)]
     y_images = [uring.var(i) + uring.var(n + i) for i in range(n)]
     delta = E.full_delta()
-    delta_x = tuple(
-        tuple(p.substitute(uring, x_images) for p in row) for row in delta
-    )
-    delta_y = tuple(
-        tuple(p.substitute(uring, y_images) for p in row) for row in delta
-    )
-    diffs_u = tuple(
-        _to_u(d, data.doubled, uring, n) for d in data.differences
-    )
+    delta_x = _map_matrix(_ring_map(uring, x_images), delta)
+    delta_y = _map_matrix(_ring_map(uring, y_images), delta)
+    to_u = _ring_map(uring, x_images + y_images)
+    diffs_u = tuple(to_u(d) for d in data.differences)
 
     def delta_tilde(M: Matrix, parity: int) -> Matrix:
         left = mat_mul(delta_x, M, uring.zero())
@@ -313,15 +307,16 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
             if T not in components:
                 components[T] = zero_matrix(uring, rank, rank)
     _assert_system(components, diffs_u, delta_tilde, n, rank, uring)
+    doubled = data.doubled
+    from_u = _ring_map(
+        doubled,
+        [doubled.var(i) for i in range(n)]
+        + [doubled.var(n + i) - doubled.var(i) for i in range(n)],
+    )
     packed = []
     for size in range(n + 1):
         for S in combinations(range(n), size):
-            M = components[S]
-            doubled_M = tuple(
-                tuple(_from_u(p, uring, data.doubled, n) for p in row)
-                for row in M
-            )
-            packed.append((S, doubled_M))
+            packed.append((S, _map_matrix(from_u, components[S])))
     return DTensor(data, E, tuple(packed))
 
 
@@ -409,10 +404,8 @@ def oracle_tau(
     if dtensor is None:
         dtensor = solve_D(E)
     ring = dtensor.data.ring
-    top = tuple(
-        tuple(_restrict_to_x(p, dtensor.data.doubled, ring) for p in row)
-        for row in dtensor.top()
-    )
+    to_x = _ring_map(ring, [ring.var(i) for i in range(ring.n)] * 2)
+    top = _map_matrix(to_x, dtensor.top())
     M = mat_mul(top, alpha.full_matrix(), ring.zero())
     parity = (ring.n + alpha.parity) % 2
     return A.project(supertrace(M, E.r0), parity=parity)
@@ -477,29 +470,30 @@ def inverse_form_check(w: Polynomial) -> bool:
     gens += [p.substitute(doubled, ys) for p in partials]
     gb = buchberger(gens)
     reduced = normal_form(det, gb)
-    mu = A.mu
-    zero = scalar_zero(ring.context)
-    coeffs = [[zero for _ in range(mu)] for _ in range(mu)]
+    # the coefficient matrix and the Gram matrix as sparse rows, so that
+    # their product only touches nonzero entries
+    coeffs: list[dict] = [dict() for _ in A.basis]
     index = {m: k for k, m in enumerate(A.basis)}
     for mono, c in reduced.terms.items():
-        mx = mono[:n]
-        my = mono[n:]
-        a = index.get(mx)
-        b = index.get(my)
+        a = index.get(mono[:n])
+        b = index.get(mono[n:])
         if a is None or b is None:
             raise AssertionError(
                 "reduced determinant leaves the standard basis product"
             )
-        coeffs[a][b] = coeffs[a][b] + c
-    G = gram_matrix(A)
-    for i in range(mu):
-        for j in range(mu):
-            acc = zero
-            for k in range(mu):
-                acc = acc + coeffs[i][k] * G[k][j]
-            expected = 1 if i == j else 0
-            if acc != expected:
-                raise AssertionError(
-                    "coefficient matrix does not invert the Gram matrix"
-                )
+        coeffs[a][b] = c
+    G = [
+        {j: g for j, g in enumerate(row) if not g.is_zero()}
+        for row in gram_matrix(A)
+    ]
+    for i, row in enumerate(coeffs):
+        acc: dict = {}
+        for k, c in row.items():
+            for j, g in G[k].items():
+                acc[j] = acc[j] + c * g if j in acc else c * g
+        acc = {j: v for j, v in acc.items() if not v.is_zero()}
+        if acc.keys() != {i} or acc[i] != 1:
+            raise AssertionError(
+                "coefficient matrix does not invert the Gram matrix"
+            )
     return True

@@ -140,6 +140,29 @@ def test_verify_passes_and_check_flag(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("error", [AssertionError, ValueError, ZeroDivisionError])
+def test_raising_check_reads_fail(tmp_path, capsys, monkeypatch, error):
+    import mfinv.cli
+
+    def refuted(w):
+        raise error("coefficient matrix does not invert the Gram matrix")
+
+    monkeypatch.setattr(mfinv.cli, "inverse_form_check", refuted)
+    path = write_session(tmp_path, D4_SESSION)
+    code, out, err = run(capsys, "--input", path, "verify")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert "inverse-form: fail" in lines
+    assert sum(line.endswith(": pass") for line in lines) == 6
+    assert err == "verify: inverse-form: coefficient matrix does not invert the Gram matrix\n"
+    code, _, err = run(capsys, "--input", path, "verify", "--check")
+    assert code == 1
+    assert "Traceback" not in err
+    payload = json.loads(run(capsys, "--input", path, "--json", "verify")[1])
+    assert payload["checks"]["inverse-form"] is False
+    assert payload["ok"] is False
+
+
 def test_json_output_is_deterministic(tmp_path, capsys):
     path = write_session(tmp_path, D4_SESSION)
     _, first, _ = run(capsys, "--input", path, "--json", "milnor")

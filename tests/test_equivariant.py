@@ -1,4 +1,6 @@
 """Diagonal symmetry: sectors, equivariant characters, orbifold sums."""
+from fractions import Fraction
+
 import pytest
 
 from mfinv.equivariant import (
@@ -386,6 +388,20 @@ def test_graded_rejects_inhomogeneous():
     w = R.parse("x^3 + y^2 + x*y^2")
     with pytest.raises(ValueError, match="quasi-homogeneous"):
         graded_to_equivariant(w, (2, 3))
+
+
+@pytest.mark.parametrize("weights", [(1.5,), (Fraction(3, 2),), ("1",), (float("nan"),)])
+def test_graded_rejects_non_integral_weights(weights):
+    w = PolyRing(("x",)).parse("x^4")
+    with pytest.raises(ValueError, match="weights must be integers"):
+        graded_to_equivariant(w, weights)
+
+
+def test_graded_accepts_integral_weight_types():
+    w = PolyRing(("x",)).parse("x^4")
+    for weights in ((2.0,), (Fraction(4, 2),)):
+        S = graded_to_equivariant(w, weights)
+        assert S.weights == (2,) and S.order == 8
 
 
 def test_graded_chi_power_diagonal():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfinv.milnor import (
+    _cofactor_determinant,
     build_milnor,
     canonical_pairing,
     gram_matrix,
@@ -12,7 +13,7 @@ from mfinv.milnor import (
     residue_trace,
 )
 from mfinv.poly import PolyRing, determinant
-from mfinv.scalar import rational
+from mfinv.scalar import CyclotomicContext, rational
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
@@ -131,6 +132,46 @@ def test_trace_independent_of_exponent():
         A = _build(ring, text)
         f = A.project(ring.monomial(A.basis[-1]))
         assert residue_trace(f) == residue_trace(f, exponent=A.nilpotency + 1)
+
+
+# the battery plus the high-mu potentials of the benchmark and one ring
+# over Q(zeta_5), whose cofactor determinant has cyclotomic coefficients
+REFERENCE_BATTERY = [(ring, text) for ring, text, _ in BATTERY] + [
+    (R1, "x^60"),
+    (R2, "x^9 + y^8"),
+    (R2, "x^3*y + y^7"),
+    (PolyRing(("x", "y"), CyclotomicContext(5)), "x^4 + z*x^2*y^2 + y^4"),
+]
+
+
+def _reference_trace(p, exponent, det):
+    """The trace by the product route: [x^(N-1)] (p * det(a))."""
+    return (p * det).coeff_of((exponent - 1,) * p.ring.n)
+
+
+@pytest.mark.parametrize("ring,text", REFERENCE_BATTERY)
+def test_coefficient_lookup_matches_product_route(ring, text):
+    A = _build(ring, text)
+    n = ring.n
+    N = A.nilpotency
+    det = A.residue_cofactor_det
+    det_up = _cofactor_determinant(ring, A.jacobian_gb, N + 1)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    basis = [ring.monomial(m) for m in A.basis]
+    assert gram_matrix(A) == [
+        [_reference_trace(a * b, N, det) for b in basis] for a in basis
+    ]
+    mixed = ring.zero()
+    for k, b in enumerate(basis):
+        mixed = mixed + b * (k + 1)
+    classes = [hessian_class(A), A.project(mixed), A.project(mixed * mixed)]
+    classes += [A.project(b) for b in basis[:4] + basis[-4:]]
+    for f in classes:
+        assert residue_trace(f) == _reference_trace(f.value, N, det)
+        assert residue_trace(f, exponent=N + 1) == _reference_trace(f.value, N + 1, det_up)
+        for g in classes[:3]:
+            want = _reference_trace(f.value * g.value, N, det) * sign
+            assert canonical_pairing(f, g) == want
 
 
 def test_three_variable_cusp_sum():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,3 +232,144 @@ def test_oracle_tau_random_power_factorizations(i, n):
         for k in range(dim):
             alpha = basis.representative(parity, k)
             assert oracle_tau(E, alpha, A, dtensor=D) == tau(E, alpha, A)
+
+
+def _gauss_solve(matrix, vector, zero):
+    """Dense exact elimination, the reference for the sparse solver."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for rr in range(r, rows):
+            if matrix[rr][c] != 0:
+                pivot = rr
+                break
+        if pivot is None:
+            raise AssertionError("contraction system is singular on a column")
+        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
+        vector[r], vector[pivot] = vector[pivot], vector[r]
+        inv = matrix[r][c].inverse()
+        matrix[r] = [a * inv for a in matrix[r]]
+        vector[r] = vector[r] * inv
+        for rr in range(rows):
+            if rr != r and matrix[rr][c] != 0:
+                f = matrix[rr][c]
+                matrix[rr] = [a - f * b for a, b in zip(matrix[rr], matrix[r])]
+                vector[rr] = vector[rr] - f * vector[r]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for rr in range(r, rows):
+        if vector[rr] != 0:
+            raise AssertionError("contraction system is inconsistent")
+    solution = [zero] * cols
+    for k, c in enumerate(pivots):
+        solution[c] = vector[k]
+    return solution
+
+
+@pytest.mark.parametrize("w,facs", BATTERY)
+def test_sparse_solver_matches_dense_reference(w, facs, monkeypatch):
+    import mfinv.oracle as oracle
+
+    systems = []
+    sparse_solve = oracle._sparse_solve
+
+    def recording(rows, rhs, ncols):
+        solution = sparse_solve(rows, rhs, ncols)
+        systems.append((rows, rhs, ncols, solution))
+        return solution
+
+    monkeypatch.setattr(oracle, "_sparse_solve", recording)
+    data = build_diagonal(w)
+    for E in facs:
+        solve_D(E, data)
+    assert systems
+    zero = rational(0)
+    for rows, rhs, ncols, solution in systems:
+        dense = [[row.get(c, zero) for c in range(ncols)] for row in rows]
+        assert _gauss_solve(dense, list(rhs), zero) == solution
+
+
+def test_sparse_solver_matches_dense_reference_on_coupled_systems():
+    # every contraction system of the battery reduces each row to a single
+    # unknown, so back substitution and the gates need systems of their own
+    from mfinv.oracle import _sparse_solve
+
+    rng = random.Random(11)
+    zero = rational(0)
+    solved = raised = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 5)
+        matrix = [
+            [rational(rng.choice((-2, -1, 0, 0, 1, 2))) for _ in range(ncols)]
+            for _ in range(ncols + rng.randint(0, 2))
+        ]
+        if rng.random() < 0.5:
+            x = [rational(rng.randint(-3, 3)) for _ in range(ncols)]
+            rhs = [sum((a * b for a, b in zip(row, x)), zero) for row in matrix]
+        else:
+            rhs = [rational(rng.randint(-3, 3)) for _ in matrix]
+        rows = [{c: a for c, a in enumerate(row) if not a.is_zero()} for row in matrix]
+        try:
+            want = _gauss_solve([list(row) for row in matrix], list(rhs), zero)
+        except AssertionError:
+            with pytest.raises(AssertionError, match="contraction system is"):
+                _sparse_solve(rows, rhs, ncols)
+            raised += 1
+        else:
+            assert _sparse_solve(rows, rhs, ncols) == want
+            solved += 1
+    assert solved > 50 and raised > 50
+
+
+@pytest.mark.parametrize("entry,delta", [((0, 0), 1), ((0, 1), 1), ((2, 0), 1)])
+def test_inverse_form_rejects_a_wrong_gram_matrix(monkeypatch, entry, delta):
+    import mfinv.oracle as oracle
+
+    gram = oracle.gram_matrix
+
+    def perturbed(A):
+        G = gram(A)
+        i, j = entry
+        G[i][j] = G[i][j] + delta
+        return G
+
+    monkeypatch.setattr(oracle, "gram_matrix", perturbed)
+    with pytest.raises(AssertionError, match="does not invert the Gram matrix"):
+        inverse_form_check(R1.parse("x^4"))
+
+
+def test_sparse_solver_gates_raise_under_optimize():
+    # a singular and an inconsistent system: the gates must not be bare
+    # asserts, which python -O strips
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import mfinv
+
+    src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    code = (
+        "from mfinv.oracle import _sparse_solve\n"
+        "from mfinv.scalar import rational as q\n"
+        "systems = [([{0: q(1), 1: q(1)}], [q(1)], 2),\n"
+        "           ([{0: q(1)}, {0: q(2)}], [q(1), q(3)], 1)]\n"
+        "for rows, rhs, ncols in systems:\n"
+        "    try:\n"
+        "        _sparse_solve(rows, rhs, ncols)\n"
+        "    except AssertionError as exc:\n"
+        "        print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.splitlines() == [
+        "raised: contraction system is singular on a column",
+        "raised: contraction system is inconsistent",
+    ]
