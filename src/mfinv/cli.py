@@ -457,10 +457,6 @@ def _element_json(g):
     return [scalar_to_json(lam) for lam in g]
 
 
-def _element_text(g) -> str:
-    return "(" + ", ".join(str(lam) for lam in g) + ")"
-
-
 # --- command handlers -------------------------------------------------------
 
 

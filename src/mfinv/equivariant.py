@@ -1,10 +1,16 @@
 """Finite diagonal symmetry: sectors, equivariant characters, orbifold sums.
 
-A group element is a tuple of root-of-unity scalars (lambda_1..lambda_n)
-acting by x_i -> lambda_i x_i.  Everything is enumerated: the closure of
-the generators, the per-element action matrices on a factorization
-(extended multiplicatively from the generators and checked against the
-group relations), and the sector data
+A group element acts by x_i -> zeta^(k_i) x_i.  Inside this module it is
+the exponent vector (k_1..k_n) mod m over one table of roots of unity
+``roots = (zeta^0..zeta^(m-1))`` per group (``(1, -1)`` over Q), so group
+closure and inversion are integer arithmetic and the character of a
+monomial x^e is the table entry zeta^(sum k_i e_i).  At the public
+boundary an element is still the tuple of its root-of-unity scalars
+(zeta^(k_1)..zeta^(k_n)), in the order the closure found it.
+
+Everything is enumerated: the closure of the generators, the per-element
+action matrices on a factorization (extended multiplicatively from the
+generators and checked against the group relations), and the sector data
 
     w_g = w restricted to the fixed variables of g,
 
@@ -23,7 +29,8 @@ over the fixed indices, so action matrices go through the same
 `mfcore.mat_mul` and `invariants.derivative_product` as the
 non-equivariant invariants.  The equivariant index and the graded index
 are one orbifold sum over (g, rho_E(g^-1), rho_F(g)); the graded one runs
-over the abstract cyclic grading group.
+over the abstract cyclic grading group, whose generator has the exponent
+vector of the weights over a table of order 2 ell.
 """
 from __future__ import annotations
 
@@ -58,18 +65,36 @@ from .scalar import (
 Element = tuple  # tuple[Scalar, ...] of length n
 
 
+def _roots(context, m: int) -> tuple:
+    """zeta_m^0..zeta_m^(m-1) in the field of ``context``; (1, -1) over Q."""
+    if context is None:
+        return (scalar_one(), -scalar_one())
+    return tuple(context.zeta(k * (context.order // m)) for k in range(m))
+
+
 class DiagonalGroup:
-    """An enumerated finite group of diagonal scaling symmetries."""
+    """An enumerated finite group of diagonal scaling symmetries.
 
-    __slots__ = ("context", "n", "generators", "elements", "words", "_index")
+    ``exponents[i]`` is the exponent vector of ``elements[i]`` over
+    ``roots``, and ``products[i][k]`` the position of
+    elements[i] . generators[k].  Exponent vectors and scalar tuples live
+    in separate dicts: a rational Scalar hashes and compares equal to the
+    matching int, so one dict would confuse (1,) with the identity over Q.
+    """
 
-    def __init__(self, context, n, generators, elements, words):
+    __slots__ = ("context", "n", "roots", "generators", "elements", "exponents",
+                 "products", "_index", "_position")
+
+    def __init__(self, context, n, roots, gen_exponents, position, products):
         self.context = context
         self.n = n
-        self.generators = generators
-        self.elements = elements  # identity first
-        self.words = words  # per element, a tuple of generator indices
-        self._index = {g: k for k, g in enumerate(elements)}
+        self.roots = roots
+        self.generators = tuple(tuple(roots[k] for k in h) for h in gen_exponents)
+        self.exponents = tuple(position)  # identity first
+        self.elements = tuple(tuple(roots[k] for k in e) for e in self.exponents)
+        self.products = products
+        self._index = {g: i for i, g in enumerate(self.elements)}
+        self._position = position  # exponent vector -> position
 
     @property
     def order(self) -> int:
@@ -85,65 +110,57 @@ class DiagonalGroup:
         except KeyError:
             raise ValueError("element is not in the enumerated group") from None
 
-    def inverse(self, g: Element) -> Element:
-        inv = tuple(x.inverse() for x in g)
-        self.index(inv)
-        return inv
+    def exponent(self, g: Element) -> tuple:
+        return self.exponents[self.index(g)]
 
-    def word(self, g: Element) -> tuple:
-        return self.words[self.index(g)]
+    def inverse(self, g: Element) -> Element:
+        m = len(self.roots)
+        return self.elements[self._position[tuple(-k % m for k in self.exponent(g))]]
 
 
 def close_group(n: int, generators, context=None, bound: int = 64) -> DiagonalGroup:
-    """Enumerate the closure of diagonal generators by repeated products."""
-    gens = [tuple(g) for g in generators]
-    one = scalar_one(context)
-    for g in gens:
+    """Enumerate the closure of diagonal generators, breadth first."""
+    roots = _roots(context, 2 if context is None else context.order)
+    m = len(roots)
+    log = {lam: k for k, lam in enumerate(roots)}
+    gens = []
+    for g in generators:
+        g = tuple(g)
         if len(g) != n:
             raise ValueError("generator length does not match the variable count")
         for lam in g:
-            if context is None:
-                if not (lam == 1 or lam == -1):
-                    raise ValueError("entry %s is not a root of unity" % lam)
-            elif not (lam ** context.order) == 1:
+            if lam not in log:
                 raise ValueError("entry %s is not a root of unity" % lam)
-    identity = tuple(one for _ in range(n))
-    elements = [identity]
-    words = [()]
-    seen = {identity}
-    frontier = [(identity, ())]
-    while frontier:
-        nxt = []
-        for g, gw in frontier:
-            for k, h in enumerate(gens):
-                prod = tuple(a * b for a, b in zip(g, h))
-                if prod not in seen:
-                    seen.add(prod)
-                    elements.append(prod)
-                    words.append(gw + (k,))
-                    nxt.append((prod, gw + (k,)))
-                    if len(elements) > bound:
-                        raise ValueError("group closure exceeds the bound %d" % bound)
-        frontier = nxt
-    return DiagonalGroup(context, n, tuple(gens), tuple(elements), tuple(words))
+        gens.append(tuple(log[lam] for lam in g))
+    exponents = [(0,) * n]
+    position = {exponents[0]: 0}
+    products = []
+    for e in exponents:  # grows while it is walked: a breadth-first queue
+        row = []
+        for h in gens:
+            prod = tuple((a + b) % m for a, b in zip(e, h))
+            if prod not in position:
+                position[prod] = len(exponents)
+                exponents.append(prod)
+                if len(exponents) > bound:
+                    raise ValueError("group closure exceeds the bound %d" % bound)
+            row.append(position[prod])
+        products.append(tuple(row))
+    return DiagonalGroup(context, n, roots, gens, position, tuple(products))
 
 
-def substitute_action(p: Polynomial, g: Element) -> Polynomial:
-    """p(g x): scale each variable by its eigenvalue."""
-    ring = p.ring
-    out = {}
-    for m, c in p.terms.items():
-        factor = c
-        for i, e in enumerate(m):
-            if e:
-                factor = factor * g[i] ** e
-        out[m] = out.get(m, ring.scalar(0)) + factor
-    return ring.from_terms(out)
+def substitute_action(p: Polynomial, k: tuple, roots: tuple) -> Polynomial:
+    """p(g x) for the element with exponent vector k over ``roots``: the
+    term c x^e becomes c zeta^(sum k_i e_i) x^e."""
+    m = len(roots)
+    return p.ring.from_terms({
+        e: c * roots[sum(a * b for a, b in zip(k, e)) % m] for e, c in p.terms.items()
+    })
 
 
 def check_invariance(w: Polynomial, G: DiagonalGroup) -> None:
-    for g in G.elements:
-        if substitute_action(w, g) != w:
+    for g, k in zip(G.elements, G.exponents):
+        if substitute_action(w, k, G.roots) != w:
             raise ValueError(
                 "potential is not invariant under (%s)" % ", ".join(str(x) for x in g)
             )
@@ -208,49 +225,44 @@ def restrict_to_sector(p: Polynomial, sec: Sector) -> Polynomial:
 def equivariant_actions(E: EquivariantMF, G: DiagonalGroup) -> dict:
     """rho(g) for every element, extended from the generators.
 
-    Raises when the extension is inconsistent (the action fails a group
-    relation) or a generator count mismatches.
+    One breadth-first pass over the closure: the first product
+    rho(g) rho(h_k) defines rho(g h_k), and every later product that lands
+    on the same element checks a group relation.  Raises when the action
+    fails a relation or a generator count mismatches.
     """
     if len(E.action) != len(G.generators):
         raise ValueError("one action matrix per group generator is required")
     zero = scalar_zero(G.context)
-    rho = {G.identity: diagonal_matrix([scalar_one(G.context)] * E.base.rank, zero)}
-    for g in G.elements:
-        if g in rho:
-            continue
-        word = G.word(g)
-        M = rho[G.identity]
-        for k in word:
-            M = mat_mul(M, E.action[k], zero)
-        rho[g] = M
-    # multiplicativity across the full table catches relation violations
-    for g in G.elements:
-        for k, h in enumerate(G.generators):
-            prod = tuple(a * b for a, b in zip(g, h))
-            got = mat_mul(rho[g], E.action[k], zero)
-            want = rho[prod]
-            if got != want:
+    rho = [diagonal_matrix([scalar_one(G.context)] * E.base.rank, zero)]
+    rho += [None] * (G.order - 1)
+    for i, row in enumerate(G.products):
+        for k, j in enumerate(row):
+            M = mat_mul(rho[i], E.action[k], zero)
+            if rho[j] is None:
+                rho[j] = M
+            elif M != rho[j]:
                 raise ValueError("action does not respect the group relations")
-    return rho
+    return dict(zip(G.elements, rho))
 
 
-def _commutes(delta, g: Element, rho, zero) -> bool:
+def _commutes(delta, k: tuple, roots: tuple, rho, zero) -> bool:
     """rho . delta(g x) == delta(x) . rho for one element and its action."""
-    moved = mat_map(delta, lambda p: substitute_action(p, g))
+    moved = mat_map(delta, lambda p: substitute_action(p, k, roots))
     return mat_mul(rho, moved, zero) == mat_mul(delta, rho, zero)
 
 
-def validate_equivariant(E: EquivariantMF, G: DiagonalGroup, actions=None) -> None:
-    """Check rho(g) delta(g x) = delta(x) rho(g) for every element."""
-    if actions is None:
-        actions = equivariant_actions(E, G)
+def validate_equivariant(E: EquivariantMF, G: DiagonalGroup) -> dict:
+    """The action table of `equivariant_actions`, after checking
+    rho(g) delta(g x) = delta(x) rho(g) for every element."""
+    actions = equivariant_actions(E, G)
     delta = E.base.full_delta()
-    for g in G.elements:
-        if not _commutes(delta, g, actions[g], E.base.ring.zero()):
+    for g, k in zip(G.elements, G.exponents):
+        if not _commutes(delta, k, G.roots, actions[g], E.base.ring.zero()):
             raise ValueError(
                 "factorization is not equivariant under (%s)"
                 % ", ".join(str(x) for x in g)
             )
+    return actions
 
 
 def twist(E: EquivariantMF, characters) -> EquivariantMF:
@@ -265,11 +277,8 @@ def twist(E: EquivariantMF, characters) -> EquivariantMF:
 def equivariant_dual(E: EquivariantMF, G: DiagonalGroup) -> EquivariantMF:
     """The dual factorization with the transpose-inverse action."""
     actions = equivariant_actions(E, G)
-    new_action = []
-    for k, h in enumerate(G.generators):
-        inv = G.inverse(h)
-        new_action.append(mat_transpose(actions[inv]))
-    return EquivariantMF(dual(E.base), tuple(new_action))
+    new_action = tuple(mat_transpose(actions[G.inverse(h)]) for h in G.generators)
+    return EquivariantMF(dual(E.base), new_action)
 
 
 # --- equivariant characters -------------------------------------------------
@@ -293,53 +302,32 @@ def _sector_character(
     return SectorClass(sec, cls.value, cls.parity)
 
 
-def chern_equivariant(
-    E: EquivariantMF, G: DiagonalGroup, g: Element, *, sec: Sector | None = None,
-    actions=None,
-) -> SectorClass:
+def chern_equivariant(E: EquivariantMF, G: DiagonalGroup, g: Element) -> SectorClass:
     """The g-component of the equivariant Chern character, in A_{w_g}."""
-    if actions is None:
-        actions = equivariant_actions(E, G)
-        validate_equivariant(E, G, actions)
-    if sec is None:
-        sec = sector(E.base.w, g)
-    return _sector_character(E.base, sec, actions[g], None)
+    actions = validate_equivariant(E, G)
+    return _sector_character(E.base, sector(E.base.w, g), actions[g], None)
 
 
 def tau_equivariant(
-    E: EquivariantMF,
-    G: DiagonalGroup,
-    g: Element,
-    alpha: MorphismCocycle,
-    *,
-    sec: Sector | None = None,
-    actions=None,
+    E: EquivariantMF, G: DiagonalGroup, g: Element, alpha: MorphismCocycle
 ) -> SectorClass:
     """Equivariant boundary-bulk map on an invariant closed endomorphism."""
-    if actions is None:
-        actions = equivariant_actions(E, G)
-        validate_equivariant(E, G, actions)
+    actions = validate_equivariant(E, G)
     if not alpha.is_closed():
         raise ValueError("morphism is not closed")
-    _check_invariant_morphism(E, E, alpha, G, actions, actions)
-    if sec is None:
-        sec = sector(E.base.w, g)
-    return _sector_character(E.base, sec, actions[g], alpha)
-
-
-def _check_invariant_morphism(E, F, f, G, actions_E, actions_F) -> None:
-    M = f.full_matrix()
-    for g in G.elements:
-        if _morphism_action_full(E, F, f, g, actions_E, actions_F) != M:
+    M = alpha.full_matrix()
+    for h in G.elements:
+        if _morphism_action_full(alpha, G, h, actions, actions) != M:
             raise ValueError("morphism is not invariant under the group")
+    return _sector_character(E.base, sector(E.base.w, g), actions[g], alpha)
 
 
-def _morphism_action_full(E, F, f, g, actions_E, actions_F):
+def _morphism_action_full(f, G: DiagonalGroup, g, actions_E, actions_F):
     """Full matrix of g . f = rho_F(g) f(g x) rho_E(g)^(-1)."""
-    zero = E.base.ring.zero()
-    moved = mat_map(f.full_matrix(), lambda p: substitute_action(p, g))
-    ginv = tuple(x.inverse() for x in g)
-    return mat_mul(actions_F[g], mat_mul(moved, actions_E[ginv], zero), zero)
+    zero = f.source.ring.zero()
+    k = G.exponent(g)
+    moved = mat_map(f.full_matrix(), lambda p: substitute_action(p, k, G.roots))
+    return mat_mul(actions_F[g], mat_mul(moved, actions_E[G.inverse(g)], zero), zero)
 
 
 def c_weight(g: Element, context=None) -> Scalar:
@@ -359,10 +347,8 @@ def chi_equivariant(E: EquivariantMF, F: EquivariantMF, G: DiagonalGroup) -> Sca
     """
     if E.base.w != F.base.w:
         raise ValueError("potential mismatch")
-    actions_E = equivariant_actions(E, G)
-    actions_F = equivariant_actions(F, G)
-    validate_equivariant(E, G, actions_E)
-    validate_equivariant(F, G, actions_F)
+    actions_E = validate_equivariant(E, G)
+    actions_F = validate_equivariant(F, G)
     terms = [(g, actions_E[G.inverse(g)], actions_F[g]) for g in G.elements]
     return _orbifold_sum(E.base.w, E.base, F.base, terms, G.context, "equivariant index")
 
@@ -391,10 +377,8 @@ def invariant_hom_dimensions(
     Computed through the averaging projector acting on class coordinates;
     idempotency and integrality of the trace are asserted.
     """
-    actions_E = equivariant_actions(E, G)
-    actions_F = equivariant_actions(F, G)
-    validate_equivariant(E, G, actions_E)
-    validate_equivariant(F, G, actions_F)
+    actions_E = validate_equivariant(E, G)
+    actions_F = validate_equivariant(F, G)
     h0, h1, basis = hom_cohomology(E.base, F.base)
     dims = []
     for parity, count in ((0, h0), (1, h1)):
@@ -406,7 +390,7 @@ def invariant_hom_dimensions(
         for g in G.elements:
             cols = []
             for f in reps:
-                acted = _morphism_action_full(E, F, f, g, actions_E, actions_F)
+                acted = _morphism_action_full(f, G, g, actions_E, actions_F)
                 af = MorphismCocycle.from_full(E.base, F.base, parity, acted)
                 cols.append(basis.class_coordinates(af))
             Mg = mat_transpose(cols)
@@ -437,22 +421,18 @@ def orbifold_hh_dimensions(w: Polynomial, G: DiagonalGroup):
     check_invariance(w, G)
     out = []
     total = [0, 0]
+    m = len(G.roots)
     for g in G.elements:
         sec = sector(w, g)
-        A = sec.milnor
         parity = sec.n_fixed % 2
-        # each h acts diagonally on the monomial basis
+        # each h acts diagonally on the monomial basis: x^e dx_fixed has
+        # the character zeta^(sum over fixed i of k_i (e_i + 1))
         trace = rational(0)
-        for h in G.elements:
-            form = scalar_one(G.context)
-            for i in sec.fixed_indices:
-                form = form * h[i]
-            for m in A.basis:
-                weight = form
-                for pos, e in enumerate(m):
-                    if e:
-                        weight = weight * h[sec.fixed_indices[pos]] ** e
-                trace = trace + weight
+        for k in G.exponents:
+            fixed_k = [k[i] for i in sec.fixed_indices]
+            for e in sec.milnor.basis:
+                s = sum(a * (b + 1) for a, b in zip(fixed_k, e))
+                trace = trace + G.roots[s % m]
         trace = trace / rational(G.order)
         if not trace.is_rational_integer():
             raise AssertionError("invariant dimension is not an integer")
@@ -471,15 +451,11 @@ def equivariant_stabilization(w: Polynomial, G: DiagonalGroup) -> EquivariantMF:
     kst = stabilized_residue_field(w)
     evens, odds = koszul_subsets(w.ring.n)
     ordered = evens + odds
+    m = len(G.roots)
     action = []
-    one = scalar_one(G.context)
     for h in G.generators:
-        diag = []
-        for s in ordered:
-            lam = one
-            for i in s:
-                lam = lam * h[i]
-            diag.append(lam)
+        k = G.exponent(h)
+        diag = [G.roots[sum(k[i] for i in s) % m] for s in ordered]
         action.append(diagonal_matrix(diag, scalar_zero(G.context)))
     return EquivariantMF(kst, tuple(action))
 
@@ -500,7 +476,8 @@ class GradedStructure:
     """The cyclic grading symmetry of a quasi-homogeneous potential.
 
     The abstract group is Z/(2 ell).  Its generator scales x_i by
-    zeta^(a_i) where zeta has order 2 ell; this diagonal action need not
+    roots[a_i] = zeta^(a_i) where zeta has order 2 ell, so [m] has the
+    exponent vector m a mod 2 ell; this diagonal action need not
     be faithful (distinct group elements can move the variables the same
     way while acting differently on factorizations through the extra
     half-period twist on odd summands), so the group is kept abstract
@@ -511,7 +488,7 @@ class GradedStructure:
     w: Polynomial
     weights: tuple[int, ...]  # after the possible doubling
     ell: int  # half the (doubled) degree of w
-    zeta: Scalar  # primitive root of order 2*ell
+    roots: tuple  # zeta^0..zeta^(2 ell - 1) for a primitive root of order 2 ell
     doubled: bool
 
     @property
@@ -520,8 +497,7 @@ class GradedStructure:
 
     def element(self, m: int) -> Element:
         """The diagonal tuple through which [m] scales the variables."""
-        L = self.order
-        return tuple(self.zeta ** ((m * a) % L) for a in self.weights)
+        return tuple(self.roots[(m * a) % self.order] for a in self.weights)
 
 
 def graded_to_equivariant(w: Polynomial, weights) -> GradedStructure:
@@ -550,7 +526,6 @@ def graded_to_equivariant(w: Polynomial, weights) -> GradedStructure:
     base_ring = w.ring
     if base_ring.context is None:
         ctx = CyclotomicContext(L)
-        zeta = ctx.zeta()
         ring = PolyRing(base_ring.names, ctx)
         w2 = w.map_ring(ring)
     else:
@@ -559,10 +534,9 @@ def graded_to_equivariant(w: Polynomial, weights) -> GradedStructure:
             raise ValueError(
                 "session field of order %d has no root of order %d" % (ctx.order, L)
             )
-        zeta = ctx.zeta(ctx.order // L)
         ring = base_ring
         w2 = w
-    return GradedStructure(ring, w2, weights, ell, zeta, doubled)
+    return GradedStructure(ring, w2, weights, ell, _roots(ctx, L), doubled)
 
 
 def graded_exponents(S: GradedStructure, E: MatFac, degrees0, degrees1):
@@ -599,7 +573,7 @@ def graded_exponents(S: GradedStructure, E: MatFac, degrees0, degrees1):
 
 def _graded_rho(S: GradedStructure, exps, m: int):
     """The diagonal action of [m] on a summand with these exponents."""
-    diag = [S.zeta ** ((m * e) % S.order) for e in exps]
+    diag = [S.roots[(m * e) % S.order] for e in exps]
     return diagonal_matrix(diag, scalar_zero(S.ring.context))
 
 
@@ -617,7 +591,7 @@ def graded_chi(
     exps_F = graded_exponents(S, F, *degF)
     for base, exps in ((E, exps_E), (F, exps_F)):
         rho = _graded_rho(S, exps, 1)
-        if not _commutes(base.full_delta(), S.element(1), rho, base.ring.zero()):
+        if not _commutes(base.full_delta(), S.weights, S.roots, rho, base.ring.zero()):
             raise ValueError("graded action does not commute with delta")
     terms = [
         (S.element(m), _graded_rho(S, exps_E, -m), _graded_rho(S, exps_F, m))

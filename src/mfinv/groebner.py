@@ -443,9 +443,3 @@ def subquotient_presentation(kernel: ModuleGB, image_gens):
     if std is None:
         raise ValueError("subquotient is infinite-dimensional")
     return rel_gb, std
-
-
-def subquotient_dimension(kernel: ModuleGB, image_gens) -> int:
-    """dim_k of <kernel> / <image_gens> inside R^rank."""
-    _, std = subquotient_presentation(kernel, image_gens)
-    return len(std)

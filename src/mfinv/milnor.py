@@ -70,9 +70,6 @@ class MilnorRing:
             parity = self.ring.n % 2
         return MilnorClass(self, normal_form(value, self.jacobian_gb), parity % 2)
 
-    def zero_class(self, parity: int | None = None) -> "MilnorClass":
-        return self.project(self.ring.zero(), parity)
-
     def coordinates(self, value: Polynomial) -> tuple[Scalar, ...]:
         """Coefficients of the class of ``value`` on the monomial basis."""
         nf = normal_form(value, self.jacobian_gb)

@@ -267,26 +267,29 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
         right = mat_mul(M, delta_y, uring.zero())
         return mat_sub(left, right) if parity == 0 else mat_add(left, right)
 
+    def level_rhs(S: tuple) -> Matrix:
+        """What the contraction of the level above S must equal: minus the
+        wedge terms from the level below and the delta_tilde term."""
+        acc = zero_matrix(uring, rank, rank)
+        for idx, i in enumerate(S):
+            rest = tuple(s for s in S if s != i)
+            term = tuple(
+                tuple(diffs_u[i] * p for p in row) for row in components[rest]
+            )
+            acc = mat_add(acc, term if idx % 2 == 0 else mat_neg(term))
+        dt = delta_tilde(components[S], len(S) % 2)
+        acc = mat_add(acc, dt if len(S) % 2 == 0 else mat_neg(dt))
+        return mat_neg(acc)
+
     components: dict = {(): identity_matrix(uring, rank)}
+    rhs: dict = {}
     for j in range(n):
-        rhs: dict = {}
-        for S in combinations(range(n), j):
-            acc = zero_matrix(uring, rank, rank)
-            if j >= 1:
-                for idx, i in enumerate(S):
-                    rest = tuple(s for s in S if s != i)
-                    term = tuple(
-                        tuple(diffs_u[i] * p for p in row)
-                        for row in components[rest]
-                    )
-                    acc = mat_add(acc, term if idx % 2 == 0 else mat_neg(term))
-            dt = delta_tilde(components[S], j % 2)
-            acc = mat_add(acc, dt if j % 2 == 0 else mat_neg(dt))
-            rhs[S] = mat_neg(acc)
+        level = {S: level_rhs(S) for S in combinations(range(n), j)}
+        rhs.update(level)
         for r in range(rank):
             for s in range(rank):
                 eqs: dict = {}
-                for S, M in rhs.items():
+                for S, M in level.items():
                     for mono, c in M[r][s].terms.items():
                         eqs[(S, mono)] = c
                 sol = _solve_contraction(eqs, n, uring)
@@ -306,7 +309,9 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
         for T in combinations(range(n), j + 1):
             if T not in components:
                 components[T] = zero_matrix(uring, rank, rank)
-    _assert_system(components, diffs_u, delta_tilde, n, rank, uring)
+    top = tuple(range(n))
+    rhs[top] = level_rhs(top)
+    _assert_system(components, rhs, n, rank, uring)
     doubled = data.doubled
     from_u = _ring_map(
         doubled,
@@ -320,39 +325,29 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
     return DTensor(data, E, tuple(packed))
 
 
-def _assert_system(components, diffs_u, delta_tilde, n, rank, uring):
-    """Residual of every level of the transgression system must vanish."""
+def _assert_system(components, rhs, n, rank, uring):
+    """Residual of every level of the transgression system must vanish.
+
+    At each subset S the contraction of the level above must equal the
+    right-hand side that `solve_D` formed from S and the level below; the
+    top level has nothing above it, so its right-hand side must be zero.
+    """
     us = [uring.var(n + i) for i in range(n)]
-    for j in range(n + 1):
-        for S in combinations(range(n), j):
-            acc = zero_matrix(uring, rank, rank)
-            # contraction applied to the level above
-            for i in range(n):
-                if i in S:
-                    continue
-                pos, T = _subset_insert(S, i)
-                term = tuple(
-                    tuple(us[i] * p for p in row) for row in components[T]
-                ) if T in components else None
-                if term is not None:
-                    acc = mat_add(acc, term if pos % 2 == 0 else mat_neg(term))
-            # wedge applied to the level below
-            for idx, i in enumerate(S):
-                rest = tuple(s for s in S if s != i)
-                term = tuple(
-                    tuple(diffs_u[i] * p for p in row)
-                    for row in components[rest]
-                )
-                acc = mat_add(acc, term if idx % 2 == 0 else mat_neg(term))
-            dt = delta_tilde(components[S], j % 2)
-            acc = mat_add(acc, dt if j % 2 == 0 else mat_neg(dt))
-            for row in acc:
-                for p in row:
-                    if not p.is_zero():
-                        raise AssertionError(
-                            "transgression system residual is nonzero at level %d"
-                            % j
-                        )
+    for S, want in rhs.items():
+        acc = mat_neg(want)
+        for i in range(n):
+            if i in S:
+                continue
+            pos, T = _subset_insert(S, i)
+            term = tuple(tuple(us[i] * p for p in row) for row in components[T])
+            acc = mat_add(acc, term if pos % 2 == 0 else mat_neg(term))
+        for row in acc:
+            for p in row:
+                if not p.is_zero():
+                    raise AssertionError(
+                        "transgression system residual is nonzero at level %d"
+                        % len(S)
+                    )
 
 
 def restriction_recursion_check(D: DTensor) -> bool:

@@ -133,20 +133,12 @@ class Polynomial:
     def coeff_of(self, m: Monomial) -> Scalar:
         return self.terms.get(tuple(m), self.ring.scalar(0))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def leading_monomial(self) -> Monomial:
         if self._lead is None:
             if not self.terms:
                 raise ValueError("leading monomial of zero")
             self._lead = max(self.terms, key=grevlex_key)
         return self._lead
-
-    def leading_coeff(self) -> Scalar:
-        return self.terms[self.leading_monomial()]
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)

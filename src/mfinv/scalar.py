@@ -125,9 +125,6 @@ class Scalar:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from mfinv.equivariant import (
-    DiagonalGroup,
     c_weight,
     check_invariance,
     chern_equivariant,
@@ -20,12 +19,19 @@ from mfinv.equivariant import (
     moving_determinant,
     orbifold_hh_dimensions,
     sector,
+    substitute_action,
     tau_equivariant,
     twist,
     validate_equivariant,
 )
 from mfinv.invariants import chi_hrr
-from mfinv.mfcore import EquivariantMF, MorphismCocycle, identity_morphism, koszul
+from mfinv.mfcore import (
+    EquivariantMF,
+    MorphismCocycle,
+    identity_morphism,
+    koszul,
+    mat_mul,
+)
 from mfinv.milnor import build_milnor
 from mfinv.poly import PolyRing
 from mfinv.scalar import CyclotomicContext, one, rational, zero
@@ -127,7 +133,7 @@ def test_action_extension_and_relations():
     z = ctx.zeta
     assert actions[(z(1),)][0][0] == z(1)
     assert actions[(z(3),)][0][0] == z(3)
-    validate_equivariant(E, G, actions)
+    assert validate_equivariant(E, G) == actions
 
 
 def test_action_relation_violation():
@@ -454,7 +460,7 @@ def test_graded_chi_equals_chi_equivariant_on_faithful_grading():
             deg = ((shift_by,), (shift_by + S.ell - i,))
             exps = graded_exponents(S, E, *deg)
             rho = tuple(
-                tuple(S.zeta**e if r == c else zero(ctx) for c in range(len(exps)))
+                tuple(S.roots[e] if r == c else zero(ctx) for c in range(len(exps)))
                 for r, e in enumerate(exps)
             )
             graded.append((E, deg, EquivariantMF(E, (rho,))))
@@ -484,3 +490,152 @@ def test_chi_equivariant_potential_mismatch():
     OF = EquivariantMF(other, (((one(ctx), zz), (zz, one(ctx))),))
     with pytest.raises(ValueError, match="potential mismatch"):
         chi_equivariant(E, OF, G)
+
+
+# --- the scalar-tuple routes, kept as references for the exponent tables ----
+
+
+def _ref_close_group(n, generators, context=None):
+    """Closure by frontiers of scalar tuples; (elements, generator words)."""
+    gens = [tuple(g) for g in generators]
+    identity = tuple(one(context) for _ in range(n))
+    elements, words = [identity], [()]
+    seen = {identity}
+    frontier = [(identity, ())]
+    while frontier:
+        nxt = []
+        for g, gw in frontier:
+            for k, h in enumerate(gens):
+                prod = tuple(a * b for a, b in zip(g, h))
+                if prod not in seen:
+                    seen.add(prod)
+                    elements.append(prod)
+                    words.append(gw + (k,))
+                    nxt.append((prod, gw + (k,)))
+        frontier = nxt
+    return elements, words
+
+
+def _ref_inverse(g):
+    return tuple(x.inverse() for x in g)
+
+
+def _ref_substitute(p, g):
+    """p(g x) by raising each eigenvalue to each exponent."""
+    ring = p.ring
+    out = {}
+    for m, c in p.terms.items():
+        factor = c
+        for i, e in enumerate(m):
+            if e:
+                factor = factor * g[i] ** e
+        out[m] = out.get(m, ring.scalar(0)) + factor
+    return ring.from_terms(out)
+
+
+def _ref_actions(E, generators, elements, words, context):
+    """rho(g) along each element's generator word, then every product
+    rho(g) rho(h_k) checked against rho(g h_k)."""
+    zz = zero(context)
+    ident = tuple(
+        tuple(one(context) if i == j else zz for j in range(E.base.rank))
+        for i in range(E.base.rank)
+    )
+    rho = {}
+    for g, word in zip(elements, words):
+        M = ident
+        for k in word:
+            M = mat_mul(M, E.action[k], zz)
+        rho[g] = M
+    for g in elements:
+        for k, h in enumerate(generators):
+            prod = tuple(a * b for a, b in zip(g, h))
+            if mat_mul(rho[g], E.action[k], zz) != rho[prod]:
+                raise ValueError("action does not respect the group relations")
+    return rho
+
+
+def _exact(v):
+    """A scalar, tuple or polynomial as plain data, contexts included."""
+    if isinstance(v, tuple):
+        return tuple(_exact(x) for x in v)
+    if hasattr(v, "terms"):
+        return tuple(sorted((m, _exact(c)) for m, c in v.terms.items()))
+    return (v.context, v.coeffs)
+
+
+def _reference_battery():
+    """(label, ring, generators, context) for the groups the tables must
+    reproduce: Q with one and two variables, Z/m for m = 1..12, Z/3 x Z/4
+    over Q(zeta_12) and the grading group of x^4."""
+    R1, R2 = PolyRing(("x",)), PolyRing(("x", "y"))
+    yield "Z/2 over Q", R1, [(-one(),)], None
+    yield "Klein over Q", R2, [(-one(), one()), (one(), -one())], None
+    yield "trivial over Q", R2, [(one(), one())], None
+    for m in range(1, 13):
+        ctx = CyclotomicContext(m)
+        yield "Z/%d" % m, PolyRing(("x",), ctx), [(ctx.zeta(),)], ctx
+        yield "Z/%d on two variables" % m, PolyRing(("x", "y"), ctx), [
+            (ctx.zeta(), ctx.zeta(m - 1))
+        ], ctx
+    ctx = CyclotomicContext(12)
+    yield "Z/3 x Z/4", PolyRing(("x", "y"), ctx), [
+        (ctx.zeta(4), one(ctx)),
+        (one(ctx), ctx.zeta(3)),
+    ], ctx
+    S = graded_to_equivariant(PolyRing(("x",)).parse("x^4"), (1,))
+    yield "grading of x^4", S.ring, [S.element(1)], S.ring.context
+
+
+def test_closure_and_inverses_match_scalar_reference():
+    for label, ring, gens, ctx in _reference_battery():
+        G = close_group(ring.n, gens, ctx)
+        elements, _ = _ref_close_group(ring.n, gens, ctx)
+        assert [_exact(g) for g in G.elements] == [_exact(g) for g in elements], label
+        for g, k in zip(G.elements, G.exponents):
+            assert G.index(g) == elements.index(g)
+            assert _exact(tuple(G.roots[e] for e in k)) == _exact(g)
+            assert _exact(G.inverse(g)) == _exact(_ref_inverse(g)), label
+
+
+def test_substitution_matches_power_reference():
+    texts = {1: "x^5 + 2*x^3 - x + 7", 2: "x^3*y + 2*x*y^2 - y^4 + x*y^7 + 3"}
+    for label, ring, gens, ctx in _reference_battery():
+        G = close_group(ring.n, gens, ctx)
+        p = ring.parse(texts[ring.n] + (" + z*x^2" if ctx else ""))
+        for g, k in zip(G.elements, G.exponents):
+            got = substitute_action(p, k, G.roots)
+            assert _exact(got) == _exact(_ref_substitute(p, g)), (label, g)
+
+
+def test_action_tables_match_word_product_reference():
+    for label, ring, gens, ctx in _reference_battery():
+        G = close_group(ring.n, gens, ctx)
+        elements, words = _ref_close_group(ring.n, gens, ctx)
+        w = sum((ring.var(i) ** (2 * len(G.roots)) for i in range(ring.n)), ring.zero())
+        K = equivariant_stabilization(w, G)
+        # twisting each generator by zeta_m keeps a representation when the
+        # generators have order m, and breaks the relations of Z/3 x Z/4
+        twisted = twist(K, [G.roots[1 % len(G.roots)]] * len(gens))
+        for E in (K, twisted):
+            try:
+                want = _ref_actions(E, gens, elements, words, ctx)
+            except ValueError:
+                with pytest.raises(ValueError, match="group relations"):
+                    equivariant_actions(E, G)
+                continue
+            got = equivariant_actions(E, G)
+            assert list(got) == list(want)
+            assert [_exact(M) for M in got.values()] == [
+                _exact(M) for M in want.values()
+            ], label
+
+
+def test_graded_elements_match_power_reference():
+    for n, weights in ((4, (1,)), (3, (1,)), (6, (2,))):
+        S = graded_to_equivariant(PolyRing(("x",)).parse("x^%d" % n), weights)
+        ctx = S.ring.context
+        zeta = ctx.zeta(ctx.order // S.order)
+        for m in range(-S.order, 2 * S.order):
+            want = tuple(zeta ** ((m * a) % S.order) for a in S.weights)
+            assert _exact(S.element(m)) == _exact(want)

@@ -17,7 +17,6 @@ from mfinv.groebner import (
     normal_form,
     normal_form_with_cofactors,
     quotient_basis,
-    subquotient_dimension,
     subquotient_presentation,
     syzygies,
 )
@@ -46,7 +45,7 @@ def test_buchberger_d4_jacobian():
     assert leads == {(2, 0), (1, 1), (0, 3)}
     # reduced: monic leads, no cross-divisibility
     for g in gb.generators:
-        assert g.leading_coeff().is_one()
+        assert g.terms[g.leading_monomial()] == 1
 
 
 def test_buchberger_trivial_cases():
@@ -175,20 +174,20 @@ def test_module_normal_form_kills_members():
 def test_subquotient_point():
     # kernel = R^1, image = (x, y): quotient is k
     ker = module_gb([(R2.one(),)], 1, R2)
-    dim = subquotient_dimension(ker, [(R2.var(0),), (R2.var(1),)])
+    dim = len(subquotient_presentation(ker, [(R2.var(0),), (R2.var(1),)])[1])
     assert dim == 1
 
 
 def test_subquotient_equal_modules_is_zero():
     ker = module_gb([(R2.var(0),), (R2.var(1),)], 1, R2)
-    dim = subquotient_dimension(ker, [(R2.var(0),), (R2.var(1),)])
+    dim = len(subquotient_presentation(ker, [(R2.var(0),), (R2.var(1),)])[1])
     assert dim == 0
 
 
 def test_subquotient_image_outside_kernel():
     ker = module_gb([(R2.var(0),)], 1, R2)
     with pytest.raises(ValueError):
-        subquotient_dimension(ker, [(R2.one(),)])
+        subquotient_presentation(ker, [(R2.one(),)])
 
 
 def test_subquotient_one_variable_chain():
@@ -196,7 +195,7 @@ def test_subquotient_one_variable_chain():
     R = R1
     for i, n in ((1, 3), (2, 5)):
         ker = module_gb([(R.var(0) ** i,)], 1, R)
-        dim = subquotient_dimension(ker, [(R.var(0) ** n,)])
+        dim = len(subquotient_presentation(ker, [(R.var(0) ** n,)])[1])
         assert dim == n - i
 
 
@@ -317,7 +316,7 @@ def _check_reduced_basis(mgb):
     gens = mgb.generators
     leads = [_ref_lead(g, 0) for g in gens]
     for g, (p, m) in zip(gens, leads):
-        assert g[p].terms[m].is_one()
+        assert g[p].terms[m] == 1
         for q, c in enumerate(g):
             for t in c.terms:
                 assert not any(

@@ -12,7 +12,7 @@ from mfinv.milnor import (
     hessian_class,
     residue_trace,
 )
-from mfinv.poly import PolyRing, determinant
+from mfinv.poly import PolyRing
 from mfinv.scalar import CyclotomicContext, rational
 
 R1 = PolyRing(("x",))
@@ -85,6 +85,24 @@ def test_gram_x_squared():
     assert gram_matrix(A) == [[rational(1, 2)]]
 
 
+def _rank(matrix) -> int:
+    """Rank by exact Gaussian elimination over the scalars."""
+    rows = [list(row) for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if not rows[r][c].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][c].inverse()
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] * inv
+            if not f.is_zero():
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def test_gram_symmetric_invertible():
     for ring, text, _ in BATTERY:
         A = _build(ring, text)
@@ -92,8 +110,10 @@ def test_gram_symmetric_invertible():
         for i in range(A.mu):
             for j in range(A.mu):
                 assert G[i][j] == G[j][i]
-        det = determinant(G, rational(1))
-        assert not det.is_zero()
+        assert _rank(G) == A.mu
+        if A.mu > 1:
+            # the rank sees a repeated row
+            assert _rank(G[:-1] + G[:1]) == A.mu - 1
 
 
 def test_canonical_pairing_values():
@@ -105,7 +125,7 @@ def test_canonical_pairing_values():
     A = _build(R2, "x^3 + x*y^2")
     f = A.project(R2.parse("2*y"))
     assert canonical_pairing(f, f) == rational(2)
-    assert canonical_pairing(A.zero_class(), f) == rational(0)
+    assert canonical_pairing(A.project(R2.zero()), f) == rational(0)
 
 
 def test_pairing_ring_mismatch():

@@ -139,6 +139,38 @@ def test_smallest_case_by_hand():
     assert top[0][1] == one and top[1][0] == one
 
 
+@pytest.mark.parametrize(
+    "ring,w,a,b",
+    [
+        (R1, "x^4", ["x"], ["x^3"]),
+        (R2, "x^3 + y^3", ["x", "y"], ["x^2", "y^2"]),
+        (R3, "x^3 + y^3 + z^3", ["x", "y", "z"], ["x^2", "y^2", "z^2"]),
+    ],
+)
+def test_solve_rejects_a_perturbed_top_component(ring, w, a, b, monkeypatch):
+    # one wrong coefficient in the top level leaves the last contraction
+    # unbalanced, and nothing is solved after it that could fail first
+    import mfinv.oracle as oracle
+
+    E = koszul([ring.parse(t) for t in a], [ring.parse(t) for t in b])
+    assert E.w == ring.parse(w)
+    solve = oracle._solve_contraction
+    perturbed = []
+
+    def perturbing(eqs, n, uring):
+        sol = solve(eqs, n, uring)
+        if not perturbed and sol and all(len(T) == n for T, _ in sol):
+            key = next(iter(sol))
+            sol[key] = sol[key] + 1
+            perturbed.append(key)
+        return sol
+
+    monkeypatch.setattr(oracle, "_solve_contraction", perturbing)
+    with pytest.raises(AssertionError, match="residual is nonzero"):
+        solve_D(E)
+    assert perturbed
+
+
 @pytest.mark.parametrize("w,facs", BATTERY)
 def test_restriction_recursion(w, facs):
     data = build_diagonal(w)
