@@ -9,6 +9,11 @@ that file: load, compute, print.  Results go to standard output as plain
 Exit codes: 0 on success, 1 when ``verify --check`` finds a failed
 identity (or a Cardy mismatch is detected), 2 on any input error.
 
+A subcommand loads only the layers it uses: the core (``scalar`` through
+``mfcore``) comes with this module, and each handler imports the rest at
+its own top.  ``equivariant`` also loads for a session with a group,
+which load_session closes.
+
 Session schema::
 
     {
@@ -42,29 +47,11 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from .equivariant import (
-    DiagonalGroup,
-    chi_equivariant,
-    close_group,
-    graded_chi,
-    graded_to_equivariant,
-    orbifold_hh_dimensions,
-    sector,
-)
-from .homology import cardy_lhs, cardy_supertrace, hom_cohomology
-from .invariants import (
-    cardy_rhs,
-    chern,
-    chi_hrr,
-    derivative_product,
-    permutation_sign,
-    supertrace,
-    tau,
-)
+# the core layers only; handlers import `invariants`, `homology`,
+# `equivariant` and `oracle` where they need them
 from .mfcore import (
     EquivariantMF,
     MatFac,
@@ -74,7 +61,6 @@ from .mfcore import (
     koszul,
 )
 from .milnor import MilnorRing, build_milnor, gram_matrix, hessian_class, residue_trace
-from .oracle import chern_of_diagonal, inverse_form_check, oracle_tau, solve_D
 from .poly import PolyRing, Polynomial
 from .scalar import CyclotomicContext, Scalar, scalar_to_json
 
@@ -89,19 +75,31 @@ MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"\^\s*0*(\d+)")
 
 
-@dataclass
 class Session:
-    ring: PolyRing
-    context: CyclotomicContext | None
-    w: Polynomial
-    milnor: MilnorRing
-    factorizations: dict[str, MatFac]
-    rho_specs: dict[str, list]  # per factorization name, one matrix per generator
-    degree_specs: dict[str, tuple]
-    morphisms: dict[str, MorphismCocycle]
-    group: DiagonalGroup | None
-    weights: tuple[int, ...] | None
-    names_in_order: list[str] = field(default_factory=list)
+    """A loaded session file.  The named parts start empty and are filled
+    in file order by load_session."""
+
+    __slots__ = ("ring", "context", "w", "milnor", "factorizations", "rho_specs",
+                 "degree_specs", "morphisms", "group", "weights", "names_in_order")
+
+    def __init__(
+        self,
+        ring: PolyRing,
+        context: CyclotomicContext | None,
+        w: Polynomial,
+        milnor: MilnorRing,
+    ):
+        self.ring = ring
+        self.context = context
+        self.w = w
+        self.milnor = milnor
+        self.factorizations = {}  # name -> MatFac
+        self.rho_specs = {}  # name -> one action matrix per generator
+        self.degree_specs = {}  # name -> (even degrees, odd degrees)
+        self.morphisms = {}  # name -> MorphismCocycle
+        self.group = None  # the closed DiagonalGroup, when the file has one
+        self.weights = None  # one integer per variable, when the file has them
+        self.names_in_order = []
 
 
 # --- scalar and polynomial input --------------------------------------------
@@ -270,14 +268,11 @@ def _load_factorization(ring: PolyRing, w: Polynomial, name: str, spec) -> MatFa
 def _load_morphism(session: Session, name: str, spec) -> MorphismCocycle:
     if not isinstance(spec, dict):
         raise SessionError("morphism %r must be an object" % name)
-    try:
-        source = session.factorizations[spec["source"]]
-    except KeyError:
-        raise SessionError("morphism %r: unknown source factorization" % name)
-    try:
-        target = session.factorizations[spec["target"]]
-    except KeyError:
-        raise SessionError("morphism %r: unknown target factorization" % name)
+    for end in ("source", "target"):
+        if not isinstance(spec.get(end), str) or spec[end] not in session.factorizations:
+            raise SessionError("morphism %r: unknown %s factorization" % (name, end))
+    source = session.factorizations[spec["source"]]
+    target = session.factorizations[spec["target"]]
     parity = spec.get("parity")
     if parity not in (0, 1):
         raise SessionError("morphism %r: parity must be 0 or 1" % name)
@@ -294,11 +289,13 @@ def _load_morphism(session: Session, name: str, spec) -> MorphismCocycle:
 
 def load_session(path: str) -> Session:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise SessionError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    # a file that is not UTF-8 text, or nests deeper than the decoder's
+    # recursion allows, is as unreadable as one with a syntax error
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SessionError("cannot parse %s: %s" % (path, exc))
     if not isinstance(doc, dict):
         raise SessionError("session must be a JSON object")
@@ -319,20 +316,11 @@ def load_session(path: str) -> Session:
         A = build_milnor(w)
     except ValueError as exc:
         raise SessionError("potential: %s" % exc)
-    session = Session(
-        ring=ring,
-        context=context,
-        w=w,
-        milnor=A,
-        factorizations={},
-        rho_specs={},
-        degree_specs={},
-        morphisms={},
-        group=None,
-        weights=None,
-    )
+    session = Session(ring, context, w, A)
     group_doc = doc.get("group")
     if group_doc is not None:
+        from .equivariant import close_group
+
         gens_doc = group_doc.get("generators")
         if not isinstance(gens_doc, list) or not gens_doc:
             raise SessionError("group needs a nonempty list of generators")
@@ -471,12 +459,16 @@ def cmd_milnor(session: Session, args) -> dict:
 
 
 def cmd_chern(session: Session, args) -> dict:
+    from .invariants import chern
+
     E = _get_fac(session, args.factorization)
     cls = chern(E, session.milnor)
     return {"class": str(cls.value), "parity": cls.parity}
 
 
 def cmd_tau(session: Session, args) -> dict:
+    from .invariants import tau
+
     E = _get_fac(session, args.factorization)
     alpha = _get_mor(session, args.morphism)
     _require_endo(alpha, E, args.morphism, args.factorization)
@@ -488,6 +480,8 @@ def cmd_tau(session: Session, args) -> dict:
 
 
 def cmd_chi(session: Session, args) -> dict:
+    from .invariants import chi_hrr
+
     E = _get_fac(session, args.factorization)
     F = _get_fac(session, args.other)
     value = chi_hrr(E, F, session.milnor)
@@ -497,6 +491,8 @@ def cmd_chi(session: Session, args) -> dict:
 
 
 def cmd_hom(session: Session, args) -> dict:
+    from .homology import hom_cohomology
+
     E = _get_fac(session, args.factorization)
     F = _get_fac(session, args.other)
     h0, h1, _ = hom_cohomology(E, F)
@@ -504,6 +500,9 @@ def cmd_hom(session: Session, args) -> dict:
 
 
 def cmd_cardy(session: Session, args) -> dict:
+    from .homology import cardy_lhs
+    from .invariants import cardy_rhs
+
     E = _get_fac(session, args.factorization)
     F = _get_fac(session, args.other)
     alpha = _get_mor(session, args.morphism)
@@ -523,6 +522,8 @@ def cmd_cardy(session: Session, args) -> dict:
 
 
 def cmd_sectors(session: Session, args) -> dict:
+    from .equivariant import sector
+
     if session.group is None:
         raise SessionError("this command needs a group in the session")
     out = []
@@ -540,6 +541,8 @@ def cmd_sectors(session: Session, args) -> dict:
 
 
 def cmd_equivariant_chi(session: Session, args) -> dict:
+    from .equivariant import chi_equivariant
+
     E = _equivariant(session, args.factorization)
     F = _equivariant(session, args.other)
     try:
@@ -550,6 +553,8 @@ def cmd_equivariant_chi(session: Session, args) -> dict:
 
 
 def cmd_orbifold_hh(session: Session, args) -> dict:
+    from .equivariant import orbifold_hh_dimensions
+
     if session.group is None:
         raise SessionError("this command needs a group in the session")
     try:
@@ -567,6 +572,8 @@ def cmd_orbifold_hh(session: Session, args) -> dict:
 
 
 def cmd_graded_chi(session: Session, args) -> dict:
+    from .equivariant import graded_chi, graded_to_equivariant
+
     if session.weights is None:
         raise SessionError("this command needs weights in the session")
     for name in (args.factorization, args.other):
@@ -612,6 +619,8 @@ def _named_endomorphisms(session: Session, name: str):
 
 
 def _check_hrr(session: Session, hom_basis) -> bool:
+    from .invariants import chi_hrr
+
     for a in session.names_in_order:
         for b in session.names_in_order:
             E = session.factorizations[a]
@@ -624,6 +633,9 @@ def _check_hrr(session: Session, hom_basis) -> bool:
 
 
 def _check_cardy(session: Session, hom_basis) -> bool:
+    from .homology import cardy_supertrace
+    from .invariants import cardy_rhs
+
     for a in session.names_in_order:
         E = session.factorizations[a]
         alphas = [identity_morphism(E)] + _named_endomorphisms(session, a)
@@ -641,6 +653,9 @@ def _check_cardy(session: Session, hom_basis) -> bool:
 
 
 def _check_oracle_tau(session: Session) -> bool:
+    from .invariants import tau
+    from .oracle import oracle_tau, solve_D
+
     A = session.milnor
     for a in session.names_in_order:
         E = session.factorizations[a]
@@ -652,6 +667,8 @@ def _check_oracle_tau(session: Session) -> bool:
 
 
 def _check_permutation_invariance(session: Session) -> bool:
+    from .invariants import chern, derivative_product, permutation_sign, supertrace
+
     A = session.milnor
     n = session.ring.n
     for a in session.names_in_order:
@@ -672,6 +689,9 @@ def _check_hessian_trace(session: Session) -> bool:
 
 
 def cmd_verify(session: Session, args) -> dict:
+    from .homology import hom_cohomology
+    from .oracle import chern_of_diagonal, inverse_form_check
+
     # Hom cohomology of each ordered pair of factorizations, computed once
     # for both checks that need it and dropped when this call returns
     homs = {}

@@ -34,8 +34,6 @@ vector of the weights over a table of order 2 ell.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .homology import hom_cohomology
 from .mfcore import (
     EquivariantMF,
@@ -56,6 +54,7 @@ from .invariants import derivative_product, supertrace
 from .poly import Polynomial, PolyRing
 from .scalar import (
     CyclotomicContext,
+    Frozen,
     Scalar,
     one as scalar_one,
     rational,
@@ -166,13 +165,16 @@ def check_invariance(w: Polynomial, G: DiagonalGroup) -> None:
             )
 
 
-@dataclass(frozen=True)
-class Sector:
-    """Fixed-locus data of one group element."""
+class Sector(Frozen):
+    """Fixed-locus data of one group element; ``milnor`` is A_{w_g} over
+    the fixed-variable ring."""
 
-    g: Element
-    fixed_indices: tuple[int, ...]
-    milnor: MilnorRing  # A_{w_g} over the fixed-variable ring
+    __slots__ = ("g", "fixed_indices", "milnor")
+
+    def __init__(self, g: Element, fixed_indices: tuple[int, ...], milnor: MilnorRing):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "fixed_indices", fixed_indices)
+        object.__setattr__(self, "milnor", milnor)
 
     @property
     def w_g(self) -> Polynomial:
@@ -183,11 +185,13 @@ class Sector:
         return len(self.fixed_indices)
 
 
-@dataclass(frozen=True)
-class SectorClass:
-    sector: Sector
-    value: Polynomial
-    parity: int
+class SectorClass(Frozen):
+    __slots__ = ("sector", "value", "parity")
+
+    def __init__(self, sector: Sector, value: Polynomial, parity: int):
+        object.__setattr__(self, "sector", sector)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "parity", parity)
 
     def as_milnor(self) -> MilnorClass:
         return MilnorClass(self.sector.milnor, self.value, self.parity)
@@ -471,8 +475,7 @@ def moving_determinant(G: DiagonalGroup, g: Element) -> Scalar:
 # --- graded potentials as equivariant ones ----------------------------------
 
 
-@dataclass(frozen=True)
-class GradedStructure:
+class GradedStructure(Frozen):
     """The cyclic grading symmetry of a quasi-homogeneous potential.
 
     The abstract group is Z/(2 ell).  Its generator scales x_i by
@@ -482,14 +485,29 @@ class GradedStructure:
     way while acting differently on factorizations through the extra
     half-period twist on odd summands), so the group is kept abstract
     rather than enumerated from its diagonal tuples.
+
+    ``weights`` are taken after the possible doubling, ``ell`` is half the
+    (doubled) degree of w, and ``roots`` lists zeta^0..zeta^(2 ell - 1) for
+    a primitive root of order 2 ell.
     """
 
-    ring: PolyRing
-    w: Polynomial
-    weights: tuple[int, ...]  # after the possible doubling
-    ell: int  # half the (doubled) degree of w
-    roots: tuple  # zeta^0..zeta^(2 ell - 1) for a primitive root of order 2 ell
-    doubled: bool
+    __slots__ = ("ring", "w", "weights", "ell", "roots", "doubled")
+
+    def __init__(
+        self,
+        ring: PolyRing,
+        w: Polynomial,
+        weights: tuple[int, ...],
+        ell: int,
+        roots: tuple,
+        doubled: bool,
+    ):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "doubled", doubled)
 
     @property
     def order(self) -> int:

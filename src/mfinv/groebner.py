@@ -30,7 +30,6 @@ basis as its first components, and its tails are the cofactors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import product
@@ -46,6 +45,7 @@ from .poly import (
     monomial_lcm,
     monomial_mul,
 )
+from .scalar import Frozen
 
 ModuleElement = tuple  # tuple[Polynomial, ...]
 
@@ -256,15 +256,21 @@ def module_buchberger(gens, ring: PolyRing, block: int = 0):
 # --- ideals -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Frozen):
     """A reduced ideal basis.  A tracked basis also keeps the input
     generators and the module basis of the vectors (g_i, e_i)."""
 
-    ring: PolyRing
-    generators: tuple[Polynomial, ...]
-    originals: tuple[Polynomial, ...] | None = None
-    tracked: tuple[ModuleElement, ...] | None = None
+    def __init__(
+        self,
+        ring: PolyRing,
+        generators: tuple[Polynomial, ...],
+        originals: tuple[Polynomial, ...] | None = None,
+        tracked: tuple[ModuleElement, ...] | None = None,
+    ):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "originals", originals)
+        object.__setattr__(self, "tracked", tracked)
 
     @cached_property
     def _module(self) -> "ModuleGB":
@@ -338,11 +344,11 @@ def local_support_check(gb: GroebnerBasis) -> bool:
 # --- modules ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModuleGB:
-    ring: PolyRing
-    rank: int
-    generators: tuple[ModuleElement, ...]
+class ModuleGB(Frozen):
+    def __init__(self, ring: PolyRing, rank: int, generators: tuple[ModuleElement, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "generators", generators)
 
     @cached_property
     def _divisors(self) -> _Divisors:

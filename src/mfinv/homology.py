@@ -12,8 +12,6 @@ reproduce; `cardy_supertrace` does the same on a basis already computed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .groebner import (
     ModuleGB,
     module_kernel,
@@ -30,29 +28,40 @@ from .mfcore import (
     vector_to_morphism,
 )
 from .poly import PolyRing
-from .scalar import Scalar, zero as scalar_zero
+from .scalar import Frozen, Scalar, zero as scalar_zero
 
 
-@dataclass(frozen=True)
-class ParityCohomology:
-    """One parity's worth of cohomology of the Hom complex."""
+class ParityCohomology(Frozen):
+    """One parity's worth of cohomology of the Hom complex.
 
-    parity: int
-    kernel: ModuleGB  # cocycles, a submodule of the flattened Hom space
-    relations: ModuleGB  # presentation of kernel/image over the kernel gens
-    standard: tuple  # (position, monomial) pairs indexing a k-basis
+    ``kernel`` holds the cocycles, a submodule of the flattened Hom space;
+    ``relations`` presents kernel/image over the kernel generators; and
+    ``standard`` lists the (position, monomial) pairs indexing a k-basis.
+    """
+
+    __slots__ = ("parity", "kernel", "relations", "standard")
+
+    def __init__(self, parity: int, kernel: ModuleGB, relations: ModuleGB, standard: tuple):
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "standard", standard)
 
     @property
     def dimension(self) -> int:
         return len(self.standard)
 
 
-@dataclass(frozen=True)
-class CohomologyBasis:
-    source: MatFac
-    target: MatFac
-    even: ParityCohomology
-    odd: ParityCohomology
+class CohomologyBasis(Frozen):
+    __slots__ = ("source", "target", "even", "odd")
+
+    def __init__(
+        self, source: MatFac, target: MatFac, even: ParityCohomology, odd: ParityCohomology
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "even", even)
+        object.__setattr__(self, "odd", odd)
 
     def representative(self, parity: int, index: int) -> MorphismCocycle:
         """An explicit cocycle representing the index-th basis class."""

@@ -20,9 +20,8 @@ built here from the same greedy monomial decomposition that builds k^st.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .poly import Polynomial, PolyRing
+from .scalar import Frozen
 
 Matrix = tuple  # tuple[tuple[Polynomial, ...], ...], row major
 
@@ -112,21 +111,29 @@ def block_diag(ring: PolyRing, A: Matrix, B: Matrix, ra: int, ca: int, rb: int, 
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MatFac:
-    """A matrix factorization (E, delta) of the potential w."""
+class MatFac(Frozen):
+    """A matrix factorization (E, delta) of the potential w.
 
-    ring: PolyRing
-    w: Polynomial
-    d0: Matrix  # r1 x r0, the even-to-odd block
-    d1: Matrix  # r0 x r1
+    ``d0`` is the r1 x r0 even-to-odd block, ``d1`` the r0 x r1 one.
+    """
 
-    def __post_init__(self):
-        r1, r0 = len(self.d0), len(self.d1)
-        if any(len(row) != r0 for row in self.d0):
+    __slots__ = ("ring", "w", "d0", "d1")
+
+    def __init__(self, ring: PolyRing, w: Polynomial, d0: Matrix, d1: Matrix):
+        r1, r0 = len(d0), len(d1)
+        if any(len(row) != r0 for row in d0):
             raise ValueError("d0 rows have inconsistent length")
-        if any(len(row) != r1 for row in self.d1):
+        if any(len(row) != r1 for row in d1):
             raise ValueError("d1 rows have inconsistent length")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "d1", d1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.w, self.d0, self.d1) == (other.ring, other.w, other.d0, other.d1)
 
     @property
     def r0(self) -> int:
@@ -295,8 +302,7 @@ def direct_sum(E: MatFac, F: MatFac) -> MatFac:
 # --- morphisms --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MorphismCocycle:
+class MorphismCocycle(Frozen):
     """A parity-homogeneous map E -> F, stored as its two nonzero blocks.
 
     Even maps carry (b00 : F0 <- E0, b11 : F1 <- E1); odd maps carry
@@ -304,20 +310,21 @@ class MorphismCocycle:
     is_closed() checks it.
     """
 
-    source: MatFac
-    target: MatFac
-    parity: int
-    blocks: tuple  # (b00, b11) or (b10, b01)
+    __slots__ = ("source", "target", "parity", "blocks")
 
-    def __post_init__(self):
-        first, second = self.blocks
-        if self.parity == 0:
-            shapes = ((self.target.r0, self.source.r0), (self.target.r1, self.source.r1))
+    def __init__(self, source: MatFac, target: MatFac, parity: int, blocks: tuple):
+        first, second = blocks  # (b00, b11) or (b10, b01)
+        if parity == 0:
+            shapes = ((target.r0, source.r0), (target.r1, source.r1))
         else:
-            shapes = ((self.target.r1, self.source.r0), (self.target.r0, self.source.r1))
+            shapes = ((target.r1, source.r0), (target.r0, source.r1))
         for blk, (r, c) in zip((first, second), shapes):
             if len(blk) != r or any(len(row) != c for row in blk):
                 raise ValueError("morphism block has the wrong shape")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "blocks", blocks)
 
     def full_matrix(self) -> Matrix:
         ring = self.source.ring
@@ -564,20 +571,21 @@ def clifford_generators(w: Polynomial, decomposition=None):
 # --- equivariant structure (validated against a group in `equivariant`) -----
 
 
-@dataclass(frozen=True)
-class EquivariantMF:
+class EquivariantMF(Frozen):
     """A factorization with a constant parity-preserving action matrix per
-    group generator, in the full E0 + E1 basis."""
+    group generator, in the full E0 + E1 basis: ``action`` holds one full
+    square Scalar matrix per generator."""
 
-    base: MatFac
-    action: tuple  # one full square Scalar matrix per generator
+    __slots__ = ("base", "action")
 
-    def __post_init__(self):
-        r0 = self.base.r0
-        for rho in self.action:
-            if len(rho) != self.base.rank or any(len(row) != self.base.rank for row in rho):
+    def __init__(self, base: MatFac, action: tuple):
+        r0 = base.r0
+        for rho in action:
+            if len(rho) != base.rank or any(len(row) != base.rank for row in rho):
                 raise ValueError("action matrix has the wrong size")
-            for i in range(self.base.rank):
-                for j in range(self.base.rank):
+            for i in range(base.rank):
+                for j in range(base.rank):
                     if (i < r0) != (j < r0) and not rho[i][j].is_zero():
                         raise ValueError("action matrix does not preserve parity")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "action", action)

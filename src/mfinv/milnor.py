@@ -30,8 +30,6 @@ and bulk invariants land in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .groebner import (
     GroebnerBasis,
     buchberger,
@@ -41,11 +39,10 @@ from .groebner import (
     quotient_basis,
 )
 from .poly import Monomial, Polynomial, PolyRing, determinant
-from .scalar import Scalar
+from .scalar import Frozen, Scalar
 
 
-@dataclass(frozen=True)
-class MilnorRing:
+class MilnorRing(Frozen):
     """k[x]/J_w with the data needed to evaluate residue traces.
 
     ``basis`` lists the standard monomials of the Jacobian ideal (grevlex
@@ -54,13 +51,26 @@ class MilnorRing:
     choice of cofactors x_i^N = sum_j a_ij dw/dx_j.
     """
 
-    ring: PolyRing
-    w: Polynomial
-    jacobian_gb: GroebnerBasis
-    basis: tuple[Monomial, ...]
-    mu: int
-    nilpotency: int
-    residue_cofactor_det: Polynomial
+    __slots__ = ("ring", "w", "jacobian_gb", "basis", "mu", "nilpotency",
+                 "residue_cofactor_det")
+
+    def __init__(
+        self,
+        ring: PolyRing,
+        w: Polynomial,
+        jacobian_gb: GroebnerBasis,
+        basis: tuple[Monomial, ...],
+        mu: int,
+        nilpotency: int,
+        residue_cofactor_det: Polynomial,
+    ):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "jacobian_gb", jacobian_gb)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nilpotency", nilpotency)
+        object.__setattr__(self, "residue_cofactor_det", residue_cofactor_det)
 
     def project(self, value: Polynomial, parity: int | None = None) -> "MilnorClass":
         """The class of ``value`` in A_w, reduced to normal form."""
@@ -79,13 +89,15 @@ class MilnorRing:
         return coords
 
 
-@dataclass(frozen=True)
-class MilnorClass:
+class MilnorClass(Frozen):
     """An element of A_w together with the parity of its ambient class."""
 
-    ring: MilnorRing
-    value: Polynomial
-    parity: int
+    __slots__ = ("ring", "value", "parity")
+
+    def __init__(self, ring: MilnorRing, value: Polynomial, parity: int):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "parity", parity)
 
     def is_zero(self) -> bool:
         return self.value.is_zero()

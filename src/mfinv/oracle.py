@@ -20,7 +20,6 @@ or an equation that reduces to 0 = b with b != 0 raises.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .groebner import buchberger, normal_form
@@ -47,19 +46,31 @@ from .poly import (
     difference_derivative,
     doubled_ring,
 )
-from .scalar import one as scalar_one, zero as scalar_zero
+from .scalar import Frozen, one as scalar_one, zero as scalar_zero
 
 
-@dataclass(frozen=True)
-class DiagonalData:
-    """The stabilized diagonal of w over the doubled ring."""
+class DiagonalData(Frozen):
+    """The stabilized diagonal of w over the doubled ring: ``w_tilde`` is
+    w(y) - w(x), ``differences`` are the difference derivatives of w, and
+    ``factorization`` is the Koszul factorization of w_tilde."""
 
-    ring: PolyRing
-    doubled: PolyRing
-    w: Polynomial
-    w_tilde: Polynomial  # w(y) - w(x)
-    differences: tuple[Polynomial, ...]  # difference derivatives of w
-    factorization: MatFac  # Koszul factorization of w_tilde
+    __slots__ = ("ring", "doubled", "w", "w_tilde", "differences", "factorization")
+
+    def __init__(
+        self,
+        ring: PolyRing,
+        doubled: PolyRing,
+        w: Polynomial,
+        w_tilde: Polynomial,
+        differences: tuple[Polynomial, ...],
+        factorization: MatFac,
+    ):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "doubled", doubled)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w_tilde", w_tilde)
+        object.__setattr__(self, "differences", differences)
+        object.__setattr__(self, "factorization", factorization)
 
 
 def build_diagonal(w: Polynomial) -> DiagonalData:
@@ -80,8 +91,7 @@ def build_diagonal(w: Polynomial) -> DiagonalData:
     return DiagonalData(ring, doubled, w, w_tilde, diffs, fac)
 
 
-@dataclass(frozen=True)
-class DTensor:
+class DTensor(Frozen):
     """Solution of the transgression system against the subset basis.
 
     components maps each strictly increasing index subset to a full
@@ -89,9 +99,17 @@ class DTensor:
     identity.
     """
 
-    data: DiagonalData
-    source: MatFac
-    components: tuple[tuple[tuple[int, ...], Matrix], ...]
+    __slots__ = ("data", "source", "components")
+
+    def __init__(
+        self,
+        data: DiagonalData,
+        source: MatFac,
+        components: tuple[tuple[tuple[int, ...], Matrix], ...],
+    ):
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "components", components)
 
     def component(self, subset) -> Matrix:
         key = tuple(subset)
@@ -406,13 +424,15 @@ def oracle_tau(
     return A.project(supertrace(M, E.r0), parity=parity)
 
 
-@dataclass(frozen=True)
-class DiagonalChern:
+class DiagonalChern(Frozen):
     """Both evaluations of the diagonal's character, with their verdict."""
 
-    direct: MilnorClass
-    determinant: MilnorClass
-    agree: bool
+    __slots__ = ("direct", "determinant", "agree")
+
+    def __init__(self, direct: MilnorClass, determinant: MilnorClass, agree: bool):
+        object.__setattr__(self, "direct", direct)
+        object.__setattr__(self, "determinant", determinant)
+        object.__setattr__(self, "agree", agree)
 
 
 def chern_of_diagonal(w: Polynomial) -> DiagonalChern:

@@ -19,10 +19,9 @@ constants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import CyclotomicContext, Scalar, one as scalar_one, rational
+from .scalar import CyclotomicContext, Frozen, Scalar, one as scalar_one, rational
 
 Monomial = tuple  # exponent tuples, length = ring.n
 
@@ -48,16 +47,24 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(Frozen):
     """k[x_1, ..., x_n] with a fixed variable order and scalar context."""
 
-    names: tuple[str, ...]
-    context: CyclotomicContext | None = None
+    __slots__ = ("names", "context")
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names: tuple[str, ...], context: CyclotomicContext | None = None):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "context", context)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names and self.context == other.context
+
+    def __hash__(self):
+        return hash((self.names, self.context))
 
     @property
     def n(self) -> int:

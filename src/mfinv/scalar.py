@@ -18,7 +18,6 @@ Rationals are plain wrapped fractions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -56,11 +55,45 @@ def _polydiv_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class CyclotomicContext:
+class Frozen:
+    """Base of the immutable value classes.
+
+    Each subclass's ``__init__`` stores its fields once through
+    ``object.__setattr__``; assigning or deleting an attribute afterwards
+    raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __setstate__(self, state):
+        # copy and pickle restore the fields here rather than through
+        # __setattr__; the state is __dict__, or (__dict__ or None, slots)
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
+
+
+class CyclotomicContext(Frozen):
     """The field Q(zeta_m), presented as Q[x]/Phi_m(x)."""
 
-    order: int
+    __slots__ = ("order",)
+
+    def __init__(self, order: int):
+        object.__setattr__(self, "order", order)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.order == other.order
+
+    def __hash__(self):
+        return hash(self.order)
 
     @property
     def degree(self) -> int:
@@ -106,8 +139,7 @@ def _reduce_mod_phi(
     return coeffs
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(Frozen):
     """An exact field element.
 
     ``context`` is None for plain rationals, in which case ``coeffs`` has
@@ -116,8 +148,11 @@ class Scalar:
     so equality is componentwise.
     """
 
-    context: CyclotomicContext | None
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("context", "coeffs")
+
+    def __init__(self, context: CyclotomicContext | None, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

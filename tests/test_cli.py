@@ -142,12 +142,13 @@ def test_verify_passes_and_check_flag(tmp_path, capsys):
 
 @pytest.mark.parametrize("error", [AssertionError, ValueError, ZeroDivisionError])
 def test_raising_check_reads_fail(tmp_path, capsys, monkeypatch, error):
-    import mfinv.cli
+    import mfinv.oracle
 
     def refuted(w):
         raise error("coefficient matrix does not invert the Gram matrix")
 
-    monkeypatch.setattr(mfinv.cli, "inverse_form_check", refuted)
+    # verify imports its checks from the oracle module when it runs
+    monkeypatch.setattr(mfinv.oracle, "inverse_form_check", refuted)
     path = write_session(tmp_path, D4_SESSION)
     code, out, err = run(capsys, "--input", path, "verify")
     assert code == 0
@@ -216,6 +217,32 @@ def test_bad_input_file_exits_2(tmp_path, capsys):
     bad.write_text("{")
     code, _, err = run(capsys, "--input", str(bad), "milnor")
     assert code == 2 and "cannot parse" in err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    code, out, err = run(capsys, "--input", str(deep), "milnor")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot parse") and "Traceback" not in err
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe" + json.dumps(D4_SESSION).encode("utf-16-le"))
+    code, out, err = run(capsys, "--input", str(raw), "milnor")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot parse") and "Traceback" not in err
+
+
+def test_morphism_ends_must_be_factorization_names(tmp_path, capsys):
+    for end in ("source", "target"):
+        doc = json.loads(json.dumps(D4_SESSION))
+        doc["morphisms"]["yid"][end] = ["E"]
+        path = write_session(tmp_path, doc)
+        code, out, err = run(capsys, "--input", path, "milnor")
+        assert code == 2 and out == ""
+        assert err == "error: morphism 'yid': unknown %s factorization\n" % end
 
 
 def test_non_isolated_potential_rejected(tmp_path, capsys):
@@ -341,7 +368,6 @@ def test_huge_exponents_exit_2_quickly(tmp_path):
 
 
 def test_verify_computes_each_hom_once(tmp_path, capsys, monkeypatch):
-    import mfinv.cli
     import mfinv.homology
 
     calls = []
@@ -352,7 +378,6 @@ def test_verify_computes_each_hom_once(tmp_path, capsys, monkeypatch):
         return real(E, F)
 
     monkeypatch.setattr(mfinv.homology, "hom_cohomology", counted)
-    monkeypatch.setattr(mfinv.cli, "hom_cohomology", counted)
     path = write_session(tmp_path, D4_SESSION)
     code, out, _ = run(capsys, "--input", path, "verify", "--check")
     assert code == 0 and "fail" not in out

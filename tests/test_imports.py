@@ -88,3 +88,153 @@ def test_unreferenced_private_is_reported():
         "b.py": ast.parse("from a import _TABLE\nprint(_TABLE)\n"),
     }
     assert _unreferenced_privates(trees) == [("a.py", 3, "_recursive"), ("a.py", 6, "_dead")]
+
+
+# --- cold start: no generated code, and only the layers a command uses -----
+
+
+def test_no_dataclasses_in_package():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
+_FOOTPRINT = """
+import contextlib, io, sys
+from mfinv.cli import main
+
+d4 = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["--input", d4, "--json", "milnor"])]
+    after_milnor = sorted(m for m in sys.modules if m.startswith("mfinv."))
+    codes.append(main(["--input", d4, "chern", "E"]))
+    after_chern = sorted(m for m in sys.modules if m.startswith("mfinv."))
+    heavy = sorted(m for m in ("dataclasses", "mfinv.oracle", "mfinv.equivariant",
+                               "mfinv.homology") if m in sys.modules)
+    codes.append(main(["--input", d4, "verify", "--check"]))
+print(repr((codes, after_milnor, after_chern, heavy)))
+"""
+
+
+def test_light_commands_load_only_their_layers():
+    import os
+    import subprocess
+    import sys
+
+    d4 = SRC.parent.parent / "scripts" / "sessions" / "d4.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    # -S: no site hooks, so nothing but the command decides what is loaded
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FOOTPRINT, str(d4)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, after_milnor, after_chern, heavy = ast.literal_eval(proc.stdout)
+    core = ["mfinv.cli", "mfinv.groebner", "mfinv.mfcore", "mfinv.milnor", "mfinv.poly",
+            "mfinv.scalar"]
+    assert after_milnor == core
+    assert after_chern == sorted(core + ["mfinv.invariants"])
+    assert heavy == []
+    assert codes == [0, 0, 0]
+
+
+def _frozen_instances() -> list:
+    from fractions import Fraction
+
+    from mfinv.equivariant import GradedStructure, Sector, SectorClass
+    from mfinv.groebner import GroebnerBasis, ModuleGB
+    from mfinv.homology import CohomologyBasis, ParityCohomology
+    from mfinv.mfcore import EquivariantMF, MatFac, MorphismCocycle
+    from mfinv.milnor import MilnorClass, MilnorRing
+    from mfinv.oracle import DiagonalChern, DiagonalData, DTensor
+    from mfinv.poly import PolyRing
+    from mfinv.scalar import CyclotomicContext, Scalar
+
+    ring = PolyRing(("x",))
+    empty = MatFac(ring, ring.zero(), (), ())
+    return [
+        CyclotomicContext(3),
+        Scalar(None, (Fraction(1),)),
+        ring,
+        GroebnerBasis(ring, ()),
+        ModuleGB(ring, 1, ()),
+        MilnorRing(ring, ring.zero(), None, (), 0, 1, ring.one()),
+        MilnorClass(None, ring.zero(), 0),
+        empty,
+        MorphismCocycle(empty, empty, 0, ((), ())),
+        EquivariantMF(empty, ()),
+        ParityCohomology(0, None, None, ()),
+        CohomologyBasis(empty, empty, None, None),
+        DiagonalData(ring, ring, ring.zero(), ring.zero(), (), empty),
+        DTensor(None, empty, ()),
+        DiagonalChern(None, None, True),
+        Sector((), (), None),
+        SectorClass(None, ring.zero(), 0),
+        GradedStructure(ring, ring.zero(), (1,), 1, (), False),
+    ]
+
+
+def test_value_classes_reject_assignment():
+    import pytest
+
+    from mfinv.scalar import Frozen
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    instances = _frozen_instances()
+    assert {type(obj) for obj in instances} == set(subclasses(Frozen))
+    for obj in instances:
+        for name in ("ring", "context", "coeffs", "parity", "source", "new_field"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+
+
+def test_rings_and_fields_compare_by_value():
+    from mfinv.poly import PolyRing
+    from mfinv.scalar import CyclotomicContext
+
+    assert CyclotomicContext(5) == CyclotomicContext(5)
+    assert hash(CyclotomicContext(5)) == hash(CyclotomicContext(5))
+    assert CyclotomicContext(5) != CyclotomicContext(10)
+    R = PolyRing(("x", "y"), CyclotomicContext(3))
+    same = PolyRing(("x", "y"), CyclotomicContext(3))
+    assert R == same and hash(R) == hash(same) and {R: 1}[same] == 1
+    assert R != PolyRing(("x", "y")) and R != PolyRing(("y", "x"), CyclotomicContext(3))
+    assert R != ("x", "y")
+
+
+def test_value_classes_copy_and_pickle():
+    import copy
+    import pickle
+
+    from mfinv.groebner import buchberger
+    from mfinv.poly import PolyRing
+    from mfinv.scalar import CyclotomicContext
+
+    R = PolyRing(("x", "y"), CyclotomicContext(3))
+    z = R.context.zeta()
+    gb = buchberger([R.parse("x^2"), R.parse("y^3")])
+    gb._module  # a cached property lands in the instance __dict__
+    for obj in (R, z, gb):
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj)
+    assert pickle.loads(pickle.dumps(R)) == R and copy.deepcopy(z) == z
+    twin = pickle.loads(pickle.dumps(gb))
+    assert [str(g) for g in twin.generators] == [str(g) for g in gb.generators]
+    assert len(twin._module.generators) == 2
+    for obj in _frozen_instances():
+        assert type(copy.deepcopy(obj)) is type(obj)
