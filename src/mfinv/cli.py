@@ -48,6 +48,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
 # the core layers only; handlers import `invariants`, `homology`,
@@ -274,7 +275,7 @@ def _load_morphism(session: Session, name: str, spec) -> MorphismCocycle:
     source = session.factorizations[spec["source"]]
     target = session.factorizations[spec["target"]]
     parity = spec.get("parity")
-    if parity not in (0, 1):
+    if type(parity) is not int or parity not in (0, 1):
         raise SessionError("morphism %r: parity must be 0 or 1" % name)
     blocks = spec.get("blocks")
     if not isinstance(blocks, list) or len(blocks) != 2:
@@ -790,10 +791,15 @@ def _print_human(command: str, payload: dict) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse builds a formatter to check every argument it adds, and a
+    # formatter without a width imports shutil to read the terminal's; the
+    # parsers are built with a fixed width and get argparse's own formatter
+    # back before they can print anything
+    unsized = partial(argparse.HelpFormatter, width=80)
     # the shared flags are declared twice so they may appear on either
     # side of the subcommand; the suppressed defaults keep a flag given
     # before the subcommand from being reset afterwards
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=unsized)
     common.add_argument("--input", default=argparse.SUPPRESS, help="session JSON file")
     common.add_argument(
         "--json",
@@ -810,6 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfinv",
         description="Exact invariants of matrix factorizations from a session file.",
+        formatter_class=unsized,
     )
     parser.add_argument("--input", default=None, help="session JSON file")
     parser.add_argument(
@@ -821,53 +828,46 @@ def build_parser() -> argparse.ArgumentParser:
         help="make verify exit nonzero when an identity fails",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = partial(sub.add_parser, parents=[common], formatter_class=unsized)
 
-    sub.add_parser("milnor", parents=[common], help="Milnor number, basis, Gram matrix")
+    add("milnor", help="Milnor number, basis, Gram matrix")
 
-    p = sub.add_parser("chern", parents=[common], help="Chern character of a factorization")
+    p = add("chern", help="Chern character of a factorization")
     p.add_argument("factorization")
 
-    p = sub.add_parser("tau", parents=[common], help="boundary-bulk image of a morphism")
+    p = add("tau", help="boundary-bulk image of a morphism")
     p.add_argument("factorization")
     p.add_argument("morphism")
 
-    p = sub.add_parser("chi", parents=[common], help="index pairing of two factorizations")
+    p = add("chi", help="index pairing of two factorizations")
     p.add_argument("factorization")
     p.add_argument("other")
 
-    p = sub.add_parser("hom", parents=[common], help="Hom cohomology dimensions")
+    p = add("hom", help="Hom cohomology dimensions")
     p.add_argument("factorization")
     p.add_argument("other")
 
-    p = sub.add_parser("cardy", parents=[common], help="both sides of the Cardy pairing")
+    p = add("cardy", help="both sides of the Cardy pairing")
     p.add_argument("factorization")
     p.add_argument("other")
     p.add_argument("morphism")
     p.add_argument("other_morphism")
 
-    sub.add_parser("sectors", parents=[common], help="fixed loci of the group elements")
+    add("sectors", help="fixed loci of the group elements")
 
-    p = sub.add_parser(
-        "equivariant-chi",
-        parents=[common],
-        help="orbifold index of two equivariant factorizations",
-    )
+    p = add("equivariant-chi", help="orbifold index of two equivariant factorizations")
     p.add_argument("factorization")
     p.add_argument("other")
 
-    sub.add_parser(
-        "orbifold-hh",
-        parents=[common],
-        help="orbifold Hochschild dimensions by sector",
-    )
+    add("orbifold-hh", help="orbifold Hochschild dimensions by sector")
 
-    p = sub.add_parser(
-        "graded-chi", parents=[common], help="graded index from weights and degrees"
-    )
+    p = add("graded-chi", help="graded index from weights and degrees")
     p.add_argument("factorization")
     p.add_argument("other")
 
-    sub.add_parser("verify", parents=[common], help="run the identity suite on the session")
+    add("verify", help="run the identity suite on the session")
+    for p in (parser, *sub.choices.values()):
+        p.formatter_class = argparse.HelpFormatter
     return parser
 
 

@@ -7,7 +7,11 @@ agree; `local_support_check` certifies that precondition.
 
 At the API boundary module elements are tuples of polynomials, and an
 ideal generator g is the element (g,).  Inside the engine an element is a
-flat dict {(position, monomial): coefficient}.  The module order is
+flat dict {(position, monomial): coefficient} of raw field elements: the
+Fraction inside each Scalar over Q, the Scalar itself over Q(zeta).
+`_flat` unwraps the coefficients and `_unflat` wraps them back, so Scalars
+appear only at the API boundary, as polynomials do; the loops use nothing
+but field arithmetic, ``1 / c`` and truth.  The module order is
 term-over-position: grevlex on the monomial part, ties to the lower
 position; with ``block=b`` any term in the first b positions beats every
 term outside them.  The term (p, m) has the order key
@@ -45,14 +49,23 @@ from .poly import (
     monomial_lcm,
     monomial_mul,
 )
-from .scalar import Frozen
+from .scalar import Frozen, Scalar
 
 ModuleElement = tuple  # tuple[Polynomial, ...]
 
 
-def _flat(v) -> dict:
-    """{(position, monomial): coefficient} of a tuple of polynomials."""
+def _flat(v, ring: PolyRing) -> dict:
+    """{(position, monomial): raw coefficient} of a tuple of polynomials."""
+    if ring.context is None:
+        return {(p, m): c.coeffs[0] for p, f in enumerate(v) for m, c in f.terms.items()}
     return {(p, m): c for p, f in enumerate(v) for m, c in f.terms.items()}
+
+
+def _polynomial(terms: dict, ring: PolyRing) -> Polynomial:
+    """The polynomial with raw coefficients {monomial: coefficient}."""
+    if ring.context is None:
+        terms = {m: Scalar(None, (c,)) for m, c in terms.items()}
+    return Polynomial(ring, terms)
 
 
 def _unflat(d: dict, length: int, ring: PolyRing) -> ModuleElement:
@@ -60,7 +73,7 @@ def _unflat(d: dict, length: int, ring: PolyRing) -> ModuleElement:
     for (p, m), c in d.items():
         comps.setdefault(p, {})[m] = c
     zero = ring.zero()  # polynomials are immutable, so one zero serves all
-    return tuple(Polynomial(ring, comps[p]) if p in comps else zero for p in range(length))
+    return tuple(_polynomial(comps[p], ring) if p in comps else zero for p in range(length))
 
 
 def _mod_is_zero(v) -> bool:
@@ -95,7 +108,7 @@ class _Divisors:
 
     def add(self, d: dict, lead=None) -> None:
         p, m = lead or _lead(d, self.block)
-        inv = d[p, m].inverse()
+        inv = 1 / d[p, m]
         rest = [(q, tm, c) for (q, tm), c in d.items() if q != p or tm != m]
         self.by_pos.setdefault(p, []).append((len(self.entries), m, inv, rest))
         self.entries.append((d, p, m, inv, rest))
@@ -114,7 +127,7 @@ def _add_multiple(work: dict, terms, t: Monomial, c, heap=None, block=0) -> None
                 heappush(heap, _key(q, nm, block))
         else:
             s = old + c * a
-            if s.is_zero():
+            if not s:
                 del work[k]
             else:
                 work[k] = s
@@ -214,7 +227,7 @@ def module_buchberger(gens, ring: PolyRing, block: int = 0):
         sugars.append(sugar)
 
     for g in gens:
-        d = _flat(g)
+        d = _flat(g, ring)
         if d:
             sugar = max(sum(m) for _p, m in d)
             r = _divide(d, divs)
@@ -278,7 +291,7 @@ class GroebnerBasis(Frozen):
 
     @cached_property
     def _tracked_divisors(self) -> _Divisors:
-        return _Divisors(1, [_flat(v) for v in self.tracked])
+        return _Divisors(1, [_flat(v, self.ring) for v in self.tracked])
 
 
 def buchberger(gens, track: bool = False) -> GroebnerBasis:
@@ -311,13 +324,10 @@ def normal_form_with_cofactors(f: Polynomial, gb: GroebnerBasis):
     if gb.tracked is None:
         raise ValueError("basis was not tracked; rebuild with track=True")
     ring = gb.ring
-    rem = _divide(_flat((f,)), gb._tracked_divisors)
+    rem = _divide(_flat((f,), ring), gb._tracked_divisors)
     rem = _unflat(rem, 1 + len(gb.originals), ring)
     r, cof = rem[0], [-a for a in rem[1:]]
-    check = r
-    for a, g in zip(cof, gb.originals):
-        check = check + a * g
-    if check != f:
+    if sum((a * g for a, g in zip(cof, gb.originals)), r) != f:
         raise AssertionError("cofactor identity failed")
     return r, cof
 
@@ -352,7 +362,7 @@ class ModuleGB(Frozen):
 
     @cached_property
     def _divisors(self) -> _Divisors:
-        return _Divisors(0, [_flat(g) for g in self.generators])
+        return _Divisors(0, [_flat(g, self.ring) for g in self.generators])
 
 
 def module_gb(gens, rank: int, ring: PolyRing) -> ModuleGB:
@@ -360,37 +370,28 @@ def module_gb(gens, rank: int, ring: PolyRing) -> ModuleGB:
 
 
 def module_normal_form(v, mgb: ModuleGB):
-    return _unflat(_divide(_flat(v), mgb._divisors), len(v), mgb.ring)
+    return _unflat(_divide(_flat(v, mgb.ring), mgb._divisors), len(v), mgb.ring)
 
 
 def module_lift(v, mgb: ModuleGB):
     """Coordinates of v against the GB generators, or None if not a member."""
     quots = [{} for _ in mgb.generators]
-    if _divide(_flat(v), mgb._divisors, quots):
+    if _divide(_flat(v, mgb.ring), mgb._divisors, quots):
         return None
-    return [Polynomial(mgb.ring, q) for q in quots]
+    return [_polynomial(q, mgb.ring) for q in quots]
 
 
 def syzygies(gens, rank: int, ring: PolyRing):
     """Generators of {c in R^s : sum_i c_i * gens_i = 0}."""
     gb = module_buchberger(_with_units(gens, ring), ring, block=rank)
-    out = []
-    for v in gb:
-        if all(c.is_zero() for c in v[:rank]):
-            out.append(tuple(v[rank:]))
-    return out
+    return [tuple(v[rank:]) for v in gb if _mod_is_zero(v[:rank])]
 
 
 def module_kernel(columns_matrix, r_in: int, r_out: int, ring: PolyRing) -> ModuleGB:
     """Kernel of the map R^{r_in} -> R^{r_out} given by the matrix (rows x cols
     = r_out x r_in), as a module GB inside R^{r_in}."""
-    cols = []
-    for j in range(r_in):
-        cols.append(tuple(columns_matrix[i][j] for i in range(r_out)))
-    syz = syzygies(cols, r_out, ring)
-    if not syz:
-        return ModuleGB(ring, r_in, tuple())
-    return module_gb(syz, r_in, ring)
+    cols = [tuple(columns_matrix[i][j] for i in range(r_out)) for j in range(r_in)]
+    return module_gb(syzygies(cols, r_out, ring), r_in, ring)
 
 
 def module_standard_monomials(mgb: ModuleGB):
@@ -440,11 +441,7 @@ def subquotient_presentation(kernel: ModuleGB, image_gens):
             raise ValueError("image generators outside the kernel submodule")
         relations.append(tuple(lift))
     relations.extend(syzygies(list(kernel.generators), kernel.rank, ring))
-    relations = [r for r in relations if not _mod_is_zero(r)]
-    if relations:
-        rel_gb = module_gb(relations, t, ring)
-    else:
-        rel_gb = ModuleGB(ring, t, tuple())
+    rel_gb = module_gb([r for r in relations if not _mod_is_zero(r)], t, ring)
     std = module_standard_monomials(rel_gb)
     if std is None:
         raise ValueError("subquotient is infinite-dimensional")

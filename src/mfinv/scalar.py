@@ -133,10 +133,7 @@ def _reduce_mod_phi(
             for j in range(d):
                 coeffs[k - d + j] -= c * phi[j]
         coeffs[k] = Fraction(0)
-    coeffs = coeffs[:d]
-    while len(coeffs) < d:
-        coeffs.append(Fraction(0))
-    return coeffs
+    return coeffs[:d] + [Fraction(0)] * (d - len(coeffs))
 
 
 class Scalar(Frozen):
@@ -155,13 +152,13 @@ class Scalar(Frozen):
         object.__setattr__(self, "coeffs", coeffs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -194,7 +191,10 @@ class Scalar(Frozen):
             return hash(self.coeffs[0])
         return hash((self.context.order, self.coeffs))
 
+    # rational fast path first: two Scalars over Q need no coercion
     def __add__(self, other):
+        if other.__class__ is Scalar and self.context is None and other.context is None:
+            return Scalar(None, (self.coeffs[0] + other.coeffs[0],))
         pair = _unify(self, other)
         if pair is NotImplemented:
             return NotImplemented
@@ -204,9 +204,13 @@ class Scalar(Frozen):
     __radd__ = __add__
 
     def __neg__(self):
+        if self.context is None:
+            return Scalar(None, (-self.coeffs[0],))
         return Scalar(self.context, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
+        if other.__class__ is Scalar and self.context is None and other.context is None:
+            return Scalar(None, (self.coeffs[0] - other.coeffs[0],))
         pair = _unify(self, other)
         if pair is NotImplemented:
             return NotImplemented
@@ -217,6 +221,8 @@ class Scalar(Frozen):
         return (-self) + other
 
     def __mul__(self, other):
+        if other.__class__ is Scalar and self.context is None and other.context is None:
+            return Scalar(None, (self.coeffs[0] * other.coeffs[0],))
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
             return Scalar(self.context, tuple(a * f for a in self.coeffs))
@@ -224,8 +230,6 @@ class Scalar(Frozen):
         if pair is NotImplemented:
             return NotImplemented
         a, b = pair
-        if a.context is None:
-            return Scalar(None, (a.coeffs[0] * b.coeffs[0],))
         if b.is_rational():
             f = b.coeffs[0]
             return Scalar(a.context, tuple(x * f for x in a.coeffs))
@@ -372,15 +376,11 @@ def rational(p: int | Fraction, q: int = 1) -> Scalar:
 
 
 def zero(ctx: CyclotomicContext | None = None) -> Scalar:
-    if ctx is None:
-        return Scalar(None, (Fraction(0),))
-    return ctx.from_rational(0)
+    return rational(0) if ctx is None else ctx.from_rational(0)
 
 
 def one(ctx: CyclotomicContext | None = None) -> Scalar:
-    if ctx is None:
-        return Scalar(None, (Fraction(1),))
-    return ctx.from_rational(1)
+    return rational(1) if ctx is None else ctx.from_rational(1)
 
 
 def scalar_to_json(s: Scalar):

@@ -245,6 +245,17 @@ def test_morphism_ends_must_be_factorization_names(tmp_path, capsys):
         assert err == "error: morphism 'yid': unknown %s factorization\n" % end
 
 
+@pytest.mark.parametrize("parity", [True, 0.0, 1.0])
+def test_parity_must_be_a_json_integer(tmp_path, capsys, parity):
+    # true, 0.0 and 1.0 all compare equal to 0 or 1
+    doc = json.loads(json.dumps(D4_SESSION))
+    doc["morphisms"]["yid"]["parity"] = parity
+    path = write_session(tmp_path, doc)
+    code, out, err = run(capsys, "--input", path, "--json", "tau", "E", "yid")
+    assert code == 2 and out == ""
+    assert err == "error: morphism 'yid': parity must be 0 or 1\n"
+
+
 def test_non_isolated_potential_rejected(tmp_path, capsys):
     doc = {
         "variables": ["x", "y"],
@@ -427,3 +438,24 @@ def test_shipped_fixture_sessions_verify(capsys):
         code, out, err = run(capsys, "--input", str(path), "verify")
         assert code == 0, (path.name, err)
         assert "fail" not in out, (path.name, out)
+
+
+@pytest.mark.parametrize("fixture", ["d4", "x6"])
+def test_fixture_verify_under_python_O(fixture):
+    # -O strips asserts; every verify gate and the scalar and Groebner fast
+    # paths must still hold without them
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mfinv.cli", "--input",
+         str(root / "scripts" / "sessions" / (fixture + ".json")), "verify", "--check"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.endswith(": pass") for line in lines), proc.stdout

@@ -30,6 +30,7 @@ from mfinv.poly import (
     monomial_divides,
     monomial_lcm,
 )
+from mfinv.scalar import CyclotomicContext, Scalar
 
 R2 = PolyRing(("x", "y"))
 R1 = PolyRing(("x",))
@@ -398,3 +399,62 @@ def test_cofactors_match_reference_division():
             r, cof = normal_form_with_cofactors(f, gb)
             assert r == rem[0]
             assert cof == [-a for a in rem[1:]]
+
+
+# --- the engine boundary: raw field elements inside, Scalars outside ---------
+
+
+def _zeta3_pairs():
+    """Koszul pairs of x^3 + y^3 = (x + y)(x + z y)(x + z^2 y) over Q(zeta_3)."""
+    ring = PolyRing(("x", "y"), CyclotomicContext(3))
+    x, y = ring.var(0), ring.var(1)
+    lines = [ring.parse(t) for t in ("x + y", "x + z*y", "x + z^2*y")]
+    E = koszul([lines[1]], [lines[0] * lines[2]])
+    F = koszul([lines[0]], [lines[1] * lines[2]])
+    G = koszul([x, y], [x**2, y**2])
+    assert E.w == F.w == G.w == ring.parse("x^3 + y^3")
+    return [(E, F), (E, G), (F, F)]
+
+
+def _assert_ring_scalars(polys, ring):
+    count = 0
+    for f in polys:
+        assert f.ring == ring
+        for c in f.terms.values():
+            assert type(c) is Scalar and c.context == ring.context
+            assert all(type(a) is Fraction for a in c.coeffs)
+            count += 1
+    return count
+
+
+def test_engine_returns_scalars_of_the_ring():
+    counts = {None: 0, 3: 0}
+    for E, F in [*_hom_pairs(), *_zeta3_pairs()]:
+        ring = E.ring
+        ctx = ring.context and ring.context.order
+
+        def check(*elements):
+            counts[ctx] += _assert_ring_scalars([c for v in elements for c in v], ring)
+
+        n0, n1 = hom_basis_sizes(E, F)
+        d_even, d_odd = hom_differential(E, F)
+        cols = [tuple(d_even[r][c] for r in range(n1)) for c in range(n0)]
+        image = [tuple(d_odd[r][c] for r in range(n0)) for c in range(n1)]
+        check(*module_gb(cols, n1, ring).generators)
+        check(*syzygies(cols, n1, ring))
+        kernel = module_kernel(d_even, n0, n1, ring)
+        check(*kernel.generators)
+        relations, _std = subquotient_presentation(kernel, image)
+        check(*relations.generators)
+        unit = tuple(ring.var(0) if p == 0 else ring.zero() for p in range(n0))
+        check(*(module_normal_form(v, kernel) for v in [unit, *image]))
+        lifts = [module_lift(v, kernel) for v in image]
+        assert None not in lifts
+        check(*lifts)
+        gb = buchberger([E.w.partial_derivative(i) for i in range(ring.n)], track=True)
+        f = ring.var(0) ** 4 * ring.var(ring.n - 1) - ring.var(0) + 1
+        check((normal_form(f, gb),))
+        r, cof = normal_form_with_cofactors(f, gb)
+        check((r,), cof)
+    # both fields were exercised
+    assert counts[None] > 500 and counts[3] > 50

@@ -147,6 +147,37 @@ def test_light_commands_load_only_their_layers():
     assert codes == [0, 0, 0]
 
 
+_PARSER = """
+import sys
+import mfinv.cli
+
+parser = mfinv.cli.build_parser()
+built = "shutil" in sys.modules
+print(repr((built, parser.format_help())))
+"""
+
+
+def test_building_the_parser_does_not_import_shutil():
+    import os
+    import subprocess
+    import sys
+
+    helps = []
+    for columns in ("40", "200"):
+        env = dict(os.environ, PYTHONPATH=str(SRC.parent), COLUMNS=columns)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _PARSER],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        built, text = ast.literal_eval(proc.stdout)
+        assert built is False
+        helps.append(text)
+    # help is still laid out at the terminal's width
+    assert "Exact invariants of matrix\nfactorizations" in helps[0]
+    assert "Exact invariants of matrix factorizations from a session file." in helps[1]
+
+
 def _frozen_instances() -> list:
     from fractions import Fraction
 

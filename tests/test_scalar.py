@@ -153,6 +153,86 @@ def test_cyclotomic_field_axioms(data):
         assert sa * sa.inverse() == one(ctx)
 
 
+# --- the rational fast path: int, Fraction and Scalar operands in either order
+
+
+_operands = st.one_of(_fractions.map(rational), _fractions, st.integers(-50, 50))
+
+
+def _value(x) -> Fraction:
+    return x.coeffs[0] if isinstance(x, Scalar) else Fraction(x)
+
+
+def _is_rational_scalar(s) -> bool:
+    return (
+        type(s) is Scalar and s.context is None
+        and len(s.coeffs) == 1 and type(s.coeffs[0]) is Fraction
+    )
+
+
+@given(a=_fractions, b=_operands)
+def test_rational_fast_path_matches_fraction(a, b):
+    sa, fb = rational(a), _value(b)
+    for x, y, fx, fy in ((sa, b, a, fb), (b, sa, fb, a)):
+        cases = [(x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy)]
+        if fy:
+            cases.append((x / y, fx / fy))
+        for got, want in cases:
+            assert _is_rational_scalar(got) and got.coeffs[0] == want
+            assert got == want and hash(got) == hash(want)
+    assert _is_rational_scalar(-sa) and (-sa).coeffs[0] == -a
+    assert sa.is_zero() == (a == 0) and bool(sa) == bool(a)
+    assert (sa == b) == (a == fb) and (b == sa) == (a == fb)
+    assert hash(sa) == hash(a)
+
+
+@given(a=_operands, b=_operands, c=_operands)
+def test_rational_fast_path_field_axioms(a, b, c):
+    sa = rational(_value(a))
+    fb, fc = _value(b), _value(c)
+    laws = [
+        ((sa + b) + c, sa + (b + c)),
+        ((sa * b) * c, sa * (b * c)),
+        (sa * (b + c), sa * b + sa * c),
+        ((b + c) * sa, b * sa + c * sa),
+        (sa + b, b + sa),
+        (sa * b, b * sa),
+        (sa - b, -(b - sa)),
+        (sa + (-sa), 0),
+    ]
+    if sa:
+        laws.append((sa * (1 / sa), 1))
+    if fb:
+        laws.append(((sa / b) * b, sa))
+    if fc:
+        laws.append((sa / c, sa * (1 / Fraction(fc))))
+    for lhs, rhs in laws:
+        assert _is_rational_scalar(lhs)
+        assert lhs == rhs
+
+
+@settings(max_examples=40)
+@given(a=_fractions, b=_fractions, m=st.sampled_from([3, 4, 5, 12]))
+def test_rational_mixed_with_cyclotomic_is_lifted(a, b, m):
+    ctx = CyclotomicContext(m)
+    sa, lb = rational(a), ctx.from_rational(b)
+    cases = [
+        (sa + lb, a + b), (lb + sa, a + b),
+        (sa - lb, a - b), (lb - sa, b - a),
+        (sa * lb, a * b), (lb * sa, a * b),
+        (-lb, -b),
+    ]
+    if b:
+        cases.append((sa / lb, a / b))
+    if a:
+        cases.append((lb / sa, b / a))
+    for got, want in cases:
+        assert got.context == ctx
+        assert got.coeffs == ctx.from_rational(want).coeffs
+        assert got == want and hash(got) == hash(want)
+    assert lb.is_zero() == (b == 0) and (sa == lb) == (a == b)
+
+
 def test_non_exact_division_raises_under_optimize():
     # the gate must not be a bare assert, which python -O strips
     import os
