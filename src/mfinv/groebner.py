@@ -3,7 +3,8 @@
 Everything runs over the global grevlex order.  The downstream callers
 (Milnor rings, Hom-cohomology) only ever feed ideals and modules whose
 quotients are supported at the origin, where global and local computations
-agree; `local_support_check` certifies that precondition.
+agree; `milnor.build_milnor` certifies that precondition for the Jacobian
+ideal, whose nilpotency search rejects support away from the origin.
 
 At the API boundary module elements are tuples of polynomials, and an
 ideal generator g is the element (g,).  Inside the engine an element is a
@@ -338,19 +339,6 @@ def quotient_basis(gb: GroebnerBasis):
     return None if std is None else [m for _p, m in std]
 
 
-def local_support_check(gb: GroebnerBasis) -> bool:
-    """True iff every variable is nilpotent in the (finite) quotient."""
-    basis = quotient_basis(gb)
-    if basis is None:
-        raise ValueError("quotient is not finite-dimensional")
-    d = len(basis)
-    for i in range(gb.ring.n):
-        p = gb.ring.var(i) ** (d + 1)
-        if not normal_form(p, gb).is_zero():
-            return False
-    return True
-
-
 # --- modules ----------------------------------------------------------------
 
 
@@ -382,7 +370,14 @@ def module_lift(v, mgb: ModuleGB):
 
 
 def syzygies(gens, rank: int, ring: PolyRing):
-    """Generators of {c in R^s : sum_i c_i * gens_i = 0}."""
+    """The reduced term-over-position basis of {c in R^s : sum_i c_i *
+    gens_i = 0}, in `module_buchberger`'s order.
+
+    They are the elements of the reduced block-order basis of (gens_i, e_i)
+    whose first ``rank`` positions vanish: their leads lie outside the
+    block, so among themselves the block order is term-over-position, and
+    no other lead of the basis can divide one of their terms.
+    """
     gb = module_buchberger(_with_units(gens, ring), ring, block=rank)
     return [tuple(v[rank:]) for v in gb if _mod_is_zero(v[:rank])]
 
@@ -391,7 +386,7 @@ def module_kernel(columns_matrix, r_in: int, r_out: int, ring: PolyRing) -> Modu
     """Kernel of the map R^{r_in} -> R^{r_out} given by the matrix (rows x cols
     = r_out x r_in), as a module GB inside R^{r_in}."""
     cols = [tuple(columns_matrix[i][j] for i in range(r_out)) for j in range(r_in)]
-    return module_gb(syzygies(cols, r_out, ring), r_in, ring)
+    return ModuleGB(ring, r_in, tuple(syzygies(cols, r_out, ring)))
 
 
 def module_standard_monomials(mgb: ModuleGB):
@@ -428,10 +423,6 @@ def subquotient_presentation(kernel: ModuleGB, image_gens):
     """
     ring = kernel.ring
     t = len(kernel.generators)
-    if t == 0:
-        if any(not _mod_is_zero(g) for g in image_gens):
-            raise ValueError("image generators outside the kernel submodule")
-        return ModuleGB(ring, 0, tuple()), []
     relations = []
     for g in image_gens:
         if _mod_is_zero(tuple(g)):

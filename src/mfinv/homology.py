@@ -75,12 +75,7 @@ class CohomologyBasis(Frozen):
     def class_coordinates(self, f: MorphismCocycle) -> tuple[Scalar, ...]:
         """Coordinates of the class of a cocycle on the chosen basis."""
         co = self.even if f.parity == 0 else self.odd
-        vec = morphism_to_vector(f)
-        if len(co.kernel.generators) == 0:
-            if any(not p.is_zero() for p in vec):
-                raise ValueError("morphism is not a cocycle")
-            return tuple()
-        lift = module_lift(vec, co.kernel)
+        lift = module_lift(morphism_to_vector(f), co.kernel)
         if lift is None:
             raise ValueError("morphism is not a cocycle")
         reduced = module_normal_form(lift, co.relations)
@@ -129,24 +124,15 @@ def euler(E: MatFac, F: MatFac) -> int:
 
 
 def cardy_lhs(
-    E: MatFac,
-    F: MatFac,
-    alpha: MorphismCocycle,
-    beta: MorphismCocycle,
-    *,
-    intro_sign_variant: bool = False,
+    E: MatFac, F: MatFac, alpha: MorphismCocycle, beta: MorphismCocycle
 ) -> Scalar:
     """str_k of m_(alpha,beta) : f -> (-1)^(|a||b| + |a||f|) beta f alpha.
 
-    The supertrace runs over the cohomology of Hom(E, F).
-    ``intro_sign_variant`` multiplies by an extra (-1)^|alpha| (an
-    alternative sign convention); the default matches the index pairing.
+    The supertrace runs over the cohomology of Hom(E, F); its sign
+    convention matches the index pairing.
     """
     _, _, basis = hom_cohomology(E, F)
-    total = cardy_supertrace(basis, alpha, beta)
-    if intro_sign_variant and alpha.parity % 2:
-        total = -total
-    return total
+    return cardy_supertrace(basis, alpha, beta)
 
 
 def cardy_supertrace(

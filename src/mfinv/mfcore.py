@@ -327,17 +327,17 @@ class MorphismCocycle(Frozen):
         object.__setattr__(self, "blocks", blocks)
 
     def full_matrix(self) -> Matrix:
-        ring = self.source.ring
-        sr0, sr1 = self.source.r0, self.source.r1
-        tr0, tr1 = self.target.r0, self.target.r1
+        zero = self.source.ring.zero()
+        zeros0 = (zero,) * self.source.r0
+        zeros1 = (zero,) * self.source.r1
         if self.parity == 0:
             b00, b11 = self.blocks
-            top = tuple(tuple(b00[i]) + tuple(zero_matrix(ring, tr0, sr1)[i]) for i in range(tr0))
-            bot = tuple(tuple(zero_matrix(ring, tr1, sr0)[i]) + tuple(b11[i]) for i in range(tr1))
+            top = tuple(tuple(row) + zeros1 for row in b00)
+            bot = tuple(zeros0 + tuple(row) for row in b11)
         else:
             b10, b01 = self.blocks
-            top = tuple(tuple(zero_matrix(ring, tr0, sr0)[i]) + tuple(b01[i]) for i in range(tr0))
-            bot = tuple(tuple(b10[i]) + tuple(zero_matrix(ring, tr1, sr1)[i]) for i in range(tr1))
+            top = tuple(zeros0 + tuple(row) for row in b01)
+            bot = tuple(tuple(row) + zeros1 for row in b10)
         return top + bot
 
     @staticmethod

@@ -33,7 +33,6 @@ from __future__ import annotations
 from .groebner import (
     GroebnerBasis,
     buchberger,
-    local_support_check,
     normal_form,
     normal_form_with_cofactors,
     quotient_basis,
@@ -160,8 +159,6 @@ def build_milnor(w: Polynomial) -> MilnorRing:
     basis = quotient_basis(gb)
     if basis is None:
         raise ValueError("not an isolated singularity")
-    if not local_support_check(gb):
-        raise ValueError("singular locus not local")
     mu = len(basis)
     nil = _nilpotency_exponent(ring, gb, mu)
     det = _cofactor_determinant(ring, gb, nil)
@@ -171,7 +168,8 @@ def build_milnor(w: Polynomial) -> MilnorRing:
 def _nilpotency_exponent(ring: PolyRing, gb: GroebnerBasis, mu: int) -> int:
     # smallest uniform N with x_i^N in the ideal for every i; the maximal
     # ideal of an Artinian local ring of length mu satisfies m^mu = 0, so
-    # the search below terminates by N = mu at the latest
+    # at the origin the search ends by N = mu.  A variable still alive at
+    # mu + 1 is not nilpotent: the quotient has support away from 0.
     best = 0
     for i in range(ring.n):
         x = ring.var(i)
@@ -181,7 +179,7 @@ def _nilpotency_exponent(ring: PolyRing, gb: GroebnerBasis, mu: int) -> int:
             p = p * x
             k += 1
             if k > mu + 1:
-                raise AssertionError("nilpotency search ran past the length bound")
+                raise ValueError("singular locus not local")
         best = max(best, k)
     return best
 

@@ -4,8 +4,10 @@ The boundary-bulk values produced by the closed-form derivative product
 can be recomputed from first principles: factor w(y) - w(x) through the
 difference derivatives, solve the transgression system for the diagonal
 kernel degree by degree, and restrict the top component back to y = x.
-Nothing in this module calls the derivative-product formula; the two
-routes stay disjoint so that their agreement is a real check.
+Nothing on that route (`solve_D`, `oracle_tau`) calls the derivative-product
+formula; the two routes stay disjoint so that their agreement is a real
+check.  Only `chern_of_diagonal` applies the formula, to the diagonal
+factorization itself, as one side of its own check.
 
 The solver works in coordinates (x, u) with u_j = y_j - x_j, where the
 contraction to invert is plain multiplication by the u_j.  Uniqueness
@@ -23,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .groebner import buchberger, normal_form
-from .invariants import chern, supertrace
+from .invariants import derivative_product, supertrace
 from .mfcore import (
     MatFac,
     Matrix,
@@ -425,37 +427,53 @@ def oracle_tau(
 
 
 class DiagonalChern(Frozen):
-    """Both evaluations of the diagonal's character, with their verdict."""
+    """Both evaluations of the diagonal's character, with their verdict.
+
+    ``direct`` and ``determinant`` are normal forms over the doubled ring
+    modulo J_w(x) + J_w(y), the Jacobian ideal of w(y) - w(x).
+    """
 
     __slots__ = ("direct", "determinant", "agree")
 
-    def __init__(self, direct: MilnorClass, determinant: MilnorClass, agree: bool):
+    def __init__(self, direct: Polynomial, determinant: Polynomial, agree: bool):
         object.__setattr__(self, "direct", direct)
         object.__setattr__(self, "determinant", determinant)
         object.__setattr__(self, "agree", agree)
 
 
+def _doubled_jacobian(w: Polynomial):
+    """(A_w, the diagonal data, the basis of J_w(x) + J_w(y), and
+    det(Delta_j(partial_i w))) for the two diagonal checks.
+
+    `build_milnor` rejects a w that is not an isolated singularity at the
+    origin; the doubled ideal is then the Jacobian ideal of w(y) - w(x).
+    """
+    A = build_milnor(w)
+    data = build_diagonal(w)
+    doubled = data.doubled
+    n = w.ring.n
+    partials = [w.partial_derivative(i) for i in range(n)]
+    xs = [doubled.var(i) for i in range(n)]
+    ys = [doubled.var(n + i) for i in range(n)]
+    gb = buchberger(
+        [p.substitute(doubled, xs) for p in partials]
+        + [p.substitute(doubled, ys) for p in partials]
+    )
+    rows = [[difference_derivative(p, j, doubled) for j in range(n)] for p in partials]
+    return A, data, gb, determinant(rows, doubled.one())
+
+
 def chern_of_diagonal(w: Polynomial) -> DiagonalChern:
     """The character of the diagonal, by the 2n-variable formula and by
-    the signed difference-Jacobian determinant, reduced in the doubled
-    Milnor ring."""
-    data = build_diagonal(w)
-    ring = w.ring
-    n = ring.n
-    A_tilde = build_milnor(data.w_tilde)
-    direct = chern(data.factorization, A_tilde)
-    rows = [
-        [
-            difference_derivative(w.partial_derivative(i), j, data.doubled)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    det = determinant(rows, data.doubled.one())
-    if (n * (n - 1) // 2) % 2:
-        det = -det
-    det_class = A_tilde.project(det, parity=0)
-    return DiagonalChern(direct, det_class, direct == det_class)
+    the signed difference-Jacobian determinant, both reduced modulo the
+    Jacobian ideal of w(y) - w(x)."""
+    _A, data, gb, det = _doubled_jacobian(w)
+    n = w.ring.n
+    F = data.factorization
+    P = derivative_product(F, range(2 * n - 1, -1, -1))
+    direct = normal_form(supertrace(P, F.r0), gb)
+    det = normal_form(-det if (n * (n - 1) // 2) % 2 else det, gb)
+    return DiagonalChern(direct, det, direct == det)
 
 
 def inverse_form_check(w: Polynomial) -> bool:
@@ -465,25 +483,8 @@ def inverse_form_check(w: Polynomial) -> bool:
     in x and y and multiplies the coefficient matrix against the Gram
     matrix of the residue pairing; anything but the identity raises.
     """
-    A = build_milnor(w)
-    data = build_diagonal(w)
-    ring = w.ring
-    doubled = data.doubled
-    n = ring.n
-    rows = [
-        [
-            difference_derivative(w.partial_derivative(i), j, doubled)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    det = determinant(rows, doubled.one())
-    xs = [doubled.var(i) for i in range(n)]
-    ys = [doubled.var(n + i) for i in range(n)]
-    partials = [w.partial_derivative(i) for i in range(n)]
-    gens = [p.substitute(doubled, xs) for p in partials]
-    gens += [p.substitute(doubled, ys) for p in partials]
-    gb = buchberger(gens)
+    A, _data, gb, det = _doubled_jacobian(w)
+    n = w.ring.n
     reduced = normal_form(det, gb)
     # the coefficient matrix and the Gram matrix as sparse rows, so that
     # their product only touches nonzero entries

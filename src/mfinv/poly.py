@@ -112,12 +112,11 @@ class PolyRing(Frozen):
 class Polynomial:
     """Immutable by convention; ``terms`` maps monomials to nonzero scalars."""
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
-        self._lead = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -141,11 +140,9 @@ class Polynomial:
         return self.terms.get(tuple(m), self.ring.scalar(0))
 
     def leading_monomial(self) -> Monomial:
-        if self._lead is None:
-            if not self.terms:
-                raise ValueError("leading monomial of zero")
-            self._lead = max(self.terms, key=grevlex_key)
-        return self._lead
+        if not self.terms:
+            raise ValueError("leading monomial of zero")
+        return max(self.terms, key=grevlex_key)
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
@@ -375,10 +372,9 @@ def _divide_by_linear(f: Polynomial, yi: int, xi: int, ring: PolyRing) -> Polyno
     return ring.from_terms(quotient)
 
 
-def doubled_ring(ring: PolyRing, suffix: str = "_y") -> PolyRing:
-    return PolyRing(
-        ring.names + tuple(n + suffix for n in ring.names), ring.context
-    )
+def doubled_ring(ring: PolyRing) -> PolyRing:
+    """k[x, y]: the names of ``ring``, then each of them with "_y" appended."""
+    return PolyRing(ring.names + tuple(n + "_y" for n in ring.names), ring.context)
 
 
 def determinant(rows, one):

@@ -174,6 +174,24 @@ def test_morphism_vector_roundtrip():
         assert morphism_to_vector(f) == tuple(vec)
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+def test_full_matrix_roundtrip_between_unequal_ranks(parity):
+    # factorizations of 0 with r0 != r1, so that every zero block of the
+    # full matrix has its own shape
+    def zero_fac(r0, r1):
+        return MatFac(R2, R2.zero(), zero_matrix(R2, r1, r0), zero_matrix(R2, r0, r1))
+
+    E, F = zero_fac(2, 1), zero_fac(1, 3)
+    z = zero_morphism(E, F, parity)
+    n = len(morphism_to_vector(z))
+    vec = [R2.monomial((i, 1)) + R2.one() for i in range(n)]
+    f = vector_to_morphism(E, F, parity, vec)
+    M = f.full_matrix()
+    assert len(M) == F.rank and all(len(row) == E.rank for row in M)
+    assert MorphismCocycle.from_full(E, F, parity, M) == f
+    assert MorphismCocycle.from_full(E, F, parity, z.full_matrix()) == z
+
+
 def test_hom_differential_squares_to_zero():
     E = k1(R1, "x", "x^3")
     F = k1(R1, "x^2", "x^2")

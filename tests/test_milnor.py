@@ -69,6 +69,12 @@ def test_build_errors():
         _build(R2, "x^2")
     with pytest.raises(ValueError, match="not local"):
         _build(R1, "x^3 - 3*x")
+    # critical at the origin and at (2/3, 0): x is not nilpotent
+    with pytest.raises(ValueError, match="not local"):
+        _build(R2, "x^2 - x^3 + y^2")
+    # critical at (+-1, 0) only
+    with pytest.raises(ValueError, match="not local"):
+        _build(R2, "x^3 - 3*x + x*y^2")
     with pytest.raises(ValueError, match="origin"):
         _build(R1, "x^2 + 1")
 

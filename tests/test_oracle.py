@@ -24,7 +24,7 @@ from mfinv.oracle import (
     restriction_recursion_check,
     solve_D,
 )
-from mfinv.poly import PolyRing
+from mfinv.poly import PolyRing, determinant, difference_derivative
 from mfinv.scalar import rational
 
 R1 = PolyRing(("x",))
@@ -226,10 +226,86 @@ def test_oracle_tau_rejects_potential_mismatch():
 def test_chern_of_diagonal_frozen_values():
     c = chern_of_diagonal(R1.parse("x^2"))
     assert c.agree
-    assert c.direct.value == c.direct.value.ring.parse("2")
+    assert c.direct == c.direct.ring.parse("2")
     c = chern_of_diagonal(R2.parse("x^2 + y^2"))
     assert c.agree
-    assert c.direct.value == c.direct.value.ring.parse("-4")
+    assert c.direct == c.direct.ring.parse("-4")
+
+
+# the potentials of the benchmark's diagonal workload, then the battery's
+DIAGONAL = [
+    R2.parse("x^9 + y^8"),
+    R3.parse("x^3*y + y^5 + z^3"),
+    R3.parse("x^4 + y^5 + z^6"),
+    R3.parse("x^3 + y^3 + z^3"),
+] + [w for w, _facs in BATTERY]
+
+
+@pytest.mark.parametrize("w", DIAGONAL)
+def test_chern_of_diagonal_matches_doubled_milnor_route(w):
+    # the reference route: the whole Milnor ring of w(y) - w(x), with the
+    # character through `chern` and the signed determinant projected there
+    data = build_diagonal(w)
+    A = build_milnor(data.w_tilde)
+    direct = chern(data.factorization, A)
+    n = w.ring.n
+    rows = [
+        [difference_derivative(w.partial_derivative(i), j, data.doubled) for j in range(n)]
+        for i in range(n)
+    ]
+    det = determinant(rows, data.doubled.one())
+    det = A.project(-det if (n * (n - 1) // 2) % 2 else det, parity=0)
+    c = chern_of_diagonal(w)
+    assert (c.direct, c.determinant) == (direct.value, det.value)
+    assert c.agree == (direct == det)
+    assert c.agree
+
+
+def test_oracle_route_never_calls_the_closed_form(monkeypatch):
+    import importlib
+    import pkgutil
+
+    import mfinv
+    import mfinv.invariants as invariants
+
+    x, y, z = R3.var(0), R3.var(1), R3.var(2)
+    cases = [
+        (R1.parse("x^4"), xn_fac(4, 2)),
+        (R2.parse("x^3 + x*y^2"), koszul([R2.parse("x")], [R2.parse("x^2 + y^2")])),
+        (R3.parse("x^3 + y^3 + z^3"), koszul([x, y, z], [x**2, y**2, z**2])),
+    ]
+    expected = []
+    for w, E in cases:
+        A = build_milnor(w)
+        h0, h1, basis = hom_cohomology(E, E)
+        morphisms = [identity_morphism(E)] + [
+            basis.representative(parity, k)
+            for parity, dim in ((0, h0), (1, h1))
+            for k in range(dim)
+        ]
+        values = [tau(E, f, A) for f in morphisms]
+        assert values[0] == chern(E, A)
+        expected.append((E, A, morphisms, values))
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("the oracle route called the closed-form formula")
+
+    names = ("derivative_product", "chern", "tau")
+    stubbed = set()
+    for info in pkgutil.iter_modules(mfinv.__path__):
+        module = importlib.import_module("mfinv." + info.name)
+        for name in names:
+            if getattr(module, name, None) is getattr(invariants, name):
+                stubbed.add((module.__name__, name))
+    for module_name, name in stubbed:
+        monkeypatch.setattr(importlib.import_module(module_name), name, closed_form)
+    assert {("mfinv.invariants", name) for name in names} <= stubbed
+    assert ("mfinv.oracle", "derivative_product") in stubbed
+    with pytest.raises(AssertionError, match="closed-form"):
+        invariants.chern(*expected[0][:2])
+    for E, A, morphisms, values in expected:
+        D = solve_D(E)
+        assert [oracle_tau(E, f, A, dtensor=D) for f in morphisms] == values
 
 
 @pytest.mark.parametrize("w,facs", BATTERY)
