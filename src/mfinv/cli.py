@@ -655,12 +655,13 @@ def _check_cardy(session: Session, hom_basis) -> bool:
 
 def _check_oracle_tau(session: Session) -> bool:
     from .invariants import tau
-    from .oracle import oracle_tau, solve_D
+    from .oracle import build_diagonal, oracle_tau, solve_D
 
     A = session.milnor
+    data = build_diagonal(session.w)
     for a in session.names_in_order:
         E = session.factorizations[a]
-        D = solve_D(E)
+        D = solve_D(E, data)
         for alpha in [identity_morphism(E)] + _named_endomorphisms(session, a):
             if oracle_tau(E, alpha, A, dtensor=D) != tau(E, alpha, A):
                 return False

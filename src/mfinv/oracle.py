@@ -10,15 +10,17 @@ check.  Only `chern_of_diagonal` applies the formula, to the diagonal
 factorization itself, as one side of its own check.
 
 The solver works in coordinates (x, u) with u_j = y_j - x_j, where the
-contraction to invert is plain multiplication by the u_j.  Uniqueness
-comes from the splitting of the Koszul complex along the submodule of
-components that only involve u_k with k >= the smallest wedge index; the
-solver's unknowns are restricted to that submodule, which makes each
-degree a finite +-1 incidence system over the coefficient field.  Each
-equation touches at most n unknowns, so the system is kept as sparse rows
-{column: scalar} and solved by exact elimination over k that reduces every
-row at its smallest column and back-substitutes; a column without a pivot
-or an equation that reduces to 0 = b with b != 0 raises.
+contraction kappa to invert is plain multiplication by the u_j: it is the
+Koszul differential of the sequence u over k[x, u].  That complex has the
+splitting homotopy h.  It sends a term c x^a u^b at the subset S, whose
+smallest u index i lies below every index of S, to c x^a u^(b - e_i) at
+{i} + S, and every other term to 0; kappa h + h kappa is the identity minus
+the u-free part of level 0.  Each level's right-hand side is a boundary, so
+h of it solves the level.  What h leaves at T = {i} + S involves only u_k
+with k >= i = min(T), and every such term is h of its product with u_i, so
+the image of h is exactly the submodule on which the solution is unique:
+h gives the unique normalized solution with no linear algebra.
+`_assert_system` still checks the residual of every level.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ from .poly import (
     difference_derivative,
     doubled_ring,
 )
-from .scalar import Frozen, one as scalar_one, zero as scalar_zero
+from .scalar import Frozen
 
 
 class DiagonalData(Frozen):
@@ -127,12 +129,6 @@ class DTensor(Frozen):
 # --- coordinate changes -----------------------------------------------------
 
 
-def _u_ring(ring: PolyRing) -> PolyRing:
-    return PolyRing(
-        ring.names + tuple(nm + "_u" for nm in ring.names), ring.context
-    )
-
-
 def _ring_map(target: PolyRing, images: list):
     """p -> p(images) in ``target``, with one table of image powers for
     every polynomial it maps."""
@@ -153,115 +149,20 @@ def _subset_insert(S: tuple, i: int):
     return pos, tuple(sorted(S + (i,)))
 
 
-def _solve_contraction(eqs: dict, n: int, uring: PolyRing):
-    """Solve delta_Delta(X) = rhs for X supported on the split complement.
+def _homotopy(M: Matrix, i: int, n: int, ring: PolyRing) -> Matrix:
+    """The part of h(M) that lands on the subset (i,) + S when M sits at S.
 
-    eqs maps (subset, monomial) to a Scalar coefficient of the right-hand
-    side; monomials are over the (x, u) ring, with the u block at
-    positions n..2n-1.  Unknowns are coefficients of (T, monomial') with
-    every u index of monomial' at least min(T).  Returns a dict with the
-    same key shape for the solution.
+    Each term c x^a u^b whose smallest u index is i goes to c x^a u^(b - e_i);
+    every other term belongs to another subset or to no subset at all.
     """
-    eq_keys = {k for k, v in eqs.items() if v != 0}
-    for (S, m), v in eqs.items():
-        if v != 0 and all(m[n + i] == 0 for i in range(n)):
-            raise AssertionError(
-                "right-hand side has a u-free term; not in the contraction image"
-            )
-    unknowns: set = set()
-    frontier = set(eq_keys)
-    all_eqs = set(eq_keys)
-    while frontier:
-        new_unknowns = set()
-        for S, m in frontier:
-            for i in range(n):
-                if m[n + i] == 0 or i in S:
-                    continue
-                pos, T = _subset_insert(S, i)
-                m2 = tuple(
-                    e - 1 if k == n + i else e for k, e in enumerate(m)
-                )
-                if any(m2[n + k] > 0 and k < T[0] for k in range(n)):
-                    continue
-                if (T, m2) not in unknowns:
-                    new_unknowns.add((T, m2))
-        unknowns |= new_unknowns
-        frontier = set()
-        for T, m2 in new_unknowns:
-            for idx, i in enumerate(T):
-                m3 = tuple(
-                    e + 1 if k == n + i else e for k, e in enumerate(m2)
-                )
-                key = (tuple(s for s in T if s != i), m3)
-                if key not in all_eqs:
-                    all_eqs.add(key)
-                    frontier.add(key)
-    if not unknowns:
-        if eq_keys:
-            raise AssertionError("contraction system has no admissible unknowns")
-        return {}
-    rows = sorted(all_eqs)
-    cols = sorted(unknowns)
-    col_index = {c: k for k, c in enumerate(cols)}
-    one = scalar_one(uring.context)
-    zero = scalar_zero(uring.context)
-    sparse_rows = []
-    for S, m in rows:
-        row = {}
-        for i in range(n):
-            if m[n + i] == 0 or i in S:
-                continue
-            pos, T = _subset_insert(S, i)
-            m2 = tuple(e - 1 if k == n + i else e for k, e in enumerate(m))
-            c = col_index.get((T, m2))
-            if c is not None:
-                row[c] = one if pos % 2 == 0 else -one
-        sparse_rows.append(row)
-    solution = _sparse_solve(sparse_rows, [eqs.get(r, zero) for r in rows], len(cols))
-    return {c: solution[k] for k, c in enumerate(cols) if not solution[k].is_zero()}
+    def part(p: Polynomial) -> Polynomial:
+        terms = {}
+        for m, c in p.terms.items():
+            if next((k for k in range(n) if m[n + k]), None) == i:
+                terms[m[: n + i] + (m[n + i] - 1,) + m[n + i + 1 :]] = c
+        return ring.from_terms(terms)
 
-
-def _sparse_solve(rows: list[dict], rhs: list, ncols: int) -> list:
-    """Exact elimination on sparse rows {column: Scalar} over k.
-
-    Each row is reduced at its smallest column against the pivot rows found
-    so far, so the pivot rows stay in echelon form; back substitution runs
-    from the largest pivot column down.  The systems here have unique
-    solutions: a column without a pivot or a row that reduces to 0 = b with
-    b != 0 raises.
-    """
-    pivots: dict = {}  # column -> (row with coefficient 1 there, rhs)
-    for row, b in zip(rows, rhs):
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c not in pivots:
-                break
-            f = row[c]
-            prow, pb = pivots[c]
-            for k, a in prow.items():
-                s = row.get(k)
-                s = -(f * a) if s is None else s - f * a
-                if s.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = s
-            b = b - f * pb
-        if row:
-            inv = row[c].inverse()
-            pivots[c] = ({k: a * inv for k, a in row.items()}, b * inv)
-        elif not b.is_zero():
-            raise AssertionError("contraction system is inconsistent")
-    if len(pivots) < ncols:
-        raise AssertionError("contraction system is singular on a column")
-    solution = [None] * ncols
-    for c in sorted(pivots, reverse=True):
-        prow, b = pivots[c]
-        for k, a in prow.items():
-            if k != c:
-                b = b - a * solution[k]
-        solution[c] = b
-    return solution
+    return _map_matrix(part, M)
 
 
 def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
@@ -270,27 +171,28 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
         data = build_diagonal(E.w)
     elif data.w != E.w:
         raise ValueError("diagonal data belongs to a different potential")
-    ring = data.ring
-    n = ring.n
+    n = data.ring.n
     rank = E.rank
-    uring = _u_ring(ring)
-    x_images = [uring.var(i) for i in range(n)]
-    y_images = [uring.var(i) + uring.var(n + i) for i in range(n)]
+    # the solver runs in coordinates (x, u) with u_j = y_j - x_j, held in
+    # the doubled ring with u_j in the slot of y_j
+    ring = data.doubled
+    x_images = [ring.var(i) for i in range(n)]
+    y_images = [ring.var(i) + ring.var(n + i) for i in range(n)]
     delta = E.full_delta()
-    delta_x = _map_matrix(_ring_map(uring, x_images), delta)
-    delta_y = _map_matrix(_ring_map(uring, y_images), delta)
-    to_u = _ring_map(uring, x_images + y_images)
+    delta_x = _map_matrix(_ring_map(ring, x_images), delta)
+    delta_y = _map_matrix(_ring_map(ring, y_images), delta)
+    to_u = _ring_map(ring, x_images + y_images)
     diffs_u = tuple(to_u(d) for d in data.differences)
 
     def delta_tilde(M: Matrix, parity: int) -> Matrix:
-        left = mat_mul(delta_x, M, uring.zero())
-        right = mat_mul(M, delta_y, uring.zero())
+        left = mat_mul(delta_x, M, ring.zero())
+        right = mat_mul(M, delta_y, ring.zero())
         return mat_sub(left, right) if parity == 0 else mat_add(left, right)
 
     def level_rhs(S: tuple) -> Matrix:
         """What the contraction of the level above S must equal: minus the
         wedge terms from the level below and the delta_tilde term."""
-        acc = zero_matrix(uring, rank, rank)
+        acc = zero_matrix(ring, rank, rank)
         for idx, i in enumerate(S):
             rest = tuple(s for s in S if s != i)
             term = tuple(
@@ -301,43 +203,18 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
         acc = mat_add(acc, dt if len(S) % 2 == 0 else mat_neg(dt))
         return mat_neg(acc)
 
-    components: dict = {(): identity_matrix(uring, rank)}
+    # each subset T receives h(rhs) only from T[1:], through its u_T[0] terms
+    components: dict = {(): identity_matrix(ring, rank)}
     rhs: dict = {}
     for j in range(n):
-        level = {S: level_rhs(S) for S in combinations(range(n), j)}
-        rhs.update(level)
-        for r in range(rank):
-            for s in range(rank):
-                eqs: dict = {}
-                for S, M in level.items():
-                    for mono, c in M[r][s].terms.items():
-                        eqs[(S, mono)] = c
-                sol = _solve_contraction(eqs, n, uring)
-                for (T, mono), c in sol.items():
-                    if T not in components:
-                        components[T] = [
-                            [dict() for _ in range(rank)] for _ in range(rank)
-                        ]
-                    components[T][r][s][mono] = c
-        for T in list(components):
-            if len(T) == j + 1 and not isinstance(components[T], tuple):
-                grid = components[T]
-                components[T] = tuple(
-                    tuple(uring.from_terms(grid[a][b]) for b in range(rank))
-                    for a in range(rank)
-                )
+        for S in combinations(range(n), j):
+            rhs[S] = level_rhs(S)
         for T in combinations(range(n), j + 1):
-            if T not in components:
-                components[T] = zero_matrix(uring, rank, rank)
+            components[T] = _homotopy(rhs[T[1:]], T[0], n, ring)
     top = tuple(range(n))
     rhs[top] = level_rhs(top)
-    _assert_system(components, rhs, n, rank, uring)
-    doubled = data.doubled
-    from_u = _ring_map(
-        doubled,
-        [doubled.var(i) for i in range(n)]
-        + [doubled.var(n + i) - doubled.var(i) for i in range(n)],
-    )
+    _assert_system(components, rhs, n, rank, ring)
+    from_u = _ring_map(ring, x_images + [ring.var(n + i) - ring.var(i) for i in range(n)])
     packed = []
     for size in range(n + 1):
         for S in combinations(range(n), size):

@@ -373,8 +373,20 @@ def _divide_by_linear(f: Polynomial, yi: int, xi: int, ring: PolyRing) -> Polyno
 
 
 def doubled_ring(ring: PolyRing) -> PolyRing:
-    """k[x, y]: the names of ``ring``, then each of them with "_y" appended."""
-    return PolyRing(ring.names + tuple(n + "_y" for n in ring.names), ring.context)
+    """k[x, y]: the names of ``ring``, then each of them with "_y" appended.
+
+    A partner name that is already taken gets one more "_" before the y
+    until it is free, so ("x", "x_y") doubles to x, x_y, x__y, x_y_y.
+    """
+    taken = set(ring.names)
+    partners = []
+    for name in ring.names:
+        suffix = "_y"
+        while name + suffix in taken:
+            suffix = "_" + suffix
+        taken.add(name + suffix)
+        partners.append(name + suffix)
+    return PolyRing(ring.names + tuple(partners), ring.context)
 
 
 def determinant(rows, one):

@@ -396,6 +396,43 @@ def test_verify_computes_each_hom_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 4
 
 
+def test_oracle_check_builds_the_diagonal_once(tmp_path, monkeypatch):
+    import mfinv.oracle
+    from mfinv.cli import _check_oracle_tau, load_session
+
+    calls = []
+    real = mfinv.oracle.build_diagonal
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(mfinv.oracle, "build_diagonal", counted)
+    session = load_session(write_session(tmp_path, D4_SESSION))
+    assert len(session.factorizations) == 2
+    assert _check_oracle_tau(session)
+    assert calls == [session.w]
+
+
+@pytest.mark.parametrize("partner", ["x_y", "x_u"])
+def test_variable_names_like_partner_names_verify(tmp_path, capsys, partner):
+    # the doubled ring and the solver's coordinates name partner variables
+    # after the session's own; a session may already use such a name
+    doc = {
+        "variables": ["x", partner],
+        "potential": "x^3 + %s^3" % partner,
+        "factorizations": {
+            "E": {"koszul": {"a": ["x", partner], "b": ["x^2", "%s^2" % partner]}},
+            "F": {"koszul": {"a": ["x^2", partner], "b": ["x", "%s^2" % partner]}},
+        },
+    }
+    path = write_session(tmp_path, doc)
+    code, out, err = run(capsys, "--input", path, "verify", "--check")
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()
+    assert len(lines) == 7 and all(line.endswith(": pass") for line in lines)
+
+
 def test_missing_input_flag(tmp_path, capsys):
     code, _, err = run(capsys, "milnor")
     assert code == 2 and "--input" in err

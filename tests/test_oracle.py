@@ -1,4 +1,4 @@
-import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +9,12 @@ from mfinv.invariants import chern, tau
 from mfinv.mfcore import (
     MatFac,
     MorphismCocycle,
+    greedy_decomposition,
     identity_morphism,
     koszul,
     koszul_subsets,
     mat_equal,
+    stabilized_residue_field,
 )
 from mfinv.milnor import build_milnor
 from mfinv.oracle import (
@@ -25,7 +27,7 @@ from mfinv.oracle import (
     solve_D,
 )
 from mfinv.poly import PolyRing, determinant, difference_derivative
-from mfinv.scalar import rational
+from mfinv.scalar import CyclotomicContext, rational
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
@@ -154,21 +156,31 @@ def test_solve_rejects_a_perturbed_top_component(ring, w, a, b, monkeypatch):
 
     E = koszul([ring.parse(t) for t in a], [ring.parse(t) for t in b])
     assert E.w == ring.parse(w)
-    solve = oracle._solve_contraction
     perturbed = []
-
-    def perturbing(eqs, n, uring):
-        sol = solve(eqs, n, uring)
-        if not perturbed and sol and all(len(T) == n for T, _ in sol):
-            key = next(iter(sol))
-            sol[key] = sol[key] + 1
-            perturbed.append(key)
-        return sol
-
-    monkeypatch.setattr(oracle, "_solve_contraction", perturbing)
+    monkeypatch.setattr(oracle, "_homotopy", _perturbing_top(oracle._homotopy, perturbed))
     with pytest.raises(AssertionError, match="residual is nonzero"):
         solve_D(E)
     assert perturbed
+
+
+def _perturbing_top(homotopy, perturbed):
+    """`oracle._homotopy` with 1 added to one coefficient of the top
+    component, which is the last one solve_D asks for."""
+    calls = []
+
+    def perturbing(M, i, n, ring):
+        out = homotopy(M, i, n, ring)
+        calls.append(i)
+        if len(calls) < 2**n - 1:
+            return out
+        rows = [list(row) for row in out]
+        r, s = next((r, s) for r, row in enumerate(rows) for s, p in enumerate(row) if p.terms)
+        m = next(iter(rows[r][s].terms))
+        rows[r][s] = rows[r][s] + ring.from_terms({m: ring.scalar(1)})
+        perturbed.append((r, s, m))
+        return tuple(map(tuple, rows))
+
+    return perturbing
 
 
 @pytest.mark.parametrize("w,facs", BATTERY)
@@ -343,7 +355,7 @@ def test_oracle_tau_random_power_factorizations(i, n):
 
 
 def _gauss_solve(matrix, vector, zero):
-    """Dense exact elimination, the reference for the sparse solver."""
+    """Dense exact elimination over k."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     pivots = []
@@ -379,59 +391,148 @@ def _gauss_solve(matrix, vector, zero):
     return solution
 
 
-@pytest.mark.parametrize("w,facs", BATTERY)
-def test_sparse_solver_matches_dense_reference(w, facs, monkeypatch):
+def _contraction_system(eqs: dict, n: int):
+    """The incidence system of kappa(X) = rhs on one matrix entry of a level.
+
+    eqs maps (subset, monomial) to a coefficient of the right-hand side, with
+    u_i at position n + i of a monomial.  The unknowns are the coefficients
+    of (T, monomial) with every u index at least min(T); a frontier search
+    adds each unknown whose contraction reaches a known equation and each
+    equation that such an unknown reaches.  Returns (rows, cols, matrix)
+    with +-1 entries.
+    """
+    def shift(m, i, e):
+        return m[: n + i] + (m[n + i] + e,) + m[n + i + 1 :]
+
+    def unknowns_of(S, m):
+        for i in range(n):
+            if m[n + i] and i not in S:
+                pos = sum(1 for s in S if s < i)
+                T = tuple(sorted(S + (i,)))
+                m2 = shift(m, i, -1)
+                if not any(m2[n + k] for k in range(T[0])):
+                    yield pos, (T, m2)
+
+    for (S, m), c in eqs.items():
+        if c != 0 and not any(m[n:]):
+            raise AssertionError("right-hand side has a u-free term")
+    rows = set(eqs)
+    cols: set = set()
+    frontier = set(eqs)
+    while frontier:
+        new = {key for S, m in frontier for _, key in unknowns_of(S, m)} - cols
+        cols |= new
+        frontier = {
+            (tuple(t for t in T if t != i), shift(m, i, 1)) for T, m in new for i in T
+        } - rows
+        rows |= frontier
+    rows, cols = sorted(rows), sorted(cols)
+    index = {c: k for k, c in enumerate(cols)}
+    matrix = []
+    for S, m in rows:
+        row = [rational(0)] * len(cols)
+        for pos, key in unknowns_of(S, m):
+            row[index[key]] = rational(-1 if pos % 2 else 1)
+        matrix.append(row)
+    return rows, cols, matrix
+
+
+def _eliminate_level(level: dict, n: int, rank: int, ring) -> dict:
+    """The components one level up, solved entry by entry by elimination."""
+    zero = rational(0)
+    grids: dict = {}
+    for r in range(rank):
+        for s in range(rank):
+            eqs = {(S, m): c for S, M in level.items() for m, c in M[r][s].terms.items()}
+            rows, cols, matrix = _contraction_system(eqs, n)
+            if not cols:
+                assert not eqs
+                continue
+            rhs = [eqs.get(row, zero) for row in rows]
+            for (T, m), c in zip(cols, _gauss_solve(matrix, rhs, zero)):
+                if c != 0:
+                    grid = grids.setdefault(T, [[{} for _ in range(rank)] for _ in range(rank)])
+                    grid[r][s][m] = c
+    return {
+        T: tuple(tuple(ring.from_terms(terms) for terms in row) for row in grid)
+        for T, grid in grids.items()
+    }
+
+
+def _sheared_kst(ring, text, c):
+    """k^st of w with (a_1, b_0) <- (a_1 + p a_0, b_0 - p b_1), p = c x_n."""
+    a = list(greedy_decomposition(ring.parse(text)))
+    b = [ring.var(i) for i in range(ring.n)]
+    p = ring.var(ring.n - 1) * c
+    a[1], b[0] = a[1] + p * a[0], b[0] - p * b[1]
+    return koszul(a, b)
+
+
+R2Z = PolyRing(("x", "y"), CyclotomicContext(3))
+R4 = PolyRing(("x", "y", "z", "t"))
+# the battery, the residue workload's oracle potentials with sheared k^st,
+# a pair over Q(zeta_3) and k^st of the 4-variable Fermat cubic
+REFERENCE = BATTERY + [
+    (R2.parse("x^9 + y^8"), [_sheared_kst(R2, "x^9 + y^8", 2)]),
+    (R2.parse("x^3*y + y^7"), [_sheared_kst(R2, "x^3*y + y^7", -1)]),
+    (
+        R2Z.parse("x^3 + y^3"),
+        [koszul([R2Z.parse("x + z*y")], [R2Z.parse("(x + y)*(x + z^2*y)")])],
+    ),
+    (
+        R4.parse("x^3 + y^3 + z^3 + t^3"),
+        [stabilized_residue_field(R4.parse("x^3 + y^3 + z^3 + t^3"))],
+    ),
+]
+
+
+@pytest.mark.parametrize("w,facs", REFERENCE)
+def test_homotopy_matches_elimination_reference(w, facs, monkeypatch):
+    # elimination level by level, from the right-hand sides solve_D formed:
+    # if each level agrees, the elimination route run from the identity
+    # forms the same right-hand sides and so the same components
     import mfinv.oracle as oracle
 
-    systems = []
-    sparse_solve = oracle._sparse_solve
+    seen = []
+    check = oracle._assert_system
 
-    def recording(rows, rhs, ncols):
-        solution = sparse_solve(rows, rhs, ncols)
-        systems.append((rows, rhs, ncols, solution))
-        return solution
+    def recording(components, rhs, n, rank, ring):
+        seen.append((dict(components), dict(rhs), ring))
+        return check(components, rhs, n, rank, ring)
 
-    monkeypatch.setattr(oracle, "_sparse_solve", recording)
+    monkeypatch.setattr(oracle, "_assert_system", recording)
     data = build_diagonal(w)
+    n = w.ring.n
     for E in facs:
-        solve_D(E, data)
-    assert systems
-    zero = rational(0)
-    for rows, rhs, ncols, solution in systems:
-        dense = [[row.get(c, zero) for c in range(ncols)] for row in rows]
-        assert _gauss_solve(dense, list(rhs), zero) == solution
+        D = solve_D(E, data)
+        components, rhs, ring = seen.pop()
+        from_u = oracle._ring_map(
+            ring, [ring.var(i) for i in range(n)] + [ring.var(n + i) - ring.var(i) for i in range(n)]
+        )
+        zero = tuple(tuple(ring.zero() for _ in range(E.rank)) for _ in range(E.rank))
+        for j in range(n):
+            level = {S: M for S, M in rhs.items() if len(S) == j}
+            solved = _eliminate_level(level, n, E.rank, ring)
+            for T in combinations(range(n), j + 1):
+                want = solved.get(T, zero)
+                assert components[T] == want
+                assert D.component(T) == oracle._map_matrix(from_u, want)
 
 
-def test_sparse_solver_matches_dense_reference_on_coupled_systems():
-    # every contraction system of the battery reduces each row to a single
-    # unknown, so back substitution and the gates need systems of their own
-    from mfinv.oracle import _sparse_solve
-
-    rng = random.Random(11)
-    zero = rational(0)
-    solved = raised = 0
-    for _ in range(300):
-        ncols = rng.randint(1, 5)
-        matrix = [
-            [rational(rng.choice((-2, -1, 0, 0, 1, 2))) for _ in range(ncols)]
-            for _ in range(ncols + rng.randint(0, 2))
-        ]
-        if rng.random() < 0.5:
-            x = [rational(rng.randint(-3, 3)) for _ in range(ncols)]
-            rhs = [sum((a * b for a, b in zip(row, x)), zero) for row in matrix]
-        else:
-            rhs = [rational(rng.randint(-3, 3)) for _ in matrix]
-        rows = [{c: a for c, a in enumerate(row) if not a.is_zero()} for row in matrix]
-        try:
-            want = _gauss_solve([list(row) for row in matrix], list(rhs), zero)
-        except AssertionError:
-            with pytest.raises(AssertionError, match="contraction system is"):
-                _sparse_solve(rows, rhs, ncols)
-            raised += 1
-        else:
-            assert _sparse_solve(rows, rhs, ncols) == want
-            solved += 1
-    assert solved > 50 and raised > 50
+@pytest.mark.parametrize("w,facs", REFERENCE)
+def test_components_are_admissible(w, facs):
+    # in (x, u) coordinates, D_T involves no u_k with k < min(T)
+    data = build_diagonal(w)
+    ring = data.doubled
+    n = w.ring.n
+    to_u = [ring.var(i) for i in range(n)] + [ring.var(i) + ring.var(n + i) for i in range(n)]
+    for E in facs:
+        D = solve_D(E, data)
+        for T, M in D.components:
+            for row in M:
+                for p in row:
+                    for m in p.substitute(ring, to_u).terms:
+                        assert not any(m[n + k] for k in range(T[0] if T else n))
 
 
 @pytest.mark.parametrize("entry,delta", [((0, 0), 1), ((0, 1), 1), ((2, 0), 1)])
@@ -451,9 +552,9 @@ def test_inverse_form_rejects_a_wrong_gram_matrix(monkeypatch, entry, delta):
         inverse_form_check(R1.parse("x^4"))
 
 
-def test_sparse_solver_gates_raise_under_optimize():
-    # a singular and an inconsistent system: the gates must not be bare
-    # asserts, which python -O strips
+def test_transgression_gate_raises_under_optimize():
+    # a perturbed top component: the residual gate must not be a bare
+    # assert, which python -O strips
     import os
     import pathlib
     import subprocess
@@ -462,22 +563,21 @@ def test_sparse_solver_gates_raise_under_optimize():
     import mfinv
 
     src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    tests = str(pathlib.Path(__file__).resolve().parent)
     code = (
-        "from mfinv.oracle import _sparse_solve\n"
-        "from mfinv.scalar import rational as q\n"
-        "systems = [([{0: q(1), 1: q(1)}], [q(1)], 2),\n"
-        "           ([{0: q(1)}, {0: q(2)}], [q(1), q(3)], 1)]\n"
-        "for rows, rhs, ncols in systems:\n"
-        "    try:\n"
-        "        _sparse_solve(rows, rhs, ncols)\n"
-        "    except AssertionError as exc:\n"
-        "        print('raised:', exc)\n"
+        "import mfinv.oracle as oracle\n"
+        "from test_oracle import _perturbing_top, xn_fac\n"
+        "perturbed = []\n"
+        "oracle._homotopy = _perturbing_top(oracle._homotopy, perturbed)\n"
+        "try:\n"
+        "    oracle.solve_D(xn_fac(4, 1))\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc, len(perturbed))\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests)))
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.splitlines() == [
-        "raised: contraction system is singular on a column",
-        "raised: contraction system is inconsistent",
+        "raised: transgression system residual is nonzero at level 0 1"
     ]

@@ -96,6 +96,14 @@ def test_difference_derivative_examples():
     assert difference_derivative(g, 1, D2) == D2.parse("x")
 
 
+def test_doubled_ring_avoids_taken_names():
+    assert doubled_ring(R2).names == ("x", "y", "x_y", "y_y")
+    D = doubled_ring(PolyRing(("x", "x_y")))
+    assert D.names == ("x", "x_y", "x__y", "x_y_y")
+    D = doubled_ring(PolyRing(("x", "x_", "x_y")))
+    assert len(set(D.names)) == 6 and D.names[:3] == ("x", "x_", "x_y")
+
+
 def test_difference_derivative_telescopes_and_restricts():
     D2 = doubled_ring(R2)
     w = R2.parse("x^3 + x*y^2 + y^4")
