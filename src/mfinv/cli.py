@@ -39,7 +39,8 @@ of the session's cyclotomic field; the output serialization
 {"m": m, "coeffs": ["p/q", ...]} is accepted on input as well.  Morphism
 blocks are (even-to-even, odd-to-odd) for parity 0 and
 (even-to-odd, odd-to-even) for parity 1.  No exponent in a polynomial or
-scalar may exceed MAX_EXPONENT.
+scalar may exceed MAX_EXPONENT, and no cyclotomic order MAX_CONDUCTOR.
+Each rho matrix is rank x rank for its factorization and preserves parity.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import permutations
 
 # the core layers only; handlers import `invariants`, `homology`,
@@ -75,12 +76,21 @@ class SessionError(Exception):
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"\^\s*0*(\d+)")
 
+# Largest cyclotomic order m of a session field, the default bound of
+# `equivariant.close_group` on the group order.  A diagonal group within
+# that bound has exponent at most 64, so its entries are roots of unity of
+# order at most 64 and a field of such an order holds them.  Larger
+# conductors only add cost: closing a group builds all m powers of zeta_m,
+# each reduced mod Phi_m, which takes 0.5 s at m = 210, 2 s at m = 420 and
+# 13 s at m = 840 on a 2-core VM.
+MAX_CONDUCTOR = 64
+
 
 class Session:
     """A loaded session file.  The named parts start empty and are filled
     in file order by load_session."""
 
-    __slots__ = ("ring", "context", "w", "milnor", "factorizations", "rho_specs",
+    __slots__ = ("ring", "context", "w", "milnor", "factorizations", "equivariant",
                  "degree_specs", "morphisms", "group", "weights", "names_in_order")
 
     def __init__(
@@ -95,7 +105,7 @@ class Session:
         self.w = w
         self.milnor = milnor
         self.factorizations = {}  # name -> MatFac
-        self.rho_specs = {}  # name -> one action matrix per generator
+        self.equivariant = {}  # name -> EquivariantMF, for each with rho data
         self.degree_specs = {}  # name -> (even degrees, odd degrees)
         self.morphisms = {}  # name -> MorphismCocycle
         self.group = None  # the closed DiagonalGroup, when the file has one
@@ -198,14 +208,23 @@ def _parse_poly_matrix(ring: PolyRing, rows, what: str):
 # --- session loading --------------------------------------------------------
 
 
+def _conductor(value, what: str) -> int:
+    order = _session_int(value, what)
+    if order < 1:
+        raise SessionError("%s must be positive" % what)
+    if order > MAX_CONDUCTOR:
+        raise SessionError(
+            "%s %d is above the limit %d" % (what, order, MAX_CONDUCTOR)
+        )
+    return order
+
+
 def _load_field(doc) -> int | None:
     spec = doc.get("field", "rational")
     if spec == "rational":
         order = None
     elif isinstance(spec, dict) and "cyclotomic_order" in spec:
-        order = _session_int(spec["cyclotomic_order"], "cyclotomic order")
-        if order < 1:
-            raise SessionError("cyclotomic order must be positive")
+        order = _conductor(spec["cyclotomic_order"], "cyclotomic order")
     else:
         raise SessionError("field must be \"rational\" or {\"cyclotomic_order\": m}")
     group = doc.get("group")
@@ -214,7 +233,7 @@ def _load_field(doc) -> int | None:
             raise SessionError("group must be an object")
         g_order = group.get("cyclotomic_order")
         if g_order is not None:
-            g_order = _session_int(g_order, "group cyclotomic order")
+            g_order = _conductor(g_order, "group cyclotomic order")
             if order is None:
                 order = g_order
             elif order != g_order:
@@ -370,12 +389,20 @@ def load_session(path: str) -> Session:
                     raise SessionError(
                         "factorization %r: rho %s must be a matrix" % (name, key)
                     )
+                if len(rows) != E.rank or any(len(row) != E.rank for row in rows):
+                    raise SessionError(
+                        "factorization %r: rho %s must be %d x %d, the rank of the"
+                        " factorization" % (name, key, E.rank, E.rank)
+                    )
                 mats.append(
                     tuple(
                         tuple(parse_scalar(t, context) for t in row) for row in rows
                     )
                 )
-            session.rho_specs[name] = mats
+            try:
+                session.equivariant[name] = EquivariantMF(E, tuple(mats))
+            except ValueError as exc:
+                raise SessionError("factorization %r: %s" % (name, exc))
         deg_doc = spec.get("degrees") if isinstance(spec, dict) else None
         if deg_doc is not None:
             lists = [deg_doc.get(k) if isinstance(deg_doc, dict) else None
@@ -428,14 +455,9 @@ def _require_endo(alpha: MorphismCocycle, E: MatFac, mname: str, ename: str):
 def _equivariant(session: Session, name: str) -> EquivariantMF:
     if session.group is None:
         raise SessionError("this command needs a group in the session")
-    if name not in session.rho_specs:
+    if name not in session.equivariant:
         raise SessionError("factorization %r has no rho data" % name)
-    try:
-        return EquivariantMF(
-            session.factorizations[name], tuple(session.rho_specs[name])
-        )
-    except ValueError as exc:
-        raise SessionError("factorization %r: %s" % (name, exc))
+    return session.equivariant[name]
 
 
 def _monomial_text(ring: PolyRing, m) -> str:
@@ -653,12 +675,13 @@ def _check_cardy(session: Session, hom_basis) -> bool:
     return True
 
 
-def _check_oracle_tau(session: Session) -> bool:
+def _check_oracle_tau(session: Session, data=None) -> bool:
     from .invariants import tau
     from .oracle import build_diagonal, oracle_tau, solve_D
 
     A = session.milnor
-    data = build_diagonal(session.w)
+    if data is None:
+        data = build_diagonal(session.w)
     for a in session.names_in_order:
         E = session.factorizations[a]
         D = solve_D(E, data)
@@ -692,7 +715,12 @@ def _check_hessian_trace(session: Session) -> bool:
 
 def cmd_verify(session: Session, args) -> dict:
     from .homology import hom_cohomology
-    from .oracle import chern_of_diagonal, inverse_form_check
+    from .oracle import (
+        build_diagonal,
+        chern_of_diagonal,
+        doubled_jacobian,
+        inverse_form_check,
+    )
 
     # Hom cohomology of each ordered pair of factorizations, computed once
     # for both checks that need it and dropped when this call returns
@@ -704,12 +732,16 @@ def cmd_verify(session: Session, args) -> dict:
             homs[a, b] = hom_cohomology(E, F)[2]
         return homs[a, b]
 
+    # likewise the diagonal (three checks) and the doubled Jacobian ideal
+    # (two); `cache` keeps no exception, so each check reports its own
+    diagonal = cache(lambda: build_diagonal(session.w))
+    jacobian = cache(lambda: doubled_jacobian(session.w, session.milnor, diagonal()))
     checks = [
         ("hrr", lambda s: _check_hrr(s, hom_basis)),
         ("cardy", lambda s: _check_cardy(s, hom_basis)),
-        ("oracle-tau", _check_oracle_tau),
-        ("chern-diagonal", lambda s: chern_of_diagonal(s.w).agree),
-        ("inverse-form", lambda s: inverse_form_check(s.w)),
+        ("oracle-tau", lambda s: _check_oracle_tau(s, diagonal())),
+        ("chern-diagonal", lambda s: chern_of_diagonal(s.w, jacobian()).agree),
+        ("inverse-form", lambda s: inverse_form_check(s.w, jacobian())),
         ("permutation-invariance", _check_permutation_invariance),
         ("hessian-trace", _check_hessian_trace),
     ]

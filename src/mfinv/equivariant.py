@@ -17,10 +17,19 @@ generators and checked against the group relations), and the sector data
 whose Milnor algebra receives the g-component of the equivariant Chern
 character.  The equivariance convention used throughout:
 
-    rho(g) . delta(g x) = delta(x) . rho(g)
+    rho(g) . delta(g x) = delta(x) . rho(g),
 
-checked for every element, which over a group is equivalent to the usual
-one-sided conjugation form.  Sectors with no fixed variables degenerate to
+which over a group is equivalent to the usual one-sided conjugation form.
+It is checked on the generators only.  `equivariant_actions` has already
+checked rho(g) rho(h_k) = rho(g h_k) for every g and k, so rho is a
+homomorphism; if the identity holds for g and h, applying it for h at g x
+and then for g gives it for g h.  The elements where it holds are closed
+under products, so in a finite group they form a subgroup, and a subgroup
+that contains the generators is all of G.  The same argument covers the
+invariance of the potential, w(g x) = w, and of a morphism, g . f = f.
+Because ``G.elements`` lists the identity and then the distinct
+generators in input order, the first generator that fails is the first
+element that would fail.  Sectors with no fixed variables degenerate to
 the zero-variable Milnor algebra A = k; the supertrace of rho(g) itself is
 the character there and the empty pairing sign is +1.
 
@@ -116,6 +125,11 @@ class DiagonalGroup:
         m = len(self.roots)
         return self.elements[self._position[tuple(-k % m for k in self.exponent(g))]]
 
+    def generator_items(self):
+        """(element, exponent vector) of each generator, in input order:
+        ``products[0][k]`` is the position of identity . h_k = h_k."""
+        return [(self.elements[i], self.exponents[i]) for i in self.products[0]]
+
 
 def close_group(n: int, generators, context=None, bound: int = 64) -> DiagonalGroup:
     """Enumerate the closure of diagonal generators, breadth first."""
@@ -158,7 +172,8 @@ def substitute_action(p: Polynomial, k: tuple, roots: tuple) -> Polynomial:
 
 
 def check_invariance(w: Polynomial, G: DiagonalGroup) -> None:
-    for g, k in zip(G.elements, G.exponents):
+    """w(g x) = w for every g, checked on the generators (module docstring)."""
+    for g, k in G.generator_items():
         if substitute_action(w, k, G.roots) != w:
             raise ValueError(
                 "potential is not invariant under (%s)" % ", ".join(str(x) for x in g)
@@ -257,10 +272,11 @@ def _commutes(delta, k: tuple, roots: tuple, rho, zero) -> bool:
 
 def validate_equivariant(E: EquivariantMF, G: DiagonalGroup) -> dict:
     """The action table of `equivariant_actions`, after checking
-    rho(g) delta(g x) = delta(x) rho(g) for every element."""
+    rho(g) delta(g x) = delta(x) rho(g) for every element, through its
+    generators (module docstring)."""
     actions = equivariant_actions(E, G)
     delta = E.base.full_delta()
-    for g, k in zip(G.elements, G.exponents):
+    for g, k in G.generator_items():
         if not _commutes(delta, k, G.roots, actions[g], E.base.ring.zero()):
             raise ValueError(
                 "factorization is not equivariant under (%s)"
@@ -320,7 +336,8 @@ def tau_equivariant(
     if not alpha.is_closed():
         raise ValueError("morphism is not closed")
     M = alpha.full_matrix()
-    for h in G.elements:
+    # h . alpha = alpha on the generators gives it on G (module docstring)
+    for h in G.generators:
         if _morphism_action_full(alpha, G, h, actions, actions) != M:
             raise ValueError("morphism is not invariant under the group")
     return _sector_character(E.base, sector(E.base.w, g), actions[g], alpha)

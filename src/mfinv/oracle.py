@@ -318,15 +318,22 @@ class DiagonalChern(Frozen):
         object.__setattr__(self, "agree", agree)
 
 
-def _doubled_jacobian(w: Polynomial):
+def doubled_jacobian(
+    w: Polynomial, A: MilnorRing | None = None, data: DiagonalData | None = None
+):
     """(A_w, the diagonal data, the basis of J_w(x) + J_w(y), and
     det(Delta_j(partial_i w))) for the two diagonal checks.
 
     `build_milnor` rejects a w that is not an isolated singularity at the
     origin; the doubled ideal is then the Jacobian ideal of w(y) - w(x).
+    A Milnor ring or diagonal data already built for w is used as given.
     """
-    A = build_milnor(w)
-    data = build_diagonal(w)
+    if A is None:
+        A = build_milnor(w)
+    if data is None:
+        data = build_diagonal(w)
+    if A.w != w or data.w != w:
+        raise ValueError("Milnor ring or diagonal data belongs to a different potential")
     doubled = data.doubled
     n = w.ring.n
     partials = [w.partial_derivative(i) for i in range(n)]
@@ -340,11 +347,20 @@ def _doubled_jacobian(w: Polynomial):
     return A, data, gb, determinant(rows, doubled.one())
 
 
-def chern_of_diagonal(w: Polynomial) -> DiagonalChern:
+def _jacobian_of(w: Polynomial, jacobian):
+    if jacobian is None:
+        return doubled_jacobian(w)
+    if jacobian[1].w != w:
+        raise ValueError("doubled Jacobian belongs to a different potential")
+    return jacobian
+
+
+def chern_of_diagonal(w: Polynomial, jacobian=None) -> DiagonalChern:
     """The character of the diagonal, by the 2n-variable formula and by
     the signed difference-Jacobian determinant, both reduced modulo the
-    Jacobian ideal of w(y) - w(x)."""
-    _A, data, gb, det = _doubled_jacobian(w)
+    Jacobian ideal of w(y) - w(x).  ``jacobian`` is `doubled_jacobian(w)`
+    when already computed."""
+    _A, data, gb, det = _jacobian_of(w, jacobian)
     n = w.ring.n
     F = data.factorization
     P = derivative_product(F, range(2 * n - 1, -1, -1))
@@ -353,14 +369,15 @@ def chern_of_diagonal(w: Polynomial) -> DiagonalChern:
     return DiagonalChern(direct, det, direct == det)
 
 
-def inverse_form_check(w: Polynomial) -> bool:
+def inverse_form_check(w: Polynomial, jacobian=None) -> bool:
     """The reduced difference-Jacobian determinant inverts the trace form.
 
     Expands det(Delta_j(partial_i w)) over products of standard monomials
     in x and y and multiplies the coefficient matrix against the Gram
     matrix of the residue pairing; anything but the identity raises.
+    ``jacobian`` is `doubled_jacobian(w)` when already computed.
     """
-    A, _data, gb, det = _doubled_jacobian(w)
+    A, _data, gb, det = _jacobian_of(w, jacobian)
     n = w.ring.n
     reduced = normal_form(det, gb)
     # the coefficient matrix and the Gram matrix as sparse rows, so that

@@ -15,6 +15,12 @@ Rationals are plain wrapped fractions:
 
     >>> print(rational(2, 4) + rational(1, 3))
     5/6
+
+Coordinates are always ``Fraction``s.  Phi_m is monic with integer
+coefficients, so a product of two elements with integral coordinates (roots
+of unity, action matrices, most characters) is convolved and reduced mod
+Phi_m on plain ints, and each coordinate of the result is wrapped in
+``Fraction`` once; any other product runs the same steps on Fractions.
 """
 from __future__ import annotations
 
@@ -38,6 +44,12 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
         if m % d == 0:
             num = _polydiv_exact(num, list(cyclotomic_polynomial(d)))
     return tuple(num)
+
+
+@lru_cache(maxsize=None)
+def integer_cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Phi_m with ``int`` coefficients, for the integral product."""
+    return tuple(int(c) for c in cyclotomic_polynomial(m))
 
 
 def _polydiv_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
@@ -121,9 +133,9 @@ class CyclotomicContext(Frozen):
         return Scalar(self, tuple(coeffs))
 
 
-def _reduce_mod_phi(
-    coeffs: list[Fraction], phi: tuple[Fraction, ...]
-) -> list[Fraction]:
+def _reduce_mod_phi(coeffs: list, phi: tuple) -> list:
+    """The remainder mod the monic phi, on Fractions or, with an integer
+    phi, on ints; entries of degree d and above are read, not cleared."""
     d = len(phi) - 1
     coeffs = list(coeffs)
     for k in range(len(coeffs) - 1, d - 1, -1):
@@ -132,8 +144,18 @@ def _reduce_mod_phi(
             # x^k -> x^(k-d) * (x^d - phi) since phi is monic
             for j in range(d):
                 coeffs[k - d + j] -= c * phi[j]
-        coeffs[k] = Fraction(0)
     return coeffs[:d] + [Fraction(0)] * (d - len(coeffs))
+
+
+def _convolve(xs, ys, zero) -> list:
+    """The product of two coefficient sequences, low degree first."""
+    prod = [zero] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys):
+                if y:
+                    prod[i + j] += x * y
+    return prod
 
 
 class Scalar(Frozen):
@@ -233,15 +255,18 @@ class Scalar(Frozen):
         if b.is_rational():
             f = b.coeffs[0]
             return Scalar(a.context, tuple(x * f for x in a.coeffs))
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return Scalar(
-            a.context, tuple(_reduce_mod_phi(prod, a.context.minimal_polynomial))
-        )
+        order = a.context.order
+        if all(c.denominator == 1 for c in a.coeffs + b.coeffs):
+            # Phi_m is monic over Z: integral coordinates multiply and
+            # reduce on ints, and only the result is wrapped in Fraction
+            prod = _convolve(
+                [x.numerator for x in a.coeffs], [y.numerator for y in b.coeffs], 0
+            )
+            reduced = _reduce_mod_phi(prod, integer_cyclotomic_polynomial(order))
+            return Scalar(a.context, tuple(map(Fraction, reduced)))
+        prod = _convolve(a.coeffs, b.coeffs, Fraction(0))
+        reduced = _reduce_mod_phi(prod, cyclotomic_polynomial(order))
+        return Scalar(a.context, tuple(reduced))
 
     __rmul__ = __mul__
 

@@ -144,7 +144,7 @@ def test_verify_passes_and_check_flag(tmp_path, capsys):
 def test_raising_check_reads_fail(tmp_path, capsys, monkeypatch, error):
     import mfinv.oracle
 
-    def refuted(w):
+    def refuted(w, jacobian=None):
         raise error("coefficient matrix does not invert the Gram matrix")
 
     # verify imports its checks from the oracle module when it runs
@@ -291,6 +291,68 @@ def test_group_field_order_mismatch_rejected(tmp_path, capsys):
     assert code == 2 and "does not match" in err
 
 
+@pytest.mark.parametrize("command", [("verify", "--check"), ("equivariant-chi", "E1", "E1")])
+@pytest.mark.parametrize(
+    "where, order, message",
+    [
+        ("group", -3, "group cyclotomic order must be positive"),
+        ("group", 0, "group cyclotomic order must be positive"),
+        ("group", 5000, "group cyclotomic order 5000 is above the limit 64"),
+        ("field", 5000, "cyclotomic order 5000 is above the limit 64"),
+    ],
+)
+def test_session_conductor_checked(tmp_path, capsys, command, where, order, message):
+    # -3 used to report the potential, 0 to select Q, 5000 to run for minutes
+    doc = json.loads(json.dumps(CYCLIC3_SESSION))
+    if where == "group":
+        doc["group"]["cyclotomic_order"] = order
+    else:
+        doc["field"] = {"cyclotomic_order": order}
+    path = write_session(tmp_path, doc)
+    code, out, err = run(capsys, "--input", path, *command)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_conductor_at_the_limit_loads(tmp_path, capsys):
+    from mfinv.cli import MAX_CONDUCTOR
+
+    doc = json.loads(json.dumps(CYCLIC3_SESSION))
+    doc["group"]["cyclotomic_order"] = MAX_CONDUCTOR
+    path = write_session(tmp_path, doc)
+    code, out, err = run(capsys, "--input", path, "sectors")
+    assert code == 0 and err == ""
+    assert len(out.strip().splitlines()) == MAX_CONDUCTOR
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--check"), ("equivariant-chi", "E1", "E1"), ("sectors",), ("milnor",),
+])
+@pytest.mark.parametrize("rows", [
+    [["z"]],
+    [["z", "0"], ["0", "1"], ["0", "0"]],
+    [["z", "0", "0"], ["0", "1", "0"]],
+    [["z", "0"], ["0"]],
+])
+def test_rho_of_the_wrong_size_exits_2(tmp_path, capsys, command, rows):
+    # verify used to pass such a session while equivariant-chi rejected it
+    doc = json.loads(json.dumps(CYCLIC3_SESSION))
+    doc["factorizations"]["E1"]["rho"] = {"gen0": rows}
+    path = write_session(tmp_path, doc)
+    code, out, err = run(capsys, "--input", path, *command)
+    assert (code, out) == (2, "")
+    assert err == "error: factorization 'E1': rho gen0 must be 2 x 2, the rank of the factorization\n"
+
+
+@pytest.mark.parametrize("command", [("verify", "--check"), ("equivariant-chi", "E1", "E1")])
+def test_rho_mixing_parities_exits_2(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(CYCLIC3_SESSION))
+    doc["factorizations"]["E1"]["rho"] = {"gen0": [["0", "z"], ["1", "0"]]}
+    path = write_session(tmp_path, doc)
+    code, out, err = run(capsys, "--input", path, *command)
+    assert (code, out) == (2, "")
+    assert err == "error: factorization 'E1': action matrix does not preserve parity\n"
+
+
 def test_non_integer_session_values_exit_2(tmp_path, capsys):
     bad_field = json.loads(json.dumps(CYCLIC3_SESSION))
     bad_field["field"] = {"cyclotomic_order": "abc"}
@@ -412,6 +474,47 @@ def test_oracle_check_builds_the_diagonal_once(tmp_path, monkeypatch):
     assert len(session.factorizations) == 2
     assert _check_oracle_tau(session)
     assert calls == [session.w]
+
+
+def test_verify_builds_one_diagonal_and_one_doubled_jacobian(tmp_path, capsys, monkeypatch):
+    import sys
+
+    import mfinv.cli
+    import mfinv.oracle
+
+    calls = []
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    path = write_session(tmp_path, D4_SESSION)
+    session_milnor = []
+    real_load = mfinv.cli.load_session
+
+    def load(p):
+        session = real_load(p)
+        session_milnor.append(session.milnor)
+        # from here on, no module may build another Milnor ring
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("mfinv"):
+                if hasattr(module, "build_milnor"):
+                    monkeypatch.setattr(
+                        module, "build_milnor", counting("milnor", module.build_milnor)
+                    )
+        return session
+
+    monkeypatch.setattr(mfinv.cli, "load_session", load)
+    for name in ("build_diagonal", "doubled_jacobian", "buchberger"):
+        monkeypatch.setattr(
+            mfinv.oracle, name, counting(name, getattr(mfinv.oracle, name))
+        )
+    code, out, err = run(capsys, "--input", path, "verify", "--check")
+    assert code == 0 and "fail" not in out and err == ""
+    assert len(session_milnor) == 1
+    assert sorted(calls) == ["buchberger", "build_diagonal", "doubled_jacobian"]
 
 
 @pytest.mark.parametrize("partner", ["x_y", "x_u"])

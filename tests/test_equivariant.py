@@ -30,6 +30,7 @@ from mfinv.mfcore import (
     MorphismCocycle,
     identity_morphism,
     koszul,
+    mat_map,
     mat_mul,
 )
 from mfinv.milnor import build_milnor
@@ -639,3 +640,212 @@ def test_graded_elements_match_power_reference():
         for m in range(-S.order, 2 * S.order):
             want = tuple(zeta ** ((m * a) % S.order) for a in S.weights)
             assert _exact(S.element(m)) == _exact(want)
+
+
+# --- group-wide checks: every element against the generators ----------------
+
+
+def _ref_validate_all(E, G):
+    """rho(g) delta(g x) = delta(x) rho(g) checked on every element."""
+    actions = equivariant_actions(E, G)
+    delta = E.base.full_delta()
+    zz = E.base.ring.zero()
+    for g in G.elements:
+        moved = mat_map(delta, lambda p, g=g: _ref_substitute(p, g))
+        if mat_mul(actions[g], moved, zz) != mat_mul(delta, actions[g], zz):
+            raise ValueError(
+                "factorization is not equivariant under (%s)"
+                % ", ".join(str(x) for x in g)
+            )
+    return actions
+
+
+def _ref_morphism_invariance_all(E, G, alpha):
+    """The checks of tau_equivariant, with h . alpha = alpha on every element."""
+    actions = _ref_validate_all(E, G)
+    if not alpha.is_closed():
+        raise ValueError("morphism is not closed")
+    M = alpha.full_matrix()
+    zz = E.base.ring.zero()
+    for h in G.elements:
+        moved = mat_map(M, lambda p, h=h: _ref_substitute(p, h))
+        acted = mat_mul(actions[h], mat_mul(moved, actions[_ref_inverse(h)], zz), zz)
+        if acted != M:
+            raise ValueError("morphism is not invariant under the group")
+
+
+def _ref_check_invariance_all(w, G):
+    for g in G.elements:
+        if _ref_substitute(w, g) != w:
+            raise ValueError(
+                "potential is not invariant under (%s)" % ", ".join(str(x) for x in g)
+            )
+
+
+def _outcome(fn, *args):
+    """("ok", value) or the raised exception's (type, message)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+def _same_outcome(route, reference, *args):
+    got, want = _outcome(route, *args), _outcome(reference, *args)
+    if got[0] == "ok" or want[0] == "ok":
+        assert got[0] == want[0] == "ok", (got, want)
+    else:
+        assert got == want
+    return got
+
+
+def _product_group():
+    """Z/3 x Z/4 on x, y over Q(zeta_12), and x^3 + y^4."""
+    ctx = CyclotomicContext(12)
+    ring = PolyRing(("x", "y"), ctx)
+    G = close_group(2, [(ctx.zeta(4), one(ctx)), (one(ctx), ctx.zeta(3))], ctx)
+    return ring, ctx, G, ring.parse("x^3 + y^4")
+
+
+def _scalar_identity(E, ctx):
+    return tuple(
+        tuple(one(ctx) if i == j else zero(ctx) for j in range(E.rank))
+        for i in range(E.rank)
+    )
+
+
+def test_generator_checks_match_all_elements_on_the_battery():
+    for label, ring, gens, ctx in _reference_battery():
+        G = close_group(ring.n, gens, ctx)
+        w = sum((ring.var(i) ** (2 * len(G.roots)) for i in range(ring.n)), ring.zero())
+        K = equivariant_stabilization(w, G)
+        twisted = twist(K, [G.roots[1 % len(G.roots)]] * len(gens))
+        plain = EquivariantMF(K.base, (_scalar_identity(K.base, ctx),) * len(gens))
+        for E in (K, twisted, plain):
+            got = _same_outcome(validate_equivariant, _ref_validate_all, E, G)
+            if got[0] == "ok":
+                assert got[1] == validate_equivariant(E, G), label
+        x = ring.var(0)
+        for alpha in (identity_morphism(K.base), _scaled_identity(K.base, x)):
+            _same_outcome(
+                lambda E, G, a: tau_equivariant(E, G, G.identity, a),
+                _ref_morphism_invariance_all, K, G, alpha,
+            )
+        for p in (w, w + x, w + x ** 2, w + x ** len(G.roots)):
+            _same_outcome(check_invariance, _ref_check_invariance_all, p, G)
+
+
+def _scaled_identity(E, p):
+    """Multiplication by the polynomial p, a closed even endomorphism."""
+    blocks = tuple(
+        tuple(tuple(p if i == j else E.ring.zero() for j in range(r)) for i in range(r))
+        for r in (E.r0, E.r1)
+    )
+    return MorphismCocycle(E, E, 0, blocks)
+
+
+def test_delta_equivariant_under_the_first_generator_only():
+    ring, ctx, G, w = _product_group()
+    K = equivariant_stabilization(w, G)
+    ident = _scalar_identity(K.base, ctx)
+    # the second generator acting trivially still respects the relations
+    # but no longer intertwines the y-part of delta, and vice versa
+    for action in ((K.action[0], ident), (ident, K.action[1])):
+        E = EquivariantMF(K.base, action)
+        equivariant_actions(E, G)
+        kind, message = _same_outcome(validate_equivariant, _ref_validate_all, E, G)
+        assert kind is ValueError and "not equivariant" in message
+        bad = G.generators[0 if action[0] is ident else 1]
+        assert message.endswith("(%s)" % ", ".join(str(x) for x in bad))
+
+
+def test_action_breaking_a_relation_rejected_by_both_routes():
+    ring, ctx, G, w = _product_group()
+    K = equivariant_stabilization(w, G)
+    broken = twist(K, [ctx.zeta(1), one(ctx)])
+    assert _same_outcome(validate_equivariant, _ref_validate_all, broken, G) == (
+        ValueError, "action does not respect the group relations"
+    )
+
+
+def test_morphism_invariant_under_one_generator_only():
+    ring, ctx, G, w = _product_group()
+    K = equivariant_stabilization(w, G)
+    x, y = ring.var(0), ring.var(1)
+    # x is moved by the first generator only, y by the second only
+    for p, ok in ((x, False), (y, False), (x * y, False), (y ** 4, True), (x ** 3, True)):
+        alpha = _scaled_identity(K.base, p)
+        assert alpha.is_closed()
+        got = _same_outcome(
+            lambda E, G, a: tau_equivariant(E, G, G.identity, a),
+            _ref_morphism_invariance_all, K, G, alpha,
+        )
+        assert (got[0] == "ok") == ok
+        if not ok:
+            assert got == (ValueError, "morphism is not invariant under the group")
+
+
+def test_potential_invariant_under_one_generator_only():
+    ring, ctx, G, _w = _product_group()
+    for text, bad in (("x^3 + y^3", 1), ("x^4 + y^4", 0), ("x^2 + y^2", 0)):
+        p = ring.parse(text)
+        kind, message = _same_outcome(check_invariance, _ref_check_invariance_all, p, G)
+        assert kind is ValueError
+        assert message == "potential is not invariant under (%s)" % ", ".join(
+            str(x) for x in G.generators[bad]
+        )
+    _same_outcome(check_invariance, _ref_check_invariance_all, ring.parse("x^3 + y^4"), G)
+
+
+def test_validation_runs_one_commutation_check_per_generator(monkeypatch):
+    import mfinv.equivariant as equivariant
+
+    calls = []
+    real = equivariant._commutes
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(equivariant, "_commutes", counted)
+    ring, ctx, G, w = _product_group()
+    K = equivariant_stabilization(w, G)
+    validate_equivariant(K, G)
+    assert G.order == 12
+    assert calls == [G.exponent(h) for h in G.generators]
+    calls.clear()
+    ring, ctx = cyclic_ring(12)
+    validate_equivariant(pinned_equivariant(ring, ctx, 5, 12, 7), cyclic_group(ring, ctx, 12))
+    assert len(calls) == 1
+
+
+def test_equivariance_gate_raises_under_optimize():
+    # the generator-only check is a raise, not an assert that -O strips
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import mfinv
+
+    src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    code = (
+        "from mfinv.equivariant import close_group, validate_equivariant\n"
+        "from mfinv.mfcore import EquivariantMF, koszul\n"
+        "from mfinv.poly import PolyRing\n"
+        "from mfinv.scalar import CyclotomicContext, one, zero\n"
+        "ctx = CyclotomicContext(4)\n"
+        "x = PolyRing(('x',), ctx).var(0)\n"
+        "z = zero(ctx)\n"
+        "E = EquivariantMF(koszul([x], [x**3]), (((one(ctx), z), (z, ctx.zeta())),))\n"
+        "G = close_group(1, [(ctx.zeta(),)], ctx)\n"
+        "try:\n"
+        "    validate_equivariant(E, G)\n"
+        "except ValueError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "raised: factorization is not equivariant under (z)"

@@ -8,6 +8,7 @@ from mfinv.scalar import (
     CyclotomicContext,
     Scalar,
     cyclotomic_polynomial,
+    integer_cyclotomic_polynomial,
     one,
     rational,
     scalar_to_json,
@@ -231,6 +232,46 @@ def test_rational_mixed_with_cyclotomic_is_lifted(a, b, m):
         assert got.coeffs == ctx.from_rational(want).coeffs
         assert got == want and hash(got) == hash(want)
     assert lb.is_zero() == (b == 0) and (sa == lb) == (a == b)
+
+
+def test_integer_cyclotomic_polynomial_is_phi():
+    for m in range(1, 40):
+        phi = integer_cyclotomic_polynomial(m)
+        assert all(type(c) is int for c in phi)
+        assert phi == cyclotomic_polynomial(m)
+
+
+def _fraction_product(a, b, m):
+    """The schoolbook product over Fractions, reduced mod Phi_m."""
+    phi = cyclotomic_polynomial(m)
+    d = len(phi) - 1
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, d - 1, -1):
+        for j in range(d):
+            prod[k - d + j] -= prod[k] * phi[j]
+    return tuple(prod[:d])
+
+
+def _coordinates(d):
+    integral = st.lists(
+        st.integers(-10**6, 10**6).map(Fraction), min_size=d, max_size=d
+    )
+    return st.one_of(integral, st.lists(_fractions, min_size=d, max_size=d))
+
+
+@settings(max_examples=200)
+@given(data=st.data(), m=st.integers(3, 12))
+def test_integer_product_matches_fraction_convolution(data, m):
+    ctx = CyclotomicContext(m)
+    a = tuple(data.draw(_coordinates(ctx.degree)))
+    b = tuple(data.draw(_coordinates(ctx.degree)))
+    got = Scalar(ctx, a) * Scalar(ctx, b)
+    assert got.context is ctx
+    assert got.coeffs == _fraction_product(a, b, m)
+    assert all(type(c) is Fraction for c in got.coeffs)
 
 
 def test_non_exact_division_raises_under_optimize():
