@@ -64,7 +64,7 @@ from .mfcore import (
 )
 from .milnor import MilnorRing, build_milnor, gram_matrix, hessian_class, residue_trace
 from .poly import PolyRing, Polynomial
-from .scalar import CyclotomicContext, Scalar, scalar_to_json
+from .scalar import MAX_CONDUCTOR, CyclotomicContext, Scalar, scalar_to_json
 
 
 class SessionError(Exception):
@@ -76,22 +76,12 @@ class SessionError(Exception):
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"\^\s*0*(\d+)")
 
-# Largest cyclotomic order m of a session field, the default bound of
-# `equivariant.close_group` on the group order.  A diagonal group within
-# that bound has exponent at most 64, so its entries are roots of unity of
-# order at most 64 and a field of such an order holds them.  Larger
-# conductors only add cost: closing a group builds all m powers of zeta_m,
-# each reduced mod Phi_m, which takes 0.5 s at m = 210, 2 s at m = 420 and
-# 13 s at m = 840 on a 2-core VM.
-MAX_CONDUCTOR = 64
-
-
 class Session:
     """A loaded session file.  The named parts start empty and are filled
     in file order by load_session."""
 
     __slots__ = ("ring", "context", "w", "milnor", "factorizations", "equivariant",
-                 "degree_specs", "morphisms", "group", "weights", "names_in_order")
+                 "degree_specs", "morphisms", "group", "weights")
 
     def __init__(
         self,
@@ -104,13 +94,12 @@ class Session:
         self.context = context
         self.w = w
         self.milnor = milnor
-        self.factorizations = {}  # name -> MatFac
+        self.factorizations = {}  # name -> MatFac, in file order
         self.equivariant = {}  # name -> EquivariantMF, for each with rho data
         self.degree_specs = {}  # name -> (even degrees, odd degrees)
         self.morphisms = {}  # name -> MorphismCocycle
         self.group = None  # the closed DiagonalGroup, when the file has one
         self.weights = None  # one integer per variable, when the file has them
-        self.names_in_order = []
 
 
 # --- scalar and polynomial input --------------------------------------------
@@ -362,7 +351,6 @@ def load_session(path: str) -> Session:
         spec = facs_doc[name]
         E = _load_factorization(ring, w, name, spec)
         session.factorizations[name] = E
-        session.names_in_order.append(name)
         rho_doc = spec.get("rho") if isinstance(spec, dict) else None
         if rho_doc is not None:
             if session.group is None:
@@ -644,10 +632,8 @@ def _named_endomorphisms(session: Session, name: str):
 def _check_hrr(session: Session, hom_basis) -> bool:
     from .invariants import chi_hrr
 
-    for a in session.names_in_order:
-        for b in session.names_in_order:
-            E = session.factorizations[a]
-            F = session.factorizations[b]
+    for a, E in session.factorizations.items():
+        for b, F in session.factorizations.items():
             chi = chi_hrr(E, F, session.milnor)
             basis = hom_basis(a, b)
             if chi != basis.even.dimension - basis.odd.dimension:
@@ -659,11 +645,9 @@ def _check_cardy(session: Session, hom_basis) -> bool:
     from .homology import cardy_supertrace
     from .invariants import cardy_rhs
 
-    for a in session.names_in_order:
-        E = session.factorizations[a]
+    for a, E in session.factorizations.items():
         alphas = [identity_morphism(E)] + _named_endomorphisms(session, a)
-        for b in session.names_in_order:
-            F = session.factorizations[b]
+        for b, F in session.factorizations.items():
             betas = [identity_morphism(F)] + _named_endomorphisms(session, b)
             basis = hom_basis(a, b)
             for alpha in alphas:
@@ -682,8 +666,7 @@ def _check_oracle_tau(session: Session, data=None) -> bool:
     A = session.milnor
     if data is None:
         data = build_diagonal(session.w)
-    for a in session.names_in_order:
-        E = session.factorizations[a]
+    for a, E in session.factorizations.items():
         D = solve_D(E, data)
         for alpha in [identity_morphism(E)] + _named_endomorphisms(session, a):
             if oracle_tau(E, alpha, A, dtensor=D) != tau(E, alpha, A):
@@ -696,8 +679,7 @@ def _check_permutation_invariance(session: Session) -> bool:
 
     A = session.milnor
     n = session.ring.n
-    for a in session.names_in_order:
-        E = session.factorizations[a]
+    for E in session.factorizations.values():
         base = chern(E, A)
         for perm in permutations(range(n)):
             # the chern product runs from the highest index down

@@ -62,6 +62,7 @@ from .milnor import MilnorClass, MilnorRing, build_milnor, canonical_pairing
 from .invariants import derivative_product, supertrace
 from .poly import Polynomial, PolyRing
 from .scalar import (
+    MAX_CONDUCTOR,
     CyclotomicContext,
     Frozen,
     Scalar,
@@ -131,7 +132,7 @@ class DiagonalGroup:
         return [(self.elements[i], self.exponents[i]) for i in self.products[0]]
 
 
-def close_group(n: int, generators, context=None, bound: int = 64) -> DiagonalGroup:
+def close_group(n: int, generators, context=None, bound: int = MAX_CONDUCTOR) -> DiagonalGroup:
     """Enumerate the closure of diagonal generators, breadth first."""
     roots = _roots(context, 2 if context is None else context.order)
     m = len(roots)
@@ -540,7 +541,8 @@ def graded_to_equivariant(w: Polynomial, weights) -> GradedStructure:
 
     Weights are doubled when the weighted degree of w is odd, so that the
     degree of w is always 2*ell and the generator acts by zeta_(2 ell)^(a_i).
-    A weight that is not an integer raises ValueError.
+    A weight that is not an integer, or an order 2*ell above MAX_CONDUCTOR
+    over Q, raises ValueError.
     """
     try:
         integral = all(a == int(a) for a in weights)
@@ -560,6 +562,8 @@ def graded_to_equivariant(w: Polynomial, weights) -> GradedStructure:
     L = degw
     base_ring = w.ring
     if base_ring.context is None:
+        if L > MAX_CONDUCTOR:
+            raise ValueError("grading group order %d is above the limit %d" % (L, MAX_CONDUCTOR))
         ctx = CyclotomicContext(L)
         ring = PolyRing(base_ring.names, ctx)
         w2 = w.map_ring(ring)

@@ -26,12 +26,15 @@ basis keeps, per lead position, its entries' leads, inverse lead
 coefficients and remaining terms; a lead is divided by the first entry, in
 insertion order, whose lead divides it.
 
-Elements of length 1 also get Buchberger's product criterion.  Syzygies
-and cofactors use the block order on an enlarged free module instead of
-Schreyer-style tracking, which keeps correctness independent of the
-pair-elimination criteria: the basis of the vectors (g_i, e_i) in R^(1+s)
-under the order whose first position dominates has the reduced ideal
-basis as its first components, and its tails are the cofactors.
+Elements of length 1 also get Buchberger's product criterion.  Syzygies,
+cofactors, kernels and subquotients use the block order on an enlarged
+free module instead of Schreyer-style tracking, which keeps correctness
+independent of the pair-elimination criteria (Greuel-Pfister 2.5).
+`_split(basis, r)` reads such a basis: the elements with a term in the
+first r positions have their leads there, and their heads are a reduced
+basis; the tails of the others are one too, as no other lead divides
+their terms.  `buchberger(track=True)`, `syzygies`, `module_kernel` and
+`subquotient_presentation` read their bases through it.
 """
 from __future__ import annotations
 
@@ -75,10 +78,6 @@ def _unflat(d: dict, length: int, ring: PolyRing) -> ModuleElement:
         comps.setdefault(p, {})[m] = c
     zero = ring.zero()  # polynomials are immutable, so one zero serves all
     return tuple(_polynomial(comps[p], ring) if p in comps else zero for p in range(length))
-
-
-def _mod_is_zero(v) -> bool:
-    return not any(c.terms for c in v)
 
 
 def _key(p: int, m: Monomial, block: int):
@@ -169,6 +168,19 @@ def _with_units(gens, ring: PolyRing):
     s = len(gens)
     one, zero = ring.one(), ring.zero()
     return [tuple(g) + (zero,) * i + (one,) + (zero,) * (s - 1 - i) for i, g in enumerate(gens)]
+
+
+def _split(basis, r: int):
+    """(heads, tails) of a basis under the order whose first r positions
+    dominate: the first r components of the elements that have any, and
+    the other components of the elements whose first r vanish."""
+    heads, tails = [], []
+    for v in basis:
+        if any(c.terms for c in v[:r]):
+            heads.append(v[:r])
+        else:
+            tails.append(v[r:])
+    return heads, tails
 
 
 def module_buchberger(gens, ring: PolyRing, block: int = 0):
@@ -307,8 +319,8 @@ def buchberger(gens, track: bool = False) -> GroebnerBasis:
     if not track:
         return GroebnerBasis(ring, tuple(v[0] for v in module_buchberger(rank1, ring)))
     tracked = module_buchberger(_with_units(rank1, ring), ring, block=1)
-    heads = tuple(v[0] for v in tracked if not v[0].is_zero())
-    return GroebnerBasis(ring, heads, gens, tuple(tracked))
+    heads, _tails = _split(tracked, 1)
+    return GroebnerBasis(ring, tuple(h for h, in heads), gens, tuple(tracked))
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -371,22 +383,18 @@ def module_lift(v, mgb: ModuleGB):
 
 def syzygies(gens, rank: int, ring: PolyRing):
     """The reduced term-over-position basis of {c in R^s : sum_i c_i *
-    gens_i = 0}, in `module_buchberger`'s order.
-
-    They are the elements of the reduced block-order basis of (gens_i, e_i)
-    whose first ``rank`` positions vanish: their leads lie outside the
-    block, so among themselves the block order is term-over-position, and
-    no other lead of the basis can divide one of their terms.
-    """
-    gb = module_buchberger(_with_units(gens, ring), ring, block=rank)
-    return [tuple(v[rank:]) for v in gb if _mod_is_zero(v[:rank])]
+    gens_i = 0}, in `module_buchberger`'s order: the tails of the block-order
+    basis of the vectors (gens_i, e_i)."""
+    return _split(module_buchberger(_with_units(gens, ring), ring, block=rank), rank)[1]
 
 
-def module_kernel(columns_matrix, r_in: int, r_out: int, ring: PolyRing) -> ModuleGB:
-    """Kernel of the map R^{r_in} -> R^{r_out} given by the matrix (rows x cols
-    = r_out x r_in), as a module GB inside R^{r_in}."""
-    cols = [tuple(columns_matrix[i][j] for i in range(r_out)) for j in range(r_in)]
-    return ModuleGB(ring, r_in, tuple(syzygies(cols, r_out, ring)))
+def module_kernel(matrix, r_in: int, r_out: int, ring: PolyRing):
+    """(kernel, image) of the map R^{r_in} -> R^{r_out} given by the matrix
+    (rows x cols = r_out x r_in) as module GBs: the tails and the heads of
+    one block-order run over (column_j, e_j)."""
+    cols = [tuple(matrix[i][j] for i in range(r_out)) for j in range(r_in)]
+    image, kernel = _split(module_buchberger(_with_units(cols, ring), ring, block=r_out), r_out)
+    return ModuleGB(ring, r_in, tuple(kernel)), ModuleGB(ring, r_out, tuple(image))
 
 
 def module_standard_monomials(mgb: ModuleGB):
@@ -415,24 +423,22 @@ def module_standard_monomials(mgb: ModuleGB):
 def subquotient_presentation(kernel: ModuleGB, image_gens):
     """Presentation of <kernel> / <image_gens> as R^t / relations.
 
-    t is the number of kernel GB generators; the relation submodule is the
-    lifted image plus the syzygies of the kernel generators.  Returns
-    (relation GB in R^t, standard (position, monomial) pairs), the latter a
-    k-basis of the quotient.  Raises when an image generator falls outside
-    the kernel or the quotient is infinite-dimensional.
+    t is the number of kernel GB generators k_i.  One block-order run over
+    (k_i, e_i) and (g_j, 0) gives the relations {c : sum_i c_i k_i in <g_j>}
+    as its tails; its heads are the kernel's own basis exactly when every
+    g_j lies in the kernel.  Returns (relation GB in R^t, standard
+    (position, monomial) pairs), the latter a k-basis of the quotient.
+    Raises when an image generator falls outside the kernel or the quotient
+    is infinite-dimensional.
     """
     ring = kernel.ring
     t = len(kernel.generators)
-    relations = []
-    for g in image_gens:
-        if _mod_is_zero(tuple(g)):
-            continue
-        lift = module_lift(g, kernel)
-        if lift is None:
-            raise ValueError("image generators outside the kernel submodule")
-        relations.append(tuple(lift))
-    relations.extend(syzygies(list(kernel.generators), kernel.rank, ring))
-    rel_gb = module_gb([r for r in relations if not _mod_is_zero(r)], t, ring)
+    zeros = (ring.zero(),) * t
+    gens = _with_units(kernel.generators, ring) + [tuple(g) + zeros for g in image_gens]
+    heads, tails = _split(module_buchberger(gens, ring, block=kernel.rank), kernel.rank)
+    if tuple(heads) != kernel.generators:
+        raise ValueError("image generators outside the kernel submodule")
+    rel_gb = ModuleGB(ring, t, tuple(tails))
     std = module_standard_monomials(rel_gb)
     if std is None:
         raise ValueError("subquotient is infinite-dimensional")

@@ -1,10 +1,14 @@
 """Hom-complex cohomology and the categorical side of the Cardy identity.
 
 Everything here is linear algebra over the polynomial ring itself: the
-differential on Hom(E, F) is an R-linear matrix, its kernel is a module
-Groebner basis, and each parity's cohomology is the finite-dimensional
-subquotient kernel/image.  For an isolated singularity supported at the
-origin this computes the same dimensions as the formal-local theory.
+differential on Hom(E, F) is an R-linear matrix, and each parity's
+cohomology is the finite-dimensional subquotient kernel/image.  Four
+elimination runs compute both parities: one `module_kernel` run per
+parity gives the cocycles of that parity and the coboundaries of the
+other, and one `subquotient_presentation` run per parity checks that the
+coboundaries are cocycles and presents the quotient.  For an isolated
+singularity supported at the origin this computes the same dimensions as
+the formal-local theory.
 
 `cardy_lhs` evaluates the supertrace of f -> (-1)^(|a||b| + |a||f|) b f a
 on that cohomology, the quantity the index pairing of tau classes must
@@ -27,7 +31,6 @@ from .mfcore import (
     morphism_to_vector,
     vector_to_morphism,
 )
-from .poly import PolyRing
 from .scalar import Frozen, Scalar, zero as scalar_zero
 
 
@@ -97,24 +100,18 @@ def hom_cohomology(E: MatFac, F: MatFac):
     ring = E.ring
     n0, n1 = hom_basis_sizes(E, F)
     d_even, d_odd = hom_differential(E, F)
-    even = _parity_cohomology(ring, 0, d_even, n0, n1, d_odd, n1)
-    odd = _parity_cohomology(ring, 1, d_odd, n1, n0, d_even, n0)
+    # each kernel run also yields the image of its map, which is the
+    # other parity's coboundaries
+    kernel_even, image_even = module_kernel(d_even, n0, n1, ring)
+    kernel_odd, image_odd = module_kernel(d_odd, n1, n0, ring)
+    even = _parity_cohomology(0, kernel_even, image_odd)
+    odd = _parity_cohomology(1, kernel_odd, image_even)
     basis = CohomologyBasis(E, F, even, odd)
     return even.dimension, odd.dimension, basis
 
 
-def _parity_cohomology(
-    ring: PolyRing,
-    parity: int,
-    d_out,  # matrix of d leaving this parity
-    n_in: int,
-    n_out: int,
-    d_in,  # matrix of d arriving into this parity
-    n_prev: int,
-) -> ParityCohomology:
-    kernel = module_kernel(d_out, n_in, n_out, ring)
-    image = [tuple(d_in[r][c] for r in range(n_in)) for c in range(n_prev)]
-    relations, standard = subquotient_presentation(kernel, image)
+def _parity_cohomology(parity: int, kernel: ModuleGB, image: ModuleGB) -> ParityCohomology:
+    relations, standard = subquotient_presentation(kernel, image.generators)
     return ParityCohomology(parity, kernel, relations, tuple(standard))
 
 

@@ -36,6 +36,7 @@ from .mfcore import (
     koszul,
     mat_add,
     mat_equal,
+    mat_map,
     mat_mul,
     mat_neg,
     mat_sub,
@@ -136,10 +137,6 @@ def _ring_map(target: PolyRing, images: list):
     return lambda p: _substitute(p, target, images, powers)
 
 
-def _map_matrix(f, M: Matrix) -> Matrix:
-    return tuple(tuple(f(p) for p in row) for row in M)
-
-
 # --- the degree-by-degree solver --------------------------------------------
 
 
@@ -162,7 +159,7 @@ def _homotopy(M: Matrix, i: int, n: int, ring: PolyRing) -> Matrix:
                 terms[m[: n + i] + (m[n + i] - 1,) + m[n + i + 1 :]] = c
         return ring.from_terms(terms)
 
-    return _map_matrix(part, M)
+    return mat_map(M, part)
 
 
 def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
@@ -179,8 +176,8 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
     x_images = [ring.var(i) for i in range(n)]
     y_images = [ring.var(i) + ring.var(n + i) for i in range(n)]
     delta = E.full_delta()
-    delta_x = _map_matrix(_ring_map(ring, x_images), delta)
-    delta_y = _map_matrix(_ring_map(ring, y_images), delta)
+    delta_x = mat_map(delta, _ring_map(ring, x_images))
+    delta_y = mat_map(delta, _ring_map(ring, y_images))
     to_u = _ring_map(ring, x_images + y_images)
     diffs_u = tuple(to_u(d) for d in data.differences)
 
@@ -218,7 +215,7 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
     packed = []
     for size in range(n + 1):
         for S in combinations(range(n), size):
-            packed.append((S, _map_matrix(from_u, components[S])))
+            packed.append((S, mat_map(components[S], from_u)))
     return DTensor(data, E, tuple(packed))
 
 
@@ -260,17 +257,11 @@ def restriction_recursion_check(D: DTensor) -> bool:
         pivot = n - j
         images = [doubled.var(i) for i in range(2 * n)]
         images[n + pivot] = doubled.var(pivot)
-        lhs = tuple(
-            tuple(p.substitute(doubled, images) for p in row)
-            for row in D.component(S)
-        )
+        lhs = mat_map(D.component(S), lambda p: p.substitute(doubled, images))
         mixed = [doubled.var(i) for i in range(n)]
         for k in range(pivot + 1, n):
             mixed[k] = doubled.var(n + k)
-        part = tuple(
-            tuple(p.substitute(doubled, mixed) for p in row)
-            for row in E.partial_delta(pivot)
-        )
+        part = mat_map(E.partial_delta(pivot), lambda p: p.substitute(doubled, mixed))
         rhs = mat_mul(D.component(prev), part, doubled.zero())
         if not mat_equal(lhs, rhs):
             return False
@@ -297,7 +288,7 @@ def oracle_tau(
         dtensor = solve_D(E)
     ring = dtensor.data.ring
     to_x = _ring_map(ring, [ring.var(i) for i in range(ring.n)] * 2)
-    top = _map_matrix(to_x, dtensor.top())
+    top = mat_map(dtensor.top(), to_x)
     M = mat_mul(top, alpha.full_matrix(), ring.zero())
     parity = (ring.n + alpha.parity) % 2
     return A.project(supertrace(M, E.r0), parity=parity)

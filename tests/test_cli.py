@@ -202,6 +202,45 @@ def test_graded_chi(tmp_path, capsys):
     assert payload == {"chi": 1, "doubled": False}
 
 
+def _graded_power_session(n):
+    """x^n with weight 1 (n even, so 2 ell = n) and E1 = K(x; x^(n-1))."""
+    return {
+        "field": "rational",
+        "variables": ["x"],
+        "potential": "x^%d" % n,
+        "weights": [1],
+        "factorizations": {
+            "E1": {
+                "koszul": {"a": ["x"], "b": ["x^%d" % (n - 1)]},
+                "degrees": {"even": [0], "odd": [n // 2 - 1]},
+            }
+        },
+    }
+
+
+@pytest.mark.parametrize("n", [4, 64, 200])
+def test_graded_order_limit(tmp_path, capsys, n):
+    # over Q the grading group's field is Q(zeta_n); above the limit it
+    # used to be built and summed over, which took seconds at n = 200
+    import pathlib
+    import time
+
+    from mfinv.cli import MAX_CONDUCTOR
+
+    if n == 4:
+        path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "sessions" / "x4_graded.json"
+        assert json.loads(path.read_text()) == _graded_power_session(4)
+    else:
+        path = write_session(tmp_path, _graded_power_session(n))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--input", str(path), "--json", "graded-chi", "E1", "E1")
+    assert time.perf_counter() - start < 1
+    if n <= MAX_CONDUCTOR:
+        assert (code, json.loads(out), err) == (0, {"chi": 1, "doubled": False}, "")
+    else:
+        assert (code, out, err) == (2, "", "error: grading group order %d is above the limit 64\n" % n)
+
+
 def test_unknown_names_exit_2(tmp_path, capsys):
     path = write_session(tmp_path, D4_SESSION)
     code, _, err = run(capsys, "--input", path, "chern", "nope")

@@ -20,6 +20,7 @@ from mfinv.groebner import (
     syzygies,
 )
 from mfinv.cli import load_session
+from mfinv.homology import hom_cohomology
 from mfinv.mfcore import hom_basis_sizes, hom_differential, koszul
 from mfinv.poly import (
     PolyRing,
@@ -125,7 +126,7 @@ def test_gb_independent_of_generator_order():
 
 def test_module_kernel_koszul_syzygy():
     M = [[R2.var(0), R2.var(1)]]  # row (x  y)
-    ker = module_kernel(M, 2, 1, R2)
+    ker, _image = module_kernel(M, 2, 1, R2)
     assert len(ker.generators) == 1
     v = ker.generators[0]
     # the Koszul syzygy (y, -x) up to sign/scaling
@@ -135,7 +136,7 @@ def test_module_kernel_koszul_syzygy():
 
 def test_module_kernel_identity_is_zero():
     M = [[R2.one(), R2.zero()], [R2.zero(), R2.one()]]
-    ker = module_kernel(M, 2, 2, R2)
+    ker, _image = module_kernel(M, 2, 2, R2)
     assert len(ker.generators) == 0
 
 
@@ -177,8 +178,11 @@ def test_subquotient_equal_modules_is_zero():
 
 def test_subquotient_image_outside_kernel():
     ker = module_gb([(R2.var(0),)], 1, R2)
-    with pytest.raises(ValueError):
-        subquotient_presentation(ker, [(R2.one(),)])
+    x, y = R2.var(0), R2.var(1)
+    # alone, and last after several generators inside the kernel
+    for image in ([(R2.one(),)], [(x**2,), (x * y,), (x,), (x + y,)]):
+        with pytest.raises(ValueError, match="^image generators outside the kernel submodule$"):
+            subquotient_presentation(ker, image)
 
 
 def test_subquotient_one_variable_chain():
@@ -289,7 +293,7 @@ def _hom_pairs():
     root = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "sessions"
     for name in ("d4", "x6"):
         session = load_session(str(root / ("%s.json" % name)))
-        facs = [session.factorizations[n] for n in session.names_in_order]
+        facs = list(session.factorizations.values())
         for E in facs:
             for F in facs:
                 yield E, F
@@ -355,7 +359,7 @@ def test_module_engine_matches_reference_division_on_hom_differentials():
                     for c, col in zip(syz, cols):
                         total = total + c * col[r]
                     assert total.is_zero()
-            kernel = module_kernel(d_out, n_in, n_out, ring)
+            kernel, _image = module_kernel(d_out, n_in, n_out, ring)
             image = [tuple(d_in[r][c] for r in range(n_in)) for c in range(n_prev)]
             relations, _ = subquotient_presentation(kernel, image)
             for mgb in (kernel, relations):
@@ -440,12 +444,91 @@ def test_module_kernel_is_the_rebuilt_syzygy_basis():
         d_even, d_odd = hom_differential(E, F)
         for d_out, n_in, n_out in ((d_even, n0, n1), (d_odd, n1, n0)):
             cols = [tuple(d_out[r][c] for r in range(n_out)) for c in range(n_in)]
-            kernel = module_kernel(d_out, n_in, n_out, ring)
+            kernel, _image = module_kernel(d_out, n_in, n_out, ring)
             reference = module_gb(syzygies(cols, n_out, ring), n_in, ring)
             assert kernel.rank == reference.rank == n_in
             assert kernel.generators == reference.generators
             checked += 1
     assert checked == 2 * len(pairs) >= 140
+
+
+def _ref_subquotient(kernel, image):
+    """The relation basis and standard monomials by the lift route: each
+    image generator lifted against the kernel basis, then one more basis
+    of those lifts and the syzygies of the kernel generators."""
+    relations = []
+    for g in image:
+        if all(c.is_zero() for c in g):
+            continue
+        lift = module_lift(g, kernel)
+        if lift is None:
+            raise ValueError("image generators outside the kernel submodule")
+        relations.append(tuple(lift))
+    relations.extend(syzygies(list(kernel.generators), kernel.rank, kernel.ring))
+    relations = [r for r in relations if not all(c.is_zero() for c in r)]
+    rel_gb = module_gb(relations, len(kernel.generators), kernel.ring)
+    return rel_gb, module_standard_monomials(rel_gb)
+
+
+def test_hom_cohomology_matches_the_lift_route():
+    # the reference: the kernel as the syzygies of the columns, and the
+    # subquotient by `_ref_subquotient` on the raw columns of the other map
+    pairs = [*_hom_pairs(), *_sheared_pairs(), *_zeta3_pairs()]
+    checked = 0
+    for E, F in pairs:
+        ring = E.ring
+        n0, n1 = hom_basis_sizes(E, F)
+        d_even, d_odd = hom_differential(E, F)
+        _h0, _h1, basis = hom_cohomology(E, F)
+        for co, d_out, n_in, n_out, d_in, n_prev in (
+            (basis.even, d_even, n0, n1, d_odd, n1),
+            (basis.odd, d_odd, n1, n0, d_even, n0),
+        ):
+            cols = [tuple(d_out[r][c] for r in range(n_out)) for c in range(n_in)]
+            kernel = ModuleGB(ring, n_in, tuple(syzygies(cols, n_out, ring)))
+            image = [tuple(d_in[r][c] for r in range(n_in)) for c in range(n_prev)]
+            relations, standard = _ref_subquotient(kernel, image)
+            assert co.kernel.generators == kernel.generators
+            assert co.relations.rank == relations.rank
+            assert co.relations.generators == relations.generators
+            assert co.standard == tuple(standard)
+            checked += 1
+    assert checked == 2 * len(pairs) >= 140
+
+
+def test_module_kernel_image_is_the_column_basis():
+    for E, F in [*_hom_pairs(), *_zeta3_pairs()]:
+        ring = E.ring
+        n0, n1 = hom_basis_sizes(E, F)
+        for d, n_in, n_out in zip(hom_differential(E, F), (n0, n1), (n1, n0)):
+            cols = [tuple(d[r][c] for r in range(n_out)) for c in range(n_in)]
+            _kernel, image = module_kernel(d, n_in, n_out, ring)
+            assert image.rank == n_out
+            assert image.generators == module_gb(cols, n_out, ring).generators
+
+
+def test_hom_cohomology_makes_four_runs_and_no_lift(monkeypatch):
+    import mfinv.groebner
+    import mfinv.homology
+
+    E, F = list(_hom_pairs())[-1]  # the rank-4 Koszul pair of the Fermat cubic
+    calls = {"module_buchberger": 0, "module_lift": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(mfinv.groebner, "module_buchberger")
+    counting(mfinv.groebner, "module_lift")
+    counting(mfinv.homology, "module_lift")
+    h0, h1, _basis = hom_cohomology(E, F)
+    assert h0 + h1 > 0
+    assert calls == {"module_buchberger": 4, "module_lift": 0}
 
 
 # --- the engine boundary: raw field elements inside, Scalars outside ---------
@@ -489,7 +572,7 @@ def test_engine_returns_scalars_of_the_ring():
         image = [tuple(d_odd[r][c] for r in range(n0)) for c in range(n1)]
         check(*module_gb(cols, n1, ring).generators)
         check(*syzygies(cols, n1, ring))
-        kernel = module_kernel(d_even, n0, n1, ring)
+        kernel, _image = module_kernel(d_even, n0, n1, ring)
         check(*kernel.generators)
         relations, _std = subquotient_presentation(kernel, image)
         check(*relations.generators)

@@ -223,7 +223,7 @@ def _hom_differential_pairs():
     root = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "sessions"
     for name in ("d4", "x6"):
         session = load_session(str(root / ("%s.json" % name)))
-        facs = [session.factorizations[n] for n in session.names_in_order]
+        facs = list(session.factorizations.values())
         for E in facs:
             for F in facs:
                 yield E, F
