@@ -3,7 +3,7 @@
 The boundary-bulk values produced by the closed-form derivative product
 can be recomputed from first principles: factor w(y) - w(x) through the
 difference derivatives, solve the transgression system for the diagonal
-kernel degree by degree, and restrict the top component back to y = x.
+kernel degree by degree, and read the top component at y = x.
 Nothing on that route (`solve_D`, `oracle_tau`) calls the derivative-product
 formula; the two routes stay disjoint so that their agreement is a real
 check.  Only `chern_of_diagonal` applies the formula, to the diagonal
@@ -20,11 +20,14 @@ h of it solves the level.  What h leaves at T = {i} + S involves only u_k
 with k >= i = min(T), and every such term is h of its product with u_i, so
 the image of h is exactly the submodule on which the solution is unique:
 h gives the unique normalized solution with no linear algebra.
-`_assert_system` still checks the residual of every level.
+`_assert_system` still checks the residual of every level.  `_shift` moves
+delta at y and the difference derivatives into (x, u) by binomial
+expansion; the solution stays there, and `oracle_tau` reads it at u = 0.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+from math import comb, prod
 
 from .groebner import buchberger, normal_form
 from .invariants import derivative_product, supertrace
@@ -40,17 +43,9 @@ from .mfcore import (
     mat_mul,
     mat_neg,
     mat_sub,
-    zero_matrix,
 )
 from .milnor import MilnorClass, MilnorRing, build_milnor, gram_matrix
-from .poly import (
-    Polynomial,
-    PolyRing,
-    _substitute,
-    determinant,
-    difference_derivative,
-    doubled_ring,
-)
+from .poly import Polynomial, PolyRing, determinant, difference_derivative, doubled_ring
 from .scalar import Frozen
 
 
@@ -99,29 +94,33 @@ def build_diagonal(w: Polynomial) -> DiagonalData:
 class DTensor(Frozen):
     """Solution of the transgression system against the subset basis.
 
-    components maps each strictly increasing index subset to a full
-    rank x rank matrix over the doubled ring; the empty subset holds the
-    identity.
+    ``solved`` maps each strictly increasing index subset to a full
+    rank x rank matrix over the doubled ring in the solver's coordinates
+    (x, u), u_j = y_j - x_j in the slot of y_j; the empty subset holds the
+    identity.  `components`, `component` and `top` map them to (x, y) on
+    each call; `oracle_tau` reads the stored top component at u = 0.
     """
 
-    __slots__ = ("data", "source", "components")
+    __slots__ = ("data", "source", "solved")
 
     def __init__(
         self,
         data: DiagonalData,
         source: MatFac,
-        components: tuple[tuple[tuple[int, ...], Matrix], ...],
+        solved: tuple[tuple[tuple[int, ...], Matrix], ...],
     ):
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "solved", solved)
+
+    @property
+    def components(self) -> tuple:
+        return tuple((S, self.component(S)) for S, _M in self.solved)
 
     def component(self, subset) -> Matrix:
-        key = tuple(subset)
-        for s, M in self.components:
-            if s == key:
-                return M
-        raise KeyError("no component for subset %r" % (key,))
+        M = dict(self.solved)[tuple(subset)]
+        n, ring = self.data.ring.n, self.data.doubled
+        return mat_map(M, lambda p: _shift(p, n, -1, ring))
 
     def top(self) -> Matrix:
         return self.component(tuple(range(self.data.ring.n)))
@@ -130,11 +129,19 @@ class DTensor(Frozen):
 # --- coordinate changes -----------------------------------------------------
 
 
-def _ring_map(target: PolyRing, images: list):
-    """p -> p(images) in ``target``, with one table of image powers for
-    every polynomial it maps."""
-    powers = [dict() for _ in images]
-    return lambda p: _substitute(p, target, images, powers)
+def _shift(p: Polynomial, n: int, s: int, ring: PolyRing) -> Polynomial:
+    """p with z_j (the slot n + j) replaced by z_j + s x_j: s = 1 takes
+    p(x, y) to (x, u) with y = x + u, s = -1 takes p(x, u) to (x, y) with
+    u = y - x.  Each term x^a z^b expands binomially into the sum over
+    k <= b of prod_j C(b_j, k_j) s^(b_j - k_j) x^(a + b - k) z^k."""
+    out: dict = {}
+    for m, c in p.terms.items():
+        a, b = m[:n], m[n:]
+        for k in product(*(range(e + 1) for e in b)):
+            f = s ** (sum(b) - sum(k)) * prod(map(comb, b, k))
+            key = tuple(aj + e - kj for aj, e, kj in zip(a, b, k)) + k
+            out[key] = out[key] + c * f if key in out else c * f
+    return ring.from_terms(out)
 
 
 # --- the degree-by-degree solver --------------------------------------------
@@ -170,35 +177,33 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
         raise ValueError("diagonal data belongs to a different potential")
     n = data.ring.n
     rank = E.rank
-    # the solver runs in coordinates (x, u) with u_j = y_j - x_j, held in
-    # the doubled ring with u_j in the slot of y_j
     ring = data.doubled
-    x_images = [ring.var(i) for i in range(n)]
-    y_images = [ring.var(i) + ring.var(n + i) for i in range(n)]
+    # in (x, u), with u_j in the slot of y_j, delta at x is a padding and
+    # delta at y = x + u a shift
+    pad = (0,) * n
     delta = E.full_delta()
-    delta_x = mat_map(delta, _ring_map(ring, x_images))
-    delta_y = mat_map(delta, _ring_map(ring, y_images))
-    to_u = _ring_map(ring, x_images + y_images)
-    diffs_u = tuple(to_u(d) for d in data.differences)
-
-    def delta_tilde(M: Matrix, parity: int) -> Matrix:
-        left = mat_mul(delta_x, M, ring.zero())
-        right = mat_mul(M, delta_y, ring.zero())
-        return mat_sub(left, right) if parity == 0 else mat_add(left, right)
+    delta_x = mat_map(delta, lambda p: ring.from_terms({m + pad: c for m, c in p.terms.items()}))
+    delta_y = mat_map(
+        delta, lambda p: _shift(ring.from_terms({pad + m: c for m, c in p.terms.items()}), n, 1, ring)
+    )
+    diffs_u = tuple(_shift(d, n, 1, ring) for d in data.differences)
 
     def level_rhs(S: tuple) -> Matrix:
         """What the contraction of the level above S must equal: minus the
-        wedge terms from the level below and the delta_tilde term."""
-        acc = zero_matrix(ring, rank, rank)
+        delta_tilde term and the wedge terms from the level below, which
+        are added on the nonzero entries of that level only."""
+        M = components[S]
+        left = mat_mul(delta_x, M, ring.zero())
+        right = mat_mul(M, delta_y, ring.zero())
+        dt = mat_add(left, right) if len(S) % 2 else mat_sub(right, left)
+        rows = [list(row) for row in dt]
         for idx, i in enumerate(S):
-            rest = tuple(s for s in S if s != i)
-            term = tuple(
-                tuple(diffs_u[i] * p for p in row) for row in components[rest]
-            )
-            acc = mat_add(acc, term if idx % 2 == 0 else mat_neg(term))
-        dt = delta_tilde(components[S], len(S) % 2)
-        acc = mat_add(acc, dt if len(S) % 2 == 0 else mat_neg(dt))
-        return mat_neg(acc)
+            d = diffs_u[i] if idx % 2 else -diffs_u[i]
+            for r, row in enumerate(components[S[:idx] + S[idx + 1 :]]):
+                for c, p in enumerate(row):
+                    if p.terms:
+                        rows[r][c] = rows[r][c] + d * p
+        return tuple(map(tuple, rows))
 
     # each subset T receives h(rhs) only from T[1:], through its u_T[0] terms
     components: dict = {(): identity_matrix(ring, rank)}
@@ -211,12 +216,8 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
     top = tuple(range(n))
     rhs[top] = level_rhs(top)
     _assert_system(components, rhs, n, rank, ring)
-    from_u = _ring_map(ring, x_images + [ring.var(n + i) - ring.var(i) for i in range(n)])
-    packed = []
-    for size in range(n + 1):
-        for S in combinations(range(n), size):
-            packed.append((S, mat_map(components[S], from_u)))
-    return DTensor(data, E, tuple(packed))
+    # components was filled level by level, in the order of combinations
+    return DTensor(data, E, tuple(components.items()))
 
 
 def _assert_system(components, rhs, n, rank, uring):
@@ -269,17 +270,12 @@ def restriction_recursion_check(D: DTensor) -> bool:
 
 
 def oracle_tau(
-    E: MatFac,
-    alpha: MorphismCocycle,
-    A: MilnorRing,
-    *,
-    dtensor: DTensor | None = None,
+    E: MatFac, alpha: MorphismCocycle, A: MilnorRing, *, dtensor: DTensor | None = None
 ) -> MilnorClass:
     """Boundary-bulk value recovered from the solved diagonal kernel."""
-    if alpha.source.d0 != E.d0 or alpha.source.d1 != E.d1:
-        raise ValueError("morphism is not an endomorphism of E")
-    if alpha.target.d0 != E.d0 or alpha.target.d1 != E.d1:
-        raise ValueError("morphism is not an endomorphism of E")
+    for F in (alpha.source, alpha.target):
+        if F.d0 != E.d0 or F.d1 != E.d1:
+            raise ValueError("morphism is not an endomorphism of E")
     if not alpha.is_closed():
         raise ValueError("morphism is not closed")
     if A.w != E.w:
@@ -287,10 +283,14 @@ def oracle_tau(
     if dtensor is None:
         dtensor = solve_D(E)
     ring = dtensor.data.ring
-    to_x = _ring_map(ring, [ring.var(i) for i in range(ring.n)] * 2)
-    top = mat_map(dtensor.top(), to_x)
+    n = ring.n
+    # p(x, y - x) at y = x is p(x, 0): the u-free terms of the stored top
+    top = mat_map(
+        dict(dtensor.solved)[tuple(range(n))],
+        lambda p: ring.from_terms({m[:n]: c for m, c in p.terms.items() if not any(m[n:])}),
+    )
     M = mat_mul(top, alpha.full_matrix(), ring.zero())
-    parity = (ring.n + alpha.parity) % 2
+    parity = (n + alpha.parity) % 2
     return A.project(supertrace(M, E.r0), parity=parity)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfinv.homology import hom_cohomology
-from mfinv.invariants import chern, tau
+from mfinv.invariants import chern, supertrace, tau
 from mfinv.mfcore import (
     MatFac,
     MorphismCocycle,
@@ -15,6 +15,7 @@ from mfinv.mfcore import (
     koszul_subsets,
     mat_equal,
     mat_map,
+    mat_mul,
     stabilized_residue_field,
 )
 from mfinv.milnor import build_milnor
@@ -27,7 +28,7 @@ from mfinv.oracle import (
     restriction_recursion_check,
     solve_D,
 )
-from mfinv.poly import PolyRing, determinant, difference_derivative
+from mfinv.poly import PolyRing, determinant, difference_derivative, doubled_ring
 from mfinv.scalar import CyclotomicContext, rational
 
 R1 = PolyRing(("x",))
@@ -507,9 +508,11 @@ def test_homotopy_matches_elimination_reference(w, facs, monkeypatch):
     for E in facs:
         D = solve_D(E, data)
         components, rhs, ring = seen.pop()
-        from_u = oracle._ring_map(
-            ring, [ring.var(i) for i in range(n)] + [ring.var(n + i) - ring.var(i) for i in range(n)]
-        )
+        images = [ring.var(i) for i in range(n)] + [ring.var(n + i) - ring.var(i) for i in range(n)]
+
+        def from_u(p):
+            return p.substitute(ring, images)
+
         zero = tuple(tuple(ring.zero() for _ in range(E.rank)) for _ in range(E.rank))
         for j in range(n):
             level = {S: M for S, M in rhs.items() if len(S) == j}
@@ -534,6 +537,76 @@ def test_components_are_admissible(w, facs):
                 for p in row:
                     for m in p.substitute(ring, to_u).terms:
                         assert not any(m[n + k] for k in range(T[0] if T else n))
+
+
+def _coefficients(context):
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if context is None:
+        return small.map(rational)
+    return st.tuples(small, small).map(
+        lambda ab: context.from_rational(ab[0]) + context.zeta() * ab[1]
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_shift_is_the_binomial_ring_map(data):
+    # the solver's coordinate changes against the generic ring map: y -> x + u
+    # for s = 1, u -> y - x for s = -1, and each undoes the other
+    import mfinv.oracle as oracle
+
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    context = data.draw(st.sampled_from([None, CyclotomicContext(3)]))
+    ring = doubled_ring(PolyRing(("x", "y", "z")[:n], context))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=4)] * (2 * n))
+    p = ring.from_terms(data.draw(st.dictionaries(exponents, _coefficients(context), max_size=6)))
+    xs = [ring.var(i) for i in range(n)]
+    zs = [ring.var(n + i) for i in range(n)]
+    forward = oracle._shift(p, n, 1, ring)
+    back = oracle._shift(p, n, -1, ring)
+    assert forward == p.substitute(ring, xs + [x + z for x, z in zip(xs, zs)])
+    assert back == p.substitute(ring, xs + [z - x for x, z in zip(xs, zs)])
+    assert oracle._shift(forward, n, -1, ring) == p
+    assert oracle._shift(back, n, 1, ring) == p
+
+
+@pytest.mark.parametrize("w,facs", REFERENCE)
+def test_oracle_tau_reads_the_top_component_at_u_zero(w, facs):
+    # the u-free terms of the stored top component against the top
+    # component in (x, y) restricted through y -> x
+    A = build_milnor(w)
+    data = build_diagonal(w)
+    ring, n = w.ring, w.ring.n
+    to_x = [ring.var(i) for i in range(n)] * 2
+    for E in facs:
+        D = solve_D(E, data)
+        top = mat_map(D.top(), lambda p: p.substitute(ring, to_x))
+        ident = identity_morphism(E)
+        for alpha in (ident, ident.scale(ring.var(0))):
+            M = mat_mul(top, alpha.full_matrix(), ring.zero())
+            want = A.project(supertrace(M, E.r0), parity=(n + alpha.parity) % 2)
+            assert oracle_tau(E, alpha, A, dtensor=D) == want
+            assert oracle_tau(E, alpha, A) == want
+
+
+def test_oracle_tau_never_maps_back(monkeypatch):
+    import mfinv.oracle as oracle
+
+    shift = oracle._shift
+
+    def forward_only(p, n, s, ring):
+        if s != 1:
+            raise AssertionError("a component was mapped back to (x, y)")
+        return shift(p, n, s, ring)
+
+    monkeypatch.setattr(oracle, "_shift", forward_only)
+    w = R2.parse("x^3 + x*y^2")
+    E = koszul([R2.parse("x")], [R2.parse("x^2 + y^2")])
+    A = build_milnor(w)
+    assert oracle_tau(E, identity_morphism(E), A) == chern(E, A)
+    # the stub does guard the back-map
+    with pytest.raises(AssertionError, match="mapped back"):
+        solve_D(E).top()
 
 
 @pytest.mark.parametrize("entry,delta", [((0, 0), 1), ((0, 1), 1), ((2, 0), 1)])
