@@ -23,7 +23,13 @@ from mfinv.homology import cardy_lhs, euler, hom_cohomology
 from mfinv.invariants import cardy_rhs, chern, chi_hrr, tau
 from mfinv.mfcore import identity_morphism, koszul
 from mfinv.milnor import build_milnor, hessian_class, residue_trace
-from mfinv.oracle import chern_of_diagonal, inverse_form_check, oracle_tau, solve_D
+from mfinv.oracle import (
+    build_diagonal,
+    chern_of_diagonal,
+    inverse_form_check,
+    oracle_tau,
+    solve_D,
+)
 from mfinv.poly import PolyRing
 from mfinv.scalar import rational
 
@@ -101,8 +107,9 @@ def survey(row: Row, rng: random.Random, with_oracle: bool) -> None:
             for k in range(dim):
                 f = basis.representative(parity, k)
                 agree = agree and oracle_tau(E, f, A, dtensor=D) == tau(E, f, A)
-        routes = chern_of_diagonal(w)
-        inverse_form_check(w)
+        diagonal = build_diagonal(A)
+        routes = chern_of_diagonal(w, diagonal)
+        inverse_form_check(w, diagonal)
         status = "agree" if agree and routes.agree else "DISAGREE"
         print("    oracle: boundary-bulk and diagonal routes %s" % status)
         if not (agree and routes.agree):

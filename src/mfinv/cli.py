@@ -452,10 +452,6 @@ def _monomial_text(ring: PolyRing, m) -> str:
     return str(ring.monomial(m))
 
 
-def _element_json(g):
-    return [scalar_to_json(lam) for lam in g]
-
-
 # --- command handlers -------------------------------------------------------
 
 
@@ -465,7 +461,7 @@ def cmd_milnor(session: Session, args) -> dict:
     return {
         "mu": A.mu,
         "basis": [_monomial_text(session.ring, m) for m in A.basis],
-        "gram": [[scalar_to_json(c) for c in row] for row in G],
+        "gram": G,
     }
 
 
@@ -529,7 +525,7 @@ def cmd_cardy(session: Session, args) -> dict:
         raise VerificationFailure(
             "cardy sides disagree: lhs %s, rhs %s" % (lhs, rhs)
         )
-    return {"value": scalar_to_json(lhs)}
+    return {"value": lhs}
 
 
 def cmd_sectors(session: Session, args) -> dict:
@@ -542,7 +538,7 @@ def cmd_sectors(session: Session, args) -> dict:
         sec = sector(session.w, g)
         out.append(
             {
-                "element": _element_json(g),
+                "element": g,
                 "fixed": [session.ring.names[i] for i in sec.fixed_indices],
                 "mu": sec.milnor.mu,
                 "potential": str(sec.w_g),
@@ -574,7 +570,7 @@ def cmd_orbifold_hh(session: Session, args) -> dict:
         raise SessionError(str(exc))
     return {
         "sectors": [
-            {"element": _element_json(g), "parity": parity, "dimension": dim}
+            {"element": g, "parity": parity, "dimension": dim}
             for g, parity, dim in sectors
         ],
         "even": even,
@@ -659,15 +655,13 @@ def _check_cardy(session: Session, hom_basis) -> bool:
     return True
 
 
-def _check_oracle_tau(session: Session, data=None) -> bool:
+def _check_oracle_tau(session: Session) -> bool:
     from .invariants import tau
-    from .oracle import build_diagonal, oracle_tau, solve_D
+    from .oracle import oracle_tau, solve_D
 
     A = session.milnor
-    if data is None:
-        data = build_diagonal(session.w)
     for a, E in session.factorizations.items():
-        D = solve_D(E, data)
+        D = solve_D(E)
         for alpha in [identity_morphism(E)] + _named_endomorphisms(session, a):
             if oracle_tau(E, alpha, A, dtensor=D) != tau(E, alpha, A):
                 return False
@@ -697,12 +691,7 @@ def _check_hessian_trace(session: Session) -> bool:
 
 def cmd_verify(session: Session, args) -> dict:
     from .homology import hom_cohomology
-    from .oracle import (
-        build_diagonal,
-        chern_of_diagonal,
-        doubled_jacobian,
-        inverse_form_check,
-    )
+    from .oracle import build_diagonal, chern_of_diagonal, inverse_form_check
 
     # Hom cohomology of each ordered pair of factorizations, computed once
     # for both checks that need it and dropped when this call returns
@@ -714,16 +703,15 @@ def cmd_verify(session: Session, args) -> dict:
             homs[a, b] = hom_cohomology(E, F)[2]
         return homs[a, b]
 
-    # likewise the diagonal (three checks) and the doubled Jacobian ideal
-    # (two); `cache` keeps no exception, so each check reports its own
-    diagonal = cache(lambda: build_diagonal(session.w))
-    jacobian = cache(lambda: doubled_jacobian(session.w, session.milnor, diagonal()))
+    # likewise the diagonal of the two checks that read it; `cache` keeps
+    # no exception, so each check reports its own
+    diagonal = cache(lambda: build_diagonal(session.milnor))
     checks = [
         ("hrr", lambda s: _check_hrr(s, hom_basis)),
         ("cardy", lambda s: _check_cardy(s, hom_basis)),
-        ("oracle-tau", lambda s: _check_oracle_tau(s, diagonal())),
-        ("chern-diagonal", lambda s: chern_of_diagonal(s.w, jacobian()).agree),
-        ("inverse-form", lambda s: inverse_form_check(s.w, jacobian())),
+        ("oracle-tau", _check_oracle_tau),
+        ("chern-diagonal", lambda s: chern_of_diagonal(s.w, diagonal()).agree),
+        ("inverse-form", lambda s: inverse_form_check(s.w, diagonal())),
         ("permutation-invariance", _check_permutation_invariance),
         ("hessian-trace", _check_hessian_trace),
     ]
@@ -743,21 +731,13 @@ def cmd_verify(session: Session, args) -> dict:
 # --- output -----------------------------------------------------------------
 
 
-def _scalar_cell(value) -> str:
-    if isinstance(value, dict):
-        ctx = CyclotomicContext(value["m"])
-        coeffs = tuple(Fraction(c) for c in value["coeffs"])
-        return str(Scalar(ctx, coeffs))
-    return str(value)
-
-
 def _print_human(command: str, payload: dict) -> None:
     if command == "milnor":
         print("mu: %d" % payload["mu"])
         print("basis: %s" % ", ".join(payload["basis"]))
         print("gram:")
         for row in payload["gram"]:
-            print("  " + "  ".join(_scalar_cell(c) for c in row))
+            print("  " + "  ".join(map(str, row)))
         return
     if command in ("chern", "tau"):
         print("class: %s" % payload["class"])
@@ -770,7 +750,7 @@ def _print_human(command: str, payload: dict) -> None:
                 "sector %d: element (%s)  fixed %s  mu %d  potential %s"
                 % (
                     k,
-                    ", ".join(_scalar_cell(c) for c in sec["element"]),
+                    ", ".join(map(str, sec["element"])),
                     fixed,
                     sec["mu"],
                     sec["potential"],
@@ -783,7 +763,7 @@ def _print_human(command: str, payload: dict) -> None:
                 "sector %d: element (%s)  parity %d  dimension %d"
                 % (
                     k,
-                    ", ".join(_scalar_cell(c) for c in sec["element"]),
+                    ", ".join(map(str, sec["element"])),
                     sec["parity"],
                     sec["dimension"],
                 )
@@ -794,9 +774,6 @@ def _print_human(command: str, payload: dict) -> None:
     if command == "verify":
         for name, ok in payload["checks"].items():
             print("%s: %s" % (name, "pass" if ok else "fail"))
-        return
-    if command == "cardy":
-        print("value: %s" % _scalar_cell(payload["value"]))
         return
     for key in sorted(payload):
         print("%s: %s" % (key, payload[key]))
@@ -917,7 +894,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2, default=scalar_to_json))
     else:
         _print_human(args.command, payload)
     if args.command == "verify" and args.check and not payload["ok"]:

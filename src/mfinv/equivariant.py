@@ -132,8 +132,9 @@ class DiagonalGroup:
         return [(self.elements[i], self.exponents[i]) for i in self.products[0]]
 
 
-def close_group(n: int, generators, context=None, bound: int = MAX_CONDUCTOR) -> DiagonalGroup:
-    """Enumerate the closure of diagonal generators, breadth first."""
+def close_group(n: int, generators, context=None) -> DiagonalGroup:
+    """Enumerate the closure of diagonal generators, breadth first; a
+    closure of more than MAX_CONDUCTOR elements raises."""
     roots = _roots(context, 2 if context is None else context.order)
     m = len(roots)
     log = {lam: k for k, lam in enumerate(roots)}
@@ -156,8 +157,8 @@ def close_group(n: int, generators, context=None, bound: int = MAX_CONDUCTOR) ->
             if prod not in position:
                 position[prod] = len(exponents)
                 exponents.append(prod)
-                if len(exponents) > bound:
-                    raise ValueError("group closure exceeds the bound %d" % bound)
+                if len(exponents) > MAX_CONDUCTOR:
+                    raise ValueError("group closure exceeds the bound %d" % MAX_CONDUCTOR)
             row.append(position[prod])
         products.append(tuple(row))
     return DiagonalGroup(context, n, roots, gens, position, tuple(products))

@@ -194,18 +194,10 @@ def _cofactor_determinant(ring: PolyRing, gb: GroebnerBasis, exponent: int) -> P
     return determinant(rows, ring.one())
 
 
-def residue_trace(f: MilnorClass, *, exponent: int | None = None) -> Scalar:
-    """The Grothendieck residue of f dx against (dw/dx_1, ..., dw/dx_n).
-
-    ``exponent`` overrides the stored nilpotency exponent (the value is
-    independent of the choice; the parameter exists so tests can witness
-    that).
-    """
+def residue_trace(f: MilnorClass) -> Scalar:
+    """The Grothendieck residue of f dx against (dw/dx_1, ..., dw/dx_n)."""
     A = f.ring
-    if exponent is None:
-        return _trace_poly(A, f.value, A.nilpotency, A.residue_cofactor_det)
-    det = _cofactor_determinant(A.ring, A.jacobian_gb, exponent)
-    return _trace_poly(A, f.value, exponent, det)
+    return _trace_poly(A, f.value, A.nilpotency, A.residue_cofactor_det)
 
 
 def _trace_poly(A: MilnorRing, p: Polynomial, exponent: int, det: Polynomial) -> Scalar:

@@ -7,7 +7,10 @@ kernel degree by degree, and read the top component at y = x.
 Nothing on that route (`solve_D`, `oracle_tau`) calls the derivative-product
 formula; the two routes stay disjoint so that their agreement is a real
 check.  Only `chern_of_diagonal` applies the formula, to the diagonal
-factorization itself, as one side of its own check.
+factorization itself, as one side of its own check.  The route reads only
+the difference derivatives of w; the Koszul diagonal and the doubled
+Jacobian ideal are built by `build_diagonal`, for the two checks that read
+them.
 
 The solver works in coordinates (x, u) with u_j = y_j - x_j, where the
 contraction kappa to invert is plain multiplication by the u_j: it is the
@@ -29,7 +32,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb, prod
 
-from .groebner import buchberger, normal_form
+from .groebner import GroebnerBasis, buchberger, normal_form
 from .invariants import derivative_product, supertrace
 from .mfcore import (
     MatFac,
@@ -50,34 +53,41 @@ from .scalar import Frozen
 
 
 class DiagonalData(Frozen):
-    """The stabilized diagonal of w over the doubled ring: ``w_tilde`` is
-    w(y) - w(x), ``differences`` are the difference derivatives of w, and
-    ``factorization`` is the Koszul factorization of w_tilde."""
+    """Everything the two diagonal checks read for one potential w.
 
-    __slots__ = ("ring", "doubled", "w", "w_tilde", "differences", "factorization")
+    ``milnor`` is A_w, ``doubled`` the ring k[x, y], ``w_tilde`` is
+    w(y) - w(x), ``differences`` are the difference derivatives of w,
+    ``factorization`` is the Koszul factorization of w_tilde, ``jacobian``
+    the basis of J_w(x) + J_w(y) and ``determinant`` det(Delta_j(partial_i w)).
+    """
+
+    __slots__ = (
+        "milnor", "doubled", "w_tilde", "differences", "factorization", "jacobian", "determinant"
+    )
 
     def __init__(
         self,
-        ring: PolyRing,
+        milnor: MilnorRing,
         doubled: PolyRing,
-        w: Polynomial,
         w_tilde: Polynomial,
         differences: tuple[Polynomial, ...],
         factorization: MatFac,
+        jacobian: GroebnerBasis,
+        determinant: Polynomial,
     ):
-        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "milnor", milnor)
         object.__setattr__(self, "doubled", doubled)
-        object.__setattr__(self, "w", w)
         object.__setattr__(self, "w_tilde", w_tilde)
         object.__setattr__(self, "differences", differences)
         object.__setattr__(self, "factorization", factorization)
+        object.__setattr__(self, "jacobian", jacobian)
+        object.__setattr__(self, "determinant", determinant)
 
 
-def build_diagonal(w: Polynomial) -> DiagonalData:
-    """Difference derivatives and the Koszul factorization of w(y) - w(x)."""
-    ring = w.ring
-    n = ring.n
-    doubled = doubled_ring(ring)
+def _differences(w: Polynomial):
+    """(k[x, y], w(y) - w(x), the difference derivatives of w)."""
+    n = w.ring.n
+    doubled = doubled_ring(w.ring)
     xs = [doubled.var(i) for i in range(n)]
     ys = [doubled.var(n + i) for i in range(n)]
     w_tilde = w.substitute(doubled, ys) - w.substitute(doubled, xs)
@@ -87,8 +97,28 @@ def build_diagonal(w: Polynomial) -> DiagonalData:
         telescoped = telescoped + diffs[j] * (ys[j] - xs[j])
     if telescoped != w_tilde:
         raise AssertionError("difference derivatives fail the telescoping identity")
+    return doubled, w_tilde, diffs
+
+
+def build_diagonal(A: MilnorRing) -> DiagonalData:
+    """The diagonal of w = A.w for `chern_of_diagonal` and `inverse_form_check`.
+
+    `build_milnor` has rejected a w that is not an isolated singularity at
+    the origin, so J_w(x) + J_w(y) is the Jacobian ideal of w(y) - w(x).
+    """
+    w = A.w
+    n = w.ring.n
+    doubled, w_tilde, diffs = _differences(w)
+    xs = [doubled.var(i) for i in range(n)]
+    ys = [doubled.var(n + i) for i in range(n)]
     fac = koszul(diffs, tuple(ys[j] - xs[j] for j in range(n)))
-    return DiagonalData(ring, doubled, w, w_tilde, diffs, fac)
+    partials = [w.partial_derivative(i) for i in range(n)]
+    gb = buchberger(
+        [p.substitute(doubled, xs) for p in partials]
+        + [p.substitute(doubled, ys) for p in partials]
+    )
+    rows = [[difference_derivative(p, j, doubled) for j in range(n)] for p in partials]
+    return DiagonalData(A, doubled, w_tilde, diffs, fac, gb, determinant(rows, doubled.one()))
 
 
 class DTensor(Frozen):
@@ -101,15 +131,15 @@ class DTensor(Frozen):
     each call; `oracle_tau` reads the stored top component at u = 0.
     """
 
-    __slots__ = ("data", "source", "solved")
+    __slots__ = ("doubled", "source", "solved")
 
     def __init__(
         self,
-        data: DiagonalData,
+        doubled: PolyRing,
         source: MatFac,
         solved: tuple[tuple[tuple[int, ...], Matrix], ...],
     ):
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "doubled", doubled)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "solved", solved)
 
@@ -119,11 +149,10 @@ class DTensor(Frozen):
 
     def component(self, subset) -> Matrix:
         M = dict(self.solved)[tuple(subset)]
-        n, ring = self.data.ring.n, self.data.doubled
-        return mat_map(M, lambda p: _shift(p, n, -1, ring))
+        return mat_map(M, lambda p: _shift(p, self.source.ring.n, -1, self.doubled))
 
     def top(self) -> Matrix:
-        return self.component(tuple(range(self.data.ring.n)))
+        return self.component(tuple(range(self.source.ring.n)))
 
 
 # --- coordinate changes -----------------------------------------------------
@@ -169,15 +198,11 @@ def _homotopy(M: Matrix, i: int, n: int, ring: PolyRing) -> Matrix:
     return mat_map(M, part)
 
 
-def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
+def solve_D(E: MatFac) -> DTensor:
     """The unique normalized solution of the transgression system for E."""
-    if data is None:
-        data = build_diagonal(E.w)
-    elif data.w != E.w:
-        raise ValueError("diagonal data belongs to a different potential")
-    n = data.ring.n
+    ring, _w_tilde, diffs = _differences(E.w)
+    n = E.ring.n
     rank = E.rank
-    ring = data.doubled
     # in (x, u), with u_j in the slot of y_j, delta at x is a padding and
     # delta at y = x + u a shift
     pad = (0,) * n
@@ -186,7 +211,7 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
     delta_y = mat_map(
         delta, lambda p: _shift(ring.from_terms({pad + m: c for m, c in p.terms.items()}), n, 1, ring)
     )
-    diffs_u = tuple(_shift(d, n, 1, ring) for d in data.differences)
+    diffs_u = tuple(_shift(d, n, 1, ring) for d in diffs)
 
     def level_rhs(S: tuple) -> Matrix:
         """What the contraction of the level above S must equal: minus the
@@ -217,7 +242,7 @@ def solve_D(E: MatFac, data: DiagonalData | None = None) -> DTensor:
     rhs[top] = level_rhs(top)
     _assert_system(components, rhs, n, rank, ring)
     # components was filled level by level, in the order of combinations
-    return DTensor(data, E, tuple(components.items()))
+    return DTensor(ring, E, tuple(components.items()))
 
 
 def _assert_system(components, rhs, n, rank, uring):
@@ -247,11 +272,9 @@ def _assert_system(components, rhs, n, rank, uring):
 
 def restriction_recursion_check(D: DTensor) -> bool:
     """The nested-subset components restrict to derivative factors in turn."""
-    data = D.data
-    ring = data.ring
-    doubled = data.doubled
-    n = ring.n
     E = D.source
+    doubled = D.doubled
+    n = E.ring.n
     for j in range(1, n + 1):
         S = tuple(range(n - j, n))
         prev = tuple(range(n - j + 1, n))
@@ -282,7 +305,7 @@ def oracle_tau(
         raise ValueError("potential mismatch")
     if dtensor is None:
         dtensor = solve_D(E)
-    ring = dtensor.data.ring
+    ring = E.ring
     n = ring.n
     # p(x, y - x) at y = x is p(x, 0): the u-free terms of the stored top
     top = mat_map(
@@ -309,68 +332,39 @@ class DiagonalChern(Frozen):
         object.__setattr__(self, "agree", agree)
 
 
-def doubled_jacobian(
-    w: Polynomial, A: MilnorRing | None = None, data: DiagonalData | None = None
-):
-    """(A_w, the diagonal data, the basis of J_w(x) + J_w(y), and
-    det(Delta_j(partial_i w))) for the two diagonal checks.
-
-    `build_milnor` rejects a w that is not an isolated singularity at the
-    origin; the doubled ideal is then the Jacobian ideal of w(y) - w(x).
-    A Milnor ring or diagonal data already built for w is used as given.
-    """
-    if A is None:
-        A = build_milnor(w)
-    if data is None:
-        data = build_diagonal(w)
-    if A.w != w or data.w != w:
-        raise ValueError("Milnor ring or diagonal data belongs to a different potential")
-    doubled = data.doubled
-    n = w.ring.n
-    partials = [w.partial_derivative(i) for i in range(n)]
-    xs = [doubled.var(i) for i in range(n)]
-    ys = [doubled.var(n + i) for i in range(n)]
-    gb = buchberger(
-        [p.substitute(doubled, xs) for p in partials]
-        + [p.substitute(doubled, ys) for p in partials]
-    )
-    rows = [[difference_derivative(p, j, doubled) for j in range(n)] for p in partials]
-    return A, data, gb, determinant(rows, doubled.one())
-
-
-def _jacobian_of(w: Polynomial, jacobian):
-    if jacobian is None:
-        return doubled_jacobian(w)
-    if jacobian[1].w != w:
-        raise ValueError("doubled Jacobian belongs to a different potential")
-    return jacobian
-
-
-def chern_of_diagonal(w: Polynomial, jacobian=None) -> DiagonalChern:
+def chern_of_diagonal(w: Polynomial, data: DiagonalData | None = None) -> DiagonalChern:
     """The character of the diagonal, by the 2n-variable formula and by
     the signed difference-Jacobian determinant, both reduced modulo the
-    Jacobian ideal of w(y) - w(x).  ``jacobian`` is `doubled_jacobian(w)`
-    when already computed."""
-    _A, data, gb, det = _jacobian_of(w, jacobian)
+    Jacobian ideal of w(y) - w(x).  ``data`` is `build_diagonal` of A_w
+    when already built."""
+    if data is None:
+        data = build_diagonal(build_milnor(w))
+    elif data.milnor.w != w:
+        raise ValueError("diagonal data belongs to a different potential")
     n = w.ring.n
     F = data.factorization
     P = derivative_product(F, range(2 * n - 1, -1, -1))
-    direct = normal_form(supertrace(P, F.r0), gb)
-    det = normal_form(-det if (n * (n - 1) // 2) % 2 else det, gb)
+    direct = normal_form(supertrace(P, F.r0), data.jacobian)
+    det = -data.determinant if (n * (n - 1) // 2) % 2 else data.determinant
+    det = normal_form(det, data.jacobian)
     return DiagonalChern(direct, det, direct == det)
 
 
-def inverse_form_check(w: Polynomial, jacobian=None) -> bool:
+def inverse_form_check(w: Polynomial, data: DiagonalData | None = None) -> bool:
     """The reduced difference-Jacobian determinant inverts the trace form.
 
     Expands det(Delta_j(partial_i w)) over products of standard monomials
     in x and y and multiplies the coefficient matrix against the Gram
     matrix of the residue pairing; anything but the identity raises.
-    ``jacobian`` is `doubled_jacobian(w)` when already computed.
+    ``data`` is `build_diagonal` of A_w when already built.
     """
-    A, _data, gb, det = _jacobian_of(w, jacobian)
+    if data is None:
+        data = build_diagonal(build_milnor(w))
+    elif data.milnor.w != w:
+        raise ValueError("diagonal data belongs to a different potential")
+    A = data.milnor
     n = w.ring.n
-    reduced = normal_form(det, gb)
+    reduced = normal_form(data.determinant, data.jacobian)
     # the coefficient matrix and the Gram matrix as sparse rows, so that
     # their product only touches nonzero entries
     coeffs: list[dict] = [dict() for _ in A.basis]

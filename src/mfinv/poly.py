@@ -237,7 +237,21 @@ class Polynomial:
         """Ring map sending variable i to images[i] (all in ``target``)."""
         if len(images) != self.ring.n:
             raise ValueError("need one image per variable")
-        return _substitute(self, target, images, [dict() for _ in images])
+        out: dict = {}
+        powers: list[dict] = [{} for _ in images]  # images[i] ** e by i, e
+        for m, c in self.terms.items():
+            piece = target.const(c)
+            for i, e in enumerate(m):
+                if e == 0:
+                    continue
+                q = powers[i].get(e)
+                if q is None:
+                    q = powers[i][e] = images[i] ** e
+                piece = piece * q
+            for mm, cc in piece.terms.items():
+                s = out.get(mm)
+                out[mm] = cc if s is None else s + cc
+        return target.from_terms(out)
 
     def quasi_degree(self, weights: list[int]) -> int | None:
         """Common weighted degree of all terms, or None if inhomogeneous."""
@@ -295,31 +309,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return "Poly(%s)" % self
-
-
-def _substitute(
-    p: Polynomial, target: PolyRing, images: list, powers: list[dict]
-) -> Polynomial:
-    """p(images) in ``target``.
-
-    ``powers[i]`` caches images[i] ** e; callers that map many polynomials
-    through the same images share one table.
-    """
-    out: dict = {}
-    for m, c in p.terms.items():
-        piece = target.const(c)
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            q = powers[i].get(e)
-            if q is None:
-                q = images[i] ** e
-                powers[i][e] = q
-            piece = piece * q
-        for mm, cc in piece.terms.items():
-            s = out.get(mm)
-            out[mm] = cc if s is None else s + cc
-    return target.from_terms(out)
 
 
 def difference_derivative(

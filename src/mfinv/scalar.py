@@ -28,8 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 # Largest cyclotomic order m of a session's field, its group's field and
-# its grading group's field, and `equivariant.close_group`'s default bound
-# on the group order (such a group's entries have order at most 64).
+# its grading group's field, and the largest group order
+# `equivariant.close_group` enumerates.
 # Larger conductors only add cost: closing a group builds all m powers of
 # zeta_m, which takes 0.5 s at m = 210, 2 s at m = 420 and 13 s at m = 840
 # on a 2-core VM.

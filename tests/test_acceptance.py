@@ -478,7 +478,7 @@ def test_criterion_11_property_suite(tmp_path, capsys):
     for w, _a, _b in BATTERY[:6]:
         ring = w.ring
         n = ring.n
-        data = build_diagonal(w)
+        data = build_diagonal(build_milnor(w))
         images = [ring.var(i) for i in range(n)] * 2
         for j in range(n):
             assert data.differences[j].substitute(ring, images) == w.partial_derivative(j)

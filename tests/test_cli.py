@@ -144,7 +144,7 @@ def test_verify_passes_and_check_flag(tmp_path, capsys):
 def test_raising_check_reads_fail(tmp_path, capsys, monkeypatch, error):
     import mfinv.oracle
 
-    def refuted(w, jacobian=None):
+    def refuted(w, data=None):
         raise error("coefficient matrix does not invert the Gram matrix")
 
     # verify imports its checks from the oracle module when it runs
@@ -497,22 +497,22 @@ def test_verify_computes_each_hom_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 4
 
 
-def test_oracle_check_builds_the_diagonal_once(tmp_path, monkeypatch):
+def test_oracle_check_builds_no_diagonal(tmp_path, monkeypatch):
     import mfinv.oracle
     from mfinv.cli import _check_oracle_tau, load_session
 
     calls = []
     real = mfinv.oracle.build_diagonal
 
-    def counted(w):
-        calls.append(w)
-        return real(w)
+    def counted(A):
+        calls.append(A)
+        return real(A)
 
     monkeypatch.setattr(mfinv.oracle, "build_diagonal", counted)
     session = load_session(write_session(tmp_path, D4_SESSION))
     assert len(session.factorizations) == 2
     assert _check_oracle_tau(session)
-    assert calls == [session.w]
+    assert calls == []
 
 
 def test_verify_builds_one_diagonal_and_one_doubled_jacobian(tmp_path, capsys, monkeypatch):
@@ -546,14 +546,14 @@ def test_verify_builds_one_diagonal_and_one_doubled_jacobian(tmp_path, capsys, m
         return session
 
     monkeypatch.setattr(mfinv.cli, "load_session", load)
-    for name in ("build_diagonal", "doubled_jacobian", "buchberger"):
+    for name in ("build_diagonal", "buchberger"):
         monkeypatch.setattr(
             mfinv.oracle, name, counting(name, getattr(mfinv.oracle, name))
         )
     code, out, err = run(capsys, "--input", path, "verify", "--check")
     assert code == 0 and "fail" not in out and err == ""
     assert len(session_milnor) == 1
-    assert sorted(calls) == ["buchberger", "build_diagonal", "doubled_jacobian"]
+    assert sorted(calls) == ["buchberger", "build_diagonal"]
 
 
 @pytest.mark.parametrize("partner", ["x_y", "x_u"])

@@ -89,9 +89,10 @@ def test_close_group_rejects_non_roots():
 
 
 def test_close_group_bound():
-    ring, ctx = cyclic_ring(12)
-    with pytest.raises(ValueError, match="exceeds the bound"):
-        close_group(1, [(ctx.zeta(),)], ctx, bound=5)
+    # Z/16 x Z/16 has 256 elements, above MAX_CONDUCTOR
+    ctx = CyclotomicContext(16)
+    with pytest.raises(ValueError, match="exceeds the bound 64"):
+        close_group(2, [(ctx.zeta(), one(ctx)), (one(ctx), ctx.zeta())], ctx)
 
 
 def test_invariance_check():

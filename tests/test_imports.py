@@ -205,8 +205,8 @@ def _frozen_instances() -> list:
         EquivariantMF(empty, ()),
         ParityCohomology(0, None, None, ()),
         CohomologyBasis(empty, empty, None, None),
-        DiagonalData(ring, ring, ring.zero(), ring.zero(), (), empty),
-        DTensor(None, empty, ()),
+        DiagonalData(None, ring, ring.zero(), (), empty, None, ring.zero()),
+        DTensor(ring, empty, ()),
         DiagonalChern(None, None, True),
         Sector((), (), None),
         SectorClass(None, ring.zero(), 0),

@@ -20,7 +20,6 @@ from mfinv.mfcore import (
 )
 from mfinv.milnor import build_milnor
 from mfinv.oracle import (
-    DiagonalData,
     build_diagonal,
     chern_of_diagonal,
     inverse_form_check,
@@ -73,7 +72,7 @@ BATTERY = [
 
 def test_build_diagonal_telescopes():
     w = R2.parse("x^3 + x*y^2")
-    data = build_diagonal(w)
+    data = build_diagonal(build_milnor(w))
     n = 2
     doubled = data.doubled
     xs = [doubled.var(i) for i in range(n)]
@@ -87,7 +86,7 @@ def test_build_diagonal_telescopes():
 
 def test_difference_derivatives_restrict_to_partials():
     w = R2.parse("x^3 + x*y^2")
-    data = build_diagonal(w)
+    data = build_diagonal(build_milnor(w))
     images = [R2.var(0), R2.var(1)] * 2
     for j in range(2):
         restricted = data.differences[j].substitute(R2, images)
@@ -98,7 +97,7 @@ def test_diagonal_factorization_matches_subset_conventions():
     # the Koszul matrix mfcore builds must agree entry by entry with the
     # wedge/contraction signs the solver uses
     w = R2.parse("x^3 + y^3")
-    data = build_diagonal(w)
+    data = build_diagonal(build_milnor(w))
     doubled = data.doubled
     n = 2
     evens, odds = koszul_subsets(n)
@@ -123,11 +122,33 @@ def test_diagonal_factorization_matches_subset_conventions():
     assert mat_equal(data.factorization.full_delta(), tuple(map(tuple, expected)))
 
 
-def test_solve_rejects_foreign_diagonal():
-    data = build_diagonal(R1.parse("x^2"))
-    E = xn_fac(4, 2)
-    with pytest.raises(ValueError, match="different potential"):
-        solve_D(E, data)
+def test_diagonal_checks_reject_foreign_data():
+    data = build_diagonal(build_milnor(R1.parse("x^2")))
+    w = R1.parse("x^4")
+    for check in (chern_of_diagonal, inverse_form_check):
+        with pytest.raises(ValueError, match="different potential"):
+            check(w, data)
+    assert chern_of_diagonal(R1.parse("x^2"), data).agree
+    assert inverse_form_check(R1.parse("x^2"), data)
+
+
+def test_oracle_route_builds_no_diagonal(monkeypatch):
+    # solve_D and oracle_tau read only the difference derivatives; the
+    # Koszul diagonal and the doubled Jacobian belong to the two checks
+    import mfinv.oracle as oracle
+
+    def built(*args, **kwargs):
+        raise AssertionError("the oracle route built a diagonal")
+
+    w = R2.parse("x^3 + x*y^2")
+    E = koszul([R2.parse("x")], [R2.parse("x^2 + y^2")])
+    A = build_milnor(w)
+    monkeypatch.setattr(oracle, "koszul", built)
+    monkeypatch.setattr(oracle, "build_diagonal", built)
+    assert oracle_tau(E, identity_morphism(E), A) == chern(E, A)
+    assert restriction_recursion_check(solve_D(E))
+    with pytest.raises(AssertionError, match="built a diagonal"):
+        oracle.chern_of_diagonal(w)
 
 
 def test_smallest_case_by_hand():
@@ -135,7 +156,7 @@ def test_smallest_case_by_hand():
     # part of the Koszul matrix itself
     E = xn_fac(2, 1)
     D = solve_D(E)
-    doubled = D.data.doubled
+    doubled = D.doubled
     one = doubled.one()
     assert D.component(()) == ((one, doubled.zero()), (doubled.zero(), one))
     top = D.top()
@@ -187,18 +208,16 @@ def _perturbing_top(homotopy, perturbed):
 
 @pytest.mark.parametrize("w,facs", BATTERY)
 def test_restriction_recursion(w, facs):
-    data = build_diagonal(w)
     for E in facs:
-        D = solve_D(E, data)
+        D = solve_D(E)
         assert restriction_recursion_check(D)
 
 
 @pytest.mark.parametrize("w,facs", BATTERY)
 def test_oracle_tau_agrees_with_closed_form(w, facs):
     A = build_milnor(w)
-    data = build_diagonal(w)
     for E in facs:
-        D = solve_D(E, data)
+        D = solve_D(E)
         h0, h1, basis = hom_cohomology(E, E)
         assert oracle_tau(E, identity_morphism(E), A, dtensor=D) == chern(E, A)
         for parity, dim in ((0, h0), (1, h1)):
@@ -259,7 +278,7 @@ DIAGONAL = [
 def test_chern_of_diagonal_matches_doubled_milnor_route(w):
     # the reference route: the whole Milnor ring of w(y) - w(x), with the
     # character through `chern` and the signed determinant projected there
-    data = build_diagonal(w)
+    data = build_diagonal(build_milnor(w))
     A = build_milnor(data.w_tilde)
     direct = chern(data.factorization, A)
     n = w.ring.n
@@ -503,10 +522,9 @@ def test_homotopy_matches_elimination_reference(w, facs, monkeypatch):
         return check(components, rhs, n, rank, ring)
 
     monkeypatch.setattr(oracle, "_assert_system", recording)
-    data = build_diagonal(w)
     n = w.ring.n
     for E in facs:
-        D = solve_D(E, data)
+        D = solve_D(E)
         components, rhs, ring = seen.pop()
         images = [ring.var(i) for i in range(n)] + [ring.var(n + i) - ring.var(i) for i in range(n)]
 
@@ -526,12 +544,11 @@ def test_homotopy_matches_elimination_reference(w, facs, monkeypatch):
 @pytest.mark.parametrize("w,facs", REFERENCE)
 def test_components_are_admissible(w, facs):
     # in (x, u) coordinates, D_T involves no u_k with k < min(T)
-    data = build_diagonal(w)
-    ring = data.doubled
+    ring = doubled_ring(w.ring)
     n = w.ring.n
     to_u = [ring.var(i) for i in range(n)] + [ring.var(i) + ring.var(n + i) for i in range(n)]
     for E in facs:
-        D = solve_D(E, data)
+        D = solve_D(E)
         for T, M in D.components:
             for row in M:
                 for p in row:
@@ -575,11 +592,10 @@ def test_oracle_tau_reads_the_top_component_at_u_zero(w, facs):
     # the u-free terms of the stored top component against the top
     # component in (x, y) restricted through y -> x
     A = build_milnor(w)
-    data = build_diagonal(w)
     ring, n = w.ring, w.ring.n
     to_x = [ring.var(i) for i in range(n)] * 2
     for E in facs:
-        D = solve_D(E, data)
+        D = solve_D(E)
         top = mat_map(D.top(), lambda p: p.substitute(ring, to_x))
         ident = identity_morphism(E)
         for alpha in (ident, ident.scale(ring.var(0))):
