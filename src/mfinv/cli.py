@@ -291,7 +291,7 @@ def _load_morphism(session: Session, name: str, spec) -> MorphismCocycle:
     B0 = _parse_poly_matrix(session.ring, blocks[0], "morphism %r" % name)
     B1 = _parse_poly_matrix(session.ring, blocks[1], "morphism %r" % name)
     try:
-        return MorphismCocycle(source, target, parity, (B0, B1))
+        return MorphismCocycle.from_blocks(source, target, parity, (B0, B1))
     except ValueError as exc:
         raise SessionError("morphism %r: %s" % (name, exc))
 
@@ -433,11 +433,8 @@ def _get_mor(session: Session, name: str) -> MorphismCocycle:
 
 
 def _require_endo(alpha: MorphismCocycle, E: MatFac, mname: str, ename: str):
-    for side in (alpha.source, alpha.target):
-        if side.d0 != E.d0 or side.d1 != E.d1:
-            raise SessionError(
-                "morphism %r is not an endomorphism of %r" % (mname, ename)
-            )
+    if alpha.source != E or alpha.target != E:
+        raise SessionError("morphism %r is not an endomorphism of %r" % (mname, ename))
 
 
 def _equivariant(session: Session, name: str) -> EquivariantMF:
@@ -614,13 +611,7 @@ def _named_endomorphisms(session: Session, name: str):
     out = []
     for mname in sorted(session.morphisms):
         f = session.morphisms[mname]
-        if (
-            f.source.d0 == E.d0
-            and f.source.d1 == E.d1
-            and f.target.d0 == E.d0
-            and f.target.d1 == E.d1
-            and f.is_closed()
-        ):
+        if f.source == E and f.target == E and f.is_closed():
             out.append(f)
     return out
 

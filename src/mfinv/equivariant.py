@@ -59,7 +59,7 @@ from .mfcore import (
     stabilized_residue_field,
 )
 from .milnor import MilnorClass, MilnorRing, build_milnor, canonical_pairing
-from .invariants import derivative_product, supertrace
+from .invariants import check_endomorphism, derivative_product, supertrace
 from .poly import Polynomial, PolyRing
 from .scalar import (
     MAX_CONDUCTOR,
@@ -317,7 +317,7 @@ def _sector_character(
     M = mat_mul(P, rho_g, zero)
     extra = 0
     if alpha is not None:
-        M = mat_mul(M, alpha.full_matrix(), zero)
+        M = mat_mul(M, alpha.matrix, zero)
         extra = alpha.parity
     s = restrict_to_sector(supertrace(M, base.r0), sec)
     cls = sec.milnor.project(s, parity=(sec.n_fixed + extra) % 2)
@@ -335,12 +335,10 @@ def tau_equivariant(
 ) -> SectorClass:
     """Equivariant boundary-bulk map on an invariant closed endomorphism."""
     actions = validate_equivariant(E, G)
-    if not alpha.is_closed():
-        raise ValueError("morphism is not closed")
-    M = alpha.full_matrix()
+    check_endomorphism(E.base, alpha)
     # h . alpha = alpha on the generators gives it on G (module docstring)
     for h in G.generators:
-        if _morphism_action_full(alpha, G, h, actions, actions) != M:
+        if _morphism_action_full(alpha, G, h, actions, actions) != alpha.matrix:
             raise ValueError("morphism is not invariant under the group")
     return _sector_character(E.base, sector(E.base.w, g), actions[g], alpha)
 
@@ -349,7 +347,7 @@ def _morphism_action_full(f, G: DiagonalGroup, g, actions_E, actions_F):
     """Full matrix of g . f = rho_F(g) f(g x) rho_E(g)^(-1)."""
     zero = f.source.ring.zero()
     k = G.exponent(g)
-    moved = mat_map(f.full_matrix(), lambda p: substitute_action(p, k, G.roots))
+    moved = mat_map(f.matrix, lambda p: substitute_action(p, k, G.roots))
     return mat_mul(actions_F[g], mat_mul(moved, actions_E[G.inverse(g)], zero), zero)
 
 
@@ -414,7 +412,7 @@ def invariant_hom_dimensions(
             cols = []
             for f in reps:
                 acted = _morphism_action_full(f, G, g, actions_E, actions_F)
-                af = MorphismCocycle.from_full(E.base, F.base, parity, acted)
+                af = MorphismCocycle(E.base, F.base, parity, acted)
                 cols.append(basis.class_coordinates(af))
             Mg = mat_transpose(cols)
             avg = Mg if avg is None else mat_add(avg, Mg)

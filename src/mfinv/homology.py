@@ -26,7 +26,6 @@ from .groebner import (
 from .mfcore import (
     MatFac,
     MorphismCocycle,
-    hom_basis_sizes,
     hom_differential,
     morphism_to_vector,
     vector_to_morphism,
@@ -98,8 +97,8 @@ def hom_cohomology(E: MatFac, F: MatFac):
     if E.w != F.w:
         raise ValueError("potential mismatch")
     ring = E.ring
-    n0, n1 = hom_basis_sizes(E, F)
     d_even, d_odd = hom_differential(E, F)
+    n0, n1 = len(d_odd), len(d_even)
     # each kernel run also yields the image of its map, which is the
     # other parity's coboundaries
     kernel_even, image_even = module_kernel(d_even, n0, n1, ring)

@@ -59,6 +59,14 @@ def _check_potential(E: MatFac, A: MilnorRing) -> None:
         raise ValueError("potential mismatch")
 
 
+def check_endomorphism(E: MatFac, alpha: MorphismCocycle) -> None:
+    """Raise unless alpha is a closed endomorphism of E (by value)."""
+    if alpha.source != E or alpha.target != E:
+        raise ValueError("morphism is not an endomorphism of E")
+    if not alpha.is_closed():
+        raise ValueError("morphism is not closed")
+
+
 def chern(E: MatFac, A: MilnorRing) -> MilnorClass:
     """The Chern character ch(E) in A_w, parity n mod 2."""
     _check_potential(E, A)
@@ -70,13 +78,10 @@ def chern(E: MatFac, A: MilnorRing) -> MilnorClass:
 def tau(E: MatFac, alpha: MorphismCocycle, A: MilnorRing) -> MilnorClass:
     """Boundary-bulk map on a closed endomorphism alpha of E."""
     _check_potential(E, A)
-    if alpha.source.d0 != E.d0 or alpha.target.d0 != E.d0:
-        raise ValueError("morphism is not an endomorphism of E")
-    if not alpha.is_closed():
-        raise ValueError("morphism is not closed")
+    check_endomorphism(E, alpha)
     n = E.ring.n
     P = derivative_product(E, range(n - 1, -1, -1))
-    M = mat_mul(P, alpha.full_matrix(), E.ring.zero())
+    M = mat_mul(P, alpha.matrix, E.ring.zero())
     return A.project(supertrace(M, E.r0), parity=(n + alpha.parity) % 2)
 
 
@@ -87,15 +92,13 @@ def chern_antisymmetrized(E: MatFac, alpha: MorphismCocycle, A: MilnorRing) -> M
     str(d_s(1) delta ... d_s(n) delta . alpha).
     """
     _check_potential(E, A)
-    if not alpha.is_closed():
-        raise ValueError("morphism is not closed")
+    check_endomorphism(E, alpha)
     ring = E.ring
     n = ring.n
-    alpha_full = alpha.full_matrix()
     total = ring.zero()
     for perm in permutations(range(n)):
         sign = permutation_sign(perm)
-        M = mat_mul(derivative_product(E, perm), alpha_full, ring.zero())
+        M = mat_mul(derivative_product(E, perm), alpha.matrix, ring.zero())
         s = supertrace(M, E.r0)
         total = total + (s if sign > 0 else -s)
     scale = Fraction(1, factorial(n))

@@ -13,7 +13,10 @@ indexed by subsets of {0..m-1}, sorted by (size, lexicographic); wedge and
 contraction carry the sign (-1)^(number of elements below the touched
 index).
 
-Morphisms are stored as their two nonzero parity blocks.  The differential
+A morphism E -> F is stored as its full F.rank x E.rank matrix in those
+bases, vanishing off the blocks of its parity; `_hom_positions` alone
+defines the Hom^p coordinates, which `hom_differential`,
+`morphism_to_vector` and `vector_to_morphism` share.  The differential
 on morphisms is d(f) = delta_F f - (-1)^|f| f delta_E, and closed odd
 endomorphisms of the stabilized residue field generate a Clifford algebra,
 built here from the same greedy monomial decomposition that builds k^st.
@@ -93,13 +96,6 @@ def mat_transpose(A: Matrix) -> Matrix:
 
 def mat_map(A: Matrix, fn) -> Matrix:
     return tuple(tuple(fn(a) for a in row) for row in A)
-
-
-def mat_equal(A: Matrix, B: Matrix) -> bool:
-    return len(A) == len(B) and all(
-        len(ra) == len(rb) and all(a == b for a, b in zip(ra, rb))
-        for ra, rb in zip(A, B)
-    )
 
 
 def block_diag(ring: PolyRing, A: Matrix, B: Matrix, ra: int, ca: int, rb: int, cb: int) -> Matrix:
@@ -303,17 +299,37 @@ def direct_sum(E: MatFac, F: MatFac) -> MatFac:
 
 
 class MorphismCocycle(Frozen):
-    """A parity-homogeneous map E -> F, stored as its two nonzero blocks.
+    """A parity-homogeneous map E -> F, stored as its full F.rank x E.rank
+    matrix in the E0 + E1 and F0 + F1 bases.
 
-    Even maps carry (b00 : F0 <- E0, b11 : F1 <- E1); odd maps carry
-    (b10 : F1 <- E0, b01 : F0 <- E1).  Nothing here asserts closedness;
+    An even map vanishes off the blocks F0 <- E0 and F1 <- E1, an odd one
+    off F1 <- E0 and F0 <- E1.  Nothing here asserts closedness;
     is_closed() checks it.
     """
 
-    __slots__ = ("source", "target", "parity", "blocks")
+    __slots__ = ("source", "target", "parity", "matrix")
 
-    def __init__(self, source: MatFac, target: MatFac, parity: int, blocks: tuple):
-        first, second = blocks  # (b00, b11) or (b10, b01)
+    def __init__(self, source: MatFac, target: MatFac, parity: int, matrix: Matrix):
+        if len(matrix) != target.rank or any(len(row) != source.rank for row in matrix):
+            raise ValueError("morphism block has the wrong shape")
+        tr0, sr0 = target.r0, source.r0
+        for i, row in enumerate(matrix):
+            # the columns of the summand this row must not see
+            off = row[sr0:] if (i >= tr0) == parity else row[:sr0]
+            if any(not e.is_zero() for e in off):
+                raise ValueError("matrix is not parity-homogeneous of parity %d" % parity)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "matrix", matrix)
+
+    @classmethod
+    def from_blocks(
+        cls, source: MatFac, target: MatFac, parity: int, blocks: tuple
+    ) -> "MorphismCocycle":
+        """The map with parity blocks (b00 : F0 <- E0, b11 : F1 <- E1) when
+        even, (b10 : F1 <- E0, b01 : F0 <- E1) when odd."""
+        first, second = blocks
         if parity == 0:
             shapes = ((target.r0, source.r0), (target.r1, source.r1))
         else:
@@ -321,153 +337,94 @@ class MorphismCocycle(Frozen):
         for blk, (r, c) in zip((first, second), shapes):
             if len(blk) != r or any(len(row) != c for row in blk):
                 raise ValueError("morphism block has the wrong shape")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "blocks", blocks)
-
-    def full_matrix(self) -> Matrix:
-        zero = self.source.ring.zero()
-        zeros0 = (zero,) * self.source.r0
-        zeros1 = (zero,) * self.source.r1
-        if self.parity == 0:
-            b00, b11 = self.blocks
-            top = tuple(tuple(row) + zeros1 for row in b00)
-            bot = tuple(zeros0 + tuple(row) for row in b11)
-        else:
-            b10, b01 = self.blocks
-            top = tuple(zeros0 + tuple(row) for row in b01)
-            bot = tuple(tuple(row) + zeros1 for row in b10)
-        return top + bot
-
-    @staticmethod
-    def from_full(source: MatFac, target: MatFac, parity: int, M: Matrix) -> "MorphismCocycle":
-        """Extract the parity blocks; the complementary blocks must vanish."""
-        tr0 = target.r0
-        sr0 = source.r0
-        top = [row[:sr0] for row in M[:tr0]]
-        topright = [row[sr0:] for row in M[:tr0]]
-        bot = [row[:sr0] for row in M[tr0:]]
-        botright = [row[sr0:] for row in M[tr0:]]
-        if parity == 0:
-            off = [topright, bot]
-            blocks = (as_matrix(top), as_matrix(botright))
-        else:
-            off = [top, botright]
-            blocks = (as_matrix(bot), as_matrix(topright))
-        for blk in off:
-            if any(not e.is_zero() for row in blk for e in row):
-                raise ValueError("matrix is not parity-homogeneous of parity %d" % parity)
-        return MorphismCocycle(source, target, parity, blocks)
+        zero = source.ring.zero()
+        left, right = (zero,) * source.r0, (zero,) * source.r1
+        on_e0 = tuple(tuple(row) + right for row in first)
+        on_e1 = tuple(left + tuple(row) for row in second)
+        return cls(source, target, parity, on_e0 + on_e1 if parity == 0 else on_e1 + on_e0)
 
     def compose(self, other: "MorphismCocycle") -> "MorphismCocycle":
         """self after other (the source of self is the target of other)."""
-        if self.source is not other.target and self.source.d0 != other.target.d0:
+        if self.source != other.target:
             raise ValueError("composition endpoints do not match")
-        M = mat_mul(self.full_matrix(), other.full_matrix(), self.source.ring.zero())
-        return MorphismCocycle.from_full(
-            other.source, self.target, (self.parity + other.parity) % 2, M
-        )
+        M = mat_mul(self.matrix, other.matrix, self.source.ring.zero())
+        return MorphismCocycle(other.source, self.target, (self.parity + other.parity) % 2, M)
 
     def differential(self) -> "MorphismCocycle":
         """d(f) = delta_F f - (-1)^|f| f delta_E."""
         zero = self.source.ring.zero()
-        M = self.full_matrix()
-        left = mat_mul(self.target.full_delta(), M, zero)
-        right = mat_mul(M, self.source.full_delta(), zero)
+        left = mat_mul(self.target.full_delta(), self.matrix, zero)
+        right = mat_mul(self.matrix, self.source.full_delta(), zero)
         D = mat_add(left, right) if self.parity else mat_sub(left, right)
-        return MorphismCocycle.from_full(self.source, self.target, 1 - self.parity, D)
+        return MorphismCocycle(self.source, self.target, 1 - self.parity, D)
 
     def is_closed(self) -> bool:
-        d = self.differential()
-        return all(e.is_zero() for blk in d.blocks for row in blk for e in row)
+        return self.differential().is_zero()
 
     def __add__(self, other: "MorphismCocycle") -> "MorphismCocycle":
         if self.parity != other.parity:
             raise ValueError("cannot add maps of different parity")
         return MorphismCocycle(
-            self.source,
-            self.target,
-            self.parity,
-            (mat_add(self.blocks[0], other.blocks[0]), mat_add(self.blocks[1], other.blocks[1])),
+            self.source, self.target, self.parity, mat_add(self.matrix, other.matrix)
         )
 
     def __sub__(self, other: "MorphismCocycle") -> "MorphismCocycle":
         return self + (-other)
 
     def __neg__(self) -> "MorphismCocycle":
-        return MorphismCocycle(
-            self.source, self.target, self.parity,
-            (mat_neg(self.blocks[0]), mat_neg(self.blocks[1])),
-        )
+        return MorphismCocycle(self.source, self.target, self.parity, mat_neg(self.matrix))
 
     def scale(self, c) -> "MorphismCocycle":
-        return MorphismCocycle(
-            self.source, self.target, self.parity,
-            (mat_scale(self.blocks[0], c), mat_scale(self.blocks[1], c)),
-        )
+        return MorphismCocycle(self.source, self.target, self.parity, mat_scale(self.matrix, c))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for blk in self.blocks for row in blk for e in row)
+        return all(e.is_zero() for row in self.matrix for e in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MorphismCocycle):
             return NotImplemented
-        return (
-            self.parity == other.parity
-            and mat_equal(self.blocks[0], other.blocks[0])
-            and mat_equal(self.blocks[1], other.blocks[1])
-        )
+        return self.parity == other.parity and self.matrix == other.matrix
 
     __hash__ = None  # type: ignore[assignment]
 
 
 def identity_morphism(E: MatFac) -> MorphismCocycle:
-    return MorphismCocycle(
-        E, E, 0, (identity_matrix(E.ring, E.r0), identity_matrix(E.ring, E.r1))
-    )
+    return MorphismCocycle(E, E, 0, identity_matrix(E.ring, E.rank))
 
 
 def zero_morphism(E: MatFac, F: MatFac, parity: int) -> MorphismCocycle:
-    ring = E.ring
-    if parity == 0:
-        blocks = (zero_matrix(ring, F.r0, E.r0), zero_matrix(ring, F.r1, E.r1))
-    else:
-        blocks = (zero_matrix(ring, F.r1, E.r0), zero_matrix(ring, F.r0, E.r1))
-    return MorphismCocycle(E, F, parity, blocks)
+    return MorphismCocycle(E, F, parity, zero_matrix(E.ring, F.rank, E.rank))
 
 
 # --- the Hom complex as flat matrices ---------------------------------------
 
 
-def hom_basis_sizes(E: MatFac, F: MatFac) -> tuple[int, int]:
-    n0 = F.r0 * E.r0 + F.r1 * E.r1
-    n1 = F.r1 * E.r0 + F.r0 * E.r1
-    return n0, n1
-
-
 def morphism_to_vector(f: MorphismCocycle) -> tuple:
-    """Row-major flattening, first block then second."""
-    return tuple(e for blk in f.blocks for row in blk for e in row)
+    """The Hom^p coordinates of f: its entries at `_hom_positions`."""
+    M = f.matrix
+    return tuple(M[t][s] for t, s in _hom_positions(f.source, f.target, f.parity))
 
 
 def vector_to_morphism(E: MatFac, F: MatFac, parity: int, vec) -> MorphismCocycle:
-    if parity == 0:
-        shapes = ((F.r0, E.r0), (F.r1, E.r1))
-    else:
-        shapes = ((F.r1, E.r0), (F.r0, E.r1))
-    vec = list(vec)
-    blocks = []
-    at = 0
-    for r, c in shapes:
-        blk = tuple(tuple(vec[at + i * c : at + (i + 1) * c]) for i in range(r))
-        blocks.append(blk)
-        at += r * c
-    return MorphismCocycle(E, F, parity, tuple(blocks))
+    """The map E -> F of this parity with Hom^parity coordinates vec."""
+    positions = _hom_positions(E, F, parity)
+    vec = tuple(vec)
+    if len(vec) != len(positions):
+        raise ValueError(
+            "Hom^%d has %d coordinates, not %d" % (parity, len(positions), len(vec))
+        )
+    rows = [[E.ring.zero()] * E.rank for _ in range(F.rank)]
+    for (t, s), e in zip(positions, vec):
+        rows[t][s] = e
+    return MorphismCocycle(E, F, parity, as_matrix(rows))
 
 
 def _hom_positions(E: MatFac, F: MatFac, parity: int) -> list:
-    """(target, source) full-basis indices of the flattened Hom^parity."""
+    """(target, source) full-basis indices of the flattened Hom^parity.
+
+    This is the one definition of the Hom^p coordinates: each parity block
+    row-major, the block on E0 first.
+    """
     F0, F1 = range(F.r0), range(F.r0, F.rank)
     E0, E1 = range(E.r0), range(E.r0, E.rank)
     blocks = ((F0, E0), (F1, E1)) if parity == 0 else ((F1, E0), (F0, E1))
@@ -560,11 +517,7 @@ def clifford_generators(w: Polynomial, decomposition=None):
         wij = greedy_decomposition(ws[j])
         wedge = [-wij[i] for i in range(n)]
         contract = [ring.one() if i == j else ring.zero() for i in range(n)]
-        T = koszul_operator(ring, n, wedge, contract)
-        r0 = kst.r0
-        b10 = tuple(tuple(row[:r0]) for row in T[r0:])
-        b01 = tuple(tuple(row[r0:]) for row in T[:r0])
-        alphas.append(MorphismCocycle(kst, kst, 1, (b10, b01)))
+        alphas.append(MorphismCocycle(kst, kst, 1, koszul_operator(ring, n, wedge, contract)))
     return kst, alphas
 
 

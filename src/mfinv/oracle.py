@@ -8,9 +8,9 @@ Nothing on that route (`solve_D`, `oracle_tau`) calls the derivative-product
 formula; the two routes stay disjoint so that their agreement is a real
 check.  Only `chern_of_diagonal` applies the formula, to the diagonal
 factorization itself, as one side of its own check.  The route reads only
-the difference derivatives of w; the Koszul diagonal and the doubled
-Jacobian ideal are built by `build_diagonal`, for the two checks that read
-them.
+the difference derivatives of w; the doubled Jacobian ideal is built by
+`build_diagonal`, for the two checks that read it, and the Koszul diagonal
+by `chern_of_diagonal`, its only reader.
 
 The solver works in coordinates (x, u) with u_j = y_j - x_j, where the
 contraction kappa to invert is plain multiplication by the u_j: it is the
@@ -33,7 +33,7 @@ from itertools import combinations, product
 from math import comb, prod
 
 from .groebner import GroebnerBasis, buchberger, normal_form
-from .invariants import derivative_product, supertrace
+from .invariants import check_endomorphism, derivative_product, supertrace
 from .mfcore import (
     MatFac,
     Matrix,
@@ -41,7 +41,6 @@ from .mfcore import (
     identity_matrix,
     koszul,
     mat_add,
-    mat_equal,
     mat_map,
     mat_mul,
     mat_neg,
@@ -57,13 +56,11 @@ class DiagonalData(Frozen):
 
     ``milnor`` is A_w, ``doubled`` the ring k[x, y], ``w_tilde`` is
     w(y) - w(x), ``differences`` are the difference derivatives of w,
-    ``factorization`` is the Koszul factorization of w_tilde, ``jacobian``
-    the basis of J_w(x) + J_w(y) and ``determinant`` det(Delta_j(partial_i w)).
+    ``jacobian`` the basis of J_w(x) + J_w(y) and ``determinant``
+    det(Delta_j(partial_i w)).
     """
 
-    __slots__ = (
-        "milnor", "doubled", "w_tilde", "differences", "factorization", "jacobian", "determinant"
-    )
+    __slots__ = ("milnor", "doubled", "w_tilde", "differences", "jacobian", "determinant")
 
     def __init__(
         self,
@@ -71,7 +68,6 @@ class DiagonalData(Frozen):
         doubled: PolyRing,
         w_tilde: Polynomial,
         differences: tuple[Polynomial, ...],
-        factorization: MatFac,
         jacobian: GroebnerBasis,
         determinant: Polynomial,
     ):
@@ -79,7 +75,6 @@ class DiagonalData(Frozen):
         object.__setattr__(self, "doubled", doubled)
         object.__setattr__(self, "w_tilde", w_tilde)
         object.__setattr__(self, "differences", differences)
-        object.__setattr__(self, "factorization", factorization)
         object.__setattr__(self, "jacobian", jacobian)
         object.__setattr__(self, "determinant", determinant)
 
@@ -111,14 +106,13 @@ def build_diagonal(A: MilnorRing) -> DiagonalData:
     doubled, w_tilde, diffs = _differences(w)
     xs = [doubled.var(i) for i in range(n)]
     ys = [doubled.var(n + i) for i in range(n)]
-    fac = koszul(diffs, tuple(ys[j] - xs[j] for j in range(n)))
     partials = [w.partial_derivative(i) for i in range(n)]
     gb = buchberger(
         [p.substitute(doubled, xs) for p in partials]
         + [p.substitute(doubled, ys) for p in partials]
     )
     rows = [[difference_derivative(p, j, doubled) for j in range(n)] for p in partials]
-    return DiagonalData(A, doubled, w_tilde, diffs, fac, gb, determinant(rows, doubled.one()))
+    return DiagonalData(A, doubled, w_tilde, diffs, gb, determinant(rows, doubled.one()))
 
 
 class DTensor(Frozen):
@@ -287,7 +281,7 @@ def restriction_recursion_check(D: DTensor) -> bool:
             mixed[k] = doubled.var(n + k)
         part = mat_map(E.partial_delta(pivot), lambda p: p.substitute(doubled, mixed))
         rhs = mat_mul(D.component(prev), part, doubled.zero())
-        if not mat_equal(lhs, rhs):
+        if lhs != rhs:
             return False
     return True
 
@@ -296,11 +290,7 @@ def oracle_tau(
     E: MatFac, alpha: MorphismCocycle, A: MilnorRing, *, dtensor: DTensor | None = None
 ) -> MilnorClass:
     """Boundary-bulk value recovered from the solved diagonal kernel."""
-    for F in (alpha.source, alpha.target):
-        if F.d0 != E.d0 or F.d1 != E.d1:
-            raise ValueError("morphism is not an endomorphism of E")
-    if not alpha.is_closed():
-        raise ValueError("morphism is not closed")
+    check_endomorphism(E, alpha)
     if A.w != E.w:
         raise ValueError("potential mismatch")
     if dtensor is None:
@@ -312,7 +302,7 @@ def oracle_tau(
         dict(dtensor.solved)[tuple(range(n))],
         lambda p: ring.from_terms({m[:n]: c for m, c in p.terms.items() if not any(m[n:])}),
     )
-    M = mat_mul(top, alpha.full_matrix(), ring.zero())
+    M = mat_mul(top, alpha.matrix, ring.zero())
     parity = (n + alpha.parity) % 2
     return A.project(supertrace(M, E.r0), parity=parity)
 
@@ -342,7 +332,8 @@ def chern_of_diagonal(w: Polynomial, data: DiagonalData | None = None) -> Diagon
     elif data.milnor.w != w:
         raise ValueError("diagonal data belongs to a different potential")
     n = w.ring.n
-    F = data.factorization
+    doubled = data.doubled
+    F = koszul(data.differences, [doubled.var(n + j) - doubled.var(j) for j in range(n)])
     P = derivative_product(F, range(2 * n - 1, -1, -1))
     direct = normal_form(supertrace(P, F.r0), data.jacobian)
     det = -data.determinant if (n * (n - 1) // 2) % 2 else data.determinant

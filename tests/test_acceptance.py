@@ -37,14 +37,14 @@ from mfinv.mfcore import (
     greedy_decomposition,
     identity_morphism,
     koszul,
+    morphism_to_vector,
     shift,
-    stabilized_residue_field,
     tensor,
+    vector_to_morphism,
     zero_morphism,
 )
 from mfinv.milnor import (
     build_milnor,
-    canonical_pairing,
     gram_matrix,
     hessian_class,
     residue_trace,
@@ -56,7 +56,7 @@ from mfinv.oracle import (
     oracle_tau,
     solve_D,
 )
-from mfinv.poly import PolyRing, determinant, difference_derivative, doubled_ring
+from mfinv.poly import PolyRing
 from mfinv.scalar import CyclotomicContext, one, rational, zero
 
 R1 = PolyRing(("x",))
@@ -75,7 +75,7 @@ def odd_generator(E, n, i):
     else:
         b10 = ((R1.one(),),)
         b01 = ((R1.parse("-x^%d" % (n - 2 * i)),),)
-    return MorphismCocycle(E, E, 1, (b10, b01))
+    return MorphismCocycle.from_blocks(E, E, 1, (b10, b01))
 
 
 # the residue-normalization battery, each potential with one Koszul
@@ -321,7 +321,7 @@ def test_criterion_07_stabilization_suite():
             for j in range(n):
                 anti = alphas[i].compose(alphas[j]) + alphas[j].compose(alphas[i])
                 c = -(wij[i][j] + wij[j][i])
-                expect = MorphismCocycle(
+                expect = MorphismCocycle.from_blocks(
                     kst,
                     kst,
                     0,
@@ -491,15 +491,9 @@ def test_criterion_11_property_suite(tmp_path, capsys):
     A = build_milnor(R2.parse("x^3 + x*y^2"))
     rng = random.Random(1111)
     for parity in (0, 1):
-        g = zero_morphism(E, E, parity)
-        blocks = tuple(
-            tuple(
-                tuple(random_monomial(rng, R2) for _ in row)
-                for row in blk
-            )
-            for blk in g.blocks
-        )
-        g = MorphismCocycle(E, E, parity, blocks)
+        n = len(morphism_to_vector(zero_morphism(E, E, parity)))
+        vec = [random_monomial(rng, R2) for _ in range(n)]
+        g = vector_to_morphism(E, E, parity, vec)
         dg = g.differential()
         assert dg.differential().is_zero()
         assert dg.is_closed()

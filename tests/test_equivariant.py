@@ -253,13 +253,22 @@ def test_tau_equivariant_identity_is_chern():
         assert a.value == b.value and a.parity == b.parity
 
 
+def test_tau_equivariant_rejects_another_factorization():
+    ring, ctx = cyclic_ring(4)
+    G = cyclic_group(ring, ctx, 4)
+    E = pinned_equivariant(ring, ctx, 2, 4)
+    other = power_mf(ring, 1, 4)
+    with pytest.raises(ValueError, match="not an endomorphism"):
+        tau_equivariant(E, G, (ctx.zeta(),), identity_morphism(other))
+
+
 def test_tau_equivariant_rejects_non_invariant():
     ring, ctx = cyclic_ring(4)
     G = cyclic_group(ring, ctx, 4)
     E = pinned_equivariant(ring, ctx, 2, 4)
     x = ring.var(0)
     # multiplication by x is closed but not invariant (character 1)
-    f = MorphismCocycle(
+    f = MorphismCocycle.from_blocks(
         E.base,
         E.base,
         0,
@@ -666,7 +675,7 @@ def _ref_morphism_invariance_all(E, G, alpha):
     actions = _ref_validate_all(E, G)
     if not alpha.is_closed():
         raise ValueError("morphism is not closed")
-    M = alpha.full_matrix()
+    M = alpha.matrix
     zz = E.base.ring.zero()
     for h in G.elements:
         moved = mat_map(M, lambda p, h=h: _ref_substitute(p, h))
@@ -742,7 +751,7 @@ def _scaled_identity(E, p):
         tuple(tuple(p if i == j else E.ring.zero() for j in range(r)) for i in range(r))
         for r in (E.r0, E.r1)
     )
-    return MorphismCocycle(E, E, 0, blocks)
+    return MorphismCocycle.from_blocks(E, E, 0, blocks)
 
 
 def test_delta_equivariant_under_the_first_generator_only():

@@ -35,7 +35,7 @@ def odd_generator(E, n, i):
         blocks = (((R1.parse("x^%d" % (2 * i - n)),),), ((R1.parse("-1"),),))
     else:
         blocks = (((R1.one(),),), ((R1.parse("-x^%d" % (n - 2 * i)),),))
-    return MorphismCocycle(E, E, 1, blocks)
+    return MorphismCocycle.from_blocks(E, E, 1, blocks)
 
 
 def test_hom_dimensions_xn():

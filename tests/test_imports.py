@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package, the tests or the scripts imports is
+used in that module."""
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mfinv"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mfinv"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -18,15 +20,25 @@ def _unused_imports(tree: ast.Module) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def test_no_unused_imports_in_package():
-    modules = sorted(SRC.glob("*.py"))
-    assert len(modules) >= 10
+def _unused_imports_in(paths) -> dict:
     unused = {}
-    for path in modules:
+    for path in paths:
         found = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
         if found:
             unused[path.name] = found
-    assert unused == {}
+    return unused
+
+
+def test_no_unused_imports_in_package():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    assert _unused_imports_in(modules) == {}
+
+
+def test_no_unused_imports_in_tests_and_scripts():
+    modules = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert len(modules) >= 15
+    assert _unused_imports_in(modules) == {}
 
 
 def test_unused_import_is_reported():
@@ -201,11 +213,11 @@ def _frozen_instances() -> list:
         MilnorRing(ring, ring.zero(), None, (), 0, 1, ring.one()),
         MilnorClass(None, ring.zero(), 0),
         empty,
-        MorphismCocycle(empty, empty, 0, ((), ())),
+        MorphismCocycle(empty, empty, 0, ()),
         EquivariantMF(empty, ()),
         ParityCohomology(0, None, None, ()),
         CohomologyBasis(empty, empty, None, None),
-        DiagonalData(None, ring, ring.zero(), (), empty, None, ring.zero()),
+        DiagonalData(None, ring, ring.zero(), (), None, ring.zero()),
         DTensor(ring, empty, ()),
         DiagonalChern(None, None, True),
         Sector((), (), None),

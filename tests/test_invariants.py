@@ -23,9 +23,8 @@ from mfinv.mfcore import (
     mat_mul,
     shift,
     vector_to_morphism,
-    zero_morphism,
 )
-from mfinv.milnor import build_milnor, residue_trace
+from mfinv.milnor import build_milnor
 from mfinv.poly import PolyRing
 from mfinv.scalar import rational
 
@@ -58,7 +57,7 @@ def odd_generator(E, n, i):
     else:
         b10 = ((R1.one(),),)
         b01 = ((R1.parse("-x^%d" % (n - 2 * i)),),)
-    return MorphismCocycle(E, E, 1, (b10, b01))
+    return MorphismCocycle.from_blocks(E, E, 1, (b10, b01))
 
 
 def test_supertrace_basics():
@@ -119,6 +118,21 @@ def test_tau_rejects_non_closed():
     f = vector_to_morphism(E, E, 0, [R2.parse("x"), R2.zero()])
     with pytest.raises(ValueError, match="closed"):
         tau(E, f, A)
+
+
+def test_endomorphism_checks_compare_whole_factorizations():
+    # F shares d0 with E but not d1 or w: comparing d0 alone let its
+    # identity pass as an endomorphism of E
+    E, A = d4_pair()
+    x = R2.parse("x")
+    F = MatFac(R2, R2.parse("x^3"), ((x,),), ((R2.parse("x^2"),),))
+    assert F.d0 == E.d0 and F != E
+    foreign = identity_morphism(F)
+    for check in (tau, chern_antisymmetrized):
+        with pytest.raises(ValueError, match="not an endomorphism"):
+            check(E, foreign, A)
+    with pytest.raises(ValueError, match="endpoints do not match"):
+        identity_morphism(E).compose(foreign)
 
 
 def test_tau_kills_coboundaries():

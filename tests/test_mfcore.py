@@ -8,18 +8,17 @@ from mfinv.mfcore import (
     EquivariantMF,
     MatFac,
     MorphismCocycle,
+    as_matrix,
     clifford_generators,
     direct_sum,
     dual,
     greedy_decomposition,
-    hom_basis_sizes,
     hom_differential,
     identity_matrix,
     identity_morphism,
     koszul,
     koszul_operator,
     koszul_subsets,
-    mat_equal,
     mat_mul,
     morphism_to_vector,
     shift,
@@ -91,14 +90,14 @@ def test_wedge_contraction_identities():
             [a + b for a, b in zip(r1, r2)]
             for r1, r2 in zip(mat_mul(W, C, R2.zero()), mat_mul(C, W, R2.zero()))
         ]
-        assert mat_equal(tuple(map(tuple, anti)), identity_matrix(R2, 4))
+        assert tuple(map(tuple, anti)) == identity_matrix(R2, 4)
     W0 = koszul_operator(R2, 2, [one, zero], [zero, zero])
     C1 = koszul_operator(R2, 2, [zero, zero], [zero, one])
     anti = [
         [a + b for a, b in zip(r1, r2)]
         for r1, r2 in zip(mat_mul(W0, C1, R2.zero()), mat_mul(C1, W0, R2.zero()))
     ]
-    assert mat_equal(tuple(map(tuple, anti)), zero_matrix(R2, 4, 4))
+    assert tuple(map(tuple, anti)) == zero_matrix(R2, 4, 4)
 
 
 def test_tensor_of_rank_ones_validates():
@@ -151,13 +150,13 @@ def test_identity_is_closed():
 def test_identity_coboundary_on_contractible():
     # on {1, w} the identity is d(h) for h with upper block 1
     E = koszul([R1.one()], [R1.parse("x^3")])
-    h = MorphismCocycle(E, E, 1, (((R1.zero(),),), ((R1.one(),),)))
+    h = MorphismCocycle.from_blocks(E, E, 1, (((R1.zero(),),), ((R1.one(),),)))
     assert h.differential() == identity_morphism(E)
 
 
 def test_compose_parities():
     E = k1(R1, "x^2", "x^2")
-    a = MorphismCocycle(E, E, 1, (((R1.one(),),), ((R1.parse("-1"),),)))
+    a = MorphismCocycle.from_blocks(E, E, 1, (((R1.one(),),), ((R1.parse("-1"),),)))
     sq = a.compose(a)
     assert sq.parity == 0
     assert sq == identity_morphism(E).scale(-1)
@@ -174,22 +173,70 @@ def test_morphism_vector_roundtrip():
         assert morphism_to_vector(f) == tuple(vec)
 
 
+def _zero_fac(r0, r1):
+    """A factorization of 0 of rank (r0, r1), so that every block of a
+    morphism between two of them has its own shape."""
+    return MatFac(R2, R2.zero(), zero_matrix(R2, r1, r0), zero_matrix(R2, r0, r1))
+
+
 @pytest.mark.parametrize("parity", [0, 1])
 def test_full_matrix_roundtrip_between_unequal_ranks(parity):
-    # factorizations of 0 with r0 != r1, so that every zero block of the
-    # full matrix has its own shape
-    def zero_fac(r0, r1):
-        return MatFac(R2, R2.zero(), zero_matrix(R2, r1, r0), zero_matrix(R2, r0, r1))
-
-    E, F = zero_fac(2, 1), zero_fac(1, 3)
+    E, F = _zero_fac(2, 1), _zero_fac(1, 3)
     z = zero_morphism(E, F, parity)
     n = len(morphism_to_vector(z))
     vec = [R2.monomial((i, 1)) + R2.one() for i in range(n)]
     f = vector_to_morphism(E, F, parity, vec)
-    M = f.full_matrix()
+    M = f.matrix
     assert len(M) == F.rank and all(len(row) == E.rank for row in M)
-    assert MorphismCocycle.from_full(E, F, parity, M) == f
-    assert MorphismCocycle.from_full(E, F, parity, z.full_matrix()) == z
+    assert MorphismCocycle(E, F, parity, M) == f
+    assert MorphismCocycle(E, F, parity, z.matrix) == z
+
+
+def test_morphism_constructor_checks_shape_and_parity():
+    E, F = _zero_fac(2, 1), _zero_fac(1, 3)
+    one = R2.one()
+    with pytest.raises(ValueError, match="morphism block has the wrong shape"):
+        MorphismCocycle(E, F, 0, zero_matrix(R2, F.rank, E.rank + 1))
+    with pytest.raises(ValueError, match="morphism block has the wrong shape"):
+        MorphismCocycle(E, F, 0, zero_matrix(R2, F.rank - 1, E.rank))
+    for parity, (t, s) in ((0, (0, 2)), (0, (1, 0)), (1, (0, 0)), (1, (3, 2))):
+        rows = [list(row) for row in zero_matrix(R2, F.rank, E.rank)]
+        rows[t][s] = one
+        with pytest.raises(ValueError, match="not parity-homogeneous of parity %d" % parity):
+            MorphismCocycle(E, F, parity, as_matrix(rows))
+        # the same entry is allowed in the other parity
+        assert not MorphismCocycle(E, F, 1 - parity, as_matrix(rows)).is_zero()
+    with pytest.raises(ValueError, match="morphism block has the wrong shape"):
+        MorphismCocycle.from_blocks(E, F, 0, (zero_matrix(R2, 1, 2), zero_matrix(R2, 3, 2)))
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_hom_coordinates_are_the_blocks_row_major(parity):
+    # the order the Hom kernels are computed in: the block on E0 first,
+    # each block row by row
+    E, F = _zero_fac(2, 1), _zero_fac(1, 3)
+    if parity == 0:
+        shapes = ((F.r0, E.r0), (F.r1, E.r1))
+    else:
+        shapes = ((F.r1, E.r0), (F.r0, E.r1))
+    counter = iter(range(1, 100))
+    B0, B1 = (
+        tuple(tuple(R2.parse(str(next(counter))) for _ in range(c)) for _ in range(r))
+        for r, c in shapes
+    )
+    f = MorphismCocycle.from_blocks(E, F, parity, (B0, B1))
+    want = tuple(e for blk in (B0, B1) for row in blk for e in row)
+    assert morphism_to_vector(f) == want
+    assert vector_to_morphism(E, F, parity, want) == f
+
+
+def test_vector_to_morphism_rejects_a_wrong_length():
+    E, F = _zero_fac(2, 1), _zero_fac(1, 3)
+    for parity in (0, 1):
+        n = len(morphism_to_vector(zero_morphism(E, F, parity)))
+        for k in (n - 1, n + 1):
+            with pytest.raises(ValueError, match="coordinates"):
+                vector_to_morphism(E, F, parity, [R2.one()] * k)
 
 
 def test_hom_differential_squares_to_zero():
@@ -204,7 +251,8 @@ def test_hom_differential_squares_to_zero():
 
 def _hom_differential_by_units(E, F):
     """The reference route: d applied to each unit morphism, as columns."""
-    n0, n1 = hom_basis_sizes(E, F)
+    d_even, d_odd = hom_differential(E, F)
+    n0, n1 = len(d_odd), len(d_even)
     out = []
     for parity, n_in, n_out in ((0, n0, n1), (1, n1, n0)):
         cols = []
@@ -310,7 +358,7 @@ def test_clifford_anticommutators():
         for j in range(2):
             anti = alphas[i].compose(alphas[j]) + alphas[j].compose(alphas[i])
             c = -(wij[i][j] + wij[j][i])
-            expect = MorphismCocycle(
+            expect = MorphismCocycle.from_blocks(
                 kst, kst, 0,
                 (
                     tuple(tuple(c if a == b else R2.zero() for b in range(kst.r0)) for a in range(kst.r0)),
@@ -335,14 +383,7 @@ def test_clifford_supercommutative_cube():
                 continue
             fs = greedy_decomposition(f)
             T = koszul_operator(R2, 2, fs, [R2.zero(), R2.zero()])
-            r0 = kst.r0
-            h = MorphismCocycle(
-                kst, kst, 1,
-                (
-                    tuple(tuple(row[:r0]) for row in T[r0:]),
-                    tuple(tuple(row[r0:]) for row in T[:r0]),
-                ),
-            )
+            h = MorphismCocycle(kst, kst, 1, T)
             assert h.differential().scale(-1) == anti
 
 

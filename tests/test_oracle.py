@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from mfinv.homology import hom_cohomology
 from mfinv.invariants import chern, supertrace, tau
 from mfinv.mfcore import (
-    MatFac,
     MorphismCocycle,
     greedy_decomposition,
     identity_morphism,
     koszul,
     koszul_subsets,
-    mat_equal,
     mat_map,
     mat_mul,
     stabilized_residue_field,
@@ -33,6 +31,13 @@ from mfinv.scalar import CyclotomicContext, rational
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
 R3 = PolyRing(("x", "y", "z"))
+
+
+def diagonal_koszul(data):
+    """The Koszul diagonal {Delta_j w; y_j - x_j} on the doubled ring."""
+    n = data.milnor.ring.n
+    us = [data.doubled.var(n + j) - data.doubled.var(j) for j in range(n)]
+    return koszul(data.differences, us)
 
 
 def xn_fac(n, i):
@@ -81,7 +86,7 @@ def test_build_diagonal_telescopes():
     for j in range(n):
         total = total + data.differences[j] * (ys[j] - xs[j])
     assert total == data.w_tilde
-    assert data.factorization.w == data.w_tilde
+    assert diagonal_koszul(data).w == data.w_tilde
 
 
 def test_difference_derivatives_restrict_to_partials():
@@ -119,7 +124,7 @@ def test_diagonal_factorization_matches_subset_conventions():
                 d = data.differences[i]
                 term = d if sign > 0 else -d
             expected[pos[t]][col] = expected[pos[t]][col] + term
-    assert mat_equal(data.factorization.full_delta(), tuple(map(tuple, expected)))
+    assert diagonal_koszul(data).full_delta() == tuple(map(tuple, expected))
 
 
 def test_diagonal_checks_reject_foreign_data():
@@ -149,6 +154,21 @@ def test_oracle_route_builds_no_diagonal(monkeypatch):
     assert restriction_recursion_check(solve_D(E))
     with pytest.raises(AssertionError, match="built a diagonal"):
         oracle.chern_of_diagonal(w)
+
+
+def test_inverse_form_check_builds_no_koszul_diagonal(monkeypatch):
+    # the Koszul diagonal is read by chern_of_diagonal alone
+    import mfinv.oracle as oracle
+
+    def built(*args, **kwargs):
+        raise AssertionError("a Koszul diagonal was built")
+
+    monkeypatch.setattr(oracle, "koszul", built)
+    w = R2.parse("x^3 + x*y^2")
+    assert inverse_form_check(w)
+    assert inverse_form_check(w, build_diagonal(build_milnor(w)))
+    with pytest.raises(AssertionError, match="Koszul diagonal was built"):
+        chern_of_diagonal(w)
 
 
 def test_smallest_case_by_hand():
@@ -233,8 +253,8 @@ def test_oracle_tau_on_scaled_morphisms():
     D = solve_D(E)
     alpha = identity_morphism(E).scale(rational(3, 2))
     assert oracle_tau(E, alpha, A, dtensor=D) == tau(E, alpha, A)
-    beta = MorphismCocycle.from_full(
-        E, E, 0, tuple(tuple(R2.parse("y") * p for p in row) for row in alpha.full_matrix())
+    beta = MorphismCocycle(
+        E, E, 0, tuple(tuple(R2.parse("y") * p for p in row) for row in alpha.matrix)
     )
     assert oracle_tau(E, beta, A, dtensor=D) == tau(E, beta, A)
 
@@ -243,7 +263,7 @@ def test_oracle_tau_rejects_open_morphisms():
     E = xn_fac(4, 2)
     A = build_milnor(R1.parse("x^4"))
     x = R1.parse("x")
-    bad = MorphismCocycle(E, E, 1, (((x,),), ((x,),)))
+    bad = MorphismCocycle.from_blocks(E, E, 1, (((x,),), ((x,),)))
     assert not bad.is_closed()
     with pytest.raises(ValueError, match="not closed"):
         oracle_tau(E, bad, A)
@@ -280,7 +300,7 @@ def test_chern_of_diagonal_matches_doubled_milnor_route(w):
     # character through `chern` and the signed determinant projected there
     data = build_diagonal(build_milnor(w))
     A = build_milnor(data.w_tilde)
-    direct = chern(data.factorization, A)
+    direct = chern(diagonal_koszul(data), A)
     n = w.ring.n
     rows = [
         [difference_derivative(w.partial_derivative(i), j, data.doubled) for j in range(n)]
@@ -599,7 +619,7 @@ def test_oracle_tau_reads_the_top_component_at_u_zero(w, facs):
         top = mat_map(D.top(), lambda p: p.substitute(ring, to_x))
         ident = identity_morphism(E)
         for alpha in (ident, ident.scale(ring.var(0))):
-            M = mat_mul(top, alpha.full_matrix(), ring.zero())
+            M = mat_mul(top, alpha.matrix, ring.zero())
             want = A.project(supertrace(M, E.r0), parity=(n + alpha.parity) % 2)
             assert oracle_tau(E, alpha, A, dtensor=D) == want
             assert oracle_tau(E, alpha, A) == want
