@@ -259,7 +259,7 @@ def _load_factorization(ring: PolyRing, w: Polynomial, name: str, spec) -> MatFa
         d0 = _parse_poly_matrix(ring, spec["d0"], "factorization %r" % name)
         d1 = _parse_poly_matrix(ring, spec["d1"], "factorization %r" % name)
         try:
-            E = MatFac(ring, w, d0, d1)
+            E = MatFac.from_blocks(ring, w, d0, d1)
             E.validate()
         except ValueError as exc:
             raise SessionError("factorization %r: %s" % (name, exc))

@@ -277,7 +277,7 @@ def validate_equivariant(E: EquivariantMF, G: DiagonalGroup) -> dict:
     rho(g) delta(g x) = delta(x) rho(g) for every element, through its
     generators (module docstring)."""
     actions = equivariant_actions(E, G)
-    delta = E.base.full_delta()
+    delta = E.base.delta
     for g, k in G.generator_items():
         if not _commutes(delta, k, G.roots, actions[g], E.base.ring.zero()):
             raise ValueError(
@@ -593,16 +593,14 @@ def graded_exponents(S: GradedStructure, E: MatFac, degrees0, degrees1):
     degrees0, degrees1 = list(degrees0), list(degrees1)
     if len(degrees0) != E.r0 or len(degrees1) != E.r1:
         raise ValueError("one degree per basis element is required")
-    for blk, src, tgt in ((E.d0, degrees0, degrees1), (E.d1, degrees1, degrees0)):
-        for t, row in enumerate(blk):
-            for s, entry in enumerate(row):
-                if entry.is_zero():
-                    continue
-                qd = entry.quasi_degree(S.weights)
-                if qd is None or qd != S.ell + src[s] - tgt[t]:
-                    raise ValueError(
-                        "basis degrees are incompatible with a homogeneous delta"
-                    )
+    degrees = degrees0 + degrees1
+    for t, row in enumerate(E.delta):
+        for s, entry in enumerate(row):
+            if entry.is_zero():
+                continue
+            qd = entry.quasi_degree(S.weights)
+            if qd is None or qd != S.ell + degrees[s] - degrees[t]:
+                raise ValueError("basis degrees are incompatible with a homogeneous delta")
     L = S.order
     exps = [d % L for d in degrees0]
     exps += [(d + S.ell) % L for d in degrees1]
@@ -629,7 +627,7 @@ def graded_chi(
     exps_F = graded_exponents(S, F, *degF)
     for base, exps in ((E, exps_E), (F, exps_F)):
         rho = _graded_rho(S, exps, 1)
-        if not _commutes(base.full_delta(), S.weights, S.roots, rho, base.ring.zero()):
+        if not _commutes(base.delta, S.weights, S.roots, rho, base.ring.zero()):
             raise ValueError("graded action does not commute with delta")
     terms = [
         (S.element(m), _graded_rho(S, exps_E, -m), _graded_rho(S, exps_F, m))

@@ -50,7 +50,7 @@ def derivative_product(E: MatFac, indices) -> Matrix:
     """Product of the differentiated deltas, indices[0] leftmost."""
     P = identity_matrix(E.ring, E.rank)
     for i in indices:
-        P = mat_mul(P, E.partial_delta(i), E.ring.zero())
+        P = mat_mul(P, E.partials[i], E.ring.zero())
     return P
 
 

@@ -1,17 +1,15 @@
 """Matrix factorizations of a potential and the morphism calculus on them.
 
-A factorization is a pair of polynomial matrix blocks d0 : E0 -> E1 and
-d1 : E1 -> E0 with d1 d0 = d0 d1 = w * id.  The full odd differential is
-
-    delta = [[0, d1], [d0, 0]]
-
-acting on E0 + E1, and that basis order (even summand first) is used for
-every "full matrix" in this package.  Matrices are tuples of row tuples;
-`mat_mul` multiplies polynomial, scalar (group action) and mixed ones.
-Koszul factorizations live on the exterior algebra of k^m with basis
-indexed by subsets of {0..m-1}, sorted by (size, lexicographic); wedge and
-contraction carry the sign (-1)^(number of elements below the touched
-index).
+A factorization (E, delta) of w is a free module E = E0 + E1 with an odd
+differential delta, stored as one square polynomial matrix on E0 + E1:
+the first r0 basis elements span the even summand E0, delta vanishes on
+the E0 <- E0 and E1 <- E1 blocks, and delta * delta = w * id.  That basis
+order (even summand first) is used for every "full matrix" in this
+package.  Matrices are tuples of row tuples; `mat_mul` multiplies
+polynomial, scalar (group action) and mixed ones.  Koszul factorizations
+live on the exterior algebra of k^m with basis indexed by subsets of
+{0..m-1}, sorted by (size, lexicographic); wedge and contraction carry the
+sign (-1)^(number of elements below the touched index).
 
 A morphism E -> F is stored as its full F.rank x E.rank matrix in those
 bases, vanishing off the blocks of its parity; `_hom_positions` alone
@@ -22,6 +20,8 @@ endomorphisms of the stabilized residue field generate a Clifford algebra,
 built here from the same greedy monomial decomposition that builds k^st.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 from .poly import Polynomial, PolyRing
 from .scalar import Frozen
@@ -58,13 +58,13 @@ def mat_mul(A: Matrix, B: Matrix, zero) -> Matrix:
     cols = len(B[0]) if B else 0
     out = []
     for row in A:
+        # the nonzero entries of the row with the rows of B they pair with
+        terms = [(B[k], a) for k, a in enumerate(row) if not a.is_zero()]
         new = []
         for j in range(cols):
             acc = zero
-            for k, a in enumerate(row):
-                if a.is_zero():
-                    continue
-                b = B[k][j]
+            for Bk, a in terms:
+                b = Bk[j]
                 if not b.is_zero():
                     acc = acc + a * b
             new.append(acc)
@@ -98,79 +98,80 @@ def mat_map(A: Matrix, fn) -> Matrix:
     return tuple(tuple(fn(a) for a in row) for row in A)
 
 
-def block_diag(ring: PolyRing, A: Matrix, B: Matrix, ra: int, ca: int, rb: int, cb: int) -> Matrix:
-    out = []
-    for i in range(ra):
-        out.append(tuple(A[i]) + tuple(ring.zero() for _ in range(cb)))
-    for i in range(rb):
-        out.append(tuple(ring.zero() for _ in range(ca)) + tuple(B[i]))
-    return tuple(out)
-
-
 class MatFac(Frozen):
     """A matrix factorization (E, delta) of the potential w.
 
-    ``d0`` is the r1 x r0 even-to-odd block, ``d1`` the r0 x r1 one.
+    ``delta`` is the odd differential as one square matrix on E0 + E1,
+    whose first ``r0`` basis elements span E0; the constructor checks the
+    shape and the parity, `validate` checks delta * delta = w * id.
+    ``partials`` holds the derivatives d_i delta, computed on first read.
     """
 
-    __slots__ = ("ring", "w", "d0", "d1")
-
-    def __init__(self, ring: PolyRing, w: Polynomial, d0: Matrix, d1: Matrix):
-        r1, r0 = len(d0), len(d1)
-        if any(len(row) != r0 for row in d0):
-            raise ValueError("d0 rows have inconsistent length")
-        if any(len(row) != r1 for row in d1):
-            raise ValueError("d1 rows have inconsistent length")
+    def __init__(self, ring: PolyRing, w: Polynomial, delta: Matrix, r0: int):
+        if not 0 <= r0 <= len(delta) or any(len(row) != len(delta) for row in delta):
+            raise ValueError("delta is not square (d1 must be r0 x r1, d0 r1 x r0)")
+        for t, row in enumerate(delta):
+            # the columns of the summand of row t itself
+            if any(not e.is_zero() for e in (row[:r0] if t < r0 else row[r0:])):
+                raise ValueError("delta is not odd: entry in row %d preserves parity" % t)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "d0", d0)
-        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "r0", r0)
+
+    @classmethod
+    def from_blocks(cls, ring: PolyRing, w: Polynomial, d0: Matrix, d1: Matrix) -> "MatFac":
+        """The factorization with blocks d0 : E0 -> E1 (r1 x r0) and
+        d1 : E1 -> E0 (r0 x r1), that is delta = [[0, d1], [d0, 0]]."""
+        zero = ring.zero()
+        top = tuple((zero,) * len(d1) + tuple(row) for row in d1)
+        bottom = tuple(tuple(row) + (zero,) * len(d0) for row in d0)
+        return cls(ring, w, top + bottom, len(d1))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.ring, self.w, self.d0, self.d1) == (other.ring, other.w, other.d0, other.d1)
-
-    @property
-    def r0(self) -> int:
-        return len(self.d1)
+        return (self.ring, self.w, self.r0, self.delta) == (
+            other.ring, other.w, other.r0, other.delta)
 
     @property
     def r1(self) -> int:
-        return len(self.d0)
+        return len(self.delta) - self.r0
 
     @property
     def rank(self) -> int:
-        return self.r0 + self.r1
+        return len(self.delta)
+
+    @property
+    def d0(self) -> Matrix:
+        """The E1 <- E0 block of delta."""
+        return tuple(row[: self.r0] for row in self.delta[self.r0 :])
+
+    @property
+    def d1(self) -> Matrix:
+        """The E0 <- E1 block of delta."""
+        return tuple(row[self.r0 :] for row in self.delta[: self.r0])
 
     def parity_of(self, index: int) -> int:
         return 0 if index < self.r0 else 1
 
-    def full_delta(self) -> Matrix:
-        """The odd differential as a square matrix on E0 + E1."""
-        z0 = zero_matrix(self.ring, self.r0, self.r0)
-        z1 = zero_matrix(self.ring, self.r1, self.r1)
-        top = tuple(z0[i] + self.d1[i] for i in range(self.r0))
-        bot = tuple(self.d0[i] + z1[i] for i in range(self.r1))
-        return top + bot
-
-    def partial_delta(self, i: int) -> Matrix:
-        return mat_map(self.full_delta(), lambda p: p.partial_derivative(i))
+    @cached_property
+    def partials(self) -> tuple:
+        """(d_0 delta, ..., d_{n-1} delta), one matrix per variable."""
+        return tuple(
+            mat_map(self.delta, lambda p: p.partial_derivative(i)) for i in range(self.ring.n)
+        )
 
     def validate(self) -> None:
-        """Check both factorization identities exactly."""
-        for name, prod, rank in (
-            ("d1*d0", mat_mul(self.d1, self.d0, self.ring.zero()), self.r0),
-            ("d0*d1", mat_mul(self.d0, self.d1, self.ring.zero()), self.r1),
-        ):
-            for i in range(rank):
-                for j in range(rank):
-                    want = self.w if i == j else self.ring.zero()
-                    if prod[i][j] != want:
-                        raise ValueError(
-                            "not a factorization: %s entry (%d, %d) is %s"
-                            % (name, i, j, prod[i][j])
-                        )
+        """Check delta * delta = w * id exactly."""
+        zero = self.ring.zero()
+        for i, row in enumerate(mat_mul(self.delta, self.delta, zero)):
+            for j, entry in enumerate(row):
+                if entry != (self.w if i == j else zero):
+                    raise ValueError(
+                        "not a factorization: delta*delta entry (%d, %d) is %s"
+                        % (i, j, entry)
+                    )
 
 
 # --- Koszul factorizations --------------------------------------------------
@@ -228,11 +229,7 @@ def koszul(a, b) -> MatFac:
     w = ring.zero()
     for x, y in zip(a, b):
         w = w + x * y
-    T = koszul_operator(ring, m, a, b)
-    r0 = 2 ** (m - 1)
-    d0 = tuple(row[:r0] for row in T[r0:])
-    d1 = tuple(row[r0:] for row in T[:r0])
-    E = MatFac(ring, w, d0, d1)
+    E = MatFac(ring, w, koszul_operator(ring, m, a, b), 2 ** (m - 1))
     E.validate()
     return E
 
@@ -251,7 +248,7 @@ def tensor(E: MatFac, F: MatFac) -> MatFac:
     odds = [p for p in pairs if (E.parity_of(p[0]) + F.parity_of(p[1])) % 2 == 1]
     ordered = evens + odds
     pos = {p: i for i, p in enumerate(ordered)}
-    dE, dF = E.full_delta(), F.full_delta()
+    dE, dF = E.delta, F.delta
     size = NE * NF
     rows = [[ring.zero() for _ in range(size)] for _ in range(size)]
     for (i, j) in ordered:
@@ -266,33 +263,33 @@ def tensor(E: MatFac, F: MatFac) -> MatFac:
             if not p.is_zero():
                 q = p if sign > 0 else -p
                 rows[pos[(i, j2)]][col] = rows[pos[(i, j2)]][col] + q
-    r0 = len(evens)
-    d0 = tuple(tuple(rows[i][:r0]) for i in range(r0, size))
-    d1 = tuple(tuple(rows[i][r0:]) for i in range(r0))
-    out = MatFac(ring, E.w + F.w, d0, d1)
+    out = MatFac(ring, E.w + F.w, as_matrix(rows), len(evens))
     out.validate()
     return out
 
 
 def dual(E: MatFac) -> MatFac:
-    """The dual factorization, of potential -w."""
-    out = MatFac(E.ring, -E.w, mat_transpose(E.d1), mat_neg(mat_transpose(E.d0)))
+    """The dual factorization, of potential -w: delta transposed, with the
+    columns of the odd summand negated."""
+    r0 = E.r0
+    delta = tuple(row[:r0] + tuple(-p for p in row[r0:]) for row in mat_transpose(E.delta))
+    out = MatFac(E.ring, -E.w, delta, r0)
     out.validate()
     return out
 
 
 def shift(E: MatFac) -> MatFac:
     """Parity shift: swap the summands and negate the differential."""
-    return MatFac(E.ring, E.w, mat_neg(E.d1), mat_neg(E.d0))
+    return MatFac.from_blocks(E.ring, E.w, mat_neg(E.d1), mat_neg(E.d0))
 
 
 def direct_sum(E: MatFac, F: MatFac) -> MatFac:
     if E.w != F.w:
         raise ValueError("potential mismatch")
-    ring = E.ring
-    d0 = block_diag(ring, E.d0, F.d0, E.r1, E.r0, F.r1, F.r0)
-    d1 = block_diag(ring, E.d1, F.d1, E.r0, E.r1, F.r0, F.r1)
-    return MatFac(ring, E.w, d0, d1)
+    z = E.ring.zero()
+    d0 = tuple(row + (z,) * F.r0 for row in E.d0) + tuple((z,) * E.r0 + row for row in F.d0)
+    d1 = tuple(row + (z,) * F.r1 for row in E.d1) + tuple((z,) * E.r1 + row for row in F.d1)
+    return MatFac.from_blocks(E.ring, E.w, d0, d1)
 
 
 # --- morphisms --------------------------------------------------------------
@@ -353,8 +350,8 @@ class MorphismCocycle(Frozen):
     def differential(self) -> "MorphismCocycle":
         """d(f) = delta_F f - (-1)^|f| f delta_E."""
         zero = self.source.ring.zero()
-        left = mat_mul(self.target.full_delta(), self.matrix, zero)
-        right = mat_mul(self.matrix, self.source.full_delta(), zero)
+        left = mat_mul(self.target.delta, self.matrix, zero)
+        right = mat_mul(self.matrix, self.source.delta, zero)
         D = mat_add(left, right) if self.parity else mat_sub(left, right)
         return MorphismCocycle(self.source, self.target, 1 - self.parity, D)
 
@@ -364,6 +361,8 @@ class MorphismCocycle(Frozen):
     def __add__(self, other: "MorphismCocycle") -> "MorphismCocycle":
         if self.parity != other.parity:
             raise ValueError("cannot add maps of different parity")
+        if self.source != other.source or self.target != other.target:
+            raise ValueError("sum endpoints do not match")
         return MorphismCocycle(
             self.source, self.target, self.parity, mat_add(self.matrix, other.matrix)
         )
@@ -442,7 +441,7 @@ def hom_differential(E: MatFac, F: MatFac) -> tuple[Matrix, Matrix]:
     """
     if E.w != F.w:
         raise ValueError("potential mismatch")
-    dE, dF = E.full_delta(), F.full_delta()
+    dE, dF = E.delta, F.delta
     zero = E.ring.zero()
     out = []
     for parity in (0, 1):

@@ -200,7 +200,7 @@ def solve_D(E: MatFac) -> DTensor:
     # in (x, u), with u_j in the slot of y_j, delta at x is a padding and
     # delta at y = x + u a shift
     pad = (0,) * n
-    delta = E.full_delta()
+    delta = E.delta
     delta_x = mat_map(delta, lambda p: ring.from_terms({m + pad: c for m, c in p.terms.items()}))
     delta_y = mat_map(
         delta, lambda p: _shift(ring.from_terms({pad + m: c for m, c in p.terms.items()}), n, 1, ring)
@@ -279,7 +279,7 @@ def restriction_recursion_check(D: DTensor) -> bool:
         mixed = [doubled.var(i) for i in range(n)]
         for k in range(pivot + 1, n):
             mixed[k] = doubled.var(n + k)
-        part = mat_map(E.partial_delta(pivot), lambda p: p.substitute(doubled, mixed))
+        part = mat_map(E.partials[pivot], lambda p: p.substitute(doubled, mixed))
         rhs = mat_mul(D.component(prev), part, doubled.zero())
         if lhs != rhs:
             return False

@@ -658,7 +658,7 @@ def test_graded_elements_match_power_reference():
 def _ref_validate_all(E, G):
     """rho(g) delta(g x) = delta(x) rho(g) checked on every element."""
     actions = equivariant_actions(E, G)
-    delta = E.base.full_delta()
+    delta = E.base.delta
     zz = E.base.ring.zero()
     for g in G.elements:
         moved = mat_map(delta, lambda p, g=g: _ref_substitute(p, g))

@@ -53,39 +53,74 @@ def _defined_names(node) -> list:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def _referenced_names(node) -> set:
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, ast.ImportFrom):
-            names.update(alias.name for alias in sub.names)
-    return names
+def _names_at(node) -> list:
+    """The names this one node refers to (not those of its children)."""
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def _unreferenced(trees: dict, definitions) -> list:
+    """(module, line, name) of each (module, node, name) in `definitions`
+    that no node of `trees` outside the defining node refers to."""
+    refs = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            for name in _names_at(node):
+                refs.setdefault(name, []).append(node)
+    found = []
+    for mod, node, name in definitions:
+        inside = {id(sub) for sub in ast.walk(node)}
+        if all(id(ref) in inside for ref in refs.get(name, ())):
+            found.append((mod, node.lineno, name))
+    return sorted(found)
 
 
 def _unreferenced_privates(trees: dict) -> list:
     """(module, line, name) of each module-level `_name` that no statement
     of the package other than its own definition refers to."""
-    statements = [(mod, stmt) for mod, tree in trees.items() for stmt in tree.body]
-    refs = [(mod, stmt, _referenced_names(stmt)) for mod, stmt in statements]
-    found = []
-    for mod, stmt in statements:
-        for name in _defined_names(stmt):
-            if not name.startswith("_") or name.startswith("__"):
-                continue
-            if not any(name in names for m, s, names in refs if s is not stmt):
-                found.append((mod, stmt.lineno, name))
-    return sorted(found)
+    return _unreferenced(trees, [
+        (mod, stmt, name)
+        for mod, tree in trees.items()
+        for stmt in tree.body
+        for name in _defined_names(stmt)
+        if name.startswith("_") and not name.startswith("__")
+    ])
+
+
+def _unreferenced_definitions(trees: dict, package: str) -> list:
+    """(module, line, name) of each def or class at module level, and each
+    method other than a dunder, in the modules under `package` that no
+    node of `trees` outside its own definition names."""
+    defs = []
+    for mod, tree in trees.items():
+        if not mod.startswith(package):
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((mod, stmt, stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                defs += [
+                    (mod, sub, sub.name)
+                    for sub in stmt.body
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")
+                ]
+    return _unreferenced(trees, defs)
+
+
+def _parsed(paths) -> dict:
+    return {
+        str(path.relative_to(ROOT)): ast.parse(path.read_text(), filename=str(path))
+        for path in paths
+    }
 
 
 def test_every_private_name_is_referenced_in_package():
-    trees = {
-        path.name: ast.parse(path.read_text(), filename=str(path))
-        for path in sorted(SRC.glob("*.py"))
-    }
-    assert _unreferenced_privates(trees) == []
+    assert _unreferenced_privates(_parsed(sorted(SRC.glob("*.py")))) == []
 
 
 def test_unreferenced_private_is_reported():
@@ -100,6 +135,40 @@ def test_unreferenced_private_is_reported():
         "b.py": ast.parse("from a import _TABLE\nprint(_TABLE)\n"),
     }
     assert _unreferenced_privates(trees) == [("a.py", 3, "_recursive"), ("a.py", 6, "_dead")]
+
+
+def test_every_package_function_and_class_is_referenced():
+    # a helper left behind when its last caller goes is dead code: each one
+    # must be named somewhere in the package, the scripts, the tests or the
+    # benchmark harness
+    paths = sorted(
+        path
+        for folder in ("src", "scripts", "tests", "perfbench")
+        for path in (ROOT / folder).rglob("*.py")
+    )
+    assert len(paths) >= 35
+    package = str(SRC.relative_to(ROOT))
+    assert _unreferenced_definitions(_parsed(paths), package) == []
+
+
+def test_unreferenced_definition_is_reported():
+    trees = {
+        "pkg/a.py": ast.parse(
+            "def used():\n    pass\n"
+            "def recursive():\n    return recursive()\n"
+            "class Kept:\n"
+            "    def __init__(self):\n        pass\n"
+            "    def method(self):\n        return Kept()\n"
+            "    def dead(self):\n        return self.dead()\n"
+        ),
+        "tests/b.py": ast.parse(
+            "from pkg.a import used, Kept\nused()\nKept().method()\n"
+            "def unused_test_helper():\n    pass\n"
+        ),
+    }
+    assert _unreferenced_definitions(trees, "pkg") == [
+        ("pkg/a.py", 3, "recursive"), ("pkg/a.py", 10, "dead"),
+    ]
 
 
 # --- cold start: no generated code, and only the layers a command uses -----
@@ -203,7 +272,7 @@ def _frozen_instances() -> list:
     from mfinv.scalar import CyclotomicContext, Scalar
 
     ring = PolyRing(("x",))
-    empty = MatFac(ring, ring.zero(), (), ())
+    empty = MatFac(ring, ring.zero(), (), 0)
     return [
         CyclotomicContext(3),
         Scalar(None, (Fraction(1),)),
@@ -265,6 +334,7 @@ def test_value_classes_copy_and_pickle():
     import pickle
 
     from mfinv.groebner import buchberger
+    from mfinv.mfcore import koszul
     from mfinv.poly import PolyRing
     from mfinv.scalar import CyclotomicContext
 
@@ -272,12 +342,16 @@ def test_value_classes_copy_and_pickle():
     z = R.context.zeta()
     gb = buchberger([R.parse("x^2"), R.parse("y^3")])
     gb._module  # a cached property lands in the instance __dict__
-    for obj in (R, z, gb):
+    E = koszul([R.parse("x")], [R.parse("x^2 + y^2")])
+    E.partials
+    for obj in (R, z, gb, E):
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(twin) is type(obj)
     assert pickle.loads(pickle.dumps(R)) == R and copy.deepcopy(z) == z
     twin = pickle.loads(pickle.dumps(gb))
     assert [str(g) for g in twin.generators] == [str(g) for g in gb.generators]
     assert len(twin._module.generators) == 2
+    for twin in (copy.deepcopy(E), pickle.loads(pickle.dumps(E))):
+        assert "partials" in vars(twin) and twin == E and twin.partials == E.partials
     for obj in _frozen_instances():
         assert type(copy.deepcopy(obj)) is type(obj)

@@ -66,7 +66,7 @@ def test_supertrace_basics():
 
     assert supertrace(identity_matrix(R2, 4), 2).is_zero()
     assert supertrace(identity_matrix(R2, 4), 3) == R2.parse("2")
-    assert supertrace(E.full_delta(), E.r0).is_zero()
+    assert supertrace(E.delta, E.r0).is_zero()
 
 
 def test_chern_d4():
@@ -125,7 +125,7 @@ def test_endomorphism_checks_compare_whole_factorizations():
     # identity pass as an endomorphism of E
     E, A = d4_pair()
     x = R2.parse("x")
-    F = MatFac(R2, R2.parse("x^3"), ((x,),), ((R2.parse("x^2"),),))
+    F = MatFac.from_blocks(R2, R2.parse("x^3"), ((x,),), ((R2.parse("x^2"),),))
     assert F.d0 == E.d0 and F != E
     foreign = identity_morphism(F)
     for check in (tau, chern_antisymmetrized):
@@ -133,6 +133,8 @@ def test_endomorphism_checks_compare_whole_factorizations():
             check(E, foreign, A)
     with pytest.raises(ValueError, match="endpoints do not match"):
         identity_morphism(E).compose(foreign)
+    with pytest.raises(ValueError, match="endpoints do not match"):
+        identity_morphism(E) + foreign
 
 
 def test_tau_kills_coboundaries():
@@ -208,7 +210,7 @@ def test_chern_basis_independent():
     U0inv = ((R2.parse("1"), R2.parse("-2")), (R2.zero(), R2.parse("1")))
     d0 = mat_mul(E.d0, U0inv, R2.zero())
     d1 = mat_mul(U0, E.d1, R2.zero())
-    E2 = MatFac(R2, E.w, d0, d1)
+    E2 = MatFac.from_blocks(R2, E.w, d0, d1)
     E2.validate()
     assert chern(E2, A) == chern(E, A)
     # unipotent polynomial conjugation on the odd summand
@@ -216,7 +218,7 @@ def test_chern_basis_independent():
     V1inv = ((R2.one(), R2.parse("-x*y")), (R2.zero(), R2.one()))
     d0b = mat_mul(V1, E.d0, R2.zero())
     d1b = mat_mul(E.d1, V1inv, R2.zero())
-    E3 = MatFac(R2, E.w, d0b, d1b)
+    E3 = MatFac.from_blocks(R2, E.w, d0b, d1b)
     E3.validate()
     assert chern(E3, A) == chern(E, A)
 
@@ -271,6 +273,6 @@ def test_random_conjugation_invariance(f, g):
     shear = R2.parse("x") * f + R2.parse("y^2") * g
     V = ((R2.one(), shear), (R2.zero(), R2.one()))
     Vinv = ((R2.one(), -shear), (R2.zero(), R2.one()))
-    E2 = MatFac(R2, E.w, mat_mul(V, E.d0, R2.zero()), mat_mul(E.d1, Vinv, R2.zero()))
+    E2 = MatFac.from_blocks(R2, E.w, mat_mul(V, E.d0, R2.zero()), mat_mul(E.d1, Vinv, R2.zero()))
     E2.validate()
     assert chern(E2, A) == chern(E, A)

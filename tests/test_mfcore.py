@@ -19,6 +19,7 @@ from mfinv.mfcore import (
     koszul,
     koszul_operator,
     koszul_subsets,
+    mat_map,
     mat_mul,
     morphism_to_vector,
     shift,
@@ -68,8 +69,48 @@ def test_koszul_length_mismatch():
 
 
 def test_validate_rejects_non_factorization():
+    x = R1.parse("x")
     with pytest.raises(ValueError, match="not a factorization"):
-        MatFac(R1, R1.parse("x^3"), ((R1.parse("x"),),), ((R1.parse("x"),),)).validate()
+        MatFac.from_blocks(R1, R1.parse("x^3"), ((x,),), ((x,),)).validate()
+
+
+def test_delta_must_be_square_and_odd():
+    x, y, z = R2.parse("x"), R2.parse("y"), R2.zero()
+    with pytest.raises(ValueError, match="square"):
+        MatFac(R2, x * y, ((z, y), (x, z), (z, z)), 1)
+    with pytest.raises(ValueError, match="square"):
+        MatFac(R2, x * y, ((z, y), (x,)), 1)
+    with pytest.raises(ValueError, match="square"):
+        MatFac(R2, x * y, ((z, y), (x, z)), 3)
+    E = koszul([R2.parse("x"), R2.parse("y")], [R2.parse("x^2"), R2.parse("y^2")])
+    # one nonzero entry in the E0 <- E0, then in the E1 <- E1 block
+    for t, s in ((0, 1), (3, 2)):
+        rows = [list(row) for row in E.delta]
+        rows[t][s] = x
+        with pytest.raises(ValueError, match="not odd"):
+            MatFac(R2, E.w, as_matrix(rows), E.r0)
+    assert MatFac(R2, E.w, E.delta, E.r0) == E
+
+
+def test_from_blocks_round_trips():
+    d0 = ((R2.parse("x"), R2.parse("-y^2")), (R2.parse("y"), R2.parse("x^2")))
+    d1 = ((R2.parse("x^2"), R2.parse("y^2")), (R2.parse("-y"), R2.parse("x")))
+    E = MatFac.from_blocks(R2, R2.parse("x^3 + y^3"), d0, d1)
+    E.validate()
+    assert (E.r0, E.r1, E.d0, E.d1) == (2, 2, d0, d1)
+    # unequal summands: r0 = 2, r1 = 1
+    z = R2.zero()
+    F = MatFac.from_blocks(R2, z, ((z, z),), ((z,), (z,)))
+    assert (F.r0, F.r1, F.d0, F.d1) == (2, 1, ((z, z),), ((z,), (z,)))
+
+
+def test_partials_are_computed_once():
+    E = koszul([R2.parse("x"), R2.parse("y")], [R2.parse("x^2 + y"), R2.parse("x*y^2")])
+    partials = E.partials
+    assert len(partials) == 2
+    for i, part in enumerate(partials):
+        assert part == mat_map(E.delta, lambda p: p.partial_derivative(i))
+    assert E.partials is partials
 
 
 def test_koszul_subset_order():
@@ -176,7 +217,7 @@ def test_morphism_vector_roundtrip():
 def _zero_fac(r0, r1):
     """A factorization of 0 of rank (r0, r1), so that every block of a
     morphism between two of them has its own shape."""
-    return MatFac(R2, R2.zero(), zero_matrix(R2, r1, r0), zero_matrix(R2, r0, r1))
+    return MatFac.from_blocks(R2, R2.zero(), zero_matrix(R2, r1, r0), zero_matrix(R2, r0, r1))
 
 
 @pytest.mark.parametrize("parity", [0, 1])

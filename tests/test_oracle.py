@@ -124,7 +124,7 @@ def test_diagonal_factorization_matches_subset_conventions():
                 d = data.differences[i]
                 term = d if sign > 0 else -d
             expected[pos[t]][col] = expected[pos[t]][col] + term
-    assert diagonal_koszul(data).full_delta() == tuple(map(tuple, expected))
+    assert diagonal_koszul(data).delta == tuple(map(tuple, expected))
 
 
 def test_diagonal_checks_reject_foreign_data():
