@@ -730,10 +730,6 @@ def _print_human(command: str, payload: dict) -> None:
         for row in payload["gram"]:
             print("  " + "  ".join(map(str, row)))
         return
-    if command in ("chern", "tau"):
-        print("class: %s" % payload["class"])
-        print("parity: %d" % payload["parity"])
-        return
     if command == "sectors":
         for k, sec in enumerate(payload["sectors"]):
             fixed = ", ".join(sec["fixed"]) if sec["fixed"] else "none"

@@ -202,21 +202,6 @@ class Sector(Frozen):
         return len(self.fixed_indices)
 
 
-class SectorClass(Frozen):
-    __slots__ = ("sector", "value", "parity")
-
-    def __init__(self, sector: Sector, value: Polynomial, parity: int):
-        object.__setattr__(self, "sector", sector)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "parity", parity)
-
-    def as_milnor(self) -> MilnorClass:
-        return MilnorClass(self.sector.milnor, self.value, self.parity)
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-
 def _fixed_images(n: int, fixed, sub_ring: PolyRing) -> list:
     """Images of x_0..x_(n-1) when the moving variables are set to zero."""
     at = {i: k for k, i in enumerate(fixed)}
@@ -298,7 +283,7 @@ def twist(E: EquivariantMF, characters) -> EquivariantMF:
 
 def equivariant_dual(E: EquivariantMF, G: DiagonalGroup) -> EquivariantMF:
     """The dual factorization with the transpose-inverse action."""
-    actions = equivariant_actions(E, G)
+    actions = validate_equivariant(E, G)
     new_action = tuple(mat_transpose(actions[G.inverse(h)]) for h in G.generators)
     return EquivariantMF(dual(E.base), new_action)
 
@@ -311,7 +296,7 @@ def _sector_character(
     sec: Sector,
     rho_g,
     alpha: MorphismCocycle | None,
-) -> SectorClass:
+) -> MilnorClass:
     zero = base.ring.zero()
     P = derivative_product(base, sorted(sec.fixed_indices, reverse=True))
     M = mat_mul(P, rho_g, zero)
@@ -320,11 +305,10 @@ def _sector_character(
         M = mat_mul(M, alpha.matrix, zero)
         extra = alpha.parity
     s = restrict_to_sector(supertrace(M, base.r0), sec)
-    cls = sec.milnor.project(s, parity=(sec.n_fixed + extra) % 2)
-    return SectorClass(sec, cls.value, cls.parity)
+    return sec.milnor.project(s, parity=(sec.n_fixed + extra) % 2)
 
 
-def chern_equivariant(E: EquivariantMF, G: DiagonalGroup, g: Element) -> SectorClass:
+def chern_equivariant(E: EquivariantMF, G: DiagonalGroup, g: Element) -> MilnorClass:
     """The g-component of the equivariant Chern character, in A_{w_g}."""
     actions = validate_equivariant(E, G)
     return _sector_character(E.base, sector(E.base.w, g), actions[g], None)
@@ -332,7 +316,7 @@ def chern_equivariant(E: EquivariantMF, G: DiagonalGroup, g: Element) -> SectorC
 
 def tau_equivariant(
     E: EquivariantMF, G: DiagonalGroup, g: Element, alpha: MorphismCocycle
-) -> SectorClass:
+) -> MilnorClass:
     """Equivariant boundary-bulk map on an invariant closed endomorphism."""
     actions = validate_equivariant(E, G)
     check_endomorphism(E.base, alpha)
@@ -382,7 +366,7 @@ def _orbifold_sum(w, E: MatFac, F: MatFac, terms, context, what: str) -> Scalar:
         sec = sector(w, g)
         a = _sector_character(E, sec, rho_E, None)
         b = _sector_character(F, sec, rho_F, None)
-        pair = canonical_pairing(a.as_milnor(), b.as_milnor())
+        pair = canonical_pairing(a, b)
         total = total + c_weight(g, context) * pair
     total = total / rational(len(terms))
     if not total.is_rational_integer():

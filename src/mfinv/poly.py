@@ -322,43 +322,20 @@ def difference_derivative(
 
         [f(x_1..x_{j-1}, y_j, .., y_n) - f(x_1..x_j, y_{j+1}, .., y_n)] / (y_j - x_j)
 
-    is divided out exactly.
+    is taken term by term: c*x^a goes to
+    c * x_{<j}^{a_{<j}} * y_{>j}^{a_{>j}} * sum_{k < a_j} x_j^k y_j^(a_j-1-k).
+    Two pairs (term, k) never give the same monomial, since a_j - 1 is the
+    combined degree in x_j and y_j.
     """
     n = f.ring.n
     if doubled.n != 2 * n:
         raise ValueError("doubled ring must have 2n variables")
-    xs = [doubled.var(i) for i in range(n)]
-    ys = [doubled.var(n + i) for i in range(n)]
-    upper = f.substitute(doubled, xs[:j] + ys[j:])
-    lower = f.substitute(doubled, xs[: j + 1] + ys[j + 1 :])
-    return _divide_by_linear(upper - lower, n + j, j, doubled)
-
-
-def _divide_by_linear(f: Polynomial, yi: int, xi: int, ring: PolyRing) -> Polynomial:
-    # exact division by (y - x) where y = var yi, x = var xi
-    quotient: dict = {}
-    rem = dict(f.terms)
-    while rem:
-        # pick a term of maximal y-degree
-        m = max(rem, key=lambda t: (t[yi], grevlex_key(t)))
-        if m[yi] == 0:
-            raise ValueError("division by (y - x) is not exact")
-        c = rem[m]
-        q = list(m)
-        q[yi] -= 1
-        q = tuple(q)
-        quotient[q] = quotient.get(q, ring.scalar(0)) + c
-        # subtract c * q * (y - x)
-        for sign, idx in ((1, yi), (-1, xi)):
-            t = list(q)
-            t[idx] += 1
-            t = tuple(t)
-            s = rem.get(t, ring.scalar(0)) - c * sign
-            if s.is_zero():
-                rem.pop(t, None)
-            else:
-                rem[t] = s
-    return ring.from_terms(quotient)
+    gap = (0,) * (n - 1)  # x_{>j}, then y_{<j}
+    out: dict = {}
+    for m, c in f.terms.items():
+        for k in range(m[j]):
+            out[m[:j] + (k,) + gap + (m[j] - 1 - k,) + m[j + 1 :]] = c
+    return Polynomial(doubled, out)
 
 
 def doubled_ring(ring: PolyRing) -> PolyRing:

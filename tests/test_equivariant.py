@@ -172,8 +172,7 @@ def test_pinned_characters_match_closed_form():
                 E = pinned_equivariant(ring, ctx, i, n, a)
                 for m in range(n):
                     g = (z(m),)
-                    cls = chern_equivariant(E, G, g)
-                    got = cls.as_milnor()
+                    got = chern_equivariant(E, G, g)
                     want = z(a * m) * (z(m * i) - one(ctx))
                     assert got.value == got.ring.ring.const(want)
 
@@ -317,6 +316,16 @@ def test_equivariant_dual_inverts_characters():
                     assert lhs.parity == rhs.parity
 
 
+def test_equivariant_dual_rejects_a_non_equivariant_action():
+    # K(x; x^2) over x^3 with rho = diag(1, zeta): the relations of Z/3
+    # hold, but rho does not intertwine delta
+    ring, ctx = cyclic_ring(3)
+    G = cyclic_group(ring, ctx, 3)
+    bad = EquivariantMF(power_mf(ring, 1, 3), (((one(ctx), zero(ctx)), (zero(ctx), ctx.zeta())),))
+    with pytest.raises(ValueError, match="not equivariant"):
+        equivariant_dual(bad, G)
+
+
 def test_equivariant_stabilization_characters():
     # one variable: ch_g(k^st) = det(id - g) off the identity, 0 at it
     for n in (3, 4):
@@ -332,7 +341,7 @@ def test_equivariant_stabilization_characters():
                 assert cls.is_zero()
             else:
                 want = moving_determinant(G, g)
-                assert cls.value == cls.sector.milnor.ring.const(want)
+                assert cls.value == cls.ring.ring.const(want)
 
 
 def test_equivariant_stabilization_two_variables():

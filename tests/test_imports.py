@@ -262,7 +262,7 @@ def test_building_the_parser_does_not_import_shutil():
 def _frozen_instances() -> list:
     from fractions import Fraction
 
-    from mfinv.equivariant import GradedStructure, Sector, SectorClass
+    from mfinv.equivariant import GradedStructure, Sector
     from mfinv.groebner import GroebnerBasis, ModuleGB
     from mfinv.homology import CohomologyBasis, ParityCohomology
     from mfinv.mfcore import EquivariantMF, MatFac, MorphismCocycle
@@ -290,7 +290,6 @@ def _frozen_instances() -> list:
         DTensor(ring, empty, ()),
         DiagonalChern(None, None, True),
         Sector((), (), None),
-        SectorClass(None, ring.zero(), 0),
         GradedStructure(ring, ring.zero(), (1,), 1, (), False),
     ]
 

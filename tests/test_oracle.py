@@ -226,6 +226,36 @@ def _perturbing_top(homotopy, perturbed):
     return perturbing
 
 
+def _dropping_a_term(difference_derivative, dropped):
+    """`oracle.difference_derivative` with one term removed from the first
+    nonzero difference derivative it returns."""
+
+    def dropping(f, j, doubled):
+        out = difference_derivative(f, j, doubled)
+        if dropped or not out.terms:
+            return out
+        m = next(iter(out.terms))
+        dropped.append(m)
+        return doubled.from_terms({t: c for t, c in out.terms.items() if t != m})
+
+    return dropping
+
+
+def test_telescoping_gate_rejects_a_dropped_term(monkeypatch):
+    import mfinv.oracle as oracle
+
+    A = build_milnor(R2.parse("x^3 + x*y^2"))
+    E = koszul([R2.parse("x")], [R2.parse("x^2 + y^2")])
+    for route in (lambda: build_diagonal(A), lambda: solve_D(E)):
+        dropped = []
+        monkeypatch.setattr(
+            oracle, "difference_derivative", _dropping_a_term(difference_derivative, dropped)
+        )
+        with pytest.raises(AssertionError, match="fail the telescoping identity"):
+            route()
+        assert dropped
+
+
 @pytest.mark.parametrize("w,facs", BATTERY)
 def test_restriction_recursion(w, facs):
     for E in facs:
@@ -691,3 +721,37 @@ def test_transgression_gate_raises_under_optimize():
     assert out.stdout.splitlines() == [
         "raised: transgression system residual is nonzero at level 0 1"
     ]
+
+
+def test_telescoping_gate_raises_under_optimize():
+    # the gate is an explicit raise, not a bare assert, so python -O keeps it
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import mfinv
+
+    src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    tests = str(pathlib.Path(__file__).resolve().parent)
+    code = (
+        "import mfinv.oracle as oracle\n"
+        "from mfinv.milnor import build_milnor\n"
+        "from test_oracle import _dropping_a_term, xn_fac\n"
+        "real = oracle.difference_derivative\n"
+        "E = xn_fac(4, 1)\n"
+        "for route in (lambda: oracle.build_diagonal(build_milnor(E.w)), lambda: oracle.solve_D(E)):\n"
+        "    dropped = []\n"
+        "    oracle.difference_derivative = _dropping_a_term(real, dropped)\n"
+        "    try:\n"
+        "        route()\n"
+        "    except AssertionError as exc:\n"
+        "        print('raised:', exc, len(dropped))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.splitlines() == [
+        "raised: difference derivatives fail the telescoping identity 1"
+    ] * 2

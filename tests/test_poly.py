@@ -174,16 +174,37 @@ def test_derivative_is_leibniz(f, g):
         assert lhs == rhs
 
 
-@settings(max_examples=40)
-@given(f=_polys(R2, max_terms=4, max_deg=3))
+R3 = PolyRing(("x", "y", "w"))
+Q3 = PolyRing(("x", "y"), CyclotomicContext(3))
+
+
+def _over_q_zeta3(pair):
+    f, g = pair
+    return f + g * Q3.const(Q3.context.zeta())
+
+
+@settings(max_examples=60)
+@given(
+    f=st.one_of(
+        _polys(R2, max_terms=4, max_deg=3),
+        _polys(R3, max_terms=4, max_deg=3),
+        st.tuples(_polys(Q3, 3, 3), _polys(Q3, 3, 3)).map(_over_q_zeta3),
+    )
+)
 def test_difference_derivative_telescope_property(f):
-    D2 = doubled_ring(R2)
-    xs = [D2.var(0), D2.var(1)]
-    ys = [D2.var(2), D2.var(3)]
-    total = D2.zero()
-    for j in range(2):
-        total = total + (ys[j] - xs[j]) * difference_derivative(f, j, D2)
-    assert total == f.substitute(D2, ys) - f.substitute(D2, xs)
+    n = f.ring.n
+    D = doubled_ring(f.ring)
+    xs = [D.var(i) for i in range(n)]
+    ys = [D.var(n + i) for i in range(n)]
+    total = D.zero()
+    for j in range(n):
+        step = (ys[j] - xs[j]) * difference_derivative(f, j, D)
+        # slot j alone moves from y to x: x before it, y after it
+        upper = f.substitute(D, xs[:j] + ys[j:])
+        lower = f.substitute(D, xs[: j + 1] + ys[j + 1 :])
+        assert step == upper - lower
+        total = total + step
+    assert total == f.substitute(D, ys) - f.substitute(D, xs)
 
 
 @settings(max_examples=40)
