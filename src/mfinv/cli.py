@@ -124,9 +124,14 @@ def parse_scalar(spec, context: CyclotomicContext | None) -> Scalar:
     if isinstance(spec, dict):
         try:
             m = _session_int(spec["m"], "scalar conductor")
-            coeffs = [_parse_fraction(c) for c in spec["coeffs"]]
-        except (KeyError, TypeError) as exc:
-            raise SessionError("bad scalar object %r: %s" % (spec, exc))
+            coeffs = spec["coeffs"]
+        except KeyError as exc:
+            raise SessionError("bad scalar object %r: missing %s" % (spec, exc))
+        if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
+            raise SessionError(
+                "bad scalar object %r: coeffs must be a list of strings" % (spec,)
+            )
+        coeffs = [_parse_fraction(c) for c in coeffs]
         if context is None or context.order != m:
             raise SessionError(
                 "scalar of conductor %d outside the session field" % m
@@ -138,11 +143,7 @@ def parse_scalar(spec, context: CyclotomicContext | None) -> Scalar:
     if not isinstance(spec, str):
         raise SessionError("scalar must be a string or object, got %r" % (spec,))
     _check_exponent_literals(spec, "scalar %r" % spec)
-    zring = PolyRing(("z",), context)
-    try:
-        p = zring.parse(spec)
-    except ValueError as exc:
-        raise SessionError("bad scalar %r: %s" % (spec, exc))
+    p = _parse_text(PolyRing(("z",), context), spec, "bad scalar %r" % spec)
     if context is None:
         if any(m[0] > 0 for m in p.terms):
             raise SessionError(
@@ -166,14 +167,22 @@ def _check_exponent_literals(text: str, what: str) -> None:
             )
 
 
+def _parse_text(ring: PolyRing, text: str, what: str) -> Polynomial:
+    """ring.parse(text), with a parse error or nesting deeper than the
+    recursive parser can follow reported as a SessionError."""
+    try:
+        return ring.parse(text)
+    except ValueError as exc:
+        raise SessionError("%s: %s" % (what, exc))
+    except RecursionError:
+        raise SessionError("%s: nested too deeply" % what)
+
+
 def _parse_poly(ring: PolyRing, text, what: str) -> Polynomial:
     if not isinstance(text, str):
         raise SessionError("%s must be a polynomial string, got %r" % (what, text))
     _check_exponent_literals(text, what)
-    try:
-        f = ring.parse(text)
-    except ValueError as exc:
-        raise SessionError("%s: %s" % (what, exc))
+    f = _parse_text(ring, text, what)
     # products of allowed powers can still exceed the limit
     top = max((e for m in f.terms for e in m), default=0)
     if top > MAX_EXPONENT:

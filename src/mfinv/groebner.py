@@ -30,11 +30,15 @@ Elements of length 1 also get Buchberger's product criterion.  Syzygies,
 cofactors, kernels and subquotients use the block order on an enlarged
 free module instead of Schreyer-style tracking, which keeps correctness
 independent of the pair-elimination criteria (Greuel-Pfister 2.5).
-`_split(basis, r)` reads such a basis: the elements with a term in the
-first r positions have their leads there, and their heads are a reduced
-basis; the tails of the others are one too, as no other lead divides
-their terms.  `buchberger(track=True)`, `syzygies`, `module_kernel` and
-`subquotient_presentation` read their bases through it.
+`lift_basis(gens, rank, ring, extra)` is that one object: the basis of the
+vectors (g_i, e_i) and (h_j, 0) under the order whose first ``rank``
+positions dominate.  `lift` divides (v, 0) by it once for the remainder
+and the cofactors of v; `split` reads it: the elements with a term in the
+first ``rank`` positions have their leads there, and their heads are a
+reduced basis of <g, h>; the tails of the others are a reduced basis of
+the relations {c : sum_i c_i g_i in <h>}, as no other lead divides their
+terms.  `syzygies`, `module_kernel`, `subquotient_presentation` and
+`milnor.build_milnor` read their bases through `split`.
 """
 from __future__ import annotations
 
@@ -133,10 +137,9 @@ def _add_multiple(work: dict, terms, t: Monomial, c, heap=None, block=0) -> None
                 work[k] = s
 
 
-def _divide(work: dict, divs: _Divisors, quots=None, skip: int = -1) -> dict:
+def _divide(work: dict, divs: _Divisors, skip: int = -1) -> dict:
     """Full division of the flat element ``work`` (consumed) by ``divs``,
-    leaving out entry ``skip``; returns the remainder.  With ``quots``, one
-    dict per entry, the quotient terms are recorded there."""
+    leaving out entry ``skip``; returns the remainder."""
     block = divs.block
     by_pos = divs.by_pos
     heap = [_key(p, m, block) for p, m in work]
@@ -151,36 +154,12 @@ def _divide(work: dict, divs: _Divisors, quots=None, skip: int = -1) -> dict:
             # monomial_divides and monomial_div, inlined in the hot loop
             if i != skip and all(a <= b for a, b in zip(wm, m)):
                 t = tuple(b - a for a, b in zip(wm, m))
-                coeff = c * winv
-                if quots is not None:
-                    # leads strictly decrease, so each (i, t) occurs once
-                    quots[i][t] = coeff
                 # the lead cancels exactly; only the other terms change
-                _add_multiple(work, rest, t, -coeff, heap, block)
+                _add_multiple(work, rest, t, -c * winv, heap, block)
                 break
         else:
             rem[p, m] = c
     return rem
-
-
-def _with_units(gens, ring: PolyRing):
-    """The vectors (g_i, e_i) in R^(rank + s)."""
-    s = len(gens)
-    one, zero = ring.one(), ring.zero()
-    return [tuple(g) + (zero,) * i + (one,) + (zero,) * (s - 1 - i) for i, g in enumerate(gens)]
-
-
-def _split(basis, r: int):
-    """(heads, tails) of a basis under the order whose first r positions
-    dominate: the first r components of the elements that have any, and
-    the other components of the elements whose first r vanish."""
-    heads, tails = [], []
-    for v in basis:
-        if any(c.terms for c in v[:r]):
-            heads.append(v[:r])
-        else:
-            tails.append(v[r:])
-    return heads, tails
 
 
 def module_buchberger(gens, ring: PolyRing, block: int = 0):
@@ -279,90 +258,24 @@ def module_buchberger(gens, ring: PolyRing, block: int = 0):
     return [_unflat(e[1], length, ring) for e in final]
 
 
-# --- ideals -----------------------------------------------------------------
-
-
-class GroebnerBasis(Frozen):
-    """A reduced ideal basis.  A tracked basis also keeps the input
-    generators and the module basis of the vectors (g_i, e_i)."""
-
-    def __init__(
-        self,
-        ring: PolyRing,
-        generators: tuple[Polynomial, ...],
-        originals: tuple[Polynomial, ...] | None = None,
-        tracked: tuple[ModuleElement, ...] | None = None,
-    ):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "originals", originals)
-        object.__setattr__(self, "tracked", tracked)
-
-    @cached_property
-    def _module(self) -> "ModuleGB":
-        return ModuleGB(self.ring, 1, tuple((g,) for g in self.generators))
-
-    @cached_property
-    def _tracked_divisors(self) -> _Divisors:
-        return _Divisors(1, [_flat(v, self.ring) for v in self.tracked])
-
-
-def buchberger(gens, track: bool = False) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal, as a rank-1 module; with
-    track=True also keeps the block-order basis that carries cofactors
-    against the original generators."""
-    gens = tuple(gens)
-    ring = next((g.ring for g in gens if not g.is_zero()), None)
-    if ring is None:
-        raise ValueError("no nonzero generators")
-    rank1 = [(g,) for g in gens]
-    if not track:
-        return GroebnerBasis(ring, tuple(v[0] for v in module_buchberger(rank1, ring)))
-    tracked = module_buchberger(_with_units(rank1, ring), ring, block=1)
-    heads, _tails = _split(tracked, 1)
-    return GroebnerBasis(ring, tuple(h for h, in heads), gens, tuple(tracked))
-
-
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return module_normal_form((f,), gb._module)[0]
-
-
-def normal_form_with_cofactors(f: Polynomial, gb: GroebnerBasis):
-    """Remainder plus cofactors against the ORIGINAL generators.
-
-    Requires a tracked basis (buchberger(..., track=True)).  Dividing
-    (f, 0, ..., 0) by it leaves (r, -a_1, ..., -a_s), and the defining
-    identity f = sum_j a_j * original_j + r is checked.
-    """
-    if gb.tracked is None:
-        raise ValueError("basis was not tracked; rebuild with track=True")
-    ring = gb.ring
-    rem = _divide(_flat((f,), ring), gb._tracked_divisors)
-    rem = _unflat(rem, 1 + len(gb.originals), ring)
-    r, cof = rem[0], [-a for a in rem[1:]]
-    if sum((a * g for a, g in zip(cof, gb.originals)), r) != f:
-        raise AssertionError("cofactor identity failed")
-    return r, cof
-
-
-def quotient_basis(gb: GroebnerBasis):
-    """Standard monomials of the quotient, or None when infinite."""
-    std = module_standard_monomials(gb._module)
-    return None if std is None else [m for _p, m in std]
-
-
 # --- modules ----------------------------------------------------------------
 
 
 class ModuleGB(Frozen):
-    def __init__(self, ring: PolyRing, rank: int, generators: tuple[ModuleElement, ...]):
+    """A reduced basis of a submodule of R^rank under the order whose first
+    ``block`` positions dominate; ``block`` is 0 for term-over-position."""
+
+    def __init__(
+        self, ring: PolyRing, rank: int, generators: tuple[ModuleElement, ...], block: int = 0
+    ):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "block", block)
 
     @cached_property
     def _divisors(self) -> _Divisors:
-        return _Divisors(0, [_flat(g, self.ring) for g in self.generators])
+        return _Divisors(self.block, [_flat(g, self.ring) for g in self.generators])
 
 
 def module_gb(gens, rank: int, ring: PolyRing) -> ModuleGB:
@@ -373,28 +286,59 @@ def module_normal_form(v, mgb: ModuleGB):
     return _unflat(_divide(_flat(v, mgb.ring), mgb._divisors), len(v), mgb.ring)
 
 
-def module_lift(v, mgb: ModuleGB):
-    """Coordinates of v against the GB generators, or None if not a member."""
-    quots = [{} for _ in mgb.generators]
-    if _divide(_flat(v, mgb.ring), mgb._divisors, quots):
-        return None
-    return [_polynomial(q, mgb.ring) for q in quots]
+def lift_basis(gens, rank: int, ring: PolyRing, extra=()) -> ModuleGB:
+    """The block-order basis of the vectors (g_i, e_i) and (h_j, 0) in
+    R^(rank + s), s = len(gens), for g_i in ``gens`` and h_j in ``extra``,
+    with block = rank."""
+    s = len(gens)
+    one, zero = ring.one(), ring.zero()
+    vectors = [
+        tuple(g) + (zero,) * i + (one,) + (zero,) * (s - 1 - i) for i, g in enumerate(gens)
+    ]
+    vectors += [tuple(h) + (zero,) * s for h in extra]
+    return ModuleGB(ring, rank + s, tuple(module_buchberger(vectors, ring, block=rank)), rank)
+
+
+def lift(v, basis: ModuleGB):
+    """(remainder, cofactors) of v in R^block against a `lift_basis`:
+    v = sum_i a_i g_i + r + an element of <h>.  Dividing (v, 0) leaves
+    (r, -a); r is the normal form of v modulo <g, h> and a is reduced
+    modulo the relations, so both are unique."""
+    ring, b = basis.ring, basis.block
+    rem = _unflat(_divide(_flat(v, ring), basis._divisors), basis.rank, ring)
+    return rem[:b], tuple(-a for a in rem[b:])
+
+
+def split(basis: ModuleGB):
+    """(heads, tails) of a `lift_basis` as module bases: the first block
+    components of the elements that have any, a reduced basis of <g, h>,
+    and the other components of the elements whose first block vanishes,
+    a reduced basis of the relations."""
+    b = basis.block
+    heads, tails = [], []
+    for v in basis.generators:
+        if any(c.terms for c in v[:b]):
+            heads.append(v[:b])
+        else:
+            tails.append(v[b:])
+    ring = basis.ring
+    return ModuleGB(ring, b, tuple(heads)), ModuleGB(ring, basis.rank - b, tuple(tails))
 
 
 def syzygies(gens, rank: int, ring: PolyRing):
     """The reduced term-over-position basis of {c in R^s : sum_i c_i *
-    gens_i = 0}, in `module_buchberger`'s order: the tails of the block-order
-    basis of the vectors (gens_i, e_i)."""
-    return _split(module_buchberger(_with_units(gens, ring), ring, block=rank), rank)[1]
+    gens_i = 0}, in `module_buchberger`'s order: the tails of the lift
+    basis of ``gens``."""
+    return split(lift_basis(gens, rank, ring))[1].generators
 
 
 def module_kernel(matrix, r_in: int, r_out: int, ring: PolyRing):
     """(kernel, image) of the map R^{r_in} -> R^{r_out} given by the matrix
     (rows x cols = r_out x r_in) as module GBs: the tails and the heads of
-    one block-order run over (column_j, e_j)."""
+    the lift basis of its columns."""
     cols = [tuple(matrix[i][j] for i in range(r_out)) for j in range(r_in)]
-    image, kernel = _split(module_buchberger(_with_units(cols, ring), ring, block=r_out), r_out)
-    return ModuleGB(ring, r_in, tuple(kernel)), ModuleGB(ring, r_out, tuple(image))
+    image, kernel = split(lift_basis(cols, r_out, ring))
+    return kernel, image
 
 
 def module_standard_monomials(mgb: ModuleGB):
@@ -423,23 +367,41 @@ def module_standard_monomials(mgb: ModuleGB):
 def subquotient_presentation(kernel: ModuleGB, image_gens):
     """Presentation of <kernel> / <image_gens> as R^t / relations.
 
-    t is the number of kernel GB generators k_i.  One block-order run over
-    (k_i, e_i) and (g_j, 0) gives the relations {c : sum_i c_i k_i in <g_j>}
-    as its tails; its heads are the kernel's own basis exactly when every
-    g_j lies in the kernel.  Returns (relation GB in R^t, standard
-    (position, monomial) pairs), the latter a k-basis of the quotient.
-    Raises when an image generator falls outside the kernel or the quotient
-    is infinite-dimensional.
+    t is the number of kernel GB generators k_i.  The lift basis of the k_i
+    with the image generators g_j as ``extra`` has the relations {c :
+    sum_i c_i k_i in <g_j>} as its tails; its heads are the kernel's own
+    basis exactly when every g_j lies in the kernel.  Returns (that lift
+    basis, the relation GB in R^t, standard (position, monomial) pairs),
+    the last a k-basis of the quotient.  Raises when an image generator
+    falls outside the kernel or the quotient is infinite-dimensional.
     """
-    ring = kernel.ring
-    t = len(kernel.generators)
-    zeros = (ring.zero(),) * t
-    gens = _with_units(kernel.generators, ring) + [tuple(g) + zeros for g in image_gens]
-    heads, tails = _split(module_buchberger(gens, ring, block=kernel.rank), kernel.rank)
-    if tuple(heads) != kernel.generators:
+    basis = lift_basis(kernel.generators, kernel.rank, kernel.ring, image_gens)
+    heads, relations = split(basis)
+    if heads.generators != kernel.generators:
         raise ValueError("image generators outside the kernel submodule")
-    rel_gb = ModuleGB(ring, t, tuple(tails))
-    std = module_standard_monomials(rel_gb)
+    std = module_standard_monomials(relations)
     if std is None:
         raise ValueError("subquotient is infinite-dimensional")
-    return rel_gb, std
+    return basis, relations, std
+
+
+# --- ideals -----------------------------------------------------------------
+
+
+def buchberger(gens) -> ModuleGB:
+    """Reduced Groebner basis of the ideal, as a rank-1 module."""
+    gens = tuple(gens)
+    ring = next((g.ring for g in gens if not g.is_zero()), None)
+    if ring is None:
+        raise ValueError("no nonzero generators")
+    return module_gb([(g,) for g in gens], 1, ring)
+
+
+def normal_form(f: Polynomial, gb: ModuleGB) -> Polynomial:
+    return module_normal_form((f,), gb)[0]
+
+
+def quotient_basis(gb: ModuleGB):
+    """Standard monomials of the quotient, or None when infinite."""
+    std = module_standard_monomials(gb)
+    return None if std is None else [m for _p, m in std]

@@ -6,7 +6,8 @@ cohomology is the finite-dimensional subquotient kernel/image.  Four
 elimination runs compute both parities: one `module_kernel` run per
 parity gives the cocycles of that parity and the coboundaries of the
 other, and one `subquotient_presentation` run per parity checks that the
-coboundaries are cocycles and presents the quotient.  For an isolated
+coboundaries are cocycles and presents the quotient; its lift basis is
+what `class_coordinates` divides a cocycle by.  For an isolated
 singularity supported at the origin this computes the same dimensions as
 the formal-local theory.
 
@@ -16,13 +17,7 @@ reproduce; `cardy_supertrace` does the same on a basis already computed.
 """
 from __future__ import annotations
 
-from .groebner import (
-    ModuleGB,
-    module_kernel,
-    module_normal_form,
-    module_lift,
-    subquotient_presentation,
-)
+from .groebner import ModuleGB, lift, module_kernel, subquotient_presentation
 from .mfcore import (
     MatFac,
     MorphismCocycle,
@@ -37,15 +32,25 @@ class ParityCohomology(Frozen):
     """One parity's worth of cohomology of the Hom complex.
 
     ``kernel`` holds the cocycles, a submodule of the flattened Hom space;
-    ``relations`` presents kernel/image over the kernel generators; and
-    ``standard`` lists the (position, monomial) pairs indexing a k-basis.
+    ``lifts`` is the lift basis of the kernel generators with the
+    coboundaries as extra generators; ``relations`` presents kernel/image
+    over the kernel generators; and ``standard`` lists the (position,
+    monomial) pairs indexing a k-basis.
     """
 
-    __slots__ = ("parity", "kernel", "relations", "standard")
+    __slots__ = ("parity", "kernel", "lifts", "relations", "standard")
 
-    def __init__(self, parity: int, kernel: ModuleGB, relations: ModuleGB, standard: tuple):
+    def __init__(
+        self,
+        parity: int,
+        kernel: ModuleGB,
+        lifts: ModuleGB,
+        relations: ModuleGB,
+        standard: tuple,
+    ):
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "lifts", lifts)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "standard", standard)
 
@@ -77,11 +82,11 @@ class CohomologyBasis(Frozen):
     def class_coordinates(self, f: MorphismCocycle) -> tuple[Scalar, ...]:
         """Coordinates of the class of a cocycle on the chosen basis."""
         co = self.even if f.parity == 0 else self.odd
-        lift = module_lift(morphism_to_vector(f), co.kernel)
-        if lift is None:
+        # one division: the remainder vanishes exactly on cocycles, and the
+        # cofactors come reduced modulo the relations
+        remainder, reduced = lift(morphism_to_vector(f), co.lifts)
+        if any(c.terms for c in remainder):
             raise ValueError("morphism is not a cocycle")
-        reduced = module_normal_form(lift, co.relations)
-        ring = self.source.ring
         coords = []
         for pos, mono in co.standard:
             coords.append(reduced[pos].coeff_of(mono))
@@ -110,8 +115,8 @@ def hom_cohomology(E: MatFac, F: MatFac):
 
 
 def _parity_cohomology(parity: int, kernel: ModuleGB, image: ModuleGB) -> ParityCohomology:
-    relations, standard = subquotient_presentation(kernel, image.generators)
-    return ParityCohomology(parity, kernel, relations, tuple(standard))
+    lifts, relations, standard = subquotient_presentation(kernel, image.generators)
+    return ParityCohomology(parity, kernel, lifts, relations, tuple(standard))
 
 
 def euler(E: MatFac, F: MatFac) -> int:

@@ -382,7 +382,8 @@ class MorphismCocycle(Frozen):
     def __eq__(self, other) -> bool:
         if not isinstance(other, MorphismCocycle):
             return NotImplemented
-        return self.parity == other.parity and self.matrix == other.matrix
+        return (self.source, self.target, self.parity, self.matrix) == (
+            other.source, other.target, other.parity, other.matrix)
 
     __hash__ = None  # type: ignore[assignment]
 

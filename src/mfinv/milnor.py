@@ -30,13 +30,7 @@ and bulk invariants land in.
 """
 from __future__ import annotations
 
-from .groebner import (
-    GroebnerBasis,
-    buchberger,
-    normal_form,
-    normal_form_with_cofactors,
-    quotient_basis,
-)
+from .groebner import ModuleGB, lift, lift_basis, normal_form, quotient_basis, split
 from .poly import Monomial, Polynomial, PolyRing, determinant
 from .scalar import Frozen, Scalar
 
@@ -57,7 +51,7 @@ class MilnorRing(Frozen):
         self,
         ring: PolyRing,
         w: Polynomial,
-        jacobian_gb: GroebnerBasis,
+        jacobian_gb: ModuleGB,
         basis: tuple[Monomial, ...],
         mu: int,
         nilpotency: int,
@@ -153,19 +147,21 @@ def build_milnor(w: Polynomial) -> MilnorRing:
         if n > 0:
             raise ValueError("not an isolated singularity")
         # sector with no coordinates: A = k, the residue is the identity
-        gb = GroebnerBasis(ring, ())
-        return MilnorRing(ring, w, gb, ((),), 1, 0, ring.one())
-    gb = buchberger(partials, track=True)
+        return MilnorRing(ring, w, ModuleGB(ring, 1, ()), ((),), 1, 0, ring.one())
+    # one block-order run: its heads are the Jacobian basis, and `lift`
+    # reads the cofactors of the residue transformation law off it
+    lifts = lift_basis([(p,) for p in partials], 1, ring)
+    gb = split(lifts)[0]
     basis = quotient_basis(gb)
     if basis is None:
         raise ValueError("not an isolated singularity")
     mu = len(basis)
     nil = _nilpotency_exponent(ring, gb, mu)
-    det = _cofactor_determinant(ring, gb, nil)
+    det = _cofactor_determinant(lifts, partials, nil)
     return MilnorRing(ring, w, gb, tuple(basis), mu, nil, det)
 
 
-def _nilpotency_exponent(ring: PolyRing, gb: GroebnerBasis, mu: int) -> int:
+def _nilpotency_exponent(ring: PolyRing, gb: ModuleGB, mu: int) -> int:
     # smallest uniform N with x_i^N in the ideal for every i; the maximal
     # ideal of an Artinian local ring of length mu satisfies m^mu = 0, so
     # at the origin the search ends by N = mu.  A variable still alive at
@@ -184,10 +180,16 @@ def _nilpotency_exponent(ring: PolyRing, gb: GroebnerBasis, mu: int) -> int:
     return best
 
 
-def _cofactor_determinant(ring: PolyRing, gb: GroebnerBasis, exponent: int) -> Polynomial:
+def _cofactor_determinant(lifts: ModuleGB, partials, exponent: int) -> Polynomial:
+    """det(a_ij) for x_i^N = sum_j a_ij partials_j, the cofactors read off
+    the lift basis of the partials; each identity is checked."""
+    ring = lifts.ring
     rows = []
     for i in range(ring.n):
-        r, cof = normal_form_with_cofactors(ring.var(i) ** exponent, gb)
+        f = ring.var(i) ** exponent
+        (r,), cof = lift((f,), lifts)
+        if sum((a * g for a, g in zip(cof, partials)), r) != f:
+            raise AssertionError("cofactor identity failed")
         if not r.is_zero():
             raise AssertionError("power of a variable failed to reduce to zero")
         rows.append(list(cof))

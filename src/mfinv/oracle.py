@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb, prod
 
-from .groebner import GroebnerBasis, buchberger, normal_form
+from .groebner import ModuleGB, buchberger, normal_form
 from .invariants import check_endomorphism, derivative_product, supertrace
 from .mfcore import (
     MatFac,
@@ -68,7 +68,7 @@ class DiagonalData(Frozen):
         doubled: PolyRing,
         w_tilde: Polynomial,
         differences: tuple[Polynomial, ...],
-        jacobian: GroebnerBasis,
+        jacobian: ModuleGB,
         determinant: Polynomial,
     ):
         object.__setattr__(self, "milnor", milnor)

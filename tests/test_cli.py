@@ -392,6 +392,35 @@ def test_rho_mixing_parities_exits_2(tmp_path, capsys, command):
     assert err == "error: factorization 'E1': action matrix does not preserve parity\n"
 
 
+@pytest.mark.parametrize(
+    "coeffs", ["01", [0, 1], ["0", 1], {"0": "1"}], ids=["string", "ints", "mixed", "object"]
+)
+def test_scalar_object_coeffs_must_be_a_list_of_strings(tmp_path, capsys, coeffs):
+    # a string was iterated into its characters, and integers crashed
+    doc = json.loads(json.dumps(CYCLIC3_SESSION))
+    doc["group"]["generators"] = [[{"m": 3, "coeffs": coeffs}]]
+    path = write_session(tmp_path, doc)
+    code, out, err = run(capsys, "--input", path, "milnor")
+    assert (code, out) == (2, "")
+    assert "coeffs must be a list of strings" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["potential", "generator"])
+@pytest.mark.parametrize(
+    "text", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"], ids=["parentheses", "minuses"]
+)
+def test_deeply_nested_expression_exits_2(tmp_path, capsys, where, text):
+    doc = json.loads(json.dumps(CYCLIC3_SESSION))
+    if where == "potential":
+        doc["potential"] = text + "^3"
+    else:
+        doc["group"]["generators"] = [[text.replace("x", "z")]]
+    path = write_session(tmp_path, doc)
+    code, out, err = run(capsys, "--input", path, "milnor")
+    assert (code, out) == (2, "")
+    assert err.endswith(": nested too deeply\n") and "Traceback" not in err
+
+
 def test_non_integer_session_values_exit_2(tmp_path, capsys):
     bad_field = json.loads(json.dumps(CYCLIC3_SESSION))
     bad_field["field"] = {"cyclotomic_order": "abc"}

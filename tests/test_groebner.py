@@ -8,20 +8,21 @@ from hypothesis import strategies as st
 from mfinv.groebner import (
     ModuleGB,
     buchberger,
+    lift,
+    lift_basis,
     module_gb,
     module_kernel,
-    module_lift,
     module_normal_form,
     module_standard_monomials,
     normal_form,
-    normal_form_with_cofactors,
     quotient_basis,
+    split,
     subquotient_presentation,
     syzygies,
 )
 from mfinv.cli import load_session
 from mfinv.homology import hom_cohomology
-from mfinv.mfcore import hom_differential, koszul
+from mfinv.mfcore import hom_differential, koszul, vector_to_morphism
 from mfinv.poly import (
     PolyRing,
     Polynomial,
@@ -36,24 +37,30 @@ R2 = PolyRing(("x", "y"))
 R1 = PolyRing(("x",))
 
 
-def _gb(ring, *texts, track=False):
-    return buchberger([ring.parse(t) for t in texts], track=track)
+def _gb(ring, *texts):
+    return buchberger([ring.parse(t) for t in texts])
+
+
+def _cofactors(f, gens):
+    """(r, cofactors) of f against the ideal generators ``gens``."""
+    (r,), cof = lift((f,), lift_basis([(g,) for g in gens], 1, f.ring))
+    return r, cof
 
 
 def test_buchberger_d4_jacobian():
     gb = _gb(R2, "3*x^2 + y^2", "2*x*y")
-    leads = {g.leading_monomial() for g in gb.generators}
+    leads = {g.leading_monomial() for g, in gb.generators}
     assert leads == {(2, 0), (1, 1), (0, 3)}
     # reduced: monic leads, no cross-divisibility
-    for g in gb.generators:
+    for g, in gb.generators:
         assert g.terms[g.leading_monomial()] == 1
 
 
 def test_buchberger_trivial_cases():
     gb = _gb(R1, "x")
-    assert [str(g) for g in gb.generators] == ["x"]
+    assert [str(g) for g, in gb.generators] == ["x"]
     gb2 = _gb(R1, "x^2", "x^3")
-    assert [str(g) for g in gb2.generators] == ["x^2"]
+    assert [str(g) for g, in gb2.generators] == ["x^2"]
 
 
 def test_normal_form_congruences_d4():
@@ -89,21 +96,19 @@ def test_quotient_basis_infinite():
 
 def test_cofactors_identity():
     gens = [R2.parse("3*x^2 + y^2"), R2.parse("2*x*y")]
-    gb = buchberger(gens, track=True)
     f = R2.parse("x^4 + x*y^3 - 2*y^2")
-    r, cof = normal_form_with_cofactors(f, gb)
+    r, cof = _cofactors(f, gens)
     recon = r
     for a, g in zip(cof, gens):
         recon = recon + a * g
     assert recon == f
-    assert r == normal_form(f, gb)
+    assert r == normal_form(f, buchberger(gens))
 
 
 def test_cofactors_for_member():
     gens = [R2.parse("3*x^2 + y^2"), R2.parse("2*x*y")]
-    gb = buchberger(gens, track=True)
     f = R2.parse("x^2*y")  # = x/2 * (2xy) hence in the ideal
-    r, cof = normal_form_with_cofactors(f, gb)
+    r, cof = _cofactors(f, gens)
     assert r.is_zero()
     recon = R2.zero()
     for a, g in zip(cof, gens):
@@ -111,17 +116,11 @@ def test_cofactors_for_member():
     assert recon == f
 
 
-def test_untracked_basis_rejects_cofactors():
-    gb = _gb(R2, "x")
-    with pytest.raises(ValueError):
-        normal_form_with_cofactors(R2.one(), gb)
-
-
 def test_gb_independent_of_generator_order():
     a, b = R2.parse("3*x^2 + y^2"), R2.parse("2*x*y")
     g1 = buchberger([a, b])
     g2 = buchberger([b, a])
-    assert [str(g) for g in g1.generators] == [str(g) for g in g2.generators]
+    assert [str(g) for g, in g1.generators] == [str(g) for g, in g2.generators]
 
 
 def test_module_kernel_koszul_syzygy():
@@ -145,15 +144,16 @@ def test_module_lift_roundtrip():
         (R2.var(0), R2.zero()),
         (R2.zero(), R2.var(1)),
     ]
-    mgb = module_gb(gens, 2, R2)
+    basis = lift_basis(gens, 2, R2)
     v = (R2.parse("x^2 + x*y"), R2.parse("y^3"))
-    coords = module_lift(v, mgb)
-    assert coords is not None
+    rem, coords = lift(v, basis)
+    assert all(c.is_zero() for c in rem)
     recon = [R2.zero(), R2.zero()]
-    for c, g in zip(coords, mgb.generators):
+    for c, g in zip(coords, gens):
         recon = [r + c * gc for r, gc in zip(recon, g)]
     assert tuple(recon) == v
-    assert module_lift((R2.one(), R2.zero()), mgb) is None
+    # a non-member keeps its normal form as the remainder
+    assert lift((R2.one(), R2.zero()), basis) == ((R2.one(), R2.zero()), (R2.zero(), R2.zero()))
 
 
 def test_module_normal_form_kills_members():
@@ -166,13 +166,13 @@ def test_module_normal_form_kills_members():
 def test_subquotient_point():
     # kernel = R^1, image = (x, y): quotient is k
     ker = module_gb([(R2.one(),)], 1, R2)
-    dim = len(subquotient_presentation(ker, [(R2.var(0),), (R2.var(1),)])[1])
+    dim = len(subquotient_presentation(ker, [(R2.var(0),), (R2.var(1),)])[2])
     assert dim == 1
 
 
 def test_subquotient_equal_modules_is_zero():
     ker = module_gb([(R2.var(0),), (R2.var(1),)], 1, R2)
-    dim = len(subquotient_presentation(ker, [(R2.var(0),), (R2.var(1),)])[1])
+    dim = len(subquotient_presentation(ker, [(R2.var(0),), (R2.var(1),)])[2])
     assert dim == 0
 
 
@@ -190,7 +190,7 @@ def test_subquotient_one_variable_chain():
     R = R1
     for i, n in ((1, 3), (2, 5)):
         ker = module_gb([(R.var(0) ** i,)], 1, R)
-        dim = len(subquotient_presentation(ker, [(R.var(0) ** n,)])[1])
+        dim = len(subquotient_presentation(ker, [(R.var(0) ** n,)])[2])
         assert dim == n - i
 
 
@@ -238,8 +238,7 @@ def test_nf_properties_random(f, g, h):
 @given(f=_rand_polys())
 def test_cofactor_identity_random(f):
     gens = [R2.parse("3*x^2 + y^2"), R2.parse("2*x*y")]
-    gb = buchberger(gens, track=True)
-    r, cof = normal_form_with_cofactors(f, gb)
+    r, cof = _cofactors(f, gens)
     recon = r
     for a, g in zip(cof, gens):
         recon = recon + a * g
@@ -332,14 +331,15 @@ def _check_reduced_basis(mgb):
 
 
 def _check_division(mgb, vectors):
+    # `lift` against the generators: the reference remainder, and the
+    # reference quotients reduced modulo the generators' syzygies
+    basis = lift_basis(mgb.generators, mgb.rank, mgb.ring)
+    heads, syz = split(basis)
+    assert heads.generators == mgb.generators
     for v in vectors:
         rem, quots = _ref_divide(v, mgb.generators, mgb.ring)
         assert module_normal_form(v, mgb) == rem
-        lift = module_lift(v, mgb)
-        if all(c.is_zero() for c in rem):
-            assert lift == quots
-        else:
-            assert lift is None
+        assert lift(v, basis) == (rem, module_normal_form(quots, syz))
 
 
 def test_module_engine_matches_reference_division_on_hom_differentials():
@@ -361,7 +361,7 @@ def test_module_engine_matches_reference_division_on_hom_differentials():
                     assert total.is_zero()
             kernel, _image = module_kernel(d_out, n_in, n_out, ring)
             image = [tuple(d_in[r][c] for r in range(n_in)) for c in range(n_prev)]
-            relations, _ = subquotient_presentation(kernel, image)
+            _lifts, relations, _ = subquotient_presentation(kernel, image)
             for mgb in (kernel, relations):
                 if not mgb.generators:
                     continue
@@ -386,13 +386,13 @@ def test_cofactors_match_reference_division():
     R3 = PolyRing(("x", "y", "z"))
     for ring, text in ((R2, "x^3 + x*y^2"), (R2, "x^2*y + y^4"), (R3, "x^3 + y^3 + z^3")):
         w = ring.parse(text)
-        gb = buchberger([w.partial_derivative(i) for i in range(ring.n)], track=True)
+        basis = lift_basis([(w.partial_derivative(i),) for i in range(ring.n)], 1, ring)
         for f in (ring.parse("x^5 + 2*x*y^3 - y + 1"), ring.var(0) ** 4 * ring.var(1)):
-            v = (f,) + (ring.zero(),) * len(gb.originals)
-            rem, _ = _ref_divide(v, gb.tracked, ring, block=1)
-            r, cof = normal_form_with_cofactors(f, gb)
+            v = (f,) + (ring.zero(),) * ring.n
+            rem, _ = _ref_divide(v, basis.generators, ring, block=1)
+            (r,), cof = lift((f,), basis)
             assert r == rem[0]
-            assert cof == [-a for a in rem[1:]]
+            assert cof == tuple(-a for a in rem[1:])
 
 
 def _sheared_pairs():
@@ -460,10 +460,10 @@ def _ref_subquotient(kernel, image):
     for g in image:
         if all(c.is_zero() for c in g):
             continue
-        lift = module_lift(g, kernel)
-        if lift is None:
+        rem, quots = _ref_divide(g, kernel.generators, kernel.ring)
+        if any(c.terms for c in rem):
             raise ValueError("image generators outside the kernel submodule")
-        relations.append(tuple(lift))
+        relations.append(tuple(quots))
     relations.extend(syzygies(list(kernel.generators), kernel.rank, kernel.ring))
     relations = [r for r in relations if not all(c.is_zero() for c in r)]
     rel_gb = module_gb(relations, len(kernel.generators), kernel.ring)
@@ -496,6 +496,39 @@ def test_hom_cohomology_matches_the_lift_route():
     assert checked == 2 * len(pairs) >= 140
 
 
+def test_class_coordinates_match_the_two_step_route():
+    # the reference: lift against the kernel generators by `_ref_divide`,
+    # then reduce the quotients modulo the relations
+    pairs = [*_hom_pairs(), *_sheared_pairs(), *_zeta3_pairs()]
+    checked = nonzero = 0
+    for E, F in pairs:
+        ring = E.ring
+        d_even, d_odd = hom_differential(E, F)
+        _h0, _h1, basis = hom_cohomology(E, F)
+        for parity, co, d_in, n_in, n_prev in (
+            (0, basis.even, d_odd, len(d_odd), len(d_even)),
+            (1, basis.odd, d_even, len(d_even), len(d_odd)),
+        ):
+            gens = co.kernel.generators
+            # cocycles: kernel generators, their multiples, a sum, and
+            # coboundaries, whose class is zero
+            probes = list(gens)
+            probes += [tuple(ring.var(k % ring.n) * c for c in g) for k, g in enumerate(gens)]
+            if gens:
+                probes.append(tuple(map(sum, zip(*gens), [ring.zero()] * n_in)))
+            probes += [tuple(d_in[r][c] for r in range(n_in)) for c in range(n_prev)]
+            for v in probes:
+                rem, quots = _ref_divide(v, gens, ring)
+                assert all(c.is_zero() for c in rem)
+                reduced = module_normal_form(quots, co.relations)
+                expected = tuple(reduced[pos].coeff_of(mono) for pos, mono in co.standard)
+                f = vector_to_morphism(E, F, parity, list(v))
+                assert basis.class_coordinates(f) == expected
+                checked += 1
+                nonzero += any(expected)
+    assert checked >= 1000 and nonzero >= 100
+
+
 def test_module_kernel_image_is_the_column_basis():
     for E, F in [*_hom_pairs(), *_zeta3_pairs()]:
         ring = E.ring
@@ -513,7 +546,7 @@ def test_hom_cohomology_makes_four_runs_and_no_lift(monkeypatch):
     import mfinv.homology
 
     E, F = list(_hom_pairs())[-1]  # the rank-4 Koszul pair of the Fermat cubic
-    calls = {"module_buchberger": 0, "module_lift": 0}
+    calls = {"module_buchberger": 0, "lift": 0}
 
     def counting(module, name):
         inner = getattr(module, name)
@@ -525,11 +558,11 @@ def test_hom_cohomology_makes_four_runs_and_no_lift(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(mfinv.groebner, "module_buchberger")
-    counting(mfinv.groebner, "module_lift")
-    counting(mfinv.homology, "module_lift")
+    counting(mfinv.groebner, "lift")
+    counting(mfinv.homology, "lift")
     h0, h1, _basis = hom_cohomology(E, F)
     assert h0 + h1 > 0
-    assert calls == {"module_buchberger": 4, "module_lift": 0}
+    assert calls == {"module_buchberger": 4, "lift": 0}
 
 
 # --- the engine boundary: raw field elements inside, Scalars outside ---------
@@ -575,17 +608,18 @@ def test_engine_returns_scalars_of_the_ring():
         check(*syzygies(cols, n1, ring))
         kernel, _image = module_kernel(d_even, n0, n1, ring)
         check(*kernel.generators)
-        relations, _std = subquotient_presentation(kernel, image)
+        lifts, relations, _std = subquotient_presentation(kernel, image)
         check(*relations.generators)
         unit = tuple(ring.var(0) if p == 0 else ring.zero() for p in range(n0))
         check(*(module_normal_form(v, kernel) for v in [unit, *image]))
-        lifts = [module_lift(v, kernel) for v in image]
-        assert None not in lifts
-        check(*lifts)
-        gb = buchberger([E.w.partial_derivative(i) for i in range(ring.n)], track=True)
+        for v in image:
+            rem, cof = lift(v, lifts)
+            assert all(c.is_zero() for c in rem)
+            check(rem, cof)
+        partials = [E.w.partial_derivative(i) for i in range(ring.n)]
         f = ring.var(0) ** 4 * ring.var(ring.n - 1) - ring.var(0) + 1
-        check((normal_form(f, gb),))
-        r, cof = normal_form_with_cofactors(f, gb)
+        check((normal_form(f, buchberger(partials)),))
+        r, cof = _cofactors(f, partials)
         check((r,), cof)
     # both fields were exercised
     assert counts[None] > 500 and counts[3] > 50

@@ -121,9 +121,9 @@ def test_empty_kernel(nonzero):
         with pytest.raises(ValueError, match="outside the kernel"):
             subquotient_presentation(kernel, image)
         image = []
-    relations, standard = subquotient_presentation(kernel, image)
+    lifts, relations, standard = subquotient_presentation(kernel, image)
     assert (relations.rank, relations.generators, standard) == (0, (), [])
-    co = ParityCohomology(0, kernel, relations, ())
+    co = ParityCohomology(0, kernel, lifts, relations, ())
     basis = CohomologyBasis(E, E, co, co)
     if nonzero:
         with pytest.raises(ValueError, match="not a cocycle"):

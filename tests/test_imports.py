@@ -263,7 +263,7 @@ def _frozen_instances() -> list:
     from fractions import Fraction
 
     from mfinv.equivariant import GradedStructure, Sector
-    from mfinv.groebner import GroebnerBasis, ModuleGB
+    from mfinv.groebner import ModuleGB
     from mfinv.homology import CohomologyBasis, ParityCohomology
     from mfinv.mfcore import EquivariantMF, MatFac, MorphismCocycle
     from mfinv.milnor import MilnorClass, MilnorRing
@@ -277,14 +277,13 @@ def _frozen_instances() -> list:
         CyclotomicContext(3),
         Scalar(None, (Fraction(1),)),
         ring,
-        GroebnerBasis(ring, ()),
         ModuleGB(ring, 1, ()),
         MilnorRing(ring, ring.zero(), None, (), 0, 1, ring.one()),
         MilnorClass(None, ring.zero(), 0),
         empty,
         MorphismCocycle(empty, empty, 0, ()),
         EquivariantMF(empty, ()),
-        ParityCohomology(0, None, None, ()),
+        ParityCohomology(0, None, None, None, ()),
         CohomologyBasis(empty, empty, None, None),
         DiagonalData(None, ring, ring.zero(), (), None, ring.zero()),
         DTensor(ring, empty, ()),
@@ -340,7 +339,7 @@ def test_value_classes_copy_and_pickle():
     R = PolyRing(("x", "y"), CyclotomicContext(3))
     z = R.context.zeta()
     gb = buchberger([R.parse("x^2"), R.parse("y^3")])
-    gb._module  # a cached property lands in the instance __dict__
+    gb._divisors  # a cached property lands in the instance __dict__
     E = koszul([R.parse("x")], [R.parse("x^2 + y^2")])
     E.partials
     for obj in (R, z, gb, E):
@@ -348,8 +347,8 @@ def test_value_classes_copy_and_pickle():
             assert type(twin) is type(obj)
     assert pickle.loads(pickle.dumps(R)) == R and copy.deepcopy(z) == z
     twin = pickle.loads(pickle.dumps(gb))
-    assert [str(g) for g in twin.generators] == [str(g) for g in gb.generators]
-    assert len(twin._module.generators) == 2
+    assert [str(g) for g, in twin.generators] == [str(g) for g, in gb.generators]
+    assert len(twin._divisors.entries) == 2
     for twin in (copy.deepcopy(E), pickle.loads(pickle.dumps(E))):
         assert "partials" in vars(twin) and twin == E and twin.partials == E.partials
     for obj in _frozen_instances():

@@ -188,6 +188,17 @@ def test_identity_is_closed():
     assert identity_morphism(E).differential().is_zero()
 
 
+def test_morphism_equality_compares_the_ends():
+    # equal parity and matrix, but factorizations of different potentials
+    E = k1(R2, "x", "x^2 + y^2")
+    F = k1(R2, "x", "x^2")
+    assert E.rank == F.rank and E.w != F.w
+    assert identity_morphism(E) != identity_morphism(F)
+    assert zero_morphism(E, E, 1) != zero_morphism(E, F, 1)
+    assert zero_morphism(E, E, 1) != zero_morphism(F, E, 1)
+    assert identity_morphism(E) == identity_morphism(k1(R2, "x", "x^2 + y^2"))
+
+
 def test_identity_coboundary_on_contractible():
     # on {1, w} the identity is d(h) for h with upper block 1
     E = koszul([R1.one()], [R1.parse("x^3")])

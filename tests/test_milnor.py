@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfinv.groebner import lift_basis
 from mfinv.milnor import (
     _cofactor_determinant,
     _trace_poly,
@@ -38,6 +39,13 @@ BATTERY = [
 
 def _build(ring, text):
     return build_milnor(ring.parse(text))
+
+
+def _cofactor_det(A, exponent):
+    """det(a) for x_i^exponent = sum_j a_ij dw/dx_j."""
+    partials = [A.w.partial_derivative(i) for i in range(A.ring.n)]
+    lifts = lift_basis([(p,) for p in partials], 1, A.ring)
+    return _cofactor_determinant(lifts, partials, exponent)
 
 
 def test_one_variable_power():
@@ -159,7 +167,7 @@ def test_trace_independent_of_exponent():
         A = _build(ring, text)
         f = A.project(ring.monomial(A.basis[-1]))
         N = A.nilpotency
-        det_up = _cofactor_determinant(ring, A.jacobian_gb, N + 1)
+        det_up = _cofactor_det(A, N + 1)
         assert residue_trace(f) == _trace_poly(A, f.value, N + 1, det_up)
 
 
@@ -184,7 +192,7 @@ def test_coefficient_lookup_matches_product_route(ring, text):
     n = ring.n
     N = A.nilpotency
     det = A.residue_cofactor_det
-    det_up = _cofactor_determinant(ring, A.jacobian_gb, N + 1)
+    det_up = _cofactor_det(A, N + 1)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     basis = [ring.monomial(m) for m in A.basis]
     assert gram_matrix(A) == [
@@ -253,3 +261,58 @@ def test_trace_linear(c):
     expected = rational(c[0], 6) + rational(-c[1], 2)
     got = residue_trace(A.project(f))
     assert got == expected
+
+
+def _dropping_a_cofactor_term(lift, dropped):
+    """`milnor.lift` with one term removed from the first nonzero cofactor
+    it returns."""
+
+    def dropping(v, basis):
+        rem, cof = lift(v, basis)
+        for k, a in enumerate(cof):
+            if a.terms and not dropped:
+                m = next(iter(a.terms))
+                dropped.append(m)
+                smaller = a.ring.from_terms({t: c for t, c in a.terms.items() if t != m})
+                return rem, cof[:k] + (smaller,) + cof[k + 1:]
+        return rem, cof
+
+    return dropping
+
+
+def test_cofactor_gate_rejects_a_dropped_term(monkeypatch):
+    import mfinv.milnor as milnor
+
+    dropped = []
+    monkeypatch.setattr(milnor, "lift", _dropping_a_cofactor_term(milnor.lift, dropped))
+    with pytest.raises(AssertionError, match="^cofactor identity failed$"):
+        build_milnor(R2.parse("x^3 + x*y^2"))
+    assert len(dropped) == 1
+
+
+def test_cofactor_gate_raises_under_optimize():
+    # the gate is an explicit raise, not a bare assert, so python -O keeps it
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import mfinv
+
+    src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    tests = str(pathlib.Path(__file__).resolve().parent)
+    code = (
+        "import mfinv.milnor as milnor\n"
+        "from test_milnor import R2, _dropping_a_cofactor_term\n"
+        "dropped = []\n"
+        "milnor.lift = _dropping_a_cofactor_term(milnor.lift, dropped)\n"
+        "try:\n"
+        "    milnor.build_milnor(R2.parse('x^3 + x*y^2'))\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc, len(dropped))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.splitlines() == ["raised: cofactor identity failed 1"]
