@@ -8,11 +8,21 @@ ideal, whose nilpotency search rejects support away from the origin.
 
 At the API boundary module elements are tuples of polynomials, and an
 ideal generator g is the element (g,).  Inside the engine an element is a
-flat dict {(position, monomial): coefficient} of raw field elements: the
-Fraction inside each Scalar over Q, the Scalar itself over Q(zeta).
-`_flat` unwraps the coefficients and `_unflat` wraps them back, so Scalars
-appear only at the API boundary, as polynomials do; the loops use nothing
-but field arithmetic, ``1 / c`` and truth.  The module order is
+flat dict {(position, monomial): coefficient}, and the arithmetic is
+fraction-free (Bareiss 1968; Geddes-Czapor-Labahn, ch. 9).  Over Q `_flat`
+scales an element by D, the lcm of its denominators, to ``int``
+coefficients, and a basis entry is stored primitive: content removed, lead
+coefficient L a positive ``int``.  Division cancels a term c against a lead
+L by scaling the working element by L/g, g = gcd(L, c), and subtracting
+(c/g) times the entry; the product M of those scales is tracked, each
+remainder term is recorded with the M of its time and rescaled to the
+final M at the end, so the remainder is r / (D M) in field terms.  Over
+Q(zeta) the coefficients are the ring's Scalars, an entry is made monic
+when it is inserted and its lead stored as the ``int`` 1, so the same loop
+runs with L = 1, M = 1 and no gcd.  Every element is a scalar multiple of
+its field counterpart, so leads, pair order and results are those of field
+arithmetic; the only rational division is at the boundary, once per
+output term (`_unflat`).  The module order is
 term-over-position: grevlex on the monomial part, ties to the lower
 position; with ``block=b`` any term in the first b positions beats every
 term outside them.  The term (p, m) has the order key
@@ -22,9 +32,9 @@ term outside them.  The term (p, m) has the order key
 and the smaller key is the larger term, so a heap of keys yields the lead.
 Division keeps the keys of its working element in such a heap and deletes
 lazily: a key whose term has cancelled is skipped when it comes up.  Each
-basis keeps, per lead position, its entries' leads, inverse lead
-coefficients and remaining terms; a lead is divided by the first entry, in
-insertion order, whose lead divides it.
+basis keeps, per lead position, its entries' leads, lead coefficients and
+remaining terms; a lead is divided by the first entry, in insertion order,
+whose lead divides it.
 
 Elements of length 1 also get Buchberger's product criterion.  Syzygies,
 cofactors, kernels and subquotients use the block order on an enlarged
@@ -42,9 +52,11 @@ terms.  `syzygies`, `module_kernel`, `subquotient_presentation` and
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import product
+from math import gcd, lcm as int_lcm
 from operator import add
 
 from .poly import (
@@ -62,26 +74,29 @@ from .scalar import Frozen, Scalar
 ModuleElement = tuple  # tuple[Polynomial, ...]
 
 
-def _flat(v, ring: PolyRing) -> dict:
-    """{(position, monomial): raw coefficient} of a tuple of polynomials."""
-    if ring.context is None:
-        return {(p, m): c.coeffs[0] for p, f in enumerate(v) for m, c in f.terms.items()}
-    return {(p, m): c for p, f in enumerate(v) for m, c in f.terms.items()}
+def _flat(v, ring: PolyRing):
+    """(d, D): the tuple of polynomials times D as a flat element d =
+    {(position, monomial): coefficient}.  Over Q, D is the lcm of the
+    denominators and the coefficients are ints; over Q(zeta), D = 1 and
+    they are the ring's Scalars."""
+    if ring.context is not None:
+        return {(p, m): c for p, f in enumerate(v) for m, c in f.terms.items()}, 1
+    fracs = {(p, m): c.coeffs[0] for p, f in enumerate(v) for m, c in f.terms.items()}
+    D = int_lcm(*(c.denominator for c in fracs.values()))
+    return {k: c.numerator * (D // c.denominator) for k, c in fracs.items()}, D
 
 
-def _polynomial(terms: dict, ring: PolyRing) -> Polynomial:
-    """The polynomial with raw coefficients {monomial: coefficient}."""
-    if ring.context is None:
-        terms = {m: Scalar(None, (c,)) for m, c in terms.items()}
-    return Polynomial(ring, terms)
-
-
-def _unflat(d: dict, length: int, ring: PolyRing) -> ModuleElement:
+def _unflat(d: dict, length: int, ring: PolyRing, den: int = 1) -> ModuleElement:
+    """The tuple of polynomials d / den; den is 1 over Q(zeta)."""
     comps: dict = {}
-    for (p, m), c in d.items():
-        comps.setdefault(p, {})[m] = c
+    if ring.context is None:
+        for (p, m), c in d.items():
+            comps.setdefault(p, {})[m] = Scalar(None, (Fraction(c, den),))
+    else:
+        for (p, m), c in d.items():
+            comps.setdefault(p, {})[m] = c
     zero = ring.zero()  # polynomials are immutable, so one zero serves all
-    return tuple(_polynomial(comps[p], ring) if p in comps else zero for p in range(length))
+    return tuple(Polynomial(ring, comps[p]) if p in comps else zero for p in range(length))
 
 
 def _key(p: int, m: Monomial, block: int):
@@ -96,10 +111,11 @@ def _lead(d: dict, block: int):
 
 class _Divisors:
     """A basis ready for division.  ``entries`` holds, in insertion order,
-    (element, lead position, lead monomial, inverse lead coefficient,
-    other terms), the other terms as (position, monomial, coefficient);
-    ``by_pos`` maps a lead position to its entries as (index, lead
-    monomial, inverse lead coefficient, other terms)."""
+    (element, lead position, lead monomial, lead coefficient L, other
+    terms), the other terms as (position, monomial, coefficient); ``by_pos``
+    maps a lead position to its entries as (index, lead monomial, L, other
+    terms).  Each element is stored primitive with a positive ``int`` L
+    over Q, and monic with L = 1 over Q(zeta)."""
 
     __slots__ = ("block", "entries", "by_pos")
 
@@ -112,10 +128,19 @@ class _Divisors:
 
     def add(self, d: dict, lead=None) -> None:
         p, m = lead or _lead(d, self.block)
-        inv = 1 / d[p, m]
-        rest = [(q, tm, c) for (q, tm), c in d.items() if q != p or tm != m]
-        self.by_pos.setdefault(p, []).append((len(self.entries), m, inv, rest))
-        self.entries.append((d, p, m, inv, rest))
+        lc = d[p, m]
+        if lc.__class__ is int:
+            content = gcd(*d.values()) if lc > 0 else -gcd(*d.values())
+            if content != 1:
+                d = {k: a // content for k, a in d.items()}
+                lc //= content
+        else:
+            inv = lc.inverse()
+            d = {k: a * inv for k, a in d.items()}
+            lc = 1
+        rest = [(q, tm, a) for (q, tm), a in d.items() if q != p or tm != m]
+        self.by_pos.setdefault(p, []).append((len(self.entries), m, lc, rest))
+        self.entries.append((d, p, m, lc, rest))
 
 
 def _add_multiple(work: dict, terms, t: Monomial, c, heap=None, block=0) -> None:
@@ -137,29 +162,40 @@ def _add_multiple(work: dict, terms, t: Monomial, c, heap=None, block=0) -> None
                 work[k] = s
 
 
-def _divide(work: dict, divs: _Divisors, skip: int = -1) -> dict:
+def _divide(work: dict, divs: _Divisors, skip: int = -1):
     """Full division of the flat element ``work`` (consumed) by ``divs``,
-    leaving out entry ``skip``; returns the remainder."""
+    leaving out entry ``skip``; returns (r, M), the remainder of M * work
+    for the product M of the scales the division took."""
     block = divs.block
     by_pos = divs.by_pos
     heap = [_key(p, m, block) for p, m in work]
     heapify(heap)
-    rem = {}
+    rem = {}  # (p, m) -> (coefficient, M when it was recorded)
+    M = 1
     while heap:
         p, m = heappop(heap)[3:]
         c = work.pop((p, m), None)
         if c is None:
             continue  # cancelled, or already divided under an older key
-        for i, wm, winv, rest in by_pos.get(p, ()):
+        for i, wm, lc, rest in by_pos.get(p, ()):
             # monomial_divides and monomial_div, inlined in the hot loop
             if i != skip and all(a <= b for a, b in zip(wm, m)):
                 t = tuple(b - a for a, b in zip(wm, m))
+                if lc != 1:
+                    # (lc/g) work - (c/g) t entry cancels the term
+                    g = gcd(lc, c)
+                    if g != lc:
+                        s = lc // g
+                        M *= s
+                        for k, a in work.items():
+                            work[k] = a * s
+                    c //= g
                 # the lead cancels exactly; only the other terms change
-                _add_multiple(work, rest, t, -c * winv, heap, block)
+                _add_multiple(work, rest, t, -c, heap, block)
                 break
         else:
-            rem[p, m] = c
-    return rem
+            rem[p, m] = (c, M)
+    return {k: c if Mk == M else c * (M // Mk) for k, (c, Mk) in rem.items()}, M
 
 
 def module_buchberger(gens, ring: PolyRing, block: int = 0):
@@ -219,10 +255,10 @@ def module_buchberger(gens, ring: PolyRing, block: int = 0):
         sugars.append(sugar)
 
     for g in gens:
-        d = _flat(g, ring)
+        d, _D = _flat(g, ring)
         if d:
             sugar = max(sum(m) for _p, m in d)
-            r = _divide(d, divs)
+            r, _M = _divide(d, divs)
             if r:
                 add_element(r, sugar)
 
@@ -230,13 +266,15 @@ def module_buchberger(gens, ring: PolyRing, block: int = 0):
         q = min(pairs)
         pairs.remove(q)
         sugar, _grevlex, _p, j, i, lcm = q
-        _di, _, mi, ci, rest_i = entries[i]
-        _dj, _, mj, cj, rest_j = entries[j]
-        # the scaled leads cancel exactly; the S-vector is made of the rest
+        _di, _, mi, li, rest_i = entries[i]
+        _dj, _, mj, lj, rest_j = entries[j]
+        # (lj/g) t_i e_i - (li/g) t_j e_j: the leads cancel exactly, and
+        # the S-vector is made of the rest
+        g = gcd(li, lj)
         s: dict = {}
-        _add_multiple(s, rest_i, monomial_div(lcm, mi), ci)
-        _add_multiple(s, rest_j, monomial_div(lcm, mj), -cj)
-        r = _divide(s, divs)
+        _add_multiple(s, rest_i, monomial_div(lcm, mi), lj // g)
+        _add_multiple(s, rest_j, monomial_div(lcm, mj), -(li // g))
+        r, _M = _divide(s, divs)
         if r:
             add_element(r, sugar)
 
@@ -244,18 +282,19 @@ def module_buchberger(gens, ring: PolyRing, block: int = 0):
     keep = _Divisors(block)
     for i, (d, p, m, _c, _r) in enumerate(entries):
         if not any(
-            j != i and wp == p and monomial_divides(wm, m) and (wm != m or j < i)
-            for j, (_d, wp, wm, _c, _r) in enumerate(entries)
+            j != i and monomial_divides(wm, m) and (wm != m or j < i)
+            for j, wm, _c, _r in divs.by_pos[p]
         ):
             keep.add(d, (p, m))
     # tail-reduce and normalize to monic
     final = []
-    for idx, (d, p, m, inv, _r) in enumerate(keep.entries):
-        # no other lead divides this one, so the lead passes through
-        r = _divide(dict(d), keep, skip=idx)
-        final.append(((p, grevlex_key(m)), {k: c * inv for k, c in r.items()}))
+    for idx, (d, p, m, lc, _r) in enumerate(keep.entries):
+        # no other lead divides this one, so the lead passes through as
+        # lc * M
+        r, M = _divide(dict(d), keep, skip=idx)
+        final.append(((p, grevlex_key(m)), r, lc * M))
     final.sort(key=lambda e: e[0])
-    return [_unflat(e[1], length, ring) for e in final]
+    return [_unflat(r, length, ring, den) for _order, r, den in final]
 
 
 # --- modules ----------------------------------------------------------------
@@ -275,7 +314,7 @@ class ModuleGB(Frozen):
 
     @cached_property
     def _divisors(self) -> _Divisors:
-        return _Divisors(self.block, [_flat(g, self.ring) for g in self.generators])
+        return _Divisors(self.block, [_flat(g, self.ring)[0] for g in self.generators])
 
 
 def module_gb(gens, rank: int, ring: PolyRing) -> ModuleGB:
@@ -283,7 +322,9 @@ def module_gb(gens, rank: int, ring: PolyRing) -> ModuleGB:
 
 
 def module_normal_form(v, mgb: ModuleGB):
-    return _unflat(_divide(_flat(v, mgb.ring), mgb._divisors), len(v), mgb.ring)
+    d, D = _flat(v, mgb.ring)
+    r, M = _divide(d, mgb._divisors)
+    return _unflat(r, len(v), mgb.ring, D * M)
 
 
 def lift_basis(gens, rank: int, ring: PolyRing, extra=()) -> ModuleGB:
@@ -305,7 +346,9 @@ def lift(v, basis: ModuleGB):
     (r, -a); r is the normal form of v modulo <g, h> and a is reduced
     modulo the relations, so both are unique."""
     ring, b = basis.ring, basis.block
-    rem = _unflat(_divide(_flat(v, ring), basis._divisors), basis.rank, ring)
+    d, D = _flat(v, ring)
+    r, M = _divide(d, basis._divisors)
+    rem = _unflat(r, basis.rank, ring, D * M)
     return rem[:b], tuple(-a for a in rem[b:])
 
 

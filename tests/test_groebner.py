@@ -1,10 +1,12 @@
 import pathlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfinv import groebner
 from mfinv.groebner import (
     ModuleGB,
     buchberger,
@@ -342,44 +344,149 @@ def _check_division(mgb, vectors):
         assert lift(v, basis) == (rem, module_normal_form(quots, syz))
 
 
-def test_module_engine_matches_reference_division_on_hom_differentials():
+def _check_hom_modules(E, F):
+    """Check the syzygies, the kernel and relation bases and division by
+    them on both Hom differentials of (E, F); returns the bases checked."""
     checked = 0
-    for E, F in _hom_pairs():
-        ring = E.ring
-        d_even, d_odd = hom_differential(E, F)
-        n0, n1 = len(d_odd), len(d_even)
-        for d_out, n_in, n_out, d_in, n_prev in (
-            (d_even, n0, n1, d_odd, n1),
-            (d_odd, n1, n0, d_even, n0),
-        ):
-            cols = [tuple(d_out[r][c] for r in range(n_out)) for c in range(n_in)]
-            for syz in syzygies(cols, n_out, ring):
-                for r in range(n_out):
-                    total = ring.zero()
-                    for c, col in zip(syz, cols):
-                        total = total + c * col[r]
-                    assert total.is_zero()
-            kernel, _image = module_kernel(d_out, n_in, n_out, ring)
-            image = [tuple(d_in[r][c] for r in range(n_in)) for c in range(n_prev)]
-            _lifts, relations, _ = subquotient_presentation(kernel, image)
-            for mgb in (kernel, relations):
-                if not mgb.generators:
-                    continue
-                _check_reduced_basis(mgb)
-                # members (the image, or the relations themselves) and
-                # unit vectors times low-degree monomials, mostly outside
-                members = image if mgb is kernel else list(mgb.generators)
-                probes = [
-                    tuple(ring.var(k % ring.n) * c for c in v) for k, v in enumerate(members)
-                ]
-                for pos in range(mgb.rank):
-                    for mono in ((0,) * ring.n, (1,) + (0,) * (ring.n - 1), (0,) * (ring.n - 1) + (2,)):
-                        unit = [ring.zero()] * mgb.rank
-                        unit[pos] = ring.monomial(mono)
-                        probes.append(tuple(unit))
-                _check_division(mgb, probes)
-                checked += 1
-    assert checked >= 20
+    ring = E.ring
+    d_even, d_odd = hom_differential(E, F)
+    n0, n1 = len(d_odd), len(d_even)
+    for d_out, n_in, n_out, d_in, n_prev in (
+        (d_even, n0, n1, d_odd, n1),
+        (d_odd, n1, n0, d_even, n0),
+    ):
+        cols = [tuple(d_out[r][c] for r in range(n_out)) for c in range(n_in)]
+        for syz in syzygies(cols, n_out, ring):
+            for r in range(n_out):
+                total = ring.zero()
+                for c, col in zip(syz, cols):
+                    total = total + c * col[r]
+                assert total.is_zero()
+        kernel, _image = module_kernel(d_out, n_in, n_out, ring)
+        image = [tuple(d_in[r][c] for r in range(n_in)) for c in range(n_prev)]
+        _lifts, relations, _ = subquotient_presentation(kernel, image)
+        for mgb in (kernel, relations):
+            if not mgb.generators:
+                continue
+            _check_reduced_basis(mgb)
+            # members (the image, or the relations themselves) and
+            # unit vectors times low-degree monomials, mostly outside
+            members = image if mgb is kernel else list(mgb.generators)
+            probes = [
+                tuple(ring.var(k % ring.n) * c for c in v) for k, v in enumerate(members)
+            ]
+            for pos in range(mgb.rank):
+                for mono in ((0,) * ring.n, (1,) + (0,) * (ring.n - 1), (0,) * (ring.n - 1) + (2,)):
+                    unit = [ring.zero()] * mgb.rank
+                    unit[pos] = ring.monomial(mono)
+                    probes.append(tuple(unit))
+            _check_division(mgb, probes)
+            checked += 1
+    return checked
+
+
+def test_module_engine_matches_reference_division_on_hom_differentials():
+    assert sum(_check_hom_modules(E, F) for E, F in _hom_pairs()) >= 20
+
+
+def _hard_pairs():
+    """Koszul pairs of x^3 + y^3 with non-unit leads and non-integral
+    coefficients: leads 2, 3 and 6 and the coefficients 1/2 and -2/3 over
+    Q, zeta and 2 zeta + 1 over Q(zeta_3)."""
+    E = koszul([R2.parse("2*x"), R2.parse("3*y")], [R2.parse("x^2/2"), R2.parse("y^2/3")])
+    # the shear (a_1, b_0) <- (a_1 + p a_0, b_0 - p b_1) with p = -2/3 y
+    G = koszul(
+        [R2.parse("6*x"), R2.parse("y - 4*x*y")], [R2.parse("x^2/6 + 2/3*y^3"), R2.parse("y^2")]
+    )
+    ring = PolyRing(("x", "y"), CyclotomicContext(3))
+    H = koszul(
+        [ring.parse("z*x"), ring.parse("(2*z+1)*y")],
+        [ring.parse("z^2*x^2"), ring.parse("-(2*z+1)/3*y^2")],
+    )
+    K = koszul(
+        [ring.parse("(2*z+1)*(x+z*y)")], [ring.parse("-(2*z+1)/3*(x+y)*(x+z^2*y)")]
+    )
+    assert E.w == G.w == R2.parse("x^3 + y^3") and H.w == K.w == ring.parse("x^3 + y^3")
+    return [(E, G), (G, E), (G, G), (H, K), (K, H)]
+
+
+def test_module_engine_matches_reference_division_on_hard_coefficients():
+    assert sum(_check_hom_modules(E, F) for E, F in _hard_pairs()) >= 16
+
+
+_hard_coef = st.sampled_from(
+    [Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-2, 3), Fraction(6), Fraction(7, 4)]
+)
+
+
+def _hard_polys(max_terms=3):
+    expo = st.tuples(
+        st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)
+    )
+    def build(pairs):
+        return Polynomial(R2, {m: R2.scalar(c) for m, c in pairs})
+    return st.lists(st.tuples(expo, _hard_coef), min_size=0, max_size=max_terms).map(build)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    gens=st.lists(st.tuples(_hard_polys(), _hard_polys()), min_size=1, max_size=3),
+    probes=st.lists(st.tuples(_hard_polys(4), _hard_polys(4)), min_size=1, max_size=3),
+)
+def test_module_engine_matches_reference_division_random(gens, probes):
+    mgb = module_gb(gens, 2, R2)
+    if mgb.generators:
+        _check_reduced_basis(mgb)
+        _check_division(mgb, probes)
+
+
+def test_divisor_entries_are_primitive_over_q_and_monic_over_q_zeta(monkeypatch):
+    # every entry the engine inserts, in its own loops and in the bases
+    # it hands out: over Q primitive with a positive int lead, over
+    # Q(zeta) monic with the lead stored as the int 1
+    add = groebner._Divisors.add
+    seen = {None: 0, 3: 0}
+    field = [None]
+
+    def checked_add(self, d, lead=None):
+        add(self, d, lead)
+        d, p, m, lc, rest = self.entries[-1]
+        assert type(lc) is int and len(rest) == len(d) - 1
+        if field[0] is None:
+            assert all(type(a) is int for a in d.values())
+            assert lc > 0 and d[p, m] == lc and gcd(*d.values()) == 1
+        else:
+            assert lc == 1 and d[p, m] == 1
+            assert all(type(a) is Scalar for a in d.values())
+        seen[field[0]] += 1
+
+    monkeypatch.setattr(groebner._Divisors, "add", checked_add)
+    for E, F in _hard_pairs():
+        field[0] = E.ring.context and E.ring.context.order
+        hom_cohomology(E, F)
+    assert seen[None] > 200 and seen[3] > 50
+
+
+def test_lift_scales_back_to_the_exact_field_result():
+    # leads 2x and 3y, and a vector with fractional coefficients: the
+    # remainder and the cofactors come out of one division each by D * M
+    gens = [
+        (R2.parse("2*x + y/2"), R2.parse("x/3")),
+        (R2.parse("-2/3"), R2.parse("3*y + 1")),
+    ]
+    v = (R2.parse("x/2 + 1/3"), R2.parse("y/5"))
+    mgb = module_gb(gens, 2, R2)
+    rem, _quots = _ref_divide(v, mgb.generators, R2)
+    assert module_normal_form(v, mgb) == rem
+    basis = lift_basis(gens, 2, R2)
+    ref, _quots = _ref_divide(v + (R2.zero(),) * 2, basis.generators, R2, block=2)
+    r, cof = lift(v, basis)
+    assert r == rem == ref[:2]
+    assert cof == tuple(-a for a in ref[2:])
+    # v = r + sum_i a_i g_i exactly, with non-integral r and a
+    assert v == tuple(r[k] + cof[0] * gens[0][k] + cof[1] * gens[1][k] for k in range(2))
+    assert r == (R2.parse("-1/8*y + 17/45"), R2.parse("-1/12*x - 1/15"))
+    assert cof == (R2.parse("1/4"), R2.parse("1/15"))
 
 
 def test_cofactors_match_reference_division():
