@@ -6,26 +6,26 @@ quotients are supported at the origin, where global and local computations
 agree; `milnor.build_milnor` certifies that precondition for the Jacobian
 ideal, whose nilpotency search rejects support away from the origin.
 
-At the API boundary module elements are tuples of polynomials, and an
-ideal generator g is the element (g,).  Inside the engine an element is a
-flat dict {(position, monomial): coefficient}, and the arithmetic is
-fraction-free (Bareiss 1968; Geddes-Czapor-Labahn, ch. 9).  Over Q `_flat`
-scales an element by D, the lcm of its denominators, to ``int``
-coefficients, and a basis entry is stored primitive: content removed, lead
-coefficient L a positive ``int``.  Division cancels a term c against a lead
-L by scaling the working element by L/g, g = gcd(L, c), and subtracting
-(c/g) times the entry; the product M of those scales is tracked, each
-remainder term is recorded with the M of its time and rescaled to the
-final M at the end, so the remainder is r / (D M) in field terms.  Over
-Q(zeta) the coefficients are the ring's Scalars, an entry is made monic
-when it is inserted and its lead stored as the ``int`` 1, so the same loop
-runs with L = 1, M = 1 and no gcd.  Every element is a scalar multiple of
-its field counterpart, so leads, pair order and results are those of field
-arithmetic; the only rational division is at the boundary, once per
-output term (`_unflat`).  The module order is
-term-over-position: grevlex on the monomial part, ties to the lower
-position; with ``block=b`` any term in the first b positions beats every
-term outside them.  The term (p, m) has the order key
+Module elements are flat dicts {(position, monomial): coefficient} from
+the engine's input to every `ModuleGB` it builds, and an ideal generator g
+is the element (g,).  The arithmetic is fraction-free (Bareiss 1968;
+Geddes-Czapor-Labahn, ch. 9).  Over Q `_flat` scales a tuple of
+polynomials by D, the lcm of its denominators, to ``int`` coefficients,
+and a basis entry is stored primitive: content removed, lead coefficient L
+a positive ``int``.  Division cancels a term c against a lead L by scaling
+the working element by L/g, g = gcd(L, c), and subtracting (c/g) times the
+entry; the product M of those scales is tracked, each remainder term is
+recorded with the M of its time and rescaled to the final M at the end, so
+the remainder is r / (D M) in field terms.  Over Q(zeta) the coefficients
+are the ring's Scalars, an entry is made monic when it is inserted and its
+lead stored as the ``int`` 1, so the same loop runs with L = 1, M = 1 and
+no gcd.  Every element is a scalar multiple of its field counterpart, so
+leads, pair order and results are those of field arithmetic.  Tuples of
+polynomials, one rational division per term (`_unflat`), are built only
+for a basis's monic ``generators`` and the results of `lift` and
+`module_normal_form`.  The module order is term-over-position: grevlex on
+the monomial part, ties to the lower position; with ``block=b`` any term
+in the first b positions beats every term outside them.  The term (p, m) has the order key
 
     (p >= block, -deg m, reversed m, p)
 
@@ -36,7 +36,7 @@ basis keeps, per lead position, its entries' leads, lead coefficients and
 remaining terms; a lead is divided by the first entry, in insertion order,
 whose lead divides it.
 
-Elements of length 1 also get Buchberger's product criterion.  Syzygies,
+Bases of rank 1 also get Buchberger's product criterion.  Syzygies,
 cofactors, kernels and subquotients use the block order on an enlarged
 free module instead of Schreyer-style tracking, which keeps correctness
 independent of the pair-elimination criteria (Greuel-Pfister 2.5).
@@ -99,14 +99,20 @@ def _unflat(d: dict, length: int, ring: PolyRing, den: int = 1) -> ModuleElement
     return tuple(Polynomial(ring, comps[p]) if p in comps else zero for p in range(length))
 
 
+def _normalize(d: dict, lead) -> dict:
+    """The flat element d as a basis entry stores it: primitive with a
+    positive lead over Q, monic over Q(zeta)."""
+    lc = d[lead]
+    if lc.__class__ is int:
+        content = gcd(*d.values()) if lc > 0 else -gcd(*d.values())
+        return d if content == 1 else {k: a // content for k, a in d.items()}
+    inv = lc.inverse()
+    return {k: a * inv for k, a in d.items()}
+
+
 def _key(p: int, m: Monomial, block: int):
     """Heap entry of the term (p, m): the order key, then the monomial."""
     return (p >= block, -sum(m), m[::-1], p, m)
-
-
-def _lead(d: dict, block: int):
-    """Lead (position, monomial) of a nonzero flat element."""
-    return min(d, key=lambda pm: _key(pm[0], pm[1], block))
 
 
 class _Divisors:
@@ -114,29 +120,23 @@ class _Divisors:
     (element, lead position, lead monomial, lead coefficient L, other
     terms), the other terms as (position, monomial, coefficient); ``by_pos``
     maps a lead position to its entries as (index, lead monomial, L, other
-    terms).  Each element is stored primitive with a positive ``int`` L
-    over Q, and monic with L = 1 over Q(zeta)."""
+    terms).  `add` takes an element already in its stored form (see
+    `_normalize`), with its lead: primitive with a positive ``int`` L over
+    Q, monic with L = 1 over Q(zeta)."""
 
     __slots__ = ("block", "entries", "by_pos")
 
-    def __init__(self, block: int, elements=()):
+    def __init__(self, block: int, entries=()):
         self.block = block
         self.entries: list = []
         self.by_pos: dict = {}
-        for d in elements:
-            self.add(d)
+        for d, lead in entries:
+            self.add(d, lead)
 
-    def add(self, d: dict, lead=None) -> None:
-        p, m = lead or _lead(d, self.block)
-        lc = d[p, m]
-        if lc.__class__ is int:
-            content = gcd(*d.values()) if lc > 0 else -gcd(*d.values())
-            if content != 1:
-                d = {k: a // content for k, a in d.items()}
-                lc //= content
-        else:
-            inv = lc.inverse()
-            d = {k: a * inv for k, a in d.items()}
+    def add(self, d: dict, lead) -> None:
+        p, m = lead
+        lc = d[lead]
+        if lc.__class__ is not int:
             lc = 1
         rest = [(q, tm, a) for (q, tm), a in d.items() if q != p or tm != m]
         self.by_pos.setdefault(p, []).append((len(self.entries), m, lc, rest))
@@ -198,12 +198,11 @@ def _divide(work: dict, divs: _Divisors, skip: int = -1):
     return {k: c if Mk == M else c * (M // Mk) for k, (c, Mk) in rem.items()}, M
 
 
-def module_buchberger(gens, ring: PolyRing, block: int = 0):
-    """Reduced module GB under term-over-position grevlex; ``block=r``
-    switches to the elimination order whose first r positions dominate (for
-    syzygies and cofactors).  Elements of length 1 are ideal generators."""
-    gens = [tuple(g) for g in gens]
-    length = len(gens[0]) if gens else 0
+def module_buchberger(gens, rank: int, block: int = 0) -> list:
+    """Reduced GB, as (stored entry, lead) pairs, of the submodule of R^rank
+    that the flat elements ``gens`` (left unchanged) generate, under
+    term-over-position grevlex; ``block=r`` switches to the elimination
+    order whose first r positions dominate (for syzygies and cofactors)."""
     divs = _Divisors(block)
     entries = divs.entries
     sugars: list[int] = []
@@ -213,7 +212,7 @@ def module_buchberger(gens, ring: PolyRing, block: int = 0):
 
     def add_element(d, sugar):
         t = len(entries)
-        p, m = _lead(d, block)
+        p, m = min(d, key=lambda pm: _key(pm[0], pm[1], block))  # the lead
         cand = []
         for i, (_d, wp, wm, _c, _r) in enumerate(entries):
             if wp == p:
@@ -236,7 +235,7 @@ def module_buchberger(gens, ring: PolyRing, block: int = 0):
                 else:
                     seen.add(a[0])
         # product criterion (ideals only): coprime leads reduce to zero
-        if length == 1:
+        if rank == 1:
             for a in cand:
                 if a[3] and monomial_mul(entries[a[2]][2], m) == a[0]:
                     a[3] = False
@@ -251,14 +250,13 @@ def module_buchberger(gens, ring: PolyRing, block: int = 0):
             )
         ]
         pairs.extend((s, grevlex_key(lcm), p, t, i, lcm) for lcm, s, i, alive in cand if alive)
-        divs.add(d, (p, m))
+        divs.add(_normalize(d, (p, m)), (p, m))
         sugars.append(sugar)
 
-    for g in gens:
-        d, _D = _flat(g, ring)
+    for d in gens:
         if d:
             sugar = max(sum(m) for _p, m in d)
-            r, _M = _divide(d, divs)
+            r, _M = _divide(dict(d), divs)
             if r:
                 add_element(r, sugar)
 
@@ -286,15 +284,16 @@ def module_buchberger(gens, ring: PolyRing, block: int = 0):
             for j, wm, _c, _r in divs.by_pos[p]
         ):
             keep.add(d, (p, m))
-    # tail-reduce and normalize to monic
+    # tail-reduce; no other lead divides this one, so the lead passes
+    # through as lc * M, and over Q(zeta) as the monic lead
     final = []
     for idx, (d, p, m, lc, _r) in enumerate(keep.entries):
-        # no other lead divides this one, so the lead passes through as
-        # lc * M
-        r, M = _divide(dict(d), keep, skip=idx)
-        final.append(((p, grevlex_key(m)), r, lc * M))
+        r, _M = _divide(dict(d), keep, skip=idx)
+        if d[p, m].__class__ is int:
+            r = _normalize(r, (p, m))
+        final.append(((p, grevlex_key(m)), r, (p, m)))
     final.sort(key=lambda e: e[0])
-    return [_unflat(r, length, ring, den) for _order, r, den in final]
+    return [(r, lead) for _order, r, lead in final]
 
 
 # --- modules ----------------------------------------------------------------
@@ -302,42 +301,54 @@ def module_buchberger(gens, ring: PolyRing, block: int = 0):
 
 class ModuleGB(Frozen):
     """A reduced basis of a submodule of R^rank under the order whose first
-    ``block`` positions dominate; ``block`` is 0 for term-over-position."""
+    ``block`` positions dominate; ``block`` is 0 for term-over-position.
+    ``entries`` are its elements in their stored form, with their leads, as
+    `module_buchberger` returns them."""
 
-    def __init__(
-        self, ring: PolyRing, rank: int, generators: tuple[ModuleElement, ...], block: int = 0
-    ):
+    def __init__(self, ring: PolyRing, rank: int, entries, block: int = 0):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "block", block)
+        object.__setattr__(self, "_divisors", _Divisors(block, entries))
 
     @cached_property
-    def _divisors(self) -> _Divisors:
-        return _Divisors(self.block, [_flat(g, self.ring)[0] for g in self.generators])
+    def generators(self) -> tuple[ModuleElement, ...]:
+        """The elements as monic tuples of polynomials: each entry over L."""
+        entries = self._divisors.entries
+        return tuple(_unflat(d, self.rank, self.ring, lc) for d, _p, _m, lc, _r in entries)
+
+
+def _scaled(gens, ring: PolyRing) -> list:
+    """(c g, c) per element g of ``gens``, c g flat: c = L, the stored lead,
+    for a `ModuleGB`; for tuples of polynomials D over Q, 1 over Q(zeta)."""
+    if isinstance(gens, ModuleGB):
+        return [(d, d[p, m]) for d, p, m, _c, _r in gens._divisors.entries]
+    one = ring.scalar(1)
+    return [(d, D if ring.context is None else one) for d, D in (_flat(g, ring) for g in gens)]
 
 
 def module_gb(gens, rank: int, ring: PolyRing) -> ModuleGB:
-    return ModuleGB(ring, rank, tuple(module_buchberger(gens, ring)))
+    return ModuleGB(ring, rank, module_buchberger([d for d, _c in _scaled(gens, ring)], rank))
 
 
 def module_normal_form(v, mgb: ModuleGB):
+    if len(v) != mgb.rank:
+        raise ValueError("vector of length %d in a module of rank %d" % (len(v), mgb.rank))
     d, D = _flat(v, mgb.ring)
     r, M = _divide(d, mgb._divisors)
-    return _unflat(r, len(v), mgb.ring, D * M)
+    return _unflat(r, mgb.rank, mgb.ring, D * M)
 
 
 def lift_basis(gens, rank: int, ring: PolyRing, extra=()) -> ModuleGB:
     """The block-order basis of the vectors (g_i, e_i) and (h_j, 0) in
     R^(rank + s), s = len(gens), for g_i in ``gens`` and h_j in ``extra``,
-    with block = rank."""
-    s = len(gens)
-    one, zero = ring.one(), ring.zero()
-    vectors = [
-        tuple(g) + (zero,) * i + (one,) + (zero,) * (s - 1 - i) for i, g in enumerate(gens)
-    ]
-    vectors += [tuple(h) + (zero,) * s for h in extra]
-    return ModuleGB(ring, rank + s, tuple(module_buchberger(vectors, ring, block=rank)), rank)
+    with block = rank.  ``gens`` and ``extra`` are tuples of polynomials or
+    a `ModuleGB`, whose entries L g_i give L (g_i, e_i) as they are."""
+    z = (0,) * ring.n
+    vectors = [{**d, (rank + i, z): c} for i, (d, c) in enumerate(_scaled(gens, ring))]
+    s = len(vectors)
+    vectors += [d for d, _c in _scaled(extra, ring)]
+    return ModuleGB(ring, rank + s, module_buchberger(vectors, rank + s, rank), rank)
 
 
 def lift(v, basis: ModuleGB):
@@ -346,6 +357,8 @@ def lift(v, basis: ModuleGB):
     (r, -a); r is the normal form of v modulo <g, h> and a is reduced
     modulo the relations, so both are unique."""
     ring, b = basis.ring, basis.block
+    if len(v) != b:
+        raise ValueError("vector of length %d for a lift basis of block %d" % (len(v), b))
     d, D = _flat(v, ring)
     r, M = _divide(d, basis._divisors)
     rem = _unflat(r, basis.rank, ring, D * M)
@@ -355,17 +368,18 @@ def lift(v, basis: ModuleGB):
 def split(basis: ModuleGB):
     """(heads, tails) of a `lift_basis` as module bases: the first block
     components of the elements that have any, a reduced basis of <g, h>,
-    and the other components of the elements whose first block vanishes,
-    a reduced basis of the relations."""
-    b = basis.block
+    and the other components, shifted to position 0, of the elements whose
+    first block vanishes, a reduced basis of the relations.  The leads stay
+    where they are; a head over Q may have content to remove."""
+    b, ring = basis.block, basis.ring
     heads, tails = [], []
-    for v in basis.generators:
-        if any(c.terms for c in v[:b]):
-            heads.append(v[:b])
+    for d, p, m, _c, _r in basis._divisors.entries:
+        if p < b:
+            head = {k: a for k, a in d.items() if k[0] < b}
+            heads.append((_normalize(head, (p, m)) if ring.context is None else head, (p, m)))
         else:
-            tails.append(v[b:])
-    ring = basis.ring
-    return ModuleGB(ring, b, tuple(heads)), ModuleGB(ring, basis.rank - b, tuple(tails))
+            tails.append(({(q - b, t): a for (q, t), a in d.items()}, (p - b, m)))
+    return ModuleGB(ring, b, heads), ModuleGB(ring, basis.rank - b, tails)
 
 
 def syzygies(gens, rank: int, ring: PolyRing):
@@ -407,20 +421,21 @@ def module_standard_monomials(mgb: ModuleGB):
     return out
 
 
-def subquotient_presentation(kernel: ModuleGB, image_gens):
-    """Presentation of <kernel> / <image_gens> as R^t / relations.
+def subquotient_presentation(kernel: ModuleGB, image):
+    """Presentation of <kernel> / <image> as R^t / relations.
 
     t is the number of kernel GB generators k_i.  The lift basis of the k_i
-    with the image generators g_j as ``extra`` has the relations {c :
-    sum_i c_i k_i in <g_j>} as its tails; its heads are the kernel's own
-    basis exactly when every g_j lies in the kernel.  Returns (that lift
-    basis, the relation GB in R^t, standard (position, monomial) pairs),
-    the last a k-basis of the quotient.  Raises when an image generator
-    falls outside the kernel or the quotient is infinite-dimensional.
+    with the image generators g_j (a `ModuleGB` or tuples of polynomials)
+    as ``extra`` has the relations {c : sum_i c_i k_i in <g_j>} as its
+    tails; its heads are the kernel's own entries exactly when every g_j
+    lies in the kernel.  Returns (that lift basis, the relation GB in R^t,
+    standard (position, monomial) pairs), the last a k-basis of the
+    quotient.  Raises when an image generator falls outside the kernel or
+    the quotient is infinite-dimensional.
     """
-    basis = lift_basis(kernel.generators, kernel.rank, kernel.ring, image_gens)
+    basis = lift_basis(kernel, kernel.rank, kernel.ring, image)
     heads, relations = split(basis)
-    if heads.generators != kernel.generators:
+    if [e[0] for e in heads._divisors.entries] != [e[0] for e in kernel._divisors.entries]:
         raise ValueError("image generators outside the kernel submodule")
     std = module_standard_monomials(relations)
     if std is None:

@@ -81,6 +81,8 @@ class CohomologyBasis(Frozen):
 
     def class_coordinates(self, f: MorphismCocycle) -> tuple[Scalar, ...]:
         """Coordinates of the class of a cocycle on the chosen basis."""
+        if f.source != self.source or f.target != self.target:
+            raise ValueError("morphism endpoints do not match the basis")
         co = self.even if f.parity == 0 else self.odd
         # one division: the remainder vanishes exactly on cocycles, and the
         # cofactors come reduced modulo the relations
@@ -115,7 +117,7 @@ def hom_cohomology(E: MatFac, F: MatFac):
 
 
 def _parity_cohomology(parity: int, kernel: ModuleGB, image: ModuleGB) -> ParityCohomology:
-    lifts, relations, standard = subquotient_presentation(kernel, image.generators)
+    lifts, relations, standard = subquotient_presentation(kernel, image)
     return ParityCohomology(parity, kernel, lifts, relations, tuple(standard))
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mfinv import groebner
 from mfinv.groebner import (
-    ModuleGB,
     buchberger,
     lift,
     lift_basis,
@@ -23,7 +22,9 @@ from mfinv.groebner import (
     syzygies,
 )
 from mfinv.cli import load_session
-from mfinv.homology import hom_cohomology
+from mfinv.homology import euler, hom_cohomology
+from mfinv.invariants import chi_hrr
+from mfinv.milnor import build_milnor
 from mfinv.mfcore import hom_differential, koszul, vector_to_morphism
 from mfinv.poly import (
     PolyRing,
@@ -156,6 +157,20 @@ def test_module_lift_roundtrip():
     assert tuple(recon) == v
     # a non-member keeps its normal form as the remainder
     assert lift((R2.one(), R2.zero()), basis) == ((R2.one(), R2.zero()), (R2.zero(), R2.zero()))
+
+
+def test_lift_and_normal_form_reject_a_vector_of_the_wrong_length():
+    x, y = R2.var(0), R2.var(1)
+    basis = lift_basis([(x,)], 1, R2)
+    mgb = module_gb([(x, y)], 2, R2)
+    # a long vector would run into the cofactor slots of the lift basis
+    for v in ((x, y, x), (x, y), ()):
+        with pytest.raises(ValueError, match="vector of length %d" % len(v)):
+            lift(v, basis)
+    for v in ((x,), (x, y, x)):
+        with pytest.raises(ValueError, match="vector of length %d" % len(v)):
+            module_normal_form(v, mgb)
+    assert lift((x * y,), basis) == ((R2.zero(),), (y,))
 
 
 def test_module_normal_form_kills_members():
@@ -448,9 +463,8 @@ def test_divisor_entries_are_primitive_over_q_and_monic_over_q_zeta(monkeypatch)
     seen = {None: 0, 3: 0}
     field = [None]
 
-    def checked_add(self, d, lead=None):
-        add(self, d, lead)
-        d, p, m, lc, rest = self.entries[-1]
+    def check(entry):
+        d, p, m, lc, rest = entry
         assert type(lc) is int and len(rest) == len(d) - 1
         if field[0] is None:
             assert all(type(a) is int for a in d.values())
@@ -460,11 +474,26 @@ def test_divisor_entries_are_primitive_over_q_and_monic_over_q_zeta(monkeypatch)
             assert all(type(a) is Scalar for a in d.values())
         seen[field[0]] += 1
 
+    def checked_add(self, d, lead):
+        add(self, d, lead)
+        check(self.entries[-1])
+
     monkeypatch.setattr(groebner._Divisors, "add", checked_add)
+    split_entries = 0
     for E, F in _hard_pairs():
         field[0] = E.ring.context and E.ring.context.order
-        hom_cohomology(E, F)
-    assert seen[None] > 200 and seen[3] > 50
+        _h0, _h1, basis = hom_cohomology(E, F)
+        # the bases `split` and `lift_basis` hand out, entry by entry: heads
+        # over Q have their content removed, tails and the lift bases of a
+        # `ModuleGB` or of tuples come out of the engine stored
+        d_even, _d_odd = hom_differential(E, F)
+        cols = [tuple(row[c] for row in d_even) for c in range(len(d_even[0]))]
+        for lifts in (basis.even.lifts, basis.odd.lifts, lift_basis(cols, len(d_even), E.ring)):
+            for mgb in (lifts, *split(lifts)):
+                for entry in mgb._divisors.entries:
+                    check(entry)
+                    split_entries += mgb is not lifts
+    assert seen[None] > 200 and seen[3] > 50 and split_entries > 100
 
 
 def test_lift_scales_back_to_the_exact_field_result():
@@ -592,7 +621,7 @@ def test_hom_cohomology_matches_the_lift_route():
             (basis.odd, d_odd, n1, n0, d_even, n0),
         ):
             cols = [tuple(d_out[r][c] for r in range(n_out)) for c in range(n_in)]
-            kernel = ModuleGB(ring, n_in, tuple(syzygies(cols, n_out, ring)))
+            kernel = module_gb(syzygies(cols, n_out, ring), n_in, ring)
             image = [tuple(d_in[r][c] for r in range(n_in)) for c in range(n_prev)]
             relations, standard = _ref_subquotient(kernel, image)
             assert co.kernel.generators == kernel.generators
@@ -646,6 +675,84 @@ def test_module_kernel_image_is_the_column_basis():
             _kernel, image = module_kernel(d, n_in, n_out, ring)
             assert image.rank == n_out
             assert image.generators == module_gb(cols, n_out, ring).generators
+
+
+def _flat_route_bases(ring, cols, n_out):
+    """The bases the flat route builds from the columns ``cols`` in
+    R^n_out: kernel and image of `module_kernel`; heads and tails of the
+    lift basis of the image (a `ModuleGB`) with the first column as extra;
+    and the relations of `subquotient_presentation` of the kernel over m^2
+    times itself, m the maximal ideal at the origin."""
+    n_in = len(cols)
+    matrix = [[col[r] for col in cols] for r in range(n_out)]
+    kernel, image = module_kernel(matrix, n_in, n_out, ring)
+    extra = module_gb(cols[:1], n_out, ring)
+    bases = [kernel, image, *split(lift_basis(image, n_out, ring, extra))]
+    if kernel.generators:
+        xs = [ring.var(i) for i in range(ring.n)]
+        m2 = [a * b for i, a in enumerate(xs) for b in xs[i:]]
+        inner = [tuple(t * c for c in k) for t in m2 for k in kernel.generators]
+        bases.append(subquotient_presentation(kernel, module_gb(inner, n_in, ring))[1])
+    return bases
+
+
+def _assert_rebuilt(mgb):
+    # the flat bases against `module_gb` run on their polynomial tuples:
+    # the same monic generators and the same stored entries and leads
+    ref = module_gb(mgb.generators, mgb.rank, mgb.ring)
+    assert mgb.generators == ref.generators
+    assert [e[:4] for e in mgb._divisors.entries] == [e[:4] for e in ref._divisors.entries]
+    return len(ref.generators)
+
+
+def test_flat_bases_equal_the_bases_rebuilt_from_polynomials():
+    checked = {None: 0, 3: 0}
+    for E, F in [*_hard_pairs(), *_zeta3_pairs(), *list(_sheared_pairs())[::7]]:
+        ctx = E.ring.context and E.ring.context.order
+        _h0, _h1, basis = hom_cohomology(E, F)
+        for co in (basis.even, basis.odd):
+            checked[ctx] += sum(map(_assert_rebuilt, (co.kernel, co.relations, *split(co.lifts))))
+        for d in hom_differential(E, F):
+            cols = [tuple(row[c] for row in d) for c in range(len(d[0]))]
+            checked[ctx] += sum(map(_assert_rebuilt, _flat_route_bases(E.ring, cols, len(d))))
+    assert checked[None] > 500 and checked[3] > 100
+
+
+_RQZ = PolyRing(("x", "y"), CyclotomicContext(3))
+_zeta = _RQZ.context.zeta()
+_field_coefs = {
+    R2: [R2.scalar(c) for c in (2, -3, Fraction(1, 2), Fraction(-2, 3), 6)],
+    _RQZ: [_RQZ.scalar(2), _RQZ.scalar(Fraction(-1, 2)), _zeta, _zeta * 2 + 1, -_zeta * _zeta],
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_flat_bases_equal_the_rebuilt_bases_on_random_modules(data):
+    ring = data.draw(st.sampled_from([R2, _RQZ]))
+    expo = st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))
+    poly = st.lists(st.tuples(expo, st.sampled_from(_field_coefs[ring])), max_size=3).map(
+        lambda pairs: Polynomial(ring, dict(pairs))
+    )
+    cols = data.draw(st.lists(st.tuples(poly, poly), min_size=1, max_size=3))
+    for mgb in _flat_route_bases(ring, cols, 2):
+        _assert_rebuilt(mgb)
+
+
+def test_euler_builds_no_polynomial_tuples(monkeypatch):
+    # the four runs of `hom_cohomology` hand their bases on flat, and
+    # nothing in `euler` asks for a basis's generators
+    E, F = list(_hom_pairs())[-1]  # the rank-4 Koszul pair of the Fermat cubic
+    chi = chi_hrr(E, F, build_milnor(E.w))
+    unflat = groebner._unflat
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return unflat(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_unflat", counting)
+    assert euler(E, F) == chi and not calls
 
 
 def test_hom_cohomology_makes_four_runs_and_no_lift(monkeypatch):

@@ -108,6 +108,16 @@ def test_class_coordinates_kill_coboundaries():
     assert all(c.is_zero() for c in coords)
 
 
+def test_class_coordinates_reject_a_morphism_of_other_ends():
+    # E and G factor the same potential x^3 + x y^2 the other way round
+    E = koszul([R2.parse("x")], [R2.parse("x^2 + y^2")])
+    G = koszul([R2.parse("x^2 + y^2")], [R2.parse("x")])
+    basis = hom_cohomology(E, E)[2]
+    with pytest.raises(ValueError, match="endpoints do not match"):
+        basis.class_coordinates(identity_morphism(G))
+    assert basis.class_coordinates(identity_morphism(E)) == (1, 0)
+
+
 @pytest.mark.parametrize("nonzero", [False, True])
 def test_empty_kernel(nonzero):
     # the kernel of an injective map of R^2, taken as the cocycles of the

@@ -339,7 +339,7 @@ def test_value_classes_copy_and_pickle():
     R = PolyRing(("x", "y"), CyclotomicContext(3))
     z = R.context.zeta()
     gb = buchberger([R.parse("x^2"), R.parse("y^3")])
-    gb._divisors  # a cached property lands in the instance __dict__
+    gb.generators  # a cached property lands in the instance __dict__
     E = koszul([R.parse("x")], [R.parse("x^2 + y^2")])
     E.partials
     for obj in (R, z, gb, E):
