@@ -145,17 +145,11 @@ def parse_scalar(spec, context: CyclotomicContext | None) -> Scalar:
     _check_exponent_literals(spec, "scalar %r" % spec)
     p = _parse_text(PolyRing(("z",), context), spec, "bad scalar %r" % spec)
     if context is None:
-        if any(m[0] > 0 for m in p.terms):
-            raise SessionError(
-                "scalar %r uses z but the session field is rational" % spec
-            )
-        return p.coeff_of((0,))
-    zeta = context.zeta()
-    total = p.coeff_of((0,))
-    for (e,), c in p.terms.items():
-        if e > 0:
-            total = total + c * zeta**e
-    return total
+        if not p.is_constant():
+            raise SessionError("scalar %r uses z but the session field is rational" % spec)
+        return p.as_scalar()
+    k = PolyRing((), context)
+    return p.substitute(k, [k.const(context.zeta())]).as_scalar()
 
 
 def _check_exponent_literals(text: str, what: str) -> None:

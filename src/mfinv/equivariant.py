@@ -609,6 +609,13 @@ def graded_chi(
         raise ValueError("potential mismatch")
     exps_E = graded_exponents(S, E, *degE)
     exps_F = graded_exponents(S, F, *degF)
+    # over Q the grading's roots live in Q(zeta_(2 ell)): E and F move to
+    # that ring first, so that no polynomial over Q is multiplied by them
+    E, F = (
+        X if X.ring == S.ring
+        else MatFac(S.ring, S.w, mat_map(X.delta, lambda p: p.map_ring(S.ring)), X.r0)
+        for X in (E, F)
+    )
     for base, exps in ((E, exps_E), (F, exps_F)):
         rho = _graded_rho(S, exps, 1)
         if not _commutes(base.delta, S.weights, S.roots, rho, base.ring.zero()):

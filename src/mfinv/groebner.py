@@ -21,9 +21,9 @@ are the ring's Scalars, an entry is made monic when it is inserted and its
 lead stored as the ``int`` 1, so the same loop runs with L = 1, M = 1 and
 no gcd.  Every element is a scalar multiple of its field counterpart, so
 leads, pair order and results are those of field arithmetic.  Tuples of
-polynomials, one rational division per term (`_unflat`), are built only
-for a basis's monic ``generators`` and the results of `lift` and
-`module_normal_form`.  The module order is term-over-position: grevlex on
+polynomials, one exact division per term with a Fraction only where it is
+not integral (`_unflat`), are built only for a basis's monic
+``generators`` and the results of `lift` and `module_normal_form`.  The module order is term-over-position: grevlex on
 the monomial part, ties to the lower position; with ``block=b`` any term
 in the first b positions beats every term outside them.  The term (p, m) has the order key
 
@@ -69,7 +69,7 @@ from .poly import (
     monomial_lcm,
     monomial_mul,
 )
-from .scalar import Frozen, Scalar
+from .scalar import Frozen
 
 ModuleElement = tuple  # tuple[Polynomial, ...]
 
@@ -79,22 +79,22 @@ def _flat(v, ring: PolyRing):
     {(position, monomial): coefficient}.  Over Q, D is the lcm of the
     denominators and the coefficients are ints; over Q(zeta), D = 1 and
     they are the ring's Scalars."""
+    d = {(p, m): c for p, f in enumerate(v) for m, c in f.terms.items()}
     if ring.context is not None:
-        return {(p, m): c for p, f in enumerate(v) for m, c in f.terms.items()}, 1
-    fracs = {(p, m): c.coeffs[0] for p, f in enumerate(v) for m, c in f.terms.items()}
-    D = int_lcm(*(c.denominator for c in fracs.values()))
-    return {k: c.numerator * (D // c.denominator) for k, c in fracs.items()}, D
+        return d, 1
+    D = int_lcm(*(c.denominator for c in d.values()))
+    if D == 1:
+        return d, 1
+    return {k: c.numerator * (D // c.denominator) for k, c in d.items()}, D
 
 
 def _unflat(d: dict, length: int, ring: PolyRing, den: int = 1) -> ModuleElement:
     """The tuple of polynomials d / den; den is 1 over Q(zeta)."""
     comps: dict = {}
-    if ring.context is None:
-        for (p, m), c in d.items():
-            comps.setdefault(p, {})[m] = Scalar(None, (Fraction(c, den),))
-    else:
-        for (p, m), c in d.items():
-            comps.setdefault(p, {})[m] = c
+    for (p, m), c in d.items():
+        if den != 1:
+            c = c // den if c % den == 0 else Fraction(c, den)
+        comps.setdefault(p, {})[m] = c
     zero = ring.zero()  # polynomials are immutable, so one zero serves all
     return tuple(Polynomial(ring, comps[p]) if p in comps else zero for p in range(length))
 
@@ -119,19 +119,20 @@ class _Divisors:
     """A basis ready for division.  ``entries`` holds, in insertion order,
     (element, lead position, lead monomial, lead coefficient L, other
     terms), the other terms as (position, monomial, coefficient); ``by_pos``
-    maps a lead position to its entries as (index, lead monomial, L, other
+    maps a lead position to its entries as (lead monomial, L, other
     terms).  `add` takes an element already in its stored form (see
     `_normalize`), with its lead: primitive with a positive ``int`` L over
     Q, monic with L = 1 over Q(zeta)."""
 
     __slots__ = ("block", "entries", "by_pos")
 
-    def __init__(self, block: int, entries=()):
+    def __init__(self, block: int):
         self.block = block
         self.entries: list = []
         self.by_pos: dict = {}
-        for d, lead in entries:
-            self.add(d, lead)
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
     def add(self, d: dict, lead) -> None:
         p, m = lead
@@ -139,7 +140,7 @@ class _Divisors:
         if lc.__class__ is not int:
             lc = 1
         rest = [(q, tm, a) for (q, tm), a in d.items() if q != p or tm != m]
-        self.by_pos.setdefault(p, []).append((len(self.entries), m, lc, rest))
+        self.by_pos.setdefault(p, []).append((m, lc, rest))
         self.entries.append((d, p, m, lc, rest))
 
 
@@ -162,10 +163,10 @@ def _add_multiple(work: dict, terms, t: Monomial, c, heap=None, block=0) -> None
                 work[k] = s
 
 
-def _divide(work: dict, divs: _Divisors, skip: int = -1):
-    """Full division of the flat element ``work`` (consumed) by ``divs``,
-    leaving out entry ``skip``; returns (r, M), the remainder of M * work
-    for the product M of the scales the division took."""
+def _divide(work: dict, divs: _Divisors):
+    """Full division of the flat element ``work`` (consumed) by ``divs``;
+    returns (r, M), the remainder of M * work for the product M of the
+    scales the division took."""
     block = divs.block
     by_pos = divs.by_pos
     heap = [_key(p, m, block) for p, m in work]
@@ -177,9 +178,9 @@ def _divide(work: dict, divs: _Divisors, skip: int = -1):
         c = work.pop((p, m), None)
         if c is None:
             continue  # cancelled, or already divided under an older key
-        for i, wm, lc, rest in by_pos.get(p, ()):
+        for wm, lc, rest in by_pos.get(p, ()):
             # monomial_divides and monomial_div, inlined in the hot loop
-            if i != skip and all(a <= b for a, b in zip(wm, m)):
+            if all(a <= b for a, b in zip(wm, m)):
                 t = tuple(b - a for a, b in zip(wm, m))
                 if lc != 1:
                     # (lc/g) work - (c/g) t entry cancels the term
@@ -198,8 +199,8 @@ def _divide(work: dict, divs: _Divisors, skip: int = -1):
     return {k: c if Mk == M else c * (M // Mk) for k, (c, Mk) in rem.items()}, M
 
 
-def module_buchberger(gens, rank: int, block: int = 0) -> list:
-    """Reduced GB, as (stored entry, lead) pairs, of the submodule of R^rank
+def module_buchberger(gens, rank: int, block: int = 0) -> _Divisors:
+    """Reduced GB, ready for division, of the submodule of R^rank
     that the flat elements ``gens`` (left unchanged) generate, under
     term-over-position grevlex; ``block=r`` switches to the elimination
     order whose first r positions dominate (for syzygies and cofactors)."""
@@ -276,24 +277,24 @@ def module_buchberger(gens, rank: int, block: int = 0) -> list:
         if r:
             add_element(r, sugar)
 
-    # minimalize: drop entries whose lead is divisible by another lead
-    keep = _Divisors(block)
-    for i, (d, p, m, _c, _r) in enumerate(entries):
-        if not any(
-            j != i and monomial_divides(wm, m) and (wm != m or j < i)
-            for j, wm, _c, _r in divs.by_pos[p]
-        ):
-            keep.add(d, (p, m))
-    # tail-reduce; no other lead divides this one, so the lead passes
-    # through as lc * M, and over Q(zeta) as the monic lead
-    final = []
-    for idx, (d, p, m, lc, _r) in enumerate(keep.entries):
-        r, _M = _divide(dict(d), keep, skip=idx)
-        if d[p, m].__class__ is int:
-            r = _normalize(r, (p, m))
-        final.append(((p, grevlex_key(m)), r, (p, m)))
-    final.sort(key=lambda e: e[0])
-    return [(r, lead) for _order, r, lead in final]
+    # minimalize: drop the entries whose lead another lead divides; the
+    # leads are distinct, as each element was reduced by those before it
+    minimal = [
+        (d, (p, m))
+        for d, p, m, _c, _r in entries
+        if not any(wm != m and monomial_divides(wm, m) for wm, _c, _r in divs.by_pos[p])
+    ]
+    # tail-reduce from the smallest lead up: only smaller leads divide a
+    # tail term, and those are reduced already; no other lead divides this
+    # one, so it passes through as lc * M (the monic lead over Q(zeta))
+    minimal.sort(key=lambda e: _key(*e[1], block), reverse=True)
+    final = _Divisors(block)
+    for d, lead in minimal:
+        r, _M = _divide(dict(d), final)
+        final.add(_normalize(r, lead) if d[lead].__class__ is int else r, lead)
+    # handed out by position, then grevlex: the order ``by_pos`` already has
+    final.entries.sort(key=lambda e: (e[1], grevlex_key(e[2])))
+    return final
 
 
 # --- modules ----------------------------------------------------------------
@@ -302,14 +303,14 @@ def module_buchberger(gens, rank: int, block: int = 0) -> list:
 class ModuleGB(Frozen):
     """A reduced basis of a submodule of R^rank under the order whose first
     ``block`` positions dominate; ``block`` is 0 for term-over-position.
-    ``entries`` are its elements in their stored form, with their leads, as
-    `module_buchberger` returns them."""
+    ``divisors`` is the basis as `module_buchberger` returns it, and
+    carries the block."""
 
-    def __init__(self, ring: PolyRing, rank: int, entries, block: int = 0):
+    def __init__(self, ring: PolyRing, rank: int, divisors: _Divisors):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "_divisors", _Divisors(block, entries))
+        object.__setattr__(self, "block", divisors.block)
+        object.__setattr__(self, "_divisors", divisors)
 
     @cached_property
     def generators(self) -> tuple[ModuleElement, ...]:
@@ -323,8 +324,7 @@ def _scaled(gens, ring: PolyRing) -> list:
     for a `ModuleGB`; for tuples of polynomials D over Q, 1 over Q(zeta)."""
     if isinstance(gens, ModuleGB):
         return [(d, d[p, m]) for d, p, m, _c, _r in gens._divisors.entries]
-    one = ring.scalar(1)
-    return [(d, D if ring.context is None else one) for d, D in (_flat(g, ring) for g in gens)]
+    return [(d, ring.coefficient(D)) for d, D in (_flat(g, ring) for g in gens)]
 
 
 def module_gb(gens, rank: int, ring: PolyRing) -> ModuleGB:
@@ -348,7 +348,7 @@ def lift_basis(gens, rank: int, ring: PolyRing, extra=()) -> ModuleGB:
     vectors = [{**d, (rank + i, z): c} for i, (d, c) in enumerate(_scaled(gens, ring))]
     s = len(vectors)
     vectors += [d for d, _c in _scaled(extra, ring)]
-    return ModuleGB(ring, rank + s, module_buchberger(vectors, rank + s, rank), rank)
+    return ModuleGB(ring, rank + s, module_buchberger(vectors, rank + s, rank))
 
 
 def lift(v, basis: ModuleGB):
@@ -372,13 +372,13 @@ def split(basis: ModuleGB):
     first block vanishes, a reduced basis of the relations.  The leads stay
     where they are; a head over Q may have content to remove."""
     b, ring = basis.block, basis.ring
-    heads, tails = [], []
+    heads, tails = _Divisors(0), _Divisors(0)
     for d, p, m, _c, _r in basis._divisors.entries:
         if p < b:
             head = {k: a for k, a in d.items() if k[0] < b}
-            heads.append((_normalize(head, (p, m)) if ring.context is None else head, (p, m)))
+            heads.add(_normalize(head, (p, m)) if ring.context is None else head, (p, m))
         else:
-            tails.append(({(q - b, t): a for (q, t), a in d.items()}, (p - b, m)))
+            tails.add({(q - b, t): a for (q, t), a in d.items()}, (p - b, m))
     return ModuleGB(ring, b, heads), ModuleGB(ring, basis.rank - b, tails)
 
 

@@ -89,14 +89,11 @@ class CohomologyBasis(Frozen):
         remainder, reduced = lift(morphism_to_vector(f), co.lifts)
         if any(c.terms for c in remainder):
             raise ValueError("morphism is not a cocycle")
-        coords = []
-        for pos, mono in co.standard:
-            coords.append(reduced[pos].coeff_of(mono))
         # everything in the reduced lift must be accounted for by the basis
-        total = sum(len(p.terms) for p in reduced)
-        if total != sum(1 for c in coords if not c.is_zero()):
+        on_basis = sum(mono in reduced[pos].terms for pos, mono in co.standard)
+        if sum(len(p.terms) for p in reduced) != on_basis:
             raise AssertionError("reduced coordinates leak outside the basis")
-        return tuple(coords)
+        return tuple(reduced[pos].coeff_of(mono) for pos, mono in co.standard)
 
 
 def hom_cohomology(E: MatFac, F: MatFac):

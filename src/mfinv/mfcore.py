@@ -475,11 +475,10 @@ def greedy_decomposition(w: Polynomial) -> list:
         i = next((k for k, e in enumerate(m) if e > 0), None)
         if i is None:
             raise ValueError("potential has a nonzero constant term")
-        reduced = list(m)
-        reduced[i] -= 1
-        key = tuple(reduced)
-        parts[i][key] = parts[i].get(key, ring.scalar(0)) + c
-    return [ring.from_terms(p) for p in parts]
+        # m is the key with its lowest variable raised again, so no two
+        # terms of w meet in one part
+        parts[i][m[:i] + (m[i] - 1,) + m[i + 1 :]] = c
+    return [Polynomial(ring, p) for p in parts]
 
 
 def stabilized_residue_field(w: Polynomial, decomposition=None) -> MatFac:

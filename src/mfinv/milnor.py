@@ -30,7 +30,7 @@ and bulk invariants land in.
 """
 from __future__ import annotations
 
-from .groebner import ModuleGB, lift, lift_basis, normal_form, quotient_basis, split
+from .groebner import ModuleGB, lift, lift_basis, module_gb, normal_form, quotient_basis, split
 from .poly import Monomial, Polynomial, PolyRing, determinant
 from .scalar import Frozen, Scalar
 
@@ -76,10 +76,9 @@ class MilnorRing(Frozen):
     def coordinates(self, value: Polynomial) -> tuple[Scalar, ...]:
         """Coefficients of the class of ``value`` on the monomial basis."""
         nf = normal_form(value, self.jacobian_gb)
-        coords = tuple(nf.coeff_of(m) for m in self.basis)
-        if sum(1 for c in coords if not c.is_zero()) != len(nf.terms):
+        if sum(m in nf.terms for m in self.basis) != len(nf.terms):
             raise AssertionError("normal form not supported on the basis")
-        return coords
+        return tuple(nf.coeff_of(m) for m in self.basis)
 
 
 class MilnorClass(Frozen):
@@ -140,14 +139,14 @@ def build_milnor(w: Polynomial) -> MilnorRing:
     """
     ring = w.ring
     n = ring.n
-    if not w.coeff_of((0,) * n).is_zero():
+    if (0,) * n in w.terms:
         raise ValueError("potential must vanish at the origin")
     partials = [w.partial_derivative(i) for i in range(n)]
     if all(p.is_zero() for p in partials):
         if n > 0:
             raise ValueError("not an isolated singularity")
         # sector with no coordinates: A = k, the residue is the identity
-        return MilnorRing(ring, w, ModuleGB(ring, 1, ()), ((),), 1, 0, ring.one())
+        return MilnorRing(ring, w, module_gb((), 1, ring), ((),), 1, 0, ring.one())
     # one block-order run: its heads are the Jacobian basis, and `lift`
     # reads the cofactors of the residue transformation law off it
     lifts = lift_basis([(p,) for p in partials], 1, ring)
@@ -207,12 +206,12 @@ def _trace_poly(A: MilnorRing, p: Polynomial, exponent: int, det: Polynomial) ->
     # of m exceeds N-1, and then the term contributes nothing
     top = exponent - 1
     coeffs = det.terms
-    total = A.ring.scalar(0)
+    total = 0
     for m, c in p.terms.items():
         d = coeffs.get(tuple(top - e for e in m))
         if d is not None:
             total = total + c * d
-    return total
+    return A.ring.scalar(total)
 
 
 def hessian_class(A: MilnorRing) -> MilnorClass:
@@ -239,8 +238,10 @@ def canonical_pairing(f: MilnorClass, g: MilnorClass) -> Scalar:
 def gram_matrix(A: MilnorRing) -> list[list[Scalar]]:
     """tr(b_a * b_b) over the standard monomial basis (no sign twist)."""
     top = A.nilpotency - 1
-    coeffs = A.residue_cofactor_det.terms
-    zero = A.ring.scalar(0)
+    # each determinant term is wrapped once; the entries it misses share a zero
+    scalar = A.ring.scalar
+    coeffs = {m: scalar(c) for m, c in A.residue_cofactor_det.terms.items()}
+    zero = scalar(0)
     return [
         [coeffs.get(tuple(top - p - q for p, q in zip(ma, mb)), zero) for mb in A.basis]
         for ma in A.basis

@@ -187,7 +187,7 @@ def _homotopy(M: Matrix, i: int, n: int, ring: PolyRing) -> Matrix:
         for m, c in p.terms.items():
             if next((k for k in range(n) if m[n + k]), None) == i:
                 terms[m[: n + i] + (m[n + i] - 1,) + m[n + i + 1 :]] = c
-        return ring.from_terms(terms)
+        return Polynomial(ring, terms)
 
     return mat_map(M, part)
 
@@ -201,9 +201,9 @@ def solve_D(E: MatFac) -> DTensor:
     # delta at y = x + u a shift
     pad = (0,) * n
     delta = E.delta
-    delta_x = mat_map(delta, lambda p: ring.from_terms({m + pad: c for m, c in p.terms.items()}))
+    delta_x = mat_map(delta, lambda p: Polynomial(ring, {m + pad: c for m, c in p.terms.items()}))
     delta_y = mat_map(
-        delta, lambda p: _shift(ring.from_terms({pad + m: c for m, c in p.terms.items()}), n, 1, ring)
+        delta, lambda p: _shift(Polynomial(ring, {pad + m: c for m, c in p.terms.items()}), n, 1, ring)
     )
     diffs_u = tuple(_shift(d, n, 1, ring) for d in diffs)
 
@@ -300,7 +300,7 @@ def oracle_tau(
     # p(x, y - x) at y = x is p(x, 0): the u-free terms of the stored top
     top = mat_map(
         dict(dtensor.solved)[tuple(range(n))],
-        lambda p: ring.from_terms({m[:n]: c for m, c in p.terms.items() if not any(m[n:])}),
+        lambda p: Polynomial(ring, {m[:n]: c for m, c in p.terms.items() if not any(m[n:])}),
     )
     M = mat_mul(top, alpha.matrix, ring.zero())
     parity = (n + alpha.parity) % 2
@@ -356,8 +356,8 @@ def inverse_form_check(w: Polynomial, data: DiagonalData | None = None) -> bool:
     A = data.milnor
     n = w.ring.n
     reduced = normal_form(data.determinant, data.jacobian)
-    # the coefficient matrix and the Gram matrix as sparse rows, so that
-    # their product only touches nonzero entries
+    # the coefficient matrix and the Gram matrix as sparse rows of term
+    # coefficients, so that their product only touches nonzero entries
     coeffs: list[dict] = [dict() for _ in A.basis]
     index = {m: k for k, m in enumerate(A.basis)}
     for mono, c in reduced.terms.items():
@@ -368,16 +368,14 @@ def inverse_form_check(w: Polynomial, data: DiagonalData | None = None) -> bool:
                 "reduced determinant leaves the standard basis product"
             )
         coeffs[a][b] = c
-    G = [
-        {j: g for j, g in enumerate(row) if not g.is_zero()}
-        for row in gram_matrix(A)
-    ]
+    coefficient = A.ring.coefficient
+    G = [{j: coefficient(g) for j, g in enumerate(row) if g} for row in gram_matrix(A)]
     for i, row in enumerate(coeffs):
         acc: dict = {}
         for k, c in row.items():
             for j, g in G[k].items():
                 acc[j] = acc[j] + c * g if j in acc else c * g
-        acc = {j: v for j, v in acc.items() if not v.is_zero()}
+        acc = {j: v for j, v in acc.items() if v}
         if acc.keys() != {i} or acc[i] != 1:
             raise AssertionError(
                 "coefficient matrix does not invert the Gram matrix"

@@ -5,6 +5,15 @@ exponent tuples; the canonical term order everywhere (printing, Groebner
 bases, quotient bases) is graded reverse lexicographic with respect to the
 given variable order.
 
+``terms`` maps a monomial to a nonzero coefficient in one normal form per
+field.  Over Q the coefficient is bare: an ``int``, or a ``Fraction`` when
+it is not integral.  Over Q(zeta) it is a `Scalar` of the ring's context.
+The arithmetic is one loop for both fields, on +, * and truthiness only;
+`PolyRing.coefficient` brings an incoming scalar to the normal form, and a
+coefficient leaves as a `Scalar` (`coeff_of`, `constant_coeff`,
+`as_scalar`, `PolyRing.scalar`), so that rational values at the API are
+Scalars as before.
+
 A small expression parser covers the CLI input grammar: `+ - * / ^`,
 integer literals, parentheses, variable names, and (in a cyclotomic
 session) the literal `z` for zeta_m.  Division is only by nonzero
@@ -20,8 +29,9 @@ constants.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
-from .scalar import CyclotomicContext, Frozen, Scalar, one as scalar_one, rational
+from .scalar import CyclotomicContext, Frozen, Scalar
 
 Monomial = tuple  # exponent tuples, length = ring.n
 
@@ -77,40 +87,54 @@ class PolyRing(Frozen):
         return self.const(1)
 
     def const(self, c) -> "Polynomial":
-        if isinstance(c, (int, Fraction)):
-            c = rational(Fraction(c)) if self.context is None else self.context.from_rational(Fraction(c))
-        if not isinstance(c, Scalar):
-            raise TypeError("not a scalar: %r" % (c,))
-        if c.is_zero():
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.n: c})
+        c = self.coefficient(c)
+        return Polynomial(self, {(0,) * self.n: c} if c else {})
 
     def var(self, i: int) -> "Polynomial":
         expo = [0] * self.n
         expo[i] = 1
-        return Polynomial(self, {tuple(expo): scalar_one(self.context)})
+        return Polynomial(self, {tuple(expo): self.coefficient(1)})
 
-    def monomial(self, m: Monomial, c=None) -> "Polynomial":
-        if c is None:
-            c = scalar_one(self.context)
+    def monomial(self, m: Monomial, c=1) -> "Polynomial":
         return self.from_terms({tuple(m): c})
 
     def from_terms(self, terms: dict) -> "Polynomial":
-        return Polynomial(self, {m: c for m, c in terms.items() if not c.is_zero()})
+        """The polynomial with these terms; each value goes through
+        `coefficient`, and zero values are dropped."""
+        coefficient = self.coefficient
+        return Polynomial(self, {m: coefficient(c) for m, c in terms.items() if c})
 
     def parse(self, text: str) -> "Polynomial":
         return _parse(self, text)
 
+    def coefficient(self, c):
+        """The scalar c (an int, a Fraction or a Scalar) as a term stores
+        it; over Q a Scalar that is not rational raises."""
+        if c.__class__ is Scalar:
+            if c.context is not None and self.context is not None:
+                return c
+            if any(c.coeffs[1:]):
+                raise ValueError("scalar %s is not rational" % c)
+            c = c.coeffs[0]
+        elif not isinstance(c, (int, Fraction)):
+            raise TypeError("not a scalar: %r" % (c,))
+        if self.context is not None:
+            return self.context.from_rational(c)
+        return c.numerator if c.denominator == 1 else c
+
     def scalar(self, c) -> Scalar:
-        if isinstance(c, Scalar):
+        """The scalar c, or a coefficient of a term, as the Scalar the API
+        hands out."""
+        if c.__class__ is Scalar:
             return c
         if self.context is None:
-            return rational(Fraction(c))
-        return self.context.from_rational(Fraction(c))
+            return Scalar(None, (Fraction(c),))
+        return self.context.from_rational(c)
 
 
 class Polynomial:
-    """Immutable by convention; ``terms`` maps monomials to nonzero scalars."""
+    """Immutable by convention; ``terms`` maps monomials to nonzero
+    coefficients (module docstring)."""
 
     __slots__ = ("ring", "terms")
 
@@ -128,8 +152,7 @@ class Polynomial:
         return all(sum(m) == 0 for m in self.terms)
 
     def constant_coeff(self) -> Scalar:
-        z = (0,) * self.ring.n
-        return self.terms.get(z, self.ring.scalar(0))
+        return self.coeff_of((0,) * self.ring.n)
 
     def as_scalar(self) -> Scalar:
         if not self.is_constant():
@@ -137,7 +160,7 @@ class Polynomial:
         return self.constant_coeff()
 
     def coeff_of(self, m: Monomial) -> Scalar:
-        return self.terms.get(tuple(m), self.ring.scalar(0))
+        return self.ring.scalar(self.terms.get(tuple(m), 0))
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
@@ -156,17 +179,27 @@ class Polynomial:
 
     __hash__ = None  # type: ignore[assignment]
 
+    def _made(self, terms: dict) -> "Polynomial":
+        """Polynomial(ring, terms) in normal form: over Q a sum or product
+        of Fractions can be integral, and becomes an int here."""
+        if self.ring.context is None:
+            for m, c in terms.items():
+                if c.__class__ is Fraction and c.denominator == 1:
+                    terms[m] = c.numerator
+        return Polynomial(self.ring, terms)
+
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(self.ring, out)
+            if s is not None:
+                c = s + c
+                if not c:
+                    del out[m]
+                    continue
+            out[m] = c
+        return self._made(out)
 
     __radd__ = __add__
 
@@ -180,36 +213,26 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction, Scalar)):
-            c = self.ring.scalar(other)
-            if c.is_zero():
-                return self.ring.zero()
-            return Polynomial(self.ring, {m: a * c for m, a in self.terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+        if other.__class__ is not Polynomial:
+            if not isinstance(other, (int, Fraction, Scalar)):
+                return NotImplemented
+            other = self.ring.const(other)
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                c = c1 * c2
+                m = tuple(map(add, m1, m2))
                 s = out.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(self.ring, out)
+                out[m] = c1 * c2 if s is None else s + c1 * c2
+        return self._made({m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self * (rational(1) / Fraction(other))
-        if isinstance(other, Scalar):
-            return self * other.inverse()
-        if isinstance(other, Polynomial) and other.is_constant():
-            return self * other.as_scalar().inverse()
-        raise ZeroDivisionError("division only by nonzero constants")
+        if isinstance(other, Polynomial):
+            if not other.is_constant():
+                raise ZeroDivisionError("division only by nonzero constants")
+            other = other.as_scalar()
+        return self * self.ring.scalar(other).inverse()
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -224,14 +247,9 @@ class Polynomial:
         return out
 
     def partial_derivative(self, i: int) -> "Polynomial":
-        out: dict = {}
-        for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            m2 = list(m)
-            m2[i] -= 1
-            out[tuple(m2)] = c * m[i]
-        return self.ring.from_terms(out)
+        return self._made(
+            {m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i] for m, c in self.terms.items() if m[i]}
+        )
 
     def substitute(self, target: PolyRing, images: list["Polynomial"]) -> "Polynomial":
         """Ring map sending variable i to images[i] (all in ``target``)."""
@@ -264,12 +282,10 @@ class Polynomial:
         """Reinterpret in a ring with the same variables (context upgrade)."""
         if target.names != self.ring.names:
             raise ValueError("variable mismatch")
-        return target.from_terms(
-            {m: target.scalar(0) + c for m, c in self.terms.items()}
-        )
+        return target.from_terms(self.terms)
 
     def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
+        if other.__class__ is Polynomial:
             return other
         if isinstance(other, (int, Fraction, Scalar)):
             return self.ring.const(other)

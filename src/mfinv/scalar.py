@@ -11,10 +11,16 @@ front; mixing conductors is an error rather than an embedding problem.
     >>> print((one(ctx) + z) * (one(ctx) - z))
     2
 
-Rationals are plain wrapped fractions:
+A rational Scalar wraps one Fraction:
 
     >>> print(rational(2, 4) + rational(1, 3))
     5/6
+
+Scalars are the values the API hands out (residues, Gram entries, class
+coordinates, characters, group elements) and the coefficients of
+polynomials over Q(zeta).  A polynomial over Q stores its coefficients
+bare, as an ``int`` or a non-integral ``Fraction`` (see `poly`), and wraps
+one in a Scalar only when it leaves the polynomial.
 
 Coordinates are always ``Fraction``s.  Phi_m is monic with integer
 coefficients, so a product of two elements with integral coordinates (roots
@@ -167,7 +173,7 @@ def _convolve(xs, ys, zero) -> list:
 
 
 class Scalar(Frozen):
-    """An exact field element.
+    """An exact field element, as the API hands it out (module docstring).
 
     ``context`` is None for plain rationals, in which case ``coeffs`` has
     length one.  For cyclotomic elements ``coeffs`` lists the coordinates in
@@ -185,7 +191,7 @@ class Scalar(Frozen):
         return not any(self.coeffs)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
@@ -221,10 +227,7 @@ class Scalar(Frozen):
             return hash(self.coeffs[0])
         return hash((self.context.order, self.coeffs))
 
-    # rational fast path first: two Scalars over Q need no coercion
     def __add__(self, other):
-        if other.__class__ is Scalar and self.context is None and other.context is None:
-            return Scalar(None, (self.coeffs[0] + other.coeffs[0],))
         pair = _unify(self, other)
         if pair is NotImplemented:
             return NotImplemented
@@ -234,28 +237,17 @@ class Scalar(Frozen):
     __radd__ = __add__
 
     def __neg__(self):
-        if self.context is None:
-            return Scalar(None, (-self.coeffs[0],))
         return Scalar(self.context, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        if other.__class__ is Scalar and self.context is None and other.context is None:
-            return Scalar(None, (self.coeffs[0] - other.coeffs[0],))
-        pair = _unify(self, other)
-        if pair is NotImplemented:
-            return NotImplemented
-        a, b = pair
-        return Scalar(a.context, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if other.__class__ is Scalar and self.context is None and other.context is None:
-            return Scalar(None, (self.coeffs[0] * other.coeffs[0],))
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Scalar(self.context, tuple(a * f for a in self.coeffs))
+            return Scalar(self.context, tuple(a * other for a in self.coeffs))
         pair = _unify(self, other)
         if pair is NotImplemented:
             return NotImplemented
@@ -281,10 +273,8 @@ class Scalar(Frozen):
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("scalar inverse of zero")
-        if self.context is None:
-            return Scalar(None, (1 / self.coeffs[0],))
         if self.is_rational():
-            return self.context.from_rational(1 / self.coeffs[0])
+            return Scalar(self.context, (1 / self.coeffs[0],) + self.coeffs[1:])
         # extended gcd of the representative with Phi_m; Phi_m is irreducible
         # over Q so the gcd is a nonzero constant
         s = _xgcd_inverse(list(self.coeffs), list(self.context.minimal_polynomial))
@@ -295,12 +285,8 @@ class Scalar(Frozen):
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * Scalar(None, (1 / Fraction(other),))
-        pair = _unify(self, other)
-        if pair is NotImplemented:
-            return NotImplemented
-        a, b = pair
-        return a * b.inverse()
+            other = Scalar(None, (Fraction(other),))
+        return self * other.inverse() if other.__class__ is Scalar else NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other

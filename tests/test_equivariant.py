@@ -576,11 +576,14 @@ def _ref_actions(E, generators, elements, words, context):
 
 
 def _exact(v):
-    """A scalar, tuple or polynomial as plain data, contexts included."""
+    """A scalar, tuple or polynomial as plain data, contexts included; a
+    coefficient over Q is a bare int or Fraction, kept with its type."""
     if isinstance(v, tuple):
         return tuple(_exact(x) for x in v)
     if hasattr(v, "terms"):
         return tuple(sorted((m, _exact(c)) for m, c in v.terms.items()))
+    if isinstance(v, (int, Fraction)):
+        return (type(v), v)
     return (v.context, v.coeffs)
 
 

@@ -279,7 +279,7 @@ def _ref_divide(v, gens, ring, block=0):
     basis = []
     for g in gens:
         p, m = _ref_lead(g, block)
-        basis.append((g, (p, m, g[p].terms[m].inverse())))
+        basis.append((g, (p, m, ring.scalar(g[p].terms[m]).inverse())))
     quots = [{} for _ in basis]
     rem = [{} for _ in v]
     work = list(v)
@@ -291,7 +291,7 @@ def _ref_divide(v, gens, ring, block=0):
                 t = monomial_div(m, wm)
                 coeff = c * winv
                 quots[i][t] = coeff
-                factor = Polynomial(ring, {t: -coeff})
+                factor = ring.monomial(t, -coeff)
                 work = [a + factor * b if b.terms else a for a, b in zip(work, w)]
                 break
         else:
@@ -301,7 +301,7 @@ def _ref_divide(v, gens, ring, block=0):
             work[p] = Polynomial(ring, terms)
     return (
         tuple(Polynomial(ring, d) for d in rem),
-        [Polynomial(ring, q) for q in quots],
+        [ring.from_terms(q) for q in quots],
     )
 
 
@@ -439,7 +439,7 @@ def _hard_polys(max_terms=3):
         st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)
     )
     def build(pairs):
-        return Polynomial(R2, {m: R2.scalar(c) for m, c in pairs})
+        return R2.from_terms(dict(pairs))
     return st.lists(st.tuples(expo, _hard_coef), min_size=0, max_size=max_terms).map(build)
 
 
@@ -721,7 +721,7 @@ def test_flat_bases_equal_the_bases_rebuilt_from_polynomials():
 _RQZ = PolyRing(("x", "y"), CyclotomicContext(3))
 _zeta = _RQZ.context.zeta()
 _field_coefs = {
-    R2: [R2.scalar(c) for c in (2, -3, Fraction(1, 2), Fraction(-2, 3), 6)],
+    R2: [2, -3, Fraction(1, 2), Fraction(-2, 3), 6],
     _RQZ: [_RQZ.scalar(2), _RQZ.scalar(Fraction(-1, 2)), _zeta, _zeta * 2 + 1, -_zeta * _zeta],
 }
 
@@ -732,7 +732,7 @@ def test_flat_bases_equal_the_rebuilt_bases_on_random_modules(data):
     ring = data.draw(st.sampled_from([R2, _RQZ]))
     expo = st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))
     poly = st.lists(st.tuples(expo, st.sampled_from(_field_coefs[ring])), max_size=3).map(
-        lambda pairs: Polynomial(ring, dict(pairs))
+        lambda pairs: ring.from_terms(dict(pairs))
     )
     cols = data.draw(st.lists(st.tuples(poly, poly), min_size=1, max_size=3))
     for mgb in _flat_route_bases(ring, cols, 2):
@@ -795,12 +795,17 @@ def _zeta3_pairs():
 
 
 def _assert_ring_scalars(polys, ring):
+    # the coefficients as the ring stores them: over Q an int, or a
+    # Fraction that is not integral; over Q(zeta) a Scalar of the context
     count = 0
     for f in polys:
         assert f.ring == ring
         for c in f.terms.values():
-            assert type(c) is Scalar and c.context == ring.context
-            assert all(type(a) is Fraction for a in c.coeffs)
+            if ring.context is None:
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+            else:
+                assert type(c) is Scalar and c.context == ring.context
+                assert all(type(a) is Fraction for a in c.coeffs)
             count += 1
     return count
 

@@ -263,7 +263,7 @@ def _frozen_instances() -> list:
     from fractions import Fraction
 
     from mfinv.equivariant import GradedStructure, Sector
-    from mfinv.groebner import ModuleGB
+    from mfinv.groebner import module_gb
     from mfinv.homology import CohomologyBasis, ParityCohomology
     from mfinv.mfcore import EquivariantMF, MatFac, MorphismCocycle
     from mfinv.milnor import MilnorClass, MilnorRing
@@ -277,7 +277,7 @@ def _frozen_instances() -> list:
         CyclotomicContext(3),
         Scalar(None, (Fraction(1),)),
         ring,
-        ModuleGB(ring, 1, ()),
+        module_gb((), 1, ring),
         MilnorRing(ring, ring.zero(), None, (), 0, 1, ring.one()),
         MilnorClass(None, ring.zero(), 0),
         empty,

@@ -1,14 +1,19 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfinv.equivariant import graded_chi, graded_to_equivariant
+from mfinv.mfcore import koszul
 from mfinv.poly import (
     PolyRing,
     difference_derivative,
     doubled_ring,
     grevlex_key,
+    monomial_mul,
 )
-from mfinv.scalar import CyclotomicContext, rational
+from mfinv.scalar import CyclotomicContext, Scalar, rational
 
 
 R2 = PolyRing(("x", "y"))
@@ -211,3 +216,182 @@ def test_difference_derivative_telescope_property(f):
 @given(f=_polys(R2, max_terms=4, max_deg=3))
 def test_print_parse_roundtrip_property(f):
     assert R2.parse(str(f)) == f
+
+
+# --- the Scalar-coefficient kernel, kept as the reference ---------------------
+#
+# The two loops below sum and multiply terms that are all Scalars, as the
+# package did before rationals were stored bare.  They run on the terms
+# wrapped into Scalars, so the bare kernel is checked against them over Q
+# and over Q(zeta).
+
+
+def _scalar_terms(f):
+    return {m: f.ring.scalar(c) for m, c in f.terms.items()}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m)
+        s = c if s is None else s + c
+        if s.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = monomial_mul(m1, m2)
+            c = c1 * c2
+            s = out.get(m)
+            s = c if s is None else s + c
+            if s.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return out
+
+
+def _ref_scale(a: dict, c: Scalar) -> dict:
+    return {} if c.is_zero() else {m: x * c for m, x in a.items()}
+
+
+def _assert_normal_form(f):
+    """No zero coefficient; over Q an int or a Fraction that is not
+    integral, over Q(zeta) a Scalar of the ring's context."""
+    for c in f.terms.values():
+        assert c
+        if f.ring.context is None:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        else:
+            assert type(c) is Scalar and c.context == f.ring.context
+
+
+Z12 = PolyRing(("x", "y"), CyclotomicContext(12))
+_half = Fraction(1, 2)
+# over Q: integral and non-integral values, each with its negative so that
+# sums cancel, and halves and thirds whose sums and products are integral
+_COEFFS = {
+    R2: [1, -1, 2, -3, _half, -_half, Fraction(3, 2), Fraction(-2, 3), Fraction(1, 3)],
+}
+for _ring in (Q3, Z12):
+    _z = _ring.context.zeta()
+    _COEFFS[_ring] = [
+        1, -1, _half, -_half, _ring.scalar(_half), _z, -_z, _z * 2 + 1, _z * _z * _half,
+        -(_z * _z * _half), _z ** (_ring.context.order - 1),
+    ]
+
+
+def _coefficient_polys(ring):
+    def build(pairs):
+        # summed by the reference, so that repeated monomials cancel or add up
+        total: dict = {}
+        for m, c in pairs:
+            total = _ref_add(total, {m: ring.scalar(c)})
+        return ring.from_terms(total)
+
+    expo = st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))
+    return st.lists(st.tuples(expo, st.sampled_from(_COEFFS[ring])), max_size=5).map(build)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_bare_kernel_matches_the_scalar_kernel(data):
+    ring = data.draw(st.sampled_from([R2, Q3, Z12]))
+    f = data.draw(_coefficient_polys(ring))
+    g = data.draw(_coefficient_polys(ring))
+    c = data.draw(st.sampled_from(_COEFFS[ring] + [0]))
+    F, G = _scalar_terms(f), _scalar_terms(g)
+    results = {
+        "+": (f + g, _ref_add(F, G)),
+        "-": (f - g, _ref_add(F, {m: -x for m, x in G.items()})),
+        "neg": (-f, {m: -x for m, x in F.items()}),
+        "*": (f * g, _ref_mul(F, G)),
+        "c*": (c * f, _ref_scale(F, ring.scalar(c))),
+        "*c": (f * c, _ref_scale(F, ring.scalar(c))),
+        "+c": (f + c, _ref_add(F, {(0, 0): ring.scalar(c)} if c else {})),
+    }
+    for op, (got, want) in results.items():
+        _assert_normal_form(got)
+        assert _scalar_terms(got) == want, op
+
+
+def test_normal_form_of_every_constructor_and_operation():
+    # sums and products of halves that come out integral, and cancellation
+    h = R2.parse("x/2 + y/2")
+    for f in (
+        h + h, h * 2, 2 * h, h * h * 4, h - h, R2.parse("x/2") * R2.parse("2*y"),
+        (h * h).partial_derivative(0), R2.parse("x^2/2").partial_derivative(0),
+        h / Fraction(1, 2), R2.const(Fraction(4, 2)), R2.monomial((1, 1), rational(3, 3)),
+        R2.from_terms({(1, 0): Fraction(2, 2), (0, 1): 0, (0, 0): rational(1, 2)}),
+        h.substitute(R2, [R2.var(1) * 2, R2.var(0) * 2]), h ** 3 * 8, R2.var(0),
+        R2.parse("x + y/2") * R2.parse("x - y/2"),
+    ):
+        _assert_normal_form(f)
+    assert all(type(c) is int for c in (h + h).terms.values())
+    assert (h - h).terms == {}
+    assert (R2.parse("x + y/2") * R2.parse("x - y/2")).terms == {(2, 0): 1, (0, 2): Fraction(-1, 4)}
+    for ring in (Q3, Z12):
+        z = ring.context.zeta()
+        for f in (
+            ring.parse("(1 + z)*x^2 - z*x + 2"), ring.var(0) * z, ring.const(1), ring.const(rational(1, 2)),
+            ring.monomial((1, 0)), ring.from_terms({(1, 1): 3, (0, 0): z}), R2.parse("x/2 + 3").map_ring(ring),
+            (ring.var(0) * z + 1) ** 3, ring.parse("x^3 + z*x*y").partial_derivative(0),
+            ring.parse("x + z*y") * ring.parse("x - z*y"),
+        ):
+            _assert_normal_form(f)
+
+
+def test_coefficients_leave_as_scalars():
+    f = R2.parse("x/2 + 3")
+    for c in (f.coeff_of((1, 0)), f.coeff_of((0, 1)), f.constant_coeff(), R2.const(4).as_scalar()):
+        assert type(c) is Scalar and c.context is None
+    assert f.coeff_of((1, 0)) == rational(1, 2) and f.coeff_of((0, 1)) == 0
+    z = Q3.context.zeta()
+    g = Q3.var(0) * z
+    assert g.coeff_of((1, 0)) == z and type(g.coeff_of((0, 0))) is Scalar
+
+
+def test_division_by_a_constant():
+    f = R2.parse("x + 3*y")
+    expected = R2.parse("x/2 + 3/2*y")
+    for c in (2, Fraction(2), rational(2), R2.const(2)):
+        assert f / c == expected
+    assert f.terms and (f / R2.const(2)).terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)}
+    g = Q3.parse("z*x")
+    assert g / Q3.const(Q3.context.zeta()) == Q3.var(0)
+    for bad in (R2.var(0), R2.zero(), 0):
+        with pytest.raises(ZeroDivisionError):
+            f / bad
+
+
+def test_irrational_scalar_in_a_rational_ring_raises():
+    z = CyclotomicContext(3).zeta()
+    for make in (
+        lambda: R2.const(z),
+        lambda: R2.var(0) * z,
+        lambda: R2.var(0) + z,
+        lambda: R2.monomial((1, 0), z),
+        lambda: R2.from_terms({(1, 0): z}),
+        lambda: Q3.parse("z*x").map_ring(R2),
+    ):
+        with pytest.raises(ValueError, match="not rational"):
+            make()
+    # a rational Scalar of a cyclotomic field is unwrapped
+    assert R2.const(CyclotomicContext(3).from_rational(Fraction(3, 2))).terms == {(0, 0): Fraction(3, 2)}
+
+
+def test_graded_chi_over_q_keeps_the_rings_apart():
+    # the grading roots live in Q(zeta_(2 ell)); the rational factorization
+    # is moved there, so no rational polynomial meets a cyclotomic scalar
+    R = PolyRing(("x",))
+    x = R.var(0)
+    w = x ** 4
+    S = graded_to_equivariant(w, (1,))
+    E = koszul([x], [x ** 3])
+    assert graded_chi(S, E, ((0,), (1,)), E, ((0,), (1,))) == 1
