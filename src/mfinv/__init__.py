@@ -3,7 +3,7 @@
 Everything is computed over the rationals or a cyclotomic extension, with no
 floating point anywhere. The modules layer bottom-up:
 
-    scalar      exact field elements (Fraction, cyclotomic integers over it)
+    scalar      exact field elements: rationals (int or Fraction) and Q(zeta_m)
     poly        multivariate polynomials, derivatives, doubled rings
     groebner    one Buchberger engine: submodules of R^r, ideals as rank 1
     milnor      Milnor algebras, residue traces, Gram pairings

@@ -64,7 +64,7 @@ from .mfcore import (
 )
 from .milnor import MilnorRing, build_milnor, gram_matrix, hessian_class, residue_trace
 from .poly import PolyRing, Polynomial
-from .scalar import MAX_CONDUCTOR, CyclotomicContext, Scalar, scalar_to_json
+from .scalar import MAX_CONDUCTOR, CyclotomicContext, Scalar, bare, scalar_to_json
 
 
 class SessionError(Exception):
@@ -139,7 +139,7 @@ def parse_scalar(spec, context: CyclotomicContext | None) -> Scalar:
         if len(coeffs) != context.degree:
             raise SessionError("scalar object has %d coefficients, expected %d"
                                % (len(coeffs), context.degree))
-        return Scalar(context, tuple(coeffs))
+        return Scalar(context, tuple(map(bare, coeffs)))
     if not isinstance(spec, str):
         raise SessionError("scalar must be a string or object, got %r" % (spec,))
     _check_exponent_literals(spec, "scalar %r" % spec)

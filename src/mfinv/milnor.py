@@ -30,6 +30,8 @@ and bulk invariants land in.
 """
 from __future__ import annotations
 
+from operator import sub
+
 from .groebner import ModuleGB, lift, lift_basis, module_gb, normal_form, quotient_basis, split
 from .poly import Monomial, Polynomial, PolyRing, determinant
 from .scalar import Frozen, Scalar
@@ -242,7 +244,8 @@ def gram_matrix(A: MilnorRing) -> list[list[Scalar]]:
     scalar = A.ring.scalar
     coeffs = {m: scalar(c) for m, c in A.residue_cofactor_det.terms.items()}
     zero = scalar(0)
-    return [
-        [coeffs.get(tuple(top - p - q for p, q in zip(ma, mb)), zero) for mb in A.basis]
-        for ma in A.basis
-    ]
+    gram = []
+    for ma in A.basis:
+        row = [top - p for p in ma]
+        gram.append([coeffs.get(tuple(map(sub, row, mb)), zero) for mb in A.basis])
+    return gram

@@ -7,7 +7,8 @@ given variable order.
 
 ``terms`` maps a monomial to a nonzero coefficient in one normal form per
 field.  Over Q the coefficient is bare: an ``int``, or a ``Fraction`` when
-it is not integral.  Over Q(zeta) it is a `Scalar` of the ring's context.
+it is not integral, the normal form `scalar.bare` gives.  Over Q(zeta) it
+is a `Scalar` of the ring's context, whose coordinates have the same form.
 The arithmetic is one loop for both fields, on +, * and truthiness only;
 `PolyRing.coefficient` brings an incoming scalar to the normal form, and a
 coefficient leaves as a `Scalar` (`coeff_of`, `constant_coeff`,
@@ -31,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .scalar import CyclotomicContext, Frozen, Scalar
+from .scalar import CyclotomicContext, Frozen, Scalar, bare
 
 Monomial = tuple  # exponent tuples, length = ring.n
 
@@ -120,7 +121,7 @@ class PolyRing(Frozen):
             raise TypeError("not a scalar: %r" % (c,))
         if self.context is not None:
             return self.context.from_rational(c)
-        return c.numerator if c.denominator == 1 else c
+        return bare(c)
 
     def scalar(self, c) -> Scalar:
         """The scalar c, or a coefficient of a term, as the Scalar the API
@@ -128,7 +129,7 @@ class PolyRing(Frozen):
         if c.__class__ is Scalar:
             return c
         if self.context is None:
-            return Scalar(None, (Fraction(c),))
+            return Scalar(None, (bare(c),))
         return self.context.from_rational(c)
 
 
@@ -184,8 +185,8 @@ class Polynomial:
         of Fractions can be integral, and becomes an int here."""
         if self.ring.context is None:
             for m, c in terms.items():
-                if c.__class__ is Fraction and c.denominator == 1:
-                    terms[m] = c.numerator
+                if c.__class__ is Fraction:
+                    terms[m] = bare(c)
         return Polynomial(self.ring, terms)
 
     def __add__(self, other) -> "Polynomial":

@@ -11,7 +11,7 @@ front; mixing conductors is an error rather than an embedding problem.
     >>> print((one(ctx) + z) * (one(ctx) - z))
     2
 
-A rational Scalar wraps one Fraction:
+A rational Scalar wraps one rational:
 
     >>> print(rational(2, 4) + rational(1, 3))
     5/6
@@ -19,14 +19,15 @@ A rational Scalar wraps one Fraction:
 Scalars are the values the API hands out (residues, Gram entries, class
 coordinates, characters, group elements) and the coefficients of
 polynomials over Q(zeta).  A polynomial over Q stores its coefficients
-bare, as an ``int`` or a non-integral ``Fraction`` (see `poly`), and wraps
-one in a Scalar only when it leaves the polynomial.
+bare (see `poly`) and wraps one in a Scalar only when it leaves the
+polynomial.
 
-Coordinates are always ``Fraction``s.  Phi_m is monic with integer
-coefficients, so a product of two elements with integral coordinates (roots
-of unity, action matrices, most characters) is convolved and reduced mod
-Phi_m on plain ints, and each coordinate of the result is wrapped in
-``Fraction`` once; any other product runs the same steps on Fractions.
+Everywhere in the package a rational has one normal form, which `bare`
+gives: an ``int``, or a ``Fraction`` when it is not integral.  The
+coordinates of a Scalar are in that form too, so the integral coordinates
+of roots of unity, action matrices and most characters are plain ints.
+Phi_m is monic over Z, so a product is one convolution and one reduction
+mod the ``int`` Phi_m, whatever mix of ints and Fractions it meets.
 """
 from __future__ import annotations
 
@@ -42,37 +43,34 @@ from functools import lru_cache
 MAX_CONDUCTOR = 64
 
 
+def bare(c):
+    """The rational c (an int or a Fraction) in normal form: an ``int``, or
+    a ``Fraction`` when it is not integral."""
+    return c if c.__class__ is int or c.denominator != 1 else c.numerator
+
+
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_m, low degree first, monic.
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Coefficients of Phi_m, low degree first, monic, as ``int``s.
 
     Computed by dividing x^m - 1 by Phi_d for every proper divisor d of m.
     """
     if m < 1:
         raise ValueError("conductor must be positive")
-    # x^m - 1
-    num = [Fraction(0)] * (m + 1)
-    num[0] = Fraction(-1)
-    num[m] = Fraction(1)
+    num = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            num = _polydiv_exact(num, list(cyclotomic_polynomial(d)))
+            num = _polydiv_exact(num, cyclotomic_polynomial(d))
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
-def integer_cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Phi_m with ``int`` coefficients, for the integral product."""
-    return tuple(int(c) for c in cyclotomic_polynomial(m))
-
-
-def _polydiv_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    # exact division over Q, low degree first; remainder must vanish
+def _polydiv_exact(num: list[int], den) -> list[int]:
+    # exact division over Z by the monic den, low degree first; the whole
+    # remainder must vanish, so a non-monic den raises as well
     num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
+    out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        out[k] = c
+        c = out[k] = num[k + len(den) - 1]
         if c:
             for j, dj in enumerate(den):
                 num[k + j] -= c * dj
@@ -126,30 +124,22 @@ class CyclotomicContext(Frozen):
         return len(self.minimal_polynomial) - 1
 
     @property
-    def minimal_polynomial(self) -> tuple[Fraction, ...]:
+    def minimal_polynomial(self) -> tuple[int, ...]:
         return cyclotomic_polynomial(self.order)
 
     def zeta(self, power: int = 1) -> "Scalar":
         """The root of unity zeta_m^power as a Scalar."""
         power %= self.order
-        if self.degree == 1:
-            # Phi_1 = x - 1 or Phi_2 = x + 1: zeta is rational
-            root = -self.minimal_polynomial[0]
-            return Scalar(self, (root**power,))
-        coeffs = _reduce_mod_phi(
-            [Fraction(0)] * power + [Fraction(1)], self.minimal_polynomial
-        )
+        coeffs = _reduce_mod_phi([0] * power + [1], self.minimal_polynomial)
         return Scalar(self, tuple(coeffs))
 
     def from_rational(self, a: Fraction | int) -> "Scalar":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(a)
-        return Scalar(self, tuple(coeffs))
+        return Scalar(self, (bare(a),) + (0,) * (self.degree - 1))
 
 
 def _reduce_mod_phi(coeffs: list, phi: tuple) -> list:
-    """The remainder mod the monic phi, on Fractions or, with an integer
-    phi, on ints; entries of degree d and above are read, not cleared."""
+    """The remainder mod the monic integer phi, its coordinates in normal
+    form (`bare`); entries of degree d and above are read, not cleared."""
     d = len(phi) - 1
     coeffs = list(coeffs)
     for k in range(len(coeffs) - 1, d - 1, -1):
@@ -158,12 +148,12 @@ def _reduce_mod_phi(coeffs: list, phi: tuple) -> list:
             # x^k -> x^(k-d) * (x^d - phi) since phi is monic
             for j in range(d):
                 coeffs[k - d + j] -= c * phi[j]
-    return coeffs[:d] + [Fraction(0)] * (d - len(coeffs))
+    return [bare(c) for c in coeffs[:d]] + [0] * (d - len(coeffs))
 
 
-def _convolve(xs, ys, zero) -> list:
+def _convolve(xs, ys) -> list:
     """The product of two coefficient sequences, low degree first."""
-    prod = [zero] * (len(xs) + len(ys) - 1)
+    prod = [0] * (len(xs) + len(ys) - 1)
     for i, x in enumerate(xs):
         if x:
             for j, y in enumerate(ys):
@@ -178,12 +168,14 @@ class Scalar(Frozen):
     ``context`` is None for plain rationals, in which case ``coeffs`` has
     length one.  For cyclotomic elements ``coeffs`` lists the coordinates in
     the power basis 1, zeta, ..., zeta^(d-1), always fully reduced mod Phi_m,
-    so equality is componentwise.
+    so equality is componentwise.  Each coordinate is a rational in normal
+    form (`bare`); the constructor stores what it is given, and the
+    arithmetic and the entry points hand it normal-form values.
     """
 
     __slots__ = ("context", "coeffs")
 
-    def __init__(self, context: CyclotomicContext | None, coeffs: tuple[Fraction, ...]):
+    def __init__(self, context: CyclotomicContext | None, coeffs: tuple):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -196,13 +188,14 @@ class Scalar(Frozen):
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self) -> int | Fraction:
+        """The value of a rational scalar, bare: an int or a Fraction."""
         if not self.is_rational():
             raise ValueError("scalar is not rational: %s" % (self,))
         return self.coeffs[0]
 
     def is_rational_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.is_rational() and self.coeffs[0].__class__ is int
 
     def __eq__(self, other):
         """Equality across int, Fraction, and context-lifted rationals.
@@ -232,7 +225,7 @@ class Scalar(Frozen):
         if pair is NotImplemented:
             return NotImplemented
         a, b = pair
-        return Scalar(a.context, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return Scalar(a.context, tuple(bare(x + y) for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
@@ -247,25 +240,16 @@ class Scalar(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Scalar(self.context, tuple(a * other for a in self.coeffs))
+            return Scalar(self.context, tuple(bare(a * other) for a in self.coeffs))
         pair = _unify(self, other)
         if pair is NotImplemented:
             return NotImplemented
         a, b = pair
         if b.is_rational():
             f = b.coeffs[0]
-            return Scalar(a.context, tuple(x * f for x in a.coeffs))
-        order = a.context.order
-        if all(c.denominator == 1 for c in a.coeffs + b.coeffs):
-            # Phi_m is monic over Z: integral coordinates multiply and
-            # reduce on ints, and only the result is wrapped in Fraction
-            prod = _convolve(
-                [x.numerator for x in a.coeffs], [y.numerator for y in b.coeffs], 0
-            )
-            reduced = _reduce_mod_phi(prod, integer_cyclotomic_polynomial(order))
-            return Scalar(a.context, tuple(map(Fraction, reduced)))
-        prod = _convolve(a.coeffs, b.coeffs, Fraction(0))
-        reduced = _reduce_mod_phi(prod, cyclotomic_polynomial(order))
+            return Scalar(a.context, tuple(bare(x * f) for x in a.coeffs))
+        prod = _convolve(a.coeffs, b.coeffs)
+        reduced = _reduce_mod_phi(prod, a.context.minimal_polynomial)
         return Scalar(a.context, tuple(reduced))
 
     __rmul__ = __mul__
@@ -274,10 +258,10 @@ class Scalar(Frozen):
         if self.is_zero():
             raise ZeroDivisionError("scalar inverse of zero")
         if self.is_rational():
-            return Scalar(self.context, (1 / self.coeffs[0],) + self.coeffs[1:])
+            return Scalar(self.context, (bare(Fraction(1, self.coeffs[0])),) + self.coeffs[1:])
         # extended gcd of the representative with Phi_m; Phi_m is irreducible
         # over Q so the gcd is a nonzero constant
-        s = _xgcd_inverse(list(self.coeffs), list(self.context.minimal_polynomial))
+        s = _xgcd_inverse(self.coeffs, self.context.minimal_polynomial)
         return Scalar(
             self.context,
             tuple(_reduce_mod_phi(s, self.context.minimal_polynomial)),
@@ -285,7 +269,7 @@ class Scalar(Frozen):
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar(None, (Fraction(other),))
+            other = Scalar(None, (bare(other),))
         return self * other.inverse() if other.__class__ is Scalar else NotImplemented
 
     def __rtruediv__(self, other):
@@ -305,13 +289,13 @@ class Scalar(Frozen):
 
     def __str__(self) -> str:
         if self.context is None or self.is_rational():
-            return _fmt_fraction(self.coeffs[0])
+            return str(self.coeffs[0])
         parts: list[str] = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             if k == 0:
-                parts.append(_fmt_fraction(c))
+                parts.append(str(c))
                 continue
             mono = "z" if k == 1 else "z^%d" % k
             if c == 1:
@@ -319,7 +303,7 @@ class Scalar(Frozen):
             elif c == -1:
                 term = "-" + mono
             else:
-                term = "%s*%s" % (_fmt_fraction(c), mono)
+                term = "%s*%s" % (c, mono)
             parts.append(term)
         out = parts[0]
         for p in parts[1:]:
@@ -332,7 +316,7 @@ class Scalar(Frozen):
 
 def _unify(a: Scalar, b) -> tuple[Scalar, Scalar]:
     if isinstance(b, (int, Fraction)):
-        b = Scalar(None, (Fraction(b),))
+        b = Scalar(None, (bare(b),))
     if not isinstance(b, Scalar):
         return NotImplemented  # type: ignore[return-value]
     if a.context is None and b.context is None:
@@ -349,14 +333,9 @@ def _unify(a: Scalar, b) -> tuple[Scalar, Scalar]:
     return a, b
 
 
-def _fmt_fraction(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
-def _xgcd_inverse(a: list[Fraction], phi: list[Fraction]) -> list[Fraction]:
-    # returns s with s*a = 1 mod phi (phi irreducible, deg a < deg phi)
+def _xgcd_inverse(a, phi) -> list[Fraction]:
+    # returns s with s*a = 1 mod phi (phi irreducible, deg a < deg phi);
+    # it divides, so it works on Fractions of its inputs
     def trim(p):
         while p and p[-1] == 0:
             p.pop()
@@ -364,14 +343,14 @@ def _xgcd_inverse(a: list[Fraction], phi: list[Fraction]) -> list[Fraction]:
 
     def sub_scaled(p, q, c, shift):
         while len(p) < len(q) + shift:
-            p.append(Fraction(0))
+            p.append(0)
         for i, qi in enumerate(q):
             p[i + shift] -= c * qi
         return trim(p)
 
-    r0, r1 = trim(list(phi)), trim(list(a))
-    s0: list[Fraction] = []
-    s1: list[Fraction] = [Fraction(1)]
+    r0, r1 = trim(list(map(Fraction, phi))), trim(list(map(Fraction, a)))
+    s0: list = []
+    s1: list = [1]
     while len(r1) > 1:
         r = list(r0)
         s = list(s0)
@@ -391,7 +370,7 @@ def _xgcd_inverse(a: list[Fraction], phi: list[Fraction]) -> list[Fraction]:
 
 
 def rational(p: int | Fraction, q: int = 1) -> Scalar:
-    return Scalar(None, (Fraction(p, q),))
+    return Scalar(None, (bare(Fraction(p, q)),))
 
 
 def zero(ctx: CyclotomicContext | None = None) -> Scalar:
@@ -405,8 +384,8 @@ def one(ctx: CyclotomicContext | None = None) -> Scalar:
 def scalar_to_json(s: Scalar):
     """Serialize for CLI output: "p/q" for rationals, {m, coeffs} otherwise."""
     if s.context is None or s.is_rational():
-        return _fmt_fraction(s.coeffs[0])
+        return str(s.coeffs[0])
     return {
         "m": s.context.order,
-        "coeffs": [_fmt_fraction(c) for c in s.coeffs],
+        "coeffs": [str(c) for c in s.coeffs],
     }

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -621,6 +622,15 @@ def test_scalar_round_trip():
         encoded = scalar_to_json(v)
         back = parse_scalar(encoded, v.context)
         assert back == v
+
+
+def test_scalar_object_is_in_normal_form():
+    ctx = CyclotomicContext(3)
+    got = parse_scalar({"m": 3, "coeffs": ["4/2", "0"]}, ctx)
+    assert got.coeffs == (2, 0) and all(type(c) is int for c in got.coeffs)
+    assert got == ctx.from_rational(2) and hash(got) == hash(ctx.from_rational(2))
+    half = parse_scalar({"m": 3, "coeffs": ["1/2", "-6/3"]}, ctx)
+    assert half.coeffs == (Fraction(1, 2), -2) and type(half.coeffs[1]) is int
 
 
 def test_scalar_string_forms():

@@ -797,15 +797,19 @@ def _zeta3_pairs():
 def _assert_ring_scalars(polys, ring):
     # the coefficients as the ring stores them: over Q an int, or a
     # Fraction that is not integral; over Q(zeta) a Scalar of the context
+    # whose coordinates are such rationals
+    def is_bare(c):
+        return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
     count = 0
     for f in polys:
         assert f.ring == ring
         for c in f.terms.values():
             if ring.context is None:
-                assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                assert is_bare(c)
             else:
                 assert type(c) is Scalar and c.context == ring.context
-                assert all(type(a) is Fraction for a in c.coeffs)
+                assert all(is_bare(a) for a in c.coeffs)
             count += 1
     return count
 

@@ -263,13 +263,18 @@ def _ref_scale(a: dict, c: Scalar) -> dict:
 
 def _assert_normal_form(f):
     """No zero coefficient; over Q an int or a Fraction that is not
-    integral, over Q(zeta) a Scalar of the ring's context."""
+    integral, over Q(zeta) a Scalar of the ring's context whose
+    coordinates are such rationals."""
     for c in f.terms.values():
         assert c
         if f.ring.context is None:
             assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
         else:
             assert type(c) is Scalar and c.context == f.ring.context
+            assert all(
+                type(a) is int or (type(a) is Fraction and a.denominator != 1)
+                for a in c.coeffs
+            )
 
 
 Z12 = PolyRing(("x", "y"), CyclotomicContext(12))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from mfinv.scalar import (
     CyclotomicContext,
     Scalar,
+    bare,
     cyclotomic_polynomial,
-    integer_cyclotomic_polynomial,
     one,
     rational,
     scalar_to_json,
@@ -17,7 +17,7 @@ from mfinv.scalar import (
 
 
 def _phi(m):
-    return [int(c) for c in cyclotomic_polynomial(m)]
+    return list(cyclotomic_polynomial(m))
 
 
 def test_cyclotomic_polynomials_small():
@@ -124,10 +124,15 @@ def test_str_and_json_forms():
 _fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
+def _is_bare(c) -> bool:
+    """The normal form of a rational: an int, or a non-integral Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
 def _cyclo_scalars(ctx):
     return st.lists(
         _fractions, min_size=ctx.degree, max_size=ctx.degree
-    ).map(lambda cs: Scalar(ctx, tuple(cs)))
+    ).map(lambda cs: Scalar(ctx, tuple(map(bare, cs))))
 
 
 @given(a=_fractions, b=_fractions, c=_fractions)
@@ -154,20 +159,20 @@ def test_cyclotomic_field_axioms(data):
         assert sa * sa.inverse() == one(ctx)
 
 
-# --- the rational fast path: int, Fraction and Scalar operands in either order
+# --- rational scalars: int, Fraction and Scalar operands in either order
 
 
 _operands = st.one_of(_fractions.map(rational), _fractions, st.integers(-50, 50))
 
 
 def _value(x) -> Fraction:
-    return x.coeffs[0] if isinstance(x, Scalar) else Fraction(x)
+    return Fraction(x.coeffs[0]) if isinstance(x, Scalar) else Fraction(x)
 
 
 def _is_rational_scalar(s) -> bool:
     return (
         type(s) is Scalar and s.context is None
-        and len(s.coeffs) == 1 and type(s.coeffs[0]) is Fraction
+        and len(s.coeffs) == 1 and _is_bare(s.coeffs[0])
     )
 
 
@@ -234,21 +239,40 @@ def test_rational_mixed_with_cyclotomic_is_lifted(a, b, m):
     assert lb.is_zero() == (b == 0) and (sa == lb) == (a == b)
 
 
+def _fraction_phi(m):
+    """Phi_m over Fractions: x^m - 1 divided by Phi_d for each proper
+    divisor d of m, with a division by the lead coefficient per step."""
+    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    for d in range(1, m):
+        if m % d:
+            continue
+        den = _fraction_phi(d)
+        out = [Fraction(0)] * (len(num) - len(den) + 1)
+        for k in range(len(out) - 1, -1, -1):
+            c = out[k] = num[k + len(den) - 1] / den[-1]
+            for j, dj in enumerate(den):
+                num[k + j] -= c * dj
+        assert not any(num)
+        num = out
+    return num
+
+
 def test_integer_cyclotomic_polynomial_is_phi():
     for m in range(1, 40):
-        phi = integer_cyclotomic_polynomial(m)
+        phi = cyclotomic_polynomial(m)
         assert all(type(c) is int for c in phi)
-        assert phi == cyclotomic_polynomial(m)
+        assert phi == tuple(_fraction_phi(m))
+        assert phi[-1] == 1
 
 
 def _fraction_product(a, b, m):
     """The schoolbook product over Fractions, reduced mod Phi_m."""
-    phi = cyclotomic_polynomial(m)
+    phi = _fraction_phi(m)
     d = len(phi) - 1
     prod = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            prod[i + j] += x * y
+            prod[i + j] += Fraction(x) * Fraction(y)
     for k in range(len(prod) - 1, d - 1, -1):
         for j in range(d):
             prod[k - d + j] -= prod[k] * phi[j]
@@ -256,10 +280,14 @@ def _fraction_product(a, b, m):
 
 
 def _coordinates(d):
-    integral = st.lists(
-        st.integers(-10**6, 10**6).map(Fraction), min_size=d, max_size=d
+    """Coordinates in normal form: all integral, all drawn from Fractions
+    (integral ones become ints), or a mix of large ints and Fractions."""
+    big = st.integers(-10**6, 10**6)
+    return st.one_of(
+        st.lists(big, min_size=d, max_size=d),
+        st.lists(_fractions.map(bare), min_size=d, max_size=d),
+        st.lists(st.one_of(big, _fractions.map(bare)), min_size=d, max_size=d),
     )
-    return st.one_of(integral, st.lists(_fractions, min_size=d, max_size=d))
 
 
 @settings(max_examples=200)
@@ -271,7 +299,49 @@ def test_integer_product_matches_fraction_convolution(data, m):
     got = Scalar(ctx, a) * Scalar(ctx, b)
     assert got.context is ctx
     assert got.coeffs == _fraction_product(a, b, m)
-    assert all(type(c) is Fraction for c in got.coeffs)
+    assert all(_is_bare(c) for c in got.coeffs)
+
+
+def _assert_normal(s, ctx):
+    assert type(s) is Scalar and s.context is ctx and len(s.coeffs) == ctx.degree
+    assert all(_is_bare(c) for c in s.coeffs), s.coeffs
+
+
+@settings(max_examples=150)
+@given(
+    data=st.data(),
+    m=st.sampled_from([3, 4, 5, 12]),
+    q=_fractions.filter(bool),
+    j=st.integers(0, 23),
+    k=st.integers(0, 23),
+)
+def test_every_operation_returns_normal_coordinates(data, m, q, j, k):
+    ctx = CyclotomicContext(m)
+    a = data.draw(_coordinates(ctx.degree).map(lambda cs: Scalar(ctx, tuple(cs))))
+    b = data.draw(_coordinates(ctx.degree).map(lambda cs: Scalar(ctx, tuple(cs))))
+    zj, zk = ctx.zeta(j), ctx.zeta(k)
+    # q*zeta^j times (1/q)*zeta^k cancels to the integral zeta^(j+k), as
+    # (1/2 zeta) * (2 zeta^2) does; so do x - x and (a*q) / q
+    x, y = zj * q, zk * (1 / q)
+    half_z, two_z2 = ctx.zeta() * Fraction(1, 2), ctx.zeta(2) * 2
+    values = [
+        zj, zk, ctx.from_rational(q), ctx.from_rational(Fraction(4, 2)),
+        ctx.from_rational(q * 2), x, y, x * y, y * x, x + x, x - x,
+        half_z * two_z2, a + b, a - b, -a, a * b, b * a, a * q, q * a,
+        a * (1 / q), (a * q) / q, a / q, x / y, zj / zk, a + q, q - a,
+        ctx.from_rational(q) * a,
+    ]
+    assert x * y == ctx.zeta(j + k) and (a * q) / q == a
+    assert half_z * two_z2 == ctx.zeta(3)
+    if a:
+        values += [a.inverse(), a * a.inverse(), 1 / a, b / a]
+        assert a * a.inverse() == one(ctx)
+    for v in values:
+        _assert_normal(v, ctx)
+    r = rational(q) * rational(1 / q)
+    assert r.coeffs == (1,) and type(r.coeffs[0]) is int
+    assert rational(4, 2).coeffs == (2,) and type(rational(Fraction(4, 2)).coeffs[0]) is int
+    assert rational(q).inverse().coeffs == (bare(1 / q),)
 
 
 def test_non_exact_division_raises_under_optimize():
@@ -285,10 +355,9 @@ def test_non_exact_division_raises_under_optimize():
 
     src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
     code = (
-        "from fractions import Fraction as F\n"
         "from mfinv.scalar import _polydiv_exact\n"
         "try:\n"
-        "    _polydiv_exact([F(1), F(0), F(1)], [F(1), F(1)])\n"
+        "    _polydiv_exact([1, 0, 1], [1, 1])\n"
         "except AssertionError as exc:\n"
         "    print('raised:', exc)\n"
     )
