@@ -6,9 +6,9 @@ quotients are supported at the origin, where global and local computations
 agree; `milnor.build_milnor` certifies that precondition for the Jacobian
 ideal, whose nilpotency search rejects support away from the origin.
 
-Module elements are flat dicts {(position, monomial): coefficient} from
-the engine's input to every `ModuleGB` it builds, and an ideal generator g
-is the element (g,).  The arithmetic is fraction-free (Bareiss 1968;
+Module elements are flat dicts {key: coefficient} from the engine's
+input to every `ModuleGB` it builds, and an ideal generator g is the
+element (g,).  The arithmetic is fraction-free (Bareiss 1968;
 Geddes-Czapor-Labahn, ch. 9).  Over Q `_flat` scales a tuple of
 polynomials by D, the lcm of its denominators, to ``int`` coefficients,
 and a basis entry is stored primitive: content removed, lead coefficient L
@@ -23,18 +23,26 @@ no gcd.  Every element is a scalar multiple of its field counterpart, so
 leads, pair order and results are those of field arithmetic.  Tuples of
 polynomials, one exact division per term with a Fraction only where it is
 not integral (`_unflat`), are built only for a basis's monic
-``generators`` and the results of `lift` and `module_normal_form`.  The module order is term-over-position: grevlex on
-the monomial part, ties to the lower position; with ``block=b`` any term
-in the first b positions beats every term outside them.  The term (p, m) has the order key
+``generators`` and the results of `lift` and `module_normal_form`.
 
-    (p >= block, -deg m, reversed m, p)
+The module order is term-over-position: grevlex on the monomial part, ties
+to the lower position; with ``block=b`` any term in the first b positions
+beats every term outside them.  The term (p, m) is one ``int`` key, the
+smaller key the larger term (Monagan-Pearce, CASC 2007):
 
-and the smaller key is the larger term, so a heap of keys yields the lead.
-Division keeps the keys of its working element in such a heap and deletes
-lazily: a key whose term has cancelled is skipped when it comes up.  Each
-basis keeps, per lead position, its entries' leads, lead coefficients and
-remaining terms; a lead is divided by the first entry, in insertion order,
-whose lead divides it.
+    K = (0 < block <= p) 2^k1 + (G_max - G(x)) 2^k2 + p 2^ps + x
+
+x packs the exponents of m into n fields of B = 32 bits, p has 32 bits, and
+G(x) = x R mod 2^(nB), R = sum_i 2^(Bi), is the grevlex word (deg m, x_1 +
+... + x_(n-1), ..., x_1).  A product by t adds x_t - G(x_t) 2^k2, that is
+K - K' when K' divides K in the same position: ((K | H) - K') & H == H, H
+the top bit of each field.  Exponents stay below 2^(B-L-1), L = ceil(log2
+n), so no sum of two terms carries into another field: `_flat` raises on a
+term outside the layout, and `_divide` on a popped term past that bound.
+`_scaled` clears the flag of a basis entering a new run, and `split`
+subtracts 2^k1 + b 2^ps from its tails.  Per lead position a basis keeps
+its entries' leads, lead coefficients and other terms; a lead is divided
+by the first entry, in insertion order, whose lead divides it.
 
 Bases of rank 1 also get Buchberger's product criterion.  Syzygies,
 cofactors, kernels and subquotients use the block order on an enlarged
@@ -53,33 +61,72 @@ terms.  `syzygies`, `module_kernel`, `subquotient_presentation` and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd, lcm as int_lcm
-from operator import add
+from operator import itemgetter
+import struct
 
-from .poly import (
-    Monomial,
-    PolyRing,
-    Polynomial,
-    grevlex_key,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from .poly import Monomial, PolyRing, Polynomial
 from .scalar import Frozen
 
 ModuleElement = tuple  # tuple[Polynomial, ...]
 
+_B, _PMASK = 32, (1 << 32) - 1  # the bits of each exponent field and of the position
+_OVERFLOW = "outside the packed layout: exponents below 2^%d (%d variables), positions below 2^32"
 
-def _flat(v, ring: PolyRing):
+
+class _Layout:
+    """The keys of the module docstring for n variables; `_layout` makes one per n."""
+
+    def __init__(self, n: int):
+        self.n, self.fmt = n, "<%dI" % n
+        self.limit = _B - 1 - max(n - 1, 0).bit_length()  # B - L - 1
+        self.ones = sum(1 << (_B * i) for i in range(n))  # R
+        self.high = self.ones << (_B - 1)  # H
+        self.guard = (_PMASK >> self.limit << self.limit) * self.ones  # the top L + 1 bits
+        self.ps = _B * n  # also the width of x and of G(x)
+        self.xmask, self.k2 = (1 << self.ps) - 1, self.ps + _B
+        self.flag = 1 << (self.k2 + self.ps)
+
+    def pack(self, p: int, m: Monomial, block: int) -> int:
+        if p > _PMASK or max(m, default=0) >> self.limit:
+            raise ValueError(_OVERFLOW % (self.limit, self.n))
+        x = int.from_bytes(struct.pack(self.fmt, *m), "little")
+        g = x * self.ones & self.xmask
+        return (0 < block <= p) * self.flag + ((self.xmask - g) << self.k2) + (p << self.ps) + x
+
+    def term(self, k: int) -> tuple:
+        """(position, exponent tuple) of the key k."""
+        x = (k & self.xmask).to_bytes(4 * self.n, "little")
+        return k >> self.ps & _PMASK, struct.unpack(self.fmt, x)
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether a's monomial divides b's; keys in one position, or exponent words."""
+        return ((b | self.high) - a) & self.high == self.high
+
+    def lcm(self, a: int, b: int) -> int:
+        """The key of the lcm of two keys in one position."""
+        d = ((b & self.xmask) | self.high) - (a & self.xmask)  # 2^(B-1) + xb - xa per field
+        ge = d & self.high  # the top bit of each field where xb >= xa
+        t = d & (ge - (ge >> (_B - 1)))  # lcm / a: xb - xa there, 0 elsewhere
+        return a + t - ((t * self.ones & self.xmask) << self.k2)
+
+    def deg(self, k: int) -> int:
+        return ((k & self.xmask) * self.ones & self.xmask) >> (_B * max(self.n - 1, 0))
+
+
+_layout = cache(_Layout)
+
+
+def _flat(v, ring: PolyRing, block: int):
     """(d, D): the tuple of polynomials times D as a flat element d =
-    {(position, monomial): coefficient}.  Over Q, D is the lcm of the
+    {key: coefficient} under ``block``.  Over Q, D is the lcm of the
     denominators and the coefficients are ints; over Q(zeta), D = 1 and
     they are the ring's Scalars."""
-    d = {(p, m): c for p, f in enumerate(v) for m, c in f.terms.items()}
+    pack = _layout(ring.n).pack
+    d = {pack(p, m, block): c for p, f in enumerate(v) for m, c in f.terms.items()}
     if ring.context is not None:
         return d, 1
     D = int_lcm(*(c.denominator for c in d.values()))
@@ -91,7 +138,7 @@ def _flat(v, ring: PolyRing):
 def _unflat(d: dict, length: int, ring: PolyRing, den: int = 1) -> ModuleElement:
     """The tuple of polynomials d / den; den is 1 over Q(zeta)."""
     comps: dict = {}
-    for (p, m), c in d.items():
+    for (p, m), c in zip(map(_layout(ring.n).term, d), d.values()):
         if den != 1:
             c = c // den if c % den == 0 else Fraction(c, den)
         comps.setdefault(p, {})[m] = c
@@ -110,51 +157,44 @@ def _normalize(d: dict, lead) -> dict:
     return {k: a * inv for k, a in d.items()}
 
 
-def _key(p: int, m: Monomial, block: int):
-    """Heap entry of the term (p, m): the order key, then the monomial."""
-    return (p >= block, -sum(m), m[::-1], p, m)
-
-
 class _Divisors:
     """A basis ready for division.  ``entries`` holds, in insertion order,
-    (element, lead position, lead monomial, lead coefficient L, other
-    terms), the other terms as (position, monomial, coefficient); ``by_pos``
-    maps a lead position to its entries as (lead monomial, L, other
-    terms).  `add` takes an element already in its stored form (see
-    `_normalize`), with its lead: primitive with a positive ``int`` L over
-    Q, monic with L = 1 over Q(zeta)."""
+    (element, lead position, lead key, lead coefficient L, other terms),
+    the other terms as (key, coefficient); ``by_pos`` maps a lead position
+    to its entries as (lead key, L, other terms).  `add` takes an element
+    already in its stored form (see `_normalize`), with its lead: primitive
+    with a positive ``int`` L over Q, monic with L = 1 over Q(zeta)."""
 
-    __slots__ = ("block", "entries", "by_pos")
+    __slots__ = ("block", "layout", "entries", "by_pos")
 
-    def __init__(self, block: int):
-        self.block = block
+    def __init__(self, block: int, layout: _Layout):
+        self.block, self.layout = block, layout
         self.entries: list = []
         self.by_pos: dict = {}
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def add(self, d: dict, lead) -> None:
-        p, m = lead
+    def add(self, d: dict, lead: int) -> None:
+        p = lead >> self.layout.ps & _PMASK
         lc = d[lead]
         if lc.__class__ is not int:
             lc = 1
-        rest = [(q, tm, a) for (q, tm), a in d.items() if q != p or tm != m]
-        self.by_pos.setdefault(p, []).append((m, lc, rest))
-        self.entries.append((d, p, m, lc, rest))
+        rest = [(k, a) for k, a in d.items() if k != lead]
+        self.by_pos.setdefault(p, []).append((lead, lc, rest))
+        self.entries.append((d, p, lead, lc, rest))
 
 
-def _add_multiple(work: dict, terms, t: Monomial, c, heap=None, block=0) -> None:
-    """work += c * t * terms for (position, monomial, coefficient) terms,
-    pushing the key of every new term onto ``heap`` when given."""
-    for q, tm, a in terms:
-        nm = tuple(map(add, t, tm))
-        k = (q, nm)
+def _add_multiple(work: dict, terms, t: int, c, heap=None) -> None:
+    """work += c * t * terms for (key, coefficient) terms, t the constant
+    of a monomial, pushing every new key onto ``heap`` when given."""
+    for k, a in terms:
+        k += t
         old = work.get(k)
         if old is None:
             work[k] = c * a
             if heap is not None:
-                heappush(heap, _key(q, nm, block))
+                heappush(heap, k)
         else:
             s = old + c * a
             if not s:
@@ -167,64 +207,65 @@ def _divide(work: dict, divs: _Divisors):
     """Full division of the flat element ``work`` (consumed) by ``divs``;
     returns (r, M), the remainder of M * work for the product M of the
     scales the division took."""
-    block = divs.block
-    by_pos = divs.by_pos
-    heap = [_key(p, m, block) for p, m in work]
+    lay = divs.layout
+    by_pos, ps, high, guard = divs.by_pos, lay.ps, lay.high, lay.guard
+    heap = list(work)
     heapify(heap)
-    rem = {}  # (p, m) -> (coefficient, M when it was recorded)
+    rem = {}  # key -> (coefficient, M when it was recorded)
     M = 1
     while heap:
-        p, m = heappop(heap)[3:]
-        c = work.pop((p, m), None)
+        k = heappop(heap)
+        c = work.pop(k, None)
         if c is None:
-            continue  # cancelled, or already divided under an older key
-        for wm, lc, rest in by_pos.get(p, ()):
-            # monomial_divides and monomial_div, inlined in the hot loop
-            if all(a <= b for a, b in zip(wm, m)):
-                t = tuple(b - a for a, b in zip(wm, m))
+            continue  # cancelled, or already divided when pushed before
+        if k & guard:
+            raise ValueError(_OVERFLOW % (lay.limit, lay.n))
+        for wk, lc, rest in by_pos.get(k >> ps & _PMASK, ()):
+            if ((k | high) - wk) & high == high:  # `_Layout.divides`, inlined
                 if lc != 1:
                     # (lc/g) work - (c/g) t entry cancels the term
                     g = gcd(lc, c)
                     if g != lc:
                         s = lc // g
                         M *= s
-                        for k, a in work.items():
-                            work[k] = a * s
+                        for kk, a in work.items():
+                            work[kk] = a * s
                     c //= g
                 # the lead cancels exactly; only the other terms change
-                _add_multiple(work, rest, t, -c, heap, block)
+                _add_multiple(work, rest, k - wk, -c, heap)
                 break
         else:
-            rem[p, m] = (c, M)
+            rem[k] = (c, M)
     return {k: c if Mk == M else c * (M // Mk) for k, (c, Mk) in rem.items()}, M
 
 
-def module_buchberger(gens, rank: int, block: int = 0) -> _Divisors:
-    """Reduced GB, ready for division, of the submodule of R^rank
-    that the flat elements ``gens`` (left unchanged) generate, under
-    term-over-position grevlex; ``block=r`` switches to the elimination
-    order whose first r positions dominate (for syzygies and cofactors)."""
-    divs = _Divisors(block)
+def module_buchberger(gens, rank: int, lay: _Layout, block: int = 0) -> _Divisors:
+    """Reduced GB, ready for division, of the submodule of R^rank that the
+    flat elements ``gens`` (left unchanged, keyed under ``block``) generate,
+    under term-over-position grevlex; ``block=r`` switches to the
+    elimination order whose first r positions dominate (for syzygies)."""
+    divs = _Divisors(block, lay)
     entries = divs.entries
     sugars: list[int] = []
-    # (sugar, grevlex key of lcm, position, j, i, lcm), taken smallest
-    # first; (j, i) is the insertion order, so ties go to the older pair
+    # (sugar, G(lcm) - G_max, position, j, i, lcm), taken smallest first;
+    # (j, i) is the insertion order, so ties go to the older pair
     pairs: list[tuple] = []
 
     def add_element(d, sugar):
         t = len(entries)
-        p, m = min(d, key=lambda pm: _key(pm[0], pm[1], block))  # the lead
+        m = min(d)  # the lead
+        p = m >> lay.ps & _PMASK
         cand = []
         for i, (_d, wp, wm, _c, _r) in enumerate(entries):
             if wp == p:
-                lcm = monomial_lcm(wm, m)
-                s = max(sugars[i] + sum(monomial_div(lcm, wm)), sugar + sum(monomial_div(lcm, m)))
+                lcm = lay.lcm(wm, m)
+                s = max(sugars[i] - lay.deg(wm), sugar - lay.deg(m)) + lay.deg(lcm)
                 cand.append([lcm, s, i, True])
         # Gebauer-Moeller update of the pair set
         # criterion M: drop pairs whose lcm is a proper multiple of another's
         for a in cand:
             for b in cand:
-                if a is not b and b[3] and monomial_divides(b[0], a[0]) and a[0] != b[0]:
+                if a is not b and b[3] and lay.divides(b[0], a[0]) and a[0] != b[0]:
                     a[3] = False
                     break
         # criterion F: among equal lcms keep a single representative
@@ -238,25 +279,25 @@ def module_buchberger(gens, rank: int, block: int = 0) -> _Divisors:
         # product criterion (ideals only): coprime leads reduce to zero
         if rank == 1:
             for a in cand:
-                if a[3] and monomial_mul(entries[a[2]][2], m) == a[0]:
+                if a[3] and lay.deg(entries[a[2]][2]) + lay.deg(m) == lay.deg(a[0]):
                     a[3] = False
         # chain criterion on the old pairs
         pairs[:] = [
             q for q in pairs
             if not (
                 q[2] == p
-                and monomial_divides(m, q[5])
-                and monomial_lcm(entries[q[3]][2], m) != q[5]
-                and monomial_lcm(entries[q[4]][2], m) != q[5]
+                and lay.divides(m, q[5])
+                and lay.lcm(entries[q[3]][2], m) != q[5]
+                and lay.lcm(entries[q[4]][2], m) != q[5]
             )
         ]
-        pairs.extend((s, grevlex_key(lcm), p, t, i, lcm) for lcm, s, i, alive in cand if alive)
-        divs.add(_normalize(d, (p, m)), (p, m))
+        pairs.extend((s, -(u >> lay.k2 & lay.xmask), p, t, i, u) for u, s, i, ok in cand if ok)
+        divs.add(_normalize(d, m), m)
         sugars.append(sugar)
 
     for d in gens:
         if d:
-            sugar = max(sum(m) for _p, m in d)
+            sugar = max(map(lay.deg, d))
             r, _M = _divide(dict(d), divs)
             if r:
                 add_element(r, sugar)
@@ -264,15 +305,15 @@ def module_buchberger(gens, rank: int, block: int = 0) -> _Divisors:
     while pairs:
         q = min(pairs)
         pairs.remove(q)
-        sugar, _grevlex, _p, j, i, lcm = q
-        _di, _, mi, li, rest_i = entries[i]
-        _dj, _, mj, lj, rest_j = entries[j]
+        sugar, _g, _p, j, i, lcm = q
+        _di, _, ki, li, rest_i = entries[i]
+        _dj, _, kj, lj, rest_j = entries[j]
         # (lj/g) t_i e_i - (li/g) t_j e_j: the leads cancel exactly, and
         # the S-vector is made of the rest
         g = gcd(li, lj)
         s: dict = {}
-        _add_multiple(s, rest_i, monomial_div(lcm, mi), lj // g)
-        _add_multiple(s, rest_j, monomial_div(lcm, mj), -(li // g))
+        _add_multiple(s, rest_i, lcm - ki, lj // g)
+        _add_multiple(s, rest_j, lcm - kj, -(li // g))
         r, _M = _divide(s, divs)
         if r:
             add_element(r, sugar)
@@ -280,20 +321,20 @@ def module_buchberger(gens, rank: int, block: int = 0) -> _Divisors:
     # minimalize: drop the entries whose lead another lead divides; the
     # leads are distinct, as each element was reduced by those before it
     minimal = [
-        (d, (p, m))
-        for d, p, m, _c, _r in entries
-        if not any(wm != m and monomial_divides(wm, m) for wm, _c, _r in divs.by_pos[p])
+        (d, k)
+        for d, p, k, _c, _r in entries
+        if not any(wk != k and lay.divides(wk, k) for wk, _c, _r in divs.by_pos[p])
     ]
     # tail-reduce from the smallest lead up: only smaller leads divide a
     # tail term, and those are reduced already; no other lead divides this
     # one, so it passes through as lc * M (the monic lead over Q(zeta))
-    minimal.sort(key=lambda e: _key(*e[1], block), reverse=True)
-    final = _Divisors(block)
+    minimal.sort(key=itemgetter(1), reverse=True)
+    final = _Divisors(block, lay)
     for d, lead in minimal:
         r, _M = _divide(dict(d), final)
         final.add(_normalize(r, lead) if d[lead].__class__ is int else r, lead)
     # handed out by position, then grevlex: the order ``by_pos`` already has
-    final.entries.sort(key=lambda e: (e[1], grevlex_key(e[2])))
+    final.entries.sort(key=lambda e: (e[1], -e[2]))
     return final
 
 
@@ -319,22 +360,25 @@ class ModuleGB(Frozen):
         return tuple(_unflat(d, self.rank, self.ring, lc) for d, _p, _m, lc, _r in entries)
 
 
-def _scaled(gens, ring: PolyRing) -> list:
-    """(c g, c) per element g of ``gens``, c g flat: c = L, the stored lead,
-    for a `ModuleGB`; for tuples of polynomials D over Q, 1 over Q(zeta)."""
+def _scaled(gens, ring: PolyRing, block: int) -> list:
+    """(c g, c) per element g of ``gens``, c g flat under ``block``: c = L,
+    the stored lead, for a `ModuleGB`, flag bits cleared; for tuples of
+    polynomials D over Q, 1 over Q(zeta)."""
     if isinstance(gens, ModuleGB):
-        return [(d, d[p, m]) for d, p, m, _c, _r in gens._divisors.entries]
-    return [(d, ring.coefficient(D)) for d, D in (_flat(g, ring) for g in gens)]
+        clear, entries = ~gens._divisors.layout.flag, gens._divisors.entries
+        return [({t & clear: a for t, a in d.items()}, d[k]) for d, _p, k, _c, _r in entries]
+    return [(d, ring.coefficient(D)) for d, D in (_flat(g, ring, block) for g in gens)]
 
 
 def module_gb(gens, rank: int, ring: PolyRing) -> ModuleGB:
-    return ModuleGB(ring, rank, module_buchberger([d for d, _c in _scaled(gens, ring)], rank))
+    gens = [d for d, _c in _scaled(gens, ring, 0)]
+    return ModuleGB(ring, rank, module_buchberger(gens, rank, _layout(ring.n)))
 
 
 def module_normal_form(v, mgb: ModuleGB):
     if len(v) != mgb.rank:
         raise ValueError("vector of length %d in a module of rank %d" % (len(v), mgb.rank))
-    d, D = _flat(v, mgb.ring)
+    d, D = _flat(v, mgb.ring, mgb.block)
     r, M = _divide(d, mgb._divisors)
     return _unflat(r, mgb.rank, mgb.ring, D * M)
 
@@ -344,11 +388,12 @@ def lift_basis(gens, rank: int, ring: PolyRing, extra=()) -> ModuleGB:
     R^(rank + s), s = len(gens), for g_i in ``gens`` and h_j in ``extra``,
     with block = rank.  ``gens`` and ``extra`` are tuples of polynomials or
     a `ModuleGB`, whose entries L g_i give L (g_i, e_i) as they are."""
-    z = (0,) * ring.n
-    vectors = [{**d, (rank + i, z): c} for i, (d, c) in enumerate(_scaled(gens, ring))]
+    lay, z = _layout(ring.n), (0,) * ring.n
+    scaled = _scaled(gens, ring, rank)
+    vectors = [{**d, lay.pack(rank + i, z, rank): c} for i, (d, c) in enumerate(scaled)]
     s = len(vectors)
-    vectors += [d for d, _c in _scaled(extra, ring)]
-    return ModuleGB(ring, rank + s, module_buchberger(vectors, rank + s, rank))
+    vectors += [d for d, _c in _scaled(extra, ring, rank)]
+    return ModuleGB(ring, rank + s, module_buchberger(vectors, rank + s, lay, rank))
 
 
 def lift(v, basis: ModuleGB):
@@ -359,7 +404,7 @@ def lift(v, basis: ModuleGB):
     ring, b = basis.ring, basis.block
     if len(v) != b:
         raise ValueError("vector of length %d for a lift basis of block %d" % (len(v), b))
-    d, D = _flat(v, ring)
+    d, D = _flat(v, ring, b)
     r, M = _divide(d, basis._divisors)
     rem = _unflat(r, basis.rank, ring, D * M)
     return rem[:b], tuple(-a for a in rem[b:])
@@ -371,14 +416,15 @@ def split(basis: ModuleGB):
     and the other components, shifted to position 0, of the elements whose
     first block vanishes, a reduced basis of the relations.  The leads stay
     where they are; a head over Q may have content to remove."""
-    b, ring = basis.block, basis.ring
-    heads, tails = _Divisors(0), _Divisors(0)
-    for d, p, m, _c, _r in basis._divisors.entries:
+    b, ring, lay = basis.block, basis.ring, basis._divisors.layout
+    flag, shift = lay.flag, lay.flag + (b << lay.ps)
+    heads, tails = _Divisors(0, lay), _Divisors(0, lay)
+    for d, p, k, _c, _r in basis._divisors.entries:
         if p < b:
-            head = {k: a for k, a in d.items() if k[0] < b}
-            heads.add(_normalize(head, (p, m)) if ring.context is None else head, (p, m))
+            head = {t: a for t, a in d.items() if t < flag}
+            heads.add(_normalize(head, k) if ring.context is None else head, k)
         else:
-            tails.add({(q - b, t): a for (q, t), a in d.items()}, (p - b, m))
+            tails.add({t - shift: a for t, a in d.items()}, k - shift)
     return ModuleGB(ring, b, heads), ModuleGB(ring, basis.rank - b, tails)
 
 
@@ -400,25 +446,23 @@ def module_kernel(matrix, r_in: int, r_out: int, ring: PolyRing):
 
 def module_standard_monomials(mgb: ModuleGB):
     """Standard (position, monomial) pairs of R^rank / <leads>, or None."""
-    n = mgb.ring.n
-    leads: dict[int, list[Monomial]] = {p: [] for p in range(mgb.rank)}
-    for _d, p, m, _c, _r in mgb._divisors.entries:
-        leads[p].append(m)
+    lay, by_pos = mgb._divisors.layout, mgb._divisors.by_pos
     out = []
     for p in range(mgb.rank):
-        lm = leads[p]
+        lx = [k & lay.xmask for k, _c, _r in by_pos.get(p, ())]
         bounds = []
-        for i in range(n):
-            pure = [m[i] for m in lm if all(e == 0 for k, e in enumerate(m) if k != i)]
+        for i in range(lay.n):
+            # the pure powers of x_i: exponent words with bits in field i only
+            pure = [x for x in lx if not x & ~(_PMASK << (_B * i))]
             if not pure:
                 return None
             bounds.append(min(pure))
-        # box enumeration over prod [0, bounds_i)
-        for m in product(*(range(b) for b in bounds)):
-            if not any(monomial_divides(l, m) for l in lm):
-                out.append((p, m))
-    out.sort(key=lambda t: (t[0], grevlex_key(t[1])))
-    return out
+        # box enumeration over the exponent words below the pure powers
+        for x in map(sum, product(*(range(0, w, 1 << (_B * i)) for i, w in enumerate(bounds)))):
+            if not any(lay.divides(l, x) for l in lx):
+                out.append((p, x))
+    out.sort(key=lambda t: (t[0], t[1] * lay.ones & lay.xmask))  # by position, then G(x)
+    return [(p, lay.term(x)[1]) for p, x in out]
 
 
 def subquotient_presentation(kernel: ModuleGB, image):

@@ -245,6 +245,8 @@ class Scalar(Frozen):
         if pair is NotImplemented:
             return NotImplemented
         a, b = pair
+        if a.is_rational():
+            a, b = b, a  # the product commutes; scale by the rational side
         if b.is_rational():
             f = b.coeffs[0]
             return Scalar(a.context, tuple(bare(x * f) for x in a.coeffs))

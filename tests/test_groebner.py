@@ -26,14 +26,7 @@ from mfinv.homology import euler, hom_cohomology
 from mfinv.invariants import chi_hrr
 from mfinv.milnor import build_milnor
 from mfinv.mfcore import hom_differential, koszul, vector_to_morphism
-from mfinv.poly import (
-    PolyRing,
-    Polynomial,
-    grevlex_key,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-)
+from mfinv.poly import PolyRing, Polynomial, grevlex_key
 from mfinv.scalar import CyclotomicContext, Scalar
 
 R2 = PolyRing(("x", "y"))
@@ -265,6 +258,23 @@ def test_cofactor_identity_random(f):
 # --- the tuple-of-polynomials division, kept as the reference ----------------
 
 
+# exponent-tuple arithmetic, the reference for the engine's packed keys
+def monomial_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def monomial_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def monomial_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def monomial_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 def _ref_lead(v, block):
     positions = [p for p, c in enumerate(v) if c.terms]
     if positions[0] < block:
@@ -464,13 +474,14 @@ def test_divisor_entries_are_primitive_over_q_and_monic_over_q_zeta(monkeypatch)
     field = [None]
 
     def check(entry):
-        d, p, m, lc, rest = entry
+        # the lead is the packed key of the lead term
+        d, _p, lead, lc, rest = entry
         assert type(lc) is int and len(rest) == len(d) - 1
         if field[0] is None:
             assert all(type(a) is int for a in d.values())
-            assert lc > 0 and d[p, m] == lc and gcd(*d.values()) == 1
+            assert lc > 0 and d[lead] == lc and gcd(*d.values()) == 1
         else:
-            assert lc == 1 and d[p, m] == 1
+            assert lc == 1 and d[lead] == 1
             assert all(type(a) is Scalar for a in d.values())
         seen[field[0]] += 1
 
@@ -846,3 +857,89 @@ def test_engine_returns_scalars_of_the_ring():
         check((r,), cof)
     # both fields were exercised
     assert counts[None] > 500 and counts[3] > 50
+
+
+# --- packed term keys against exponent tuples -------------------------------
+
+
+def _tuple_key(p, m, block):
+    """The order key of the term (p, m) on exponent tuples: the smaller key
+    is the larger term."""
+    return (p >= block, -sum(m), m[::-1], p)
+
+
+def _exponents(lay, n):
+    # small exponents, and ones whose sum still fits the packed field
+    big = st.integers(min_value=0, max_value=(1 << (lay.limit - 1)) - 1)
+    return st.tuples(*[st.one_of(st.integers(min_value=0, max_value=4), big)] * n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=5))
+def test_packed_keys_sort_in_the_tuple_order(data, n):
+    lay = groebner._layout(n)
+    block = data.draw(st.integers(min_value=0, max_value=4))
+    position = st.integers(min_value=0, max_value=6)
+    terms = data.draw(
+        st.lists(st.tuples(position, _exponents(lay, n)), min_size=1, max_size=30, unique=True)
+    )
+    keys = [lay.pack(p, m, block) for p, m in terms]
+    assert [lay.term(k) for k in keys] == terms
+    order = sorted(range(len(terms)), key=keys.__getitem__)
+    assert order == sorted(range(len(terms)), key=lambda i: _tuple_key(*terms[i], block))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=5))
+def test_packed_arithmetic_matches_the_tuple_helpers(data, n):
+    lay = groebner._layout(n)
+    a, b, c = (data.draw(_exponents(lay, n)) for _ in range(3))
+    p = data.draw(st.integers(min_value=0, max_value=6))
+    block = data.draw(st.integers(min_value=0, max_value=6))
+    one = lay.pack(0, (0,) * n, 1)
+
+    def constant(t):  # the product by t is the addition of this int
+        return lay.pack(0, t, 1) - one
+
+    ka, kb = lay.pack(p, a, block), lay.pack(p, b, block)
+    assert ka + constant(b) == lay.pack(p, monomial_mul(a, b), block)
+    assert lay.lcm(ka, kb) == lay.pack(p, monomial_lcm(a, b), block)
+    assert lay.deg(ka) == sum(a)
+    for u, v in ((a, b), (b, a), (a, monomial_mul(a, c))):
+        ku, kv = lay.pack(p, u, block), lay.pack(p, v, block)
+        assert lay.divides(ku, kv) == monomial_divides(u, v)
+        assert lay.divides(ku & lay.xmask, kv & lay.xmask) == monomial_divides(u, v)
+        if monomial_divides(u, v):
+            assert kv - ku == constant(monomial_div(v, u))
+
+
+def test_exponent_past_the_packed_field_raises_under_optimize():
+    # the guard must not be a bare assert, which python -O strips: an
+    # input exponent past the field, and an S-vector x * x^(E-1) built
+    # from inputs inside it (the pair of x^(E-2) y^3 + x^(E-1) and x^(E-1))
+    import os
+    import subprocess
+    import sys
+
+    import mfinv
+
+    src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    code = (
+        "from mfinv.groebner import _layout, buchberger\n"
+        "from mfinv.poly import PolyRing\n"
+        "R = PolyRing(('x', 'y'))\n"
+        "E = 1 << _layout(2).limit\n"
+        "cases = [[R.monomial((E, 0))],\n"
+        "         [R.monomial((E - 2, 3)) + R.monomial((E - 1, 0)), R.monomial((E - 1, 0))]]\n"
+        "for gens in cases:\n"
+        "    try:\n"
+        "        buchberger(gens)\n"
+        "    except ValueError as exc:\n"
+        "        print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    message = "raised: outside the packed layout: exponents below 2^30 (2 variables)"
+    assert out.stdout.splitlines() == [message + ", positions below 2^32"] * 2

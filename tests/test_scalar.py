@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from mfinv.scalar import (
     CyclotomicContext,
     Scalar,
+    _convolve,
+    _reduce_mod_phi,
     bare,
     cyclotomic_polynomial,
     one,
@@ -300,6 +302,23 @@ def test_integer_product_matches_fraction_convolution(data, m):
     assert got.context is ctx
     assert got.coeffs == _fraction_product(a, b, m)
     assert all(_is_bare(c) for c in got.coeffs)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), m=st.integers(3, 12))
+def test_rational_factor_on_either_side_matches_the_convolution(data, m):
+    # a rational operand scales the other's coordinates on either side;
+    # the convolution reduced mod Phi_m is the route it replaces
+    ctx = CyclotomicContext(m)
+    q = data.draw(_fractions.map(bare))
+    r = (q,) + (0,) * (ctx.degree - 1)
+    b = tuple(data.draw(_coordinates(ctx.degree)))
+    want = tuple(_reduce_mod_phi(_convolve(r, b), ctx.minimal_polynomial))
+    assert want == _fraction_product(r, b, m)
+    sr, sb = Scalar(ctx, r), Scalar(ctx, b)
+    for got in (sr * sb, sb * sr, rational(q) * sb, sb * rational(q), q * sb, sb * q):
+        assert got.context is ctx and got.coeffs == want
+        assert all(_is_bare(c) for c in got.coeffs)
 
 
 def _assert_normal(s, ctx):
