@@ -8,8 +8,10 @@ checkouts can be compared for speed and for identical output.  The
 verify output holds only pass or fail per check, so the line also has a
 digest of the computed values: the `--json` output of `milnor`, of `chern`
 for each factorization, and of `hom` and `cardy` (on the identity
-endomorphisms) for each ordered pair of factorizations.  Standard library
-and the mfinv of this checkout only.
+endomorphisms) for each ordered pair of factorizations; on a session with
+a group also of `sectors`, `orbifold-hh`, and `equivariant-chi` for each
+ordered pair of factorizations with `rho` data.  Standard library and the
+mfinv of this checkout only.
 
     python scripts/time_sessions.py
 """
@@ -73,6 +75,10 @@ def value_digest(path: pathlib.Path) -> str:
     for a in names:
         for b in names:
             commands += [["hom", a, b], ["cardy", a, b, "id_" + a, "id_" + b]]
+    if "group" in doc:
+        commands += [["sectors"], ["orbifold-hh"]]
+        equivariant = [a for a in names if "rho" in doc["factorizations"][a]]
+        commands += [["equivariant-chi", a, b] for a in equivariant for b in equivariant]
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         session_path = pathlib.Path(tmp) / path.name

@@ -529,13 +529,12 @@ def cmd_cardy(session: Session, args) -> dict:
 
 
 def cmd_sectors(session: Session, args) -> dict:
-    from .equivariant import sector
+    from .equivariant import sectors
 
     if session.group is None:
         raise SessionError("this command needs a group in the session")
     out = []
-    for g in session.group.elements:
-        sec = sector(session.w, g)
+    for g, sec in zip(session.group.elements, sectors(session.w, session.group.elements)):
         out.append(
             {
                 "element": g,

@@ -29,9 +29,20 @@ that contains the generators is all of G.  The same argument covers the
 invariance of the potential, w(g x) = w, and of a morphism, g . f = f.
 Because ``G.elements`` lists the identity and then the distinct
 generators in input order, the first generator that fails is the first
-element that would fail.  Sectors with no fixed variables degenerate to
-the zero-variable Milnor algebra A = k; the supertrace of rho(g) itself is
-the character there and the empty pairing sign is +1.
+element that would fail.  The generators also fix the action on the Hom
+cohomology H(E, F), a representation of G: `invariant_hom_dimensions`
+computes its matrices on the generators only and extends them over
+``G.products`` as `equivariant_actions` extends rho, checking every
+relation.
+
+Each piece of work is done once.  `validate_equivariant` keeps the table
+it has checked on the `EquivariantMF`, for the last group it was checked
+against (compared by identity; both objects are immutable), and a failed
+check stores nothing.  A sweep builds one sector per set of fixed
+variables, on which alone the sector of g depends.  Sectors with no
+fixed variables degenerate to the zero-variable Milnor algebra A = k; the
+supertrace of rho(g) itself is the character there and the empty pairing
+sign is +1.
 
 The g-component is the plain supertrace str(d delta ... d delta . rho(g))
 over the fixed indices, so action matrices go through the same
@@ -42,6 +53,8 @@ over the abstract cyclic grading group, whose generator has the exponent
 vector of the weights over a table of order 2 ell.
 """
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .homology import hom_cohomology
 from .mfcore import (
@@ -81,7 +94,7 @@ def _roots(context, m: int) -> tuple:
     return tuple(context.zeta(k * (context.order // m)) for k in range(m))
 
 
-class DiagonalGroup:
+class DiagonalGroup(Frozen):
     """An enumerated finite group of diagonal scaling symmetries.
 
     ``exponents[i]`` is the exponent vector of ``elements[i]`` over
@@ -95,15 +108,18 @@ class DiagonalGroup:
                  "products", "_index", "_position")
 
     def __init__(self, context, n, roots, gen_exponents, position, products):
-        self.context = context
-        self.n = n
-        self.roots = roots
-        self.generators = tuple(tuple(roots[k] for k in h) for h in gen_exponents)
-        self.exponents = tuple(position)  # identity first
-        self.elements = tuple(tuple(roots[k] for k in e) for e in self.exponents)
-        self.products = products
-        self._index = {g: i for i, g in enumerate(self.elements)}
-        self._position = position  # exponent vector -> position
+        exponents = tuple(position)  # identity first
+        elements = tuple(tuple(roots[k] for k in e) for e in exponents)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "generators",
+                           tuple(tuple(roots[k] for k in h) for h in gen_exponents))
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "products", products)
+        object.__setattr__(self, "_index", {g: i for i, g in enumerate(elements)})
+        object.__setattr__(self, "_position", position)  # exponent vector -> position
 
     @property
     def order(self) -> int:
@@ -116,7 +132,7 @@ class DiagonalGroup:
     def index(self, g: Element) -> int:
         try:
             return self._index[g]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: g is not hashable
             raise ValueError("element is not in the enumerated group") from None
 
     def exponent(self, g: Element) -> tuple:
@@ -183,13 +199,13 @@ def check_invariance(w: Polynomial, G: DiagonalGroup) -> None:
 
 
 class Sector(Frozen):
-    """Fixed-locus data of one group element; ``milnor`` is A_{w_g} over
-    the fixed-variable ring."""
+    """Fixed-locus data of a group element, shared by every element with
+    the same fixed variables; ``milnor`` is A_{w_g} over the
+    fixed-variable ring."""
 
-    __slots__ = ("g", "fixed_indices", "milnor")
+    __slots__ = ("fixed_indices", "milnor")
 
-    def __init__(self, g: Element, fixed_indices: tuple[int, ...], milnor: MilnorRing):
-        object.__setattr__(self, "g", g)
+    def __init__(self, fixed_indices: tuple[int, ...], milnor: MilnorRing):
         object.__setattr__(self, "fixed_indices", fixed_indices)
         object.__setattr__(self, "milnor", milnor)
 
@@ -217,7 +233,19 @@ def sector(w: Polynomial, g: Element) -> Sector:
         milnor = build_milnor(w_g)
     except ValueError as exc:
         raise AssertionError("sector potential is not isolated: %s" % exc) from exc
-    return Sector(g, fixed, milnor)
+    return Sector(fixed, milnor)
+
+
+def sectors(w: Polynomial, elements) -> list[Sector]:
+    """The sector of each element, built once per set of fixed variables."""
+    built = {}
+    out = []
+    for g in elements:
+        fixed = tuple(i for i, lam in enumerate(g) if lam == 1)
+        if fixed not in built:
+            built[fixed] = sector(w, g)
+        out.append(built[fixed])
+    return out
 
 
 def restrict_to_sector(p: Polynomial, sec: Sector) -> Polynomial:
@@ -228,26 +256,33 @@ def restrict_to_sector(p: Polynomial, sec: Sector) -> Polynomial:
 # --- action matrices --------------------------------------------------------
 
 
-def equivariant_actions(E: EquivariantMF, G: DiagonalGroup) -> dict:
-    """rho(g) for every element, extended from the generators.
-
-    One breadth-first pass over the closure: the first product
-    rho(g) rho(h_k) defines rho(g h_k), and every later product that lands
-    on the same element checks a group relation.  Raises when the action
-    fails a relation or a generator count mismatches.
-    """
-    if len(E.action) != len(G.generators):
-        raise ValueError("one action matrix per group generator is required")
+def _extend(G: DiagonalGroup, generators: list, size: int) -> list | None:
+    """M(g) for every element in ``G.elements`` order, from
+    M(h_k) = generators[k], in one breadth-first pass over the closure:
+    the first product M(g) M(h_k) defines M(g h_k), and every later
+    product that lands on the same element checks a group relation.
+    None when a relation fails."""
     zero = scalar_zero(G.context)
-    rho = [diagonal_matrix([scalar_one(G.context)] * E.base.rank, zero)]
-    rho += [None] * (G.order - 1)
+    M = [diagonal_matrix([scalar_one(G.context)] * size, zero)] + [None] * (G.order - 1)
     for i, row in enumerate(G.products):
         for k, j in enumerate(row):
-            M = mat_mul(rho[i], E.action[k], zero)
-            if rho[j] is None:
-                rho[j] = M
-            elif M != rho[j]:
-                raise ValueError("action does not respect the group relations")
+            P = mat_mul(M[i], generators[k], zero)
+            if M[j] is None:
+                M[j] = P
+            elif P != M[j]:
+                return None
+    return M
+
+
+def equivariant_actions(E: EquivariantMF, G: DiagonalGroup) -> dict:
+    """rho(g) for every element, extended from the generators by `_extend`.
+    Raises when the action fails a relation or a generator count
+    mismatches."""
+    if len(E.action) != len(G.generators):
+        raise ValueError("one action matrix per group generator is required")
+    rho = _extend(G, E.action, E.base.rank)
+    if rho is None:
+        raise ValueError("action does not respect the group relations")
     return dict(zip(G.elements, rho))
 
 
@@ -257,10 +292,14 @@ def _commutes(delta, k: tuple, roots: tuple, rho, zero) -> bool:
     return mat_mul(rho, moved, zero) == mat_mul(delta, rho, zero)
 
 
-def validate_equivariant(E: EquivariantMF, G: DiagonalGroup) -> dict:
-    """The action table of `equivariant_actions`, after checking
+def validate_equivariant(E: EquivariantMF, G: DiagonalGroup) -> MappingProxyType:
+    """The action table of `equivariant_actions`, read-only, after checking
     rho(g) delta(g x) = delta(x) rho(g) for every element, through its
-    generators (module docstring)."""
+    generators (module docstring).  The checked table is kept on E for G,
+    so later calls with the same G return it at once."""
+    checked = E.checked
+    if checked is not None and checked[0] is G:
+        return MappingProxyType(checked[1])
     actions = equivariant_actions(E, G)
     delta = E.base.delta
     for g, k in G.generator_items():
@@ -269,7 +308,9 @@ def validate_equivariant(E: EquivariantMF, G: DiagonalGroup) -> dict:
                 "factorization is not equivariant under (%s)"
                 % ", ".join(str(x) for x in g)
             )
-    return actions
+    # the slot holds the dict itself, which copy and pickle can carry
+    object.__setattr__(E, "checked", (G, actions))
+    return MappingProxyType(actions)
 
 
 def twist(E: EquivariantMF, characters) -> EquivariantMF:
@@ -291,14 +332,20 @@ def equivariant_dual(E: EquivariantMF, G: DiagonalGroup) -> EquivariantMF:
 # --- equivariant characters -------------------------------------------------
 
 
+def _fixed_product(base: MatFac, sec: Sector):
+    """The product of d delta over the fixed indices, the highest leftmost."""
+    return derivative_product(base, sec.fixed_indices[::-1])
+
+
 def _sector_character(
     base: MatFac,
     sec: Sector,
+    P,
     rho_g,
     alpha: MorphismCocycle | None,
 ) -> MilnorClass:
+    """The g-sector character from ``P = _fixed_product(base, sec)``."""
     zero = base.ring.zero()
-    P = derivative_product(base, sorted(sec.fixed_indices, reverse=True))
     M = mat_mul(P, rho_g, zero)
     extra = 0
     if alpha is not None:
@@ -310,21 +357,25 @@ def _sector_character(
 
 def chern_equivariant(E: EquivariantMF, G: DiagonalGroup, g: Element) -> MilnorClass:
     """The g-component of the equivariant Chern character, in A_{w_g}."""
+    G.index(g)  # an element outside G raises before any work
     actions = validate_equivariant(E, G)
-    return _sector_character(E.base, sector(E.base.w, g), actions[g], None)
+    sec = sector(E.base.w, g)
+    return _sector_character(E.base, sec, _fixed_product(E.base, sec), actions[g], None)
 
 
 def tau_equivariant(
     E: EquivariantMF, G: DiagonalGroup, g: Element, alpha: MorphismCocycle
 ) -> MilnorClass:
     """Equivariant boundary-bulk map on an invariant closed endomorphism."""
+    G.index(g)  # an element outside G raises before any work
     actions = validate_equivariant(E, G)
     check_endomorphism(E.base, alpha)
     # h . alpha = alpha on the generators gives it on G (module docstring)
     for h in G.generators:
         if _morphism_action_full(alpha, G, h, actions, actions) != alpha.matrix:
             raise ValueError("morphism is not invariant under the group")
-    return _sector_character(E.base, sector(E.base.w, g), actions[g], alpha)
+    sec = sector(E.base.w, g)
+    return _sector_character(E.base, sec, _fixed_product(E.base, sec), actions[g], alpha)
 
 
 def _morphism_action_full(f, G: DiagonalGroup, g, actions_E, actions_F):
@@ -362,10 +413,13 @@ def _orbifold_sum(w, E: MatFac, F: MatFac, terms, context, what: str) -> Scalar:
     """|terms|^(-1) sum over (g, rho_E(g^-1), rho_F(g)) of the c_g-weighted
     pairing of the two sector characters; must be a rational integer."""
     total = rational(0)
-    for g, rho_E, rho_F in terms:
-        sec = sector(w, g)
-        a = _sector_character(E, sec, rho_E, None)
-        b = _sector_character(F, sec, rho_F, None)
+    products = {}  # fixed indices -> the fixed products of E and F
+    for (g, rho_E, rho_F), sec in zip(terms, sectors(w, [t[0] for t in terms])):
+        if sec.fixed_indices not in products:
+            products[sec.fixed_indices] = (_fixed_product(E, sec), _fixed_product(F, sec))
+        P_E, P_F = products[sec.fixed_indices]
+        a = _sector_character(E, sec, P_E, rho_E, None)
+        b = _sector_character(F, sec, P_F, rho_F, None)
         pair = canonical_pairing(a, b)
         total = total + c_weight(g, context) * pair
     total = total / rational(len(terms))
@@ -379,8 +433,10 @@ def invariant_hom_dimensions(
 ) -> tuple[int, int]:
     """Dimensions of the G-invariant parts of the Hom cohomology.
 
-    Computed through the averaging projector acting on class coordinates;
-    idempotency and integrality of the trace are asserted.
+    Computed through the averaging projector acting on class coordinates,
+    from the generators' matrices extended to every element by `_extend`
+    (module docstring); the group relations, idempotency and integrality
+    of the trace are asserted.
     """
     actions_E = validate_equivariant(E, G)
     actions_F = validate_equivariant(F, G)
@@ -391,15 +447,15 @@ def invariant_hom_dimensions(
             dims.append(0)
             continue
         reps = [basis.representative(parity, k) for k in range(count)]
-        avg = None
-        for g in G.elements:
-            cols = []
-            for f in reps:
-                acted = _morphism_action_full(f, G, g, actions_E, actions_F)
-                af = MorphismCocycle(E.base, F.base, parity, acted)
-                cols.append(basis.class_coordinates(af))
-            Mg = mat_transpose(cols)
-            avg = Mg if avg is None else mat_add(avg, Mg)
+        generators = [
+            _class_action(basis, reps, G, h, actions_E, actions_F) for h in G.generators
+        ]
+        mats = _extend(G, generators, count)
+        if mats is None:
+            raise AssertionError("action on Hom cohomology does not respect the group relations")
+        avg = mats[0]
+        for Mg in mats[1:]:
+            avg = mat_add(avg, Mg)
         P = mat_scale(avg, rational(1, G.order))
         if mat_mul(P, P, scalar_zero(G.context)) != P:
             raise AssertionError("averaging operator failed to be idempotent")
@@ -410,6 +466,16 @@ def invariant_hom_dimensions(
             raise AssertionError("projector trace is not an integer: %s" % trace)
         dims.append(int(trace.as_fraction()))
     return dims[0], dims[1]
+
+
+def _class_action(basis, reps, G: DiagonalGroup, h: Element, actions_E, actions_F):
+    """The matrix of h on H^p(E, F) in class coordinates: column k holds
+    the coordinates of h . reps[k]."""
+    cols = []
+    for f in reps:
+        acted = _morphism_action_full(f, G, h, actions_E, actions_F)
+        cols.append(basis.class_coordinates(MorphismCocycle(f.source, f.target, f.parity, acted)))
+    return mat_transpose(cols)
 
 
 # --- orbifold Hochschild dimensions ----------------------------------------
@@ -426,25 +492,32 @@ def orbifold_hh_dimensions(w: Polynomial, G: DiagonalGroup):
     check_invariance(w, G)
     out = []
     total = [0, 0]
-    m = len(G.roots)
-    for g in G.elements:
-        sec = sector(w, g)
+    dims = {}  # fixed indices -> invariant dimension of that sector
+    for g, sec in zip(G.elements, sectors(w, G.elements)):
+        if sec.fixed_indices not in dims:
+            dims[sec.fixed_indices] = _invariant_dimension(sec, G)
         parity = sec.n_fixed % 2
-        # each h acts diagonally on the monomial basis: x^e dx_fixed has
-        # the character zeta^(sum over fixed i of k_i (e_i + 1))
-        trace = rational(0)
-        for k in G.exponents:
-            fixed_k = [k[i] for i in sec.fixed_indices]
-            for e in sec.milnor.basis:
-                s = sum(a * (b + 1) for a, b in zip(fixed_k, e))
-                trace = trace + G.roots[s % m]
-        trace = trace / rational(G.order)
-        if not trace.is_rational_integer():
-            raise AssertionError("invariant dimension is not an integer")
-        dim = int(trace.as_fraction())
+        dim = dims[sec.fixed_indices]
         out.append((g, parity, dim))
         total[parity] += dim
     return out, total[0], total[1]
+
+
+def _invariant_dimension(sec: Sector, G: DiagonalGroup) -> int:
+    """dim (A_{w_g} . dx_fixed)^G for the elements g of this sector."""
+    # each h acts diagonally on the monomial basis: x^e dx_fixed has
+    # the character zeta^(sum over fixed i of k_i (e_i + 1))
+    m = len(G.roots)
+    trace = rational(0)
+    for k in G.exponents:
+        fixed_k = [k[i] for i in sec.fixed_indices]
+        for e in sec.milnor.basis:
+            s = sum(a * (b + 1) for a, b in zip(fixed_k, e))
+            trace = trace + G.roots[s % m]
+    trace = trace / rational(G.order)
+    if not trace.is_rational_integer():
+        raise AssertionError("invariant dimension is not an integer")
+    return int(trace.as_fraction())
 
 
 # --- equivariant stabilization ---------------------------------------------
@@ -463,14 +536,6 @@ def equivariant_stabilization(w: Polynomial, G: DiagonalGroup) -> EquivariantMF:
         diag = [G.roots[sum(k[i] for i in s) % m] for s in ordered]
         action.append(diagonal_matrix(diag, scalar_zero(G.context)))
     return EquivariantMF(kst, tuple(action))
-
-
-def moving_determinant(G: DiagonalGroup, g: Element) -> Scalar:
-    """det(id - g) on the full variable space (used when nothing is fixed)."""
-    total = scalar_one(G.context)
-    for lam in g:
-        total = total * (scalar_one(G.context) - lam)
-    return total
 
 
 # --- graded potentials as equivariant ones ----------------------------------

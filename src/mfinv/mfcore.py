@@ -526,9 +526,11 @@ def clifford_generators(w: Polynomial, decomposition=None):
 class EquivariantMF(Frozen):
     """A factorization with a constant parity-preserving action matrix per
     group generator, in the full E0 + E1 basis: ``action`` holds one full
-    square Scalar matrix per generator."""
+    square Scalar matrix per generator.  ``checked`` is None until
+    `equivariant.validate_equivariant` has checked the action against a
+    group G; then it is (G, the action table of every element of G)."""
 
-    __slots__ = ("base", "action")
+    __slots__ = ("base", "action", "checked")
 
     def __init__(self, base: MatFac, action: tuple):
         r0 = base.r0
@@ -541,3 +543,4 @@ class EquivariantMF(Frozen):
                         raise ValueError("action matrix does not preserve parity")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "action", action)
+        object.__setattr__(self, "checked", None)

@@ -16,7 +16,6 @@ from mfinv.equivariant import (
     equivariant_dual,
     equivariant_stabilization,
     invariant_hom_dimensions,
-    moving_determinant,
 )
 from mfinv.groebner import buchberger, lift, lift_basis, normal_form, split
 from mfinv.homology import cardy_lhs, euler, hom_cohomology
@@ -58,6 +57,7 @@ from mfinv.oracle import (
 )
 from mfinv.poly import PolyRing
 from mfinv.scalar import CyclotomicContext, one, rational, zero
+from test_equivariant import moving_determinant
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))

@@ -1,4 +1,6 @@
 """Diagonal symmetry: sectors, equivariant characters, orbifold sums."""
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,22 +18,26 @@ from mfinv.equivariant import (
     graded_exponents,
     graded_to_equivariant,
     invariant_hom_dimensions,
-    moving_determinant,
     orbifold_hh_dimensions,
     sector,
+    sectors,
     substitute_action,
     tau_equivariant,
     twist,
     validate_equivariant,
 )
+from mfinv.homology import hom_cohomology
 from mfinv.invariants import chi_hrr
 from mfinv.mfcore import (
     EquivariantMF,
     MorphismCocycle,
     identity_morphism,
     koszul,
+    mat_add,
     mat_map,
     mat_mul,
+    mat_scale,
+    mat_transpose,
 )
 from mfinv.milnor import build_milnor
 from mfinv.poly import PolyRing
@@ -222,6 +228,7 @@ def test_invariant_hom_dimensions_cyclic():
                 want0 = sum(1 for j in range(m) if (a + j) % n == 0)
                 want1 = sum(1 for j in range(1, m + 1) if (a - j) % n == 0)
                 assert (h0, h1) == (want0, want1)
+                assert (h0, h1) == _ref_invariant_hom_dimensions(E, F, G)
                 assert h0 - h1 == chi_equivariant(E, F, G)
 
 
@@ -324,6 +331,14 @@ def test_equivariant_dual_rejects_a_non_equivariant_action():
     bad = EquivariantMF(power_mf(ring, 1, 3), (((one(ctx), zero(ctx)), (zero(ctx), ctx.zeta())),))
     with pytest.raises(ValueError, match="not equivariant"):
         equivariant_dual(bad, G)
+
+
+def moving_determinant(G, g):
+    """det(id - g) on the full variable space (used when nothing is fixed)."""
+    total = one(G.context)
+    for lam in g:
+        total = total * (one(G.context) - lam)
+    return total
 
 
 def test_equivariant_stabilization_characters():
@@ -871,3 +886,219 @@ def test_equivariance_gate_raises_under_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "raised: factorization is not equivariant under (z)"
+
+
+# --- one piece of work per sweep: the checked table, shared sectors and ------
+# --- Hom^G from the generators, against the per-element routes ---------------
+
+
+def _ref_invariant_hom_dimensions(E, F, G):
+    """The per-element sweep: every element of G acts on every
+    representative, and the averaging projector is the mean of the |G|
+    class-coordinate matrices."""
+    actions_E = equivariant_actions(E, G)
+    actions_F = equivariant_actions(F, G)
+    h0, h1, basis = hom_cohomology(E.base, F.base)
+    zz = E.base.ring.zero()
+    dims = []
+    for parity, count in ((0, h0), (1, h1)):
+        if count == 0:
+            dims.append(0)
+            continue
+        reps = [basis.representative(parity, k) for k in range(count)]
+        avg = None
+        for g in G.elements:
+            cols = []
+            for f in reps:
+                moved = mat_map(f.matrix, lambda p, g=g: _ref_substitute(p, g))
+                acted = mat_mul(actions_F[g], mat_mul(moved, actions_E[_ref_inverse(g)], zz), zz)
+                cols.append(basis.class_coordinates(MorphismCocycle(E.base, F.base, parity, acted)))
+            Mg = mat_transpose(cols)
+            avg = Mg if avg is None else mat_add(avg, Mg)
+        P = mat_scale(avg, rational(1, G.order))
+        assert mat_mul(P, P, zero(G.context)) == P
+        trace = rational(0)
+        for i in range(count):
+            trace = trace + P[i][i]
+        assert trace.is_rational_integer()
+        dims.append(int(trace.as_fraction()))
+    return tuple(dims)
+
+
+def test_invariant_hom_matches_the_per_element_sweep_on_two_generators():
+    # k^st of x^3 + y^4 under Z/3 x Z/4 and two character twists of it
+    ring, ctx, G, w = _product_group()
+    K = equivariant_stabilization(w, G)
+    twists = [K, twist(K, [ctx.zeta(4), one(ctx)]), twist(K, [one(ctx), ctx.zeta(3)])]
+    seen = set()
+    for F in twists:
+        got = invariant_hom_dimensions(K, F, G)
+        assert got == _ref_invariant_hom_dimensions(K, F, G)
+        seen.add(got)
+    assert len(seen) > 1
+
+
+def test_invariant_hom_computes_class_coordinates_for_the_generators_only(monkeypatch):
+    import mfinv.equivariant as equivariant
+
+    acted = []
+    real = equivariant._class_action
+
+    def counted(basis, reps, G, h, *tables):
+        acted.append(h)
+        return real(basis, reps, G, h, *tables)
+
+    monkeypatch.setattr(equivariant, "_class_action", counted)
+    ring, ctx, G, w = _product_group()
+    K = equivariant_stabilization(w, G)
+    h0, h1, _basis = hom_cohomology(K.base, K.base)
+    invariant_hom_dimensions(K, K, G)
+    assert G.order == 12
+    assert acted == list(G.generators) * ((h0 > 0) + (h1 > 0))
+
+
+def test_corrupted_generator_matrix_fails_the_relation_check(monkeypatch):
+    import mfinv.equivariant as equivariant
+
+    real = equivariant._class_action
+
+    def corrupted(basis, reps, G, h, *tables):
+        M = real(basis, reps, G, h, *tables)
+        return mat_scale(M, rational(2)) if h == G.generators[-1] else M
+
+    ring, ctx, G, w = _product_group()
+    K = equivariant_stabilization(w, G)
+    assert invariant_hom_dimensions(K, K, G) == _ref_invariant_hom_dimensions(K, K, G)
+    monkeypatch.setattr(equivariant, "_class_action", corrupted)
+    with pytest.raises(AssertionError, match="group relations"):
+        invariant_hom_dimensions(K, K, G)
+
+
+def test_validated_table_is_kept_for_its_group(monkeypatch):
+    import mfinv.equivariant as equivariant
+
+    calls = []
+    real = equivariant._commutes
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(equivariant, "_commutes", counted)
+    ring, ctx = cyclic_ring(4)
+    G = cyclic_group(ring, ctx, 4)
+    E = pinned_equivariant(ring, ctx, 1, 4)
+    table = validate_equivariant(E, G)
+    assert E.checked[0] is G and E.checked[1] == table
+    for g in G.elements:
+        chern_equivariant(E, G, g)
+    chi_equivariant(E, E, G)
+    invariant_hom_dimensions(E, E, G)
+    equivariant_dual(E, G)
+    assert validate_equivariant(E, G) == table
+    assert len(calls) == 1
+    with pytest.raises(TypeError):
+        table[G.identity] = None
+    # an equal group that is another object is checked again
+    H = cyclic_group(ring, ctx, 4)
+    assert validate_equivariant(E, H) == table
+    assert len(calls) == 2 and E.checked[0] is H
+    # a copy carries its own group, so it is checked again against G
+    for twin in (copy.deepcopy(E), pickle.loads(pickle.dumps(E))):
+        assert twin.checked[0] is not G
+        assert validate_equivariant(twin, G) == table
+    assert len(calls) == 4
+
+
+def test_non_equivariant_action_raises_on_every_call():
+    ring, ctx = cyclic_ring(4)
+    E = power_mf(ring, 1, 4)
+    z, zz = ctx.zeta, zero(ctx)
+    bad = EquivariantMF(E, (((z(0), zz), (zz, z(1))),))
+    G = cyclic_group(ring, ctx, 4)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not equivariant"):
+            validate_equivariant(bad, G)
+        with pytest.raises(ValueError, match="not equivariant"):
+            chern_equivariant(bad, G, G.identity)
+        assert bad.checked is None
+
+
+def test_another_group_is_validated_again():
+    ring, ctx = cyclic_ring(4)
+    G = cyclic_group(ring, ctx, 4)
+    E = pinned_equivariant(ring, ctx, 1, 4)
+    validate_equivariant(E, G)
+    # one action matrix, but this group has two generators
+    two = close_group(1, [(ctx.zeta(),), (ctx.zeta(2),)], ctx)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="one action matrix per group generator"):
+            validate_equivariant(E, two)
+        with pytest.raises(ValueError, match="one action matrix per group generator"):
+            chi_equivariant(E, E, two)
+    assert E.checked[0] is G
+
+
+def test_element_outside_the_group_raises_before_any_sector(monkeypatch):
+    import mfinv.equivariant as equivariant
+
+    def no_sector(*args):
+        raise AssertionError("a sector was built")
+
+    monkeypatch.setattr(equivariant, "sector", no_sector)
+    ring, ctx = cyclic_ring(4)
+    # Z/2 inside the 4th roots of unity, acting trivially on K(x^2; x^2)
+    G = close_group(1, [(ctx.zeta(2),)], ctx)
+    E = EquivariantMF(power_mf(ring, 2, 4), (_scalar_identity(power_mf(ring, 2, 4), ctx),))
+    validate_equivariant(E, G)
+    alpha = identity_morphism(E.base)
+    for g in ((ctx.zeta(),), (one(ctx), one(ctx)), ctx.zeta(2)):
+        with pytest.raises(ValueError, match="element is not in the enumerated group"):
+            chern_equivariant(E, G, g)
+        with pytest.raises(ValueError, match="element is not in the enumerated group"):
+            tau_equivariant(E, G, g, alpha)
+
+
+def test_diagonal_group_is_frozen():
+    ring, ctx = cyclic_ring(4)
+    G = cyclic_group(ring, ctx, 4)
+    for name in ("elements", "products", "generators", "roots", "_index"):
+        with pytest.raises(AttributeError):
+            setattr(G, name, ())
+        with pytest.raises(AttributeError):
+            delattr(G, name)
+    assert G.order == 4
+
+
+def test_sweeps_build_one_sector_per_fixed_set(monkeypatch):
+    import mfinv.equivariant as equivariant
+
+    built, products = [], []
+    real_milnor, real_product = equivariant.build_milnor, equivariant.derivative_product
+
+    def milnor(w):
+        built.append(w.ring.names)
+        return real_milnor(w)
+
+    def product(E, indices):
+        products.append(tuple(indices))
+        return real_product(E, indices)
+
+    monkeypatch.setattr(equivariant, "build_milnor", milnor)
+    monkeypatch.setattr(equivariant, "derivative_product", product)
+    ring, ctx, G, w = _product_group()
+    # fixed sets: both (the identity), x (3 elements), y (2) and none (6)
+    secs = sectors(w, G.elements)
+    assert len(secs) == 12 and len({id(sec) for sec in secs}) == 4
+    for g, sec in zip(G.elements, secs):
+        assert sec.fixed_indices == sector(w, g).fixed_indices
+    built.clear()
+    want = orbifold_hh_dimensions(w, G)
+    assert len(built) == 4
+    K = equivariant_stabilization(w, G)
+    built.clear()
+    chi_equivariant(K, K, G)
+    assert len(built) == 4 and len(products) == 8
+    assert sorted(set(products)) == [(), (0,), (1,), (1, 0)]
+    monkeypatch.undo()
+    assert orbifold_hh_dimensions(w, G) == want

@@ -262,7 +262,7 @@ def test_building_the_parser_does_not_import_shutil():
 def _frozen_instances() -> list:
     from fractions import Fraction
 
-    from mfinv.equivariant import GradedStructure, Sector
+    from mfinv.equivariant import GradedStructure, Sector, close_group
     from mfinv.groebner import module_gb
     from mfinv.homology import CohomologyBasis, ParityCohomology
     from mfinv.mfcore import EquivariantMF, MatFac, MorphismCocycle
@@ -288,7 +288,8 @@ def _frozen_instances() -> list:
         DiagonalData(None, ring, ring.zero(), (), None, ring.zero()),
         DTensor(ring, empty, ()),
         DiagonalChern(None, None, True),
-        Sector((), (), None),
+        Sector((), None),
+        close_group(1, [(Scalar(None, (Fraction(-1),)),)]),
         GradedStructure(ring, ring.zero(), (1,), 1, (), False),
     ]
 
