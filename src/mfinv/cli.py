@@ -178,7 +178,8 @@ def _parse_poly(ring: PolyRing, text, what: str) -> Polynomial:
     _check_exponent_literals(text, what)
     f = _parse_text(ring, text, what)
     # products of allowed powers can still exceed the limit
-    top = max((e for m in f.terms for e in m), default=0)
+    exponents = ring.layout.exponents
+    top = max((e for m in f.terms for e in exponents(m)), default=0)
     if top > MAX_EXPONENT:
         raise SessionError(
             "%s: exponent %d is above the limit %d" % (what, top, MAX_EXPONENT)

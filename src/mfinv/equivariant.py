@@ -54,6 +54,7 @@ vector of the weights over a table of order 2 ell.
 """
 from __future__ import annotations
 
+from operator import mul
 from types import MappingProxyType
 
 from .homology import hom_cohomology
@@ -183,9 +184,9 @@ def close_group(n: int, generators, context=None) -> DiagonalGroup:
 def substitute_action(p: Polynomial, k: tuple, roots: tuple) -> Polynomial:
     """p(g x) for the element with exponent vector k over ``roots``: the
     term c x^e becomes c zeta^(sum k_i e_i) x^e."""
-    m = len(roots)
+    m, exponents = len(roots), p.ring.layout.exponents
     return p.ring.from_terms({
-        e: c * roots[sum(a * b for a, b in zip(k, e)) % m] for e, c in p.terms.items()
+        e: c * roots[sum(map(mul, k, exponents(e))) % m] for e, c in p.terms.items()
     })
 
 

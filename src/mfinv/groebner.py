@@ -32,17 +32,17 @@ smaller key the larger term (Monagan-Pearce, CASC 2007):
 
     K = (0 < block <= p) 2^k1 + (G_max - G(x)) 2^k2 + p 2^ps + x
 
-x packs the exponents of m into n fields of B = 32 bits, p has 32 bits, and
-G(x) = x R mod 2^(nB), R = sum_i 2^(Bi), is the grevlex word (deg m, x_1 +
-... + x_(n-1), ..., x_1).  A product by t adds x_t - G(x_t) 2^k2, that is
-K - K' when K' divides K in the same position: ((K | H) - K') & H == H, H
-the top bit of each field.  Exponents stay below 2^(B-L-1), L = ceil(log2
-n), so no sum of two terms carries into another field: `_flat` raises on a
-term outside the layout, and `_divide` on a popped term past that bound.
-`_scaled` clears the flag of a basis entering a new run, and `split`
-subtracts 2^k1 + b 2^ps from its tails.  Per lead position a basis keeps
-its entries' leads, lead coefficients and other terms; a lead is divided
-by the first entry, in insertion order, whose lead divides it.
+x is the exponent word of m and G(x) its grevlex word (`poly.WordLayout`,
+which `_Layout` extends), p has 32 bits; `_flat` adds the rest to each
+word, and `_unflat` masks it out.  A product by t adds x_t - G(x_t) 2^k2,
+that is K - K' when K' divides K in the same position: ((K | H) - K') & H
+== H, H the top bit of each field.  Words keep their guard bits clear, so
+no sum of two terms carries into another field; `_divide` raises on a
+popped term past that bound.  `_scaled` clears the flag of a basis
+entering a new run, and `split` subtracts 2^k1 + b 2^ps from its tails.
+Per lead position a basis keeps its entries' leads, lead coefficients and
+other terms; a lead is divided by the first entry, in insertion order,
+whose lead divides it.
 
 Bases of rank 1 also get Buchberger's product criterion.  Syzygies,
 cofactors, kernels and subquotients use the block order on an enlarged
@@ -66,41 +66,26 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd, lcm as int_lcm
 from operator import itemgetter
-import struct
 
-from .poly import Monomial, PolyRing, Polynomial
+from .poly import _B, _FIELD as _PMASK, _OVERFLOW, PolyRing, Polynomial, WordLayout
 from .scalar import Frozen
 
 ModuleElement = tuple  # tuple[Polynomial, ...]
 
-_B, _PMASK = 32, (1 << 32) - 1  # the bits of each exponent field and of the position
-_OVERFLOW = "outside the packed layout: exponents below 2^%d (%d variables), positions below 2^32"
 
-
-class _Layout:
+class _Layout(WordLayout):
     """The keys of the module docstring for n variables; `_layout` makes one per n."""
 
     def __init__(self, n: int):
-        self.n, self.fmt = n, "<%dI" % n
-        self.limit = _B - 1 - max(n - 1, 0).bit_length()  # B - L - 1
-        self.ones = sum(1 << (_B * i) for i in range(n))  # R
-        self.high = self.ones << (_B - 1)  # H
-        self.guard = (_PMASK >> self.limit << self.limit) * self.ones  # the top L + 1 bits
-        self.ps = _B * n  # also the width of x and of G(x)
-        self.xmask, self.k2 = (1 << self.ps) - 1, self.ps + _B
+        super().__init__(n)
+        self.ps, self.k2 = self.width, self.width + _B  # width: also of G(x)
         self.flag = 1 << (self.k2 + self.ps)
 
-    def pack(self, p: int, m: Monomial, block: int) -> int:
-        if p > _PMASK or max(m, default=0) >> self.limit:
-            raise ValueError(_OVERFLOW % (self.limit, self.n))
-        x = int.from_bytes(struct.pack(self.fmt, *m), "little")
-        g = x * self.ones & self.xmask
-        return (0 < block <= p) * self.flag + ((self.xmask - g) << self.k2) + (p << self.ps) + x
-
-    def term(self, k: int) -> tuple:
-        """(position, exponent tuple) of the key k."""
-        x = (k & self.xmask).to_bytes(4 * self.n, "little")
-        return k >> self.ps & _PMASK, struct.unpack(self.fmt, x)
+    def base(self, p: int, block: int) -> int:
+        """The key of 1 in position p; x there has the key base + x - G(x) 2^k2."""
+        if p > _PMASK:
+            raise ValueError("position %d above the limit 2^32 - 1 of the module keys" % p)
+        return (0 < block <= p) * self.flag + (self.xmask << self.k2) + (p << self.ps)
 
     def divides(self, a: int, b: int) -> bool:
         """Whether a's monomial divides b's; keys in one position, or exponent words."""
@@ -113,9 +98,6 @@ class _Layout:
         t = d & (ge - (ge >> (_B - 1)))  # lcm / a: xb - xa there, 0 elsewhere
         return a + t - ((t * self.ones & self.xmask) << self.k2)
 
-    def deg(self, k: int) -> int:
-        return ((k & self.xmask) * self.ones & self.xmask) >> (_B * max(self.n - 1, 0))
-
 
 _layout = cache(_Layout)
 
@@ -125,8 +107,13 @@ def _flat(v, ring: PolyRing, block: int):
     {key: coefficient} under ``block``.  Over Q, D is the lcm of the
     denominators and the coefficients are ints; over Q(zeta), D = 1 and
     they are the ring's Scalars."""
-    pack = _layout(ring.n).pack
-    d = {pack(p, m, block): c for p, f in enumerate(v) for m, c in f.terms.items()}
+    lay = _layout(ring.n)
+    ones, xmask, k2 = lay.ones, lay.xmask, lay.k2
+    d = {}
+    for p, f in enumerate(v):
+        base = lay.base(p, block)
+        for x, c in f.terms.items():
+            d[base + x - ((x * ones & xmask) << k2)] = c
     if ring.context is not None:
         return d, 1
     D = int_lcm(*(c.denominator for c in d.values()))
@@ -137,11 +124,13 @@ def _flat(v, ring: PolyRing, block: int):
 
 def _unflat(d: dict, length: int, ring: PolyRing, den: int = 1) -> ModuleElement:
     """The tuple of polynomials d / den; den is 1 over Q(zeta)."""
+    lay = _layout(ring.n)
+    ps, xmask = lay.ps, lay.xmask
     comps: dict = {}
-    for (p, m), c in zip(map(_layout(ring.n).term, d), d.values()):
+    for k, c in d.items():
         if den != 1:
             c = c // den if c % den == 0 else Fraction(c, den)
-        comps.setdefault(p, {})[m] = c
+        comps.setdefault(k >> ps & _PMASK, {})[k & xmask] = c
     zero = ring.zero()  # polynomials are immutable, so one zero serves all
     return tuple(Polynomial(ring, comps[p]) if p in comps else zero for p in range(length))
 
@@ -388,9 +377,9 @@ def lift_basis(gens, rank: int, ring: PolyRing, extra=()) -> ModuleGB:
     R^(rank + s), s = len(gens), for g_i in ``gens`` and h_j in ``extra``,
     with block = rank.  ``gens`` and ``extra`` are tuples of polynomials or
     a `ModuleGB`, whose entries L g_i give L (g_i, e_i) as they are."""
-    lay, z = _layout(ring.n), (0,) * ring.n
+    lay = _layout(ring.n)
     scaled = _scaled(gens, ring, rank)
-    vectors = [{**d, lay.pack(rank + i, z, rank): c} for i, (d, c) in enumerate(scaled)]
+    vectors = [{**d, lay.base(rank + i, rank): c} for i, (d, c) in enumerate(scaled)]
     s = len(vectors)
     vectors += [d for d, _c in _scaled(extra, ring, rank)]
     return ModuleGB(ring, rank + s, module_buchberger(vectors, rank + s, lay, rank))
@@ -445,7 +434,8 @@ def module_kernel(matrix, r_in: int, r_out: int, ring: PolyRing):
 
 
 def module_standard_monomials(mgb: ModuleGB):
-    """Standard (position, monomial) pairs of R^rank / <leads>, or None."""
+    """Standard (position, exponent word) pairs of R^rank / <leads>, by
+    position, then grevlex ascending; None when the quotient is infinite."""
     lay, by_pos = mgb._divisors.layout, mgb._divisors.by_pos
     out = []
     for p in range(mgb.rank):
@@ -461,8 +451,8 @@ def module_standard_monomials(mgb: ModuleGB):
         for x in map(sum, product(*(range(0, w, 1 << (_B * i)) for i, w in enumerate(bounds)))):
             if not any(lay.divides(l, x) for l in lx):
                 out.append((p, x))
-    out.sort(key=lambda t: (t[0], t[1] * lay.ones & lay.xmask))  # by position, then G(x)
-    return [(p, lay.term(x)[1]) for p, x in out]
+    out.sort(key=lambda t: (t[0], lay.grevlex(t[1])))
+    return out
 
 
 def subquotient_presentation(kernel: ModuleGB, image):
@@ -504,6 +494,7 @@ def normal_form(f: Polynomial, gb: ModuleGB) -> Polynomial:
 
 
 def quotient_basis(gb: ModuleGB):
-    """Standard monomials of the quotient, or None when infinite."""
+    """Standard monomials of the quotient as exponent words, or None when
+    infinite."""
     std = module_standard_monomials(gb)
     return None if std is None else [m for _p, m in std]

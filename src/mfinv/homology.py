@@ -35,7 +35,7 @@ class ParityCohomology(Frozen):
     ``lifts`` is the lift basis of the kernel generators with the
     coboundaries as extra generators; ``relations`` presents kernel/image
     over the kernel generators; and ``standard`` lists the (position,
-    monomial) pairs indexing a k-basis.
+    exponent word) pairs indexing a k-basis.
     """
 
     __slots__ = ("parity", "kernel", "lifts", "relations", "standard")
@@ -76,7 +76,7 @@ class CohomologyBasis(Frozen):
         pos, mono = co.standard[index]
         ring = self.source.ring
         gen = co.kernel.generators[pos]
-        vec = [ring.monomial(mono) * p for p in gen]
+        vec = [ring.from_terms({mono: 1}) * p for p in gen]
         return vector_to_morphism(self.source, self.target, parity, vec)
 
     def class_coordinates(self, f: MorphismCocycle) -> tuple[Scalar, ...]:
@@ -93,7 +93,8 @@ class CohomologyBasis(Frozen):
         on_basis = sum(mono in reduced[pos].terms for pos, mono in co.standard)
         if sum(len(p.terms) for p in reduced) != on_basis:
             raise AssertionError("reduced coordinates leak outside the basis")
-        return tuple(reduced[pos].coeff_of(mono) for pos, mono in co.standard)
+        scalar = self.source.ring.scalar
+        return tuple(scalar(reduced[pos].terms.get(mono, 0)) for pos, mono in co.standard)
 
 
 def hom_cohomology(E: MatFac, F: MatFac):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .poly import Polynomial, PolyRing
+from .poly import _B, Polynomial, PolyRing
 from .scalar import Frozen
 
 Matrix = tuple  # tuple[tuple[Polynomial, ...], ...], row major
@@ -472,12 +472,13 @@ def greedy_decomposition(w: Polynomial) -> list:
     ring = w.ring
     parts = [dict() for _ in range(ring.n)]
     for m, c in w.terms.items():
-        i = next((k for k, e in enumerate(m) if e > 0), None)
-        if i is None:
+        if not m:
             raise ValueError("potential has a nonzero constant term")
-        # m is the key with its lowest variable raised again, so no two
+        # the lowest set bit of the word lies in the field of the lowest
+        # variable; m is the key with that variable raised again, so no two
         # terms of w meet in one part
-        parts[i][m[:i] + (m[i] - 1,) + m[i + 1 :]] = c
+        i = ((m & -m).bit_length() - 1) // _B
+        parts[i][m - (1 << (_B * i))] = c
     return [Polynomial(ring, p) for p in parts]
 
 
@@ -506,9 +507,8 @@ def clifford_generators(w: Polynomial, decomposition=None):
     """
     ring = w.ring
     n = ring.n
-    for m in w.terms:
-        if sum(m) < 2:
-            raise ValueError("potential has a linear part")
+    if any(ring.layout.deg(m) < 2 for m in w.terms):
+        raise ValueError("potential has a linear part")
     kst = stabilized_residue_field(w, decomposition)
     ws = greedy_decomposition(w) if decomposition is None else list(decomposition)
     alphas = []

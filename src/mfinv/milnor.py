@@ -16,7 +16,8 @@ coefficient of the determinant,
     tr(x^m) = [x^(N-1-m)] det(a)    (N-1-m taken componentwise),
 
 so a trace is a sum of lookups over the terms of f, and a Gram entry
-tr(x^a x^b) is the single coefficient [x^(N-1-a-b)] det(a).
+tr(x^a x^b) is the single coefficient [x^(N-1-a-b)] det(a).  On exponent
+words N-1-m is the subtraction T - m, T the word with every field N-1.
 
 Scaled suitably this trace is the inverse of the intersection form; with
 the sign (-1)^(n choose 2) it is the canonical pairing that the boundary
@@ -30,10 +31,8 @@ and bulk invariants land in.
 """
 from __future__ import annotations
 
-from operator import sub
-
 from .groebner import ModuleGB, lift, lift_basis, module_gb, normal_form, quotient_basis, split
-from .poly import Monomial, Polynomial, PolyRing, determinant
+from .poly import Polynomial, PolyRing, determinant
 from .scalar import Frozen, Scalar
 
 
@@ -41,12 +40,13 @@ class MilnorRing(Frozen):
     """k[x]/J_w with the data needed to evaluate residue traces.
 
     ``basis`` lists the standard monomials of the Jacobian ideal (grevlex
-    ascending), ``nilpotency`` is the uniform exponent N with every
-    x_i^N in J_w, and ``residue_cofactor_det`` is det(a_ij) for one fixed
-    choice of cofactors x_i^N = sum_j a_ij dw/dx_j.
+    ascending) as exponent tuples, and ``basis_words`` as the exponent
+    words that the constructor takes; ``nilpotency`` is the uniform
+    exponent N with every x_i^N in J_w, and ``residue_cofactor_det`` is
+    det(a_ij) for one fixed choice of cofactors x_i^N = sum_j a_ij dw/dx_j.
     """
 
-    __slots__ = ("ring", "w", "jacobian_gb", "basis", "mu", "nilpotency",
+    __slots__ = ("ring", "w", "jacobian_gb", "basis", "basis_words", "mu", "nilpotency",
                  "residue_cofactor_det")
 
     def __init__(
@@ -54,7 +54,7 @@ class MilnorRing(Frozen):
         ring: PolyRing,
         w: Polynomial,
         jacobian_gb: ModuleGB,
-        basis: tuple[Monomial, ...],
+        basis_words: tuple[int, ...],
         mu: int,
         nilpotency: int,
         residue_cofactor_det: Polynomial,
@@ -62,7 +62,8 @@ class MilnorRing(Frozen):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "jacobian_gb", jacobian_gb)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", tuple(map(ring.layout.exponents, basis_words)))
+        object.__setattr__(self, "basis_words", basis_words)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nilpotency", nilpotency)
         object.__setattr__(self, "residue_cofactor_det", residue_cofactor_det)
@@ -77,10 +78,11 @@ class MilnorRing(Frozen):
 
     def coordinates(self, value: Polynomial) -> tuple[Scalar, ...]:
         """Coefficients of the class of ``value`` on the monomial basis."""
-        nf = normal_form(value, self.jacobian_gb)
-        if sum(m in nf.terms for m in self.basis) != len(nf.terms):
+        terms = normal_form(value, self.jacobian_gb).terms
+        if sum(m in terms for m in self.basis_words) != len(terms):
             raise AssertionError("normal form not supported on the basis")
-        return tuple(nf.coeff_of(m) for m in self.basis)
+        scalar = self.ring.scalar
+        return tuple(scalar(terms.get(m, 0)) for m in self.basis_words)
 
 
 class MilnorClass(Frozen):
@@ -141,14 +143,14 @@ def build_milnor(w: Polynomial) -> MilnorRing:
     """
     ring = w.ring
     n = ring.n
-    if (0,) * n in w.terms:
+    if 0 in w.terms:
         raise ValueError("potential must vanish at the origin")
     partials = [w.partial_derivative(i) for i in range(n)]
     if all(p.is_zero() for p in partials):
         if n > 0:
             raise ValueError("not an isolated singularity")
         # sector with no coordinates: A = k, the residue is the identity
-        return MilnorRing(ring, w, module_gb((), 1, ring), ((),), 1, 0, ring.one())
+        return MilnorRing(ring, w, module_gb((), 1, ring), (0,), 1, 0, ring.one())
     # one block-order run: its heads are the Jacobian basis, and `lift`
     # reads the cofactors of the residue transformation law off it
     lifts = lift_basis([(p,) for p in partials], 1, ring)
@@ -204,13 +206,15 @@ def residue_trace(f: MilnorClass) -> Scalar:
 
 
 def _trace_poly(A: MilnorRing, p: Polynomial, exponent: int, det: Polynomial) -> Scalar:
-    # tr(c x^m) = c [x^(N-1-m)] det; a lookup misses when some exponent
-    # of m exceeds N-1, and then the term contributes nothing
-    top = exponent - 1
+    # tr(c x^m) = c [x^(N-1-m)] det; the term contributes nothing when some
+    # exponent of m exceeds N-1.  The word T - m then borrows: the field
+    # that went below 0 wraps into its guard bits, or, the top field, makes
+    # the int negative, so it equals no stored word and the lookup misses
+    top = (exponent - 1) * A.ring.layout.ones
     coeffs = det.terms
     total = 0
     for m, c in p.terms.items():
-        d = coeffs.get(tuple(top - e for e in m))
+        d = coeffs.get(top - m)
         if d is not None:
             total = total + c * d
     return A.ring.scalar(total)
@@ -239,13 +243,11 @@ def canonical_pairing(f: MilnorClass, g: MilnorClass) -> Scalar:
 
 def gram_matrix(A: MilnorRing) -> list[list[Scalar]]:
     """tr(b_a * b_b) over the standard monomial basis (no sign twist)."""
-    top = A.nilpotency - 1
+    # T - ma - mb misses as in `_trace_poly` when a sum passes N - 1
+    top = (A.nilpotency - 1) * A.ring.layout.ones
     # each determinant term is wrapped once; the entries it misses share a zero
     scalar = A.ring.scalar
     coeffs = {m: scalar(c) for m, c in A.residue_cofactor_det.terms.items()}
     zero = scalar(0)
-    gram = []
-    for ma in A.basis:
-        row = [top - p for p in ma]
-        gram.append([coeffs.get(tuple(map(sub, row, mb)), zero) for mb in A.basis])
-    return gram
+    words = A.basis_words
+    return [[coeffs.get(top - ma - mb, zero) for mb in words] for ma in words]

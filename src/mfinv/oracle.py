@@ -47,7 +47,8 @@ from .mfcore import (
     mat_sub,
 )
 from .milnor import MilnorClass, MilnorRing, build_milnor, gram_matrix
-from .poly import Polynomial, PolyRing, determinant, difference_derivative, doubled_ring
+from .poly import (_B, _FIELD, Polynomial, PolyRing, determinant, difference_derivative,
+                   doubled_ring, word_layout)
 from .scalar import Frozen
 
 
@@ -156,13 +157,17 @@ def _shift(p: Polynomial, n: int, s: int, ring: PolyRing) -> Polynomial:
     """p with z_j (the slot n + j) replaced by z_j + s x_j: s = 1 takes
     p(x, y) to (x, u) with y = x + u, s = -1 takes p(x, u) to (x, y) with
     u = y - x.  Each term x^a z^b expands binomially into the sum over
-    k <= b of prod_j C(b_j, k_j) s^(b_j - k_j) x^(a + b - k) z^k."""
+    k <= b of prod_j C(b_j, k_j) s^(b_j - k_j) x^(a + b - k) z^k, on words
+    a + b - k + k 2^(32n) for the halves a, b of the word; `from_terms`
+    checks the sums a + b."""
+    lay = word_layout(n)
     out: dict = {}
     for m, c in p.terms.items():
-        a, b = m[:n], m[n:]
+        b = lay.exponents(m >> lay.width)
         for k in product(*(range(e + 1) for e in b)):
             f = s ** (sum(b) - sum(k)) * prod(map(comb, b, k))
-            key = tuple(aj + e - kj for aj, e, kj in zip(a, b, k)) + k
+            kw = lay.word(k)
+            key = (m & lay.xmask) + (m >> lay.width) - kw + (kw << lay.width)
             out[key] = out[key] + c * f if key in out else c * f
     return ring.from_terms(out)
 
@@ -182,12 +187,12 @@ def _homotopy(M: Matrix, i: int, n: int, ring: PolyRing) -> Matrix:
     Each term c x^a u^b whose smallest u index is i goes to c x^a u^(b - e_i);
     every other term belongs to another subset or to no subset at all.
     """
+    one = 1 << (_B * (n + i))
+    below, field = one - (1 << (_B * n)), _FIELD * one  # u_0 .. u_(i-1), and u_i
+
     def part(p: Polynomial) -> Polynomial:
-        terms = {}
-        for m, c in p.terms.items():
-            if next((k for k in range(n) if m[n + k]), None) == i:
-                terms[m[: n + i] + (m[n + i] - 1,) + m[n + i + 1 :]] = c
-        return Polynomial(ring, terms)
+        terms = p.terms.items()
+        return Polynomial(ring, {m - one: c for m, c in terms if m & field and not m & below})
 
     return mat_map(M, part)
 
@@ -197,14 +202,13 @@ def solve_D(E: MatFac) -> DTensor:
     ring, _w_tilde, diffs = _differences(E.w)
     n = E.ring.n
     rank = E.rank
-    # in (x, u), with u_j in the slot of y_j, delta at x is a padding and
-    # delta at y = x + u a shift
-    pad = (0,) * n
+    # in (x, u), with u_j in the slot of y_j, delta at x is the same words
+    # and delta at y = x + u the words moved into the y half, then shifted
+    width = E.ring.layout.width
     delta = E.delta
-    delta_x = mat_map(delta, lambda p: Polynomial(ring, {m + pad: c for m, c in p.terms.items()}))
-    delta_y = mat_map(
-        delta, lambda p: _shift(Polynomial(ring, {pad + m: c for m, c in p.terms.items()}), n, 1, ring)
-    )
+    delta_x = mat_map(delta, lambda p: ring.from_terms(p.terms))
+    delta_y = mat_map(delta, lambda p: _shift(
+        Polynomial(ring, {m << width: c for m, c in p.terms.items()}), n, 1, ring))
     diffs_u = tuple(_shift(d, n, 1, ring) for d in diffs)
 
     def level_rhs(S: tuple) -> Matrix:
@@ -297,10 +301,12 @@ def oracle_tau(
         dtensor = solve_D(E)
     ring = E.ring
     n = ring.n
-    # p(x, y - x) at y = x is p(x, 0): the u-free terms of the stored top
+    # p(x, y - x) at y = x is p(x, 0): the u-free terms of the stored top,
+    # the words below 2^(32 n)
+    end = 1 << ring.layout.width
     top = mat_map(
         dict(dtensor.solved)[tuple(range(n))],
-        lambda p: Polynomial(ring, {m[:n]: c for m, c in p.terms.items() if not any(m[n:])}),
+        lambda p: Polynomial(ring, {m: c for m, c in p.terms.items() if m < end}),
     )
     M = mat_mul(top, alpha.matrix, ring.zero())
     parity = (n + alpha.parity) % 2
@@ -354,15 +360,15 @@ def inverse_form_check(w: Polynomial, data: DiagonalData | None = None) -> bool:
     elif data.milnor.w != w:
         raise ValueError("diagonal data belongs to a different potential")
     A = data.milnor
-    n = w.ring.n
+    width = w.ring.layout.width
     reduced = normal_form(data.determinant, data.jacobian)
     # the coefficient matrix and the Gram matrix as sparse rows of term
     # coefficients, so that their product only touches nonzero entries
-    coeffs: list[dict] = [dict() for _ in A.basis]
-    index = {m: k for k, m in enumerate(A.basis)}
+    coeffs: list[dict] = [dict() for _ in A.basis_words]
+    index = {m: k for k, m in enumerate(A.basis_words)}
     for mono, c in reduced.terms.items():
-        a = index.get(mono[:n])
-        b = index.get(mono[n:])
+        a = index.get(mono & ((1 << width) - 1))
+        b = index.get(mono >> width)
         if a is None or b is None:
             raise AssertionError(
                 "reduced determinant leaves the standard basis product"

@@ -1,11 +1,19 @@
 """Sparse multivariate polynomials over the exact scalars.
 
-The ring is a fixed, ordered tuple of variable names.  Monomials are bare
-exponent tuples; the canonical term order everywhere (printing, Groebner
-bases, quotient bases) is graded reverse lexicographic with respect to the
-given variable order.
+The ring is a fixed, ordered tuple of variable names.  A monomial is its
+exponent word, one ``int`` with the exponent of variable i in bits 32i to
+32i + 31 (Monagan-Pearce, CASC 2007); exponent tuples appear only at the
+API (`PolyRing.monomial`, `coeff_of`, `leading_monomial`, printing).  The
+top L + 1 bits of each field, L = ceil(log2 n), are a guard that every
+stored word keeps clear, so a monomial product is one addition with no
+carry between fields; a tuple outside the layout, or a product that sets
+a guard bit, raises ValueError.  The term order everywhere is grevlex in
+the given variable order: the integer order of G(x) = x R mod 2^(32n), R
+= sum_i 2^(32i), whose fields from the top are deg x, x_1 + ... +
+x_(n-1), ..., x_1.  `WordLayout` holds these masks; `groebner` builds its
+module keys on it.
 
-``terms`` maps a monomial to a nonzero coefficient in one normal form per
+``terms`` maps a word to a nonzero coefficient in one normal form per
 field.  Over Q the coefficient is bare: an ``int``, or a ``Fraction`` when
 it is not integral, the normal form `scalar.bare` gives.  Over Q(zeta) it
 is a `Scalar` of the ring's context, whose coordinates have the same form.
@@ -30,28 +38,69 @@ constants.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from functools import cache, reduce
+from operator import or_
+import struct
 
 from .scalar import CyclotomicContext, Frozen, Scalar, bare
 
-Monomial = tuple  # exponent tuples, length = ring.n
+Monomial = tuple  # exponent tuples, length = ring.n: the API form of a word
+
+_B, _FIELD = 32, (1 << 32) - 1  # the bits of one exponent field
+_OVERFLOW = "exponent above the limit 2^%d - 1 of the exponent words in %d variables"
 
 
-def grevlex_key(m: Monomial):
-    """Sort key: larger key = larger monomial in grevlex."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+class WordLayout:
+    """The words of n variables: exponents below 2^limit, ``ones`` = R,
+    ``high`` and ``guard`` the top bit and top L + 1 bits of each field,
+    ``outside`` the bits no stored word has (guard, above, sign)."""
+
+    def __init__(self, n: int):
+        self.n, self.fmt = n, "<%dI" % n
+        self.limit = _B - 1 - max(n - 1, 0).bit_length()
+        self.ones = sum(1 << (_B * i) for i in range(n))
+        self.high = self.ones << (_B - 1)
+        self.guard = (_FIELD >> self.limit << self.limit) * self.ones
+        self.width = _B * n
+        self.xmask = (1 << self.width) - 1
+        self.outside = self.guard | ~self.xmask
+
+    def word(self, m: Monomial) -> int:
+        if len(m) != self.n:
+            raise ValueError("%d exponents for %d variables" % (len(m), self.n))
+        if any(e >> self.limit for e in m):  # e < 0 too
+            raise ValueError(_OVERFLOW % (self.limit, self.n))
+        return int.from_bytes(struct.pack(self.fmt, *m), "little")
+
+    def exponents(self, x: int) -> Monomial:
+        return struct.unpack(self.fmt, x.to_bytes(4 * self.n, "little"))
+
+    def check(self, words) -> None:
+        if reduce(or_, words, 0) & self.outside:
+            raise ValueError(_OVERFLOW % (self.limit, self.n))
+
+    def grevlex(self, x: int) -> int:  # G(x)
+        return x * self.ones & self.xmask
+
+    def deg(self, x: int) -> int:  # also of a module key, whose low bits are x
+        return (x * self.ones & self.xmask) >> (_B * max(self.n - 1, 0))
+
+
+word_layout = cache(WordLayout)
 
 
 class PolyRing(Frozen):
-    """k[x_1, ..., x_n] with a fixed variable order and scalar context."""
+    """k[x_1, ..., x_n] with a fixed variable order and scalar context;
+    ``layout`` is the `WordLayout` of its n variables."""
 
-    __slots__ = ("names", "context")
+    __slots__ = ("names", "context", "layout")
 
     def __init__(self, names: tuple[str, ...], context: CyclotomicContext | None = None):
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "context", context)
+        object.__setattr__(self, "layout", word_layout(len(names)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -73,19 +122,22 @@ class PolyRing(Frozen):
 
     def const(self, c) -> "Polynomial":
         c = self.coefficient(c)
-        return Polynomial(self, {(0,) * self.n: c} if c else {})
+        return Polynomial(self, {0: c} if c else {})
 
     def var(self, i: int) -> "Polynomial":
-        expo = [0] * self.n
-        expo[i] = 1
-        return Polynomial(self, {tuple(expo): self.coefficient(1)})
+        if not 0 <= i < self.n:
+            raise IndexError("variable index %d in a ring of %d variables" % (i, self.n))
+        return Polynomial(self, {1 << (_B * i): self.coefficient(1)})
 
     def monomial(self, m: Monomial, c=1) -> "Polynomial":
-        return self.from_terms({tuple(m): c})
+        """c x^m for the exponent tuple m."""
+        return self.from_terms({self.layout.word(m): c})
 
     def from_terms(self, terms: dict) -> "Polynomial":
-        """The polynomial with these terms; each value goes through
-        `coefficient`, and zero values are dropped."""
+        """The polynomial with these terms {word: scalar}; each value goes
+        through `coefficient`, zero values are dropped, and a word outside
+        the layout raises."""
+        self.layout.check(terms)
         coefficient = self.coefficient
         return Polynomial(self, {m: coefficient(c) for m, c in terms.items() if c})
 
@@ -134,10 +186,10 @@ class Polynomial:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return not any(self.terms)  # the word of 1 is 0
 
     def constant_coeff(self) -> Scalar:
-        return self.coeff_of((0,) * self.ring.n)
+        return self.ring.scalar(self.terms.get(0, 0))
 
     def as_scalar(self) -> Scalar:
         if not self.is_constant():
@@ -145,15 +197,14 @@ class Polynomial:
         return self.constant_coeff()
 
     def coeff_of(self, m: Monomial) -> Scalar:
-        return self.ring.scalar(self.terms.get(tuple(m), 0))
+        """The coefficient of x^m for the exponent tuple m."""
+        return self.ring.scalar(self.terms.get(self.ring.layout.word(m), 0))
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("leading monomial of zero")
-        return max(self.terms, key=grevlex_key)
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        lay = self.ring.layout
+        return lay.exponents(max(self.terms, key=lay.grevlex))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -163,15 +214,6 @@ class Polynomial:
         return self.ring.names == other.ring.names and self.terms == other.terms
 
     __hash__ = None  # type: ignore[assignment]
-
-    def _made(self, terms: dict) -> "Polynomial":
-        """Polynomial(ring, terms) in normal form: over Q a sum or product
-        of Fractions can be integral, and becomes an int here."""
-        if self.ring.context is None:
-            for m, c in terms.items():
-                if c.__class__ is Fraction:
-                    terms[m] = bare(c)
-        return Polynomial(self.ring, terms)
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -183,8 +225,10 @@ class Polynomial:
                 if not c:
                     del out[m]
                     continue
+                if c.__class__ is Fraction and c.denominator == 1:
+                    c = c.numerator  # a sum of Fractions can be integral
             out[m] = c
-        return self._made(out)
+        return Polynomial(self.ring, out)
 
     __radd__ = __add__
 
@@ -203,12 +247,16 @@ class Polynomial:
                 return NotImplemented
             other = self.ring.const(other)
         out: dict = {}
+        get = out.get
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
-                s = out.get(m)
+            for m2, c2 in right:
+                m = m1 + m2
+                s = get(m)
                 out[m] = c1 * c2 if s is None else s + c1 * c2
-        return self._made({m: c for m, c in out.items() if c})
+        out = _normal(out)
+        self.ring.layout.check(out)  # valid words add without a carry
+        return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -232,9 +280,9 @@ class Polynomial:
         return out
 
     def partial_derivative(self, i: int) -> "Polynomial":
-        return self._made(
-            {m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i] for m, c in self.terms.items() if m[i]}
-        )
+        shift, one = _B * i, 1 << (_B * i)
+        terms = {m - one: c * e for m, c in self.terms.items() if (e := m >> shift & _FIELD)}
+        return Polynomial(self.ring, _normal(terms))
 
     def substitute(self, target: PolyRing, images: list["Polynomial"]) -> "Polynomial":
         """Ring map sending variable i to images[i] (all in ``target``)."""
@@ -242,9 +290,10 @@ class Polynomial:
             raise ValueError("need one image per variable")
         out: dict = {}
         powers: list[dict] = [{} for _ in images]  # images[i] ** e by i, e
+        exponents = self.ring.layout.exponents
         for m, c in self.terms.items():
             piece = target.const(c)
-            for i, e in enumerate(m):
+            for i, e in enumerate(exponents(m)):
                 if e == 0:
                     continue
                 q = powers[i].get(e)
@@ -258,7 +307,8 @@ class Polynomial:
 
     def quasi_degree(self, weights: list[int]) -> int | None:
         """Common weighted degree of all terms, or None if inhomogeneous."""
-        degs = {sum(w * e for w, e in zip(weights, m)) for m in self.terms}
+        exponents = self.ring.layout.exponents
+        degs = {sum(w * e for w, e in zip(weights, exponents(m))) for m in self.terms}
         if len(degs) > 1:
             return None
         return degs.pop() if degs else 0
@@ -280,36 +330,36 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for m, c in self.sorted_terms():
+        lay = self.ring.layout
+        for x in sorted(self.terms, key=lay.grevlex, reverse=True):
+            c = self.terms[x]
             mono = "*".join(
                 name if e == 1 else "%s^%d" % (name, e)
-                for name, e in zip(self.ring.names, m)
+                for name, e in zip(self.ring.names, lay.exponents(x))
                 if e > 0
             )
             cs = str(c)
-            atomic = not ("+" in cs or " " in cs or (cs.count("-") - cs.startswith("-")) > 0)
+            if "+" in cs or " " in cs or "-" in cs[1:]:
+                cs = "(%s)" % cs
             if not mono:
-                term = cs if atomic else "(%s)" % cs
-            elif atomic:
-                if cs == "1":
-                    term = mono
-                elif cs == "-1":
-                    term = "-" + mono
-                else:
-                    term = "%s*%s" % (cs, mono)
+                parts.append(cs)
+            elif cs in ("1", "-1"):
+                parts.append(cs[:-1] + mono)
             else:
-                term = "(%s)*%s" % (cs, mono)
-            parts.append(term)
+                parts.append("%s*%s" % (cs, mono))
         out = parts[0]
         for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
+            out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
 
     def __repr__(self) -> str:
         return "Poly(%s)" % self
+
+
+def _normal(terms: dict) -> dict:
+    """terms without zeros, an integral Fraction as an int (`scalar.bare`)."""
+    return {m: c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+            for m, c in terms.items() if c}
 
 
 def difference_derivative(
@@ -326,16 +376,21 @@ def difference_derivative(
     is taken term by term: c*x^a goes to
     c * x_{<j}^{a_{<j}} * y_{>j}^{a_{>j}} * sum_{k < a_j} x_j^k y_j^(a_j-1-k).
     Two pairs (term, k) never give the same monomial, since a_j - 1 is the
-    combined degree in x_j and y_j.
+    combined degree in x_j and y_j.  On words: the fields below j stay, the
+    fields above j move up by n, and x_j^k y_j^(a_j-1-k) is added.
     """
     n = f.ring.n
     if doubled.n != 2 * n:
         raise ValueError("doubled ring must have 2n variables")
-    gap = (0,) * (n - 1)  # x_{>j}, then y_{<j}
+    shift, up = _B * j, _B * (n + j)
+    low = (1 << shift) - 1
     out: dict = {}
     for m, c in f.terms.items():
-        for k in range(m[j]):
-            out[m[:j] + (k,) + gap + (m[j] - 1 - k,) + m[j + 1 :]] = c
+        a = m >> shift & _FIELD
+        rest = (m & low) + (m >> (shift + _B) << (up + _B))
+        for k in range(a):
+            out[rest + (k << shift) + ((a - 1 - k) << up)] = c
+    doubled.layout.check(out)  # the doubled ring has narrower fields
     return Polynomial(doubled, out)
 
 

@@ -499,7 +499,13 @@ def test_huge_exponents_exit_2_quickly(tmp_path):
     huge_product = dict(D4_SESSION, potential="x^3 + x*y^2 + y^1000*y^1000")
     huge_scalar = json.loads(json.dumps(CYCLIC3_SESSION))
     huge_scalar["group"]["generators"] = [["2^100000000"]]
-    for doc in (huge_power, huge_product, huge_scalar):
+    # x^(10^9) is a valid exponent word in 1 and 2 variables, and past the
+    # field limit 2^29 - 1 of 3 variables, where the product raises
+    nested = [
+        {"variables": names, "potential": "x^3 + ((x^1000)^1000)^1000", "factorizations": {}}
+        for names in (["x"], ["x", "y"], ["x", "y", "z"])
+    ]
+    for doc in (huge_power, huge_product, huge_scalar, *nested):
         path = write_session(tmp_path, doc)
         proc = subprocess.run(
             [sys.executable, "-m", "mfinv.cli", "--input", path, "milnor"],

@@ -42,6 +42,7 @@ from mfinv.mfcore import (
 from mfinv.milnor import build_milnor
 from mfinv.poly import PolyRing
 from mfinv.scalar import CyclotomicContext, one, rational, zero
+from tuple_route import polynomial, terms
 
 
 def cyclic_ring(n):
@@ -559,13 +560,13 @@ def _ref_substitute(p, g):
     """p(g x) by raising each eigenvalue to each exponent."""
     ring = p.ring
     out = {}
-    for m, c in p.terms.items():
+    for m, c in terms(p).items():
         factor = c
         for i, e in enumerate(m):
             if e:
                 factor = factor * g[i] ** e
         out[m] = out.get(m, ring.scalar(0)) + factor
-    return ring.from_terms(out)
+    return polynomial(ring, out)
 
 
 def _ref_actions(E, generators, elements, words, context):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mfinv.groebner import lift_basis
 from mfinv.milnor import (
+    MilnorClass,
     _cofactor_determinant,
     _trace_poly,
     build_milnor,
@@ -16,6 +17,7 @@ from mfinv.milnor import (
 )
 from mfinv.poly import PolyRing
 from mfinv.scalar import CyclotomicContext, rational
+from tuple_route import grevlex_key, terms
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
@@ -209,6 +211,50 @@ def test_coefficient_lookup_matches_product_route(ring, text):
         for g in classes[:3]:
             want = _reference_trace(f.value * g.value, N, det) * sign
             assert canonical_pairing(f, g) == want
+
+
+def _tuple_trace(A, p):
+    """tr(p) by lookups of the exponent tuples N-1-m in det(a); a tuple
+    with a negative entry is never a key, so such a term adds nothing."""
+    det = terms(A.residue_cofactor_det)
+    top = A.nilpotency - 1
+    total = rational(0)
+    for m, c in terms(p).items():
+        d = det.get(tuple(top - e for e in m))
+        if d is not None:
+            total = total + A.ring.scalar(c) * A.ring.scalar(d)
+    return total
+
+
+@pytest.mark.parametrize("ring,text", REFERENCE_BATTERY)
+def test_trace_of_exponents_past_the_nilpotency_matches_the_tuple_route(ring, text):
+    # unreduced representatives with an exponent above N-1 in each slot:
+    # the word N-1-m borrows (into the guard bits of a lower field, or
+    # below 0 from the top one) and must miss, as the tuple lookup does
+    A = _build(ring, text)
+    N, n = A.nilpotency, ring.n
+    basis = [ring.monomial(m) for m in A.basis]
+    for i in range(n):
+        for over in (1, 2, N + 1000):
+            # the other slots at 0 absorb the borrow; at N-1 they pass it on
+            for other in (0, N - 1):
+                m = [other] * n
+                m[i] = N - 1 + over
+                p = ring.monomial(tuple(m), 3) + basis[-1] + basis[0] * 2
+                for q in (p, p * basis[-1]):
+                    got = residue_trace(MilnorClass(A, q, n % 2))
+                    assert got == _tuple_trace(A, q)
+                    assert got == residue_trace(A.project(q))
+
+
+def test_milnor_basis_is_exponent_tuples():
+    for ring, text, mu in BATTERY:
+        A = _build(ring, text)
+        assert type(A.basis) is tuple and len(A.basis) == mu
+        assert all(type(m) is tuple and len(m) == ring.n for m in A.basis)
+        assert all(type(e) is int for m in A.basis for e in m)
+        assert list(A.basis) == sorted(A.basis, key=grevlex_key)
+        assert A.basis_words == tuple(map(ring.layout.word, A.basis))
 
 
 def test_three_variable_cusp_sum():

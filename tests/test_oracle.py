@@ -27,6 +27,7 @@ from mfinv.oracle import (
 )
 from mfinv.poly import PolyRing, determinant, difference_derivative, doubled_ring
 from mfinv.scalar import CyclotomicContext, rational
+from tuple_route import polynomial, shift, terms
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
@@ -514,7 +515,7 @@ def _eliminate_level(level: dict, n: int, rank: int, ring) -> dict:
     grids: dict = {}
     for r in range(rank):
         for s in range(rank):
-            eqs = {(S, m): c for S, M in level.items() for m, c in M[r][s].terms.items()}
+            eqs = {(S, m): c for S, M in level.items() for m, c in terms(M[r][s]).items()}
             rows, cols, matrix = _contraction_system(eqs, n)
             if not cols:
                 assert not eqs
@@ -525,7 +526,7 @@ def _eliminate_level(level: dict, n: int, rank: int, ring) -> dict:
                     grid = grids.setdefault(T, [[{} for _ in range(rank)] for _ in range(rank)])
                     grid[r][s][m] = c
     return {
-        T: tuple(tuple(ring.from_terms(terms) for terms in row) for row in grid)
+        T: tuple(tuple(polynomial(ring, entry) for entry in row) for row in grid)
         for T, grid in grids.items()
     }
 
@@ -602,7 +603,7 @@ def test_components_are_admissible(w, facs):
         for T, M in D.components:
             for row in M:
                 for p in row:
-                    for m in p.substitute(ring, to_u).terms:
+                    for m in terms(p.substitute(ring, to_u)):
                         assert not any(m[n + k] for k in range(T[0] if T else n))
 
 
@@ -626,13 +627,16 @@ def test_shift_is_the_binomial_ring_map(data):
     context = data.draw(st.sampled_from([None, CyclotomicContext(3)]))
     ring = doubled_ring(PolyRing(("x", "y", "z")[:n], context))
     exponents = st.tuples(*[st.integers(min_value=0, max_value=4)] * (2 * n))
-    p = ring.from_terms(data.draw(st.dictionaries(exponents, _coefficients(context), max_size=6)))
+    p = polynomial(ring, data.draw(st.dictionaries(exponents, _coefficients(context), max_size=6)))
     xs = [ring.var(i) for i in range(n)]
     zs = [ring.var(n + i) for i in range(n)]
     forward = oracle._shift(p, n, 1, ring)
     back = oracle._shift(p, n, -1, ring)
     assert forward == p.substitute(ring, xs + [x + z for x, z in zip(xs, zs)])
     assert back == p.substitute(ring, xs + [z - x for x, z in zip(xs, zs)])
+    # and against the binomial expansion on exponent tuples
+    assert forward == polynomial(ring, shift(terms(p), n, 1))
+    assert back == polynomial(ring, shift(terms(p), n, -1))
     assert oracle._shift(forward, n, -1, ring) == p
     assert oracle._shift(back, n, 1, ring) == p
 

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from mfinv.equivariant import graded_chi, graded_to_equivariant
 from mfinv.mfcore import koszul
-from mfinv.poly import PolyRing, difference_derivative, doubled_ring, grevlex_key
+from mfinv.poly import PolyRing, difference_derivative, doubled_ring
 from mfinv.scalar import CyclotomicContext, Scalar, rational
 from test_groebner import monomial_mul
+import tuple_route
+from tuple_route import grevlex_key, polynomial, terms
 
 
 R2 = PolyRing(("x", "y"))
@@ -17,7 +19,7 @@ R1 = PolyRing(("x",))
 
 def test_parse_basics():
     w = R2.parse("x^3 + x*y^2")
-    assert max(sum(m) for m in w.terms) == 3
+    assert max(sum(m) for m in terms(w)) == 3
     assert w.coeff_of((3, 0)) == rational(1)
     assert w.coeff_of((1, 2)) == rational(1)
     assert len(w.terms) == 2
@@ -151,7 +153,7 @@ def _polys(ring, max_terms=5, max_deg=4):
             c = ring.scalar(num)
             if not c.is_zero():
                 terms[tuple(expos)] = terms.get(tuple(expos), ring.scalar(0)) + c
-        return ring.from_terms({m: c for m, c in terms.items() if not c.is_zero()})
+        return polynomial(ring, {m: c for m, c in terms.items() if not c.is_zero()})
 
     expo = st.tuples(*[st.integers(min_value=0, max_value=max_deg) for _ in range(ring.n)])
     return st.lists(st.tuples(expo, _small_ints), max_size=max_terms).map(build)
@@ -222,7 +224,7 @@ def test_print_parse_roundtrip_property(f):
 
 
 def _scalar_terms(f):
-    return {m: f.ring.scalar(c) for m, c in f.terms.items()}
+    return {m: f.ring.scalar(c) for m, c in terms(f).items()}
 
 
 def _ref_add(a: dict, b: dict) -> dict:
@@ -293,7 +295,7 @@ def _coefficient_polys(ring):
         total: dict = {}
         for m, c in pairs:
             total = _ref_add(total, {m: ring.scalar(c)})
-        return ring.from_terms(total)
+        return polynomial(ring, total)
 
     expo = st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))
     return st.lists(st.tuples(expo, st.sampled_from(_COEFFS[ring])), max_size=5).map(build)
@@ -328,19 +330,19 @@ def test_normal_form_of_every_constructor_and_operation():
         h + h, h * 2, 2 * h, h * h * 4, h - h, R2.parse("x/2") * R2.parse("2*y"),
         (h * h).partial_derivative(0), R2.parse("x^2/2").partial_derivative(0),
         h / Fraction(1, 2), R2.const(Fraction(4, 2)), R2.monomial((1, 1), rational(3, 3)),
-        R2.from_terms({(1, 0): Fraction(2, 2), (0, 1): 0, (0, 0): rational(1, 2)}),
+        polynomial(R2, {(1, 0): Fraction(2, 2), (0, 1): 0, (0, 0): rational(1, 2)}),
         h.substitute(R2, [R2.var(1) * 2, R2.var(0) * 2]), h ** 3 * 8, R2.var(0),
         R2.parse("x + y/2") * R2.parse("x - y/2"),
     ):
         _assert_normal_form(f)
     assert all(type(c) is int for c in (h + h).terms.values())
     assert (h - h).terms == {}
-    assert (R2.parse("x + y/2") * R2.parse("x - y/2")).terms == {(2, 0): 1, (0, 2): Fraction(-1, 4)}
+    assert terms(R2.parse("x + y/2") * R2.parse("x - y/2")) == {(2, 0): 1, (0, 2): Fraction(-1, 4)}
     for ring in (Q3, Z12):
         z = ring.context.zeta()
         for f in (
             ring.parse("(1 + z)*x^2 - z*x + 2"), ring.var(0) * z, ring.const(1), ring.const(rational(1, 2)),
-            ring.monomial((1, 0)), ring.from_terms({(1, 1): 3, (0, 0): z}), R2.parse("x/2 + 3").map_ring(ring),
+            ring.monomial((1, 0)), polynomial(ring, {(1, 1): 3, (0, 0): z}), R2.parse("x/2 + 3").map_ring(ring),
             (ring.var(0) * z + 1) ** 3, ring.parse("x^3 + z*x*y").partial_derivative(0),
             ring.parse("x + z*y") * ring.parse("x - z*y"),
         ):
@@ -362,7 +364,7 @@ def test_division_by_a_constant():
     expected = R2.parse("x/2 + 3/2*y")
     for c in (2, Fraction(2), rational(2), R2.const(2)):
         assert f / c == expected
-    assert f.terms and (f / R2.const(2)).terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)}
+    assert f.terms and terms(f / R2.const(2)) == {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)}
     g = Q3.parse("z*x")
     assert g / Q3.const(Q3.context.zeta()) == Q3.var(0)
     for bad in (R2.var(0), R2.zero(), 0):
@@ -377,13 +379,13 @@ def test_irrational_scalar_in_a_rational_ring_raises():
         lambda: R2.var(0) * z,
         lambda: R2.var(0) + z,
         lambda: R2.monomial((1, 0), z),
-        lambda: R2.from_terms({(1, 0): z}),
+        lambda: polynomial(R2, {(1, 0): z}),
         lambda: Q3.parse("z*x").map_ring(R2),
     ):
         with pytest.raises(ValueError, match="not rational"):
             make()
     # a rational Scalar of a cyclotomic field is unwrapped
-    assert R2.const(CyclotomicContext(3).from_rational(Fraction(3, 2))).terms == {(0, 0): Fraction(3, 2)}
+    assert terms(R2.const(CyclotomicContext(3).from_rational(Fraction(3, 2)))) == {(0, 0): Fraction(3, 2)}
 
 
 def test_graded_chi_over_q_keeps_the_rings_apart():
@@ -395,3 +397,115 @@ def test_graded_chi_over_q_keeps_the_rings_apart():
     S = graded_to_equivariant(w, (1,))
     E = koszul([x], [x ** 3])
     assert graded_chi(S, E, ((0,), (1,)), E, ((0,), (1,))) == 1
+
+
+# --- exponent words against the tuple route -----------------------------------
+
+_NAMES = ("a", "b", "c", "d", "e", "f")
+
+
+def _route_ring(data):
+    """A ring of 1-6 variables over Q or Q(zeta_3): a plain ring, or the
+    doubled ring of one in 1-3 variables."""
+    context = data.draw(st.sampled_from([None, CyclotomicContext(3)]))
+    if data.draw(st.booleans()):
+        return doubled_ring(PolyRing(_NAMES[: data.draw(st.integers(1, 3))], context))
+    return PolyRing(_NAMES[: data.draw(st.integers(1, 6))], context)
+
+
+def _route_poly(data, ring, limit):
+    """Small exponents and ones whose pairwise sums still fit below 2^limit."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if ring.context is None:
+        coef = small
+    else:
+        zeta = ring.context.zeta()
+        coef = st.tuples(small, small).map(lambda ab: ring.scalar(ab[0]) + zeta * ab[1])
+    big = st.integers(min_value=0, max_value=(1 << (limit - 1)) - 1)
+    expo = st.tuples(*[st.one_of(st.integers(min_value=0, max_value=3), big)] * ring.n)
+    return polynomial(ring, data.draw(st.dictionaries(expo, coef, max_size=5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_word_arithmetic_matches_the_tuple_route(data):
+    ring = _route_ring(data)
+    f, g = (_route_poly(data, ring, ring.layout.limit) for _ in range(2))
+    assert f * g == polynomial(ring, tuple_route.mul(terms(f), terms(g)))
+    for i in range(ring.n):
+        want = tuple_route.partial_derivative(terms(f), i)
+        assert f.partial_derivative(i) == polynomial(ring, want)
+    # the printed order is grevlex on exponent tuples
+    order = sorted(terms(f), key=grevlex_key, reverse=True)
+    words = sorted(f.terms, key=ring.layout.grevlex, reverse=True)
+    assert [ring.layout.exponents(x) for x in words] == order
+    if f:
+        assert f.leading_monomial() == order[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_difference_derivative_matches_the_tuple_route(data):
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    context = data.draw(st.sampled_from([None, CyclotomicContext(3)]))
+    ring = PolyRing(_NAMES[:n], context)
+    doubled = doubled_ring(ring)
+    # exponents of the doubled ring's narrower fields; a_j - 1 terms per
+    # term, so the big exponents stay off the differenced slot j
+    f = _route_poly(data, ring, doubled.layout.limit)
+    for j in range(n):
+        f_j = polynomial(ring, {m: c for m, c in terms(f).items() if m[j] <= 3})
+        want = polynomial(doubled, tuple_route.difference_derivative(terms(f_j), j, n))
+        assert difference_derivative(f_j, j, doubled) == want
+
+
+def test_words_and_tuples_convert_both_ways():
+    for n in range(7):
+        lay = PolyRing(_NAMES[:n]).layout
+        top = (1 << lay.limit) - 1
+        for m in ((0,) * n, tuple(range(n)), (top,) * n):
+            assert lay.exponents(lay.word(m)) == m
+        if n:
+            for bad in ((top + 1,) + (0,) * (n - 1), (-1,) + (0,) * (n - 1), (0,) * (n + 1)):
+                with pytest.raises(ValueError):
+                    lay.word(bad)
+    # a borrowed (negative) or wide int is outside the layout too
+    for bad in (-1, 1 << R2.layout.width):
+        with pytest.raises(ValueError):
+            R2.from_terms({bad: 1})
+
+
+def test_exponent_past_the_word_field_raises_under_optimize():
+    # the guard must not be a bare assert, which python -O strips: where a
+    # tuple becomes a word, after a product and a power whose exponents
+    # pass 2^30 - 1 in two variables, and in the solver's binomial shift
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import mfinv
+
+    src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    code = (
+        "from mfinv.oracle import _shift\n"
+        "from mfinv.poly import PolyRing\n"
+        "R = PolyRing(('x', 'y'))\n"
+        "E = 1 << R.layout.limit\n"
+        "half = R.monomial((E // 2, 1))\n"
+        "cases = [lambda: R.monomial((E, 0)), lambda: R.one().coeff_of((0, E)),\n"
+        "         lambda: half * half, lambda: R.var(1) ** E,\n"
+        "         lambda: R.monomial((E - 1, 0)) * (R.var(0) + R.var(1)),\n"
+        "         lambda: _shift(R.monomial((E - 1, 1)), 1, 1, R)]\n"
+        "for make in cases:\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError as exc:\n"
+        "        print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    message = "raised: exponent above the limit 2^30 - 1 of the exponent words in 2 variables"
+    assert out.stdout.splitlines() == [message] * 6
