@@ -72,7 +72,7 @@ from .mfcore import (
     mat_transpose,
     stabilized_residue_field,
 )
-from .milnor import MilnorClass, MilnorRing, build_milnor, canonical_pairing
+from .milnor import MilnorClass, build_milnor, canonical_pairing
 from .invariants import check_endomorphism, derivative_product, supertrace
 from .poly import Polynomial, PolyRing
 from .scalar import (
@@ -109,18 +109,13 @@ class DiagonalGroup(Frozen):
                  "products", "_index", "_position")
 
     def __init__(self, context, n, roots, gen_exponents, position, products):
-        exponents = tuple(position)  # identity first
+        # position maps each exponent vector to its position, identity first
+        exponents = tuple(position)
         elements = tuple(tuple(roots[k] for k in e) for e in exponents)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "generators",
-                           tuple(tuple(roots[k] for k in h) for h in gen_exponents))
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "products", products)
-        object.__setattr__(self, "_index", {g: i for i, g in enumerate(elements)})
-        object.__setattr__(self, "_position", position)  # exponent vector -> position
+        generators = tuple(tuple(roots[k] for k in h) for h in gen_exponents)
+        index = {g: i for i, g in enumerate(elements)}
+        super().__init__(context, n, roots, generators, elements, exponents, products, index,
+                         position)
 
     @property
     def order(self) -> int:
@@ -205,10 +200,6 @@ class Sector(Frozen):
     fixed-variable ring."""
 
     __slots__ = ("fixed_indices", "milnor")
-
-    def __init__(self, fixed_indices: tuple[int, ...], milnor: MilnorRing):
-        object.__setattr__(self, "fixed_indices", fixed_indices)
-        object.__setattr__(self, "milnor", milnor)
 
     @property
     def w_g(self) -> Polynomial:
@@ -559,22 +550,6 @@ class GradedStructure(Frozen):
     """
 
     __slots__ = ("ring", "w", "weights", "ell", "roots", "doubled")
-
-    def __init__(
-        self,
-        ring: PolyRing,
-        w: Polynomial,
-        weights: tuple[int, ...],
-        ell: int,
-        roots: tuple,
-        doubled: bool,
-    ):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "doubled", doubled)
 
     @property
     def order(self) -> int:

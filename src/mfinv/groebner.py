@@ -55,7 +55,7 @@ and the cofactors of v; `split` reads it: the elements with a term in the
 first ``rank`` positions have their leads there, and their heads are a
 reduced basis of <g, h>; the tails of the others are a reduced basis of
 the relations {c : sum_i c_i g_i in <h>}, as no other lead divides their
-terms.  `syzygies`, `module_kernel`, `subquotient_presentation` and
+terms.  `module_kernel`, `subquotient_presentation` and
 `milnor.build_milnor` read their bases through `split`.
 """
 from __future__ import annotations
@@ -415,13 +415,6 @@ def split(basis: ModuleGB):
         else:
             tails.add({t - shift: a for t, a in d.items()}, k - shift)
     return ModuleGB(ring, b, heads), ModuleGB(ring, basis.rank - b, tails)
-
-
-def syzygies(gens, rank: int, ring: PolyRing):
-    """The reduced term-over-position basis of {c in R^s : sum_i c_i *
-    gens_i = 0}, in `module_buchberger`'s order: the tails of the lift
-    basis of ``gens``."""
-    return split(lift_basis(gens, rank, ring))[1].generators
 
 
 def module_kernel(matrix, r_in: int, r_out: int, ring: PolyRing):

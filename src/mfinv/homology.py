@@ -40,20 +40,6 @@ class ParityCohomology(Frozen):
 
     __slots__ = ("parity", "kernel", "lifts", "relations", "standard")
 
-    def __init__(
-        self,
-        parity: int,
-        kernel: ModuleGB,
-        lifts: ModuleGB,
-        relations: ModuleGB,
-        standard: tuple,
-    ):
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "lifts", lifts)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "standard", standard)
-
     @property
     def dimension(self) -> int:
         return len(self.standard)
@@ -61,14 +47,6 @@ class ParityCohomology(Frozen):
 
 class CohomologyBasis(Frozen):
     __slots__ = ("source", "target", "even", "odd")
-
-    def __init__(
-        self, source: MatFac, target: MatFac, even: ParityCohomology, odd: ParityCohomology
-    ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "even", even)
-        object.__setattr__(self, "odd", odd)
 
     def representative(self, parity: int, index: int) -> MorphismCocycle:
         """An explicit cocycle representing the index-th basis class."""

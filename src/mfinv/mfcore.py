@@ -33,11 +33,6 @@ def as_matrix(rows) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def zero_matrix(ring: PolyRing, r: int, c: int) -> Matrix:
-    z = ring.zero()
-    return tuple(tuple(z for _ in range(c)) for _ in range(r))
-
-
 def diagonal_matrix(entries, zero) -> Matrix:
     """The square matrix with these diagonal entries and `zero` elsewhere."""
     n = len(entries)
@@ -315,10 +310,7 @@ class MorphismCocycle(Frozen):
             off = row[sr0:] if (i >= tr0) == parity else row[:sr0]
             if any(not e.is_zero() for e in off):
                 raise ValueError("matrix is not parity-homogeneous of parity %d" % parity)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "matrix", matrix)
+        super().__init__(source, target, parity, matrix)
 
     @classmethod
     def from_blocks(
@@ -390,10 +382,6 @@ class MorphismCocycle(Frozen):
 
 def identity_morphism(E: MatFac) -> MorphismCocycle:
     return MorphismCocycle(E, E, 0, identity_matrix(E.ring, E.rank))
-
-
-def zero_morphism(E: MatFac, F: MatFac, parity: int) -> MorphismCocycle:
-    return MorphismCocycle(E, F, parity, zero_matrix(E.ring, F.rank, E.rank))
 
 
 # --- the Hom complex as flat matrices ---------------------------------------
@@ -541,6 +529,4 @@ class EquivariantMF(Frozen):
                 for j in range(base.rank):
                     if (i < r0) != (j < r0) and not rho[i][j].is_zero():
                         raise ValueError("action matrix does not preserve parity")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "checked", None)
+        super().__init__(base, action, None)

@@ -40,33 +40,14 @@ class MilnorRing(Frozen):
     """k[x]/J_w with the data needed to evaluate residue traces.
 
     ``basis`` lists the standard monomials of the Jacobian ideal (grevlex
-    ascending) as exponent tuples, and ``basis_words`` as the exponent
-    words that the constructor takes; ``nilpotency`` is the uniform
-    exponent N with every x_i^N in J_w, and ``residue_cofactor_det`` is
-    det(a_ij) for one fixed choice of cofactors x_i^N = sum_j a_ij dw/dx_j.
+    ascending) as exponent tuples and ``basis_words`` as exponent words;
+    the constructor takes both.  ``nilpotency`` is the uniform exponent N
+    with every x_i^N in J_w, and ``residue_cofactor_det`` is det(a_ij) for
+    one fixed choice of cofactors x_i^N = sum_j a_ij dw/dx_j.
     """
 
     __slots__ = ("ring", "w", "jacobian_gb", "basis", "basis_words", "mu", "nilpotency",
                  "residue_cofactor_det")
-
-    def __init__(
-        self,
-        ring: PolyRing,
-        w: Polynomial,
-        jacobian_gb: ModuleGB,
-        basis_words: tuple[int, ...],
-        mu: int,
-        nilpotency: int,
-        residue_cofactor_det: Polynomial,
-    ):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "jacobian_gb", jacobian_gb)
-        object.__setattr__(self, "basis", tuple(map(ring.layout.exponents, basis_words)))
-        object.__setattr__(self, "basis_words", basis_words)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nilpotency", nilpotency)
-        object.__setattr__(self, "residue_cofactor_det", residue_cofactor_det)
 
     def project(self, value: Polynomial, parity: int | None = None) -> "MilnorClass":
         """The class of ``value`` in A_w, reduced to normal form."""
@@ -89,11 +70,6 @@ class MilnorClass(Frozen):
     """An element of A_w together with the parity of its ambient class."""
 
     __slots__ = ("ring", "value", "parity")
-
-    def __init__(self, ring: MilnorRing, value: Polynomial, parity: int):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "parity", parity)
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
@@ -150,7 +126,7 @@ def build_milnor(w: Polynomial) -> MilnorRing:
         if n > 0:
             raise ValueError("not an isolated singularity")
         # sector with no coordinates: A = k, the residue is the identity
-        return MilnorRing(ring, w, module_gb((), 1, ring), (0,), 1, 0, ring.one())
+        return MilnorRing(ring, w, module_gb((), 1, ring), ((),), (0,), 1, 0, ring.one())
     # one block-order run: its heads are the Jacobian basis, and `lift`
     # reads the cofactors of the residue transformation law off it
     lifts = lift_basis([(p,) for p in partials], 1, ring)
@@ -161,7 +137,8 @@ def build_milnor(w: Polynomial) -> MilnorRing:
     mu = len(basis)
     nil = _nilpotency_exponent(ring, gb, mu)
     det = _cofactor_determinant(lifts, partials, nil)
-    return MilnorRing(ring, w, gb, tuple(basis), mu, nil, det)
+    words = tuple(basis)
+    return MilnorRing(ring, w, gb, tuple(map(ring.layout.exponents, words)), words, mu, nil, det)
 
 
 def _nilpotency_exponent(ring: PolyRing, gb: ModuleGB, mu: int) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb, prod
 
-from .groebner import ModuleGB, buchberger, normal_form
+from .groebner import buchberger, normal_form
 from .invariants import check_endomorphism, derivative_product, supertrace
 from .mfcore import (
     MatFac,
@@ -63,34 +63,24 @@ class DiagonalData(Frozen):
 
     __slots__ = ("milnor", "doubled", "w_tilde", "differences", "jacobian", "determinant")
 
-    def __init__(
-        self,
-        milnor: MilnorRing,
-        doubled: PolyRing,
-        w_tilde: Polynomial,
-        differences: tuple[Polynomial, ...],
-        jacobian: ModuleGB,
-        determinant: Polynomial,
-    ):
-        object.__setattr__(self, "milnor", milnor)
-        object.__setattr__(self, "doubled", doubled)
-        object.__setattr__(self, "w_tilde", w_tilde)
-        object.__setattr__(self, "differences", differences)
-        object.__setattr__(self, "jacobian", jacobian)
-        object.__setattr__(self, "determinant", determinant)
+
+def _in_half(p: Polynomial, doubled: PolyRing, half: int) -> Polynomial:
+    """p(x) for half 0 and p(y) for half 1 in k[x, y]: each word of p keeps
+    its place or moves up by the width of x; `from_terms` checks it
+    against the layout of the doubled ring."""
+    shift = half * p.ring.layout.width
+    return doubled.from_terms({m << shift: c for m, c in p.terms.items()})
 
 
 def _differences(w: Polynomial):
     """(k[x, y], w(y) - w(x), the difference derivatives of w)."""
     n = w.ring.n
     doubled = doubled_ring(w.ring)
-    xs = [doubled.var(i) for i in range(n)]
-    ys = [doubled.var(n + i) for i in range(n)]
-    w_tilde = w.substitute(doubled, ys) - w.substitute(doubled, xs)
+    w_tilde = _in_half(w, doubled, 1) - _in_half(w, doubled, 0)
     diffs = tuple(difference_derivative(w, j, doubled) for j in range(n))
     telescoped = doubled.zero()
     for j in range(n):
-        telescoped = telescoped + diffs[j] * (ys[j] - xs[j])
+        telescoped = telescoped + diffs[j] * (doubled.var(n + j) - doubled.var(j))
     if telescoped != w_tilde:
         raise AssertionError("difference derivatives fail the telescoping identity")
     return doubled, w_tilde, diffs
@@ -105,13 +95,8 @@ def build_diagonal(A: MilnorRing) -> DiagonalData:
     w = A.w
     n = w.ring.n
     doubled, w_tilde, diffs = _differences(w)
-    xs = [doubled.var(i) for i in range(n)]
-    ys = [doubled.var(n + i) for i in range(n)]
     partials = [w.partial_derivative(i) for i in range(n)]
-    gb = buchberger(
-        [p.substitute(doubled, xs) for p in partials]
-        + [p.substitute(doubled, ys) for p in partials]
-    )
+    gb = buchberger([_in_half(p, doubled, half) for half in (0, 1) for p in partials])
     rows = [[difference_derivative(p, j, doubled) for j in range(n)] for p in partials]
     return DiagonalData(A, doubled, w_tilde, diffs, gb, determinant(rows, doubled.one()))
 
@@ -127,16 +112,6 @@ class DTensor(Frozen):
     """
 
     __slots__ = ("doubled", "source", "solved")
-
-    def __init__(
-        self,
-        doubled: PolyRing,
-        source: MatFac,
-        solved: tuple[tuple[tuple[int, ...], Matrix], ...],
-    ):
-        object.__setattr__(self, "doubled", doubled)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "solved", solved)
 
     @property
     def components(self) -> tuple:
@@ -204,11 +179,9 @@ def solve_D(E: MatFac) -> DTensor:
     rank = E.rank
     # in (x, u), with u_j in the slot of y_j, delta at x is the same words
     # and delta at y = x + u the words moved into the y half, then shifted
-    width = E.ring.layout.width
     delta = E.delta
-    delta_x = mat_map(delta, lambda p: ring.from_terms(p.terms))
-    delta_y = mat_map(delta, lambda p: _shift(
-        Polynomial(ring, {m << width: c for m, c in p.terms.items()}), n, 1, ring))
+    delta_x = mat_map(delta, lambda p: _in_half(p, ring, 0))
+    delta_y = mat_map(delta, lambda p: _shift(_in_half(p, ring, 1), n, 1, ring))
     diffs_u = tuple(_shift(d, n, 1, ring) for d in diffs)
 
     def level_rhs(S: tuple) -> Matrix:
@@ -321,11 +294,6 @@ class DiagonalChern(Frozen):
     """
 
     __slots__ = ("direct", "determinant", "agree")
-
-    def __init__(self, direct: Polynomial, determinant: Polynomial, agree: bool):
-        object.__setattr__(self, "direct", direct)
-        object.__setattr__(self, "determinant", determinant)
-        object.__setattr__(self, "agree", agree)
 
 
 def chern_of_diagonal(w: Polynomial, data: DiagonalData | None = None) -> DiagonalChern:

@@ -98,9 +98,7 @@ class PolyRing(Frozen):
     def __init__(self, names: tuple[str, ...], context: CyclotomicContext | None = None):
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "layout", word_layout(len(names)))
+        super().__init__(names, context, word_layout(len(names)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -40,7 +40,6 @@ from mfinv.mfcore import (
     shift,
     tensor,
     vector_to_morphism,
-    zero_morphism,
 )
 from mfinv.milnor import (
     build_milnor,
@@ -58,6 +57,7 @@ from mfinv.oracle import (
 from mfinv.poly import PolyRing
 from mfinv.scalar import CyclotomicContext, one, rational, zero
 from test_equivariant import moving_determinant
+from test_mfcore import zero_morphism
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))

@@ -19,7 +19,6 @@ from mfinv.groebner import (
     quotient_basis,
     split,
     subquotient_presentation,
-    syzygies,
 )
 from mfinv.cli import load_session
 from mfinv.homology import euler, hom_cohomology
@@ -36,6 +35,13 @@ R1 = PolyRing(("x",))
 
 def _gb(ring, *texts):
     return buchberger([ring.parse(t) for t in texts])
+
+
+def syzygies(gens, rank: int, ring):
+    """The reduced term-over-position basis of {c in R^s : sum_i c_i *
+    gens_i = 0}, in `module_buchberger`'s order: the tails of the lift
+    basis of ``gens``."""
+    return split(lift_basis(gens, rank, ring))[1].generators
 
 
 def _cofactors(f, gens):

@@ -16,11 +16,11 @@ from mfinv.mfcore import (
     koszul,
     shift,
     vector_to_morphism,
-    zero_morphism,
 )
 from mfinv.milnor import build_milnor
 from mfinv.poly import PolyRing
 from mfinv.scalar import rational
+from test_mfcore import zero_morphism
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))

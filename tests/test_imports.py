@@ -278,7 +278,7 @@ def _frozen_instances() -> list:
         Scalar(None, (Fraction(1),)),
         ring,
         module_gb((), 1, ring),
-        MilnorRing(ring, ring.zero(), None, (), 0, 1, ring.one()),
+        MilnorRing(ring, ring.zero(), None, (), (), 0, 1, ring.one()),
         MilnorClass(None, ring.zero(), 0),
         empty,
         MorphismCocycle(empty, empty, 0, ()),
@@ -354,3 +354,105 @@ def test_value_classes_copy_and_pickle():
         assert "partials" in vars(twin) and twin == E and twin.partials == E.partials
     for obj in _frozen_instances():
         assert type(copy.deepcopy(obj)) is type(obj)
+
+
+# --- value classes name each field once, in __slots__ ------------------------
+
+
+def _own_field_stores(tree: ast.Module, exempt=("Scalar",)) -> list:
+    """(class, line) of each object.__setattr__ call in the own __init__ of
+    a slotted Frozen subclass not in ``exempt``: such a class leaves the
+    stores to Frozen.__init__."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or cls.name in exempt:
+            continue
+        assigned = {
+            t.id for s in cls.body if isinstance(s, ast.Assign)
+            for t in s.targets if isinstance(t, ast.Name)
+        }
+        if "Frozen" not in map(ast.unparse, cls.bases) or "__slots__" not in assigned:
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                found.extend(
+                    (cls.name, node.lineno) for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "object.__setattr__"
+                )
+    return found
+
+
+def test_value_classes_store_fields_only_through_frozen_init():
+    trees = _parsed(sorted(SRC.glob("*.py")))
+    assert [found for tree in trees.values() for found in _own_field_stores(tree)] == []
+    # the exemption is what lets Scalar through: its two stores are seen
+    scalar = trees["src/mfinv/scalar.py"]
+    assert [name for name, _line in _own_field_stores(scalar, exempt=())] == ["Scalar"] * 2
+
+
+def test_own_field_store_is_reported():
+    tree = ast.parse(
+        "class Kept(Frozen):\n"
+        "    __slots__ = ('a',)\n"
+        "    def __init__(self, a):\n"
+        "        super().__init__(a)\n"
+        "class Planted(Frozen):\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a):\n"
+        "        if a:\n"
+        "            object.__setattr__(self, 'a', a)\n"
+        "class Unslotted(Frozen):\n"
+        "    def __init__(self, a):\n"
+        "        object.__setattr__(self, 'a', a)\n"
+        "class Scalar(Frozen):\n"
+        "    __slots__ = ('a',)\n"
+        "    def __init__(self, a):\n"
+        "        object.__setattr__(self, 'a', a)\n"
+    )
+    assert _own_field_stores(tree) == [("Planted", 9)]
+
+
+_WRONG_COUNT = """
+from mfinv.equivariant import Sector
+from mfinv.oracle import DiagonalChern
+for cls, fields in ((Sector, ((0,), None)), (DiagonalChern, (None, None, True))):
+    print(cls.__name__, [getattr(cls(*fields), name) for name in cls.__slots__])
+    for args in (fields[:-1], fields + (None,)):
+        try:
+            cls(*args)
+        except ValueError:
+            print("raised on", len(args))
+"""
+
+
+def test_value_classes_reject_a_wrong_field_count():
+    # the count check is zip(strict=True), not an assert, so python -O keeps it
+    import os
+    import subprocess
+    import sys
+
+    import pytest
+
+    from mfinv.scalar import Frozen
+
+    inherited = [obj for obj in _frozen_instances() if type(obj).__init__ is Frozen.__init__]
+    assert len(inherited) == 10
+    for obj in inherited:
+        fields = tuple(getattr(obj, name) for name in obj.__slots__)
+        twin = type(obj)(*fields)
+        assert all(getattr(twin, name) is value for name, value in zip(obj.__slots__, fields))
+        for args in (fields[:-1], fields + (None,)):
+            with pytest.raises(ValueError):
+                type(obj)(*args)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    want = [
+        "Sector [(0,), None]", "raised on 1", "raised on 3",
+        "DiagonalChern [None, None, True]", "raised on 2", "raised on 4",
+    ]
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", _WRONG_COUNT],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.splitlines() == want

@@ -26,14 +26,21 @@ from mfinv.mfcore import (
     stabilized_residue_field,
     tensor,
     vector_to_morphism,
-    zero_matrix,
-    zero_morphism,
 )
 from mfinv.cli import load_session
 from mfinv.poly import PolyRing
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
+
+
+def zero_matrix(ring, r: int, c: int):
+    z = ring.zero()
+    return tuple(tuple(z for _ in range(c)) for _ in range(r))
+
+
+def zero_morphism(E, F, parity: int) -> MorphismCocycle:
+    return MorphismCocycle(E, F, parity, zero_matrix(E.ring, F.rank, E.rank))
 
 
 def k1(ring, a, b):

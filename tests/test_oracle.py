@@ -641,6 +641,24 @@ def test_shift_is_the_binomial_ring_map(data):
     assert oracle._shift(back, n, 1, ring) == p
 
 
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_halves_are_the_ring_maps_into_the_doubled_ring(data):
+    # the word moves into k[x, y] against the generic ring map: x -> x for
+    # half 0, x -> y for half 1
+    import mfinv.oracle as oracle
+
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    context = data.draw(st.sampled_from([None, CyclotomicContext(3)]))
+    ring = PolyRing(("x", "y", "z")[:n], context)
+    doubled = doubled_ring(ring)
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=6)] * n)
+    p = polynomial(ring, data.draw(st.dictionaries(exponents, _coefficients(context), max_size=6)))
+    for half in (0, 1):
+        images = [doubled.var(half * n + i) for i in range(n)]
+        assert oracle._in_half(p, doubled, half) == p.substitute(doubled, images)
+
+
 @pytest.mark.parametrize("w,facs", REFERENCE)
 def test_oracle_tau_reads_the_top_component_at_u_zero(w, facs):
     # the u-free terms of the stored top component against the top
