@@ -38,8 +38,8 @@ word, and `_unflat` masks it out.  A product by t adds x_t - G(x_t) 2^k2,
 that is K - K' when K' divides K in the same position: ((K | H) - K') & H
 == H, H the top bit of each field.  Words keep their guard bits clear, so
 no sum of two terms carries into another field; `_divide` raises on a
-popped term past that bound.  `_scaled` clears the flag of a basis
-entering a new run, and `split` subtracts 2^k1 + b 2^ps from its tails.
+popped term past that bound, and `split` subtracts 2^k1 + b 2^ps from
+its tails.
 Per lead position a basis keeps its entries' leads, lead coefficients and
 other terms; a lead is divided by the first entry, in insertion order,
 whose lead divides it.
@@ -55,8 +55,11 @@ and the cofactors of v; `split` reads it: the elements with a term in the
 first ``rank`` positions have their leads there, and their heads are a
 reduced basis of <g, h>; the tails of the others are a reduced basis of
 the relations {c : sum_i c_i g_i in <h>}, as no other lead divides their
-terms.  `module_kernel`, `subquotient_presentation` and
-`milnor.build_milnor` read their bases through `split`.
+terms.  `module_kernel` and `milnor.build_milnor` read their bases
+through `split`.
+
+A subquotient K / I of two such bases, I inside K, takes no further run:
+`subquotient_basis` reads a k-basis of it off the leads of both.
 """
 from __future__ import annotations
 
@@ -334,13 +337,17 @@ class ModuleGB(Frozen):
     """A reduced basis of a submodule of R^rank under the order whose first
     ``block`` positions dominate; ``block`` is 0 for term-over-position.
     ``divisors`` is the basis as `module_buchberger` returns it, and
-    carries the block."""
+    carries the block.  `subquotient_basis` hands out its k-basis, whose
+    leads are distinct too, in the same form."""
 
     def __init__(self, ring: PolyRing, rank: int, divisors: _Divisors):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "block", divisors.block)
         object.__setattr__(self, "_divisors", divisors)
+
+    def __len__(self) -> int:
+        return len(self._divisors)
 
     @cached_property
     def generators(self) -> tuple[ModuleElement, ...]:
@@ -349,18 +356,8 @@ class ModuleGB(Frozen):
         return tuple(_unflat(d, self.rank, self.ring, lc) for d, _p, _m, lc, _r in entries)
 
 
-def _scaled(gens, ring: PolyRing, block: int) -> list:
-    """(c g, c) per element g of ``gens``, c g flat under ``block``: c = L,
-    the stored lead, for a `ModuleGB`, flag bits cleared; for tuples of
-    polynomials D over Q, 1 over Q(zeta)."""
-    if isinstance(gens, ModuleGB):
-        clear, entries = ~gens._divisors.layout.flag, gens._divisors.entries
-        return [({t & clear: a for t, a in d.items()}, d[k]) for d, _p, k, _c, _r in entries]
-    return [(d, ring.coefficient(D)) for d, D in (_flat(g, ring, block) for g in gens)]
-
-
 def module_gb(gens, rank: int, ring: PolyRing) -> ModuleGB:
-    gens = [d for d, _c in _scaled(gens, ring, 0)]
+    gens = [_flat(g, ring, 0)[0] for g in gens]
     return ModuleGB(ring, rank, module_buchberger(gens, rank, _layout(ring.n)))
 
 
@@ -374,14 +371,13 @@ def module_normal_form(v, mgb: ModuleGB):
 
 def lift_basis(gens, rank: int, ring: PolyRing, extra=()) -> ModuleGB:
     """The block-order basis of the vectors (g_i, e_i) and (h_j, 0) in
-    R^(rank + s), s = len(gens), for g_i in ``gens`` and h_j in ``extra``,
-    with block = rank.  ``gens`` and ``extra`` are tuples of polynomials or
-    a `ModuleGB`, whose entries L g_i give L (g_i, e_i) as they are."""
+    R^(rank + s), s = len(gens), for the tuples of polynomials g_i in
+    ``gens`` and h_j in ``extra``, with block = rank."""
     lay = _layout(ring.n)
-    scaled = _scaled(gens, ring, rank)
-    vectors = [{**d, lay.base(rank + i, rank): c} for i, (d, c) in enumerate(scaled)]
+    scaled = enumerate(_flat(g, ring, rank) for g in gens)
+    vectors = [{**d, lay.base(rank + i, rank): ring.coefficient(D)} for i, (d, D) in scaled]
     s = len(vectors)
-    vectors += [d for d, _c in _scaled(extra, ring, rank)]
+    vectors += [_flat(h, ring, rank)[0] for h in extra]
     return ModuleGB(ring, rank + s, module_buchberger(vectors, rank + s, lay, rank))
 
 
@@ -426,48 +422,69 @@ def module_kernel(matrix, r_in: int, r_out: int, ring: PolyRing):
     return kernel, image
 
 
-def module_standard_monomials(mgb: ModuleGB):
-    """Standard (position, exponent word) pairs of R^rank / <leads>, by
-    position, then grevlex ascending; None when the quotient is infinite."""
-    lay, by_pos = mgb._divisors.layout, mgb._divisors.by_pos
-    out = []
-    for p in range(mgb.rank):
-        lx = [k & lay.xmask for k, _c, _r in by_pos.get(p, ())]
-        bounds = []
+def _standard_terms(starts, divs: _Divisors):
+    """{term: the first start dividing it} for the terms that a key of
+    ``starts`` divides and no lead of ``divs`` divides, in ascending term
+    order; None when infinitely many, that is when along some x_i no lead
+    in a start's position has its other exponents at most the start's."""
+    lay = divs.layout
+    found = {}
+    for s in starts:
+        x = s & lay.xmask
+        leads = [k for k, _c, _r in divs.by_pos.get(s >> lay.ps & _PMASK, ())]
+        steps = []
         for i in range(lay.n):
-            # the pure powers of x_i: exponent words with bits in field i only
-            pure = [x for x in lx if not x & ~(_PMASK << (_B * i))]
-            if not pure:
+            field = _PMASK << (_B * i)
+            covering = [k & field for k in leads if lay.divides(k & lay.xmask & ~field, x)]
+            if not covering:
                 return None
-            bounds.append(min(pure))
-        # box enumeration over the exponent words below the pure powers
-        for x in map(sum, product(*(range(0, w, 1 << (_B * i)) for i, w in enumerate(bounds)))):
-            if not any(lay.divides(l, x) for l in lx):
-                out.append((p, x))
-    out.sort(key=lambda t: (t[0], lay.grevlex(t[1])))
-    return out
+            steps.append(range(0, max(min(covering) - (x & field), 0), 1 << (_B * i)))
+        for u in map(sum, product(*steps)):
+            t = s + u - (lay.grevlex(u) << lay.k2)
+            if t not in found and not any(lay.divides(k, t) for k in leads):
+                found[t] = s
+    return dict(sorted(found.items(), reverse=True))
 
 
-def subquotient_presentation(kernel: ModuleGB, image):
-    """Presentation of <kernel> / <image> as R^t / relations.
-
-    t is the number of kernel GB generators k_i.  The lift basis of the k_i
-    with the image generators g_j (a `ModuleGB` or tuples of polynomials)
-    as ``extra`` has the relations {c : sum_i c_i k_i in <g_j>} as its
-    tails; its heads are the kernel's own entries exactly when every g_j
-    lies in the kernel.  Returns (that lift basis, the relation GB in R^t,
-    standard (position, monomial) pairs), the last a k-basis of the
-    quotient.  Raises when an image generator falls outside the kernel or
-    the quotient is infinite-dimensional.
-    """
-    basis = lift_basis(kernel, kernel.rank, kernel.ring, image)
-    heads, relations = split(basis)
-    if [e[0] for e in heads._divisors.entries] != [e[0] for e in kernel._divisors.entries]:
+def subquotient_basis(kernel: ModuleGB, image: ModuleGB) -> ModuleGB:
+    """A k-basis of <kernel> / <image>, both term-over-position: for each
+    term m of LT(kernel) outside LT(image), the normal form modulo the
+    image of t g, g the first kernel entry whose lead divides m = t
+    lead(g).  Its leads are those m, in ascending order.  Raises when an
+    image entry falls outside the kernel or the quotient is infinite."""
+    ker, im = kernel._divisors, image._divisors
+    if any(_divide(dict(d), ker)[0] for d, _p, _k, _c, _r in im.entries):
         raise ValueError("image generators outside the kernel submodule")
-    std = module_standard_monomials(relations)
-    if std is None:
+    terms = _standard_terms([k for _d, _p, k, _c, _r in ker.entries], im)
+    if terms is None:
         raise ValueError("subquotient is infinite-dimensional")
-    return basis, relations, std
+    entries = {k: d for d, _p, k, _c, _r in ker.entries}
+    basis = _Divisors(0, ker.layout)
+    for m, k in terms.items():
+        r, _M = _divide({t + m - k: a for t, a in entries[k].items()}, im)
+        basis.add(_normalize(r, m), m)
+    return ModuleGB(kernel.ring, kernel.rank, basis)
+
+
+def subquotient_coordinates(v, basis: ModuleGB, image: ModuleGB):
+    """The coordinates of the vector v modulo <image> on the monic elements
+    of a `subquotient_basis`, or None when v is outside the kernel.  The
+    normal form's lead must be a basis lead; subtract that element and
+    repeat."""
+    if len(v) != image.rank:
+        raise ValueError("vector of length %d in a module of rank %d" % (len(v), image.rank))
+    d, D = _flat(v, image.ring, 0)
+    r, M = _divide(d, image._divisors)
+    leads = {k: (i, lc, rest) for i, (_d, _p, k, lc, rest) in enumerate(basis._divisors.entries)}
+    coords = [0] * len(leads)
+    while r:
+        m = min(r)
+        if m not in leads:
+            return None
+        i, lc, rest = leads[m]
+        coords[i] = c = r.pop(m)
+        _add_multiple(r, rest, 0, -(c if lc == 1 else Fraction(c, lc)))
+    return [c if D * M == 1 else Fraction(c, D * M) for c in coords]
 
 
 # --- ideals -----------------------------------------------------------------
@@ -487,7 +504,8 @@ def normal_form(f: Polynomial, gb: ModuleGB) -> Polynomial:
 
 
 def quotient_basis(gb: ModuleGB):
-    """Standard monomials of the quotient as exponent words, or None when
-    infinite."""
-    std = module_standard_monomials(gb)
-    return None if std is None else [m for _p, m in std]
+    """Standard monomials of the quotient as exponent words in ascending
+    grevlex order, or None when infinite."""
+    lay = gb._divisors.layout
+    std = _standard_terms([lay.base(0, 0)], gb._divisors)
+    return None if std is None else [k & lay.xmask for k in std]

@@ -2,14 +2,13 @@
 
 Everything here is linear algebra over the polynomial ring itself: the
 differential on Hom(E, F) is an R-linear matrix, and each parity's
-cohomology is the finite-dimensional subquotient kernel/image.  Four
+cohomology is the finite-dimensional subquotient kernel/image.  Two
 elimination runs compute both parities: one `module_kernel` run per
 parity gives the cocycles of that parity and the coboundaries of the
-other, and one `subquotient_presentation` run per parity checks that the
-coboundaries are cocycles and presents the quotient; its lift basis is
-what `class_coordinates` divides a cocycle by.  For an isolated
-singularity supported at the origin this computes the same dimensions as
-the formal-local theory.
+other, and `subquotient_basis` reads a k-basis of each quotient off those
+two bases' leads, with no further run.  For an isolated singularity
+supported at the origin this computes the same dimensions as the
+formal-local theory.
 
 `cardy_lhs` evaluates the supertrace of f -> (-1)^(|a||b| + |a||f|) b f a
 on that cohomology, the quantity the index pairing of tau classes must
@@ -17,7 +16,7 @@ reproduce; `cardy_supertrace` does the same on a basis already computed.
 """
 from __future__ import annotations
 
-from .groebner import ModuleGB, lift, module_kernel, subquotient_presentation
+from .groebner import module_kernel, subquotient_basis, subquotient_coordinates
 from .mfcore import (
     MatFac,
     MorphismCocycle,
@@ -31,18 +30,16 @@ from .scalar import Frozen, Scalar, zero as scalar_zero
 class ParityCohomology(Frozen):
     """One parity's worth of cohomology of the Hom complex.
 
-    ``kernel`` holds the cocycles, a submodule of the flattened Hom space;
-    ``lifts`` is the lift basis of the kernel generators with the
-    coboundaries as extra generators; ``relations`` presents kernel/image
-    over the kernel generators; and ``standard`` lists the (position,
-    exponent word) pairs indexing a k-basis.
+    ``kernel`` holds the cocycles, a submodule of the flattened Hom space,
+    and ``image`` the coboundaries; ``basis`` is the `subquotient_basis`
+    of the two, whose monic elements represent a k-basis of the classes.
     """
 
-    __slots__ = ("parity", "kernel", "lifts", "relations", "standard")
+    __slots__ = ("parity", "kernel", "image", "basis")
 
     @property
     def dimension(self) -> int:
-        return len(self.standard)
+        return len(self.basis)
 
 
 class CohomologyBasis(Frozen):
@@ -51,28 +48,17 @@ class CohomologyBasis(Frozen):
     def representative(self, parity: int, index: int) -> MorphismCocycle:
         """An explicit cocycle representing the index-th basis class."""
         co = self.even if parity == 0 else self.odd
-        pos, mono = co.standard[index]
-        ring = self.source.ring
-        gen = co.kernel.generators[pos]
-        vec = [ring.from_terms({mono: 1}) * p for p in gen]
-        return vector_to_morphism(self.source, self.target, parity, vec)
+        return vector_to_morphism(self.source, self.target, parity, co.basis.generators[index])
 
     def class_coordinates(self, f: MorphismCocycle) -> tuple[Scalar, ...]:
         """Coordinates of the class of a cocycle on the chosen basis."""
         if f.source != self.source or f.target != self.target:
             raise ValueError("morphism endpoints do not match the basis")
         co = self.even if f.parity == 0 else self.odd
-        # one division: the remainder vanishes exactly on cocycles, and the
-        # cofactors come reduced modulo the relations
-        remainder, reduced = lift(morphism_to_vector(f), co.lifts)
-        if any(c.terms for c in remainder):
+        coords = subquotient_coordinates(morphism_to_vector(f), co.basis, co.image)
+        if coords is None:
             raise ValueError("morphism is not a cocycle")
-        # everything in the reduced lift must be accounted for by the basis
-        on_basis = sum(mono in reduced[pos].terms for pos, mono in co.standard)
-        if sum(len(p.terms) for p in reduced) != on_basis:
-            raise AssertionError("reduced coordinates leak outside the basis")
-        scalar = self.source.ring.scalar
-        return tuple(scalar(reduced[pos].terms.get(mono, 0)) for pos, mono in co.standard)
+        return tuple(map(self.source.ring.scalar, coords))
 
 
 def hom_cohomology(E: MatFac, F: MatFac):
@@ -86,15 +72,10 @@ def hom_cohomology(E: MatFac, F: MatFac):
     # other parity's coboundaries
     kernel_even, image_even = module_kernel(d_even, n0, n1, ring)
     kernel_odd, image_odd = module_kernel(d_odd, n1, n0, ring)
-    even = _parity_cohomology(0, kernel_even, image_odd)
-    odd = _parity_cohomology(1, kernel_odd, image_even)
+    even = ParityCohomology(0, kernel_even, image_odd, subquotient_basis(kernel_even, image_odd))
+    odd = ParityCohomology(1, kernel_odd, image_even, subquotient_basis(kernel_odd, image_even))
     basis = CohomologyBasis(E, F, even, odd)
     return even.dimension, odd.dimension, basis
-
-
-def _parity_cohomology(parity: int, kernel: ModuleGB, image: ModuleGB) -> ParityCohomology:
-    lifts, relations, standard = subquotient_presentation(kernel, image)
-    return ParityCohomology(parity, kernel, lifts, relations, tuple(standard))
 
 
 def euler(E: MatFac, F: MatFac) -> int:

@@ -1,6 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from mfinv.groebner import module_kernel, subquotient_presentation
+import mfinv
+
+from mfinv.groebner import module_gb, module_kernel, subquotient_basis
 from mfinv.homology import (
     CohomologyBasis,
     ParityCohomology,
@@ -125,15 +132,15 @@ def test_empty_kernel(nonzero):
     E = xn_fac(2, 1)
     kernel, _image = module_kernel(identity_matrix(R1, 2), 2, 2, R1)
     assert kernel.generators == ()
-    image = [(R1.parse("x") if nonzero else R1.zero(), R1.zero())]
+    image = module_gb([(R1.parse("x") if nonzero else R1.zero(), R1.zero())], 2, R1)
     f = identity_morphism(E) if nonzero else zero_morphism(E, E, 0)
     if nonzero:
         with pytest.raises(ValueError, match="outside the kernel"):
-            subquotient_presentation(kernel, image)
-        image = []
-    lifts, relations, standard = subquotient_presentation(kernel, image)
-    assert (relations.rank, relations.generators, standard) == (0, (), [])
-    co = ParityCohomology(0, kernel, lifts, relations, ())
+            subquotient_basis(kernel, image)
+        image = module_gb([], 2, R1)
+    basis = subquotient_basis(kernel, image)
+    assert (len(basis), basis.generators) == (0, ())
+    co = ParityCohomology(0, kernel, image, basis)
     basis = CohomologyBasis(E, E, co, co)
     if nonzero:
         with pytest.raises(ValueError, match="not a cocycle"):
@@ -195,3 +202,37 @@ def test_euler_matches_chi_on_pairs():
     assert euler(E, E) == chi_hrr(E, E, A)
     assert euler(E, F) == chi_hrr(E, F, A)
     assert euler(F, F) == chi_hrr(F, F, A)
+
+
+def test_refusals_raise_under_optimize():
+    # each refusal of the subquotient route is a raise, not an assert that
+    # python -O strips: an image generator outside the kernel, an infinite
+    # quotient, and the class coordinates of a morphism that is not closed
+    code = (
+        "from mfinv.groebner import module_gb, subquotient_basis\n"
+        "from mfinv.homology import hom_cohomology\n"
+        "from mfinv.mfcore import koszul, vector_to_morphism\n"
+        "from mfinv.poly import PolyRing\n"
+        "R = PolyRing(('x', 'y'))\n"
+        "x, one = R.var(0), R.one()\n"
+        "E = koszul([x], [x**2 + R.var(1)**2])\n"
+        "basis = hom_cohomology(E, E)[2]\n"
+        "cases = [lambda: subquotient_basis(module_gb([(x,)], 1, R), module_gb([(one,)], 1, R)),\n"
+        "         lambda: subquotient_basis(module_gb([(one,)], 1, R), module_gb([(x,)], 1, R)),\n"
+        "         lambda: basis.class_coordinates(vector_to_morphism(E, E, 0, [x, 0 * x]))]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        case()\n"
+        "    except ValueError as exc:\n"
+        "        print('raised:', exc)\n"
+    )
+    src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.splitlines() == [
+        "raised: image generators outside the kernel submodule",
+        "raised: subquotient is infinite-dimensional",
+        "raised: morphism is not a cocycle",
+    ]

@@ -283,7 +283,7 @@ def _frozen_instances() -> list:
         empty,
         MorphismCocycle(empty, empty, 0, ()),
         EquivariantMF(empty, ()),
-        ParityCohomology(0, None, None, None, ()),
+        ParityCohomology(0, None, None, None),
         CohomologyBasis(empty, empty, None, None),
         DiagonalData(None, ring, ring.zero(), (), None, ring.zero()),
         DTensor(ring, empty, ()),
