@@ -499,11 +499,11 @@ def cmd_chi(session: Session, args) -> dict:
 
 
 def cmd_hom(session: Session, args) -> dict:
-    from .homology import hom_cohomology
+    from .homology import hom_dimensions
 
     E = _get_fac(session, args.factorization)
     F = _get_fac(session, args.other)
-    h0, h1, _ = hom_cohomology(E, F)
+    h0, h1 = hom_dimensions(E, F)
     return {"h0": h0, "h1": h1}
 
 
@@ -631,6 +631,21 @@ def _check_hrr(session: Session, hom_basis) -> bool:
     return True
 
 
+def _check_hom_koszul(session: Session, hom_basis) -> bool:
+    """Koszul reduction against the Groebner bases, on every ordered pair
+    whose source qualifies for `koszul_hom_dimensions`."""
+    from .homology import koszul_hom_dimensions
+
+    for a, E in session.factorizations.items():
+        for b, F in session.factorizations.items():
+            dims = koszul_hom_dimensions(E, F)
+            if dims is not None:
+                basis = hom_basis(a, b)
+                if dims != (basis.even.dimension, basis.odd.dimension):
+                    return False
+    return True
+
+
 def _check_cardy(session: Session, hom_basis) -> bool:
     from .homology import cardy_supertrace
     from .invariants import cardy_rhs
@@ -702,6 +717,7 @@ def cmd_verify(session: Session, args) -> dict:
     diagonal = cache(lambda: build_diagonal(session.milnor))
     checks = [
         ("hrr", lambda s: _check_hrr(s, hom_basis)),
+        ("hom-koszul", lambda s: _check_hom_koszul(s, hom_basis)),
         ("cardy", lambda s: _check_cardy(s, hom_basis)),
         ("oracle-tau", _check_oracle_tau),
         ("chern-diagonal", lambda s: chern_of_diagonal(s.w, diagonal()).agree),

@@ -114,6 +114,8 @@ def _flat(v, ring: PolyRing, block: int):
     ones, xmask, k2 = lay.ones, lay.xmask, lay.k2
     d = {}
     for p, f in enumerate(v):
+        if not f.terms:
+            continue  # a Hom column is mostly zero positions
         base = lay.base(p, block)
         for x, c in f.terms.items():
             d[base + x - ((x * ones & xmask) << k2)] = c
@@ -238,7 +240,9 @@ def module_buchberger(gens, rank: int, lay: _Layout, block: int = 0) -> _Divisor
     elimination order whose first r positions dominate (for syzygies)."""
     divs = _Divisors(block, lay)
     entries = divs.entries
-    sugars: list[int] = []
+    # per entry, its sugar minus the degree of its lead: a pair's sugar is
+    # the larger of its two entries' plus the degree of the lcm
+    excess: list[int] = []
     # (sugar, G(lcm) - G_max, position, j, i, lcm), taken smallest first;
     # (j, i) is the insertion order, so ties go to the older pair
     pairs: list[tuple] = []
@@ -247,12 +251,12 @@ def module_buchberger(gens, rank: int, lay: _Layout, block: int = 0) -> _Divisor
         t = len(entries)
         m = min(d)  # the lead
         p = m >> lay.ps & _PMASK
+        own = sugar - lay.deg(m)
         cand = []
         for i, (_d, wp, wm, _c, _r) in enumerate(entries):
             if wp == p:
                 lcm = lay.lcm(wm, m)
-                s = max(sugars[i] - lay.deg(wm), sugar - lay.deg(m)) + lay.deg(lcm)
-                cand.append([lcm, s, i, True])
+                cand.append([lcm, max(excess[i], own) + lay.deg(lcm), i, True])
         # Gebauer-Moeller update of the pair set
         # criterion M: drop pairs whose lcm is a proper multiple of another's
         for a in cand:
@@ -285,7 +289,7 @@ def module_buchberger(gens, rank: int, lay: _Layout, block: int = 0) -> _Divisor
         ]
         pairs.extend((s, -(u >> lay.k2 & lay.xmask), p, t, i, u) for u, s, i, ok in cand if ok)
         divs.add(_normalize(d, m), m)
-        sugars.append(sugar)
+        excess.append(own)
 
     for d in gens:
         if d:
@@ -509,3 +513,11 @@ def quotient_basis(gb: ModuleGB):
     lay = gb._divisors.layout
     std = _standard_terms([lay.base(0, 0)], gb._divisors)
     return None if std is None else [k & lay.xmask for k in std]
+
+
+def quotient_dimension(mgb: ModuleGB):
+    """dim_k R^rank / <mgb> for a term-over-position basis: its number of
+    standard terms, or None when infinite."""
+    lay = mgb._divisors.layout
+    std = _standard_terms([lay.base(p, 0) for p in range(mgb.rank)], mgb._divisors)
+    return None if std is None else len(std)

@@ -10,17 +10,33 @@ two bases' leads, with no further run.  For an isolated singularity
 supported at the origin this computes the same dimensions as the
 formal-local theory.
 
+A caller that reads only the dimensions uses `hom_dimensions`.  When the
+source is a Koszul factorization K(a; b) with one element per variable
+and R/(a) finite, `koszul_hom_dimensions` reads them off F / aF by
+Koszul reduction: two term-over-position bases of rank F.r0, with no
+Hom differential, kernel or lift.  Every other source, and every caller
+that needs a basis (`hom_cohomology`, the Cardy traces), takes the
+elimination runs.
+
 `cardy_lhs` evaluates the supertrace of f -> (-1)^(|a||b| + |a||f|) b f a
 on that cohomology, the quantity the index pairing of tau classes must
 reproduce; `cardy_supertrace` does the same on a basis already computed.
 """
 from __future__ import annotations
 
-from .groebner import module_kernel, subquotient_basis, subquotient_coordinates
+from .groebner import (
+    buchberger,
+    module_gb,
+    module_kernel,
+    quotient_dimension,
+    subquotient_basis,
+    subquotient_coordinates,
+)
 from .mfcore import (
     MatFac,
     MorphismCocycle,
     hom_differential,
+    koszul_operator,
     morphism_to_vector,
     vector_to_morphism,
 )
@@ -78,8 +94,53 @@ def hom_cohomology(E: MatFac, F: MatFac):
     return even.dimension, odd.dimension, basis
 
 
+def koszul_hom_dimensions(E: MatFac, F: MatFac):
+    """(h0, h1) of Hom(E, F) by Koszul reduction, or None when E does not
+    qualify: E = K(a; b) with n = ring.n elements and R/(a) finite.
+
+    Then a is a regular sequence and Hom(E, F) is quasi-isomorphic to
+    F / aF with the differential of F, up to a parity shift of n
+    (Khovanov-Rozansky, math/0401268).  With r = rank F0 = rank F1 and
+    mu = dim R/(a), that complex has dimension mu r in each parity, so
+    each cohomology has the dimension of both cokernels together less
+    mu r: h0 = h1 = dim F0/(im d1 + aF0) + dim F1/(im d0 + aF1) - mu r.
+    """
+    if E.w != F.w:
+        raise ValueError("potential mismatch")
+    ring, n = E.ring, E.ring.n
+    if E.rank != 2**n or 2 * E.r0 != E.rank or F.r0 != F.r1:
+        return None
+    r0, delta = E.r0, E.delta
+    # column {} of delta holds a_j in row {j}, and row {} holds b_j
+    a = [delta[r0 + j][0] for j in range(n)]
+    b = [delta[0][r0 + j] for j in range(n)]
+    # a = 0 has an infinite quotient, and `buchberger` refuses it
+    if koszul_operator(ring, n, a, b) != delta or all(f.is_zero() for f in a):
+        return None
+    mu = quotient_dimension(buchberger(a))
+    if mu is None:
+        return None
+    r, zero = F.r0, ring.zero()
+    # a_i e_j for each a_i and position j; the runs are faster with these
+    # before the columns of the block
+    aF = [tuple(f if i == j else zero for i in range(r)) for f in a for j in range(r)]
+
+    def cokernel(block) -> int:  # dim R^r / (the columns of block + aR^r)
+        return quotient_dimension(module_gb([*aF, *zip(*block)], r, ring))
+
+    h = cokernel(F.d1) + cokernel(F.d0) - mu * r
+    return h, h
+
+
+def hom_dimensions(E: MatFac, F: MatFac) -> tuple[int, int]:
+    """(h0, h1) of Hom(E, F): by `koszul_hom_dimensions` when E qualifies,
+    from `hom_cohomology` otherwise."""
+    dims = koszul_hom_dimensions(E, F)
+    return dims if dims is not None else hom_cohomology(E, F)[:2]
+
+
 def euler(E: MatFac, F: MatFac) -> int:
-    h0, h1, _ = hom_cohomology(E, F)
+    h0, h1 = hom_dimensions(E, F)
     return h0 - h1
 
 

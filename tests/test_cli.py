@@ -124,7 +124,7 @@ def test_verify_passes_and_check_flag(tmp_path, capsys):
     code, out, _ = run(capsys, "--input", path, "verify")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert all(line.endswith(": pass") for line in lines)
     code, out, _ = run(capsys, "--input", path, "verify", "--check")
     assert code == 0
@@ -132,6 +132,7 @@ def test_verify_passes_and_check_flag(tmp_path, capsys):
     assert payload["ok"] is True
     assert set(payload["checks"]) == {
         "hrr",
+        "hom-koszul",
         "cardy",
         "oracle-tau",
         "chern-diagonal",
@@ -155,7 +156,7 @@ def test_raising_check_reads_fail(tmp_path, capsys, monkeypatch, error):
     assert code == 0
     lines = out.strip().splitlines()
     assert "inverse-form: fail" in lines
-    assert sum(line.endswith(": pass") for line in lines) == 6
+    assert sum(line.endswith(": pass") for line in lines) == 7
     assert err == "verify: inverse-form: coefficient matrix does not invert the Gram matrix\n"
     code, _, err = run(capsys, "--input", path, "verify", "--check")
     assert code == 1
@@ -533,6 +534,29 @@ def test_verify_computes_each_hom_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("fixture", ["d4", "x6"])
+def test_dropping_an_a_generator_fails_hom_koszul(capsys, monkeypatch, fixture):
+    # `koszul_hom_dimensions` puts the vectors a_i e_j first among the
+    # generators of each cokernel; without a_0 e_0 a cokernel grows and
+    # the line fails, while every other line still passes.  Both parities
+    # of a qualifying source have the same dimension, so a mutant that
+    # swaps h0 and h1 cannot show in this line.
+    import pathlib
+
+    import mfinv.homology
+
+    real = mfinv.homology.module_gb
+    monkeypatch.setattr(
+        mfinv.homology, "module_gb", lambda gens, rank, ring: real(gens[1:], rank, ring)
+    )
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = root / "scripts" / "sessions" / (fixture + ".json")
+    code, out, _ = run(capsys, "--input", str(path), "verify", "--check")
+    assert code == 1
+    failed = [line for line in out.splitlines() if not line.endswith(": pass")]
+    assert failed == ["hom-koszul: fail"]
+
+
 def test_oracle_check_builds_no_diagonal(tmp_path, monkeypatch):
     import mfinv.oracle
     from mfinv.cli import _check_oracle_tau, load_session
@@ -608,7 +632,7 @@ def test_variable_names_like_partner_names_verify(tmp_path, capsys, partner):
     code, out, err = run(capsys, "--input", path, "verify", "--check")
     assert code == 0 and err == ""
     lines = out.strip().splitlines()
-    assert len(lines) == 7 and all(line.endswith(": pass") for line in lines)
+    assert len(lines) == 8 and all(line.endswith(": pass") for line in lines)
 
 
 def test_missing_input_flag(tmp_path, capsys):

@@ -21,7 +21,7 @@ from mfinv.groebner import (
     subquotient_basis,
 )
 from mfinv.cli import _named_endomorphisms, load_session
-from mfinv.homology import cardy_supertrace, euler, hom_cohomology
+from mfinv.homology import cardy_supertrace, euler, hom_cohomology, koszul_hom_dimensions
 from mfinv.invariants import chi_hrr
 from mfinv.milnor import build_milnor
 from mfinv.mfcore import hom_differential, identity_morphism, koszul, vector_to_morphism
@@ -599,6 +599,26 @@ def _sheared_pairs(context=None):
         for c in (-2, -1, 1, 2):
             F = koszul(*shear(ring, [x**k, y**l], [x ** (4 - k), y ** (5 - l)], c))
             yield from ((E, F), (F, E))
+
+
+def test_koszul_reduction_agrees_with_groebner_on_the_batteries():
+    # every ordered pair of the batteries; the Groebner route is the
+    # reference, and enough sources qualify that a qualification refusing
+    # everything fails here
+    pairs = [
+        *_hom_pairs(),
+        *_sheared_pairs(),
+        *_sheared_pairs(CyclotomicContext(3)),
+        *_zeta3_pairs(),
+        *_hard_pairs(),
+    ]
+    qualifying = 0
+    for E, F in pairs:
+        dims = koszul_hom_dimensions(E, F)
+        if dims is not None:
+            assert dims == hom_cohomology(E, F)[:2]
+            qualifying += 1
+    assert len(pairs) == 155 and qualifying >= 120
 
 
 def test_module_kernel_is_the_rebuilt_syzygy_basis():

@@ -14,9 +14,12 @@ from mfinv.homology import (
     cardy_lhs,
     euler,
     hom_cohomology,
+    hom_dimensions,
+    koszul_hom_dimensions,
 )
 from mfinv.invariants import cardy_rhs, chi_hrr
 from mfinv.mfcore import (
+    MatFac,
     MorphismCocycle,
     identity_matrix,
     identity_morphism,
@@ -236,3 +239,109 @@ def test_refusals_raise_under_optimize():
         "raised: subquotient is infinite-dimensional",
         "raised: morphism is not a cocycle",
     ]
+
+
+# --- Koszul reduction --------------------------------------------------------
+
+R3 = PolyRing(("x", "y", "z"))
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "sessions"
+
+
+def _refused_sources():
+    """(source, target) pairs whose source `koszul_hom_dimensions` refuses."""
+    x, y = R2.var(0), R2.var(1)
+    # d4's E: one element in two variables
+    d4 = koszul([x], [x**2 + y**2])
+    # the 3-variable pair of the Fermat cubic with two elements
+    a, b = ["x", "y + z"], ["x^2", "y^2 - y*z + z^2"]
+    cubic = koszul([R3.parse(t) for t in a], [R3.parse(t) for t in b])
+    # two elements in two variables, but R/(x, x y) = R/(x) is infinite
+    line = koszul([x, x * y], [x**2, y**2])
+    # rank 4 over x^3 + y^3 and isomorphic to K(x, y; x^2, y^2), but with
+    # the sign of the basis vector e_0 e_1 flipped: delta is not Koszul
+    E = koszul([x, y], [x**2, y**2])
+    sign = [1, -1, 1, 1]
+    delta = tuple(
+        tuple(e * (sign[i] * sign[j]) for j, e in enumerate(row)) for i, row in enumerate(E.delta)
+    )
+    flipped = MatFac(R2, E.w, delta, 2)
+    flipped.validate()
+    assert flipped.delta != E.delta
+    return [(d4, d4), (cubic, cubic), (line, line), (flipped, E)]
+
+
+def test_koszul_hom_dimensions_refuses_and_hom_dimensions_falls_back():
+    for E, F in _refused_sources():
+        assert koszul_hom_dimensions(E, F) is None
+        h0, h1, _ = hom_cohomology(E, F)
+        assert hom_dimensions(E, F) == (h0, h1)
+        assert euler(E, F) == h0 - h1
+
+
+def test_koszul_hom_dimensions_matches_groebner_in_one_variable():
+    # every ordered pair of K(x^i; x^(m - i)) for x^6 and x^7 over Q and
+    # x^5 over Q(zeta_5); each such Hom has min(i, j, m - i, m - j) classes
+    # in each parity
+    from mfinv.scalar import CyclotomicContext
+
+    count = 0
+    for m, ring in ((6, R1), (7, R1), (5, PolyRing(("x",), CyclotomicContext(5)))):
+        x = ring.var(0)
+        facs = [koszul([x**i], [x ** (m - i)]) for i in range(1, m)]
+        for i, E in enumerate(facs, 1):
+            for j, F in enumerate(facs, 1):
+                h = min(i, j, m - i, m - j)
+                assert koszul_hom_dimensions(E, F) == hom_cohomology(E, F)[:2] == (h, h)
+                count += 1
+    assert count == 25 + 36 + 16
+
+
+def test_koszul_hom_potential_mismatch():
+    with pytest.raises(ValueError, match="mismatch"):
+        koszul_hom_dimensions(xn_fac(4, 1), xn_fac(6, 1))
+
+
+class _KernelReached(Exception):
+    pass
+
+
+def test_dimensions_of_a_qualifying_source_never_reach_module_kernel(monkeypatch, capsys):
+    import mfinv.homology
+    from mfinv.cli import load_session, main
+
+    def refused(*args):
+        raise _KernelReached
+
+    monkeypatch.setattr(mfinv.homology, "module_kernel", refused)
+    path = str(FIXTURES / "d4.json")
+    facs = load_session(path).factorizations
+    # d4's F = K(x, y; x^2, x y) qualifies; E = K(x; x^2 + y^2) does not
+    for b in ("E", "F"):
+        euler(facs["F"], facs[b])
+        assert main(["--input", path, "hom", "F", b]) == 0
+        with pytest.raises(_KernelReached):
+            euler(facs["E"], facs[b])
+        with pytest.raises(_KernelReached):
+            main(["--input", path, "hom", "E", b])
+    assert capsys.readouterr().out == "h0: 1\nh1: 1\nh0: 2\nh1: 2\n"
+
+
+def test_koszul_refusal_under_optimize():
+    # the qualification is explicit branches, not asserts that python -O strips
+    code = (
+        "from mfinv.homology import koszul_hom_dimensions\n"
+        "from mfinv.mfcore import koszul\n"
+        "from mfinv.poly import PolyRing\n"
+        "R = PolyRing(('x', 'y'))\n"
+        "x, y = R.var(0), R.var(1)\n"
+        "E = koszul([x], [x**2 + y**2])\n"
+        "L = koszul([x, x * y], [x**2, y**2])\n"
+        "K = koszul([x, y], [x**2, y**2])\n"
+        "print(*(koszul_hom_dimensions(G, G) for G in (E, L, K)))\n"
+    )
+    src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout == "None None (2, 2)\n"
