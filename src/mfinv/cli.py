@@ -50,7 +50,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache, partial
-from itertools import permutations
+from itertools import permutations, product
 
 # the core layers only; handlers import `invariants`, `homology`,
 # `equivariant` and `oracle` where they need them
@@ -449,10 +449,6 @@ def _equivariant(session: Session, name: str) -> EquivariantMF:
     return session.equivariant[name]
 
 
-def _monomial_text(ring: PolyRing, m) -> str:
-    return str(ring.monomial(m))
-
-
 # --- command handlers -------------------------------------------------------
 
 
@@ -461,7 +457,7 @@ def cmd_milnor(session: Session, args) -> dict:
     G = gram_matrix(A)
     return {
         "mu": A.mu,
-        "basis": [_monomial_text(session.ring, m) for m in A.basis],
+        "basis": [str(session.ring.monomial(m)) for m in A.basis],
         "gram": G,
     }
 
@@ -530,10 +526,14 @@ def cmd_cardy(session: Session, args) -> dict:
 
 
 def cmd_sectors(session: Session, args) -> dict:
-    from .equivariant import sectors
+    from .equivariant import check_invariance, sectors
 
     if session.group is None:
         raise SessionError("this command needs a group in the session")
+    try:
+        check_invariance(session.w, session.group)
+    except ValueError as exc:
+        raise SessionError(str(exc))
     out = []
     for g, sec in zip(session.group.elements, sectors(session.w, session.group.elements)):
         out.append(
@@ -609,9 +609,10 @@ class VerificationFailure(Exception):
     pass
 
 
-def _named_endomorphisms(session: Session, name: str):
+def _endomorphisms(session: Session, name: str):
+    """The identity, then the closed named endomorphisms in name order."""
     E = session.factorizations[name]
-    out = []
+    out = [identity_morphism(E)]
     for mname in sorted(session.morphisms):
         f = session.morphisms[mname]
         if f.source == E and f.target == E and f.is_closed():
@@ -619,65 +620,70 @@ def _named_endomorphisms(session: Session, name: str):
     return out
 
 
-def _check_hrr(session: Session, hom_basis) -> bool:
+def _pairs(session: Session):
+    """Each ordered pair of named factorizations, as ((a, E), (b, F))."""
+    return product(session.factorizations.items(), repeat=2)
+
+
+def _hrr_sides(session: Session, hom_basis):
     from .invariants import chi_hrr
 
-    for a, E in session.factorizations.items():
-        for b, F in session.factorizations.items():
-            chi = chi_hrr(E, F, session.milnor)
-            basis = hom_basis(a, b)
-            if chi != basis.even.dimension - basis.odd.dimension:
-                return False
-    return True
+    for (a, E), (b, F) in _pairs(session):
+        basis = hom_basis(a, b)
+        yield chi_hrr(E, F, session.milnor), basis.even.dimension - basis.odd.dimension
 
 
-def _check_hom_koszul(session: Session, hom_basis) -> bool:
+def _hom_koszul_sides(session: Session, hom_basis):
     """Koszul reduction against the Groebner bases, on every ordered pair
     whose source qualifies for `koszul_hom_dimensions`."""
     from .homology import koszul_hom_dimensions
 
-    for a, E in session.factorizations.items():
-        for b, F in session.factorizations.items():
-            dims = koszul_hom_dimensions(E, F)
-            if dims is not None:
-                basis = hom_basis(a, b)
-                if dims != (basis.even.dimension, basis.odd.dimension):
-                    return False
-    return True
+    for (a, E), (b, F) in _pairs(session):
+        dims = koszul_hom_dimensions(E, F)
+        if dims is not None:
+            basis = hom_basis(a, b)
+            yield dims, (basis.even.dimension, basis.odd.dimension)
 
 
-def _check_cardy(session: Session, hom_basis) -> bool:
+def _cardy_sides(session: Session, hom_basis):
     from .homology import cardy_supertrace
     from .invariants import cardy_rhs
 
-    for a, E in session.factorizations.items():
-        alphas = [identity_morphism(E)] + _named_endomorphisms(session, a)
-        for b, F in session.factorizations.items():
-            betas = [identity_morphism(F)] + _named_endomorphisms(session, b)
-            basis = hom_basis(a, b)
-            for alpha in alphas:
-                for beta in betas:
-                    lhs = cardy_supertrace(basis, alpha, beta)
-                    rhs = cardy_rhs(E, F, alpha, beta, session.milnor)
-                    if lhs != rhs:
-                        return False
-    return True
+    ends = {a: _endomorphisms(session, a) for a in session.factorizations}
+    for (a, E), (b, F) in _pairs(session):
+        basis = hom_basis(a, b)
+        for alpha in ends[a]:
+            for beta in ends[b]:
+                yield (cardy_supertrace(basis, alpha, beta),
+                       cardy_rhs(E, F, alpha, beta, session.milnor))
 
 
-def _check_oracle_tau(session: Session) -> bool:
+def _oracle_tau_sides(session: Session):
     from .invariants import tau
     from .oracle import oracle_tau, solve_D
 
     A = session.milnor
     for a, E in session.factorizations.items():
         D = solve_D(E)
-        for alpha in [identity_morphism(E)] + _named_endomorphisms(session, a):
-            if oracle_tau(E, alpha, A, dtensor=D) != tau(E, alpha, A):
-                return False
-    return True
+        for alpha in _endomorphisms(session, a):
+            yield oracle_tau(E, alpha, A, dtensor=D), tau(E, alpha, A)
 
 
-def _check_permutation_invariance(session: Session) -> bool:
+def _chern_diagonal_sides(session: Session, diagonal):
+    from .oracle import chern_of_diagonal
+
+    routes = chern_of_diagonal(session.w, diagonal())
+    yield routes.direct, routes.determinant
+
+
+def _inverse_form_sides(session: Session, diagonal):
+    # the check raises unless the determinant inverts the trace form
+    from .oracle import inverse_form_check
+
+    yield inverse_form_check(session.w, diagonal()), True
+
+
+def _permutation_sides(session: Session):
     from .invariants import chern, derivative_product, permutation_sign, supertrace
 
     A = session.milnor
@@ -688,54 +694,48 @@ def _check_permutation_invariance(session: Session) -> bool:
             # the chern product runs from the highest index down
             sign = permutation_sign(perm) * (-1) ** (n * (n - 1) // 2)
             got = A.project(supertrace(derivative_product(E, perm), E.r0))
-            if got.value != base.scale(sign).value:
-                return False
-    return True
+            yield got.value, base.scale(sign).value
 
 
-def _check_hessian_trace(session: Session) -> bool:
+def _hessian_trace_sides(session: Session):
     A = session.milnor
-    return residue_trace(hessian_class(A)) == A.mu
+    yield residue_trace(hessian_class(A)), A.mu
 
 
 def cmd_verify(session: Session, args) -> dict:
     from .homology import hom_cohomology
-    from .oracle import build_diagonal, chern_of_diagonal, inverse_form_check
+    from .oracle import build_diagonal
 
     # Hom cohomology of each ordered pair of factorizations, computed once
-    # for both checks that need it and dropped when this call returns
-    homs = {}
-
+    # for the checks that need it and dropped when this call returns
+    @cache
     def hom_basis(a: str, b: str):
-        if (a, b) not in homs:
-            E, F = session.factorizations[a], session.factorizations[b]
-            homs[a, b] = hom_cohomology(E, F)[2]
-        return homs[a, b]
+        return hom_cohomology(session.factorizations[a], session.factorizations[b])[2]
 
     # likewise the diagonal of the two checks that read it; `cache` keeps
     # no exception, so each check reports its own
     diagonal = cache(lambda: build_diagonal(session.milnor))
+    # each check is a generator of the two sides of its identity, run below
     checks = [
-        ("hrr", lambda s: _check_hrr(s, hom_basis)),
-        ("hom-koszul", lambda s: _check_hom_koszul(s, hom_basis)),
-        ("cardy", lambda s: _check_cardy(s, hom_basis)),
-        ("oracle-tau", _check_oracle_tau),
-        ("chern-diagonal", lambda s: chern_of_diagonal(s.w, diagonal()).agree),
-        ("inverse-form", lambda s: inverse_form_check(s.w, diagonal())),
-        ("permutation-invariance", _check_permutation_invariance),
-        ("hessian-trace", _check_hessian_trace),
+        ("hrr", _hrr_sides(session, hom_basis)),
+        ("hom-koszul", _hom_koszul_sides(session, hom_basis)),
+        ("cardy", _cardy_sides(session, hom_basis)),
+        ("oracle-tau", _oracle_tau_sides(session)),
+        ("chern-diagonal", _chern_diagonal_sides(session, diagonal)),
+        ("inverse-form", _inverse_form_sides(session, diagonal)),
+        ("permutation-invariance", _permutation_sides(session)),
+        ("hessian-trace", _hessian_trace_sides(session)),
     ]
     results = {}
-    for name, fn in checks:
+    for name, sides in checks:
         # the oracle and the inverse-form check report a refuted identity
         # by raising; that reads as a failed check, with its message
         try:
-            results[name] = bool(fn(session))
+            results[name] = all(lhs == rhs for lhs, rhs in sides)
         except (AssertionError, ValueError, ZeroDivisionError) as exc:
             print("verify: %s: %s" % (name, exc), file=sys.stderr)
             results[name] = False
-    payload = {"checks": results, "ok": all(results.values())}
-    return payload
+    return {"checks": results, "ok": all(results.values())}
 
 
 # --- output -----------------------------------------------------------------
@@ -788,100 +788,56 @@ def _print_human(command: str, payload: dict) -> None:
 # --- entry point ------------------------------------------------------------
 
 
+COMMANDS = {
+    # name: (handler, help, positional arguments)
+    "milnor": (cmd_milnor, "Milnor number, basis, Gram matrix", ()),
+    "chern": (cmd_chern, "Chern character of a factorization", ("factorization",)),
+    "tau": (cmd_tau, "boundary-bulk image of a morphism", ("factorization", "morphism")),
+    "chi": (cmd_chi, "index pairing of two factorizations", ("factorization", "other")),
+    "hom": (cmd_hom, "Hom cohomology dimensions", ("factorization", "other")),
+    "cardy": (cmd_cardy, "both sides of the Cardy pairing",
+              ("factorization", "other", "morphism", "other_morphism")),
+    "sectors": (cmd_sectors, "fixed loci of the group elements", ()),
+    "equivariant-chi": (cmd_equivariant_chi, "orbifold index of two equivariant factorizations",
+                        ("factorization", "other")),
+    "orbifold-hh": (cmd_orbifold_hh, "orbifold Hochschild dimensions by sector", ()),
+    "graded-chi": (cmd_graded_chi, "graded index from weights and degrees",
+                   ("factorization", "other")),
+    "verify": (cmd_verify, "run the identity suite on the session", ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     # argparse builds a formatter to check every argument it adds, and a
     # formatter without a width imports shutil to read the terminal's; the
     # parsers are built with a fixed width and get argparse's own formatter
     # back before they can print anything
     unsized = partial(argparse.HelpFormatter, width=80)
-    # the shared flags are declared twice so they may appear on either
-    # side of the subcommand; the suppressed defaults keep a flag given
-    # before the subcommand from being reset afterwards
     common = argparse.ArgumentParser(add_help=False, formatter_class=unsized)
-    common.add_argument("--input", default=argparse.SUPPRESS, help="session JSON file")
-    common.add_argument(
-        "--json",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="emit JSON instead of plain text",
-    )
-    common.add_argument(
-        "--check",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="make verify exit nonzero when an identity fails",
-    )
     parser = argparse.ArgumentParser(
         prog="mfinv",
         description="Exact invariants of matrix factorizations from a session file.",
         formatter_class=unsized,
     )
-    parser.add_argument("--input", default=None, help="session JSON file")
-    parser.add_argument(
-        "--json", action="store_true", help="emit JSON instead of plain text"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="make verify exit nonzero when an identity fails",
-    )
+    # the shared flags go on both parsers so they may appear on either side
+    # of the subcommand; the suppressed defaults keep a flag given before
+    # the subcommand from being reset afterwards
+    for flag, kwargs in (
+        ("--input", {"help": "session JSON file"}),
+        ("--json", {"action": "store_true", "help": "emit JSON instead of plain text"}),
+        ("--check", {"action": "store_true",
+                     "help": "make verify exit nonzero when an identity fails"}),
+    ):
+        parser.add_argument(flag, **kwargs)
+        common.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
     sub = parser.add_subparsers(dest="command", required=True)
-    add = partial(sub.add_parser, parents=[common], formatter_class=unsized)
-
-    add("milnor", help="Milnor number, basis, Gram matrix")
-
-    p = add("chern", help="Chern character of a factorization")
-    p.add_argument("factorization")
-
-    p = add("tau", help="boundary-bulk image of a morphism")
-    p.add_argument("factorization")
-    p.add_argument("morphism")
-
-    p = add("chi", help="index pairing of two factorizations")
-    p.add_argument("factorization")
-    p.add_argument("other")
-
-    p = add("hom", help="Hom cohomology dimensions")
-    p.add_argument("factorization")
-    p.add_argument("other")
-
-    p = add("cardy", help="both sides of the Cardy pairing")
-    p.add_argument("factorization")
-    p.add_argument("other")
-    p.add_argument("morphism")
-    p.add_argument("other_morphism")
-
-    add("sectors", help="fixed loci of the group elements")
-
-    p = add("equivariant-chi", help="orbifold index of two equivariant factorizations")
-    p.add_argument("factorization")
-    p.add_argument("other")
-
-    add("orbifold-hh", help="orbifold Hochschild dimensions by sector")
-
-    p = add("graded-chi", help="graded index from weights and degrees")
-    p.add_argument("factorization")
-    p.add_argument("other")
-
-    add("verify", help="run the identity suite on the session")
+    for name, (_handler, help_text, positionals) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, parents=[common], formatter_class=unsized)
+        for arg in positionals:
+            p.add_argument(arg)
     for p in (parser, *sub.choices.values()):
         p.formatter_class = argparse.HelpFormatter
     return parser
-
-
-HANDLERS = {
-    "milnor": cmd_milnor,
-    "chern": cmd_chern,
-    "tau": cmd_tau,
-    "chi": cmd_chi,
-    "hom": cmd_hom,
-    "cardy": cmd_cardy,
-    "sectors": cmd_sectors,
-    "equivariant-chi": cmd_equivariant_chi,
-    "orbifold-hh": cmd_orbifold_hh,
-    "graded-chi": cmd_graded_chi,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -892,13 +848,10 @@ def main(argv=None) -> int:
         return 2
     try:
         session = load_session(args.input)
-        payload = HANDLERS[args.command](session, args)
-    except SessionError as exc:
+        payload = COMMANDS[args.command][0](session, args)
+    except (SessionError, VerificationFailure) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except VerificationFailure as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, VerificationFailure) else 2
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2, default=scalar_to_json))
     else:

@@ -48,15 +48,15 @@ Bases of rank 1 also get Buchberger's product criterion.  Syzygies,
 cofactors, kernels and subquotients use the block order on an enlarged
 free module instead of Schreyer-style tracking, which keeps correctness
 independent of the pair-elimination criteria (Greuel-Pfister 2.5).
-`lift_basis(gens, rank, ring, extra)` is that one object: the basis of the
-vectors (g_i, e_i) and (h_j, 0) under the order whose first ``rank``
-positions dominate.  `lift` divides (v, 0) by it once for the remainder
-and the cofactors of v; `split` reads it: the elements with a term in the
-first ``rank`` positions have their leads there, and their heads are a
-reduced basis of <g, h>; the tails of the others are a reduced basis of
-the relations {c : sum_i c_i g_i in <h>}, as no other lead divides their
-terms.  `module_kernel` and `milnor.build_milnor` read their bases
-through `split`.
+`lift_basis(gens, rank, ring)` is that one object: the basis of the
+vectors (g_i, e_i) under the order whose first ``rank`` positions
+dominate.  `lift` divides (v, 0) by it once for the remainder and the
+cofactors of v; `split` reads it: the elements with a term in the first
+``rank`` positions have their leads there, and their heads are a reduced
+basis of <g>; the tails of the others are a reduced basis of the
+syzygies {c : sum_i c_i g_i = 0}, as no other lead divides their terms.
+`module_kernel` and `milnor.build_milnor` read their bases through
+`split`.
 
 A subquotient K / I of two such bases, I inside K, takes no further run:
 `subquotient_basis` reads a k-basis of it off the leads of both.
@@ -373,23 +373,22 @@ def module_normal_form(v, mgb: ModuleGB):
     return _unflat(r, mgb.rank, mgb.ring, D * M)
 
 
-def lift_basis(gens, rank: int, ring: PolyRing, extra=()) -> ModuleGB:
-    """The block-order basis of the vectors (g_i, e_i) and (h_j, 0) in
-    R^(rank + s), s = len(gens), for the tuples of polynomials g_i in
-    ``gens`` and h_j in ``extra``, with block = rank."""
+def lift_basis(gens, rank: int, ring: PolyRing) -> ModuleGB:
+    """The block-order basis of the vectors (g_i, e_i) in R^(rank + s),
+    s = len(gens), for the tuples of polynomials g_i in ``gens``, with
+    block = rank."""
     lay = _layout(ring.n)
     scaled = enumerate(_flat(g, ring, rank) for g in gens)
     vectors = [{**d, lay.base(rank + i, rank): ring.coefficient(D)} for i, (d, D) in scaled]
     s = len(vectors)
-    vectors += [_flat(h, ring, rank)[0] for h in extra]
     return ModuleGB(ring, rank + s, module_buchberger(vectors, rank + s, lay, rank))
 
 
 def lift(v, basis: ModuleGB):
     """(remainder, cofactors) of v in R^block against a `lift_basis`:
-    v = sum_i a_i g_i + r + an element of <h>.  Dividing (v, 0) leaves
-    (r, -a); r is the normal form of v modulo <g, h> and a is reduced
-    modulo the relations, so both are unique."""
+    v = sum_i a_i g_i + r.  Dividing (v, 0) leaves (r, -a); r is the
+    normal form of v modulo <g> and a is reduced modulo the syzygies, so
+    both are unique."""
     ring, b = basis.ring, basis.block
     if len(v) != b:
         raise ValueError("vector of length %d for a lift basis of block %d" % (len(v), b))
@@ -401,9 +400,9 @@ def lift(v, basis: ModuleGB):
 
 def split(basis: ModuleGB):
     """(heads, tails) of a `lift_basis` as module bases: the first block
-    components of the elements that have any, a reduced basis of <g, h>,
-    and the other components, shifted to position 0, of the elements whose
-    first block vanishes, a reduced basis of the relations.  The leads stay
+    components of the elements that have any, a reduced basis of <g>, and
+    the other components, shifted to position 0, of the elements whose
+    first block vanishes, a reduced basis of the syzygies.  The leads stay
     where they are; a head over Q may have content to remove."""
     b, ring, lay = basis.block, basis.ring, basis._divisors.layout
     flag, shift = lay.flag, lay.flag + (b << lay.ps)

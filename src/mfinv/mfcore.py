@@ -454,8 +454,7 @@ def hom_differential(E: MatFac, F: MatFac) -> tuple[Matrix, Matrix]:
 def greedy_decomposition(w: Polynomial) -> list:
     """Write w = sum_i x_i w_i, dividing each monomial by its lowest variable.
 
-    Requires w(0) = 0; deterministic, and any other valid decomposition can
-    be passed to the constructors below instead.
+    Requires w(0) = 0; deterministic.
     """
     ring = w.ring
     parts = [dict() for _ in range(ring.n)]
@@ -470,23 +469,14 @@ def greedy_decomposition(w: Polynomial) -> list:
     return [Polynomial(ring, p) for p in parts]
 
 
-def stabilized_residue_field(w: Polynomial, decomposition=None) -> MatFac:
+def stabilized_residue_field(w: Polynomial) -> MatFac:
     """k^st = {(w_1..w_n); (x_1..x_n)}, the stabilization of the residue field."""
     ring = w.ring
-    if decomposition is None:
-        ws = greedy_decomposition(w)
-    else:
-        ws = list(decomposition)
-        total = ring.zero()
-        for i, wi in enumerate(ws):
-            total = total + ring.var(i) * wi
-        if total != w:
-            raise ValueError("invalid decomposition: sum x_i w_i differs from w")
     xs = [ring.var(i) for i in range(ring.n)]
-    return koszul(ws, xs)
+    return koszul(greedy_decomposition(w), xs)
 
 
-def clifford_generators(w: Polynomial, decomposition=None):
+def clifford_generators(w: Polynomial):
     """Closed odd endomorphisms alpha_j of k^st generating a Clifford algebra.
 
     alpha_j = -(sum_i w_ij e_i^) + i(e_j*), with w_j = sum_i x_i w_ij from
@@ -497,8 +487,8 @@ def clifford_generators(w: Polynomial, decomposition=None):
     n = ring.n
     if any(ring.layout.deg(m) < 2 for m in w.terms):
         raise ValueError("potential has a linear part")
-    kst = stabilized_residue_field(w, decomposition)
-    ws = greedy_decomposition(w) if decomposition is None else list(decomposition)
+    kst = stabilized_residue_field(w)
+    ws = greedy_decomposition(w)
     alphas = []
     for j in range(n):
         wij = greedy_decomposition(ws[j])

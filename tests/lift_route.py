@@ -10,12 +10,23 @@ monomial) pairs of the relations indexed the basis, a class was
 represented by monomial times kernel generator, and its coordinates were
 the cofactors of one `lift` against that basis, which come reduced modulo
 the relations.  That route stays here as the reference the subquotient
-basis is checked against.  It passes the kernel generators and the
-coboundaries to `lift_basis` as tuples of polynomials.
+basis is checked against.  `lift_basis` takes no extra generators, so
+`block_basis` builds the block-order basis of (k_i, e_i) and the
+coboundaries (h_j, 0) from the engine's own pieces; `lift` and `split`
+read it as they read a `lift_basis`, with <k, h> for <k> and the
+relations for the syzygies.
 """
 from itertools import product
 
-from mfinv.groebner import lift, lift_basis, module_kernel, split
+from mfinv.groebner import (
+    ModuleGB,
+    _flat,
+    _layout,
+    lift,
+    module_buchberger,
+    module_kernel,
+    split,
+)
 from mfinv.mfcore import hom_differential, morphism_to_vector, vector_to_morphism
 from tuple_route import grevlex_key, terms
 
@@ -49,11 +60,23 @@ def standard_monomials(mgb):
     return out
 
 
+def block_basis(gens, rank, ring, extra):
+    """The block-order basis of the vectors (g_i, e_i) and (h_j, 0) in
+    R^(rank + s), s = len(gens), for the tuples of polynomials g_i in
+    ``gens`` and h_j in ``extra``, with block = rank."""
+    lay = _layout(ring.n)
+    scaled = enumerate(_flat(g, ring, rank) for g in gens)
+    vectors = [{**d, lay.base(rank + i, rank): ring.coefficient(D)} for i, (d, D) in scaled]
+    s = len(vectors)
+    vectors += [_flat(h, ring, rank)[0] for h in extra]
+    return ModuleGB(ring, rank + s, module_buchberger(vectors, rank + s, lay, rank))
+
+
 def subquotient_presentation(kernel, image):
     """(lift basis, relation basis, standard pairs) of <kernel> / <image>,
     ``image`` a list of tuples of polynomials.  Raises when an image
     generator falls outside the kernel or the quotient is infinite."""
-    basis = lift_basis(kernel.generators, kernel.rank, kernel.ring, image)
+    basis = block_basis(kernel.generators, kernel.rank, kernel.ring, image)
     heads, relations = split(basis)
     if heads.generators != kernel.generators:
         raise ValueError("image generators outside the kernel submodule")

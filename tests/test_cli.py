@@ -359,6 +359,10 @@ def test_conductor_at_the_limit_loads(tmp_path, capsys):
 
     doc = json.loads(json.dumps(CYCLIC3_SESSION))
     doc["group"]["cyclotomic_order"] = MAX_CONDUCTOR
+    # sectors needs a potential that the generator z, a primitive root of
+    # that order, leaves invariant
+    doc["potential"] = "x^%d" % MAX_CONDUCTOR
+    doc["factorizations"]["E1"]["koszul"]["b"] = ["x^%d" % (MAX_CONDUCTOR - 1)]
     path = write_session(tmp_path, doc)
     code, out, err = run(capsys, "--input", path, "sectors")
     assert code == 0 and err == ""
@@ -557,9 +561,68 @@ def test_dropping_an_a_generator_fails_hom_koszul(capsys, monkeypatch, fixture):
     assert failed == ["hom-koszul: fail"]
 
 
+def _plus_one(real):
+    return lambda *args, **kwargs: real(*args, **kwargs) + 1
+
+
+def _doubled_class(real):
+    return lambda *args, **kwargs: real(*args, **kwargs).scale(2)
+
+
+def _doubled_matrix(real):
+    return lambda *args: tuple(tuple(p + p for p in row) for row in real(*args))
+
+
+def _negated(real):
+    return lambda *args: -real(*args)
+
+
+# one side of each identity made wrong, and the lines that must then fail:
+# the oracle's `derivative_product` feeds the direct side of the diagonal's
+# character, the one in `invariants` the permutation sweep
+@pytest.mark.parametrize("module, name, wrong, failed", [
+    ("mfinv.invariants", "chi_hrr", _plus_one, ["hrr"]),
+    ("mfinv.invariants", "cardy_rhs", _plus_one, ["cardy"]),
+    ("mfinv.oracle", "oracle_tau", _doubled_class, ["oracle-tau"]),
+    ("mfinv.oracle", "derivative_product", _doubled_matrix, ["chern-diagonal"]),
+    ("mfinv.invariants", "permutation_sign", _negated, ["permutation-invariance"]),
+    ("mfinv.cli", "residue_trace", _plus_one, ["hessian-trace"]),
+])
+def test_each_verify_line_fails_on_a_wrong_side(
+    tmp_path, capsys, monkeypatch, module, name, wrong, failed
+):
+    import importlib
+
+    target = importlib.import_module(module)
+    monkeypatch.setattr(target, name, wrong(getattr(target, name)))
+    path = write_session(tmp_path, D4_SESSION)
+    code, out, err = run(capsys, "--input", path, "verify", "--check")
+    assert code == 1
+    assert "Traceback" not in err
+    lines = out.splitlines()
+    assert len(lines) == 8
+    assert [line[: -len(": fail")] for line in lines if line.endswith(": fail")] == failed
+    assert sum(line.endswith(": pass") for line in lines) == 8 - len(failed)
+
+
+NON_INVARIANT_SESSION = {
+    "variables": ["x", "y"],
+    "potential": "x^2*y + y^3",
+    "group": {"cyclotomic_order": 2, "generators": [["1", "-1"]]},
+}
+
+
+@pytest.mark.parametrize("command", ["sectors", "orbifold-hh"])
+def test_group_that_moves_the_potential_exits_2(tmp_path, capsys, command):
+    path = write_session(tmp_path, NON_INVARIANT_SESSION)
+    code, out, err = run(capsys, "--input", path, command)
+    assert code == 2 and out == ""
+    assert err == "error: potential is not invariant under (1, -1)\n"
+
+
 def test_oracle_check_builds_no_diagonal(tmp_path, monkeypatch):
     import mfinv.oracle
-    from mfinv.cli import _check_oracle_tau, load_session
+    from mfinv.cli import _oracle_tau_sides, load_session
 
     calls = []
     real = mfinv.oracle.build_diagonal
@@ -571,7 +634,7 @@ def test_oracle_check_builds_no_diagonal(tmp_path, monkeypatch):
     monkeypatch.setattr(mfinv.oracle, "build_diagonal", counted)
     session = load_session(write_session(tmp_path, D4_SESSION))
     assert len(session.factorizations) == 2
-    assert _check_oracle_tau(session)
+    assert all(lhs == rhs for lhs, rhs in _oracle_tau_sides(session))
     assert calls == []
 
 
@@ -674,6 +737,22 @@ def test_scalar_string_forms():
         parse_scalar("z", None)
     with pytest.raises(SessionError):
         parse_scalar("1/0", None)
+
+
+def test_readme_names_each_subcommand_with_its_arguments():
+    import pathlib
+    import re
+
+    from mfinv.cli import COMMANDS
+
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = readme[readme.index("Subcommands:"):].split(", which")[0]
+    named = [" ".join(span.split()) for span in re.findall(r"`([^`]*)`", sentence)]
+    expected = [
+        " ".join([name] + ["MOR" if "morphism" in arg else "FAC" for arg in positionals])
+        for name, (_handler, _help, positionals) in COMMANDS.items()
+    ]
+    assert named == expected
 
 
 def test_shipped_fixture_sessions_verify(capsys):

@@ -20,14 +20,20 @@ from mfinv.groebner import (
     split,
     subquotient_basis,
 )
-from mfinv.cli import _named_endomorphisms, load_session
+from mfinv.cli import _endomorphisms, load_session
 from mfinv.homology import cardy_supertrace, euler, hom_cohomology, koszul_hom_dimensions
 from mfinv.invariants import chi_hrr
 from mfinv.milnor import build_milnor
 from mfinv.mfcore import hom_differential, identity_morphism, koszul, vector_to_morphism
 from mfinv.poly import PolyRing, Polynomial
 from mfinv.scalar import CyclotomicContext, Scalar
-from lift_route import LiftRouteBasis, lead, standard_monomials, subquotient_presentation
+from lift_route import (
+    LiftRouteBasis,
+    block_basis,
+    lead,
+    standard_monomials,
+    subquotient_presentation,
+)
 from tuple_route import grevlex_key, polynomial, terms
 
 R2 = PolyRing(("x", "y"))
@@ -777,8 +783,8 @@ def _fixture_pairs():
         session = load_session(str(root / ("%s.json" % name)))
         for a, E in session.factorizations.items():
             for b, F in session.factorizations.items():
-                alphas = [identity_morphism(E), *_named_endomorphisms(session, a)]
-                betas = [identity_morphism(F), *_named_endomorphisms(session, b)]
+                alphas = _endomorphisms(session, a)
+                betas = _endomorphisms(session, b)
                 yield E, F, alphas, betas
 
 
@@ -883,7 +889,7 @@ def _flat_route_bases(ring, cols, n_out):
     matrix = [[col[r] for col in cols] for r in range(n_out)]
     kernel, image = module_kernel(matrix, n_in, n_out, ring)
     extra = module_gb(cols[:1], n_out, ring).generators
-    bases = [kernel, image, *split(lift_basis(image.generators, n_out, ring, extra))]
+    bases = [kernel, image, *split(block_basis(image.generators, n_out, ring, extra))]
     if kernel.generators:
         xs = [ring.var(i) for i in range(ring.n)]
         m2 = [a * b for i, a in enumerate(xs) for b in xs[i:]]
