@@ -7,7 +7,9 @@ that file: load, compute, print.  Results go to standard output as plain
 ``key: value`` lines, or as JSON with sorted keys behind ``--json``.
 
 Exit codes: 0 on success, 1 when ``verify --check`` finds a failed
-identity (or a Cardy mismatch is detected), 2 on any input error.
+identity (or a Cardy mismatch is detected), 2 on any input error,
+including a library check that rejects the input (a ValueError or
+AssertionError, which `main` reports like a SessionError).
 
 A subcommand loads only the layers it uses: the core (``scalar`` through
 ``mfcore``) comes with this module, and each handler imports the rest at
@@ -476,10 +478,7 @@ def cmd_tau(session: Session, args) -> dict:
     E = _get_fac(session, args.factorization)
     alpha = _get_mor(session, args.morphism)
     _require_endo(alpha, E, args.morphism, args.factorization)
-    try:
-        cls = tau(E, alpha, session.milnor)
-    except ValueError as exc:
-        raise SessionError(str(exc))
+    cls = tau(E, alpha, session.milnor)
     return {"class": str(cls.value), "parity": cls.parity}
 
 
@@ -513,11 +512,8 @@ def cmd_cardy(session: Session, args) -> dict:
     beta = _get_mor(session, args.other_morphism)
     _require_endo(alpha, E, args.morphism, args.factorization)
     _require_endo(beta, F, args.other_morphism, args.other)
-    try:
-        lhs = cardy_lhs(E, F, alpha, beta)
-        rhs = cardy_rhs(E, F, alpha, beta, session.milnor)
-    except ValueError as exc:
-        raise SessionError(str(exc))
+    lhs = cardy_lhs(E, F, alpha, beta)
+    rhs = cardy_rhs(E, F, alpha, beta, session.milnor)
     if lhs != rhs:
         raise VerificationFailure(
             "cardy sides disagree: lhs %s, rhs %s" % (lhs, rhs)
@@ -530,10 +526,7 @@ def cmd_sectors(session: Session, args) -> dict:
 
     if session.group is None:
         raise SessionError("this command needs a group in the session")
-    try:
-        check_invariance(session.w, session.group)
-    except ValueError as exc:
-        raise SessionError(str(exc))
+    check_invariance(session.w, session.group)
     out = []
     for g, sec in zip(session.group.elements, sectors(session.w, session.group.elements)):
         out.append(
@@ -552,10 +545,7 @@ def cmd_equivariant_chi(session: Session, args) -> dict:
 
     E = _equivariant(session, args.factorization)
     F = _equivariant(session, args.other)
-    try:
-        value = chi_equivariant(E, F, session.group)
-    except (ValueError, AssertionError) as exc:
-        raise SessionError(str(exc))
+    value = chi_equivariant(E, F, session.group)
     return {"chi": int(value.as_fraction())}
 
 
@@ -564,10 +554,7 @@ def cmd_orbifold_hh(session: Session, args) -> dict:
 
     if session.group is None:
         raise SessionError("this command needs a group in the session")
-    try:
-        sectors, even, odd = orbifold_hh_dimensions(session.w, session.group)
-    except (ValueError, AssertionError) as exc:
-        raise SessionError(str(exc))
+    sectors, even, odd = orbifold_hh_dimensions(session.w, session.group)
     return {
         "sectors": [
             {"element": g, "parity": parity, "dimension": dim}
@@ -588,17 +575,14 @@ def cmd_graded_chi(session: Session, args) -> dict:
             raise SessionError("factorization %r has no degrees data" % name)
     E = _get_fac(session, args.factorization)
     F = _get_fac(session, args.other)
-    try:
-        S = graded_to_equivariant(session.w, session.weights)
-        value = graded_chi(
-            S,
-            E,
-            session.degree_specs[args.factorization],
-            F,
-            session.degree_specs[args.other],
-        )
-    except (ValueError, AssertionError) as exc:
-        raise SessionError(str(exc))
+    S = graded_to_equivariant(session.w, session.weights)
+    value = graded_chi(
+        S,
+        E,
+        session.degree_specs[args.factorization],
+        F,
+        session.degree_specs[args.other],
+    )
     return {"chi": int(value.as_fraction()), "doubled": S.doubled}
 
 
@@ -846,10 +830,11 @@ def main(argv=None) -> int:
     if args.input is None:
         print("error: --input is required", file=sys.stderr)
         return 2
+    # a library check that rejects the input raises ValueError or AssertionError
     try:
         session = load_session(args.input)
         payload = COMMANDS[args.command][0](session, args)
-    except (SessionError, VerificationFailure) as exc:
+    except (SessionError, ValueError, AssertionError, VerificationFailure) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1 if isinstance(exc, VerificationFailure) else 2
     if args.json:

@@ -163,23 +163,14 @@ def cardy_supertrace(
     so that a caller pairing many morphisms computes the basis once."""
     if not alpha.is_closed() or not beta.is_closed():
         raise ValueError("morphism is not closed")
-    ctx = basis.source.ring.context
-    total = scalar_zero(ctx)
-    flip = (alpha.parity + beta.parity) % 2
+    total = scalar_zero(basis.source.ring.context)
+    if (alpha.parity + beta.parity) % 2:
+        return total  # m maps each parity to the other one: zero diagonal
     for parity, co in ((0, basis.even), (1, basis.odd)):
-        if co.dimension == 0:
-            continue
-        if flip:
-            continue  # m maps this parity to the other one: zero diagonal
+        # the sign (-1)^(|a||b| + |a||f|) times the supertrace sign (-1)^|f|
+        odd = (alpha.parity * beta.parity + alpha.parity * parity + parity) % 2
         for k in range(co.dimension):
-            f = basis.representative(parity, k)
-            g = beta.compose(f).compose(alpha)
-            sign = 1
-            if (alpha.parity * beta.parity + alpha.parity * parity) % 2:
-                sign = -sign
-            if parity:  # supertrace sign
-                sign = -sign
-            coords = basis.class_coordinates(g)
-            c = coords[k]
-            total = total + (c if sign > 0 else -c)
+            g = beta.compose(basis.representative(parity, k)).compose(alpha)
+            c = basis.class_coordinates(g)[k]
+            total = total - c if odd else total + c
     return total

@@ -6,20 +6,15 @@ The Chern character of (E, delta) over w in n variables is the class of
 
 in the Milnor algebra, highest index leftmost; the boundary-bulk map tau
 composes a closed endomorphism on the right before taking the supertrace.
-The class is antisymmetric under permutations of the derivative indices,
-which `chern_antisymmetrized` exploits as an independent formula (averaged
-over all n! orders with signs); tests and the verification command compare
-the two.
+The class is antisymmetric under permutations of the derivative indices;
+`verify` checks this on every index order, and the tests compare tau with
+the permutation-averaged formula.
 
 The index pairing chi_hrr(E, F) = <ch E, ch F> computes the Euler
 characteristic of the Hom complex without ever building it; cardy_rhs is
 the same pairing on tau classes.
 """
 from __future__ import annotations
-
-from fractions import Fraction
-from itertools import permutations
-from math import factorial
 
 from .mfcore import (
     MatFac,
@@ -83,28 +78,6 @@ def tau(E: MatFac, alpha: MorphismCocycle, A: MilnorRing) -> MilnorClass:
     P = derivative_product(E, range(n - 1, -1, -1))
     M = mat_mul(P, alpha.matrix, E.ring.zero())
     return A.project(supertrace(M, E.r0), parity=(n + alpha.parity) % 2)
-
-
-def chern_antisymmetrized(E: MatFac, alpha: MorphismCocycle, A: MilnorRing) -> MilnorClass:
-    """tau through the permutation-averaged formula; must agree with tau.
-
-    (-1)^(n choose 2) / n! times the signed sum over all index orders of
-    str(d_s(1) delta ... d_s(n) delta . alpha).
-    """
-    _check_potential(E, A)
-    check_endomorphism(E, alpha)
-    ring = E.ring
-    n = ring.n
-    total = ring.zero()
-    for perm in permutations(range(n)):
-        sign = permutation_sign(perm)
-        M = mat_mul(derivative_product(E, perm), alpha.matrix, ring.zero())
-        s = supertrace(M, E.r0)
-        total = total + (s if sign > 0 else -s)
-    scale = Fraction(1, factorial(n))
-    if (n * (n - 1) // 2) % 2:
-        scale = -scale
-    return A.project(total * scale, parity=(n + alpha.parity) % 2)
 
 
 def permutation_sign(perm) -> int:

@@ -93,6 +93,13 @@ def mat_map(A: Matrix, fn) -> Matrix:
     return tuple(tuple(fn(a) for a in row) for row in A)
 
 
+def _off_parity_rows(M: Matrix, r0_rows: int, r0_cols: int, parity: int) -> list:
+    """The rows of M with a nonzero entry off the blocks of this parity; rows
+    split into even and odd at r0_rows, columns at r0_cols."""
+    return [i for i, row in enumerate(M) if any(
+        not e.is_zero() for e in (row[r0_cols:] if (i >= r0_rows) == parity else row[:r0_cols]))]
+
+
 class MatFac(Frozen):
     """A matrix factorization (E, delta) of the potential w.
 
@@ -105,10 +112,9 @@ class MatFac(Frozen):
     def __init__(self, ring: PolyRing, w: Polynomial, delta: Matrix, r0: int):
         if not 0 <= r0 <= len(delta) or any(len(row) != len(delta) for row in delta):
             raise ValueError("delta is not square (d1 must be r0 x r1, d0 r1 x r0)")
-        for t, row in enumerate(delta):
-            # the columns of the summand of row t itself
-            if any(not e.is_zero() for e in (row[:r0] if t < r0 else row[r0:])):
-                raise ValueError("delta is not odd: entry in row %d preserves parity" % t)
+        bad = _off_parity_rows(delta, r0, r0, 1)
+        if bad:
+            raise ValueError("delta is not odd: entry in row %d preserves parity" % bad[0])
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "delta", delta)
@@ -304,12 +310,8 @@ class MorphismCocycle(Frozen):
     def __init__(self, source: MatFac, target: MatFac, parity: int, matrix: Matrix):
         if len(matrix) != target.rank or any(len(row) != source.rank for row in matrix):
             raise ValueError("morphism block has the wrong shape")
-        tr0, sr0 = target.r0, source.r0
-        for i, row in enumerate(matrix):
-            # the columns of the summand this row must not see
-            off = row[sr0:] if (i >= tr0) == parity else row[:sr0]
-            if any(not e.is_zero() for e in off):
-                raise ValueError("matrix is not parity-homogeneous of parity %d" % parity)
+        if _off_parity_rows(matrix, target.r0, source.r0, parity):
+            raise ValueError("matrix is not parity-homogeneous of parity %d" % parity)
         super().__init__(source, target, parity, matrix)
 
     @classmethod
@@ -511,12 +513,9 @@ class EquivariantMF(Frozen):
     __slots__ = ("base", "action", "checked")
 
     def __init__(self, base: MatFac, action: tuple):
-        r0 = base.r0
         for rho in action:
             if len(rho) != base.rank or any(len(row) != base.rank for row in rho):
                 raise ValueError("action matrix has the wrong size")
-            for i in range(base.rank):
-                for j in range(base.rank):
-                    if (i < r0) != (j < r0) and not rho[i][j].is_zero():
-                        raise ValueError("action matrix does not preserve parity")
+            if _off_parity_rows(rho, base.r0, base.r0, 0):
+                raise ValueError("action matrix does not preserve parity")
         super().__init__(base, action, None)

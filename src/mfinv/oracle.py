@@ -241,28 +241,6 @@ def _assert_system(components, rhs, n, rank, uring):
                     )
 
 
-def restriction_recursion_check(D: DTensor) -> bool:
-    """The nested-subset components restrict to derivative factors in turn."""
-    E = D.source
-    doubled = D.doubled
-    n = E.ring.n
-    for j in range(1, n + 1):
-        S = tuple(range(n - j, n))
-        prev = tuple(range(n - j + 1, n))
-        pivot = n - j
-        images = [doubled.var(i) for i in range(2 * n)]
-        images[n + pivot] = doubled.var(pivot)
-        lhs = mat_map(D.component(S), lambda p: p.substitute(doubled, images))
-        mixed = [doubled.var(i) for i in range(n)]
-        for k in range(pivot + 1, n):
-            mixed[k] = doubled.var(n + k)
-        part = mat_map(E.partials[pivot], lambda p: p.substitute(doubled, mixed))
-        rhs = mat_mul(D.component(prev), part, doubled.zero())
-        if lhs != rhs:
-            return False
-    return True
-
-
 def oracle_tau(
     E: MatFac, alpha: MorphismCocycle, A: MilnorRing, *, dtensor: DTensor | None = None
 ) -> MilnorClass:

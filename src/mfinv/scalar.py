@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 # Largest cyclotomic order m of a session's field, its group's field and
 # its grading group's field, and the largest group order
@@ -268,13 +269,21 @@ class Scalar(Frozen):
             raise ZeroDivisionError("scalar inverse of zero")
         if self.is_rational():
             return Scalar(self.context, (bare(Fraction(1, self.coeffs[0])),) + self.coeffs[1:])
-        # extended gcd of the representative with Phi_m; Phi_m is irreducible
-        # over Q so the gcd is a nonzero constant
-        s = _xgcd_inverse(self.coeffs, self.context.minimal_polynomial)
-        return Scalar(
-            self.context,
-            tuple(_reduce_mod_phi(s, self.context.minimal_polynomial)),
-        )
+        # a = den * self has integral coordinates; c is the product of the
+        # conjugates sigma_k(a), zeta -> zeta^k, over the units 1 < k < m,
+        # so a * c is the norm N(a), a nonzero integer, and
+        # 1/self = den * c / N(a)
+        m, phi = self.context.order, self.context.minimal_polynomial
+        den = lcm(*(x.denominator for x in self.coeffs))
+        a = self * den
+        c = one(self.context)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                spread = [0] * m
+                for j, x in enumerate(a.coeffs):
+                    spread[j * k % m] = x
+                c = c * Scalar(self.context, tuple(_reduce_mod_phi(spread, phi)))
+        return c * Fraction(den, (a * c).as_fraction())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -340,42 +349,6 @@ def _unify(a: Scalar, b) -> tuple[Scalar, Scalar]:
             % (a.context.order, b.context.order)
         )
     return a, b
-
-
-def _xgcd_inverse(a, phi) -> list[Fraction]:
-    # returns s with s*a = 1 mod phi (phi irreducible, deg a < deg phi);
-    # it divides, so it works on Fractions of its inputs
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def sub_scaled(p, q, c, shift):
-        while len(p) < len(q) + shift:
-            p.append(0)
-        for i, qi in enumerate(q):
-            p[i + shift] -= c * qi
-        return trim(p)
-
-    r0, r1 = trim(list(map(Fraction, phi))), trim(list(map(Fraction, a)))
-    s0: list = []
-    s1: list = [1]
-    while len(r1) > 1:
-        r = list(r0)
-        s = list(s0)
-        for k in range(len(r0) - len(r1), -1, -1):
-            if len(r) < k + len(r1):
-                continue
-            c = r[k + len(r1) - 1] / r1[-1]
-            if c:
-                r = sub_scaled(r, r1, c, k)
-                s = sub_scaled(s, s1, c, k)
-        r0, r1 = r1, trim(r)
-        s0, s1 = s1, s
-        if not r1:
-            raise ZeroDivisionError("element shares a factor with the modulus")
-    c = r1[0]
-    return [x / c for x in s1]
 
 
 def rational(p: int | Fraction, q: int = 1) -> Scalar:

@@ -620,6 +620,41 @@ def test_group_that_moves_the_potential_exits_2(tmp_path, capsys, command):
     assert err == "error: potential is not invariant under (1, -1)\n"
 
 
+def _rejecting(error):
+    def planted(*args, **kwargs):
+        raise error("planted rejection")
+    return planted
+
+
+# command: (session, its arguments, the library function its handler calls)
+_LIBRARY_CALLS = {
+    "milnor": (D4_SESSION, [], "mfinv.cli", "gram_matrix"),
+    "chern": (D4_SESSION, ["E"], "mfinv.invariants", "chern"),
+    "chi": (D4_SESSION, ["E", "F"], "mfinv.invariants", "chi_hrr"),
+    "hom": (D4_SESSION, ["E", "F"], "mfinv.homology", "hom_dimensions"),
+    "tau": (D4_SESSION, ["E", "yid"], "mfinv.invariants", "tau"),
+    "cardy": (D4_SESSION, ["E", "E", "yid", "yid"], "mfinv.homology", "cardy_lhs"),
+    "sectors": (CYCLIC3_SESSION, [], "mfinv.equivariant", "sectors"),
+    "equivariant-chi": (CYCLIC3_SESSION, ["E1", "E1"], "mfinv.equivariant", "chi_equivariant"),
+    "orbifold-hh": (CYCLIC3_SESSION, [], "mfinv.equivariant", "orbifold_hh_dimensions"),
+    "graded-chi": (GRADED_SESSION, ["E1", "E1"], "mfinv.equivariant", "graded_chi"),
+}
+
+
+@pytest.mark.parametrize(
+    "error, command", [(ValueError, c) for c in _LIBRARY_CALLS] + [(AssertionError, "hom")]
+)
+def test_library_rejection_exits_2(tmp_path, capsys, monkeypatch, error, command):
+    # main is the one place that reports a library check's ValueError or
+    # AssertionError: as an input error, with no traceback
+    import importlib
+
+    session, args, module, name = _LIBRARY_CALLS[command]
+    monkeypatch.setattr(importlib.import_module(module), name, _rejecting(error))
+    path = write_session(tmp_path, session)
+    assert run(capsys, "--input", path, command, *args) == (2, "", "error: planted rejection\n")
+
+
 def test_oracle_check_builds_no_diagonal(tmp_path, monkeypatch):
     import mfinv.oracle
     from mfinv.cli import _oracle_tau_sides, load_session

@@ -1,12 +1,15 @@
+from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfinv.invariants import (
+    _check_potential,
+    check_endomorphism,
     chern,
-    chern_antisymmetrized,
     chi_hrr,
     cardy_rhs,
     derivative_product,
@@ -24,7 +27,7 @@ from mfinv.mfcore import (
     shift,
     vector_to_morphism,
 )
-from mfinv.milnor import build_milnor
+from mfinv.milnor import MilnorClass, MilnorRing, build_milnor
 from mfinv.poly import PolyRing
 from mfinv.scalar import rational
 
@@ -118,6 +121,28 @@ def test_tau_rejects_non_closed():
     f = vector_to_morphism(E, E, 0, [R2.parse("x"), R2.zero()])
     with pytest.raises(ValueError, match="closed"):
         tau(E, f, A)
+
+
+def chern_antisymmetrized(E: MatFac, alpha: MorphismCocycle, A: MilnorRing) -> MilnorClass:
+    """tau through the permutation-averaged formula; must agree with tau.
+
+    (-1)^(n choose 2) / n! times the signed sum over all index orders of
+    str(d_s(1) delta ... d_s(n) delta . alpha).
+    """
+    _check_potential(E, A)
+    check_endomorphism(E, alpha)
+    ring = E.ring
+    n = ring.n
+    total = ring.zero()
+    for perm in permutations(range(n)):
+        sign = permutation_sign(perm)
+        M = mat_mul(derivative_product(E, perm), alpha.matrix, ring.zero())
+        s = supertrace(M, E.r0)
+        total = total + (s if sign > 0 else -s)
+    scale = Fraction(1, factorial(n))
+    if (n * (n - 1) // 2) % 2:
+        scale = -scale
+    return A.project(total * scale, parity=(n + alpha.parity) % 2)
 
 
 def test_endomorphism_checks_compare_whole_factorizations():

@@ -18,11 +18,11 @@ from mfinv.mfcore import (
 )
 from mfinv.milnor import build_milnor
 from mfinv.oracle import (
+    DTensor,
     build_diagonal,
     chern_of_diagonal,
     inverse_form_check,
     oracle_tau,
-    restriction_recursion_check,
     solve_D,
 )
 from mfinv.poly import PolyRing, determinant, difference_derivative, doubled_ring
@@ -39,6 +39,28 @@ def diagonal_koszul(data):
     n = data.milnor.ring.n
     us = [data.doubled.var(n + j) - data.doubled.var(j) for j in range(n)]
     return koszul(data.differences, us)
+
+
+def restriction_recursion_check(D: DTensor) -> bool:
+    """The nested-subset components restrict to derivative factors in turn."""
+    E = D.source
+    doubled = D.doubled
+    n = E.ring.n
+    for j in range(1, n + 1):
+        S = tuple(range(n - j, n))
+        prev = tuple(range(n - j + 1, n))
+        pivot = n - j
+        images = [doubled.var(i) for i in range(2 * n)]
+        images[n + pivot] = doubled.var(pivot)
+        lhs = mat_map(D.component(S), lambda p: p.substitute(doubled, images))
+        mixed = [doubled.var(i) for i in range(n)]
+        for k in range(pivot + 1, n):
+            mixed[k] = doubled.var(n + k)
+        part = mat_map(E.partials[pivot], lambda p: p.substitute(doubled, mixed))
+        rhs = mat_mul(D.component(prev), part, doubled.zero())
+        if lhs != rhs:
+            return False
+    return True
 
 
 def xn_fac(n, i):

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from euclid_route import inverse as euclid_inverse
 from mfinv.scalar import (
+    MAX_CONDUCTOR,
     CyclotomicContext,
     Scalar,
     _convolve,
@@ -111,6 +114,28 @@ def test_division_by_zero():
         zero().inverse()
     with pytest.raises(ZeroDivisionError):
         zero(CyclotomicContext(4)).inverse()
+
+
+def test_norm_inverse_matches_the_euclid_route():
+    rng = random.Random(30)
+    for m in range(3, MAX_CONDUCTOR + 1):
+        ctx = CyclotomicContext(m)
+        d = ctx.degree
+        elements = [Scalar(ctx, tuple(rng.randint(-3, 3) for _ in range(d)))]
+        elements += [one(ctx) - ctx.zeta(k) for k in (1, rng.randrange(2, m))]
+        # the reference's Fractions grow fast, so these have three terms
+        fractions = [0] * d
+        for j in rng.sample(range(d), min(d, 3)):
+            fractions[j] = bare(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        elements.append(Scalar(ctx, tuple(fractions)))
+        for a in elements:
+            if a.is_zero():
+                continue
+            inv = a.inverse()
+            want = euclid_inverse(a) if not a.is_rational() else Fraction(1, a.as_fraction())
+            assert inv == want and a * inv == 1, (m, a)
+        with pytest.raises(ZeroDivisionError):
+            zero(ctx).inverse()
 
 
 def test_str_and_json_forms():
