@@ -54,6 +54,9 @@ vector of the weights over a table of order 2 ell.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from operator import mul
 from types import MappingProxyType
 
@@ -378,14 +381,45 @@ def _morphism_action_full(f, G: DiagonalGroup, g, actions_E, actions_F):
     return mat_mul(actions_F[g], mat_mul(moved, actions_E[G.inverse(g)], zero), zero)
 
 
+@lru_cache(maxsize=None)
+def _root_log(m: int) -> dict:
+    """{coordinates of zeta_m^k: k} over Q(zeta_m), one table per conductor."""
+    ctx = CyclotomicContext(m)
+    return {ctx.zeta(k).coeffs: k for k in range(m)}
+
+
 def c_weight(g: Element, context=None) -> Scalar:
-    """Product over moving directions of (1 - lambda_i)^(-1); 1 at identity."""
+    """Product over moving directions of (1 - lambda_i)^(-1); 1 at identity.
+
+    No factor needs a field inversion.  An entry lambda = zeta_m^k of
+    order q = m / gcd(k, m) > 1 has powers that sum to zero, so
+
+        (1 - lambda) sum_(t<q) t lambda^t = -q,
+        (1 - lambda)^(-1) = -(1/q) sum_(t<q) t lambda^t.
+
+    Over Q the only such lambda is -1, whose factor is 1/2.  The integral
+    sums are multiplied together and divided once by the product of the
+    q; an entry that is no power of zeta_m is inverted.
+    """
     total = scalar_one(context)
+    q_total = 1
     for lam in g:
-        if lam == 1:
-            continue
-        total = total * (scalar_one(context) - lam).inverse()
-    return total
+        ctx = lam.context
+        k = None if ctx is None else _root_log(ctx.order).get(lam.coeffs)
+        if k is None:
+            if lam == -1:
+                q_total *= 2
+            elif lam != 1:
+                total = total * (scalar_one(context) - lam).inverse()
+        elif k:
+            m = ctx.order
+            q = m // gcd(k, m)
+            spread = [0] * m
+            for t in range(1, q):
+                spread[k * t % m] = -t
+            total = total * ctx.from_powers(spread)
+            q_total *= q
+    return total * Fraction(1, q_total)
 
 
 def chi_equivariant(E: EquivariantMF, F: EquivariantMF, G: DiagonalGroup) -> Scalar:

@@ -134,23 +134,27 @@ def build_milnor(w: Polynomial) -> MilnorRing:
     basis = quotient_basis(gb)
     if basis is None:
         raise ValueError("not an isolated singularity")
-    mu = len(basis)
-    nil = _nilpotency_exponent(ring, gb, mu)
-    det = _cofactor_determinant(lifts, partials, nil)
     words = tuple(basis)
-    return MilnorRing(ring, w, gb, tuple(map(ring.layout.exponents, words)), words, mu, nil, det)
+    exponents = tuple(map(ring.layout.exponents, words))
+    nil = _nilpotency_exponent(ring, gb, exponents)
+    det = _cofactor_determinant(lifts, partials, nil)
+    return MilnorRing(ring, w, gb, exponents, words, len(words), nil, det)
 
 
-def _nilpotency_exponent(ring: PolyRing, gb: ModuleGB, mu: int) -> int:
+def _nilpotency_exponent(ring: PolyRing, gb: ModuleGB, basis) -> int:
     # smallest uniform N with x_i^N in the ideal for every i; the maximal
     # ideal of an Artinian local ring of length mu satisfies m^mu = 0, so
     # at the origin the search ends by N = mu.  A variable still alive at
     # mu + 1 is not nilpotent: the quotient has support away from 0.
+    # x_i^k in the ideal makes x_i^k a multiple of a lead, so the search
+    # for x_i starts at the first power of x_i that is not a standard
+    # monomial (the standard monomials ``basis`` are closed under division)
+    mu = len(basis)
     best = 0
     for i in range(ring.n):
         x = ring.var(i)
-        p = x
-        k = 1
+        k = 1 + max((e[i] for e in basis if sum(e) == e[i]), default=0)
+        p = x ** k
         while not normal_form(p, gb).is_zero():
             p = p * x
             k += 1

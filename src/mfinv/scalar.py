@@ -26,8 +26,16 @@ Everywhere in the package a rational has one normal form, which `bare`
 gives: an ``int``, or a ``Fraction`` when it is not integral.  The
 coordinates of a Scalar are in that form too, so the integral coordinates
 of roots of unity, action matrices and most characters are plain ints.
-Phi_m is monic over Z, so a product is one convolution and one reduction
-mod the ``int`` Phi_m, whatever mix of ints and Fractions it meets.
+
+An operand of the same field (the same context object, or both None)
+meets the arithmetic directly; only ints, Fractions and operands of
+another context object go through the coercion `_unify`, which lifts a
+rational into the other side's field.  A rational operand, bare or a
+Scalar, changes one coordinate of a sum and scales the coordinates of a
+product.  Phi_m is monic over Z, so the product of two non-rational
+elements clears their denominators, convolves and reduces mod the ``int``
+Phi_m on ints, and divides each coordinate once by the product of the
+two denominators.
 """
 from __future__ import annotations
 
@@ -137,12 +145,21 @@ class CyclotomicContext(Frozen):
 
     def zeta(self, power: int = 1) -> "Scalar":
         """The root of unity zeta_m^power as a Scalar."""
-        power %= self.order
-        coeffs = _reduce_mod_phi([0] * power + [1], self.minimal_polynomial)
-        return Scalar(self, tuple(coeffs))
+        return self.from_powers([0] * (power % self.order) + [1])
+
+    def from_powers(self, coeffs) -> "Scalar":
+        """sum_j coeffs[j] zeta^j for rationals coeffs in normal form, of
+        any length."""
+        return Scalar(self, tuple(_reduce_mod_phi(coeffs, self.minimal_polynomial)))
 
     def from_rational(self, a: Fraction | int) -> "Scalar":
-        return Scalar(self, (bare(a),) + (0,) * (self.degree - 1))
+        return Scalar(self, (bare(a),) + _zero_tail(self.order))
+
+
+@lru_cache(maxsize=None)
+def _zero_tail(m: int) -> tuple:
+    """The d - 1 zero coordinates of a rational in Q(zeta_m), d = deg Phi_m."""
+    return (0,) * (len(cyclotomic_polynomial(m)) - 2)
 
 
 def _reduce_mod_phi(coeffs: list, phi: tuple) -> list:
@@ -168,6 +185,28 @@ def _convolve(xs, ys) -> list:
                 if y:
                     prod[i + j] += x * y
     return prod
+
+
+def _integral(xs) -> tuple:
+    """(den, den * xs): the least common denominator of the rationals xs
+    and the integral coordinates it makes of them."""
+    den = lcm(*(x.denominator for x in xs))
+    if den == 1:
+        return 1, tuple(xs)
+    return den, tuple(x.numerator * (den // x.denominator) for x in xs)
+
+
+def _product(xs, ys, phi: tuple) -> tuple:
+    """The coordinates of xs * ys mod the monic integer phi.  The
+    denominators are cleared first, so that the convolution and the
+    reduction run on ints, and each coordinate is divided once at the end."""
+    dx, xs = _integral(xs)
+    dy, ys = _integral(ys)
+    coeffs = _reduce_mod_phi(_convolve(xs, ys), phi)
+    den = dx * dy
+    if den == 1:
+        return tuple(coeffs)
+    return tuple(bare(Fraction(c, den)) for c in coeffs)
 
 
 class Scalar(Frozen):
@@ -211,6 +250,8 @@ class Scalar(Frozen):
         Scalars in distinct cyclotomic fields compare equal only when both
         are rational; no cross-conductor embedding is attempted.
         """
+        if other.__class__ is Scalar and other.context is self.context:
+            return self.coeffs == other.coeffs
         try:
             pair = _unify(self, other)
         except ValueError:
@@ -229,11 +270,18 @@ class Scalar(Frozen):
         return hash((self.context.order, self.coeffs))
 
     def __add__(self, other):
-        pair = _unify(self, other)
-        if pair is NotImplemented:
-            return NotImplemented
-        a, b = pair
-        return Scalar(a.context, tuple(bare(x + y) for x, y in zip(a.coeffs, b.coeffs)))
+        if other.__class__ is not Scalar or other.context is not self.context:
+            pair = _unify(self, other)
+            if pair is NotImplemented:
+                return NotImplemented
+            self, other = pair
+        x, y = self.coeffs, other.coeffs
+        # a rational operand changes one coordinate of the other
+        if not any(y[1:]):
+            return Scalar(self.context, (bare(x[0] + y[0]),) + x[1:])
+        if not any(x[1:]):
+            return Scalar(self.context, (bare(x[0] + y[0]),) + y[1:])
+        return Scalar(self.context, tuple(bare(a + b) for a, b in zip(x, y)))
 
     __radd__ = __add__
 
@@ -241,26 +289,37 @@ class Scalar(Frozen):
         return Scalar(self.context, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        return self + -other
+        if other.__class__ is not Scalar or other.context is not self.context:
+            return self + -other
+        x, y = self.coeffs, other.coeffs
+        if not any(y[1:]):
+            return Scalar(self.context, (bare(x[0] - y[0]),) + x[1:])
+        return Scalar(self.context, tuple(bare(a - b) for a, b in zip(x, y)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar(self.context, tuple(bare(a * other) for a in self.coeffs))
-        pair = _unify(self, other)
-        if pair is NotImplemented:
-            return NotImplemented
-        a, b = pair
-        if a.is_rational():
-            a, b = b, a  # the product commutes; scale by the rational side
-        if b.is_rational():
-            f = b.coeffs[0]
-            return Scalar(a.context, tuple(bare(x * f) for x in a.coeffs))
-        prod = _convolve(a.coeffs, b.coeffs)
-        reduced = _reduce_mod_phi(prod, a.context.minimal_polynomial)
-        return Scalar(a.context, tuple(reduced))
+        if other.__class__ is Scalar and other.context is self.context:
+            x, y = self.coeffs, other.coeffs
+        elif isinstance(other, (int, Fraction)):
+            x, y = self.coeffs, (bare(other),)
+        else:
+            pair = _unify(self, other)
+            if pair is NotImplemented:
+                return NotImplemented
+            self, other = pair
+            x, y = self.coeffs, other.coeffs
+        ctx = self.context
+        if not any(y[1:]):
+            if not any(x[1:]):
+                return Scalar(ctx, (bare(x[0] * y[0]),) + x[1:])
+        elif any(x[1:]):
+            return Scalar(ctx, _product(x, y, ctx.minimal_polynomial))
+        else:
+            x, y = y, x  # the product commutes; scale by the rational side
+        f = y[0]
+        return Scalar(ctx, tuple(bare(a * f) for a in x))
 
     __rmul__ = __mul__
 
@@ -273,16 +332,17 @@ class Scalar(Frozen):
         # conjugates sigma_k(a), zeta -> zeta^k, over the units 1 < k < m,
         # so a * c is the norm N(a), a nonzero integer, and
         # 1/self = den * c / N(a)
-        m, phi = self.context.order, self.context.minimal_polynomial
-        den = lcm(*(x.denominator for x in self.coeffs))
-        a = self * den
-        c = one(self.context)
+        ctx = self.context
+        m = ctx.order
+        den, ints = _integral(self.coeffs)
+        a = Scalar(ctx, ints)
+        c = one(ctx)
         for k in range(2, m):
             if gcd(k, m) == 1:
                 spread = [0] * m
-                for j, x in enumerate(a.coeffs):
+                for j, x in enumerate(ints):
                     spread[j * k % m] = x
-                c = c * Scalar(self.context, tuple(_reduce_mod_phi(spread, phi)))
+                c = c * ctx.from_powers(spread)
         return c * Fraction(den, (a * c).as_fraction())
 
     def __truediv__(self, other):

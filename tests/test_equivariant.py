@@ -1,6 +1,7 @@
 """Diagonal symmetry: sectors, equivariant characters, orbifold sums."""
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -185,11 +186,46 @@ def test_pinned_characters_match_closed_form():
 
 
 def test_c_weight_values():
-    ring, ctx = cyclic_ring(5)
+    # each factor against (1 - lambda)^(-1) by the field inversion: every
+    # power of zeta_m for m <= 24, primitive or not, and one seeded power
+    # per m up to 64
+    rng = random.Random(31)
+    for m in range(1, 65):
+        ctx = CyclotomicContext(m)
+        z = ctx.zeta
+        assert c_weight((one(ctx),), ctx) == one(ctx) == c_weight((z(m),), ctx)
+        for k in range(1, m) if m <= 24 else [rng.randrange(1, m)]:
+            want = (one(ctx) - z(k)).inverse()
+            got = c_weight((z(k),), ctx)
+            assert got.context is ctx and got == want, (m, k)
+            assert all(type(c) is int or c.denominator != 1 for c in got.coeffs)
+    # two variables: one fixed coordinate, and both moving
+    ctx = CyclotomicContext(12)
     z = ctx.zeta
-    for m in range(1, 5):
-        assert c_weight((z(m),), ctx) == (one(ctx) - z(m)).inverse()
-    assert c_weight((one(ctx),), ctx) == one(ctx)
+    for j, k in ((5, 0), (0, 4), (6, 0), (3, 8)):
+        want = one(ctx)
+        for lam in (z(j), z(k)):
+            if lam != 1:
+                want = want * (one(ctx) - lam).inverse()
+        assert c_weight((z(j), z(k)), ctx) == want
+    # the rational group {+-1}: the factor of -1 is 1/2
+    for g, want in (((1,), 1), ((-1,), Fraction(1, 2)), ((1, -1), Fraction(1, 2)),
+                    ((-1, -1), Fraction(1, 4))):
+        got = c_weight(tuple(map(rational, g)))
+        assert got.context is None and got.coeffs == (want,)
+        assert got == _product_of_inverses(g)
+    # an entry that is no power of zeta_m is inverted
+    ctx = CyclotomicContext(5)
+    lam = ctx.zeta() * 2
+    assert c_weight((lam,), ctx) == (one(ctx) - lam).inverse()
+
+
+def _product_of_inverses(g):
+    total = rational(1)
+    for lam in g:
+        if lam != 1:
+            total = total * (1 - rational(lam)).inverse()
+    return total
 
 
 def chi_closed_form(n, i, d):

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfinv.groebner import lift_basis
+from mfinv.groebner import lift_basis, normal_form, quotient_basis, split
 from mfinv.milnor import (
     MilnorClass,
     _cofactor_determinant,
+    _nilpotency_exponent,
     _trace_poly,
     build_milnor,
     canonical_pairing,
@@ -181,6 +182,49 @@ REFERENCE_BATTERY = [(ring, text) for ring, text, _ in BATTERY] + [
     (R2, "x^3*y + y^7"),
     (PolyRing(("x", "y"), CyclotomicContext(5)), "x^4 + z*x^2*y^2 + y^4"),
 ]
+
+
+def _linear_nilpotency(ring, gb, mu):
+    """The smallest N with every x_i^N in the ideal, by the linear search
+    from N = 1 that `_nilpotency_exponent` replaces: up to mu + 1 normal
+    forms per variable."""
+    best = 0
+    for i in range(ring.n):
+        x = ring.var(i)
+        p = x
+        k = 1
+        while not normal_form(p, gb).is_zero():
+            p = p * x
+            k += 1
+            if k > mu + 1:
+                raise ValueError("singular locus not local")
+        best = max(best, k)
+    return best
+
+
+@pytest.mark.parametrize("ring,text", REFERENCE_BATTERY)
+def test_nilpotency_from_the_leads_matches_the_linear_search(ring, text):
+    A = _build(ring, text)
+    assert A.nilpotency == _linear_nilpotency(ring, A.jacobian_gb, A.mu)
+    assert A.nilpotency == _nilpotency_exponent(ring, A.jacobian_gb, A.basis)
+
+
+@pytest.mark.parametrize("ring,text", [
+    (R1, "x^3 - 3*x"), (R2, "x^2 - x^3 + y^2"), (R2, "x^3 - 3*x + x*y^2"),
+])
+def test_nonlocal_quotient_is_rejected_by_both_searches(ring, text):
+    # the rejections of test_build_errors: the quotient is finite, but a
+    # variable is not nilpotent in it
+    w = ring.parse(text)
+    partials = [w.partial_derivative(i) for i in range(ring.n)]
+    gb = split(lift_basis([(p,) for p in partials], 1, ring))[0]
+    basis = tuple(map(ring.layout.exponents, quotient_basis(gb)))
+    with pytest.raises(ValueError, match="not local"):
+        _nilpotency_exponent(ring, gb, basis)
+    with pytest.raises(ValueError, match="not local"):
+        _linear_nilpotency(ring, gb, len(basis))
+    with pytest.raises(ValueError, match="not local"):
+        build_milnor(w)
 
 
 def _reference_trace(p, exponent, det):

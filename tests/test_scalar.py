@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_route
 from euclid_route import inverse as euclid_inverse
 from mfinv.scalar import (
     MAX_CONDUCTOR,
@@ -203,6 +205,36 @@ def _is_rational_scalar(s) -> bool:
     )
 
 
+def _assert_matches_the_route(x, y):
+    """x + y, x - y, x * y and x == y on the direct paths equal the
+    coercing route (`scalar_route`): the same field, the same coordinates
+    in normal form, and equal hashes for equal values.  One of x and y is
+    a Scalar; + and * commute, so the route takes the Scalar first."""
+    s, o = (x, y) if type(x) is Scalar else (y, x)
+    minus = scalar_route.add(x, -y) if type(x) is Scalar else scalar_route.add(-y, x)
+    for got, want in ((x + y, scalar_route.add(s, o)), (x - y, minus),
+                      (x * y, scalar_route.mul(s, o))):
+        assert type(got) is Scalar and got.context is want.context
+        assert got.coeffs == want.coeffs and all(_is_bare(c) for c in got.coeffs)
+        assert got == want and hash(got) == hash(want)
+        if got.is_rational():
+            assert got == got.coeffs[0] and hash(got) == hash(got.coeffs[0])
+    same = scalar_route.eq(s, o)
+    assert (x == y) is same and (y == x) is same and (x != y) is not same
+    if same:
+        assert hash(x) == hash(y)
+
+
+def _field_operands(ctx):
+    """A cyclotomic element of ctx with int coordinates, or with Fraction
+    (and some int) coordinates."""
+    d = ctx.degree
+    return st.one_of(
+        st.lists(st.integers(-10**6, 10**6), min_size=d, max_size=d),
+        st.lists(_fractions.map(bare), min_size=d, max_size=d),
+    ).map(lambda cs: Scalar(ctx, tuple(cs)))
+
+
 @given(a=_fractions, b=_operands)
 def test_rational_fast_path_matches_fraction(a, b):
     sa, fb = rational(a), _value(b)
@@ -244,11 +276,20 @@ def test_rational_fast_path_field_axioms(a, b, c):
         assert lhs == rhs
 
 
-@settings(max_examples=40)
-@given(a=_fractions, b=_fractions, m=st.sampled_from([3, 4, 5, 12]))
-def test_rational_mixed_with_cyclotomic_is_lifted(a, b, m):
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), a=_fractions, b=_fractions, m=st.integers(1, MAX_CONDUCTOR))
+def test_rational_mixed_with_cyclotomic_is_lifted(data, a, b, m):
     ctx = CyclotomicContext(m)
     sa, lb = rational(a), ctx.from_rational(b)
+    # every operand kind against every other, in both orders: an int, a
+    # Fraction, a rational Scalar with and without the field, and
+    # elements of the field with int and with Fraction coordinates
+    operands = [a.numerator, a, sa, lb, data.draw(_field_operands(ctx)),
+                data.draw(_field_operands(ctx))]
+    for x in operands:
+        for y in operands:
+            if type(x) is Scalar or type(y) is Scalar:
+                _assert_matches_the_route(x, y)
     cases = [
         (sa + lb, a + b), (lb + sa, a + b),
         (sa - lb, a - b), (lb - sa, b - a),
@@ -266,9 +307,11 @@ def test_rational_mixed_with_cyclotomic_is_lifted(a, b, m):
     assert lb.is_zero() == (b == 0) and (sa == lb) == (a == b)
 
 
+@lru_cache(maxsize=None)
 def _fraction_phi(m):
     """Phi_m over Fractions: x^m - 1 divided by Phi_d for each proper
-    divisor d of m, with a division by the lead coefficient per step."""
+    divisor d of m, with a division by the lead coefficient per step;
+    kept per m, so that the conductors up to MAX_CONDUCTOR stay cheap."""
     num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
     for d in range(1, m):
         if m % d:
@@ -281,7 +324,7 @@ def _fraction_phi(m):
                 num[k + j] -= c * dj
         assert not any(num)
         num = out
-    return num
+    return tuple(num)
 
 
 def test_integer_cyclotomic_polynomial_is_phi():
@@ -317,8 +360,8 @@ def _coordinates(d):
     )
 
 
-@settings(max_examples=200)
-@given(data=st.data(), m=st.integers(3, 12))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, MAX_CONDUCTOR))
 def test_integer_product_matches_fraction_convolution(data, m):
     ctx = CyclotomicContext(m)
     a = tuple(data.draw(_coordinates(ctx.degree)))
@@ -327,6 +370,7 @@ def test_integer_product_matches_fraction_convolution(data, m):
     assert got.context is ctx
     assert got.coeffs == _fraction_product(a, b, m)
     assert all(_is_bare(c) for c in got.coeffs)
+    _assert_matches_the_route(Scalar(ctx, a), Scalar(ctx, b))
 
 
 @settings(max_examples=100)
@@ -351,10 +395,10 @@ def _assert_normal(s, ctx):
     assert all(_is_bare(c) for c in s.coeffs), s.coeffs
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),
-    m=st.sampled_from([3, 4, 5, 12]),
+    m=st.integers(1, MAX_CONDUCTOR),
     q=_fractions.filter(bool),
     j=st.integers(0, 23),
     k=st.integers(0, 23),
@@ -378,10 +422,17 @@ def test_every_operation_returns_normal_coordinates(data, m, q, j, k):
     assert x * y == ctx.zeta(j + k) and (a * q) / q == a
     assert half_z * two_z2 == ctx.zeta(3)
     if a:
-        values += [a.inverse(), a * a.inverse(), 1 / a, b / a]
-        assert a * a.inverse() == one(ctx)
+        inv = a.inverse()
+        values += [inv, a * inv, 1 / a, b / a]
+        assert a * inv == one(ctx)
     for v in values:
         _assert_normal(v, ctx)
+    # the drawn element and one with Fraction coordinates against every
+    # operand kind, in both orders
+    for u in (a, x):
+        for v in (a, b, q, q.numerator, rational(q), ctx.from_rational(q), x):
+            _assert_matches_the_route(u, v)
+            _assert_matches_the_route(v, u)
     r = rational(q) * rational(1 / q)
     assert r.coeffs == (1,) and type(r.coeffs[0]) is int
     assert rational(4, 2).coeffs == (2,) and type(rational(Fraction(4, 2)).coeffs[0]) is int
