@@ -54,8 +54,6 @@ vector of the weights over a table of order 2 ell.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from operator import mul
 from types import MappingProxyType
@@ -381,45 +379,28 @@ def _morphism_action_full(f, G: DiagonalGroup, g, actions_E, actions_F):
     return mat_mul(actions_F[g], mat_mul(moved, actions_E[G.inverse(g)], zero), zero)
 
 
-@lru_cache(maxsize=None)
-def _root_log(m: int) -> dict:
-    """{coordinates of zeta_m^k: k} over Q(zeta_m), one table per conductor."""
-    ctx = CyclotomicContext(m)
-    return {ctx.zeta(k).coeffs: k for k in range(m)}
+def c_weight(k: tuple, roots: tuple) -> Scalar:
+    """Product over moving directions of (1 - lambda_i)^(-1) for the
+    element with exponent vector k over ``roots``; 1 at identity.
 
-
-def c_weight(g: Element, context=None) -> Scalar:
-    """Product over moving directions of (1 - lambda_i)^(-1); 1 at identity.
-
-    No factor needs a field inversion.  An entry lambda = zeta_m^k of
-    order q = m / gcd(k, m) > 1 has powers that sum to zero, so
+    No factor needs a field inversion.  With m = len(roots), the entry
+    lambda = roots[e] of order q = m / gcd(e, m) > 1 has powers that sum
+    to zero, so
 
         (1 - lambda) sum_(t<q) t lambda^t = -q,
         (1 - lambda)^(-1) = -(1/q) sum_(t<q) t lambda^t.
 
-    Over Q the only such lambda is -1, whose factor is 1/2.  The integral
-    sums are multiplied together and divided once by the product of the
-    q; an entry that is no power of zeta_m is inverted.
+    Over Q, roots = (1, -1) and the one factor is 1/2.  The integral sums
+    are multiplied together and divided once by the product of the -q.
     """
-    total = scalar_one(context)
-    q_total = 1
-    for lam in g:
-        ctx = lam.context
-        k = None if ctx is None else _root_log(ctx.order).get(lam.coeffs)
-        if k is None:
-            if lam == -1:
-                q_total *= 2
-            elif lam != 1:
-                total = total * (scalar_one(context) - lam).inverse()
-        elif k:
-            m = ctx.order
-            q = m // gcd(k, m)
-            spread = [0] * m
-            for t in range(1, q):
-                spread[k * t % m] = -t
-            total = total * ctx.from_powers(spread)
-            q_total *= q
-    return total * Fraction(1, q_total)
+    m = len(roots)
+    total, den = roots[0], 1
+    for e in k:
+        if e % m:
+            q = m // gcd(e, m)
+            total = total * sum(t * roots[e * t % m] for t in range(1, q))
+            den *= -q
+    return total / den
 
 
 def chi_equivariant(E: EquivariantMF, F: EquivariantMF, G: DiagonalGroup) -> Scalar:
@@ -431,23 +412,25 @@ def chi_equivariant(E: EquivariantMF, F: EquivariantMF, G: DiagonalGroup) -> Sca
         raise ValueError("potential mismatch")
     actions_E = validate_equivariant(E, G)
     actions_F = validate_equivariant(F, G)
-    terms = [(g, actions_E[G.inverse(g)], actions_F[g]) for g in G.elements]
-    return _orbifold_sum(E.base.w, E.base, F.base, terms, G.context, "equivariant index")
+    terms = [(k, actions_E[G.inverse(g)], actions_F[g]) for g, k in zip(G.elements, G.exponents)]
+    return _orbifold_sum(E.base.w, E.base, F.base, terms, G.roots, "equivariant index")
 
 
-def _orbifold_sum(w, E: MatFac, F: MatFac, terms, context, what: str) -> Scalar:
-    """|terms|^(-1) sum over (g, rho_E(g^-1), rho_F(g)) of the c_g-weighted
-    pairing of the two sector characters; must be a rational integer."""
+def _orbifold_sum(w, E: MatFac, F: MatFac, terms, roots: tuple, what: str) -> Scalar:
+    """|terms|^(-1) sum over (k, rho_E(g^-1), rho_F(g)), k the exponent
+    vector of g over ``roots``, of the c_g-weighted pairing of the two
+    sector characters; must be a rational integer."""
     total = rational(0)
     products = {}  # fixed indices -> the fixed products of E and F
-    for (g, rho_E, rho_F), sec in zip(terms, sectors(w, [t[0] for t in terms])):
+    elements = [tuple(roots[e] for e in t[0]) for t in terms]
+    for (k, rho_E, rho_F), sec in zip(terms, sectors(w, elements)):
         if sec.fixed_indices not in products:
             products[sec.fixed_indices] = (_fixed_product(E, sec), _fixed_product(F, sec))
         P_E, P_F = products[sec.fixed_indices]
         a = _sector_character(E, sec, P_E, rho_E, None)
         b = _sector_character(F, sec, P_F, rho_F, None)
         pair = canonical_pairing(a, b)
-        total = total + c_weight(g, context) * pair
+        total = total + c_weight(k, roots) * pair
     total = total / rational(len(terms))
     if not total.is_rational_integer():
         raise ValueError("%s is not an integer: %s" % (what, total))
@@ -696,7 +679,8 @@ def graded_chi(
         if not _commutes(base.delta, S.weights, S.roots, rho, base.ring.zero()):
             raise ValueError("graded action does not commute with delta")
     terms = [
-        (S.element(m), _graded_rho(S, exps_E, -m), _graded_rho(S, exps_F, m))
+        (tuple(m * a % S.order for a in S.weights), _graded_rho(S, exps_E, -m),
+         _graded_rho(S, exps_F, m))
         for m in range(S.order)
     ]
-    return _orbifold_sum(S.w, E, F, terms, S.ring.context, "graded index")
+    return _orbifold_sum(S.w, E, F, terms, S.roots, "graded index")

@@ -27,10 +27,10 @@ gives: an ``int``, or a ``Fraction`` when it is not integral.  The
 coordinates of a Scalar are in that form too, so the integral coordinates
 of roots of unity, action matrices and most characters are plain ints.
 
-An operand of the same field (the same context object, or both None)
-meets the arithmetic directly; only ints, Fractions and operands of
-another context object go through the coercion `_unify`, which lifts a
-rational into the other side's field.  A rational operand, bare or a
+A sum or a product with an operand of the same field (the same context
+object, or both None) skips the coercion `_unify`, which lifts a rational
+into the other side's field; ints, Fractions and operands of another
+context object still go through it.  A rational operand, bare or a
 Scalar, changes one coordinate of a sum and scales the coordinates of a
 product.  Phi_m is monic over Z, so the product of two non-rational
 elements clears their denominators, convolves and reduces mod the ``int``
@@ -145,21 +145,12 @@ class CyclotomicContext(Frozen):
 
     def zeta(self, power: int = 1) -> "Scalar":
         """The root of unity zeta_m^power as a Scalar."""
-        return self.from_powers([0] * (power % self.order) + [1])
-
-    def from_powers(self, coeffs) -> "Scalar":
-        """sum_j coeffs[j] zeta^j for rationals coeffs in normal form, of
-        any length."""
-        return Scalar(self, tuple(_reduce_mod_phi(coeffs, self.minimal_polynomial)))
+        power %= self.order
+        coeffs = _reduce_mod_phi([0] * power + [1], self.minimal_polynomial)
+        return Scalar(self, tuple(coeffs))
 
     def from_rational(self, a: Fraction | int) -> "Scalar":
-        return Scalar(self, (bare(a),) + _zero_tail(self.order))
-
-
-@lru_cache(maxsize=None)
-def _zero_tail(m: int) -> tuple:
-    """The d - 1 zero coordinates of a rational in Q(zeta_m), d = deg Phi_m."""
-    return (0,) * (len(cyclotomic_polynomial(m)) - 2)
+        return Scalar(self, (bare(a),) + (0,) * (self.degree - 1))
 
 
 def _reduce_mod_phi(coeffs: list, phi: tuple) -> list:
@@ -250,8 +241,6 @@ class Scalar(Frozen):
         Scalars in distinct cyclotomic fields compare equal only when both
         are rational; no cross-conductor embedding is attempted.
         """
-        if other.__class__ is Scalar and other.context is self.context:
-            return self.coeffs == other.coeffs
         try:
             pair = _unify(self, other)
         except ValueError:
@@ -289,12 +278,7 @@ class Scalar(Frozen):
         return Scalar(self.context, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        if other.__class__ is not Scalar or other.context is not self.context:
-            return self + -other
-        x, y = self.coeffs, other.coeffs
-        if not any(y[1:]):
-            return Scalar(self.context, (bare(x[0] - y[0]),) + x[1:])
-        return Scalar(self.context, tuple(bare(a - b) for a, b in zip(x, y)))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -332,17 +316,16 @@ class Scalar(Frozen):
         # conjugates sigma_k(a), zeta -> zeta^k, over the units 1 < k < m,
         # so a * c is the norm N(a), a nonzero integer, and
         # 1/self = den * c / N(a)
-        ctx = self.context
-        m = ctx.order
-        den, ints = _integral(self.coeffs)
-        a = Scalar(ctx, ints)
-        c = one(ctx)
+        m, phi = self.context.order, self.context.minimal_polynomial
+        den, coeffs = _integral(self.coeffs)
+        a = Scalar(self.context, coeffs)
+        c = one(self.context)
         for k in range(2, m):
             if gcd(k, m) == 1:
                 spread = [0] * m
-                for j, x in enumerate(ints):
+                for j, x in enumerate(a.coeffs):
                     spread[j * k % m] = x
-                c = c * ctx.from_powers(spread)
+                c = c * Scalar(self.context, tuple(_reduce_mod_phi(spread, phi)))
         return c * Fraction(den, (a * c).as_fraction())
 
     def __truediv__(self, other):

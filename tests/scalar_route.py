@@ -1,7 +1,7 @@
-"""The coercing route: Scalar sums, products and equality through `_unify`.
+"""The coercing route: Scalar sums and products through `_unify`.
 
-`mfinv.scalar.Scalar` adds, multiplies and compares an operand of its own
-field directly: a rational inside the field touches one coordinate, and a
+`mfinv.scalar.Scalar` adds and multiplies an operand of its own field
+directly: a rational inside the field touches one coordinate, and a
 product of two non-rational elements clears the denominators, convolves
 and reduces ints, and divides each coordinate once.  Before, every
 operand went through `_unify`, which lifts a rational into the other
@@ -39,16 +39,3 @@ def mul(self, other):
     reduced = _reduce_mod_phi(prod, a.context.minimal_polynomial)
     return Scalar(a.context, tuple(reduced))
 
-
-def eq(self, other):
-    try:
-        pair = _unify(self, other)
-    except ValueError:
-        # mixed conductors: only rational values can still agree
-        if self.is_rational() and other.is_rational():
-            return self.as_fraction() == other.as_fraction()
-        return False
-    if pair is NotImplemented:
-        return NotImplemented
-    a, b = pair
-    return a.coeffs == b.coeffs

@@ -388,7 +388,7 @@ def test_criterion_08_cyclic_orbifold():
                         assert cls.value.is_constant()
                         assert cls.value.constant_coeff() == expected
                     if m != 0:
-                        cw = c_weight(g, ctx)
+                        cw = c_weight(G.exponent(g), G.roots)
                         assert cw * (one(ctx) - ctx.zeta(m)) == one(ctx)
                 E0 = _pinned(ring, ctx, i, n, 0)
                 value = chi_equivariant(E0, EG, G)

@@ -192,39 +192,34 @@ def test_c_weight_values():
     rng = random.Random(31)
     for m in range(1, 65):
         ctx = CyclotomicContext(m)
-        z = ctx.zeta
-        assert c_weight((one(ctx),), ctx) == one(ctx) == c_weight((z(m),), ctx)
+        roots = tuple(map(ctx.zeta, range(m)))
+        assert c_weight((0,), roots) == one(ctx) == c_weight((m,), roots)
         for k in range(1, m) if m <= 24 else [rng.randrange(1, m)]:
-            want = (one(ctx) - z(k)).inverse()
-            got = c_weight((z(k),), ctx)
-            assert got.context is ctx and got == want, (m, k)
+            got = c_weight((k,), roots)
+            assert got.context is ctx and got == _product_of_inverses([roots[k]]), (m, k)
             assert all(type(c) is int or c.denominator != 1 for c in got.coeffs)
-    # two variables: one fixed coordinate, and both moving
+    # two variables, one fixed coordinate or none, over all of Q(zeta_12)
+    # and over its 4th roots of unity
     ctx = CyclotomicContext(12)
-    z = ctx.zeta
-    for j, k in ((5, 0), (0, 4), (6, 0), (3, 8)):
-        want = one(ctx)
-        for lam in (z(j), z(k)):
-            if lam != 1:
-                want = want * (one(ctx) - lam).inverse()
-        assert c_weight((z(j), z(k)), ctx) == want
+    for roots in (tuple(map(ctx.zeta, range(12))), tuple(ctx.zeta(3 * j) for j in range(4))):
+        for k in ((5, 0), (0, 3), (2, 0), (3, 1)):
+            got = c_weight(k, roots)
+            assert got.context is ctx
+            assert got == _product_of_inverses([roots[e % len(roots)] for e in k]), (roots, k)
     # the rational group {+-1}: the factor of -1 is 1/2
-    for g, want in (((1,), 1), ((-1,), Fraction(1, 2)), ((1, -1), Fraction(1, 2)),
-                    ((-1, -1), Fraction(1, 4))):
-        got = c_weight(tuple(map(rational, g)))
+    roots = (rational(1), rational(-1))
+    for k, want in (((0,), 1), ((1,), Fraction(1, 2)), ((0, 1), Fraction(1, 2)),
+                    ((1, 1), Fraction(1, 4))):
+        got = c_weight(k, roots)
         assert got.context is None and got.coeffs == (want,)
-        assert got == _product_of_inverses(g)
-    # an entry that is no power of zeta_m is inverted
-    ctx = CyclotomicContext(5)
-    lam = ctx.zeta() * 2
-    assert c_weight((lam,), ctx) == (one(ctx) - lam).inverse()
+        assert got == _product_of_inverses([roots[e] for e in k])
 
 
 def _product_of_inverses(g):
     total = rational(1)
     for lam in g:
         if lam != 1:
-            total = total * (1 - rational(lam)).inverse()
+            total = total * (1 - lam).inverse()
     return total
 
 

@@ -206,10 +206,11 @@ def _is_rational_scalar(s) -> bool:
 
 
 def _assert_matches_the_route(x, y):
-    """x + y, x - y, x * y and x == y on the direct paths equal the
-    coercing route (`scalar_route`): the same field, the same coordinates
-    in normal form, and equal hashes for equal values.  One of x and y is
-    a Scalar; + and * commute, so the route takes the Scalar first."""
+    """x + y, x - y and x * y on the direct paths equal the coercing route
+    (`scalar_route`): the same field, the same coordinates in normal form,
+    and equal hashes for equal values; x == y holds exactly when the
+    route's x - y is zero.  One of x and y is a Scalar; + and * commute,
+    so the route takes the Scalar first."""
     s, o = (x, y) if type(x) is Scalar else (y, x)
     minus = scalar_route.add(x, -y) if type(x) is Scalar else scalar_route.add(-y, x)
     for got, want in ((x + y, scalar_route.add(s, o)), (x - y, minus),
@@ -219,10 +220,15 @@ def _assert_matches_the_route(x, y):
         assert got == want and hash(got) == hash(want)
         if got.is_rational():
             assert got == got.coeffs[0] and hash(got) == hash(got.coeffs[0])
-    same = scalar_route.eq(s, o)
+    same = not any(minus.coeffs)
     assert (x == y) is same and (y == x) is same and (x != y) is not same
     if same:
         assert hash(x) == hash(y)
+
+
+# the small conductors and the largest: 60 = 3 * 4 * 5, the prime 61 (of
+# the largest degree, 60) and MAX_CONDUCTOR = 64
+_conductors = st.sampled_from((1, 2, 3, 4, 5, 12, 60, 61, MAX_CONDUCTOR))
 
 
 def _field_operands(ctx):
@@ -231,8 +237,19 @@ def _field_operands(ctx):
     d = ctx.degree
     return st.one_of(
         st.lists(st.integers(-10**6, 10**6), min_size=d, max_size=d),
-        st.lists(_fractions.map(bare), min_size=d, max_size=d),
+        _rational_list(_fractions.map(bare), d),
     ).map(lambda cs: Scalar(ctx, tuple(cs)))
+
+
+def _rational_list(elements, d):
+    """d coordinates drawn from elements: all of them up to d = 12, and at
+    most 12 nonzero ones at drawn positions above, which keeps the Fraction
+    routes of the largest conductors within the deadline."""
+    if d <= 12:
+        return st.lists(elements, min_size=d, max_size=d)
+    return st.dictionaries(st.integers(0, d - 1), elements, max_size=12).map(
+        lambda at: [at.get(i, 0) for i in range(d)]
+    )
 
 
 @given(a=_fractions, b=_operands)
@@ -276,8 +293,8 @@ def test_rational_fast_path_field_axioms(a, b, c):
         assert lhs == rhs
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), a=_fractions, b=_fractions, m=st.integers(1, MAX_CONDUCTOR))
+@settings(max_examples=40)
+@given(data=st.data(), a=_fractions, b=_fractions, m=_conductors)
 def test_rational_mixed_with_cyclotomic_is_lifted(data, a, b, m):
     ctx = CyclotomicContext(m)
     sa, lb = rational(a), ctx.from_rational(b)
@@ -311,7 +328,7 @@ def test_rational_mixed_with_cyclotomic_is_lifted(data, a, b, m):
 def _fraction_phi(m):
     """Phi_m over Fractions: x^m - 1 divided by Phi_d for each proper
     divisor d of m, with a division by the lead coefficient per step;
-    kept per m, so that the conductors up to MAX_CONDUCTOR stay cheap."""
+    kept per m, so that the large conductors stay cheap."""
     num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
     for d in range(1, m):
         if m % d:
@@ -355,13 +372,13 @@ def _coordinates(d):
     big = st.integers(-10**6, 10**6)
     return st.one_of(
         st.lists(big, min_size=d, max_size=d),
-        st.lists(_fractions.map(bare), min_size=d, max_size=d),
-        st.lists(st.one_of(big, _fractions.map(bare)), min_size=d, max_size=d),
+        _rational_list(_fractions.map(bare), d),
+        _rational_list(st.one_of(big, _fractions.map(bare)), d),
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), m=st.integers(1, MAX_CONDUCTOR))
+@settings(max_examples=200)
+@given(data=st.data(), m=_conductors)
 def test_integer_product_matches_fraction_convolution(data, m):
     ctx = CyclotomicContext(m)
     a = tuple(data.draw(_coordinates(ctx.degree)))
@@ -395,10 +412,11 @@ def _assert_normal(s, ctx):
     assert all(_is_bare(c) for c in s.coeffs), s.coeffs
 
 
-@settings(max_examples=150, deadline=None)
+# without 61: each of its inversions of a dense element takes about 0.05 s
+@settings(max_examples=150)
 @given(
     data=st.data(),
-    m=st.integers(1, MAX_CONDUCTOR),
+    m=st.sampled_from((1, 2, 3, 4, 5, 12, 60, MAX_CONDUCTOR)),
     q=_fractions.filter(bool),
     j=st.integers(0, 23),
     k=st.integers(0, 23),
