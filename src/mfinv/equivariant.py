@@ -26,7 +26,7 @@ homomorphism; if the identity holds for g and h, applying it for h at g x
 and then for g gives it for g h.  The elements where it holds are closed
 under products, so in a finite group they form a subgroup, and a subgroup
 that contains the generators is all of G.  The same argument covers the
-invariance of the potential, w(g x) = w, and of a morphism, g . f = f.
+invariance of the potential, w(g x) = w.
 Because ``G.elements`` lists the identity and then the distinct
 generators in input order, the first generator that fails is the first
 element that would fail.  The generators also fix the action on the Hom
@@ -64,7 +64,6 @@ from .mfcore import (
     MatFac,
     MorphismCocycle,
     diagonal_matrix,
-    dual,
     koszul_subsets,
     mat_add,
     mat_map,
@@ -74,7 +73,7 @@ from .mfcore import (
     stabilized_residue_field,
 )
 from .milnor import MilnorClass, build_milnor, canonical_pairing
-from .invariants import check_endomorphism, derivative_product, supertrace
+from .invariants import derivative_product, supertrace
 from .poly import Polynomial, PolyRing
 from .scalar import (
     MAX_CONDUCTOR,
@@ -121,10 +120,6 @@ class DiagonalGroup(Frozen):
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def identity(self) -> Element:
-        return self.elements[0]
 
     def index(self, g: Element) -> int:
         try:
@@ -306,22 +301,6 @@ def validate_equivariant(E: EquivariantMF, G: DiagonalGroup) -> MappingProxyType
     return MappingProxyType(actions)
 
 
-def twist(E: EquivariantMF, characters) -> EquivariantMF:
-    """Tensor by the character sending generator k to characters[k]."""
-    chars = list(characters)
-    if len(chars) != len(E.action):
-        raise ValueError("one character value per generator is required")
-    action = tuple(mat_scale(rho, chi) for rho, chi in zip(E.action, chars))
-    return EquivariantMF(E.base, action)
-
-
-def equivariant_dual(E: EquivariantMF, G: DiagonalGroup) -> EquivariantMF:
-    """The dual factorization with the transpose-inverse action."""
-    actions = validate_equivariant(E, G)
-    new_action = tuple(mat_transpose(actions[G.inverse(h)]) for h in G.generators)
-    return EquivariantMF(dual(E.base), new_action)
-
-
 # --- equivariant characters -------------------------------------------------
 
 
@@ -330,22 +309,11 @@ def _fixed_product(base: MatFac, sec: Sector):
     return derivative_product(base, sec.fixed_indices[::-1])
 
 
-def _sector_character(
-    base: MatFac,
-    sec: Sector,
-    P,
-    rho_g,
-    alpha: MorphismCocycle | None,
-) -> MilnorClass:
+def _sector_character(base: MatFac, sec: Sector, P, rho_g) -> MilnorClass:
     """The g-sector character from ``P = _fixed_product(base, sec)``."""
-    zero = base.ring.zero()
-    M = mat_mul(P, rho_g, zero)
-    extra = 0
-    if alpha is not None:
-        M = mat_mul(M, alpha.matrix, zero)
-        extra = alpha.parity
+    M = mat_mul(P, rho_g, base.ring.zero())
     s = restrict_to_sector(supertrace(M, base.r0), sec)
-    return sec.milnor.project(s, parity=(sec.n_fixed + extra) % 2)
+    return sec.milnor.project(s, parity=sec.n_fixed % 2)
 
 
 def chern_equivariant(E: EquivariantMF, G: DiagonalGroup, g: Element) -> MilnorClass:
@@ -353,22 +321,7 @@ def chern_equivariant(E: EquivariantMF, G: DiagonalGroup, g: Element) -> MilnorC
     G.index(g)  # an element outside G raises before any work
     actions = validate_equivariant(E, G)
     sec = sector(E.base.w, g)
-    return _sector_character(E.base, sec, _fixed_product(E.base, sec), actions[g], None)
-
-
-def tau_equivariant(
-    E: EquivariantMF, G: DiagonalGroup, g: Element, alpha: MorphismCocycle
-) -> MilnorClass:
-    """Equivariant boundary-bulk map on an invariant closed endomorphism."""
-    G.index(g)  # an element outside G raises before any work
-    actions = validate_equivariant(E, G)
-    check_endomorphism(E.base, alpha)
-    # h . alpha = alpha on the generators gives it on G (module docstring)
-    for h in G.generators:
-        if _morphism_action_full(alpha, G, h, actions, actions) != alpha.matrix:
-            raise ValueError("morphism is not invariant under the group")
-    sec = sector(E.base.w, g)
-    return _sector_character(E.base, sec, _fixed_product(E.base, sec), actions[g], alpha)
+    return _sector_character(E.base, sec, _fixed_product(E.base, sec), actions[g])
 
 
 def _morphism_action_full(f, G: DiagonalGroup, g, actions_E, actions_F):
@@ -427,8 +380,8 @@ def _orbifold_sum(w, E: MatFac, F: MatFac, terms, roots: tuple, what: str) -> Sc
         if sec.fixed_indices not in products:
             products[sec.fixed_indices] = (_fixed_product(E, sec), _fixed_product(F, sec))
         P_E, P_F = products[sec.fixed_indices]
-        a = _sector_character(E, sec, P_E, rho_E, None)
-        b = _sector_character(F, sec, P_F, rho_F, None)
+        a = _sector_character(E, sec, P_E, rho_E)
+        b = _sector_character(F, sec, P_F, rho_F)
         pair = canonical_pairing(a, b)
         total = total + c_weight(k, roots) * pair
     total = total / rational(len(terms))
@@ -571,10 +524,6 @@ class GradedStructure(Frozen):
     @property
     def order(self) -> int:
         return 2 * self.ell
-
-    def element(self, m: int) -> Element:
-        """The diagonal tuple through which [m] scales the variables."""
-        return tuple(self.roots[(m * a) % self.order] for a in self.weights)
 
 
 def graded_to_equivariant(w: Polynomial, weights) -> GradedStructure:

@@ -153,9 +153,6 @@ class MatFac(Frozen):
         """The E0 <- E1 block of delta."""
         return tuple(row[self.r0 :] for row in self.delta[: self.r0])
 
-    def parity_of(self, index: int) -> int:
-        return 0 if index < self.r0 else 1
-
     @cached_property
     def partials(self) -> tuple:
         """(d_0 delta, ..., d_{n-1} delta), one matrix per variable."""
@@ -235,64 +232,6 @@ def koszul(a, b) -> MatFac:
     return E
 
 
-# --- the basic operations ---------------------------------------------------
-
-
-def tensor(E: MatFac, F: MatFac) -> MatFac:
-    """E (x) F over w_E + w_F, with the grading sign on the second factor."""
-    if E.ring.names != F.ring.names:
-        raise ValueError("ring mismatch")
-    ring = E.ring
-    NE, NF = E.rank, F.rank
-    pairs = [(i, j) for i in range(NE) for j in range(NF)]
-    evens = [p for p in pairs if (E.parity_of(p[0]) + F.parity_of(p[1])) % 2 == 0]
-    odds = [p for p in pairs if (E.parity_of(p[0]) + F.parity_of(p[1])) % 2 == 1]
-    ordered = evens + odds
-    pos = {p: i for i, p in enumerate(ordered)}
-    dE, dF = E.delta, F.delta
-    size = NE * NF
-    rows = [[ring.zero() for _ in range(size)] for _ in range(size)]
-    for (i, j) in ordered:
-        col = pos[(i, j)]
-        for i2 in range(NE):
-            p = dE[i2][i]
-            if not p.is_zero():
-                rows[pos[(i2, j)]][col] = rows[pos[(i2, j)]][col] + p
-        sign = -1 if E.parity_of(i) else 1
-        for j2 in range(NF):
-            p = dF[j2][j]
-            if not p.is_zero():
-                q = p if sign > 0 else -p
-                rows[pos[(i, j2)]][col] = rows[pos[(i, j2)]][col] + q
-    out = MatFac(ring, E.w + F.w, as_matrix(rows), len(evens))
-    out.validate()
-    return out
-
-
-def dual(E: MatFac) -> MatFac:
-    """The dual factorization, of potential -w: delta transposed, with the
-    columns of the odd summand negated."""
-    r0 = E.r0
-    delta = tuple(row[:r0] + tuple(-p for p in row[r0:]) for row in mat_transpose(E.delta))
-    out = MatFac(E.ring, -E.w, delta, r0)
-    out.validate()
-    return out
-
-
-def shift(E: MatFac) -> MatFac:
-    """Parity shift: swap the summands and negate the differential."""
-    return MatFac.from_blocks(E.ring, E.w, mat_neg(E.d1), mat_neg(E.d0))
-
-
-def direct_sum(E: MatFac, F: MatFac) -> MatFac:
-    if E.w != F.w:
-        raise ValueError("potential mismatch")
-    z = E.ring.zero()
-    d0 = tuple(row + (z,) * F.r0 for row in E.d0) + tuple((z,) * E.r0 + row for row in F.d0)
-    d1 = tuple(row + (z,) * F.r1 for row in E.d1) + tuple((z,) * E.r1 + row for row in F.d1)
-    return MatFac.from_blocks(E.ring, E.w, d0, d1)
-
-
 # --- morphisms --------------------------------------------------------------
 
 
@@ -351,24 +290,6 @@ class MorphismCocycle(Frozen):
 
     def is_closed(self) -> bool:
         return self.differential().is_zero()
-
-    def __add__(self, other: "MorphismCocycle") -> "MorphismCocycle":
-        if self.parity != other.parity:
-            raise ValueError("cannot add maps of different parity")
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("sum endpoints do not match")
-        return MorphismCocycle(
-            self.source, self.target, self.parity, mat_add(self.matrix, other.matrix)
-        )
-
-    def __sub__(self, other: "MorphismCocycle") -> "MorphismCocycle":
-        return self + (-other)
-
-    def __neg__(self) -> "MorphismCocycle":
-        return MorphismCocycle(self.source, self.target, self.parity, mat_neg(self.matrix))
-
-    def scale(self, c) -> "MorphismCocycle":
-        return MorphismCocycle(self.source, self.target, self.parity, mat_scale(self.matrix, c))
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.matrix for e in row)

@@ -57,14 +57,6 @@ class MilnorRing(Frozen):
             parity = self.ring.n % 2
         return MilnorClass(self, normal_form(value, self.jacobian_gb), parity % 2)
 
-    def coordinates(self, value: Polynomial) -> tuple[Scalar, ...]:
-        """Coefficients of the class of ``value`` on the monomial basis."""
-        terms = normal_form(value, self.jacobian_gb).terms
-        if sum(m in terms for m in self.basis_words) != len(terms):
-            raise AssertionError("normal form not supported on the basis")
-        scalar = self.ring.scalar
-        return tuple(scalar(terms.get(m, 0)) for m in self.basis_words)
-
 
 class MilnorClass(Frozen):
     """An element of A_w together with the parity of its ambient class."""
@@ -73,17 +65,6 @@ class MilnorClass(Frozen):
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
-
-    def __add__(self, other: "MilnorClass") -> "MilnorClass":
-        _same_ring(self, other)
-        return MilnorClass(self.ring, self.value + other.value, self.parity)
-
-    def __sub__(self, other: "MilnorClass") -> "MilnorClass":
-        _same_ring(self, other)
-        return MilnorClass(self.ring, self.value - other.value, self.parity)
-
-    def __neg__(self) -> "MilnorClass":
-        return MilnorClass(self.ring, -self.value, self.parity)
 
     def scale(self, c) -> "MilnorClass":
         return MilnorClass(self.ring, self.value * c, self.parity)

@@ -107,32 +107,20 @@ class DTensor(Frozen):
     ``solved`` maps each strictly increasing index subset to a full
     rank x rank matrix over the doubled ring in the solver's coordinates
     (x, u), u_j = y_j - x_j in the slot of y_j; the empty subset holds the
-    identity.  `components`, `component` and `top` map them to (x, y) on
-    each call; `oracle_tau` reads the stored top component at u = 0.
+    identity.  `oracle_tau` reads the stored top component at u = 0, so
+    no component is mapped back to (x, y).
     """
 
     __slots__ = ("doubled", "source", "solved")
-
-    @property
-    def components(self) -> tuple:
-        return tuple((S, self.component(S)) for S, _M in self.solved)
-
-    def component(self, subset) -> Matrix:
-        M = dict(self.solved)[tuple(subset)]
-        return mat_map(M, lambda p: _shift(p, self.source.ring.n, -1, self.doubled))
-
-    def top(self) -> Matrix:
-        return self.component(tuple(range(self.source.ring.n)))
 
 
 # --- coordinate changes -----------------------------------------------------
 
 
-def _shift(p: Polynomial, n: int, s: int, ring: PolyRing) -> Polynomial:
-    """p with z_j (the slot n + j) replaced by z_j + s x_j: s = 1 takes
-    p(x, y) to (x, u) with y = x + u, s = -1 takes p(x, u) to (x, y) with
-    u = y - x.  Each term x^a z^b expands binomially into the sum over
-    k <= b of prod_j C(b_j, k_j) s^(b_j - k_j) x^(a + b - k) z^k, on words
+def _shift(p: Polynomial, n: int, ring: PolyRing) -> Polynomial:
+    """p with z_j (the slot n + j) replaced by z_j + x_j: it takes p(x, y)
+    to (x, u) with y = x + u.  Each term x^a z^b expands binomially into
+    the sum over k <= b of prod_j C(b_j, k_j) x^(a + b - k) z^k, on words
     a + b - k + k 2^(32n) for the halves a, b of the word; `from_terms`
     checks the sums a + b."""
     lay = word_layout(n)
@@ -140,7 +128,7 @@ def _shift(p: Polynomial, n: int, s: int, ring: PolyRing) -> Polynomial:
     for m, c in p.terms.items():
         b = lay.exponents(m >> lay.width)
         for k in product(*(range(e + 1) for e in b)):
-            f = s ** (sum(b) - sum(k)) * prod(map(comb, b, k))
+            f = prod(map(comb, b, k))
             kw = lay.word(k)
             key = (m & lay.xmask) + (m >> lay.width) - kw + (kw << lay.width)
             out[key] = out[key] + c * f if key in out else c * f
@@ -181,8 +169,8 @@ def solve_D(E: MatFac) -> DTensor:
     # and delta at y = x + u the words moved into the y half, then shifted
     delta = E.delta
     delta_x = mat_map(delta, lambda p: _in_half(p, ring, 0))
-    delta_y = mat_map(delta, lambda p: _shift(_in_half(p, ring, 1), n, 1, ring))
-    diffs_u = tuple(_shift(d, n, 1, ring) for d in diffs)
+    delta_y = mat_map(delta, lambda p: _shift(_in_half(p, ring, 1), n, ring))
+    diffs_u = tuple(_shift(d, n, ring) for d in diffs)
 
     def level_rhs(S: tuple) -> Matrix:
         """What the contraction of the level above S must equal: minus the

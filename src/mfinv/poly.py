@@ -3,11 +3,11 @@
 The ring is a fixed, ordered tuple of variable names.  A monomial is its
 exponent word, one ``int`` with the exponent of variable i in bits 32i to
 32i + 31 (Monagan-Pearce, CASC 2007); exponent tuples appear only at the
-API (`PolyRing.monomial`, `coeff_of`, `leading_monomial`, printing).  The
-top L + 1 bits of each field, L = ceil(log2 n), are a guard that every
-stored word keeps clear, so a monomial product is one addition with no
-carry between fields; a tuple outside the layout, or a product that sets
-a guard bit, raises ValueError.  The term order everywhere is grevlex in
+API (`PolyRing.monomial`, printing).  The top L + 1 bits of each field,
+L = ceil(log2 n), are a guard that every stored word keeps clear, so a
+monomial product is one addition with no carry between fields; a tuple
+outside the layout, or a product that sets a guard bit, raises
+ValueError.  The term order everywhere is grevlex in
 the given variable order: the integer order of G(x) = x R mod 2^(32n), R
 = sum_i 2^(32i), whose fields from the top are deg x, x_1 + ... +
 x_(n-1), ..., x_1.  `WordLayout` holds these masks; `groebner` builds its
@@ -19,9 +19,9 @@ it is not integral, the normal form `scalar.bare` gives.  Over Q(zeta) it
 is a `Scalar` of the ring's context, whose coordinates have the same form.
 The arithmetic is one loop for both fields, on +, * and truthiness only;
 `PolyRing.coefficient` brings an incoming scalar to the normal form, and a
-coefficient leaves as a `Scalar` (`coeff_of`, `constant_coeff`,
-`as_scalar`, `PolyRing.scalar`), so that rational values at the API are
-Scalars as before.
+coefficient leaves as a `Scalar` (`constant_coeff`, `as_scalar`,
+`PolyRing.scalar`), so that rational values at the API are Scalars as
+before.
 
 A small expression parser covers the CLI input grammar: `+ - * / ^`,
 integer literals, parentheses, variable names, and (in a cyclotomic
@@ -193,16 +193,6 @@ class Polynomial:
         if not self.is_constant():
             raise ValueError("polynomial is not constant: %s" % self)
         return self.constant_coeff()
-
-    def coeff_of(self, m: Monomial) -> Scalar:
-        """The coefficient of x^m for the exponent tuple m."""
-        return self.ring.scalar(self.terms.get(self.ring.layout.word(m), 0))
-
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("leading monomial of zero")
-        lay = self.ring.layout
-        return lay.exponents(max(self.terms, key=lay.grevlex))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):

@@ -336,18 +336,6 @@ class Scalar(Frozen):
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = one(self.context)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __str__(self) -> str:
         if self.context is None or self.is_rational():
             return str(self.coeffs[0])

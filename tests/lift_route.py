@@ -129,4 +129,5 @@ class LiftRouteBasis:
         on_basis = sum(mono in terms(reduced[pos]) for pos, mono in co.standard)
         if sum(len(p.terms) for p in reduced) != on_basis:
             raise AssertionError("reduced coordinates leak outside the basis")
-        return tuple(reduced[pos].coeff_of(mono) for pos, mono in co.standard)
+        scalar = self.source.ring.scalar
+        return tuple(scalar(terms(reduced[pos]).get(mono, 0)) for pos, mono in co.standard)

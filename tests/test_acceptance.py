@@ -13,7 +13,6 @@ from mfinv.equivariant import (
     chern_equivariant,
     chi_equivariant,
     close_group,
-    equivariant_dual,
     equivariant_stabilization,
     invariant_hom_dimensions,
 )
@@ -31,14 +30,10 @@ from mfinv.mfcore import (
     EquivariantMF,
     MorphismCocycle,
     clifford_generators,
-    direct_sum,
-    dual,
     greedy_decomposition,
     identity_morphism,
     koszul,
     morphism_to_vector,
-    shift,
-    tensor,
     vector_to_morphism,
 )
 from mfinv.milnor import (
@@ -56,8 +51,10 @@ from mfinv.oracle import (
 )
 from mfinv.poly import PolyRing
 from mfinv.scalar import CyclotomicContext, one, rational, zero
+from mf_ops import add, direct_sum, dual, equivariant_dual, shift, tensor
 from test_equivariant import moving_determinant
 from test_mfcore import zero_morphism
+from test_milnor import exact_rank
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
@@ -319,7 +316,7 @@ def test_criterion_07_stabilization_suite():
         wij = [greedy_decomposition(wj) for wj in ws]
         for i in range(n):
             for j in range(n):
-                anti = alphas[i].compose(alphas[j]) + alphas[j].compose(alphas[i])
+                anti = add(alphas[i].compose(alphas[j]), alphas[j].compose(alphas[i]))
                 c = -(wij[i][j] + wij[j][i])
                 expect = MorphismCocycle.from_blocks(
                     kst,
@@ -502,7 +499,7 @@ def test_criterion_11_property_suite(tmp_path, capsys):
     for w, _a, _b in BATTERY:
         Aw = build_milnor(w)
         G = gram_matrix(Aw)
-        assert len(G) == Aw.mu and _rank(G) == Aw.mu
+        assert len(G) == Aw.mu and exact_rank(G) == Aw.mu
     # deterministic serialization through the CLI
     doc = {
         "variables": ["x", "y"],
@@ -517,21 +514,3 @@ def test_criterion_11_property_suite(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     report(11, "module property sweep")
-
-
-def _rank(matrix) -> int:
-    """Rank by exact Gaussian elimination over the scalars."""
-    rows = [list(row) for row in matrix]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if not rows[r][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][c].inverse()
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][c] * inv
-            if not f.is_zero():
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank

@@ -520,6 +520,56 @@ def test_huge_exponents_exit_2_quickly(tmp_path):
         assert "above the limit" in proc.stderr and "Traceback" not in proc.stderr
 
 
+_WRONG_VALUES = [
+    None, True, False, 0, -1, 1.5, 2**64, "", "x^", "1/0", "q", "z", [], [[]], {}, {"a": 1},
+    ["x"], "x^1000000",
+]
+
+
+def _json_paths(node, prefix=()):
+    """The key path of every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def test_mutated_sessions_keep_the_exit_code_contract(tmp_path, capsys):
+    # one value of a fixture session, at a random path, replaced by a wrongly
+    # typed or out-of-range one: every command exits 0, 1 or 2 and no
+    # exception escapes main
+    import pathlib
+    import random
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    sessions = sorted((root / "scripts" / "sessions").glob("*.json"))
+    fixtures = [json.loads(p.read_text()) for p in sessions]
+    assert len(fixtures) == 4
+    commands = [("verify", "--check"), ("sectors",), ("graded-chi", "E1", "E1"),
+                ("equivariant-chi", "E1", "E1")]
+    rng = random.Random(32)
+    codes = set()
+    for _ in range(200):
+        doc = json.loads(json.dumps(rng.choice(fixtures)))
+        keys = rng.choice(list(_json_paths(doc)))
+        value = rng.choice(_WRONG_VALUES)
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = write_session(tmp_path, doc)
+        for command in commands:
+            code, _, err = run(capsys, "--input", path, *command)
+            assert code in (0, 1, 2) and "Traceback" not in err, (keys, value, command, err)
+            codes.add(code)
+    assert {0, 2} <= codes
+
+
 def test_verify_computes_each_hom_once(tmp_path, capsys, monkeypatch):
     import mfinv.homology
 

@@ -24,12 +24,12 @@ from mfinv.mfcore import (
     identity_matrix,
     identity_morphism,
     koszul,
-    shift,
     vector_to_morphism,
 )
 from mfinv.milnor import build_milnor
 from mfinv.poly import PolyRing
 from mfinv.scalar import rational
+from mf_ops import shift
 from test_mfcore import zero_morphism
 
 R1 = PolyRing(("x",))

@@ -138,15 +138,17 @@ def test_unreferenced_private_is_reported():
 
 
 def test_every_package_function_and_class_is_referenced():
-    # a helper left behind when its last caller goes is dead code: each one
-    # must be named somewhere in the package, the scripts, the tests or the
-    # benchmark harness
+    # a helper left behind when its last caller goes is dead code, and one
+    # that only tests call is test code: each one must be named somewhere in
+    # the package, the scripts or the benchmark harness.  The match is by
+    # name, so it cannot see a dunder, or a definition whose name some other
+    # identifier also has (``dual``, ``shift``, ``twist``, ``top``).
     paths = sorted(
         path
-        for folder in ("src", "scripts", "tests", "perfbench")
+        for folder in ("src", "scripts", "perfbench")
         for path in (ROOT / folder).rglob("*.py")
     )
-    assert len(paths) >= 35
+    assert len(paths) >= 20
     package = str(SRC.relative_to(ROOT))
     assert _unreferenced_definitions(_parsed(paths), package) == []
 

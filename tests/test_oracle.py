@@ -27,6 +27,7 @@ from mfinv.oracle import (
 )
 from mfinv.poly import PolyRing, determinant, difference_derivative, doubled_ring
 from mfinv.scalar import CyclotomicContext, rational
+from mf_ops import scale
 from tuple_route import polynomial, shift, terms
 
 R1 = PolyRing(("x",))
@@ -41,6 +42,14 @@ def diagonal_koszul(data):
     return koszul(data.differences, us)
 
 
+def component(D: DTensor, subset) -> tuple:
+    """The stored component D_S mapped back from (x, u) to (x, y), through
+    u_j = y_j - x_j on exponent tuples."""
+    n = D.source.ring.n
+    M = dict(D.solved)[tuple(subset)]
+    return mat_map(M, lambda p: polynomial(D.doubled, shift(terms(p), n, -1)))
+
+
 def restriction_recursion_check(D: DTensor) -> bool:
     """The nested-subset components restrict to derivative factors in turn."""
     E = D.source
@@ -52,12 +61,12 @@ def restriction_recursion_check(D: DTensor) -> bool:
         pivot = n - j
         images = [doubled.var(i) for i in range(2 * n)]
         images[n + pivot] = doubled.var(pivot)
-        lhs = mat_map(D.component(S), lambda p: p.substitute(doubled, images))
+        lhs = mat_map(component(D, S), lambda p: p.substitute(doubled, images))
         mixed = [doubled.var(i) for i in range(n)]
         for k in range(pivot + 1, n):
             mixed[k] = doubled.var(n + k)
         part = mat_map(E.partials[pivot], lambda p: p.substitute(doubled, mixed))
-        rhs = mat_mul(D.component(prev), part, doubled.zero())
+        rhs = mat_mul(component(D, prev), part, doubled.zero())
         if lhs != rhs:
             return False
     return True
@@ -201,8 +210,8 @@ def test_smallest_case_by_hand():
     D = solve_D(E)
     doubled = D.doubled
     one = doubled.one()
-    assert D.component(()) == ((one, doubled.zero()), (doubled.zero(), one))
-    top = D.top()
+    assert component(D, ()) == ((one, doubled.zero()), (doubled.zero(), one))
+    top = component(D, (0,))
     assert top[0][0].is_zero() and top[1][1].is_zero()
     assert top[0][1] == one and top[1][0] == one
 
@@ -304,7 +313,7 @@ def test_oracle_tau_on_scaled_morphisms():
     E = koszul([R2.parse("x")], [R2.parse("x^2 + y^2")])
     A = build_milnor(w)
     D = solve_D(E)
-    alpha = identity_morphism(E).scale(rational(3, 2))
+    alpha = scale(identity_morphism(E), rational(3, 2))
     assert oracle_tau(E, alpha, A, dtensor=D) == tau(E, alpha, A)
     beta = MorphismCocycle(
         E, E, 0, tuple(tuple(R2.parse("y") * p for p in row) for row in alpha.matrix)
@@ -611,7 +620,7 @@ def test_homotopy_matches_elimination_reference(w, facs, monkeypatch):
             for T in combinations(range(n), j + 1):
                 want = solved.get(T, zero)
                 assert components[T] == want
-                assert D.component(T) == mat_map(want, from_u)
+                assert component(D, T) == mat_map(want, from_u)
 
 
 @pytest.mark.parametrize("w,facs", REFERENCE)
@@ -622,8 +631,8 @@ def test_components_are_admissible(w, facs):
     to_u = [ring.var(i) for i in range(n)] + [ring.var(i) + ring.var(n + i) for i in range(n)]
     for E in facs:
         D = solve_D(E)
-        for T, M in D.components:
-            for row in M:
+        for T, _stored in D.solved:
+            for row in component(D, T):
                 for p in row:
                     for m in terms(p.substitute(ring, to_u)):
                         assert not any(m[n + k] for k in range(T[0] if T else n))
@@ -641,8 +650,8 @@ def _coefficients(context):
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_shift_is_the_binomial_ring_map(data):
-    # the solver's coordinate changes against the generic ring map: y -> x + u
-    # for s = 1, u -> y - x for s = -1, and each undoes the other
+    # the solver's coordinate change against the generic ring map y -> x + u,
+    # and the reference back-map u -> y - x of `component` undoes it
     import mfinv.oracle as oracle
 
     n = data.draw(st.integers(min_value=1, max_value=3))
@@ -652,15 +661,14 @@ def test_shift_is_the_binomial_ring_map(data):
     p = polynomial(ring, data.draw(st.dictionaries(exponents, _coefficients(context), max_size=6)))
     xs = [ring.var(i) for i in range(n)]
     zs = [ring.var(n + i) for i in range(n)]
-    forward = oracle._shift(p, n, 1, ring)
-    back = oracle._shift(p, n, -1, ring)
+    forward = oracle._shift(p, n, ring)
+    back = polynomial(ring, shift(terms(p), n, -1))
     assert forward == p.substitute(ring, xs + [x + z for x, z in zip(xs, zs)])
     assert back == p.substitute(ring, xs + [z - x for x, z in zip(xs, zs)])
     # and against the binomial expansion on exponent tuples
     assert forward == polynomial(ring, shift(terms(p), n, 1))
-    assert back == polynomial(ring, shift(terms(p), n, -1))
-    assert oracle._shift(forward, n, -1, ring) == p
-    assert oracle._shift(back, n, 1, ring) == p
+    assert polynomial(ring, shift(terms(forward), n, -1)) == p
+    assert oracle._shift(back, n, ring) == p
 
 
 @settings(deadline=None, max_examples=60)
@@ -690,33 +698,13 @@ def test_oracle_tau_reads_the_top_component_at_u_zero(w, facs):
     to_x = [ring.var(i) for i in range(n)] * 2
     for E in facs:
         D = solve_D(E)
-        top = mat_map(D.top(), lambda p: p.substitute(ring, to_x))
+        top = mat_map(component(D, range(n)), lambda p: p.substitute(ring, to_x))
         ident = identity_morphism(E)
-        for alpha in (ident, ident.scale(ring.var(0))):
+        for alpha in (ident, scale(ident, ring.var(0))):
             M = mat_mul(top, alpha.matrix, ring.zero())
             want = A.project(supertrace(M, E.r0), parity=(n + alpha.parity) % 2)
             assert oracle_tau(E, alpha, A, dtensor=D) == want
             assert oracle_tau(E, alpha, A) == want
-
-
-def test_oracle_tau_never_maps_back(monkeypatch):
-    import mfinv.oracle as oracle
-
-    shift = oracle._shift
-
-    def forward_only(p, n, s, ring):
-        if s != 1:
-            raise AssertionError("a component was mapped back to (x, y)")
-        return shift(p, n, s, ring)
-
-    monkeypatch.setattr(oracle, "_shift", forward_only)
-    w = R2.parse("x^3 + x*y^2")
-    E = koszul([R2.parse("x")], [R2.parse("x^2 + y^2")])
-    A = build_milnor(w)
-    assert oracle_tau(E, identity_morphism(E), A) == chern(E, A)
-    # the stub does guard the back-map
-    with pytest.raises(AssertionError, match="mapped back"):
-        solve_D(E).top()
 
 
 @pytest.mark.parametrize("entry,delta", [((0, 0), 1), ((0, 1), 1), ((2, 0), 1)])

@@ -20,15 +20,15 @@ R1 = PolyRing(("x",))
 def test_parse_basics():
     w = R2.parse("x^3 + x*y^2")
     assert max(sum(m) for m in terms(w)) == 3
-    assert w.coeff_of((3, 0)) == rational(1)
-    assert w.coeff_of((1, 2)) == rational(1)
+    assert terms(w)[(3, 0)] == rational(1)
+    assert terms(w)[(1, 2)] == rational(1)
     assert len(w.terms) == 2
 
 
 def test_parse_rational_literals_and_unary():
     f = R1.parse("1/2*x - 3")
-    assert f.coeff_of((1,)) == rational(1, 2)
-    assert f.coeff_of((0,)) == rational(-3)
+    assert terms(f)[(1,)] == rational(1, 2)
+    assert terms(f)[(0,)] == rational(-3)
     assert R1.parse("-x^2") == -(R1.var(0) ** 2)
     assert R1.parse("x/2") == R1.var(0) * rational(1, 2)
 
@@ -50,7 +50,7 @@ def test_zeta_literal_needs_context():
     ctx = CyclotomicContext(4)
     Rz = PolyRing(("x",), ctx)
     f = Rz.parse("z^2*x")
-    assert f.coeff_of((1,)) == ctx.from_rational(-1)
+    assert terms(f)[(1,)] == ctx.from_rational(-1)
     with pytest.raises(ValueError):
         R1.parse("z*x")
 
@@ -60,7 +60,7 @@ def test_grevlex_order():
     assert grevlex_key((2, 0)) > grevlex_key((1, 1)) > grevlex_key((0, 2))
     assert grevlex_key((1, 0, 0)) > grevlex_key((0, 1, 0)) > grevlex_key((0, 0, 1))
     f = R2.parse("y^2 + x*y + x^2")
-    assert f.leading_monomial() == (2, 0)
+    assert R2.layout.exponents(max(f.terms, key=R2.layout.grevlex)) == (2, 0)
 
 
 def test_arith_and_pow():
@@ -285,7 +285,7 @@ for _ring in (Q3, Z12):
     _z = _ring.context.zeta()
     _COEFFS[_ring] = [
         1, -1, _half, -_half, _ring.scalar(_half), _z, -_z, _z * 2 + 1, _z * _z * _half,
-        -(_z * _z * _half), _z ** (_ring.context.order - 1),
+        -(_z * _z * _half), _ring.context.zeta(_ring.context.order - 1),
     ]
 
 
@@ -351,12 +351,13 @@ def test_normal_form_of_every_constructor_and_operation():
 
 def test_coefficients_leave_as_scalars():
     f = R2.parse("x/2 + 3")
-    for c in (f.coeff_of((1, 0)), f.coeff_of((0, 1)), f.constant_coeff(), R2.const(4).as_scalar()):
+    half, naught = (R2.scalar(terms(f).get(m, 0)) for m in ((1, 0), (0, 1)))
+    for c in (half, naught, f.constant_coeff(), R2.const(4).as_scalar()):
         assert type(c) is Scalar and c.context is None
-    assert f.coeff_of((1, 0)) == rational(1, 2) and f.coeff_of((0, 1)) == 0
+    assert half == rational(1, 2) and naught == 0
     z = Q3.context.zeta()
     g = Q3.var(0) * z
-    assert g.coeff_of((1, 0)) == z and type(g.coeff_of((0, 0))) is Scalar
+    assert terms(g)[(1, 0)] == z and type(g.constant_coeff()) is Scalar
 
 
 def test_division_by_a_constant():
@@ -439,8 +440,6 @@ def test_word_arithmetic_matches_the_tuple_route(data):
     order = sorted(terms(f), key=grevlex_key, reverse=True)
     words = sorted(f.terms, key=ring.layout.grevlex, reverse=True)
     assert [ring.layout.exponents(x) for x in words] == order
-    if f:
-        assert f.leading_monomial() == order[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -493,10 +492,10 @@ def test_exponent_past_the_word_field_raises_under_optimize():
         "R = PolyRing(('x', 'y'))\n"
         "E = 1 << R.layout.limit\n"
         "half = R.monomial((E // 2, 1))\n"
-        "cases = [lambda: R.monomial((E, 0)), lambda: R.one().coeff_of((0, E)),\n"
+        "cases = [lambda: R.monomial((E, 0)), lambda: R.layout.word((0, E)),\n"
         "         lambda: half * half, lambda: R.var(1) ** E,\n"
         "         lambda: R.monomial((E - 1, 0)) * (R.var(0) + R.var(1)),\n"
-        "         lambda: _shift(R.monomial((E - 1, 1)), 1, 1, R)]\n"
+        "         lambda: _shift(R.monomial((E - 1, 1)), 1, R)]\n"
         "for make in cases:\n"
         "    try:\n"
         "        make()\n"

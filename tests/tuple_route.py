@@ -55,7 +55,8 @@ def difference_derivative(a: dict, j: int, n: int) -> dict:
 
 def shift(a: dict, n: int, s: int) -> dict:
     """The terms a of the doubled ring with z_j (slot n + j) replaced by
-    z_j + s x_j (`mfinv.oracle._shift`)."""
+    z_j + s x_j: s = 1 is `mfinv.oracle._shift`, s = -1 maps the solver's
+    (x, u) back to (x, y)."""
     out: dict = {}
     for m, c in a.items():
         x, z = m[:n], m[n:]
