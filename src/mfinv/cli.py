@@ -52,7 +52,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache, partial
-from itertools import permutations, product
+from itertools import product
 
 # the core layers only; handlers import `invariants`, `homology`,
 # `equivariant` and `oracle` where they need them
@@ -61,8 +61,10 @@ from .mfcore import (
     MatFac,
     MorphismCocycle,
     as_matrix,
+    identity_matrix,
     identity_morphism,
     koszul,
+    mat_mul,
 )
 from .milnor import MilnorRing, build_milnor, gram_matrix, hessian_class, residue_trace
 from .poly import PolyRing, Polynomial
@@ -668,17 +670,29 @@ def _inverse_form_sides(session: Session, diagonal):
 
 
 def _permutation_sides(session: Session):
-    from .invariants import chern, derivative_product, permutation_sign, supertrace
+    """The supertrace of the derivative product in each index order, orders
+    as `itertools.permutations` lists them, against ch(E) times the sign: a
+    depth-first walk shares prefix products; `supertrace` takes the last."""
+    from .invariants import chern, permutation_sign, supertrace
 
     A = session.milnor
     n = session.ring.n
     for E in session.factorizations.values():
         base = chern(E, A)
-        for perm in permutations(range(n)):
-            # the chern product runs from the highest index down
-            sign = permutation_sign(perm) * (-1) ** (n * (n - 1) // 2)
-            got = A.project(supertrace(derivative_product(E, perm), E.r0))
-            yield got.value, base.scale(sign).value
+
+        def walk(prefix, P):
+            rest = [i for i in range(n) if i not in prefix]
+            if len(rest) == 1:
+                # the chern product runs from the highest index down
+                sign = permutation_sign(prefix + (rest[0],)) * (-1) ** (n * (n - 1) // 2)
+                got = A.project(supertrace(P, E.r0, E.partials[rest[0]]))
+                yield got.value, base.scale(sign).value
+                return
+            for i in rest:
+                D = E.partials[i]
+                yield from walk(prefix + (i,), mat_mul(P, D, E.ring.zero()) if prefix else D)
+
+        yield from walk((), identity_matrix(E.ring, E.rank))
 
 
 def _hessian_trace_sides(session: Session):

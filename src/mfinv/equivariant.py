@@ -45,12 +45,13 @@ supertrace of rho(g) itself is the character there and the empty pairing
 sign is +1.
 
 The g-component is the plain supertrace str(d delta ... d delta . rho(g))
-over the fixed indices, so action matrices go through the same
-`mfcore.mat_mul` and `invariants.derivative_product` as the
-non-equivariant invariants.  The equivariant index and the graded index
-are one orbifold sum over (g, rho_E(g^-1), rho_F(g)); the graded one runs
-over the abstract cyclic grading group, whose generator has the exponent
-vector of the weights over a table of order 2 ell.
+over the fixed indices: `invariants.supertrace` reads the diagonal of the
+fixed product times rho(g) without forming it, and a polynomial restricts
+to a sector by masking its exponent words (`_restrict`).  The equivariant
+index and the graded index are one orbifold sum over (g, rho_E(g^-1),
+rho_F(g)); the graded one runs over the abstract cyclic grading group,
+whose generator has the exponent vector of the weights over a table of
+order 2 ell.
 """
 from __future__ import annotations
 
@@ -74,7 +75,7 @@ from .mfcore import (
 )
 from .milnor import MilnorClass, build_milnor, canonical_pairing
 from .invariants import derivative_product, supertrace
-from .poly import Polynomial, PolyRing
+from .poly import _B, _FIELD, Polynomial, PolyRing
 from .scalar import (
     MAX_CONDUCTOR,
     CyclotomicContext,
@@ -206,17 +207,21 @@ class Sector(Frozen):
         return len(self.fixed_indices)
 
 
-def _fixed_images(n: int, fixed, sub_ring: PolyRing) -> list:
-    """Images of x_0..x_(n-1) when the moving variables are set to zero."""
-    at = {i: k for k, i in enumerate(fixed)}
-    return [sub_ring.var(at[i]) if i in at else sub_ring.zero() for i in range(n)]
+def _restrict(p: Polynomial, fixed: tuple, sub_ring: PolyRing) -> Polynomial:
+    """p at zero moving variables, in the fixed variables' ring: the terms
+    with no bit in a moving field, fixed fields packed into sub-ring words."""
+    moving = sum(_FIELD << (_B * i) for i in range(p.ring.n) if i not in fixed)
+    moves = [(_B * i, _B * k) for k, i in enumerate(fixed)]
+    return Polynomial(sub_ring, {
+        sum((m >> a & _FIELD) << b for a, b in moves): c
+        for m, c in p.terms.items() if not m & moving
+    })
 
 
 def sector(w: Polynomial, g: Element) -> Sector:
     ring = w.ring
     fixed = tuple(i for i, lam in enumerate(g) if lam == 1)
-    sub_ring = PolyRing(tuple(ring.names[i] for i in fixed), ring.context)
-    w_g = w.substitute(sub_ring, _fixed_images(ring.n, fixed, sub_ring))
+    w_g = _restrict(w, fixed, PolyRing(tuple(ring.names[i] for i in fixed), ring.context))
     try:
         milnor = build_milnor(w_g)
     except ValueError as exc:
@@ -237,8 +242,7 @@ def sectors(w: Polynomial, elements) -> list[Sector]:
 
 
 def restrict_to_sector(p: Polynomial, sec: Sector) -> Polynomial:
-    sub_ring = sec.milnor.ring
-    return p.substitute(sub_ring, _fixed_images(p.ring.n, sec.fixed_indices, sub_ring))
+    return _restrict(p, sec.fixed_indices, sec.milnor.ring)
 
 
 # --- action matrices --------------------------------------------------------
@@ -311,8 +315,7 @@ def _fixed_product(base: MatFac, sec: Sector):
 
 def _sector_character(base: MatFac, sec: Sector, P, rho_g) -> MilnorClass:
     """The g-sector character from ``P = _fixed_product(base, sec)``."""
-    M = mat_mul(P, rho_g, base.ring.zero())
-    s = restrict_to_sector(supertrace(M, base.r0), sec)
+    s = restrict_to_sector(supertrace(P, base.r0, rho_g), sec)
     return sec.milnor.project(s, parity=sec.n_fixed % 2)
 
 

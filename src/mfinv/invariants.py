@@ -6,6 +6,8 @@ The Chern character of (E, delta) over w in n variables is the class of
 
 in the Milnor algebra, highest index leftmost; the boundary-bulk map tau
 composes a closed endomorphism on the right before taking the supertrace.
+`supertrace(M, r0, R)` reads the diagonal of the product with the last
+factor (d_1 delta for ch, alpha for tau) without forming the product.
 The class is antisymmetric under permutations of the derivative indices;
 `verify` checks this on every index order, and the tests compare tau with
 the permutation-averaged formula.
@@ -24,29 +26,41 @@ from .mfcore import (
     mat_mul,
 )
 from .milnor import MilnorClass, MilnorRing, canonical_pairing
-from .poly import Polynomial
+from .poly import Polynomial, _normal, add_products
 from .scalar import Scalar
 
 
-def supertrace(M: Matrix, r0: int) -> Polynomial:
-    """tr(even-even block) - tr(odd-odd block) for a full matrix split at r0."""
-    if any(len(row) != len(M) for row in M):
-        raise ValueError("supertrace of a non-square matrix")
-    total = None
-    for i in range(len(M)):
-        term = M[i][i] if i < r0 else -M[i][i]
-        total = term if total is None else total + term
-    if total is None:
-        raise ValueError("supertrace of an empty matrix")
-    return total
+def supertrace(M: Matrix, r0: int, R: Matrix | None = None) -> Polynomial:
+    """tr(even-even block) - tr(odd-odd block) of a full polynomial matrix
+    split at r0; given a square R of the same size, of M R, from the term
+    products of sum_k M[i][k] R[k][i] alone, with no entry of M R formed."""
+    rows = (*M, *(M if R is None else R))
+    if not M or len(rows) != 2 * len(M) or any(len(r) != len(M) for r in rows):
+        raise ValueError("supertrace of an empty or non-square matrix")
+    ring = M[0][0].ring
+    out: dict = {}  # the terms of the signed diagonal entries, summed once
+    for i, row in enumerate(M):
+        if R is None:
+            add_products(out, row[i].terms, {0: 1 if i < r0 else -1})
+            continue
+        for a, R_k in zip(row, R):
+            b = R_k[i]  # a polynomial or a scalar
+            if a.terms and b:
+                b = b if i < r0 else -b
+                right = b.terms if b.__class__ is Polynomial else {0: ring.coefficient(b)}
+                add_products(out, a.terms, right)
+    out = _normal(out)
+    ring.layout.check(out)  # valid words add without a carry
+    return Polynomial(ring, out)
 
 
 def derivative_product(E: MatFac, indices) -> Matrix:
-    """Product of the differentiated deltas, indices[0] leftmost."""
-    P = identity_matrix(E.ring, E.rank)
+    """Product of the differentiated deltas, indices[0] leftmost; the
+    identity for no index."""
+    P = None
     for i in indices:
-        P = mat_mul(P, E.partials[i], E.ring.zero())
-    return P
+        P = E.partials[i] if P is None else mat_mul(P, E.partials[i], E.ring.zero())
+    return identity_matrix(E.ring, E.rank) if P is None else P
 
 
 def _check_potential(E: MatFac, A: MilnorRing) -> None:
@@ -66,8 +80,8 @@ def chern(E: MatFac, A: MilnorRing) -> MilnorClass:
     """The Chern character ch(E) in A_w, parity n mod 2."""
     _check_potential(E, A)
     n = E.ring.n
-    P = derivative_product(E, range(n - 1, -1, -1))
-    return A.project(supertrace(P, E.r0), parity=n % 2)
+    P = derivative_product(E, range(n - 1, 0, -1))
+    return A.project(supertrace(P, E.r0, E.partials[0] if n else None), parity=n % 2)
 
 
 def tau(E: MatFac, alpha: MorphismCocycle, A: MilnorRing) -> MilnorClass:
@@ -76,8 +90,7 @@ def tau(E: MatFac, alpha: MorphismCocycle, A: MilnorRing) -> MilnorClass:
     check_endomorphism(E, alpha)
     n = E.ring.n
     P = derivative_product(E, range(n - 1, -1, -1))
-    M = mat_mul(P, alpha.matrix, E.ring.zero())
-    return A.project(supertrace(M, E.r0), parity=(n + alpha.parity) % 2)
+    return A.project(supertrace(P, E.r0, alpha.matrix), parity=(n + alpha.parity) % 2)
 
 
 def permutation_sign(perm) -> int:

@@ -241,17 +241,18 @@ class MorphismCocycle(Frozen):
 
     An even map vanishes off the blocks F0 <- E0 and F1 <- E1, an odd one
     off F1 <- E0 and F0 <- E1.  Nothing here asserts closedness;
-    is_closed() checks it.
+    is_closed() checks it on its first call and keeps the answer in
+    ``closed`` (None before).
     """
 
-    __slots__ = ("source", "target", "parity", "matrix")
+    __slots__ = ("source", "target", "parity", "matrix", "closed")
 
     def __init__(self, source: MatFac, target: MatFac, parity: int, matrix: Matrix):
         if len(matrix) != target.rank or any(len(row) != source.rank for row in matrix):
             raise ValueError("morphism block has the wrong shape")
         if _off_parity_rows(matrix, target.r0, source.r0, parity):
             raise ValueError("matrix is not parity-homogeneous of parity %d" % parity)
-        super().__init__(source, target, parity, matrix)
+        super().__init__(source, target, parity, matrix, None)
 
     @classmethod
     def from_blocks(
@@ -289,18 +290,12 @@ class MorphismCocycle(Frozen):
         return MorphismCocycle(self.source, self.target, 1 - self.parity, D)
 
     def is_closed(self) -> bool:
-        return self.differential().is_zero()
+        if self.closed is None:
+            object.__setattr__(self, "closed", self.differential().is_zero())
+        return self.closed
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.matrix for e in row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MorphismCocycle):
-            return NotImplemented
-        return (self.source, self.target, self.parity, self.matrix) == (
-            other.source, other.target, other.parity, other.matrix)
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def identity_morphism(E: MatFac) -> MorphismCocycle:

@@ -26,6 +26,8 @@ h gives the unique normalized solution with no linear algebra.
 `_assert_system` still checks the residual of every level.  `_shift` moves
 delta at y and the difference derivatives into (x, u) by binomial
 expansion; the solution stays there, and `oracle_tau` reads it at u = 0.
+Both supertraces here read the diagonal of their last product, alpha or
+the last partial, without forming it (`invariants.supertrace`).
 """
 from __future__ import annotations
 
@@ -247,9 +249,7 @@ def oracle_tau(
         dict(dtensor.solved)[tuple(range(n))],
         lambda p: Polynomial(ring, {m: c for m, c in p.terms.items() if m < end}),
     )
-    M = mat_mul(top, alpha.matrix, ring.zero())
-    parity = (n + alpha.parity) % 2
-    return A.project(supertrace(M, E.r0), parity=parity)
+    return A.project(supertrace(top, E.r0, alpha.matrix), parity=(n + alpha.parity) % 2)
 
 
 class DiagonalChern(Frozen):
@@ -274,8 +274,8 @@ def chern_of_diagonal(w: Polynomial, data: DiagonalData | None = None) -> Diagon
     n = w.ring.n
     doubled = data.doubled
     F = koszul(data.differences, [doubled.var(n + j) - doubled.var(j) for j in range(n)])
-    P = derivative_product(F, range(2 * n - 1, -1, -1))
-    direct = normal_form(supertrace(P, F.r0), data.jacobian)
+    P = derivative_product(F, range(2 * n - 1, 0, -1))
+    direct = normal_form(supertrace(P, F.r0, F.partials[0]), data.jacobian)
     det = -data.determinant if (n * (n - 1) // 2) % 2 else data.determinant
     det = normal_form(det, data.jacobian)
     return DiagonalChern(direct, det, direct == det)

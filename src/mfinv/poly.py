@@ -226,23 +226,12 @@ class Polynomial:
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
-
     def __mul__(self, other) -> "Polynomial":
         if other.__class__ is not Polynomial:
             if not isinstance(other, (int, Fraction, Scalar)):
                 return NotImplemented
             other = self.ring.const(other)
-        out: dict = {}
-        get = out.get
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in right:
-                m = m1 + m2
-                s = get(m)
-                out[m] = c1 * c2 if s is None else s + c1 * c2
-        out = _normal(out)
+        out = _normal(add_products({}, self.terms, other.terms))
         self.ring.layout.check(out)  # valid words add without a carry
         return Polynomial(self.ring, out)
 
@@ -263,8 +252,9 @@ class Polynomial:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # a square past the last bit could leave the layout
+                base = base * base
         return out
 
     def partial_derivative(self, i: int) -> "Polynomial":
@@ -342,6 +332,20 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return "Poly(%s)" % self
+
+
+def add_products(out: dict, left: dict, right: dict) -> dict:
+    """``out`` with each product of a term of ``left`` and a term of
+    ``right`` added in: words add, coefficients multiply, and a sum that
+    cancels stays for `_normal` to drop."""
+    get = out.get
+    right = right.items()
+    for m1, c1 in left.items():
+        for m2, c2 in right:
+            m = m1 + m2
+            s = get(m)
+            out[m] = c1 * c2 if s is None else s + c1 * c2
+    return out
 
 
 def _normal(terms: dict) -> dict:

@@ -280,9 +280,6 @@ class Scalar(Frozen):
     def __sub__(self, other):
         return self + -other
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if other.__class__ is Scalar and other.context is self.context:
             x, y = self.coeffs, other.coeffs
@@ -332,9 +329,6 @@ class Scalar(Frozen):
         if isinstance(other, (int, Fraction)):
             other = Scalar(None, (bare(other),))
         return self * other.inverse() if other.__class__ is Scalar else NotImplemented
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __str__(self) -> str:
         if self.context is None or self.is_rational():

@@ -1,7 +1,7 @@
 """Category operations the test batteries build their inputs with.
 
 The tensor product, dual, parity shift and direct sum of factorizations,
-the sum and scalar multiple of morphisms, and the equivariant twist, dual
+the sum, scalar multiple and value equality of morphisms, and the equivariant twist, dual
 and boundary-bulk map.  No command of `mfinv` calls them, so they live
 here beside their callers; each checks its inputs as it did in the package.
 `tau_equivariant` forms P . rho(g) . alpha over the fixed indices of g and
@@ -103,6 +103,11 @@ def add(f: MorphismCocycle, g: MorphismCocycle) -> MorphismCocycle:
 
 def scale(f: MorphismCocycle, c) -> MorphismCocycle:
     return MorphismCocycle(f.source, f.target, f.parity, mat_scale(f.matrix, c))
+
+
+def same_morphism(f: MorphismCocycle, g: MorphismCocycle) -> bool:
+    """f and g have the same ends, parity and matrix."""
+    return (f.source, f.target, f.parity, f.matrix) == (g.source, g.target, g.parity, g.matrix)
 
 
 def twist(E: EquivariantMF, characters) -> EquivariantMF:

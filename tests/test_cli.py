@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -871,3 +872,42 @@ def test_fixture_verify_under_python_O(fixture):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines and all(line.endswith(": pass") for line in lines), proc.stdout
+
+
+def _per_order_permutation_sides(session):
+    """The permutation-invariance sides by the per-order route: the whole
+    derivative product of each order of `itertools.permutations`, then its
+    supertrace."""
+    from itertools import permutations
+
+    from mfinv.invariants import chern, derivative_product, permutation_sign, supertrace
+
+    A = session.milnor
+    n = session.ring.n
+    for E in session.factorizations.values():
+        base = chern(E, A)
+        for perm in permutations(range(n)):
+            sign = permutation_sign(perm) * (-1) ** (n * (n - 1) // 2)
+            got = A.project(supertrace(derivative_product(E, perm), E.r0))
+            yield got.value, base.scale(sign).value
+
+
+def test_permutation_walk_matches_the_per_order_route():
+    # the same (lhs, rhs) pairs in the same order, on every committed
+    # session; x6 has one variable, so its one order has no prefix
+    import pathlib
+
+    from mfinv.cli import _permutation_sides, load_session
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "sessions"
+    paths = sorted(root.glob("*.json")) + sorted((root / "heavy").glob("*.json"))
+    nonzero = 0
+    for path in paths:
+        session = load_session(str(path))
+        got = list(_permutation_sides(session))
+        want = list(_per_order_permutation_sides(session))
+        assert len(got) == len(session.factorizations) * factorial(session.ring.n)
+        assert [(str(a), str(b)) for a, b in got] == [(str(a), str(b)) for a, b in want]
+        assert got == want
+        nonzero += sum(not a.is_zero() for a, _ in got)
+    assert nonzero  # d4's sides are not all zero

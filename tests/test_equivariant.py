@@ -3,10 +3,13 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from mfinv.equivariant import (
+    _fixed_product,
+    _restrict,
     c_weight,
     check_invariance,
     chern_equivariant,
@@ -19,13 +22,14 @@ from mfinv.equivariant import (
     graded_to_equivariant,
     invariant_hom_dimensions,
     orbifold_hh_dimensions,
+    restrict_to_sector,
     sector,
     sectors,
     substitute_action,
     validate_equivariant,
 )
 from mfinv.homology import hom_cohomology
-from mfinv.invariants import chi_hrr
+from mfinv.invariants import chi_hrr, supertrace
 from mfinv.mfcore import (
     EquivariantMF,
     MorphismCocycle,
@@ -223,7 +227,7 @@ def _product_of_inverses(g):
     total = rational(1)
     for lam in g:
         if lam != 1:
-            total = total * (1 - lam).inverse()
+            total = total * (-lam + 1).inverse()
     return total
 
 
@@ -1139,3 +1143,106 @@ def test_sweeps_build_one_sector_per_fixed_set(monkeypatch):
     assert sorted(set(products)) == [(), (0,), (1,), (1, 0)]
     monkeypatch.undo()
     assert orbifold_hh_dimensions(w, G) == want
+
+
+# --- sector characters from the diagonal, sectors by word masks ---------------
+
+
+def _fixed_images(n, fixed, sub_ring):
+    """Images of x_0..x_(n-1) when the moving variables are set to zero:
+    the ring map by which sectors restricted before they masked words."""
+    at = {i: k for k, i in enumerate(fixed)}
+    return [sub_ring.var(at[i]) if i in at else sub_ring.zero() for i in range(n)]
+
+
+def _random_polynomial(rng, ring, context):
+    """Up to eight terms with exponents below 4, one near the limit, and
+    int, Fraction or (over a cyclotomic field) zeta-power coefficients."""
+    n = ring.n
+    top = (1 << ring.layout.limit) - 1
+    out = {}
+    for _ in range(rng.randrange(9)):
+        e = [rng.randrange(4) for _ in range(n)]
+        if rng.random() < 0.1:
+            e[rng.randrange(n)] = top
+        c = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+        if context is not None and rng.random() < 0.5:
+            c = context.zeta(rng.randrange(context.order)) * c
+        out[ring.layout.word(tuple(e))] = c
+    return ring.from_terms(out)
+
+
+def test_word_mask_restriction_matches_substitution():
+    rng = random.Random(33)
+    for context in (None, CyclotomicContext(12)):
+        for n in (1, 2, 3):
+            ring = PolyRing(("x", "y", "v")[:n], context)
+            for _ in range(25):
+                p = _random_polynomial(rng, ring, context)
+                for size in range(n + 1):
+                    for fixed in combinations(range(n), size):
+                        sub = PolyRing(tuple(ring.names[i] for i in fixed), context)
+                        got = _restrict(p, fixed, sub)
+                        want = p.substitute(sub, _fixed_images(n, fixed, sub))
+                        assert got.ring == sub and _exact(got) == _exact(want)
+
+
+def test_sectors_match_the_substitution_route():
+    # w_g and every restriction into the sector ring, on all four sectors of
+    # Z/3 x Z/4 and on the sectors of the cyclic groups over Q(zeta_m)
+    rng = random.Random(34)
+    _, _, G, w = _product_group()
+    cases = [(w, G.elements)]
+    for m in (2, 3, 5):
+        cring, cctx = cyclic_ring(m)
+        cases.append((cring.var(0) ** m, cyclic_group(cring, cctx, m).elements))
+    for w, elements in cases:
+        for sec in sectors(w, elements):
+            images = _fixed_images(w.ring.n, sec.fixed_indices, sec.milnor.ring)
+            assert _exact(sec.w_g) == _exact(w.substitute(sec.milnor.ring, images))
+            for _ in range(5):
+                p = _random_polynomial(rng, w.ring, w.ring.context)
+                want = p.substitute(sec.milnor.ring, images)
+                assert _exact(restrict_to_sector(p, sec)) == _exact(want)
+
+
+def _substitution_character(E, G, g):
+    """chern_equivariant by the full-product route: P rho(g) multiplied
+    out, its supertrace, and the restriction by substitution."""
+    base = E.base
+    sec = sector(base.w, g)
+    M = mat_mul(_fixed_product(base, sec), validate_equivariant(E, G)[g], base.ring.zero())
+    images = _fixed_images(base.ring.n, sec.fixed_indices, sec.milnor.ring)
+    s = supertrace(M, base.r0).substitute(sec.milnor.ring, images)
+    return sec.milnor.project(s, parity=sec.n_fixed % 2)
+
+
+def _equivariant_battery():
+    """(E, G): k^st and a twist of it under Z/3 x Z/4, and the pinned
+    power factorizations of x^n under Z/n."""
+    ring, ctx, G, w = _product_group()
+    K = equivariant_stabilization(w, G)
+    yield K, G
+    yield twist(K, [ctx.zeta(4), ctx.zeta(3)]), G
+    for n, i in ((3, 1), (4, 2), (5, 2)):
+        pring, pctx = cyclic_ring(n)
+        yield pinned_equivariant(pring, pctx, i, n, a=1), cyclic_group(pring, pctx, n)
+
+
+def test_diagonal_supertrace_matches_the_product_on_sector_actions():
+    # polynomial times scalar: the fixed product against rho(g) for every
+    # element, and against a dense scalar matrix, which reads off-diagonal
+    rng = random.Random(35)
+    for E, G in _equivariant_battery():
+        base, actions = E.base, validate_equivariant(E, G)
+        ctx = G.context
+        dense = tuple(
+            tuple(ctx.zeta(rng.randrange(ctx.order)) * rng.randint(-2, 2) for _ in range(base.rank))
+            for _ in range(base.rank)
+        )
+        for g, sec in zip(G.elements, sectors(base.w, G.elements)):
+            P = _fixed_product(base, sec)
+            for R in (actions[g], dense):
+                want = supertrace(mat_mul(P, R, base.ring.zero()), base.r0)
+                assert supertrace(P, base.r0, R) == want
+            assert chern_equivariant(E, G, g) == _substitution_character(E, G, g)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -17,17 +18,21 @@ from mfinv.invariants import (
     supertrace,
     tau,
 )
+from mfinv.cli import load_session
+from mfinv.homology import hom_cohomology
 from mfinv.mfcore import (
     MatFac,
     MorphismCocycle,
+    identity_matrix,
     identity_morphism,
     koszul,
     mat_mul,
+    stabilized_residue_field,
     vector_to_morphism,
 )
 from mfinv.milnor import MilnorClass, MilnorRing, build_milnor
 from mfinv.poly import PolyRing
-from mfinv.scalar import rational
+from mfinv.scalar import CyclotomicContext, rational
 from mf_ops import add, direct_sum, shift
 
 R1 = PolyRing(("x",))
@@ -64,11 +69,18 @@ def odd_generator(E, n, i):
 
 def test_supertrace_basics():
     E = k1(R2, "x", "x^2 + y^2")
-    from mfinv.mfcore import identity_matrix
-
     assert supertrace(identity_matrix(R2, 4), 2).is_zero()
     assert supertrace(identity_matrix(R2, 4), 3) == R2.parse("2")
     assert supertrace(E.delta, E.r0).is_zero()
+
+
+def test_chern_in_zero_variables_is_the_rank_difference():
+    # over k, ch(E) = str(id) = r0 - r1: no partial closes the product
+    R0 = PolyRing(())
+    z = R0.zero()
+    E = MatFac(R0, z, ((z,) * 3,) * 3, 2)
+    c = chern(E, build_milnor(z))
+    assert c.value == R0.one() and c.parity == 0
 
 
 def test_chern_d4():
@@ -301,3 +313,99 @@ def test_random_conjugation_invariance(f, g):
     E2 = MatFac.from_blocks(R2, E.w, mat_mul(V, E.d0, R2.zero()), mat_mul(E.d1, Vinv, R2.zero()))
     E2.validate()
     assert chern(E2, A) == chern(E, A)
+
+
+# --- the diagonal-only supertrace against the full product -------------------
+
+
+def _product_supertrace(M, r0, R):
+    """The full-product route: form M R, then read its diagonal."""
+    return supertrace(mat_mul(M, R, M[0][0].ring.zero()), r0)
+
+
+def _chern_factorizations():
+    """k^st and a sheared Koszul pair over Q and over Q(zeta_3)."""
+    ctx = CyclotomicContext(3)
+    for context in (None, ctx):
+        ring = PolyRing(("x", "y", "v"), context)
+        c = ring.const(ctx.zeta() if context else Fraction(3, 2))
+        x, y, v = (ring.var(i) for i in range(3))
+        yield stabilized_residue_field(x ** 3 + c * x * y ** 2 + v ** 4)
+        yield koszul([x + c * y, v], [x ** 2 + y ** 2, c * v ** 3 - y])
+
+
+def test_diagonal_supertrace_matches_the_product_on_chern_partials():
+    # polynomial times polynomial: every ordered pair of partials, and each
+    # leading derivative product against the partial that closes it
+    for E in _chern_factorizations():
+        n = E.ring.n
+        for Di in E.partials:
+            for Dj in E.partials:
+                assert supertrace(Di, E.r0, Dj) == _product_supertrace(Di, E.r0, Dj)
+        P = derivative_product(E, range(n - 1, 0, -1))
+        for r0 in (0, E.r0, E.rank):
+            assert supertrace(P, r0, E.partials[0]) == _product_supertrace(P, r0, E.partials[0])
+        full = supertrace(derivative_product(E, range(n - 1, -1, -1)), E.r0)
+        assert supertrace(P, E.r0, E.partials[0]) == full
+
+
+def test_diagonal_supertrace_matches_the_product_on_endomorphisms():
+    # polynomial times a morphism matrix: tau's product on every closed
+    # endomorphism of the d4 and x6 sessions and every Hom representative
+    root = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "sessions"
+    for name in ("d4", "x6"):
+        session = load_session(str(root / (name + ".json")))
+        A = session.milnor
+        for E in session.factorizations.values():
+            h0, h1, basis = hom_cohomology(E, E)
+            alphas = [identity_morphism(E)] + [
+                basis.representative(parity, k) for parity, dim in ((0, h0), (1, h1))
+                for k in range(dim)
+            ] + [f for f in session.morphisms.values() if f.source == E and f.target == E]
+            P = derivative_product(E, range(E.ring.n - 1, -1, -1))
+            for alpha in alphas:
+                M = alpha.matrix
+                assert supertrace(P, E.r0, M) == _product_supertrace(P, E.r0, M)
+                want = A.project(_product_supertrace(P, E.r0, M),
+                                 parity=(E.ring.n + alpha.parity) % 2)
+                assert tau(E, alpha, A) == want
+
+
+def test_derivative_product_starts_from_its_first_partial():
+    E, _ = d4_pair()
+    assert derivative_product(E, []) == identity_matrix(R2, E.rank)
+    assert derivative_product(E, [1]) is E.partials[1]
+    assert derivative_product(E, (1, 0)) == mat_mul(E.partials[1], E.partials[0], R2.zero())
+
+
+def test_supertrace_rejects_empty_and_non_square_input_under_python_O():
+    # explicit raises, not asserts, so python -O keeps them
+    import os
+    import subprocess
+    import sys
+
+    import mfinv
+
+    src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    code = (
+        "from mfinv.invariants import supertrace\n"
+        "from mfinv.mfcore import identity_matrix\n"
+        "from mfinv.poly import PolyRing\n"
+        "R = PolyRing(('x',))\n"
+        "I2, I3, x = identity_matrix(R, 2), identity_matrix(R, 3), R.var(0)\n"
+        "cases = [((), 0), ((), 0, I2), (((x, x),), 0), (I2[:1], 0, I2), (I2, 1, I3),\n"
+        "         (I2, 1, I3[:2]), (I2, 1, ((x,), (x,))), (I2, 1, ())]\n"
+        "for args in cases:\n"
+        "    try:\n"
+        "        supertrace(*args)\n"
+        "        print('returned')\n"
+        "    except ValueError as exc:\n"
+        "        print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env,
+            check=True,
+        )
+        assert out.stdout.splitlines() == ["raised: supertrace of an empty or non-square matrix"] * 8

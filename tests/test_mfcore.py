@@ -25,7 +25,7 @@ from mfinv.mfcore import (
 )
 from mfinv.cli import load_session
 from mfinv.poly import PolyRing
-from mf_ops import add, direct_sum, dual, scale, shift, tensor
+from mf_ops import add, direct_sum, dual, same_morphism, scale, shift, tensor
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
@@ -197,17 +197,17 @@ def test_morphism_equality_compares_the_ends():
     E = k1(R2, "x", "x^2 + y^2")
     F = k1(R2, "x", "x^2")
     assert E.rank == F.rank and E.w != F.w
-    assert identity_morphism(E) != identity_morphism(F)
-    assert zero_morphism(E, E, 1) != zero_morphism(E, F, 1)
-    assert zero_morphism(E, E, 1) != zero_morphism(F, E, 1)
-    assert identity_morphism(E) == identity_morphism(k1(R2, "x", "x^2 + y^2"))
+    assert not same_morphism(identity_morphism(E), identity_morphism(F))
+    assert not same_morphism(zero_morphism(E, E, 1), zero_morphism(E, F, 1))
+    assert not same_morphism(zero_morphism(E, E, 1), zero_morphism(F, E, 1))
+    assert same_morphism(identity_morphism(E), identity_morphism(k1(R2, "x", "x^2 + y^2")))
 
 
 def test_identity_coboundary_on_contractible():
     # on {1, w} the identity is d(h) for h with upper block 1
     E = koszul([R1.one()], [R1.parse("x^3")])
     h = MorphismCocycle.from_blocks(E, E, 1, (((R1.zero(),),), ((R1.one(),),)))
-    assert h.differential() == identity_morphism(E)
+    assert same_morphism(h.differential(), identity_morphism(E))
 
 
 def test_compose_parities():
@@ -215,7 +215,7 @@ def test_compose_parities():
     a = MorphismCocycle.from_blocks(E, E, 1, (((R1.one(),),), ((R1.parse("-1"),),)))
     sq = a.compose(a)
     assert sq.parity == 0
-    assert sq == scale(identity_morphism(E), -1)
+    assert same_morphism(sq, scale(identity_morphism(E), -1))
 
 
 def test_morphism_vector_roundtrip():
@@ -244,8 +244,8 @@ def test_full_matrix_roundtrip_between_unequal_ranks(parity):
     f = vector_to_morphism(E, F, parity, vec)
     M = f.matrix
     assert len(M) == F.rank and all(len(row) == E.rank for row in M)
-    assert MorphismCocycle(E, F, parity, M) == f
-    assert MorphismCocycle(E, F, parity, z.matrix) == z
+    assert same_morphism(MorphismCocycle(E, F, parity, M), f)
+    assert same_morphism(MorphismCocycle(E, F, parity, z.matrix), z)
 
 
 def test_morphism_constructor_checks_shape_and_parity():
@@ -283,7 +283,7 @@ def test_hom_coordinates_are_the_blocks_row_major(parity):
     f = MorphismCocycle.from_blocks(E, F, parity, (B0, B1))
     want = tuple(e for blk in (B0, B1) for row in blk for e in row)
     assert morphism_to_vector(f) == want
-    assert vector_to_morphism(E, F, parity, want) == f
+    assert same_morphism(vector_to_morphism(E, F, parity, want), f)
 
 
 def test_vector_to_morphism_rejects_a_wrong_length():
@@ -419,7 +419,7 @@ def test_clifford_anticommutators():
                     tuple(tuple(c if a == b else R2.zero() for b in range(kst.r1)) for a in range(kst.r1)),
                 ),
             )
-            assert anti == expect
+            assert same_morphism(anti, expect)
 
 
 def test_clifford_supercommutative_cube():
@@ -438,7 +438,7 @@ def test_clifford_supercommutative_cube():
             fs = greedy_decomposition(f)
             T = koszul_operator(R2, 2, fs, [R2.zero(), R2.zero()])
             h = MorphismCocycle(kst, kst, 1, T)
-            assert scale(h.differential(), -1) == anti
+            assert same_morphism(scale(h.differential(), -1), anti)
 
 
 def test_equivariant_container_checks():
@@ -469,3 +469,54 @@ def test_random_koszul_validates(e, c):
     dual(E).validate()
     shift(E).validate()
     tensor(E, E).validate()
+
+
+def test_closedness_is_computed_once_per_morphism(monkeypatch):
+    import copy
+    import pickle
+
+    from mfinv.invariants import check_endomorphism
+
+    calls = []
+    real = MorphismCocycle.differential
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(MorphismCocycle, "differential", counted)
+    E = k1(R2, "x", "x^2 + y^2")
+    f = identity_morphism(E)
+    one, zero = ((R2.one(),),), ((R2.zero(),),)
+    g = MorphismCocycle.from_blocks(E, E, 0, (one, zero))  # diag(1, 0) is not closed
+    assert f.closed is None and g.closed is None
+    assert f.is_closed() and f.is_closed()
+    assert not g.is_closed() and not g.is_closed()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not closed"):
+            check_endomorphism(E, g)
+    assert [id(c) for c in calls] == [id(f), id(g)]
+    for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert h.closed is False and not h.is_closed()
+    assert len(calls) == 2
+    with pytest.raises(AttributeError):
+        f.closed = False
+
+
+def test_verify_checks_each_morphism_closed_once(monkeypatch, capsys):
+    from mfinv.cli import main
+
+    calls = []
+    real = MorphismCocycle.differential
+
+    def counted(self):
+        calls.append(self)  # held, so that no two calls share an id
+        return real(self)
+
+    monkeypatch.setattr(MorphismCocycle, "differential", counted)
+    root = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "sessions"
+    for name in ("d4", "x6"):
+        calls.clear()
+        assert main(["--input", str(root / (name + ".json")), "verify", "--check"]) == 0
+        assert calls and len({id(f) for f in calls}) == len(calls)
+    capsys.readouterr()

@@ -479,8 +479,8 @@ def _gauss_solve(matrix, vector, zero):
         for rr in range(rows):
             if rr != r and matrix[rr][c] != 0:
                 f = matrix[rr][c]
-                matrix[rr] = [a - f * b for a, b in zip(matrix[rr], matrix[r])]
-                vector[rr] = vector[rr] - f * vector[r]
+                matrix[rr] = [-(f * b) + a for a, b in zip(matrix[rr], matrix[r])]
+                vector[rr] = -(f * vector[r]) + vector[rr]
         pivots.append(c)
         r += 1
         if r == rows:

@@ -68,6 +68,10 @@ def test_arith_and_pow():
     assert (x + y) ** 2 - x * x - y * y == 2 * x * y
     assert (x + y) * (x - y) == x**2 - y**2
     assert (x - x).is_zero()
+    # the largest exponent of the layout: no square past the last bit
+    top = (1 << R2.layout.limit) - 1
+    assert y ** top == R2.monomial((0, top))
+    assert (x * y) ** top == R2.monomial((top, top))
 
 
 def test_partial_derivative():
