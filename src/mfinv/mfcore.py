@@ -5,11 +5,12 @@ differential delta, stored as one square polynomial matrix on E0 + E1:
 the first r0 basis elements span the even summand E0, delta vanishes on
 the E0 <- E0 and E1 <- E1 blocks, and delta * delta = w * id.  That basis
 order (even summand first) is used for every "full matrix" in this
-package.  Matrices are tuples of row tuples; `mat_mul` multiplies
-polynomial, scalar (group action) and mixed ones.  Koszul factorizations
-live on the exterior algebra of k^m with basis indexed by subsets of
-{0..m-1}, sorted by (size, lexicographic); wedge and contraction carry the
-sign (-1)^(number of elements below the touched index).
+package.  Matrices are tuples of row tuples; `mat_sum` sums products of
+polynomial, scalar (group action) and mixed ones, and `mat_mul` is one
+product.  Koszul factorizations live on the exterior algebra of k^m with
+basis indexed by subsets of {0..m-1}, sorted by (size, lexicographic);
+wedge and contraction carry the sign (-1)^(number of elements below the
+touched index).
 
 A morphism E -> F is stored as its full F.rank x E.rank matrix in those
 bases, vanishing off the blocks of its parity; `_hom_positions` alone
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .poly import _B, Polynomial, PolyRing
+from .poly import _B, Polynomial, PolyRing, _normal, add_products
 from .scalar import Frozen
 
 Matrix = tuple  # tuple[tuple[Polynomial, ...], ...], row major
@@ -45,34 +46,64 @@ def identity_matrix(ring: PolyRing, n: int) -> Matrix:
     return diagonal_matrix([ring.one()] * n, ring.zero())
 
 
-def mat_mul(A: Matrix, B: Matrix, zero) -> Matrix:
-    """A B for polynomial, scalar or mixed entries; `zero` is the additive
-    zero that empty sums start from."""
-    if A and B and len(A[0]) != len(B):
-        raise ValueError("matrix shapes do not compose")
-    cols = len(B[0]) if B else 0
+def mat_sum(pairs, zero) -> Matrix:
+    """A_1 B_1 + ... + A_k B_k for a sequence of pairs (A_i, B_i) of one
+    shape; an empty sum is `zero` itself.  Over a polynomial `zero` each
+    entry gathers the term products of all its pairs, a scalar entry as its
+    constant, in one dict (`add_products`), and every word is checked
+    against the layout before the cancelled ones go.  Over a scalar `zero`
+    (group actions) the products add one at a time."""
+    rows, cols = len(pairs[0][0]), len(pairs[0][1][0]) if pairs[0][1] else 0
+    for A, B in pairs:
+        if (len(A), len(B[0]) if B else 0) != (rows, cols) or A and B and len(A[0]) != len(B):
+            raise ValueError("matrix shapes do not compose")
     out = []
-    for row in A:
-        # the nonzero entries of the row with the rows of B they pair with
-        terms = [(B[k], a) for k, a in enumerate(row) if not a.is_zero()]
-        new = []
-        for j in range(cols):
-            acc = zero
-            for Bk, a in terms:
-                b = Bk[j]
-                if not b.is_zero():
-                    acc = acc + a * b
-            new.append(acc)
+    if zero.__class__ is not Polynomial:
+        for i in range(rows):
+            # the nonzero entries of the row with the rows of B they pair with
+            terms = [(B[k], a) for A, B in pairs for k, a in enumerate(A[i]) if not a.is_zero()]
+            new = []
+            for j in range(cols):
+                acc = zero
+                for Bk, a in terms:
+                    b = Bk[j]
+                    if not b.is_zero():
+                        acc = acc + a * b
+                new.append(acc)
+            out.append(tuple(new))
+        return tuple(out)
+    ring = zero.ring
+
+    def sparse(M) -> list:
+        """Each row of M as the (column, term dict) of its nonzero entries."""
+        try:
+            return [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in M]
+        except AttributeError:  # a scalar matrix (a group action): constants
+            return [[(j, ring.const(e).terms) for j, e in enumerate(row) if e] for row in M]
+
+    factors = [(sparse(A), sparse(B)) for A, B in pairs]
+    for i in range(rows):
+        sums: dict = {}  # column -> the term products of that entry
+        for A, B in factors:
+            for k, a in A[i]:
+                for j, b in B[k]:
+                    add_products(sums.setdefault(j, {}), a, b)
+        new = [zero] * cols
+        for j, acc in sums.items():
+            ring.layout.check(acc)  # valid words add without a carry
+            acc = _normal(acc)
+            new[j] = Polynomial(ring, acc) if acc else zero
         out.append(tuple(new))
     return tuple(out)
 
 
+def mat_mul(A: Matrix, B: Matrix, zero) -> Matrix:
+    """A B, the one-pair case of `mat_sum`."""
+    return mat_sum(((A, B),), zero)
+
+
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def mat_neg(A: Matrix) -> Matrix:
@@ -283,10 +314,9 @@ class MorphismCocycle(Frozen):
 
     def differential(self) -> "MorphismCocycle":
         """d(f) = delta_F f - (-1)^|f| f delta_E."""
-        zero = self.source.ring.zero()
-        left = mat_mul(self.target.delta, self.matrix, zero)
-        right = mat_mul(self.matrix, self.source.delta, zero)
-        D = mat_add(left, right) if self.parity else mat_sub(left, right)
+        f, dE = self.matrix, self.source.delta
+        pairs = ((self.target.delta, f), (f, dE if self.parity else mat_neg(dE)))
+        D = mat_sum(pairs, self.source.ring.zero())
         return MorphismCocycle(self.source, self.target, 1 - self.parity, D)
 
     def is_closed(self) -> bool:

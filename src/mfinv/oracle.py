@@ -23,7 +23,9 @@ h of it solves the level.  What h leaves at T = {i} + S involves only u_k
 with k >= i = min(T), and every such term is h of its product with u_i, so
 the image of h is exactly the submodule on which the solution is unique:
 h gives the unique normalized solution with no linear algebra.
-`_assert_system` still checks the residual of every level.  `_shift` moves
+Each level's right-hand side is one signed `mat_sum` of delta_x D_S,
+D_S delta_y and diag(Delta_i) times the level below, and `_assert_system`
+checks the residual of every level with one more.  `_shift` moves
 delta at y and the difference derivatives into (x, u) by binomial
 expansion; the solution stays there, and `oracle_tau` reads it at u = 0.
 Both supertraces here read the diagonal of their last product, alpha or
@@ -40,13 +42,12 @@ from .mfcore import (
     MatFac,
     Matrix,
     MorphismCocycle,
+    diagonal_matrix,
     identity_matrix,
     koszul,
-    mat_add,
     mat_map,
-    mat_mul,
     mat_neg,
-    mat_sub,
+    mat_sum,
 )
 from .milnor import MilnorClass, MilnorRing, build_milnor, gram_matrix
 from .poly import (_B, _FIELD, Polynomial, PolyRing, determinant, difference_derivative,
@@ -173,23 +174,19 @@ def solve_D(E: MatFac) -> DTensor:
     delta_x = mat_map(delta, lambda p: _in_half(p, ring, 0))
     delta_y = mat_map(delta, lambda p: _shift(_in_half(p, ring, 1), n, ring))
     diffs_u = tuple(_shift(d, n, ring) for d in diffs)
+    zero = ring.zero()
+    minus_delta_x = mat_neg(delta_x)
+    # diag(-Delta_i) and diag(Delta_i), by the parity of the place of i in S
+    wedge = [tuple(diagonal_matrix([e] * rank, zero) for e in (-d, d)) for d in diffs_u]
 
     def level_rhs(S: tuple) -> Matrix:
         """What the contraction of the level above S must equal: minus the
-        delta_tilde term and the wedge terms from the level below, which
-        are added on the nonzero entries of that level only."""
+        delta_tilde term and the wedge terms from the level below."""
         M = components[S]
-        left = mat_mul(delta_x, M, ring.zero())
-        right = mat_mul(M, delta_y, ring.zero())
-        dt = mat_add(left, right) if len(S) % 2 else mat_sub(right, left)
-        rows = [list(row) for row in dt]
-        for idx, i in enumerate(S):
-            d = diffs_u[i] if idx % 2 else -diffs_u[i]
-            for r, row in enumerate(components[S[:idx] + S[idx + 1 :]]):
-                for c, p in enumerate(row):
-                    if p.terms:
-                        rows[r][c] = rows[r][c] + d * p
-        return tuple(map(tuple, rows))
+        pairs = [(delta_x if len(S) % 2 else minus_delta_x, M), (M, delta_y)]
+        pairs += [(wedge[i][idx % 2], components[S[:idx] + S[idx + 1 :]])
+                  for idx, i in enumerate(S)]
+        return mat_sum(pairs, zero)
 
     # each subset T receives h(rhs) only from T[1:], through its u_T[0] terms
     components: dict = {(): identity_matrix(ring, rank)}
@@ -213,22 +210,19 @@ def _assert_system(components, rhs, n, rank, uring):
     right-hand side that `solve_D` formed from S and the level below; the
     top level has nothing above it, so its right-hand side must be zero.
     """
-    us = [uring.var(n + i) for i in range(n)]
+    zero = uring.zero()
+    minus_one = diagonal_matrix([uring.const(-1)] * rank, zero)
+    us = [tuple(diagonal_matrix([e] * rank, zero) for e in (u, -u))
+          for u in (uring.var(n + i) for i in range(n))]
     for S, want in rhs.items():
-        acc = mat_neg(want)
+        pairs = [(minus_one, want)]
         for i in range(n):
-            if i in S:
-                continue
-            pos, T = _subset_insert(S, i)
-            term = tuple(tuple(us[i] * p for p in row) for row in components[T])
-            acc = mat_add(acc, term if pos % 2 == 0 else mat_neg(term))
-        for row in acc:
-            for p in row:
-                if not p.is_zero():
-                    raise AssertionError(
-                        "transgression system residual is nonzero at level %d"
-                        % len(S)
-                    )
+            if i not in S:
+                pos, T = _subset_insert(S, i)
+                pairs.append((us[i][pos % 2], components[T]))
+        if any(p.terms for row in mat_sum(pairs, zero) for p in row):
+            raise AssertionError("transgression system residual is nonzero at level %d"
+                                 % len(S))
 
 
 def oracle_tau(

@@ -1,4 +1,6 @@
 import pathlib
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +21,17 @@ from mfinv.mfcore import (
     koszul_subsets,
     mat_map,
     mat_mul,
+    mat_neg,
+    mat_sum,
     morphism_to_vector,
     stabilized_residue_field,
     vector_to_morphism,
 )
 from mfinv.cli import load_session
 from mfinv.poly import PolyRing
+from mfinv.scalar import CyclotomicContext, zero as scalar_zero
 from mf_ops import add, direct_sum, dual, same_morphism, scale, shift, tensor
+import matrix_route
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
@@ -520,3 +526,167 @@ def test_verify_checks_each_morphism_closed_once(monkeypatch, capsys):
         assert main(["--input", str(root / (name + ".json")), "verify", "--check"]) == 0
         assert calls and len({id(f) for f in calls}) == len(calls)
     capsys.readouterr()
+
+
+# --- sums of products against the matrix route ------------------------------
+
+Z3 = PolyRing(("x", "y"), CyclotomicContext(3))
+
+
+def _random_scalar(rng, ring):
+    """0 about half the time, else a small rational, over Q(zeta_3) with a
+    zeta part."""
+    if rng.random() < 0.5:
+        return 0
+    c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return c + rng.randint(-2, 2) * ring.context.zeta() if ring.context else c
+
+
+def _random_matrix(rng, ring, rows, cols):
+    """Polynomials of up to three terms of degree at most 2 per variable,
+    half of the entries 0."""
+    def entry():
+        p = ring.zero()
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                exponents = tuple(rng.randint(0, 2) for _ in range(ring.n))
+                p = p + ring.monomial(exponents, _random_scalar(rng, ring) or 1)
+        return p
+
+    return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+
+def _random_pairs(rng, ring):
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    return [
+        (_random_matrix(rng, ring, rows, k), _random_matrix(rng, ring, k, cols))
+        for k in (rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+    ]
+
+
+def _in_normal_form(M) -> bool:
+    # no zero coefficient, and no integral Fraction
+    return all(c and not (c.__class__ is Fraction and c.denominator == 1)
+               for row in M for p in row for c in p.terms.values())
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("ring", [R2, Z3], ids=["Q", "Q(zeta3)"])
+def test_mat_sum_matches_the_matrix_route(ring, seed):
+    rng = random.Random(seed)
+    pairs = _random_pairs(rng, ring)
+    zero = ring.zero()
+    got = mat_sum(pairs, zero)
+    assert got == matrix_route.mat_sum(pairs, zero) and _in_normal_form(got)
+    A, B = pairs[0]
+    assert mat_mul(A, B, zero) == matrix_route.mat_mul(A, B, zero)
+    # a summand and its negative cancel in every entry; what is left is
+    # the rest, and an entry with nothing left is the shared zero
+    cancelled = mat_sum([(A, B), (mat_neg(A), B)] + pairs[1:], zero)
+    if len(pairs) > 1:
+        assert cancelled == matrix_route.mat_sum(pairs[1:], zero)
+        assert _in_normal_form(cancelled)
+    else:
+        assert all(p is zero for row in cancelled for p in row)
+
+
+def test_mat_sum_cancels_fractions_to_integers():
+    x = R2.var(0)
+    half = ((x * Fraction(1, 2),),)
+    one = ((R2.one(),),)
+    got = mat_sum([(half, one), (one, half), (one, ((R2.const(Fraction(1, 3)),),))], R2.zero())
+    assert got == ((x + Fraction(1, 3),),)
+    assert got[0][0].terms[1] == 1 and got[0][0].terms[1].__class__ is int
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mat_sum_of_scalar_matrices_matches_the_matrix_route(seed):
+    # group actions: scalar times polynomial and back (as the equivariance
+    # check and the action on morphisms use them), and scalar times scalar
+    rng = random.Random(100 + seed)
+    ring = Z3
+    n = rng.randint(1, 4)
+    rho = tuple(tuple(ring.scalar(_random_scalar(rng, ring)) for _ in range(n)) for _ in range(n))
+    sigma = tuple(tuple(ring.scalar(_random_scalar(rng, ring)) for _ in range(n)) for _ in range(n))
+    M = _random_matrix(rng, ring, n, n)
+    zero = ring.zero()
+    for A, B in ((rho, M), (M, rho), (rho, rho)):
+        assert mat_mul(A, B, zero) == matrix_route.mat_mul(A, B, zero)
+    assert mat_sum([(rho, M), (M, rho)], zero) == matrix_route.mat_sum([(rho, M), (M, rho)], zero)
+    szero = scalar_zero(ring.context)
+    for A, B in ((rho, sigma), (sigma, rho)):
+        assert mat_mul(A, B, szero) == matrix_route.mat_mul(A, B, szero)
+    assert mat_sum([(rho, sigma), (sigma, rho)], szero) == matrix_route.mat_sum(
+        [(rho, sigma), (sigma, rho)], szero)
+
+
+def test_mat_sum_rejects_mismatched_shapes():
+    zero = R2.zero()
+    M = {(r, c): zero_matrix(R2, r, c) for r in (1, 2, 3) for c in (1, 2, 3)}
+    for pairs in (
+        [(M[2, 3], M[2, 2])],  # the inner sizes differ
+        [(M[2, 2], M[2, 3]), (M[2, 2], M[2, 2])],  # results of two shapes
+        [(M[2, 2], M[2, 3]), (M[3, 2], M[2, 3])],
+        [(M[2, 2], M[2, 3]), (M[2, 3], M[2, 3])],
+    ):
+        with pytest.raises(ValueError, match="shapes do not compose"):
+            mat_sum(pairs, zero)
+    for zero_ in (zero, scalar_zero()):
+        with pytest.raises(ValueError, match="shapes do not compose"):
+            mat_mul(M[1, 2], M[1, 2], zero_)
+        with pytest.raises(ValueError, match="shapes do not compose"):
+            matrix_route.mat_mul(M[1, 2], M[1, 2], zero_)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_differential_matches_the_matrix_route(seed):
+    rng = random.Random(200 + seed)
+    ring = (R2, Z3)[seed % 2]
+    x, y = ring.var(0), ring.var(1)
+    E = koszul([x, y], [x ** 2 + y, y ** 2])
+    F = koszul([x + y, y], [x ** 2, x + y ** 2 - x ** 2])  # the same w
+    K = koszul([x + y], [x ** 2 - x * y + y ** 2 + y])  # rank 2, another w
+    assert E.w == F.w
+    for source, target in ((E, E), (E, F), (F, E), (K, K)):
+        for parity in (0, 1):
+            count = len(morphism_to_vector(zero_morphism(source, target, parity)))
+            entries = _random_matrix(rng, ring, 1, count)[0]
+            f = vector_to_morphism(source, target, parity, entries)
+            assert f.differential().matrix == matrix_route.differential(f)
+
+
+def test_a_cancelled_overflow_still_raises():
+    # x^(2^29) y times itself sets a guard bit of the x field; the
+    # negated copy cancels that word, and the sum must raise all the same
+    E = 1 << R2.layout.limit
+    half = ((R2.monomial((E // 2, 1)),),)
+    for pairs in ([(half, half)], [(half, half), (mat_neg(half), half)]):
+        with pytest.raises(ValueError, match="exponent above the limit"):
+            mat_sum(pairs, R2.zero())
+
+
+def test_a_cancelled_overflow_raises_under_optimize():
+    # the layout check is an explicit raise, not a bare assert
+    import os
+    import subprocess
+    import sys
+
+    import mfinv
+
+    src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    code = (
+        "from mfinv.mfcore import mat_neg, mat_sum\n"
+        "from mfinv.poly import PolyRing\n"
+        "R = PolyRing(('x', 'y'))\n"
+        "half = ((R.monomial((1 << R.layout.limit - 1, 1)),),)\n"
+        "try:\n"
+        "    mat_sum([(half, half), (mat_neg(half), half)], R.zero())\n"
+        "except ValueError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    message = "raised: exponent above the limit 2^30 - 1 of the exponent words in 2 variables"
+    assert out.stdout.splitlines() == [message]

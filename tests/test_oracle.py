@@ -29,6 +29,7 @@ from mfinv.poly import PolyRing, determinant, difference_derivative, doubled_rin
 from mfinv.scalar import CyclotomicContext, rational
 from mf_ops import scale
 from tuple_route import polynomial, shift, terms
+import matrix_route
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
@@ -624,6 +625,65 @@ def test_homotopy_matches_elimination_reference(w, facs, monkeypatch):
 
 
 @pytest.mark.parametrize("w,facs", REFERENCE)
+def test_solve_D_matches_the_matrix_route(w, facs, monkeypatch):
+    # each level formed and checked by one mat_sum, against whole matrices
+    # added entry by entry: the same components in the same order, and
+    # the right-hand sides pass the reference residual check
+    import mfinv.oracle as oracle
+
+    seen = []
+    check = oracle._assert_system
+
+    def recording(components, rhs, n, rank, ring):
+        seen.append((dict(components), dict(rhs), ring))
+        return check(components, rhs, n, rank, ring)
+
+    monkeypatch.setattr(oracle, "_assert_system", recording)
+    for E in facs:
+        assert solve_D(E).solved == matrix_route.solve_D(E).solved
+        components, rhs, ring = seen.pop()
+        matrix_route.assert_system(components, rhs, w.ring.n, ring)
+
+
+def _dropping_from(homotopy, skip, dropped):
+    """`oracle._homotopy` with the first term of one entry removed from the
+    nonzero component that follows the first ``skip`` nonzero ones."""
+    passed = []
+
+    def dropping(M, i, n, ring):
+        out = homotopy(M, i, n, ring)
+        if dropped or not any(p.terms for row in out for p in row):
+            return out
+        if len(passed) < skip:
+            passed.append(i)
+            return out
+        rows = [list(row) for row in out]
+        r, s = next((r, s) for r, row in enumerate(rows) for s, p in enumerate(row) if p.terms)
+        m = next(iter(rows[r][s].terms))
+        rows[r][s] = ring.from_terms({t: c for t, c in rows[r][s].terms.items() if t != m})
+        dropped.append((r, s, m))
+        return tuple(map(tuple, rows))
+
+    return dropping
+
+
+@pytest.mark.parametrize("skip", [0, 1, 3, 5])
+def test_solve_rejects_a_component_with_a_dropped_term(skip, monkeypatch):
+    # a lower component missing one term is read by every level above it,
+    # so the levels stay consistent with it; only the residual of the
+    # level below sees the missing u_i term
+    import mfinv.oracle as oracle
+
+    x, y, z = R3.var(0), R3.var(1), R3.var(2)
+    E = koszul([x, y, z], [x**2, y**2, z**2])
+    dropped = []
+    monkeypatch.setattr(oracle, "_homotopy", _dropping_from(oracle._homotopy, skip, dropped))
+    with pytest.raises(AssertionError, match="residual is nonzero"):
+        solve_D(E)
+    assert len(dropped) == 1
+
+
+@pytest.mark.parametrize("w,facs", REFERENCE)
 def test_components_are_admissible(w, facs):
     # in (x, u) coordinates, D_T involves no u_k with k < min(T)
     ring = doubled_ring(w.ring)
@@ -787,3 +847,37 @@ def test_telescoping_gate_raises_under_optimize():
     assert out.stdout.splitlines() == [
         "raised: difference derivatives fail the telescoping identity 1"
     ] * 2
+
+
+def test_dropped_term_gate_raises_under_optimize():
+    # the residual gate is an explicit raise, so python -O keeps it also
+    # when the wrong component sits below the top
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import mfinv
+
+    src = str(pathlib.Path(mfinv.__file__).resolve().parent.parent)
+    tests = str(pathlib.Path(__file__).resolve().parent)
+    code = (
+        "import mfinv.oracle as oracle\n"
+        "from test_oracle import R3, _dropping_from\n"
+        "from mfinv.mfcore import koszul\n"
+        "x, y, z = R3.var(0), R3.var(1), R3.var(2)\n"
+        "E = koszul([x, y, z], [x**2, y**2, z**2])\n"
+        "dropped = []\n"
+        "oracle._homotopy = _dropping_from(oracle._homotopy, 0, dropped)\n"
+        "try:\n"
+        "    oracle.solve_D(E)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc, len(dropped))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.splitlines() == [
+        "raised: transgression system residual is nonzero at level 0 1"
+    ]
