@@ -1,6 +1,7 @@
-"""Wall time of `mfinv --json verify --check` on the heavy sessions.
+"""Wall time of `mfinv --json verify --check` on a directory of sessions.
 
-Each session in `scripts/sessions/heavy/` runs in a fresh
+Each session in the directory given, `scripts/sessions/heavy/` when none
+is, runs in a fresh
 `python -m mfinv.cli` process, as a user runs it, 7 times in a row; the
 script prints one line per session with the median and the minimum wall
 time, the exit code and a short digest of standard output, so that two
@@ -13,7 +14,10 @@ a group also of `sectors`, `orbifold-hh`, and `equivariant-chi` for each
 ordered pair of factorizations with `rho` data.  Standard library and the
 mfinv of this checkout only.
 
-    python scripts/time_sessions.py
+    python scripts/time_sessions.py [DIRECTORY]
+
+`scripts/sessions/frontier/` holds the 5- and 6-variable Fermat cubics
+with k^st (rank 32 and 64), which no test runs.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-HEAVY = sorted((ROOT / "scripts" / "sessions" / "heavy").glob("*.json"))
+HEAVY = ROOT / "scripts" / "sessions" / "heavy"
 RUNS = 7
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "src"))  # the mfinv of this checkout, for `value_digest`
@@ -92,7 +96,8 @@ def value_digest(path: pathlib.Path) -> str:
 
 
 def main() -> int:
-    for path in HEAVY:
+    directory = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else HEAVY
+    for path in sorted(directory.glob("*.json")):
         r = time_session(path)
         print("%s: median %.3f s, min %.3f s over %d runs, exit %d, stdout %s, values %s"
               % (path.name, r["median_s"], r["min_s"], RUNS, r["code"], r["stdout_sha256"],

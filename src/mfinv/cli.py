@@ -271,6 +271,8 @@ def _load_factorization(ring: PolyRing, w: Polynomial, name: str, spec) -> MatFa
             E.validate()
         except ValueError as exc:
             raise SessionError("factorization %r: %s" % (name, exc))
+        if E.rank == 0:
+            raise SessionError("factorization %r has rank 0: d0 and d1 are empty" % name)
     else:
         raise SessionError(
             "factorization %r needs either koszul data or explicit d0/d1 blocks" % name

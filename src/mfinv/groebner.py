@@ -9,7 +9,7 @@ ideal, whose nilpotency search rejects support away from the origin.
 Module elements are flat dicts {key: coefficient} from the engine's
 input to every `ModuleGB` it builds, and an ideal generator g is the
 element (g,).  The arithmetic is fraction-free (Bareiss 1968;
-Geddes-Czapor-Labahn, ch. 9).  Over Q `_flat` scales a tuple of
+Geddes-Czapor-Labahn, ch. 9).  Over Q `_flat` scales a vector of
 polynomials by D, the lcm of its denominators, to ``int`` coefficients,
 and a basis entry is stored primitive: content removed, lead coefficient L
 a positive ``int``.  Division cancels a term c against a lead L by scaling
@@ -105,17 +105,23 @@ class _Layout(WordLayout):
 _layout = cache(_Layout)
 
 
-def _flat(v, ring: PolyRing, block: int):
-    """(d, D): the tuple of polynomials times D as a flat element d =
-    {key: coefficient} under ``block``.  Over Q, D is the lcm of the
-    denominators and the coefficients are ints; over Q(zeta), D = 1 and
-    they are the ring's Scalars."""
+def _flat(v, ring: PolyRing, block: int, rank: int):
+    """(d, D): the vector v of R^rank times D as a flat element d = {key:
+    coefficient} under ``block``.  v is a tuple of ``rank`` polynomials,
+    or a dict {position: polynomial} keyed in range(rank) that need not
+    hold the zero positions; anything else raises.  Over Q, D is the lcm
+    of the denominators and the coefficients are ints; over Q(zeta),
+    D = 1 and they are the ring's Scalars."""
+    if isinstance(v, dict):
+        bad = [p for p in v if not 0 <= p < rank]
+        if bad:
+            raise ValueError("position %d outside a module of rank %d" % (bad[0], rank))
+    elif len(v) != rank:
+        raise ValueError("vector of length %d in a module of rank %d" % (len(v), rank))
     lay = _layout(ring.n)
     ones, xmask, k2 = lay.ones, lay.xmask, lay.k2
     d = {}
-    for p, f in enumerate(v):
-        if not f.terms:
-            continue  # a Hom column is mostly zero positions
+    for p, f in v.items() if isinstance(v, dict) else enumerate(v):
         base = lay.base(p, block)
         for x, c in f.terms.items():
             d[base + x - ((x * ones & xmask) << k2)] = c
@@ -361,24 +367,23 @@ class ModuleGB(Frozen):
 
 
 def module_gb(gens, rank: int, ring: PolyRing) -> ModuleGB:
-    gens = [_flat(g, ring, 0)[0] for g in gens]
+    gens = [_flat(g, ring, 0, rank)[0] for g in gens]
     return ModuleGB(ring, rank, module_buchberger(gens, rank, _layout(ring.n)))
 
 
 def module_normal_form(v, mgb: ModuleGB):
-    if len(v) != mgb.rank:
-        raise ValueError("vector of length %d in a module of rank %d" % (len(v), mgb.rank))
-    d, D = _flat(v, mgb.ring, mgb.block)
+    d, D = _flat(v, mgb.ring, mgb.block, mgb.rank)
     r, M = _divide(d, mgb._divisors)
     return _unflat(r, mgb.rank, mgb.ring, D * M)
 
 
 def lift_basis(gens, rank: int, ring: PolyRing) -> ModuleGB:
     """The block-order basis of the vectors (g_i, e_i) in R^(rank + s),
-    s = len(gens), for the tuples of polynomials g_i in ``gens``, with
-    block = rank."""
+    s = len(gens), for the vectors g_i of R^rank in ``gens``, each read
+    as `_flat` reads it, with block = rank.  A generator outside R^rank
+    raises rather than reaching the cofactor positions."""
     lay = _layout(ring.n)
-    scaled = enumerate(_flat(g, ring, rank) for g in gens)
+    scaled = enumerate(_flat(g, ring, rank, rank) for g in gens)
     vectors = [{**d, lay.base(rank + i, rank): ring.coefficient(D)} for i, (d, D) in scaled]
     s = len(vectors)
     return ModuleGB(ring, rank + s, module_buchberger(vectors, rank + s, lay, rank))
@@ -390,9 +395,7 @@ def lift(v, basis: ModuleGB):
     normal form of v modulo <g> and a is reduced modulo the syzygies, so
     both are unique."""
     ring, b = basis.ring, basis.block
-    if len(v) != b:
-        raise ValueError("vector of length %d for a lift basis of block %d" % (len(v), b))
-    d, D = _flat(v, ring, b)
+    d, D = _flat(v, ring, b, b)
     r, M = _divide(d, basis._divisors)
     rem = _unflat(r, basis.rank, ring, D * M)
     return rem[:b], tuple(-a for a in rem[b:])
@@ -416,11 +419,10 @@ def split(basis: ModuleGB):
     return ModuleGB(ring, b, heads), ModuleGB(ring, basis.rank - b, tails)
 
 
-def module_kernel(matrix, r_in: int, r_out: int, ring: PolyRing):
-    """(kernel, image) of the map R^{r_in} -> R^{r_out} given by the matrix
-    (rows x cols = r_out x r_in) as module GBs: the tails and the heads of
-    the lift basis of its columns."""
-    cols = [tuple(matrix[i][j] for i in range(r_out)) for j in range(r_in)]
+def module_kernel(cols, r_out: int, ring: PolyRing):
+    """(kernel, image) of the map R^len(cols) -> R^r_out with these
+    columns, each read as `_flat` reads a vector, as module GBs: the tails
+    and the heads of the lift basis of the columns."""
     image, kernel = split(lift_basis(cols, r_out, ring))
     return kernel, image
 
@@ -474,9 +476,7 @@ def subquotient_coordinates(v, basis: ModuleGB, image: ModuleGB):
     of a `subquotient_basis`, or None when v is outside the kernel.  The
     normal form's lead must be a basis lead; subtract that element and
     repeat."""
-    if len(v) != image.rank:
-        raise ValueError("vector of length %d in a module of rank %d" % (len(v), image.rank))
-    d, D = _flat(v, image.ring, 0)
+    d, D = _flat(v, image.ring, 0, image.rank)
     r, M = _divide(d, image._divisors)
     leads = {k: (i, lc, rest) for i, (_d, _p, k, lc, rest) in enumerate(basis._divisors.entries)}
     coords = [0] * len(leads)

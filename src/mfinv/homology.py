@@ -83,11 +83,10 @@ def hom_cohomology(E: MatFac, F: MatFac):
         raise ValueError("potential mismatch")
     ring = E.ring
     d_even, d_odd = hom_differential(E, F)
-    n0, n1 = len(d_odd), len(d_even)
     # each kernel run also yields the image of its map, which is the
     # other parity's coboundaries
-    kernel_even, image_even = module_kernel(d_even, n0, n1, ring)
-    kernel_odd, image_odd = module_kernel(d_odd, n1, n0, ring)
+    kernel_even, image_even = module_kernel(d_even, len(d_odd), ring)
+    kernel_odd, image_odd = module_kernel(d_odd, len(d_even), ring)
     even = ParityCohomology(0, kernel_even, image_odd, subquotient_basis(kernel_even, image_odd))
     odd = ParityCohomology(1, kernel_odd, image_even, subquotient_basis(kernel_odd, image_even))
     basis = CohomologyBasis(E, F, even, odd)
@@ -120,10 +119,10 @@ def koszul_hom_dimensions(E: MatFac, F: MatFac):
     mu = quotient_dimension(buchberger(a))
     if mu is None:
         return None
-    r, zero = F.r0, ring.zero()
+    r = F.r0
     # a_i e_j for each a_i and position j; the runs are faster with these
     # before the columns of the block
-    aF = [tuple(f if i == j else zero for i in range(r)) for f in a for j in range(r)]
+    aF = [{j: f} for f in a for j in range(r)]
 
     def cokernel(block) -> int:  # dim R^r / (the columns of block + aR^r)
         return quotient_dimension(module_gb([*aF, *zip(*block)], r, ring))

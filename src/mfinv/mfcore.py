@@ -367,32 +367,28 @@ def _hom_positions(E: MatFac, F: MatFac, parity: int) -> list:
     return [(t, s) for rows, cols in blocks for t in rows for s in cols]
 
 
-def hom_differential(E: MatFac, F: MatFac) -> tuple[Matrix, Matrix]:
-    """Matrices of d on flattened Hom^0 and Hom^1.
+def hom_differential(E: MatFac, F: MatFac) -> tuple[tuple[dict, ...], tuple[dict, ...]]:
+    """The columns of d on flattened Hom^0 and Hom^1.
 
-    Returns (d_even : Hom^0 -> Hom^1, d_odd : Hom^1 -> Hom^0) over the
-    polynomial ring; both compositions vanish when E and F share w.  The
-    column of the unit map e_ts is read off the delta blocks: column t of
-    delta_F placed at column s, minus (-1)^p row s of delta_E placed at
-    row t.
+    Returns (d_even, d_odd): one column per Hom^p coordinate of
+    d_even : Hom^0 -> Hom^1 and d_odd : Hom^1 -> Hom^0 over the polynomial
+    ring, each a dict {row: entry} of its nonzero entries; both
+    compositions vanish when E and F share w.  The column of the unit map
+    e_ts is read off the delta blocks: column t of delta_F placed at column
+    s, minus (-1)^p row s of delta_E placed at row t.
     """
     if E.w != F.w:
         raise ValueError("potential mismatch")
     dE, dF = E.delta, F.delta
-    zero = E.ring.zero()
     out = []
     for parity in (0, 1):
         at = {ts: r for r, ts in enumerate(_hom_positions(E, F, 1 - parity))}
-        cols = _hom_positions(E, F, parity)
-        rows = [[zero] * len(cols) for _ in at]
-        for c, (t, s) in enumerate(cols):
-            for t2, row in enumerate(dF):
-                if not row[t].is_zero():
-                    rows[at[t2, s]][c] = row[t]
-            for s2, entry in enumerate(dE[s]):
-                if not entry.is_zero():
-                    rows[at[t, s2]][c] = entry if parity else -entry
-        out.append(as_matrix(rows))
+        cols = []
+        for t, s in _hom_positions(E, F, parity):
+            col = {at[t2, s]: row[t] for t2, row in enumerate(dF) if row[t].terms}
+            col.update((at[t, s2], e if parity else -e) for s2, e in enumerate(dE[s]) if e.terms)
+            cols.append(col)
+        out.append(tuple(cols))
     return out[0], out[1]
 
 

@@ -65,10 +65,10 @@ def block_basis(gens, rank, ring, extra):
     R^(rank + s), s = len(gens), for the tuples of polynomials g_i in
     ``gens`` and h_j in ``extra``, with block = rank."""
     lay = _layout(ring.n)
-    scaled = enumerate(_flat(g, ring, rank) for g in gens)
+    scaled = enumerate(_flat(g, ring, rank, rank) for g in gens)
     vectors = [{**d, lay.base(rank + i, rank): ring.coefficient(D)} for i, (d, D) in scaled]
     s = len(vectors)
-    vectors += [_flat(h, ring, rank)[0] for h in extra]
+    vectors += [_flat(h, ring, rank, rank)[0] for h in extra]
     return ModuleGB(ring, rank + s, module_buchberger(vectors, rank + s, lay, rank))
 
 
@@ -104,9 +104,8 @@ class LiftRouteBasis:
     def __init__(self, E, F):
         ring = E.ring
         d_even, d_odd = hom_differential(E, F)
-        n0, n1 = len(d_odd), len(d_even)
-        kernel_even, image_even = module_kernel(d_even, n0, n1, ring)
-        kernel_odd, image_odd = module_kernel(d_odd, n1, n0, ring)
+        kernel_even, image_even = module_kernel(d_even, len(d_odd), ring)
+        kernel_odd, image_odd = module_kernel(d_odd, len(d_even), ring)
         self.source, self.target = E, F
         self.even = LiftParity(kernel_even, image_odd)
         self.odd = LiftParity(kernel_odd, image_even)

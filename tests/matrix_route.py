@@ -7,10 +7,16 @@ level of the transgression system, and checks its residual, with one
 adds each product a*b to a running sum, and `solve_D` builds every
 summand of a level as a whole matrix and adds them entry by entry.  They
 stay as the reference the fused route is checked against.
+
+`mfinv.mfcore.hom_differential` emits each column of the Hom
+differential as a dict of its nonzero entries.  `hom_differential` here
+is the builder it replaced: a zero-filled matrix per parity, which
+`zero_filled` also makes from the sparse columns.
 """
 from itertools import combinations
 
-from mfinv.mfcore import identity_matrix, mat_add, mat_map, mat_neg
+from mfinv import mfcore
+from mfinv.mfcore import _hom_positions, as_matrix, identity_matrix, mat_add, mat_map, mat_neg
 from mfinv.oracle import DTensor, _differences, _homotopy, _in_half, _shift, _subset_insert
 
 
@@ -34,6 +40,43 @@ def mat_mul(A, B, zero):
             new.append(acc)
         out.append(tuple(new))
     return tuple(out)
+
+
+def hom_differential(E, F):
+    """Matrices of d on flattened Hom^0 and Hom^1, (d_even : Hom^0 ->
+    Hom^1, d_odd : Hom^1 -> Hom^0), filled with zeros: column t of delta_F
+    placed at column s, minus (-1)^p row s of delta_E placed at row t, for
+    the unit map e_ts."""
+    if E.w != F.w:
+        raise ValueError("potential mismatch")
+    dE, dF = E.delta, F.delta
+    zero = E.ring.zero()
+    out = []
+    for parity in (0, 1):
+        at = {ts: r for r, ts in enumerate(_hom_positions(E, F, 1 - parity))}
+        cols = _hom_positions(E, F, parity)
+        rows = [[zero] * len(cols) for _ in at]
+        for c, (t, s) in enumerate(cols):
+            for t2, row in enumerate(dF):
+                if not row[t].is_zero():
+                    rows[at[t2, s]][c] = row[t]
+            for s2, entry in enumerate(dE[s]):
+                if not entry.is_zero():
+                    rows[at[t, s2]][c] = entry if parity else -entry
+        out.append(as_matrix(rows))
+    return out[0], out[1]
+
+
+def zero_filled(E, F):
+    """The two matrices whose columns are the sparse columns (d_even,
+    d_odd) of `mfinv.mfcore.hom_differential(E, F)`; each map's rows are
+    the other map's columns."""
+    d_even, d_odd = mfcore.hom_differential(E, F)
+    zero = E.ring.zero()
+    return tuple(
+        as_matrix([[col.get(r, zero) for col in cols] for r in range(len(other))])
+        for cols, other in ((d_even, d_odd), (d_odd, d_even))
+    )
 
 
 def mat_sub(A, B):

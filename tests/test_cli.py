@@ -252,6 +252,17 @@ def test_unknown_names_exit_2(tmp_path, capsys):
     assert code == 2 and "unknown morphism" in err
 
 
+@pytest.mark.parametrize("command", [("verify", "--check"), ("hom", "E", "E"), ("chern", "E"), ("chi", "E", "E")])
+def test_rank_0_factorization_exits_2(tmp_path, capsys, command):
+    # empty blocks factor w vacuously; verify used to fail its supertraces
+    # with exit 1, chern and chi to exit 2, and hom to print (0, 0)
+    doc = {"variables": ["x"], "potential": "x^3", "factorizations": {"E": {"d0": [], "d1": []}}}
+    path = write_session(tmp_path, doc)
+    code, out, err = run(capsys, "--input", path, *command)
+    assert (code, out) == (2, "")
+    assert err == "error: factorization 'E' has rank 0: d0 and d1 are empty\n"
+
+
 def test_bad_input_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "--input", str(tmp_path / "missing.json"), "milnor")
     assert code == 2 and "cannot read" in err

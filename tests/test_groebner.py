@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfinv import groebner
+from mfinv import groebner, mfcore
 from mfinv.groebner import (
     buchberger,
     lift,
@@ -24,7 +24,7 @@ from mfinv.cli import _endomorphisms, load_session
 from mfinv.homology import cardy_supertrace, euler, hom_cohomology, koszul_hom_dimensions
 from mfinv.invariants import chi_hrr
 from mfinv.milnor import build_milnor
-from mfinv.mfcore import hom_differential, identity_morphism, koszul, vector_to_morphism
+from mfinv.mfcore import identity_morphism, koszul, vector_to_morphism
 from mfinv.poly import PolyRing, Polynomial
 from mfinv.scalar import CyclotomicContext, Scalar
 from lift_route import (
@@ -34,6 +34,8 @@ from lift_route import (
     standard_monomials,
     subquotient_presentation,
 )
+from matrix_route import hom_differential
+from test_mfcore import _hom_differential_pairs
 from tuple_route import grevlex_key, polynomial, terms
 
 R2 = PolyRing(("x", "y"))
@@ -135,8 +137,8 @@ def test_gb_independent_of_generator_order():
 
 
 def test_module_kernel_koszul_syzygy():
-    M = [[R2.var(0), R2.var(1)]]  # row (x  y)
-    ker, _image = module_kernel(M, 2, 1, R2)
+    cols = [(R2.var(0),), (R2.var(1),)]  # the columns of the row (x  y)
+    ker, _image = module_kernel(cols, 1, R2)
     assert len(ker.generators) == 1
     v = ker.generators[0]
     # the Koszul syzygy (y, -x) up to sign/scaling
@@ -145,8 +147,8 @@ def test_module_kernel_koszul_syzygy():
 
 
 def test_module_kernel_identity_is_zero():
-    M = [[R2.one(), R2.zero()], [R2.zero(), R2.one()]]
-    ker, _image = module_kernel(M, 2, 2, R2)
+    cols = [(R2.one(), R2.zero()), (R2.zero(), R2.one())]
+    ker, _image = module_kernel(cols, 2, R2)
     assert len(ker.generators) == 0
 
 
@@ -165,6 +167,27 @@ def test_module_lift_roundtrip():
     assert tuple(recon) == v
     # a non-member keeps its normal form as the remainder
     assert lift((R2.one(), R2.zero()), basis) == ((R2.one(), R2.zero()), (R2.zero(), R2.zero()))
+
+
+def test_lift_basis_and_module_gb_reject_a_generator_outside_the_rank():
+    x, y = R2.var(0), R2.var(1)
+    # the second components would be read as cofactor positions
+    for gens in ([(x, y + 1), (y, x)], [(x,), ()]):
+        bad = next(g for g in gens if len(g) != 1)
+        with pytest.raises(ValueError, match="vector of length %d in a module of rank 1" % len(bad)):
+            lift_basis(gens, 1, R2)
+        with pytest.raises(ValueError, match="vector of length %d" % len(bad)):
+            module_gb(gens, 1, R2)
+    for col in ({0: x, 2: y}, {-1: x}):
+        bad = next(p for p in col if p not in (0, 1))
+        for build in (lift_basis, module_gb, module_kernel):
+            with pytest.raises(ValueError, match="position %d outside a module of rank 2" % bad):
+                build([{0: y}, col], 2, R2)
+    # a dict keyed in range(rank) is the tuple it abbreviates
+    cols = [{1: x}, {0: y, 1: x + y}, {}]
+    tuples = [(R2.zero(), x), (y, x + y), (R2.zero(), R2.zero())]
+    assert lift_basis(cols, 2, R2).generators == lift_basis(tuples, 2, R2).generators
+    assert module_gb(cols, 2, R2).generators == module_gb(tuples, 2, R2).generators
 
 
 def test_lift_and_normal_form_reject_a_vector_of_the_wrong_length():
@@ -407,7 +430,7 @@ def _check_hom_modules(E, F):
                 for c, col in zip(syz, cols):
                     total = total + c * col[r]
                 assert total.is_zero()
-        kernel, _image = module_kernel(d_out, n_in, n_out, ring)
+        kernel, _image = module_kernel(cols, n_out, ring)
         image = [tuple(d_in[r][c] for r in range(n_in)) for c in range(n_prev)]
         _lifts, relations, _ = subquotient_presentation(kernel, image)
         for mgb in (kernel, relations):
@@ -640,7 +663,7 @@ def test_module_kernel_is_the_rebuilt_syzygy_basis():
         n0, n1 = len(d_odd), len(d_even)
         for d_out, n_in, n_out in ((d_even, n0, n1), (d_odd, n1, n0)):
             cols = [tuple(d_out[r][c] for r in range(n_out)) for c in range(n_in)]
-            kernel, _image = module_kernel(d_out, n_in, n_out, ring)
+            kernel, _image = module_kernel(cols, n_out, ring)
             reference = module_gb(syzygies(cols, n_out, ring), n_in, ring)
             assert kernel.rank == reference.rank == n_in
             assert kernel.generators == reference.generators
@@ -875,9 +898,28 @@ def test_module_kernel_image_is_the_column_basis():
         n0, n1 = len(d_odd), len(d_even)
         for d, n_in, n_out in zip((d_even, d_odd), (n0, n1), (n1, n0)):
             cols = [tuple(d[r][c] for r in range(n_out)) for c in range(n_in)]
-            _kernel, image = module_kernel(d, n_in, n_out, ring)
+            _kernel, image = module_kernel(cols, n_out, ring)
             assert image.rank == n_out
             assert image.generators == module_gb(cols, n_out, ring).generators
+
+
+def test_hom_differential_columns_hold_the_nonzero_entries_of_the_dense_route():
+    # each sparse column holds exactly the zero-filled reference column's
+    # nonzero entries, at the same rows, and stores no zero
+    pairs = [
+        *_hom_pairs(), *_sheared_pairs(), *_sheared_pairs(CyclotomicContext(3)),
+        *_zeta3_pairs(), *_hard_pairs(), *_hom_differential_pairs(),
+    ]
+    entries = 0
+    for E, F in pairs:
+        sparse, dense = mfcore.hom_differential(E, F), hom_differential(E, F)
+        for cols, matrix, n_out in zip(sparse, dense, map(len, sparse[::-1])):
+            assert len(matrix) == n_out and all(len(row) == len(cols) for row in matrix)
+            for c, col in enumerate(cols):
+                assert col == {r: row[c] for r, row in enumerate(matrix) if not row[c].is_zero()}
+                assert not any(e.is_zero() for e in col.values())
+                entries += len(col)
+    assert len(pairs) > 150 and entries > 2000
 
 
 def _flat_route_bases(ring, cols, n_out):
@@ -887,8 +929,7 @@ def _flat_route_bases(ring, cols, n_out):
     extra; and the relations of the lift route's presentation of the
     kernel over m^2 times itself, m the maximal ideal at the origin."""
     n_in = len(cols)
-    matrix = [[col[r] for col in cols] for r in range(n_out)]
-    kernel, image = module_kernel(matrix, n_in, n_out, ring)
+    kernel, image = module_kernel(cols, n_out, ring)
     extra = module_gb(cols[:1], n_out, ring).generators
     bases = [kernel, image, *split(block_basis(image.generators, n_out, ring, extra))]
     if kernel.generators:
@@ -1036,7 +1077,7 @@ def test_engine_returns_scalars_of_the_ring():
         image = [tuple(d_odd[r][c] for r in range(n0)) for c in range(n1)]
         check(*module_gb(cols, n1, ring).generators)
         check(*syzygies(cols, n1, ring))
-        kernel, _image = module_kernel(d_even, n0, n1, ring)
+        kernel, _image = module_kernel(cols, n1, ring)
         check(*kernel.generators)
         lifts, relations, _std = subquotient_presentation(kernel, image)
         check(*relations.generators)
@@ -1073,7 +1114,7 @@ def _ring(n):
 def _pack(lay, p, m, block):
     """The key of the term (p, m) under ``block``, as `_flat` makes it."""
     ring = _ring(lay.n)
-    (k,) = groebner._flat((ring.zero(),) * p + (ring.monomial(m),), ring, block)[0]
+    (k,) = groebner._flat((ring.zero(),) * p + (ring.monomial(m),), ring, block, p + 1)[0]
     return k
 
 

@@ -133,7 +133,7 @@ def test_empty_kernel(nonzero):
     # the kernel of an injective map of R^2, taken as the cocycles of the
     # two-dimensional even Hom space of xn_fac(2, 1): only 0 lies in it
     E = xn_fac(2, 1)
-    kernel, _image = module_kernel(identity_matrix(R1, 2), 2, 2, R1)
+    kernel, _image = module_kernel(identity_matrix(R1, 2), 2, R1)
     assert kernel.generators == ()
     image = module_gb([(R1.parse("x") if nonzero else R1.zero(), R1.zero())], 2, R1)
     f = identity_morphism(E) if nonzero else zero_morphism(E, E, 0)
