@@ -60,7 +60,6 @@ from .mfcore import (
     EquivariantMF,
     MatFac,
     MorphismCocycle,
-    as_matrix,
     identity_matrix,
     identity_morphism,
     koszul,
@@ -194,12 +193,7 @@ def _parse_poly(ring: PolyRing, text, what: str) -> Polynomial:
 def _parse_poly_matrix(ring: PolyRing, rows, what: str):
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise SessionError("%s must be a list of rows" % what)
-    return as_matrix(
-        [
-            [_parse_poly(ring, entry, what) for entry in row]
-            for row in rows
-        ]
-    )
+    return [[_parse_poly(ring, entry, what) for entry in row] for row in rows]
 
 
 # --- session loading --------------------------------------------------------
@@ -680,19 +674,19 @@ def _permutation_sides(session: Session):
     A = session.milnor
     n = session.ring.n
     for E in session.factorizations.values():
-        base = chern(E, A)
+        base, zero = chern(E, A), E.ring.zero()
 
         def walk(prefix, P):
             rest = [i for i in range(n) if i not in prefix]
             if len(rest) == 1:
                 # the chern product runs from the highest index down
                 sign = permutation_sign(prefix + (rest[0],)) * (-1) ** (n * (n - 1) // 2)
-                got = A.project(supertrace(P, E.r0, E.partials[rest[0]]))
+                got = A.project(supertrace(E.ring, P, E.r0, E.partials[rest[0]]))
                 yield got.value, base.scale(sign).value
                 return
             for i in rest:
                 D = E.partials[i]
-                yield from walk(prefix + (i,), mat_mul(P, D, E.ring.zero()) if prefix else D)
+                yield from walk(prefix + (i,), mat_mul(P, D, zero, E.rank) if prefix else D)
 
         yield from walk((), identity_matrix(E.ring, E.rank))
 

@@ -64,13 +64,12 @@ from .mfcore import (
     EquivariantMF,
     MatFac,
     MorphismCocycle,
+    as_matrix,
     diagonal_matrix,
     koszul_subsets,
-    mat_add,
     mat_map,
     mat_mul,
-    mat_scale,
-    mat_transpose,
+    mat_sum,
     stabilized_residue_field,
 )
 from .milnor import MilnorClass, build_milnor, canonical_pairing
@@ -255,10 +254,10 @@ def _extend(G: DiagonalGroup, generators: list, size: int) -> list | None:
     product that lands on the same element checks a group relation.
     None when a relation fails."""
     zero = scalar_zero(G.context)
-    M = [diagonal_matrix([scalar_one(G.context)] * size, zero)] + [None] * (G.order - 1)
+    M = [diagonal_matrix([scalar_one(G.context)] * size)] + [None] * (G.order - 1)
     for i, row in enumerate(G.products):
         for k, j in enumerate(row):
-            P = mat_mul(M[i], generators[k], zero)
+            P = mat_mul(M[i], generators[k], zero, size)
             if M[j] is None:
                 M[j] = P
             elif P != M[j]:
@@ -281,7 +280,7 @@ def equivariant_actions(E: EquivariantMF, G: DiagonalGroup) -> dict:
 def _commutes(delta, k: tuple, roots: tuple, rho, zero) -> bool:
     """rho . delta(g x) == delta(x) . rho for one element and its action."""
     moved = mat_map(delta, lambda p: substitute_action(p, k, roots))
-    return mat_mul(rho, moved, zero) == mat_mul(delta, rho, zero)
+    return mat_mul(rho, moved, zero, len(delta)) == mat_mul(delta, rho, zero, len(delta))
 
 
 def validate_equivariant(E: EquivariantMF, G: DiagonalGroup) -> MappingProxyType:
@@ -315,7 +314,7 @@ def _fixed_product(base: MatFac, sec: Sector):
 
 def _sector_character(base: MatFac, sec: Sector, P, rho_g) -> MilnorClass:
     """The g-sector character from ``P = _fixed_product(base, sec)``."""
-    s = restrict_to_sector(supertrace(P, base.r0, rho_g), sec)
+    s = restrict_to_sector(supertrace(base.ring, P, base.r0, rho_g), sec)
     return sec.milnor.project(s, parity=sec.n_fixed % 2)
 
 
@@ -329,10 +328,10 @@ def chern_equivariant(E: EquivariantMF, G: DiagonalGroup, g: Element) -> MilnorC
 
 def _morphism_action_full(f, G: DiagonalGroup, g, actions_E, actions_F):
     """Full matrix of g . f = rho_F(g) f(g x) rho_E(g)^(-1)."""
-    zero = f.source.ring.zero()
+    zero, rank = f.source.ring.zero(), f.source.rank
     k = G.exponent(g)
     moved = mat_map(f.matrix, lambda p: substitute_action(p, k, G.roots))
-    return mat_mul(actions_F[g], mat_mul(moved, actions_E[G.inverse(g)], zero), zero)
+    return mat_mul(actions_F[g], mat_mul(moved, actions_E[G.inverse(g)], zero, rank), zero, rank)
 
 
 def c_weight(k: tuple, roots: tuple) -> Scalar:
@@ -418,15 +417,13 @@ def invariant_hom_dimensions(
         mats = _extend(G, generators, count)
         if mats is None:
             raise AssertionError("action on Hom cohomology does not respect the group relations")
-        avg = mats[0]
-        for Mg in mats[1:]:
-            avg = mat_add(avg, Mg)
-        P = mat_scale(avg, rational(1, G.order))
-        if mat_mul(P, P, scalar_zero(G.context)) != P:
+        # the averaging projector |G|^(-1) sum_g M(g): the sum, then one scaling
+        szero, one = scalar_zero(G.context), diagonal_matrix([scalar_one(G.context)] * count)
+        P = mat_sum([(Mg, one) for Mg in mats], szero, count)
+        P = mat_map(P, lambda c: c * rational(1, G.order))
+        if mat_mul(P, P, szero, count) != P:
             raise AssertionError("averaging operator failed to be idempotent")
-        trace = rational(0)
-        for i in range(count):
-            trace = trace + P[i][i]
+        trace = sum((row[i] for i, row in enumerate(P) if i in row), rational(0))
         if not trace.is_rational_integer():
             raise AssertionError("projector trace is not an integer: %s" % trace)
         dims.append(int(trace.as_fraction()))
@@ -435,12 +432,12 @@ def invariant_hom_dimensions(
 
 def _class_action(basis, reps, G: DiagonalGroup, h: Element, actions_E, actions_F):
     """The matrix of h on H^p(E, F) in class coordinates: column k holds
-    the coordinates of h . reps[k]."""
+    the coordinates of h . reps[k], so row i holds coordinate i of each."""
     cols = []
     for f in reps:
         acted = _morphism_action_full(f, G, h, actions_E, actions_F)
         cols.append(basis.class_coordinates(MorphismCocycle(f.source, f.target, f.parity, acted)))
-    return mat_transpose(cols)
+    return as_matrix(zip(*cols), len(reps))
 
 
 # --- orbifold Hochschild dimensions ----------------------------------------
@@ -499,7 +496,7 @@ def equivariant_stabilization(w: Polynomial, G: DiagonalGroup) -> EquivariantMF:
     for h in G.generators:
         k = G.exponent(h)
         diag = [G.roots[sum(k[i] for i in s) % m] for s in ordered]
-        action.append(diagonal_matrix(diag, scalar_zero(G.context)))
+        action.append(diagonal_matrix(diag))
     return EquivariantMF(kst, tuple(action))
 
 
@@ -589,9 +586,7 @@ def graded_exponents(S: GradedStructure, E: MatFac, degrees0, degrees1):
         raise ValueError("one degree per basis element is required")
     degrees = degrees0 + degrees1
     for t, row in enumerate(E.delta):
-        for s, entry in enumerate(row):
-            if entry.is_zero():
-                continue
+        for s, entry in row.items():
             qd = entry.quasi_degree(S.weights)
             if qd is None or qd != S.ell + degrees[s] - degrees[t]:
                 raise ValueError("basis degrees are incompatible with a homogeneous delta")
@@ -604,7 +599,7 @@ def graded_exponents(S: GradedStructure, E: MatFac, degrees0, degrees1):
 def _graded_rho(S: GradedStructure, exps, m: int):
     """The diagonal action of [m] on a summand with these exponents."""
     diag = [S.roots[(m * e) % S.order] for e in exps]
-    return diagonal_matrix(diag, scalar_zero(S.ring.context))
+    return diagonal_matrix(diag)
 
 
 def graded_chi(

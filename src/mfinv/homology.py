@@ -109,12 +109,12 @@ def koszul_hom_dimensions(E: MatFac, F: MatFac):
     ring, n = E.ring, E.ring.n
     if E.rank != 2**n or 2 * E.r0 != E.rank or F.r0 != F.r1:
         return None
-    r0, delta = E.r0, E.delta
+    r0, delta, zero = E.r0, E.delta, ring.zero()
     # column {} of delta holds a_j in row {j}, and row {} holds b_j
-    a = [delta[r0 + j][0] for j in range(n)]
-    b = [delta[0][r0 + j] for j in range(n)]
+    a = [delta[r0 + j].get(0, zero) for j in range(n)]
+    b = [delta[0].get(r0 + j, zero) for j in range(n)]
     # a = 0 has an infinite quotient, and `buchberger` refuses it
-    if koszul_operator(ring, n, a, b) != delta or all(f.is_zero() for f in a):
+    if koszul_operator(ring, n, a, b) != delta or not any(a):
         return None
     mu = quotient_dimension(buchberger(a))
     if mu is None:
@@ -125,7 +125,11 @@ def koszul_hom_dimensions(E: MatFac, F: MatFac):
     aF = [{j: f} for f in a for j in range(r)]
 
     def cokernel(block) -> int:  # dim R^r / (the columns of block + aR^r)
-        return quotient_dimension(module_gb([*aF, *zip(*block)], r, ring))
+        cols = [{} for _ in range(r)]
+        for i, row in enumerate(block):
+            for j, e in row.items():
+                cols[j][i] = e
+        return quotient_dimension(module_gb([*aF, *cols], r, ring))
 
     h = cokernel(F.d1) + cokernel(F.d0) - mu * r
     return h, h

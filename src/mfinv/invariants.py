@@ -6,8 +6,8 @@ The Chern character of (E, delta) over w in n variables is the class of
 
 in the Milnor algebra, highest index leftmost; the boundary-bulk map tau
 composes a closed endomorphism on the right before taking the supertrace.
-`supertrace(M, r0, R)` reads the diagonal of the product with the last
-factor (d_1 delta for ch, alpha for tau) without forming the product.
+`supertrace(ring, M, r0, R)` reads the diagonal of the product with the
+last factor (d_1 delta for ch, alpha for tau) without forming the product.
 The class is antisymmetric under permutations of the derivative indices;
 `verify` checks this on every index order, and the tests compare tau with
 the permutation-averaged formula.
@@ -22,6 +22,7 @@ from .mfcore import (
     MatFac,
     Matrix,
     MorphismCocycle,
+    _columns_within,
     identity_matrix,
     mat_mul,
 )
@@ -30,24 +31,23 @@ from .poly import Polynomial, _normal, add_products
 from .scalar import Scalar
 
 
-def supertrace(M: Matrix, r0: int, R: Matrix | None = None) -> Polynomial:
-    """tr(even-even block) - tr(odd-odd block) of a full polynomial matrix
-    split at r0; given a square R of the same size, of M R, from the term
-    products of sum_k M[i][k] R[k][i] alone, with no entry of M R formed."""
-    rows = (*M, *(M if R is None else R))
-    if not M or len(rows) != 2 * len(M) or any(len(r) != len(M) for r in rows):
+def supertrace(ring, M: Matrix, r0: int, R: Matrix | None = None) -> Polynomial:
+    """tr(even-even block) - tr(odd-odd block) of a square polynomial matrix
+    over ``ring`` split at r0; given a square R of its size, of M R, from
+    the term products of M[i][k] R[k][i] over the stored entries M[i][k]
+    alone.  A stored column of M or R outside range(len(M)) raises."""
+    n = len(M)
+    R = identity_matrix(ring, n) if R is None else R
+    if not n or len(R) != n or not (_columns_within(M, n) and _columns_within(R, n)):
         raise ValueError("supertrace of an empty or non-square matrix")
-    ring = M[0][0].ring
+    coefficient = ring.coefficient
     out: dict = {}  # the terms of the signed diagonal entries, summed once
     for i, row in enumerate(M):
-        if R is None:
-            add_products(out, row[i].terms, {0: 1 if i < r0 else -1})
-            continue
-        for a, R_k in zip(row, R):
-            b = R_k[i]  # a polynomial or a scalar
-            if a.terms and b:
+        for k, a in row.items():
+            b = R[k].get(i)  # a polynomial or a scalar
+            if b is not None:
                 b = b if i < r0 else -b
-                right = b.terms if b.__class__ is Polynomial else {0: ring.coefficient(b)}
+                right = b.terms if b.__class__ is Polynomial else {0: coefficient(b)}
                 add_products(out, a.terms, right)
     out = _normal(out)
     ring.layout.check(out)  # valid words add without a carry
@@ -59,7 +59,7 @@ def derivative_product(E: MatFac, indices) -> Matrix:
     identity for no index."""
     P = None
     for i in indices:
-        P = E.partials[i] if P is None else mat_mul(P, E.partials[i], E.ring.zero())
+        P = E.partials[i] if P is None else mat_mul(P, E.partials[i], E.ring.zero(), E.rank)
     return identity_matrix(E.ring, E.rank) if P is None else P
 
 
@@ -81,7 +81,7 @@ def chern(E: MatFac, A: MilnorRing) -> MilnorClass:
     _check_potential(E, A)
     n = E.ring.n
     P = derivative_product(E, range(n - 1, 0, -1))
-    return A.project(supertrace(P, E.r0, E.partials[0] if n else None), parity=n % 2)
+    return A.project(supertrace(E.ring, P, E.r0, E.partials[0] if n else None), parity=n % 2)
 
 
 def tau(E: MatFac, alpha: MorphismCocycle, A: MilnorRing) -> MilnorClass:
@@ -90,7 +90,7 @@ def tau(E: MatFac, alpha: MorphismCocycle, A: MilnorRing) -> MilnorClass:
     check_endomorphism(E, alpha)
     n = E.ring.n
     P = derivative_product(E, range(n - 1, -1, -1))
-    return A.project(supertrace(P, E.r0, alpha.matrix), parity=(n + alpha.parity) % 2)
+    return A.project(supertrace(E.ring, P, E.r0, alpha.matrix), parity=(n + alpha.parity) % 2)
 
 
 def permutation_sign(perm) -> int:

@@ -2,14 +2,21 @@
 
 A factorization (E, delta) of w is a free module E = E0 + E1 with an odd
 differential delta, stored as one square polynomial matrix on E0 + E1:
-the first r0 basis elements span the even summand E0, delta vanishes on
-the E0 <- E0 and E1 <- E1 blocks, and delta * delta = w * id.  That basis
-order (even summand first) is used for every "full matrix" in this
-package.  Matrices are tuples of row tuples; `mat_sum` sums products of
-polynomial, scalar (group action) and mixed ones, and `mat_mul` is one
-product.  Koszul factorizations live on the exterior algebra of k^m with
-basis indexed by subsets of {0..m-1}, sorted by (size, lexicographic);
-wedge and contraction carry the sign (-1)^(number of elements below the
+the first r0 basis elements span E0, delta vanishes on the E0 <- E0 and
+E1 <- E1 blocks, and delta * delta = w * id.  That basis order (even
+summand first) is used for every "full matrix" in this package.
+
+A matrix is a tuple of rows, each a dict {column: entry} of its nonzero
+entries: no zero is ever stored, so two matrices are equal exactly when
+their tuples are, and every product walks the stored entries alone.  A
+row does not record how many columns the matrix has; the caller knows
+it (a rank) and names it to a product.  Dense rows, sequences with their
+zeros, enter only through `as_matrix`, which the constructors and
+`from_blocks` pass their input through.  `mat_sum` sums products of
+polynomial, scalar (group action) and mixed matrices; `mat_mul` is one.
+Koszul factorizations live on the exterior algebra of k^m with basis
+indexed by subsets of {0..m-1}, sorted by (size, lexicographic); wedge
+and contraction carry the sign (-1)^(number of elements below the
 touched index).
 
 A morphism E -> F is stored as its full F.rank x E.rank matrix in those
@@ -27,122 +34,124 @@ from functools import cached_property
 from .poly import _B, Polynomial, PolyRing, _normal, add_products
 from .scalar import Frozen
 
-Matrix = tuple  # tuple[tuple[Polynomial, ...], ...], row major
+Matrix = tuple  # tuple[dict[int, entry], ...]: the nonzero entries of each row
 
 
-def as_matrix(rows) -> Matrix:
-    return tuple(tuple(row) for row in rows)
+def as_matrix(rows, cols: int, error: str = "matrix row outside its column count") -> Matrix:
+    """The matrix of these rows in ``cols`` columns, zero entries dropped.
+
+    A row is a sequence of ``cols`` entries (a dense row, as a session or a
+    caller writes it) or a dict {column: entry}; a sequence of another
+    length or a column outside range(cols) raises ValueError(error).
+    """
+    out = []
+    for row in rows:
+        if row.__class__ is not dict:
+            row = tuple(row)
+            if len(row) != cols:
+                raise ValueError(error)
+            row = dict(enumerate(row))
+        elif not _columns_within((row,), cols):
+            raise ValueError(error)
+        out.append({j: e for j, e in row.items() if e})
+    return tuple(out)
 
 
-def diagonal_matrix(entries, zero) -> Matrix:
-    """The square matrix with these diagonal entries and `zero` elsewhere."""
-    n = len(entries)
-    return tuple(
-        tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n)
-    )
+def _columns_within(M: Matrix, cols: int) -> bool:
+    """Whether every stored column of M lies in range(cols)."""
+    return all(not row or (0 <= min(row) and max(row) < cols) for row in M)
+
+
+def diagonal_matrix(entries) -> Matrix:
+    """The square matrix with these diagonal entries."""
+    return tuple({i: e} if e else {} for i, e in enumerate(entries))
 
 
 def identity_matrix(ring: PolyRing, n: int) -> Matrix:
-    return diagonal_matrix([ring.one()] * n, ring.zero())
+    return diagonal_matrix([ring.one()] * n)
 
 
-def mat_sum(pairs, zero) -> Matrix:
-    """A_1 B_1 + ... + A_k B_k for a sequence of pairs (A_i, B_i) of one
-    shape; an empty sum is `zero` itself.  Over a polynomial `zero` each
-    entry gathers the term products of all its pairs, a scalar entry as its
-    constant, in one dict (`add_products`), and every word is checked
-    against the layout before the cancelled ones go.  Over a scalar `zero`
-    (group actions) the products add one at a time."""
-    rows, cols = len(pairs[0][0]), len(pairs[0][1][0]) if pairs[0][1] else 0
+def mat_sum(pairs, zero, cols: int) -> Matrix:
+    """A_1 B_1 + ... + A_k B_k for pairs (A_i, B_i) whose A_i have one row
+    count and whose B_i have ``cols`` columns; a stored column of A_i
+    outside the rows of B_i, or of B_i outside range(cols), raises.  Each
+    row walks the stored entries A_i[r][k] and B_i[k][c] alone; an entry
+    that no product reaches, or whose products cancel, is not stored.  Over
+    a polynomial `zero` each entry gathers the term products of all its
+    pairs, a scalar entry (of a group action) as its constant, in one dict
+    (`add_products`), and every word is checked against the layout before
+    the cancelled ones go; over a scalar `zero` they add one at a time."""
+    rows = len(pairs[0][0])
     for A, B in pairs:
-        if (len(A), len(B[0]) if B else 0) != (rows, cols) or A and B and len(A[0]) != len(B):
+        if len(A) != rows or not (_columns_within(A, len(B)) and _columns_within(B, cols)):
             raise ValueError("matrix shapes do not compose")
     out = []
     if zero.__class__ is not Polynomial:
         for i in range(rows):
-            # the nonzero entries of the row with the rows of B they pair with
-            terms = [(B[k], a) for A, B in pairs for k, a in enumerate(A[i]) if not a.is_zero()]
-            new = []
-            for j in range(cols):
-                acc = zero
-                for Bk, a in terms:
-                    b = Bk[j]
-                    if not b.is_zero():
-                        acc = acc + a * b
-                new.append(acc)
-            out.append(tuple(new))
+            acc: dict = {}
+            for A, B in pairs:
+                for k, a in A[i].items():
+                    for j, b in B[k].items():
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append({j: e for j, e in acc.items() if e})
         return tuple(out)
     ring = zero.ring
-
-    def sparse(M) -> list:
-        """Each row of M as the (column, term dict) of its nonzero entries."""
-        try:
-            return [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in M]
-        except AttributeError:  # a scalar matrix (a group action): constants
-            return [[(j, ring.const(e).terms) for j, e in enumerate(row) if e] for row in M]
-
-    factors = [(sparse(A), sparse(B)) for A, B in pairs]
+    coefficient = ring.coefficient
     for i in range(rows):
         sums: dict = {}  # column -> the term products of that entry
-        for A, B in factors:
-            for k, a in A[i]:
-                for j, b in B[k]:
-                    add_products(sums.setdefault(j, {}), a, b)
-        new = [zero] * cols
+        for A, B in pairs:
+            for k, a in A[i].items():
+                a = a.terms if a.__class__ is Polynomial else {0: coefficient(a)}
+                for j, b in B[k].items():
+                    right = b.terms if b.__class__ is Polynomial else {0: coefficient(b)}
+                    add_products(sums.setdefault(j, {}), a, right)
+        new = {}
         for j, acc in sums.items():
             ring.layout.check(acc)  # valid words add without a carry
-            acc = _normal(acc)
-            new[j] = Polynomial(ring, acc) if acc else zero
-        out.append(tuple(new))
+            if acc := _normal(acc):
+                new[j] = Polynomial(ring, acc)
+        out.append(new)
     return tuple(out)
 
 
-def mat_mul(A: Matrix, B: Matrix, zero) -> Matrix:
-    """A B, the one-pair case of `mat_sum`."""
-    return mat_sum(((A, B),), zero)
-
-
-def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+def mat_mul(A: Matrix, B: Matrix, zero, cols: int) -> Matrix:
+    """A B for B with ``cols`` columns, the one-pair case of `mat_sum`."""
+    return mat_sum(((A, B),), zero, cols)
 
 
 def mat_neg(A: Matrix) -> Matrix:
-    return tuple(tuple(-a for a in row) for row in A)
-
-
-def mat_scale(A: Matrix, c) -> Matrix:
-    return tuple(tuple(a * c for a in row) for row in A)
-
-
-def mat_transpose(A: Matrix) -> Matrix:
-    if not A:
-        return ()
-    return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
+    return tuple({j: -e for j, e in row.items()} for row in A)
 
 
 def mat_map(A: Matrix, fn) -> Matrix:
-    return tuple(tuple(fn(a) for a in row) for row in A)
+    """fn of each stored entry; the entries it sends to zero are dropped."""
+    return tuple({j: v for j, e in row.items() if (v := fn(e))} for row in A)
 
 
 def _off_parity_rows(M: Matrix, r0_rows: int, r0_cols: int, parity: int) -> list:
-    """The rows of M with a nonzero entry off the blocks of this parity; rows
+    """The rows of M with an entry off the blocks of this parity; rows
     split into even and odd at r0_rows, columns at r0_cols."""
-    return [i for i, row in enumerate(M) if any(
-        not e.is_zero() for e in (row[r0_cols:] if (i >= r0_rows) == parity else row[:r0_cols]))]
+    return [i for i, row in enumerate(M) if row and (
+        max(row) >= r0_cols if (i >= r0_rows) == parity else min(row) < r0_cols)]
+
+
+_NOT_SQUARE = "delta is not square (d1 must be r0 x r1, d0 r1 x r0)"
 
 
 class MatFac(Frozen):
     """A matrix factorization (E, delta) of the potential w.
 
     ``delta`` is the odd differential as one square matrix on E0 + E1,
-    whose first ``r0`` basis elements span E0; the constructor checks the
-    shape and the parity, `validate` checks delta * delta = w * id.
-    ``partials`` holds the derivatives d_i delta, computed on first read.
+    whose first ``r0`` basis elements span E0; the constructor reads it
+    through `as_matrix` and checks the shape and the parity, `validate`
+    checks delta * delta = w * id.  ``partials`` holds the derivatives
+    d_i delta, computed on first read.
     """
 
-    def __init__(self, ring: PolyRing, w: Polynomial, delta: Matrix, r0: int):
-        if not 0 <= r0 <= len(delta) or any(len(row) != len(delta) for row in delta):
-            raise ValueError("delta is not square (d1 must be r0 x r1, d0 r1 x r0)")
+    def __init__(self, ring: PolyRing, w: Polynomial, delta, r0: int):
+        delta = as_matrix(delta, len(delta), _NOT_SQUARE)
+        if not 0 <= r0 <= len(delta):
+            raise ValueError(_NOT_SQUARE)
         bad = _off_parity_rows(delta, r0, r0, 1)
         if bad:
             raise ValueError("delta is not odd: entry in row %d preserves parity" % bad[0])
@@ -152,13 +161,15 @@ class MatFac(Frozen):
         object.__setattr__(self, "r0", r0)
 
     @classmethod
-    def from_blocks(cls, ring: PolyRing, w: Polynomial, d0: Matrix, d1: Matrix) -> "MatFac":
+    def from_blocks(cls, ring: PolyRing, w: Polynomial, d0, d1) -> "MatFac":
         """The factorization with blocks d0 : E0 -> E1 (r1 x r0) and
-        d1 : E1 -> E0 (r0 x r1), that is delta = [[0, d1], [d0, 0]]."""
-        zero = ring.zero()
-        top = tuple((zero,) * len(d1) + tuple(row) for row in d1)
-        bottom = tuple(tuple(row) + (zero,) * len(d0) for row in d0)
-        return cls(ring, w, top + bottom, len(d1))
+        d1 : E1 -> E0 (r0 x r1), that is delta = [[0, d1], [d0, 0]]; each
+        block is read through `as_matrix`."""
+        d0, d1 = tuple(d0), tuple(d1)
+        r0 = len(d1)
+        top = as_matrix(d1, len(d0), _NOT_SQUARE)
+        top = tuple({r0 + j: e for j, e in row.items()} for row in top)
+        return cls(ring, w, top + as_matrix(d0, r0, _NOT_SQUARE), r0)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -177,12 +188,12 @@ class MatFac(Frozen):
     @property
     def d0(self) -> Matrix:
         """The E1 <- E0 block of delta."""
-        return tuple(row[: self.r0] for row in self.delta[self.r0 :])
+        return self.delta[self.r0 :]
 
     @property
     def d1(self) -> Matrix:
         """The E0 <- E1 block of delta."""
-        return tuple(row[self.r0 :] for row in self.delta[: self.r0])
+        return tuple({j - self.r0: e for j, e in row.items()} for row in self.delta[: self.r0])
 
     @cached_property
     def partials(self) -> tuple:
@@ -194,13 +205,14 @@ class MatFac(Frozen):
     def validate(self) -> None:
         """Check delta * delta = w * id exactly."""
         zero = self.ring.zero()
-        for i, row in enumerate(mat_mul(self.delta, self.delta, zero)):
-            for j, entry in enumerate(row):
-                if entry != (self.w if i == j else zero):
-                    raise ValueError(
-                        "not a factorization: delta*delta entry (%d, %d) is %s"
-                        % (i, j, entry)
-                    )
+        for i, row in enumerate(mat_mul(self.delta, self.delta, zero, self.rank)):
+            want = {i: self.w} if self.w else {}
+            if row != want:
+                j = min(j for j in row.keys() | want.keys() if row.get(j) != want.get(j))
+                raise ValueError(
+                    "not a factorization: delta*delta entry (%d, %d) is %s"
+                    % (i, j, row.get(j, zero))
+                )
 
 
 # --- Koszul factorizations --------------------------------------------------
@@ -220,30 +232,27 @@ def koszul_subsets(m: int) -> tuple[list, list]:
 def koszul_operator(
     ring: PolyRing, m: int, wedge: list, contract: list
 ) -> Matrix:
-    """Full matrix of sum_j wedge[j] e_j^ + sum_j contract[j] i(e_j*).
+    """The matrix of sum_j wedge[j] e_j^ + sum_j contract[j] i(e_j*).
 
     Acts on the subset basis in MatFac order (even subsets first); both
-    coefficient lists have length m.
+    coefficient lists have length m.  Each entry is reached from one
+    column s by one index j, which the subsets of its row and column
+    determine, so it is set once and only where its coefficient is
+    nonzero.
     """
     evens, odds = koszul_subsets(m)
     ordered = evens + odds
     pos = {s: i for i, s in enumerate(ordered)}
-    size = len(ordered)
-    rows = [[ring.zero() for _ in range(size)] for _ in range(size)]
-    for s in ordered:
-        col = pos[s]
+    rows = [{} for _ in ordered]
+    for col, s in enumerate(ordered):
         for j in range(m):
-            below = sum(1 for i in s if i < j)
-            sign = -1 if below % 2 else 1
-            if j not in s and not wedge[j].is_zero():
-                t = tuple(sorted(s + (j,)))
-                entry = wedge[j] if sign > 0 else -wedge[j]
-                rows[pos[t]][col] = rows[pos[t]][col] + entry
-            if j in s and not contract[j].is_zero():
+            odd = sum(1 for i in s if i < j) % 2
+            if j not in s and wedge[j]:
+                rows[pos[tuple(sorted(s + (j,)))]][col] = -wedge[j] if odd else wedge[j]
+            if j in s and contract[j]:
                 t = tuple(i for i in s if i != j)
-                entry = contract[j] if sign > 0 else -contract[j]
-                rows[pos[t]][col] = rows[pos[t]][col] + entry
-    return as_matrix(rows)
+                rows[pos[t]][col] = -contract[j] if odd else contract[j]
+    return tuple(rows)
 
 
 def koszul(a, b) -> MatFac:
@@ -266,9 +275,12 @@ def koszul(a, b) -> MatFac:
 # --- morphisms --------------------------------------------------------------
 
 
+_WRONG_SHAPE = "morphism block has the wrong shape"
+
+
 class MorphismCocycle(Frozen):
     """A parity-homogeneous map E -> F, stored as its full F.rank x E.rank
-    matrix in the E0 + E1 and F0 + F1 bases.
+    matrix in the E0 + E1 and F0 + F1 bases, read through `as_matrix`.
 
     An even map vanishes off the blocks F0 <- E0 and F1 <- E1, an odd one
     off F1 <- E0 and F0 <- E1.  Nothing here asserts closedness;
@@ -278,9 +290,10 @@ class MorphismCocycle(Frozen):
 
     __slots__ = ("source", "target", "parity", "matrix", "closed")
 
-    def __init__(self, source: MatFac, target: MatFac, parity: int, matrix: Matrix):
-        if len(matrix) != target.rank or any(len(row) != source.rank for row in matrix):
-            raise ValueError("morphism block has the wrong shape")
+    def __init__(self, source: MatFac, target: MatFac, parity: int, matrix):
+        matrix = as_matrix(matrix, source.rank, _WRONG_SHAPE)
+        if len(matrix) != target.rank:
+            raise ValueError(_WRONG_SHAPE)
         if _off_parity_rows(matrix, target.r0, source.r0, parity):
             raise ValueError("matrix is not parity-homogeneous of parity %d" % parity)
         super().__init__(source, target, parity, matrix, None)
@@ -290,33 +303,29 @@ class MorphismCocycle(Frozen):
         cls, source: MatFac, target: MatFac, parity: int, blocks: tuple
     ) -> "MorphismCocycle":
         """The map with parity blocks (b00 : F0 <- E0, b11 : F1 <- E1) when
-        even, (b10 : F1 <- E0, b01 : F0 <- E1) when odd."""
+        even, (b10 : F1 <- E0, b01 : F0 <- E1) when odd, each read through
+        `as_matrix`."""
         first, second = blocks
-        if parity == 0:
-            shapes = ((target.r0, source.r0), (target.r1, source.r1))
-        else:
-            shapes = ((target.r1, source.r0), (target.r0, source.r1))
-        for blk, (r, c) in zip((first, second), shapes):
-            if len(blk) != r or any(len(row) != c for row in blk):
-                raise ValueError("morphism block has the wrong shape")
-        zero = source.ring.zero()
-        left, right = (zero,) * source.r0, (zero,) * source.r1
-        on_e0 = tuple(tuple(row) + right for row in first)
-        on_e1 = tuple(left + tuple(row) for row in second)
+        on_e0 = as_matrix(first, source.r0, _WRONG_SHAPE)
+        on_e1 = as_matrix(second, source.r1, _WRONG_SHAPE)
+        rows = (target.r0, target.r1) if parity == 0 else (target.r1, target.r0)
+        if (len(on_e0), len(on_e1)) != rows:
+            raise ValueError(_WRONG_SHAPE)
+        on_e1 = tuple({source.r0 + j: e for j, e in row.items()} for row in on_e1)
         return cls(source, target, parity, on_e0 + on_e1 if parity == 0 else on_e1 + on_e0)
 
     def compose(self, other: "MorphismCocycle") -> "MorphismCocycle":
         """self after other (the source of self is the target of other)."""
         if self.source != other.target:
             raise ValueError("composition endpoints do not match")
-        M = mat_mul(self.matrix, other.matrix, self.source.ring.zero())
+        M = mat_mul(self.matrix, other.matrix, self.source.ring.zero(), other.source.rank)
         return MorphismCocycle(other.source, self.target, (self.parity + other.parity) % 2, M)
 
     def differential(self) -> "MorphismCocycle":
         """d(f) = delta_F f - (-1)^|f| f delta_E."""
         f, dE = self.matrix, self.source.delta
         pairs = ((self.target.delta, f), (f, dE if self.parity else mat_neg(dE)))
-        D = mat_sum(pairs, self.source.ring.zero())
+        D = mat_sum(pairs, self.source.ring.zero(), self.source.rank)
         return MorphismCocycle(self.source, self.target, 1 - self.parity, D)
 
     def is_closed(self) -> bool:
@@ -325,7 +334,7 @@ class MorphismCocycle(Frozen):
         return self.closed
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.matrix for e in row)
+        return not any(self.matrix)
 
 
 def identity_morphism(E: MatFac) -> MorphismCocycle:
@@ -335,24 +344,24 @@ def identity_morphism(E: MatFac) -> MorphismCocycle:
 # --- the Hom complex as flat matrices ---------------------------------------
 
 
-def morphism_to_vector(f: MorphismCocycle) -> tuple:
-    """The Hom^p coordinates of f: its entries at `_hom_positions`."""
-    M = f.matrix
-    return tuple(M[t][s] for t, s in _hom_positions(f.source, f.target, f.parity))
+def morphism_to_vector(f: MorphismCocycle) -> dict:
+    """The Hom^p coordinates of f, {coordinate: entry} for its nonzero
+    entries, numbered by `_hom_positions`: a vector `groebner._flat` reads."""
+    at = {ts: c for c, ts in enumerate(_hom_positions(f.source, f.target, f.parity))}
+    return {at[t, s]: e for t, row in enumerate(f.matrix) for s, e in row.items()}
 
 
 def vector_to_morphism(E: MatFac, F: MatFac, parity: int, vec) -> MorphismCocycle:
-    """The map E -> F of this parity with Hom^parity coordinates vec."""
+    """The map E -> F of this parity with Hom^parity coordinates vec, one
+    entry per coordinate."""
     positions = _hom_positions(E, F, parity)
     vec = tuple(vec)
     if len(vec) != len(positions):
-        raise ValueError(
-            "Hom^%d has %d coordinates, not %d" % (parity, len(positions), len(vec))
-        )
-    rows = [[E.ring.zero()] * E.rank for _ in range(F.rank)]
+        raise ValueError("Hom^%d has %d coordinates, not %d" % (parity, len(positions), len(vec)))
+    rows = [{} for _ in range(F.rank)]
     for (t, s), e in zip(positions, vec):
         rows[t][s] = e
-    return MorphismCocycle(E, F, parity, as_matrix(rows))
+    return MorphismCocycle(E, F, parity, rows)
 
 
 def _hom_positions(E: MatFac, F: MatFac, parity: int) -> list:
@@ -374,8 +383,9 @@ def hom_differential(E: MatFac, F: MatFac) -> tuple[tuple[dict, ...], tuple[dict
     d_even : Hom^0 -> Hom^1 and d_odd : Hom^1 -> Hom^0 over the polynomial
     ring, each a dict {row: entry} of its nonzero entries; both
     compositions vanish when E and F share w.  The column of the unit map
-    e_ts is read off the delta blocks: column t of delta_F placed at column
-    s, minus (-1)^p row s of delta_E placed at row t.
+    e_ts is read off the delta rows: the entries of delta_F in column t
+    placed at column s, minus (-1)^p the entries of row s of delta_E
+    placed at row t.
     """
     if E.w != F.w:
         raise ValueError("potential mismatch")
@@ -385,8 +395,8 @@ def hom_differential(E: MatFac, F: MatFac) -> tuple[tuple[dict, ...], tuple[dict
         at = {ts: r for r, ts in enumerate(_hom_positions(E, F, 1 - parity))}
         cols = []
         for t, s in _hom_positions(E, F, parity):
-            col = {at[t2, s]: row[t] for t2, row in enumerate(dF) if row[t].terms}
-            col.update((at[t, s2], e if parity else -e) for s2, e in enumerate(dE[s]) if e.terms)
+            col = {at[t2, s]: row[t] for t2, row in enumerate(dF) if t in row}
+            col.update((at[t, s2], e if parity else -e) for s2, e in dE[s].items())
             cols.append(col)
         out.append(tuple(cols))
     return out[0], out[1]
@@ -447,17 +457,20 @@ def clifford_generators(w: Polynomial):
 
 class EquivariantMF(Frozen):
     """A factorization with a constant parity-preserving action matrix per
-    group generator, in the full E0 + E1 basis: ``action`` holds one full
-    square Scalar matrix per generator.  ``checked`` is None until
-    `equivariant.validate_equivariant` has checked the action against a
-    group G; then it is (G, the action table of every element of G)."""
+    group generator, in the full E0 + E1 basis: ``action`` holds one
+    square Scalar matrix per generator, each read through `as_matrix`.
+    ``checked`` is None until `equivariant.validate_equivariant` has
+    checked the action against a group G; then it is (G, the action table
+    of every element of G)."""
 
     __slots__ = ("base", "action", "checked")
 
     def __init__(self, base: MatFac, action: tuple):
+        size = "action matrix has the wrong size"
+        action = tuple(as_matrix(rho, base.rank, size) for rho in action)
         for rho in action:
-            if len(rho) != base.rank or any(len(row) != base.rank for row in rho):
-                raise ValueError("action matrix has the wrong size")
+            if len(rho) != base.rank:
+                raise ValueError(size)
             if _off_parity_rows(rho, base.r0, base.r0, 0):
                 raise ValueError("action matrix does not preserve parity")
         super().__init__(base, action, None)

@@ -42,10 +42,12 @@ from .mfcore import (
     MatFac,
     Matrix,
     MorphismCocycle,
+    as_matrix,
     diagonal_matrix,
     identity_matrix,
     koszul,
     mat_map,
+    mat_mul,
     mat_neg,
     mat_sum,
 )
@@ -107,11 +109,12 @@ def build_diagonal(A: MilnorRing) -> DiagonalData:
 class DTensor(Frozen):
     """Solution of the transgression system against the subset basis.
 
-    ``solved`` maps each strictly increasing index subset to a full
-    rank x rank matrix over the doubled ring in the solver's coordinates
-    (x, u), u_j = y_j - x_j in the slot of y_j; the empty subset holds the
-    identity.  `oracle_tau` reads the stored top component at u = 0, so
-    no component is mapped back to (x, y).
+    ``solved`` maps each strictly increasing index subset to a rank x rank
+    matrix over the doubled ring, rows of nonzero entries as every matrix
+    of the package, in the solver's coordinates (x, u), u_j = y_j - x_j in
+    the slot of y_j; the empty subset holds the identity.  `oracle_tau`
+    reads the stored top component at u = 0, so no component is mapped
+    back to (x, y).
     """
 
     __slots__ = ("doubled", "source", "solved")
@@ -156,11 +159,12 @@ def _homotopy(M: Matrix, i: int, n: int, ring: PolyRing) -> Matrix:
     one = 1 << (_B * (n + i))
     below, field = one - (1 << (_B * n)), _FIELD * one  # u_0 .. u_(i-1), and u_i
 
-    def part(p: Polynomial) -> Polynomial:
-        terms = p.terms.items()
-        return Polynomial(ring, {m - one: c for m, c in terms if m & field and not m & below})
+    def part(terms: dict) -> dict:
+        return {m - one: c for m, c in terms.items() if m & field and not m & below}
 
-    return mat_map(M, part)
+    # an entry with no such term is left out, not stored as an empty polynomial
+    return tuple({j: Polynomial(ring, t) for j, p in row.items() if (t := part(p.terms))}
+                 for row in M)
 
 
 def solve_D(E: MatFac) -> DTensor:
@@ -177,7 +181,7 @@ def solve_D(E: MatFac) -> DTensor:
     zero = ring.zero()
     minus_delta_x = mat_neg(delta_x)
     # diag(-Delta_i) and diag(Delta_i), by the parity of the place of i in S
-    wedge = [tuple(diagonal_matrix([e] * rank, zero) for e in (-d, d)) for d in diffs_u]
+    wedge = [tuple(diagonal_matrix([e] * rank) for e in (-d, d)) for d in diffs_u]
 
     def level_rhs(S: tuple) -> Matrix:
         """What the contraction of the level above S must equal: minus the
@@ -186,7 +190,7 @@ def solve_D(E: MatFac) -> DTensor:
         pairs = [(delta_x if len(S) % 2 else minus_delta_x, M), (M, delta_y)]
         pairs += [(wedge[i][idx % 2], components[S[:idx] + S[idx + 1 :]])
                   for idx, i in enumerate(S)]
-        return mat_sum(pairs, zero)
+        return mat_sum(pairs, zero, rank)
 
     # each subset T receives h(rhs) only from T[1:], through its u_T[0] terms
     components: dict = {(): identity_matrix(ring, rank)}
@@ -211,8 +215,8 @@ def _assert_system(components, rhs, n, rank, uring):
     top level has nothing above it, so its right-hand side must be zero.
     """
     zero = uring.zero()
-    minus_one = diagonal_matrix([uring.const(-1)] * rank, zero)
-    us = [tuple(diagonal_matrix([e] * rank, zero) for e in (u, -u))
+    minus_one = diagonal_matrix([uring.const(-1)] * rank)
+    us = [tuple(diagonal_matrix([e] * rank) for e in (u, -u))
           for u in (uring.var(n + i) for i in range(n))]
     for S, want in rhs.items():
         pairs = [(minus_one, want)]
@@ -220,7 +224,7 @@ def _assert_system(components, rhs, n, rank, uring):
             if i not in S:
                 pos, T = _subset_insert(S, i)
                 pairs.append((us[i][pos % 2], components[T]))
-        if any(p.terms for row in mat_sum(pairs, zero) for p in row):
+        if any(mat_sum(pairs, zero, rank)):
             raise AssertionError("transgression system residual is nonzero at level %d"
                                  % len(S))
 
@@ -243,7 +247,7 @@ def oracle_tau(
         dict(dtensor.solved)[tuple(range(n))],
         lambda p: Polynomial(ring, {m: c for m, c in p.terms.items() if m < end}),
     )
-    return A.project(supertrace(top, E.r0, alpha.matrix), parity=(n + alpha.parity) % 2)
+    return A.project(supertrace(ring, top, E.r0, alpha.matrix), parity=(n + alpha.parity) % 2)
 
 
 class DiagonalChern(Frozen):
@@ -269,7 +273,7 @@ def chern_of_diagonal(w: Polynomial, data: DiagonalData | None = None) -> Diagon
     doubled = data.doubled
     F = koszul(data.differences, [doubled.var(n + j) - doubled.var(j) for j in range(n)])
     P = derivative_product(F, range(2 * n - 1, 0, -1))
-    direct = normal_form(supertrace(P, F.r0, F.partials[0]), data.jacobian)
+    direct = normal_form(supertrace(doubled, P, F.r0, F.partials[0]), data.jacobian)
     det = -data.determinant if (n * (n - 1) // 2) % 2 else data.determinant
     det = normal_form(det, data.jacobian)
     return DiagonalChern(direct, det, direct == det)
@@ -290,8 +294,7 @@ def inverse_form_check(w: Polynomial, data: DiagonalData | None = None) -> bool:
     A = data.milnor
     width = w.ring.layout.width
     reduced = normal_form(data.determinant, data.jacobian)
-    # the coefficient matrix and the Gram matrix as sparse rows of term
-    # coefficients, so that their product only touches nonzero entries
+    # the coefficient matrix and the Gram matrix, of raw term coefficients
     coeffs: list[dict] = [dict() for _ in A.basis_words]
     index = {m: k for k, m in enumerate(A.basis_words)}
     for mono, c in reduced.terms.items():
@@ -302,16 +305,7 @@ def inverse_form_check(w: Polynomial, data: DiagonalData | None = None) -> bool:
                 "reduced determinant leaves the standard basis product"
             )
         coeffs[a][b] = c
-    coefficient = A.ring.coefficient
-    G = [{j: coefficient(g) for j, g in enumerate(row) if g} for row in gram_matrix(A)]
-    for i, row in enumerate(coeffs):
-        acc: dict = {}
-        for k, c in row.items():
-            for j, g in G[k].items():
-                acc[j] = acc[j] + c * g if j in acc else c * g
-        acc = {j: v for j, v in acc.items() if v}
-        if acc.keys() != {i} or acc[i] != 1:
-            raise AssertionError(
-                "coefficient matrix does not invert the Gram matrix"
-            )
+    G = mat_map(as_matrix(gram_matrix(A), A.mu), A.ring.coefficient)
+    if mat_mul(tuple(coeffs), G, 0, A.mu) != diagonal_matrix([1] * A.mu):
+        raise AssertionError("coefficient matrix does not invert the Gram matrix")
     return True

@@ -18,18 +18,9 @@ from mfinv.equivariant import (
     validate_equivariant,
 )
 from mfinv.invariants import check_endomorphism, supertrace
-from mfinv.mfcore import (
-    EquivariantMF,
-    MatFac,
-    MorphismCocycle,
-    as_matrix,
-    mat_add,
-    mat_mul,
-    mat_neg,
-    mat_scale,
-    mat_transpose,
-)
+from mfinv.mfcore import EquivariantMF, MatFac, MorphismCocycle, mat_map, mat_mul, mat_neg
 from mfinv.milnor import MilnorClass
+from matrix_route import dense, mat_add, transpose
 
 
 def parity_of(E: MatFac, index: int) -> int:
@@ -48,7 +39,7 @@ def tensor(E: MatFac, F: MatFac) -> MatFac:
     odds = [p for p in pairs if (parity_of(E, p[0]) + parity_of(F, p[1])) % 2 == 1]
     ordered = evens + odds
     pos = {p: i for i, p in enumerate(ordered)}
-    dE, dF = E.delta, F.delta
+    dE, dF = dense(E.delta, NE, ring.zero()), dense(F.delta, NF, ring.zero())
     size = NE * NF
     rows = [[ring.zero() for _ in range(size)] for _ in range(size)]
     for (i, j) in ordered:
@@ -63,7 +54,7 @@ def tensor(E: MatFac, F: MatFac) -> MatFac:
             if not p.is_zero():
                 q = p if sign > 0 else -p
                 rows[pos[(i, j2)]][col] = rows[pos[(i, j2)]][col] + q
-    out = MatFac(ring, E.w + F.w, as_matrix(rows), len(evens))
+    out = MatFac(ring, E.w + F.w, rows, len(evens))
     out.validate()
     return out
 
@@ -72,7 +63,7 @@ def dual(E: MatFac) -> MatFac:
     """The dual factorization, of potential -w: delta transposed, with the
     columns of the odd summand negated."""
     r0 = E.r0
-    delta = tuple(row[:r0] + tuple(-p for p in row[r0:]) for row in mat_transpose(E.delta))
+    delta = [{j: p if j < r0 else -p for j, p in row.items()} for row in transpose(E.delta, E.rank)]
     out = MatFac(E.ring, -E.w, delta, r0)
     out.validate()
     return out
@@ -86,9 +77,8 @@ def shift(E: MatFac) -> MatFac:
 def direct_sum(E: MatFac, F: MatFac) -> MatFac:
     if E.w != F.w:
         raise ValueError("potential mismatch")
-    z = E.ring.zero()
-    d0 = tuple(row + (z,) * F.r0 for row in E.d0) + tuple((z,) * E.r0 + row for row in F.d0)
-    d1 = tuple(row + (z,) * F.r1 for row in E.d1) + tuple((z,) * E.r1 + row for row in F.d1)
+    d0 = E.d0 + tuple({E.r0 + j: p for j, p in row.items()} for row in F.d0)
+    d1 = E.d1 + tuple({E.r1 + j: p for j, p in row.items()} for row in F.d1)
     return MatFac.from_blocks(E.ring, E.w, d0, d1)
 
 
@@ -98,11 +88,13 @@ def add(f: MorphismCocycle, g: MorphismCocycle) -> MorphismCocycle:
         raise ValueError("cannot add maps of different parity")
     if f.source != g.source or f.target != g.target:
         raise ValueError("sum endpoints do not match")
-    return MorphismCocycle(f.source, f.target, f.parity, mat_add(f.matrix, g.matrix))
+    zero, cols = f.source.ring.zero(), f.source.rank
+    M = mat_add(dense(f.matrix, cols, zero), dense(g.matrix, cols, zero))
+    return MorphismCocycle(f.source, f.target, f.parity, M)
 
 
 def scale(f: MorphismCocycle, c) -> MorphismCocycle:
-    return MorphismCocycle(f.source, f.target, f.parity, mat_scale(f.matrix, c))
+    return MorphismCocycle(f.source, f.target, f.parity, mat_map(f.matrix, lambda e: e * c))
 
 
 def same_morphism(f: MorphismCocycle, g: MorphismCocycle) -> bool:
@@ -115,14 +107,14 @@ def twist(E: EquivariantMF, characters) -> EquivariantMF:
     chars = list(characters)
     if len(chars) != len(E.action):
         raise ValueError("one character value per generator is required")
-    action = tuple(mat_scale(rho, chi) for rho, chi in zip(E.action, chars))
+    action = tuple(mat_map(rho, lambda e, chi=chi: e * chi) for rho, chi in zip(E.action, chars))
     return EquivariantMF(E.base, action)
 
 
 def equivariant_dual(E: EquivariantMF, G: DiagonalGroup) -> EquivariantMF:
     """The dual factorization with the transpose-inverse action."""
     actions = validate_equivariant(E, G)
-    new_action = tuple(mat_transpose(actions[G.inverse(h)]) for h in G.generators)
+    new_action = tuple(transpose(actions[G.inverse(h)], E.base.rank) for h in G.generators)
     return EquivariantMF(dual(E.base), new_action)
 
 
@@ -141,6 +133,7 @@ def tau_equivariant(
     base = E.base
     sec = sector(base.w, g)
     zero = base.ring.zero()
-    M = mat_mul(mat_mul(_fixed_product(base, sec), actions[g], zero), alpha.matrix, zero)
-    s = restrict_to_sector(supertrace(M, base.r0), sec)
+    P = mat_mul(_fixed_product(base, sec), actions[g], zero, base.rank)
+    M = mat_mul(P, alpha.matrix, zero, base.rank)
+    s = restrict_to_sector(supertrace(base.ring, M, base.r0), sec)
     return sec.milnor.project(s, parity=(sec.n_fixed + alpha.parity) % 2)

@@ -632,7 +632,9 @@ def _doubled_class(real):
 
 
 def _doubled_matrix(real):
-    return lambda *args: tuple(tuple(p + p for p in row) for row in real(*args))
+    from mfinv.mfcore import mat_map
+
+    return lambda *args: mat_map(real(*args), lambda p: p + p)
 
 
 def _negated(real):
@@ -665,6 +667,46 @@ def test_each_verify_line_fails_on_a_wrong_side(
     assert len(lines) == 8
     assert [line[: -len(": fail")] for line in lines if line.endswith(": fail")] == failed
     assert sum(line.endswith(": pass") for line in lines) == 8 - len(failed)
+
+
+def _negated_pairing(real):
+    return lambda *args: -real(*args)
+
+
+def _unsigned_permutation(real):
+    return lambda perm: 1
+
+
+def _unsigned_supertrace(real):
+    # the odd block read with the sign of the even one: r0 := rank
+    return lambda ring, M, r0, R=None: real(ring, M, len(M), R)
+
+
+# the mutant gate: a wrong formula planted in one product function, and the
+# lines of `verify --check` on a committed session that must catch it
+@pytest.mark.parametrize("name, mutant, session, failed", [
+    ("canonical_pairing", _negated_pairing, "d4", ["cardy", "hrr"]),
+    ("canonical_pairing", _negated_pairing, "x6", ["cardy"]),
+    ("permutation_sign", _unsigned_permutation, "d4", ["permutation-invariance"]),
+    ("supertrace", _unsigned_supertrace, "d4",
+     ["cardy", "hrr", "oracle-tau", "permutation-invariance"]),
+    ("supertrace", _unsigned_supertrace, "x6", ["cardy", "oracle-tau"]),
+])
+def test_committed_sessions_catch_a_mutant(capsys, monkeypatch, name, mutant, session, failed):
+    import pathlib
+
+    import mfinv.invariants as invariants
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "sessions"
+    argv = ["--input", str(path / (session + ".json")), "--json", "verify", "--check"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["ok"], err
+    monkeypatch.setattr(invariants, name, mutant(getattr(invariants, name)))
+    code, out, err = run(capsys, *argv)
+    checks = json.loads(out)["checks"]
+    assert code == 1 and "Traceback" not in err
+    assert sorted(line for line, ok in checks.items() if not ok) == failed
+    assert len(checks) == 8
 
 
 NON_INVARIANT_SESSION = {
@@ -899,7 +941,7 @@ def _per_order_permutation_sides(session):
         base = chern(E, A)
         for perm in permutations(range(n)):
             sign = permutation_sign(perm) * (-1) ** (n * (n - 1) // 2)
-            got = A.project(supertrace(derivative_product(E, perm), E.r0))
+            got = A.project(supertrace(E.ring, derivative_product(E, perm), E.r0))
             yield got.value, base.scale(sign).value
 
 

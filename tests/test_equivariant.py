@@ -35,17 +35,15 @@ from mfinv.mfcore import (
     MorphismCocycle,
     identity_morphism,
     koszul,
-    mat_add,
     mat_map,
     mat_mul,
-    mat_scale,
-    mat_transpose,
 )
 from mfinv.milnor import build_milnor
 from mfinv.poly import PolyRing
 from mfinv.scalar import CyclotomicContext, one, rational, zero
 from mf_ops import equivariant_dual, tau_equivariant, twist
 from tuple_route import polynomial, terms
+import matrix_route
 
 
 def cyclic_ring(n):
@@ -613,20 +611,19 @@ def _ref_actions(E, generators, elements, words, context):
     """rho(g) along each element's generator word, then every product
     rho(g) rho(h_k) checked against rho(g h_k)."""
     zz = zero(context)
-    ident = tuple(
-        tuple(one(context) if i == j else zz for j in range(E.base.rank))
-        for i in range(E.base.rank)
-    )
+    rank = E.base.rank
+    ident = tuple(tuple(one(context) if i == j else zz for j in range(rank)) for i in range(rank))
+    action = [matrix_route.dense(A, rank, zz) for A in E.action]
     rho = {}
     for g, word in zip(elements, words):
         M = ident
         for k in word:
-            M = mat_mul(M, E.action[k], zz)
+            M = matrix_route.mat_mul(M, action[k], zz)
         rho[g] = M
     for g in elements:
         for k, h in enumerate(generators):
             prod = tuple(a * b for a, b in zip(g, h))
-            if mat_mul(rho[g], E.action[k], zz) != rho[prod]:
+            if matrix_route.mat_mul(rho[g], action[k], zz) != rho[prod]:
                 raise ValueError("action does not respect the group relations")
     return rho
 
@@ -705,7 +702,8 @@ def test_action_tables_match_word_product_reference():
                 continue
             got = equivariant_actions(E, G)
             assert list(got) == list(want)
-            assert [_exact(M) for M in got.values()] == [
+            rank, zz = E.base.rank, zero(ctx)
+            assert [_exact(matrix_route.dense(M, rank, zz)) for M in got.values()] == [
                 _exact(M) for M in want.values()
             ], label
 
@@ -727,10 +725,10 @@ def _ref_validate_all(E, G):
     """rho(g) delta(g x) = delta(x) rho(g) checked on every element."""
     actions = equivariant_actions(E, G)
     delta = E.base.delta
-    zz = E.base.ring.zero()
+    zz, n = E.base.ring.zero(), len(delta)
     for g in G.elements:
         moved = mat_map(delta, lambda p, g=g: _ref_substitute(p, g))
-        if mat_mul(actions[g], moved, zz) != mat_mul(delta, actions[g], zz):
+        if mat_mul(actions[g], moved, zz, n) != mat_mul(delta, actions[g], zz, n):
             raise ValueError(
                 "factorization is not equivariant under (%s)"
                 % ", ".join(str(x) for x in g)
@@ -744,10 +742,10 @@ def _ref_morphism_invariance_all(E, G, alpha):
     if not alpha.is_closed():
         raise ValueError("morphism is not closed")
     M = alpha.matrix
-    zz = E.base.ring.zero()
+    zz, rank = E.base.ring.zero(), E.base.rank
     for h in G.elements:
         moved = mat_map(M, lambda p, h=h: _ref_substitute(p, h))
-        acted = mat_mul(actions[h], mat_mul(moved, actions[_ref_inverse(h)], zz), zz)
+        acted = mat_mul(actions[h], mat_mul(moved, actions[_ref_inverse(h)], zz, rank), zz, rank)
         if acted != M:
             raise ValueError("morphism is not invariant under the group")
 
@@ -952,12 +950,13 @@ def _ref_invariant_hom_dimensions(E, F, G):
             cols = []
             for f in reps:
                 moved = mat_map(f.matrix, lambda p, g=g: _ref_substitute(p, g))
-                acted = mat_mul(actions_F[g], mat_mul(moved, actions_E[_ref_inverse(g)], zz), zz)
+                inner = mat_mul(moved, actions_E[_ref_inverse(g)], zz, E.base.rank)
+                acted = mat_mul(actions_F[g], inner, zz, E.base.rank)
                 cols.append(basis.class_coordinates(MorphismCocycle(E.base, F.base, parity, acted)))
-            Mg = mat_transpose(cols)
-            avg = Mg if avg is None else mat_add(avg, Mg)
-        P = mat_scale(avg, rational(1, G.order))
-        assert mat_mul(P, P, zero(G.context)) == P
+            Mg = matrix_route.mat_transpose(cols)
+            avg = Mg if avg is None else matrix_route.mat_add(avg, Mg)
+        P = matrix_route.mat_scale(avg, rational(1, G.order))
+        assert matrix_route.mat_mul(P, P, zero(G.context)) == P
         trace = rational(0)
         for i in range(count):
             trace = trace + P[i][i]
@@ -1005,7 +1004,7 @@ def test_corrupted_generator_matrix_fails_the_relation_check(monkeypatch):
 
     def corrupted(basis, reps, G, h, *tables):
         M = real(basis, reps, G, h, *tables)
-        return mat_scale(M, rational(2)) if h == G.generators[-1] else M
+        return mat_map(M, lambda c: c * rational(2)) if h == G.generators[-1] else M
 
     ring, ctx, G, w = _product_group()
     K = equivariant_stabilization(w, G)
@@ -1211,9 +1210,10 @@ def _substitution_character(E, G, g):
     out, its supertrace, and the restriction by substitution."""
     base = E.base
     sec = sector(base.w, g)
-    M = mat_mul(_fixed_product(base, sec), validate_equivariant(E, G)[g], base.ring.zero())
+    M = mat_mul(_fixed_product(base, sec), validate_equivariant(E, G)[g], base.ring.zero(),
+                base.rank)
     images = _fixed_images(base.ring.n, sec.fixed_indices, sec.milnor.ring)
-    s = supertrace(M, base.r0).substitute(sec.milnor.ring, images)
+    s = supertrace(base.ring, M, base.r0).substitute(sec.milnor.ring, images)
     return sec.milnor.project(s, parity=sec.n_fixed % 2)
 
 
@@ -1236,13 +1236,14 @@ def test_diagonal_supertrace_matches_the_product_on_sector_actions():
     for E, G in _equivariant_battery():
         base, actions = E.base, validate_equivariant(E, G)
         ctx = G.context
-        dense = tuple(
+        full = matrix_route.sparse(tuple(
             tuple(ctx.zeta(rng.randrange(ctx.order)) * rng.randint(-2, 2) for _ in range(base.rank))
             for _ in range(base.rank)
-        )
+        ))
         for g, sec in zip(G.elements, sectors(base.w, G.elements)):
             P = _fixed_product(base, sec)
-            for R in (actions[g], dense):
-                want = supertrace(mat_mul(P, R, base.ring.zero()), base.r0)
-                assert supertrace(P, base.r0, R) == want
+            for R in (actions[g], full):
+                want = matrix_route.supertrace(matrix_route.dense(P, base.rank, base.ring.zero()),
+                                               base.r0, matrix_route.dense(R, base.rank, zero(ctx)))
+                assert supertrace(base.ring, P, base.r0, R) == want
             assert chern_equivariant(E, G, g) == _substitution_character(E, G, g)

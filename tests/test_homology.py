@@ -262,7 +262,7 @@ def _refused_sources():
     E = koszul([x, y], [x**2, y**2])
     sign = [1, -1, 1, 1]
     delta = tuple(
-        tuple(e * (sign[i] * sign[j]) for j, e in enumerate(row)) for i, row in enumerate(E.delta)
+        {j: e * (sign[i] * sign[j]) for j, e in row.items()} for i, row in enumerate(E.delta)
     )
     flipped = MatFac(R2, E.w, delta, 2)
     flipped.validate()

@@ -34,6 +34,8 @@ from mfinv.milnor import MilnorClass, MilnorRing, build_milnor
 from mfinv.poly import PolyRing
 from mfinv.scalar import CyclotomicContext, rational
 from mf_ops import add, direct_sum, shift
+import matrix_route
+from matrix_route import dense, sparse
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
@@ -69,9 +71,11 @@ def odd_generator(E, n, i):
 
 def test_supertrace_basics():
     E = k1(R2, "x", "x^2 + y^2")
-    assert supertrace(identity_matrix(R2, 4), 2).is_zero()
-    assert supertrace(identity_matrix(R2, 4), 3) == R2.parse("2")
-    assert supertrace(E.delta, E.r0).is_zero()
+    assert supertrace(R2, identity_matrix(R2, 4), 2).is_zero()
+    assert supertrace(R2, identity_matrix(R2, 4), 3) == R2.parse("2")
+    assert supertrace(R2, E.delta, E.r0).is_zero()
+    # a matrix with no stored entry has supertrace 0 in the ring given
+    assert supertrace(R2, ({}, {}), 1, identity_matrix(R2, 2)) == R2.zero()
 
 
 def test_chern_in_zero_variables_is_the_rank_difference():
@@ -147,8 +151,8 @@ def chern_antisymmetrized(E: MatFac, alpha: MorphismCocycle, A: MilnorRing) -> M
     total = ring.zero()
     for perm in permutations(range(n)):
         sign = permutation_sign(perm)
-        M = mat_mul(derivative_product(E, perm), alpha.matrix, ring.zero())
-        s = supertrace(M, E.r0)
+        M = mat_mul(derivative_product(E, perm), alpha.matrix, ring.zero(), E.rank)
+        s = supertrace(ring, M, E.r0)
         total = total + (s if sign > 0 else -s)
     scale = Fraction(1, factorial(n))
     if (n * (n - 1) // 2) % 2:
@@ -187,7 +191,7 @@ def test_permutation_antisymmetry():
     base = chern(E, A)
     for perm in permutations(range(2)):
         P = derivative_product(E, perm)
-        got = A.project(supertrace(P, E.r0))
+        got = A.project(supertrace(E.ring, P, E.r0))
         sign = _sign_to_descending(perm)
         assert got.value == base.scale(sign).value
 
@@ -243,18 +247,18 @@ def test_chern_basis_independent():
     E = koszul([R2.parse("x"), R2.parse("y")], [R2.parse("x^3"), R2.parse("y")])
     A = build_milnor(E.w)
     # U acts on E0 = span(e_(), e_(01)): mix the two even basis vectors
-    U0 = ((R2.parse("1"), R2.parse("2")), (R2.zero(), R2.parse("1")))
-    U0inv = ((R2.parse("1"), R2.parse("-2")), (R2.zero(), R2.parse("1")))
-    d0 = mat_mul(E.d0, U0inv, R2.zero())
-    d1 = mat_mul(U0, E.d1, R2.zero())
+    U0 = sparse(((R2.parse("1"), R2.parse("2")), (R2.zero(), R2.parse("1"))))
+    U0inv = sparse(((R2.parse("1"), R2.parse("-2")), (R2.zero(), R2.parse("1"))))
+    d0 = mat_mul(E.d0, U0inv, R2.zero(), E.r0)
+    d1 = mat_mul(U0, E.d1, R2.zero(), E.r1)
     E2 = MatFac.from_blocks(R2, E.w, d0, d1)
     E2.validate()
     assert chern(E2, A) == chern(E, A)
     # unipotent polynomial conjugation on the odd summand
-    V1 = ((R2.one(), R2.parse("x*y")), (R2.zero(), R2.one()))
-    V1inv = ((R2.one(), R2.parse("-x*y")), (R2.zero(), R2.one()))
-    d0b = mat_mul(V1, E.d0, R2.zero())
-    d1b = mat_mul(E.d1, V1inv, R2.zero())
+    V1 = sparse(((R2.one(), R2.parse("x*y")), (R2.zero(), R2.one())))
+    V1inv = sparse(((R2.one(), R2.parse("-x*y")), (R2.zero(), R2.one())))
+    d0b = mat_mul(V1, E.d0, R2.zero(), E.r0)
+    d1b = mat_mul(E.d1, V1inv, R2.zero(), E.r1)
     E3 = MatFac.from_blocks(R2, E.w, d0b, d1b)
     E3.validate()
     assert chern(E3, A) == chern(E, A)
@@ -308,9 +312,10 @@ def test_random_conjugation_invariance(f, g):
     E = koszul([R2.parse("x"), R2.parse("y")], [R2.parse("x^3"), R2.parse("y")])
     A = build_milnor(E.w)
     shear = R2.parse("x") * f + R2.parse("y^2") * g
-    V = ((R2.one(), shear), (R2.zero(), R2.one()))
-    Vinv = ((R2.one(), -shear), (R2.zero(), R2.one()))
-    E2 = MatFac.from_blocks(R2, E.w, mat_mul(V, E.d0, R2.zero()), mat_mul(E.d1, Vinv, R2.zero()))
+    V = sparse(((R2.one(), shear), (R2.zero(), R2.one())))
+    Vinv = sparse(((R2.one(), -shear), (R2.zero(), R2.one())))
+    d0, d1 = mat_mul(V, E.d0, R2.zero(), E.r0), mat_mul(E.d1, Vinv, R2.zero(), E.r1)
+    E2 = MatFac.from_blocks(R2, E.w, d0, d1)
     E2.validate()
     assert chern(E2, A) == chern(E, A)
 
@@ -318,9 +323,11 @@ def test_random_conjugation_invariance(f, g):
 # --- the diagonal-only supertrace against the full product -------------------
 
 
-def _product_supertrace(M, r0, R):
-    """The full-product route: form M R, then read its diagonal."""
-    return supertrace(mat_mul(M, R, M[0][0].ring.zero()), r0)
+def _product_supertrace(ring, M, r0, R):
+    """The full-product route: form M R with its zeros, then read its
+    diagonal (`matrix_route.supertrace`)."""
+    zero = ring.zero()
+    return matrix_route.supertrace(dense(M, len(M), zero), r0, dense(R, len(M), zero))
 
 
 def _chern_factorizations():
@@ -341,12 +348,14 @@ def test_diagonal_supertrace_matches_the_product_on_chern_partials():
         n = E.ring.n
         for Di in E.partials:
             for Dj in E.partials:
-                assert supertrace(Di, E.r0, Dj) == _product_supertrace(Di, E.r0, Dj)
+                want = _product_supertrace(E.ring, Di, E.r0, Dj)
+                assert supertrace(E.ring, Di, E.r0, Dj) == want
         P = derivative_product(E, range(n - 1, 0, -1))
         for r0 in (0, E.r0, E.rank):
-            assert supertrace(P, r0, E.partials[0]) == _product_supertrace(P, r0, E.partials[0])
-        full = supertrace(derivative_product(E, range(n - 1, -1, -1)), E.r0)
-        assert supertrace(P, E.r0, E.partials[0]) == full
+            want = _product_supertrace(E.ring, P, r0, E.partials[0])
+            assert supertrace(E.ring, P, r0, E.partials[0]) == want
+        full = supertrace(E.ring, derivative_product(E, range(n - 1, -1, -1)), E.r0)
+        assert supertrace(E.ring, P, E.r0, E.partials[0]) == full
 
 
 def test_diagonal_supertrace_matches_the_product_on_endomorphisms():
@@ -365,8 +374,8 @@ def test_diagonal_supertrace_matches_the_product_on_endomorphisms():
             P = derivative_product(E, range(E.ring.n - 1, -1, -1))
             for alpha in alphas:
                 M = alpha.matrix
-                assert supertrace(P, E.r0, M) == _product_supertrace(P, E.r0, M)
-                want = A.project(_product_supertrace(P, E.r0, M),
+                assert supertrace(E.ring, P, E.r0, M) == _product_supertrace(E.ring, P, E.r0, M)
+                want = A.project(_product_supertrace(E.ring, P, E.r0, M),
                                  parity=(E.ring.n + alpha.parity) % 2)
                 assert tau(E, alpha, A) == want
 
@@ -375,11 +384,15 @@ def test_derivative_product_starts_from_its_first_partial():
     E, _ = d4_pair()
     assert derivative_product(E, []) == identity_matrix(R2, E.rank)
     assert derivative_product(E, [1]) is E.partials[1]
-    assert derivative_product(E, (1, 0)) == mat_mul(E.partials[1], E.partials[0], R2.zero())
+    assert derivative_product(E, (1, 0)) == mat_mul(E.partials[1], E.partials[0], R2.zero(),
+                                                    E.rank)
 
 
 def test_supertrace_rejects_empty_and_non_square_input_under_python_O():
-    # explicit raises, not asserts, so python -O keeps them
+    # explicit raises, not asserts, so python -O keeps them.  A row records
+    # its stored columns and not its width, so a shape shows as a row count
+    # or a stored column outside range(len(M)); a 2 x 1 R = ((x,), (x,))
+    # reads as the square ({0: x}, {0: x}) and has no row-dict counterpart
     import os
     import subprocess
     import sys
@@ -393,11 +406,12 @@ def test_supertrace_rejects_empty_and_non_square_input_under_python_O():
         "from mfinv.poly import PolyRing\n"
         "R = PolyRing(('x',))\n"
         "I2, I3, x = identity_matrix(R, 2), identity_matrix(R, 3), R.var(0)\n"
-        "cases = [((), 0), ((), 0, I2), (((x, x),), 0), (I2[:1], 0, I2), (I2, 1, I3),\n"
-        "         (I2, 1, I3[:2]), (I2, 1, ((x,), (x,))), (I2, 1, ())]\n"
+        "cases = [((), 0), ((), 0, I2), (({0: x, 1: x},), 0), (I2[:1], 0, I2), (I2, 1, I3),\n"
+        "         (I2, 1, ({0: x, 2: x}, {1: x})), (I2, 1, ({0: x}, {-1: x})), (I2, 1, ()),\n"
+        "         (I2, 1, I3[:1]), (({0: x, 1: x},), 0, ({0: x},)), (({-1: x}, {1: x}), 1, I2)]\n"
         "for args in cases:\n"
         "    try:\n"
-        "        supertrace(*args)\n"
+        "        supertrace(R, *args)\n"
         "        print('returned')\n"
         "    except ValueError as exc:\n"
         "        print('raised:', exc)\n"
@@ -408,4 +422,4 @@ def test_supertrace_rejects_empty_and_non_square_input_under_python_O():
             [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env,
             check=True,
         )
-        assert out.stdout.splitlines() == ["raised: supertrace of an empty or non-square matrix"] * 8
+        assert out.stdout.splitlines() == ["raised: supertrace of an empty or non-square matrix"] * 11

@@ -30,6 +30,7 @@ from mfinv.scalar import CyclotomicContext, rational
 from mf_ops import scale
 from tuple_route import polynomial, shift, terms
 import matrix_route
+from matrix_route import dense, sparse
 
 R1 = PolyRing(("x",))
 R2 = PolyRing(("x", "y"))
@@ -67,7 +68,7 @@ def restriction_recursion_check(D: DTensor) -> bool:
         for k in range(pivot + 1, n):
             mixed[k] = doubled.var(n + k)
         part = mat_map(E.partials[pivot], lambda p: p.substitute(doubled, mixed))
-        rhs = mat_mul(component(D, prev), part, doubled.zero())
+        rhs = mat_mul(component(D, prev), part, doubled.zero(), E.rank)
         if lhs != rhs:
             return False
     return True
@@ -157,7 +158,7 @@ def test_diagonal_factorization_matches_subset_conventions():
                 d = data.differences[i]
                 term = d if sign > 0 else -d
             expected[pos[t]][col] = expected[pos[t]][col] + term
-    assert diagonal_koszul(data).delta == tuple(map(tuple, expected))
+    assert diagonal_koszul(data).delta == sparse(expected)
 
 
 def test_diagonal_checks_reject_foreign_data():
@@ -211,8 +212,8 @@ def test_smallest_case_by_hand():
     D = solve_D(E)
     doubled = D.doubled
     one = doubled.one()
-    assert component(D, ()) == ((one, doubled.zero()), (doubled.zero(), one))
-    top = component(D, (0,))
+    assert dense(component(D, ()), 2, doubled.zero()) == ((one, doubled.zero()), (doubled.zero(), one))
+    top = dense(component(D, (0,)), 2, doubled.zero())
     assert top[0][0].is_zero() and top[1][1].is_zero()
     assert top[0][1] == one and top[1][0] == one
 
@@ -249,12 +250,12 @@ def _perturbing_top(homotopy, perturbed):
         calls.append(i)
         if len(calls) < 2**n - 1:
             return out
-        rows = [list(row) for row in out]
-        r, s = next((r, s) for r, row in enumerate(rows) for s, p in enumerate(row) if p.terms)
+        rows = [dict(row) for row in out]
+        r, s = next((r, s) for r, row in enumerate(rows) for s in sorted(row))
         m = next(iter(rows[r][s].terms))
         rows[r][s] = rows[r][s] + ring.from_terms({m: ring.scalar(1)})
         perturbed.append((r, s, m))
-        return tuple(map(tuple, rows))
+        return tuple({s: p for s, p in row.items() if p} for row in rows)
 
     return perturbing
 
@@ -316,9 +317,7 @@ def test_oracle_tau_on_scaled_morphisms():
     D = solve_D(E)
     alpha = scale(identity_morphism(E), rational(3, 2))
     assert oracle_tau(E, alpha, A, dtensor=D) == tau(E, alpha, A)
-    beta = MorphismCocycle(
-        E, E, 0, tuple(tuple(R2.parse("y") * p for p in row) for row in alpha.matrix)
-    )
+    beta = MorphismCocycle(E, E, 0, mat_map(alpha.matrix, lambda p: R2.parse("y") * p))
     assert oracle_tau(E, beta, A, dtensor=D) == tau(E, beta, A)
 
 
@@ -547,7 +546,8 @@ def _eliminate_level(level: dict, n: int, rank: int, ring) -> dict:
     grids: dict = {}
     for r in range(rank):
         for s in range(rank):
-            eqs = {(S, m): c for S, M in level.items() for m, c in terms(M[r][s]).items()}
+            eqs = {(S, m): c for S, M in level.items()
+                   for m, c in terms(M[r].get(s, ring.zero())).items()}
             rows, cols, matrix = _contraction_system(eqs, n)
             if not cols:
                 assert not eqs
@@ -619,7 +619,7 @@ def test_homotopy_matches_elimination_reference(w, facs, monkeypatch):
             level = {S: M for S, M in rhs.items() if len(S) == j}
             solved = _eliminate_level(level, n, E.rank, ring)
             for T in combinations(range(n), j + 1):
-                want = solved.get(T, zero)
+                want = sparse(solved.get(T, zero))
                 assert components[T] == want
                 assert component(D, T) == mat_map(want, from_u)
 
@@ -652,17 +652,17 @@ def _dropping_from(homotopy, skip, dropped):
 
     def dropping(M, i, n, ring):
         out = homotopy(M, i, n, ring)
-        if dropped or not any(p.terms for row in out for p in row):
+        if dropped or not any(out):
             return out
         if len(passed) < skip:
             passed.append(i)
             return out
-        rows = [list(row) for row in out]
-        r, s = next((r, s) for r, row in enumerate(rows) for s, p in enumerate(row) if p.terms)
+        rows = [dict(row) for row in out]
+        r, s = next((r, s) for r, row in enumerate(rows) for s in sorted(row))
         m = next(iter(rows[r][s].terms))
         rows[r][s] = ring.from_terms({t: c for t, c in rows[r][s].terms.items() if t != m})
         dropped.append((r, s, m))
-        return tuple(map(tuple, rows))
+        return tuple({s: p for s, p in row.items() if p} for row in rows)
 
     return dropping
 
@@ -693,7 +693,7 @@ def test_components_are_admissible(w, facs):
         D = solve_D(E)
         for T, _stored in D.solved:
             for row in component(D, T):
-                for p in row:
+                for p in row.values():
                     for m in terms(p.substitute(ring, to_u)):
                         assert not any(m[n + k] for k in range(T[0] if T else n))
 
@@ -761,8 +761,8 @@ def test_oracle_tau_reads_the_top_component_at_u_zero(w, facs):
         top = mat_map(component(D, range(n)), lambda p: p.substitute(ring, to_x))
         ident = identity_morphism(E)
         for alpha in (ident, scale(ident, ring.var(0))):
-            M = mat_mul(top, alpha.matrix, ring.zero())
-            want = A.project(supertrace(M, E.r0), parity=(n + alpha.parity) % 2)
+            M = mat_mul(top, alpha.matrix, ring.zero(), E.rank)
+            want = A.project(supertrace(ring, M, E.r0), parity=(n + alpha.parity) % 2)
             assert oracle_tau(E, alpha, A, dtensor=D) == want
             assert oracle_tau(E, alpha, A) == want
 
